@@ -205,11 +205,13 @@ def large_surgery_d(table: HTable, q: Sequence[int], v: Sequence[int],
         raise ValueError("surgery coefficients must be positive")
     if any(2 * abs(x) > qi for x, qi in zip(v, q)):
         raise ValueError(f"label {v} outside the fundamental domain |v_i| <= q_i/2")
-    threshold = 2 * (2 * table.M)
+    # The box the table was built with, not table.M: later box growth must
+    # not change the answer.
+    threshold = 2 * (2 * table.initial_M)
     small = [qi for qi in q if qi <= threshold]
     if small and not force:
         raise LargenessError(
             f"surgery coefficients {small} do not exceed twice the box diameter "
-            f"{2 * table.M}; pass force=True if the surgery is known to be large")
+            f"{2 * table.initial_M}; pass force=True if the surgery is known to be large")
     shift = sum(Fraction((2 * vi - qi) ** 2, 4 * qi) for vi, qi in zip(v, q))
     return shift - Fraction(n, 4) - 2 * table.H(v)

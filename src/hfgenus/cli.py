@@ -45,8 +45,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     common.add_argument("--force", action="store_true",
                         help="proceed without the L-space assertion / largeness checks")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel table fill")
 
     sub.add_parser("h-table", parents=[common], help="print h over the box")
     sub.add_parser("region", parents=[common],
@@ -100,11 +98,8 @@ def _load_input(args) -> linkcat.LinkDescriptor:
         raise UsageError(f"cannot read {args.link}: {exc}")
 
 
-def _make_table(args, d=None) -> HTable:
-    d = d if d is not None else _load_input(args)
-    table = HTable(d, box=args.box, force=args.force)
-    table.fill(jobs=max(1, args.jobs))
-    return table
+def _make_table(args) -> HTable:
+    return HTable(_load_input(args), box=args.box, force=args.force)
 
 
 def _emit(args, text: str) -> None:

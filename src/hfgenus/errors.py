@@ -42,7 +42,15 @@ class BoxError(HfgenusError):
 
 
 class StabilizationError(BoxError):
-    """H failed to stabilize at the box boundary."""
+    """H failed to stabilize at the box boundary.
+
+    `problems` holds every problem a validation sweep found; the message
+    shows only the first few.
+    """
+
+    def __init__(self, message: str, problems=()):
+        super().__init__(message)
+        self.problems = list(problems)
 
 
 class LargenessError(BoxError):

@@ -8,6 +8,12 @@ coefficients of the half-shifted Alexander polynomial (multi-component
 sublinks) or of the torsion-coefficient series Delta(t)/(1-t^{-1}) (knot
 sublinks).
 
+Each sublink's orthant sums are tabulated once, as a suffix-sum (summed-area)
+table over the bounding box of that sublink's polynomial support, so one H
+value costs at most 2^n - 1 table lookups, whatever the size of the supports
+or of the lattice box.  Disjoint unions take the same path: a sublink mixing
+parts has zero polynomial and contributes nothing.
+
 The overall sign of a multi-component Alexander polynomial is not pinned down
 by symmetry alone; it is resolved here, bottom-up over sublinks, by requiring
 the resulting H-function to be valid (nonnegative, unit steps, stabilizing).
@@ -68,127 +74,149 @@ def chi(d: LinkDescriptor, B, u) -> int:
     return acc.coeff(tuple(u))
 
 
-def _support_radius(acc) -> int:
-    if isinstance(acc, KnotChiSeries):
-        if not acc.poly.terms:
-            return 0
-        return max(abs(e) // 2 for (e,) in acc.poly.terms)
-    if not acc:
-        return 0
-    return max(abs(x) for exp in acc for x in exp)
+class _OrthantSums:
+    """Upper-orthant sums of an integer coefficient map, as a lookup table.
+
+    `sums` holds, for every v in the bounding box [lo, hi] of the support
+    (flat, row-major), the sum of the coefficients at all u >= v.  Outside the
+    box a lookup is 0 once some v_i > hi_i, and reads v_i < lo_i as lo_i.  A
+    knot table (knot=True, coefficients of Delta) holds the sums of the torsion
+    series Delta(t)/(1-t^{-1}) instead: one more suffix pass, and below lo the
+    sum grows by Delta(1) per unit step.
+    """
+
+    __slots__ = ("axes", "sums", "slope", "radius")
+
+    def __init__(self, coeffs: dict, knot: bool = False):
+        k = len(next(iter(coeffs)))
+        lo = [min(e[i] for e in coeffs) for i in range(k)]
+        hi = [max(e[i] for e in coeffs) for i in range(k)]
+        shape = [h - l + 1 for l, h in zip(lo, hi)]
+        strides = [1] * k
+        for i in range(k - 2, -1, -1):
+            strides[i] = strides[i + 1] * shape[i + 1]
+        sums = [0] * (strides[0] * shape[0])
+        for e, c in coeffs.items():
+            sums[sum((x - l) * st for x, l, st in zip(e, lo, strides))] += c
+        for axis in ([0] if knot else []) + list(range(k)):
+            step, size = strides[axis], shape[axis]
+            for i in range(len(sums) - 1, -1, -1):
+                if (i // step) % size < size - 1:
+                    sums[i] += sums[i + step]
+        self.axes = tuple(zip(lo, hi, strides))
+        self.sums = sums
+        self.slope = sum(coeffs.values()) if knot else 0
+        self.radius = max(max(-l, h) for l, h in zip(lo, hi))
+
+    def __call__(self, v, idx) -> int:
+        """The orthant sum at the point (v[i] for i in idx)."""
+        index = below = 0
+        for i, (lo, hi, stride) in zip(idx, self.axes):
+            x = v[i]
+            if x > hi:
+                return 0
+            if x < lo:
+                below += lo - x
+                x = lo
+            index += (x - lo) * stride
+        return self.sums[index] + self.slope * below
 
 
-def _ray_sum(acc, v) -> int:
-    """Sum of chi over the upper orthant based at v."""
-    if isinstance(acc, KnotChiSeries):
-        return acc.ray_sum(v[0])
-    return sum(c for exp, c in acc.items() if all(e >= w for e, w in zip(exp, v)))
+def _lspace_asserted(d: LinkDescriptor) -> bool:
+    return d.lspace_asserted and (d.is_atomic or all(map(_lspace_asserted, d.parts)))
 
 
 class HTable:
     """Memoized H-function of a link descriptor over a lattice box [-M, M]^n.
 
-    The box bounds only the validation sweeps and region extraction; H itself
-    is a closed-form alternating sum and can be evaluated at any lattice point.
-    The box grows on demand (ensure_box) and revalidates lazily.
+    Construction resolves the sign of every sublink polynomial and builds one
+    orthant-sum table per sublink with nonzero polynomial, sized by that
+    polynomial's support and never by the box; an H value is then at most
+    2^n - 1 lookups, for atomic descriptors and disjoint unions alike.  The box
+    bounds only the validation sweeps and region extraction; H itself is a
+    closed-form alternating sum and can be evaluated at any lattice point.
+    The box grows on demand (ensure_box) and revalidates lazily; `initial_M`
+    keeps the radius the table was constructed with.
     """
 
     def __init__(self, link: LinkDescriptor, genus_margin: int = 0,
                  box: Optional[int] = None, force: bool = False,
                  sign_overrides: Optional[dict] = None):
         require_valid(link)
-        if not link.lspace_asserted and not force:
+        if not _lspace_asserted(link) and not force:
             raise LSpaceAssertionError(
                 f"{link.name}: the L-space property is not asserted; the H-function "
                 f"formula presupposes it (pass force=True to compute anyway)")
         self.link = link
         self.n = link.n
+        self._full = tuple(range(self.n))
         self._memo: dict = {}
         self._h_positive_cache: dict = {}
         self._validated_radius = -1
         self._problems: list = []
+        self._tables: dict = {}  # sublink -> _OrthantSums, nonzero polynomials only
+        self._terms: dict = {}   # sublink B -> (parity, C, positions of C in B, table)
+        self._signs: dict = {}   # sublink -> +1 or -1, filled bottom-up
+        self._resolve_signs(sign_overrides)
 
-        if link.is_atomic:
-            self._parts = None
-            self._signs, self._chi = self._resolve_signs(sign_overrides)
-        else:
-            if sign_overrides:
-                raise ValueError("sign overrides are only supported on atomic descriptors")
-            self._parts = [HTable(p, genus_margin=genus_margin, force=force)
-                           for p in link.parts]
-            self._chi = None
-            self._signs = {}
-            for part, (lo, _) in zip(self._parts, link._part_ranges()):
-                for B, s in part._signs.items():
-                    self._signs[tuple(i + lo for i in B)] = s
-
-        self.support_radius = self._compute_support_radius()
+        self.support_radius = max(t.radius for t in self._tables.values())
         auto = self.support_radius + genus_margin + 2
         if box is not None and box < auto:
             raise StabilizationError(
                 f"requested box {box} is below the auto-computed minimum {auto}")
         self.M = max(auto, box or 0)
+        self.initial_M = self.M
 
     # -- construction helpers ------------------------------------------------
 
-    def _compute_support_radius(self) -> int:
-        if self._parts is not None:
-            return max(p.support_radius for p in self._parts)
-        return max(_support_radius(acc) for acc in self._chi.values())
-
-    def _resolve_signs(self, overrides):
-        signs: dict = {}
-        chi_acc: dict = {}
+    def _resolve_signs(self, overrides) -> None:
+        signs = self._signs
         for B in all_subsets(self.n):
+            signs[B] = 1
             delta = self.link.delta(B)
-            if len(B) == 1:
-                signs[B] = 1
-                chi_acc[B] = KnotChiSeries(delta)
+            if not delta.is_zero():
+                if len(B) == 1:
+                    self._tables[B] = _OrthantSums(
+                        {(e // 2,): c for (e,), c in delta.terms.items()}, knot=True)
+                else:
+                    self._tables[B] = _OrthantSums(_chi_support(delta))
+            terms = []
+            for size in range(1, len(B) + 1):
+                for idx in combinations(range(len(B)), size):
+                    C = tuple(B[i] for i in idx)
+                    if C in self._tables:  # a split sublink contributes nothing
+                        terms.append((1 if size % 2 else -1, C, idx, self._tables[C]))
+            self._terms[B] = terms
+            if len(B) == 1 or delta.is_zero():
                 continue
-            if delta.is_zero():
-                signs[B] = 1
-                chi_acc[B] = {}
-                continue
-            support = _chi_support(delta)
             if overrides is not None and B in overrides:
-                sigma = overrides[B]
-                signs[B] = sigma
-                chi_acc[B] = {e: sigma * c for e, c in support.items()}
+                signs[B] = overrides[B]
                 continue
-            chosen = None
             for sigma in (1, -1):  # prefer the stored sign
-                candidate = dict(chi_acc)
-                candidate[B] = {e: sigma * c for e, c in support.items()}
-                if not self._subset_problems(B, candidate):
-                    chosen = sigma
+                signs[B] = sigma
+                memo: dict = {}
+                if not self._subset_problems(B, memo):
+                    self._memo.update(memo)  # B's values under its final sign
                     break
-            if chosen is None:
+            else:
                 raise SignResolutionError(
                     f"{self.link.name}: neither sign of the polynomial for subset "
                     f"{tuple(i + 1 for i in B)} yields a valid H-function; "
                     f"not an L-space link with this data")
-            signs[B] = chosen
-            chi_acc[B] = {e: chosen * c for e, c in support.items()}
-        return signs, chi_acc
 
-    def _subset_problems(self, B, accessors) -> list:
-        """Validity sweep for the sublink indexed by B with candidate accessors."""
-        subsets = [tuple(B[i] for i in idx)
-                   for size in range(1, len(B) + 1)
-                   for idx in combinations(range(len(B)), size)]
-        radius = max(_support_radius(accessors[C]) for C in subsets) + 2
-        memo: dict = {}
+    def _subset_problems(self, B, memo) -> list:
+        """Validity sweep for the sublink indexed by B with its candidate sign."""
+        radius = max(table.radius for _, _, _, table in self._terms[B]) + 2
         k = len(B)
         problems = []
         for s in product(range(-radius, radius + 1), repeat=k):
-            v = self._eval_subset(B, s, accessors, memo)
+            v = self._eval(B, s, memo)
             if v < 0:
                 problems.append(f"H{s} = {v} < 0")
                 return problems
             for i in range(k):
                 if s[i] > -radius:
-                    down = self._eval_subset(B, s[:i] + (s[i] - 1,) + s[i + 1:],
-                                             accessors, memo)
+                    down = self._eval(B, s[:i] + (s[i] - 1,) + s[i + 1:], memo)
                     if down - v not in (0, 1):
                         problems.append(f"step law fails at {s} in direction {i + 1}")
                         return problems
@@ -197,21 +225,16 @@ class HTable:
                 return problems
         return problems
 
-    @staticmethod
-    def _eval_subset(B, s, accessors, memo):
+    def _eval(self, B, s, memo):
         """H of the sublink B at point s (coordinates aligned with sorted B)."""
         key = (B, s)
-        if key in memo:
-            return memo[key]
-        total = 0
-        k = len(B)
-        for size in range(1, k + 1):
-            sign = 1 if size % 2 else -1
-            for idx in combinations(range(k), size):
-                C = tuple(B[i] for i in idx)
-                v = tuple(s[i] + 1 for i in idx)
-                total += sign * _ray_sum(accessors[C], v)
-        memo[key] = total
+        total = memo.get(key)
+        if total is None:
+            v = tuple(x + 1 for x in s)
+            total = 0
+            for parity, C, idx, table in self._terms[B]:
+                total += parity * self._signs[C] * table(v, idx)
+            memo[key] = total
         return total
 
     # -- evaluation ------------------------------------------------------------
@@ -221,17 +244,7 @@ class HTable:
         s = tuple(s)
         if len(s) != self.n:
             raise ValueError(f"point {s} has wrong dimension, expected {self.n}")
-        if self._parts is None:
-            return self._eval_subset(tuple(range(self.n)), s, self._chi, self._memo)
-        if s in self._memo:
-            return self._memo[s]
-        value = 0
-        lo = 0
-        for part in self._parts:
-            value += part.H(s[lo:lo + part.n])
-            lo += part.n
-        self._memo[s] = value
-        return value
+        return self._eval(self._full, s, self._memo)
 
     def h(self, s: Sequence[int]) -> int:
         s = tuple(s)
@@ -241,15 +254,14 @@ class HTable:
         """chi(HFL^-(L_B, u)) with the resolved sign."""
         B = tuple(sorted(B))
         u = (u,) if isinstance(u, int) else tuple(u)
-        if self._parts is None:
-            acc = self._chi[B]
-            if isinstance(acc, KnotChiSeries):
-                return acc.coeff(u[0])
-            return acc.get(u, 0)
-        for part, (lo, hi) in zip(self._parts, self.link._part_ranges()):
-            if lo <= B[0] and B[-1] < hi:
-                return part.chi(tuple(i - lo for i in B), u)
-        return 0  # subset crosses parts: split sublink, vanishing chi
+        table = self._tables.get(B)
+        if table is None:
+            return 0  # split sublink, vanishing chi
+        total = 0
+        for corner in product((0, 1), repeat=len(B)):
+            sign = -1 if sum(corner) % 2 else 1
+            total += sign * table(tuple(x + c for x, c in zip(u, corner)), range(len(B)))
+        return self._signs[B] * total
 
     def chi_from_H(self, s: Sequence[int]) -> int:
         """Inclusion-exclusion of H over the unit cube below s.
@@ -268,27 +280,10 @@ class HTable:
 
     def H_minus(self, i: int, rest: Sequence[int]) -> int:
         """H of the sublink with component i deleted, at the projected point."""
-        rest = tuple(rest)
         if self.n == 1:
             return 0
-        if self._parts is None:
-            B = tuple(j for j in range(self.n) if j != i)
-            return self._eval_subset(B, rest, self._chi, self._memo)
-        value = 0
-        lo = 0
-        pos = 0
-        for part in self._parts:
-            inside = lo <= i < lo + part.n
-            take = part.n - (1 if inside else 0)
-            chunk = rest[pos:pos + take]
-            if inside:
-                if part.n > 1:
-                    value += part.H_minus(i - lo, chunk)
-            else:
-                value += part.H(chunk)
-            lo += part.n
-            pos += take
-        return value
+        B = tuple(j for j in range(self.n) if j != i)
+        return self._eval(B, tuple(rest), self._memo)
 
     # -- box management and validation -----------------------------------------
 
@@ -351,7 +346,8 @@ class HTable:
         if problems:
             raise StabilizationError(
                 f"{self.link.name}: H-function fails validation on box "
-                f"[-{self.M}, {self.M}]^{self.n}: " + "; ".join(problems[:5]))
+                f"[-{self.M}, {self.M}]^{self.n}: " + "; ".join(problems[:5]),
+                problems=problems)
 
     @property
     def sign_resolution(self) -> dict:
@@ -375,24 +371,6 @@ class HTable:
 
     def max_h(self) -> int:
         return max((hv for _, hv in self.h_positive()), default=0)
-
-    def fill(self, jobs: int = 1) -> None:
-        """Materialize H over the whole box, optionally splitting across threads.
-
-        Evaluation is pure, so concurrent fills are safe; racing memo writes
-        store identical values.
-        """
-        points = list(self.iter_box())
-        if jobs <= 1:
-            for s in points:
-                self.H(s)
-            return
-        from concurrent.futures import ThreadPoolExecutor
-        chunk = (len(points) + jobs - 1) // jobs
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for k in range(jobs):
-                pool.submit(lambda ps: [self.H(p) for p in ps],
-                            points[k * chunk:(k + 1) * chunk])
 
 
 def _table_cache():

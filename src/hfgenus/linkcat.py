@@ -4,7 +4,7 @@ polynomials, disjoint unions, JSON persistence, and the built-in catalog.
 A descriptor is either *atomic* (it stores one symmetrized Alexander polynomial
 for every nonempty subset of its components) or a *disjoint union* of smaller
 descriptors (no polynomial is stored for subsets mixing parts: those vanish,
-and the H-function is computed additively instead).
+which makes the H-function additive over the parts).
 
 Component subsets are 0-based index tuples in the Python API; the JSON schema
 uses 1-based comma-joined keys like "1,2".

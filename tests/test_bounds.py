@@ -9,7 +9,7 @@ from hfgenus.bounds import (admissible_region, best_lower_bound, bound_max_h,
                             f_cap, genus_admissible, large_surgery_d, lens_d,
                             unlink_test)
 from hfgenus.errors import LargenessError, ValidationError
-from hfgenus.hfunction import table_for
+from hfgenus.hfunction import HTable, table_for
 from hfgenus.linkcat import catalog, disjoint_union
 from hfgenus.region import region_from_h
 
@@ -197,3 +197,12 @@ def test_bound_dominates_component_thresholds():
             from hfgenus.linkcat import sublink
             comp = bound_min_region(table_for(sublink(d, (i,))))
             assert whole >= comp
+
+
+def test_large_surgery_threshold_ignores_box_growth():
+    t = HTable(catalog("whitehead"))
+    assert t.M == 3
+    assert large_surgery_d(t, (20, 20), (0, 0)) == Fraction(15, 2)
+    admissible_region(t)
+    assert t.M == 8
+    assert large_surgery_d(t, (20, 20), (0, 0)) == Fraction(15, 2)

@@ -1,6 +1,9 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from hfgenus.cli import main
 from hfgenus.linkcat import catalog, descriptor_to_dict
@@ -177,15 +180,6 @@ def test_out_writes_file(capsys, tmp_path):
     assert json.loads(target.read_text())["generators"] == [[0, 1], [1, 0]]
 
 
-def test_jobs_flag(capsys):
-    code, out, _ = run(capsys, "h-table", "--catalog", "whitehead",
-                       "--jobs", "4", "--format", "json")
-    assert code == 0
-    data = json.loads(out)
-    M = data["window"]
-    assert data["h"][M][M] == 1
-
-
 def test_h_table_ascii_unknot_row(capsys):
     code, out, _ = run(capsys, "h-table", "--catalog", "unknot", "--box", "2")
     assert code == 0
@@ -206,3 +200,35 @@ def test_h_table_ascii_rejected_for_three_components(capsys):
     code, _, err = run(capsys, "h-table", "--catalog", "borromean",
                        "--format", "ascii")
     assert code == 4 and "two components" in err
+
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
+
+# The benchmark's jobs on catalog links, by the name of the file in
+# perfbench/expected/ that holds their stdout.
+BENCHMARK_JOBS = {
+    "region_tb20_json": ["region", "--catalog", "two_bridge:20", "--format", "json"],
+    "region_tb20_ascii": ["region", "--catalog", "two_bridge:20", "--format", "ascii"],
+    "bounds_tb20_json": ["bounds", "--catalog", "two_bridge:20", "--format", "json"],
+    "bounds_tb20_ascii": ["bounds", "--catalog", "two_bridge:20", "--format", "ascii"],
+    "region_tb25_json": ["region", "--catalog", "two_bridge:25", "--format", "json"],
+    "region_tb25_ascii": ["region", "--catalog", "two_bridge:25", "--format", "ascii"],
+    "h_table_tb12_ascii": ["h-table", "--catalog", "two_bridge:12", "--format", "ascii"],
+    "region_tb12_svg": ["region", "--catalog", "two_bridge:12", "--format", "svg"],
+    "cable_whitehead_7_22_1_1": ["cable", "--catalog", "whitehead", "--cable", "7:22,1:1"],
+    "cable_whitehead_1_1_7_22": ["cable", "--catalog", "whitehead", "--cable", "1:1,7:22"],
+    "bounds_whitehead_cable_7_22": ["bounds", "--catalog", "whitehead_cable:7,22"],
+    "bounds_two_bridge_cable_1_1_1_7_22": ["bounds", "--catalog",
+                                           "two_bridge_cable:1,1,1,7,22"],
+    **{f"d_invariants_whitehead_cable_5_16_{q}": [
+        "d-invariants", "--catalog", "whitehead_cable:5,16", "--framing", f"{q},{q}"]
+       for q in (400, 401, 402)},
+    "cable_two_bridge_3_3_7_2_5": ["cable", "--catalog", "two_bridge:3", "--cable", "3:7,2:5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_JOBS))
+def test_benchmark_outputs_are_byte_identical(capsys, name):
+    code, out, _ = run(capsys, *BENCHMARK_JOBS[name])
+    assert code == 0
+    assert out.encode("utf-8") == (EXPECTED / f"{name}.out").read_bytes()

@@ -5,9 +5,10 @@ from itertools import product
 
 import pytest
 
-from hfgenus.errors import ValidationError
-from hfgenus.hfunction import (HTable, H_value, chi, chi_from_H, h_value,
-                               table_for, tilde_alexander, validate_H)
+from hfgenus.cable import CableSpec, cable_alexander
+from hfgenus.errors import StabilizationError, ValidationError
+from hfgenus.hfunction import (HTable, H_value, _OrthantSums, chi, chi_from_H,
+                               h_value, table_for, tilde_alexander, validate_H)
 from hfgenus.laurent import KnotChiSeries, LaurentPoly
 from hfgenus.linkcat import (LinkDescriptor, catalog, disjoint_union, sublink)
 
@@ -50,15 +51,96 @@ def brute_H(d, s):
     return total
 
 
+def scan_orthant_sum(coeffs, v):
+    """Sum of the coefficients over the upper orthant at v, by a support scan."""
+    return sum(c for exp, c in coeffs.items() if all(e >= w for e, w in zip(exp, v)))
+
+
+def scan_knot_sum(coeffs, v):
+    """Sum of the torsion series Delta(t)/(1-t^-1) over degrees >= v, by a
+    support scan of Delta's coefficients."""
+    return sum(c * (w - v[0] + 1) for (w,), c in coeffs.items() if w >= v[0])
+
+
 ATOMIC_SAMPLES = ["unknot", "trefoil_rh", "whitehead", "borromean", "mirror_L7a3"]
 
+ORACLE_LINKS = {
+    **{key: lambda key=key: catalog(key) for key in ATOMIC_SAMPLES},
+    "two_bridge": lambda: catalog("two_bridge", 2),
+    # sparse support, wide box
+    "whitehead_cable:5,16": lambda: catalog("whitehead_cable", 5, 16),
+    "borromean_cable:2,7,2,7,1,1": lambda: cable_alexander(
+        catalog("borromean"), CableSpec(((2, 7), (2, 7), (1, 1)))),
+    "whitehead+trefoil_rh": lambda: disjoint_union(
+        catalog("whitehead"), catalog("trefoil_rh")),
+    "mirror_L7a3+unknot+trefoil_rh": lambda: disjoint_union(
+        catalog("mirror_L7a3"), catalog("unknot"), catalog("trefoil_rh")),
+    "unlink:4": lambda: catalog("unlink", 4),
+}
 
-@pytest.mark.parametrize("key", ATOMIC_SAMPLES + ["two_bridge"])
-def test_H_matches_brute_force(key):
-    d = catalog(key, 2) if key == "two_bridge" else catalog(key)
+
+@pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
+def test_H_matches_brute_force(name):
+    d = ORACLE_LINKS[name]()
     table = HTable(d)
     for s in table.iter_box():
-        assert table.H(s) == brute_H(d, s), f"{key} at {s}"
+        assert table.H(s) == brute_H(d, s), f"{name} at {s}"
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
+def test_H_outside_the_box(name):
+    d = ORACLE_LINKS[name]()
+    t = HTable(d)
+    far = t.M + 9
+    for s in product((-far, -t.M, 0, t.M, far), repeat=d.n):
+        assert t.H(s) == brute_H(d, s), f"{name} at {s}"
+    # above the support top every orthant sum is empty
+    assert t.H((t.support_radius,) * d.n) == 0
+    # far below, only the knot sublinks contribute, each with slope Delta(1) = 1
+    low = (-far,) * d.n
+    for i in range(d.n):
+        assert t.H(low[:i] + (-far - 1,) + low[i + 1:]) == t.H(low) + 1
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
+def test_orthant_tables_match_support_scan(name):
+    d = ORACLE_LINKS[name]()
+    t = HTable(d)
+    for B in nonempty_subsets(d.n):
+        delta = d.delta(B)
+        if delta.is_zero():
+            assert all(t.chi(B, u) == 0 for u in product(range(-2, 3), repeat=len(B)))
+            continue
+        if len(B) == 1:
+            coeffs = {(e // 2,): c for (e,), c in delta.terms.items()}
+            table, scan = _OrthantSums(coeffs, knot=True), scan_knot_sum
+            coeff = lambda v: sum(c for (w,), c in coeffs.items() if w >= v[0])
+        else:
+            coeffs = {tuple((e + 1) // 2 for e in exp): c
+                      for exp, c in delta.terms.items()}
+            table, scan = _OrthantSums(coeffs), scan_orthant_sum
+            coeff = lambda v: coeffs.get(v, 0)
+        axes = range(len(B))
+        sides = []
+        for i in axes:
+            lo, hi = min(e[i] for e in coeffs), max(e[i] for e in coeffs)
+            sides.append(list(range(lo - 3, hi + 4)) + [lo - 40, hi + 40])
+        sign = t.sign_resolution[tuple(i + 1 for i in B)]
+        for v in product(*sides):
+            assert table(v, axes) == scan(coeffs, v), (B, v)
+            assert t.chi(B, v) == sign * coeff(v), (B, v)
+
+
+def test_grown_box_matches_brute_force():
+    d = catalog("two_bridge", 3)
+    M0 = HTable(d).M + 1
+    t = HTable(d, box=M0)
+    assert t.validation_report() == []
+    t.ensure_box(M0 + 6)
+    assert (t.M, t.initial_M) == (M0 + 6, M0)
+    assert t.validation_report() == []
+    for s in t.iter_box():
+        assert t.H(s) == brute_H(d, s), s
 
 
 def test_tilde_alexander_whitehead():
@@ -227,19 +309,40 @@ def test_flipped_sign_fails_validation():
     assert bad.H((0, 0)) == -1
 
 
-def test_sign_resolution_recovers_flipped_input():
+def test_require_valid_keeps_every_problem():
+    bad = HTable(catalog("two_bridge", 3), sign_overrides={(0, 1): -1})
+    report = bad.validation_report()
+    assert len(report) > 5
+    with pytest.raises(StabilizationError) as info:
+        bad.require_valid()
+    assert info.value.problems == report
+    assert str(info.value).endswith(": " + "; ".join(report[:5]))
+
+
+def flipped_whitehead():
     wh = catalog("whitehead")
-    flipped = LinkDescriptor("whitehead-flipped", wh.components,
-                             alexander={(0,): wh.delta((0,)),
-                                        (1,): wh.delta((1,)),
-                                        (0, 1): -wh.delta((0, 1))},
-                             lspace_asserted=True)
-    t = HTable(flipped)
+    return LinkDescriptor("whitehead-flipped", wh.components,
+                          alexander={(0,): wh.delta((0,)),
+                                     (1,): wh.delta((1,)),
+                                     (0, 1): -wh.delta((0, 1))},
+                          lspace_asserted=True)
+
+
+def test_sign_resolution_recovers_flipped_input():
+    t = HTable(flipped_whitehead())
     assert t.flipped_signs() == [(1, 2)]
     assert t.validation_report() == []
-    good = table_for(wh)
+    good = table_for(catalog("whitehead"))
     for s in product(range(-2, 3), repeat=2):
         assert t.H(s) == good.H(s)
+
+
+def test_sign_resolution_of_a_union():
+    t = HTable(disjoint_union(flipped_whitehead(), catalog("trefoil_rh")))
+    assert t.sign_resolution == {(1,): 1, (2,): 1, (3,): 1, (1, 2): -1,
+                                 (1, 3): 1, (2, 3): 1, (1, 2, 3): 1}
+    assert t.flipped_signs() == [(1, 2)]
+    assert t.validation_report() == []
 
 
 def test_lspace_assertion_gate():
@@ -257,14 +360,6 @@ def test_box_override_floor():
     with pytest.raises(StabilizationError):
         HTable(catalog("two_bridge", 2), box=2)
     assert HTable(catalog("two_bridge", 2), box=9).M == 9
-
-
-def test_fill_parallel_matches_serial():
-    d = catalog("whitehead")
-    t1, t2 = HTable(d), HTable(d)
-    t1.fill(jobs=1)
-    t2.fill(jobs=3)
-    assert all(t1.H(s) == t2.H(s) for s in t1.iter_box())
 
 
 def test_genus_margin_widens_box():

@@ -123,7 +123,8 @@ def cable_alexander(d: LinkDescriptor, spec: CableSpec) -> LinkDescriptor:
     if not d.is_atomic:
         raise ValueError("cabling is implemented for atomic descriptors")
     if spec.n != d.n:
-        raise ValueError("cable spec must give one (p, q) pair per component")
+        raise ValueError(f"cable spec has {spec.n} pairs but the link has "
+                         f"{d.n} components")
     alex = {}
     for B in all_subsets(d.n):
         delta = d.delta(B)

@@ -211,10 +211,10 @@ def _cmd_bounds(args) -> int:
 def _cmd_cable(args) -> int:
     d = _load_input(args)
     spec = parse_cable_spec(args.cable)
-    if spec.n != d.n:
-        raise UsageError(f"cable spec has {spec.n} pairs but the link has "
-                         f"{d.n} components")
-    cabled = cable_alexander(d, spec)
+    try:
+        cabled = cable_alexander(d, spec)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     report = cable_consistency_check(d, spec, force=args.force)
     payload = {
         "name": cabled.name,
@@ -231,13 +231,15 @@ def _cmd_cable(args) -> int:
 
 
 def _cmd_d_invariants(args) -> int:
-    modes = [bool(args.lens), bool(args.circle_bundle),
+    modes = [args.lens is not None, bool(args.circle_bundle),
              bool(args.catalog or args.link)]
     if sum(modes) != 1:
         raise UsageError("choose one of --lens, --circle-bundle, or a link input "
                          "with --framing")
-    if args.lens:
+    if args.lens is not None:
         m = args.lens
+        if m < 1:
+            raise UsageError(f"--lens expects a positive order, got {m}")
         values = [[k, _frac(bounds_mod.lens_d(m, k))]
                   for k in range(-(m // 2), m // 2 + 1)]
         _emit(args, _json({"lens": m, "values": values}))
@@ -250,8 +252,13 @@ def _cmd_d_invariants(args) -> int:
             m, g = int(raw_m), int(raw_g)
         except ValueError:
             raise UsageError("--circle-bundle expects integers M:G")
-        values = [[k, _frac(bounds_mod.circle_bundle_d(m, g, k))]
-                  for k in range(-(m // 2), m // 2 + 1)]
+        if m < 1:
+            raise UsageError(f"--circle-bundle expects a positive order, got {m}")
+        try:
+            values = [[k, _frac(bounds_mod.circle_bundle_d(m, g, k))]
+                      for k in range(-(m // 2), m // 2 + 1)]
+        except ValueError as exc:
+            raise UsageError(str(exc))
         _emit(args, _json({"circle_bundle": [m, g], "values": values}))
         return 0
     if not args.framing:
@@ -259,7 +266,10 @@ def _cmd_d_invariants(args) -> int:
     table = _make_table(args)
     q = _ints(args.framing, "framing")
     v = _ints(args.point, "point") if args.point else (0,) * table.n
-    value = bounds_mod.large_surgery_d(table, q, v, force=args.force)
+    try:
+        value = bounds_mod.large_surgery_d(table, q, v, force=args.force)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     _emit(args, _json({"name": table.link.name, "framing": list(q),
                        "point": list(v), "d": _frac(value)}))
     return 0

@@ -8,11 +8,13 @@ coefficients of the half-shifted Alexander polynomial (multi-component
 sublinks) or of the torsion-coefficient series Delta(t)/(1-t^{-1}) (knot
 sublinks).
 
-Each sublink's orthant sums are tabulated once, as a suffix-sum (summed-area)
-table over the bounding box of that sublink's polynomial support, so one H
-value costs at most 2^n - 1 table lookups, whatever the size of the supports
-or of the lattice box.  Disjoint unions take the same path: a sublink mixing
-parts has zero polynomial and contributes nothing.
+`HTable` is the only entry point to H, h, chi and their validation, and
+tables share no state.  `_chi_table` alone turns a sublink's polynomial into
+Euler characteristics: it checks the exponent parity and builds a suffix-sum
+(summed-area) table over the polynomial's support box, so one H value costs
+at most 2^n - 1 lookups, whatever the size of the supports or of the lattice
+box.  Disjoint unions take the same path: a sublink mixing parts has zero
+polynomial and contributes nothing.
 
 The overall sign of a multi-component Alexander polynomial is not pinned down
 by symmetry alone; it is resolved here, bottom-up over sublinks, by requiring
@@ -28,50 +30,8 @@ from typing import Optional, Sequence
 
 from .errors import (LSpaceAssertionError, SignResolutionError,
                      StabilizationError, ValidationError)
-from .laurent import KnotChiSeries, LaurentPoly
+from .laurent import LaurentPoly
 from .linkcat import LinkDescriptor, all_subsets, require_valid
-
-Point = tuple
-
-
-def tilde_alexander(d: LinkDescriptor, B):
-    """The Euler-characteristic generating object for the sublink indexed by B.
-
-    For two or more components: the Alexander polynomial multiplied by
-    (t_1 ... t_k)^{1/2}, which must land on the integer lattice (this is the
-    zero-linking parity); for a single component: the torsion-coefficient
-    series of the knot polynomial.
-    """
-    B = tuple(sorted(B))
-    delta = d.delta(B)
-    if len(B) == 1:
-        return KnotChiSeries(delta)
-    shifted = delta.shift((1,) * len(B))
-    _check_integral(shifted)
-    return shifted
-
-
-def _check_integral(shifted: LaurentPoly) -> None:
-    if any(e % 2 for exp in shifted.terms for e in exp):
-        raise ValidationError(
-            "non-integral exponents after the half shift; polynomial parity is "
-            "inconsistent with zero linking numbers")
-
-
-def _chi_support(delta: LaurentPoly) -> dict:
-    """Integer-lattice coefficient map of the half-shifted polynomial."""
-    shifted = delta.shift((1,) * delta.nvars)
-    _check_integral(shifted)
-    return {tuple(e // 2 for e in exp): c for exp, c in shifted.terms.items()}
-
-
-def chi(d: LinkDescriptor, B, u) -> int:
-    """Coefficient chi(HFL^-(L_B, u)) read off the stored polynomial data."""
-    B = tuple(sorted(B))
-    acc = tilde_alexander(d, B)
-    if isinstance(acc, KnotChiSeries):
-        return acc.coeff(u if isinstance(u, int) else u[0])
-    return acc.coeff(tuple(u))
 
 
 class _OrthantSums:
@@ -120,6 +80,23 @@ class _OrthantSums:
                 x = lo
             index += (x - lo) * stride
         return self.sums[index] + self.slope * below
+
+
+def _chi_table(delta: LaurentPoly) -> _OrthantSums:
+    """Orthant sums of a sublink's Euler characteristics, from its nonzero
+    polynomial: the coefficients of delta * (t_1 ... t_k)^{1/2}, or for a knot
+    of the torsion series Delta(t)/(1 - t^{-1}).  Either way the exponents
+    must land on the integer lattice (the zero-linking parity)."""
+    knot = delta.nvars == 1
+    shift = 0 if knot else 1
+    coeffs = {}
+    for exp, c in delta.terms.items():
+        if any((e + shift) % 2 for e in exp):
+            raise ValidationError(
+                "exponents off the integer lattice after the half shift; polynomial "
+                "parity is inconsistent with zero linking numbers")
+        coeffs[tuple((e + shift) // 2 for e in exp)] = c
+    return _OrthantSums(coeffs, knot=knot)
 
 
 def _lspace_asserted(d: LinkDescriptor) -> bool:
@@ -175,11 +152,7 @@ class HTable:
             signs[B] = 1
             delta = self.link.delta(B)
             if not delta.is_zero():
-                if len(B) == 1:
-                    self._tables[B] = _OrthantSums(
-                        {(e // 2,): c for (e,), c in delta.terms.items()}, knot=True)
-                else:
-                    self._tables[B] = _OrthantSums(_chi_support(delta))
+                self._tables[B] = _chi_table(delta)
             terms = []
             for size in range(1, len(B) + 1):
                 for idx in combinations(range(len(B)), size):
@@ -371,36 +344,3 @@ class HTable:
 
     def max_h(self) -> int:
         return max((hv for _, hv in self.h_positive()), default=0)
-
-
-def _table_cache():
-    cache: dict = {}
-
-    def table_for(d: LinkDescriptor) -> HTable:
-        if d not in cache:
-            cache[d] = HTable(d)
-        return cache[d]
-
-    return table_for
-
-
-table_for = _table_cache()
-
-
-def H_value(d: LinkDescriptor, s) -> int:
-    return table_for(d).H(s)
-
-
-def h_value(d: LinkDescriptor, s) -> int:
-    return table_for(d).h(s)
-
-
-def chi_from_H(d: LinkDescriptor, s) -> int:
-    return table_for(d).chi_from_H(s)
-
-
-def validate_H(d: LinkDescriptor, box: Optional[int] = None,
-               force: bool = False) -> list:
-    """Report-style validator of the H-function laws (empty list = valid)."""
-    table = HTable(d, box=box, force=force)
-    return table.validation_report()

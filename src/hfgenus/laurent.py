@@ -106,9 +106,6 @@ class LaurentPoly:
         """Coefficient at a half-integer exponent vector (0 if absent)."""
         return self.terms.get(tuple(double_exponent(e) for e in exps), 0)
 
-    def coeff_doubled(self, dexp: Exp) -> int:
-        return self.terms.get(tuple(dexp), 0)
-
     def evaluate_at_one(self) -> int:
         return sum(self.terms.values())
 
@@ -328,42 +325,3 @@ def normalize_symmetric(f: LaurentPoly) -> LaurentPoly:
         elif v != 1:
             raise SymmetryError(f"knot polynomial ({f}) cannot be normalized to value 1 at t=1")
     return g
-
-
-class KnotChiSeries:
-    """Coefficients of Delta(t)/(1 - t^{-1}) for a one-variable symmetric Delta.
-
-    The quotient is the series Delta(t) * (1 + t^-1 + t^-2 + ...), whose
-    coefficient at degree d is the tail sum of Delta's coefficients at degrees
-    >= d.  Coefficients vanish above the top degree of Delta; nothing below a
-    queried degree is ever materialized.
-    """
-
-    def __init__(self, poly: LaurentPoly):
-        if poly.nvars != 1:
-            raise ValueError("KnotChiSeries needs a one-variable polynomial")
-        if any(d % 2 for (d,) in poly.terms):
-            raise ValueError("knot polynomial must have integer exponents")
-        self.poly = poly
-        # coefficient list of Delta indexed by integer degree
-        self._coeffs = {d // 2: c for (d,), c in poly.terms.items()}
-        self._degrees = sorted(self._coeffs, reverse=True)
-        self._cache: dict = {}
-
-    @property
-    def top_degree(self) -> int:
-        return self._degrees[0] if self._degrees else 0
-
-    def coeff(self, d: int) -> int:
-        """Series coefficient at degree d: sum of Delta coefficients at >= d."""
-        if d not in self._cache:
-            self._cache[d] = sum(c for w, c in self._coeffs.items() if w >= d)
-        return self._cache[d]
-
-    def ray_sum(self, v: int) -> int:
-        """Sum of series coefficients over all degrees u >= v.
-
-        Equals sum_w a_w * (w - v + 1) over Delta terms with w >= v, which is
-        finite even though the series itself extends to -infinity.
-        """
-        return sum(c * (w - v + 1) for w, c in self._coeffs.items() if w >= v)

@@ -13,7 +13,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import HfgenusError, StabilizationError
-from .hfunction import HTable, table_for
+from .hfunction import HTable
 from .linkcat import LinkDescriptor, sublink
 
 
@@ -62,10 +62,6 @@ class UpwardClosedRegion:
         if not self.generators:
             raise ValueError("empty region has no generators")
         return min(sum(g) for g in self.generators)
-
-
-def membership(r: UpwardClosedRegion, x) -> bool:
-    return r.contains(x)
 
 
 def region_from_h(table: HTable) -> UpwardClosedRegion:
@@ -134,7 +130,7 @@ def projection_check(d: LinkDescriptor, r: UpwardClosedRegion) -> list:
         return problems  # deleting the only component leaves the empty link
     for i in range(d.n):
         rest = tuple(j for j in range(d.n) if j != i)
-        sub_region = region_from_h(table_for(sublink(d, rest)))
+        sub_region = region_from_h(HTable(sublink(d, rest)))
         for g in r.generators:
             proj = tuple(g[j] for j in rest)
             if not sub_region.contains(proj):

@@ -11,7 +11,7 @@ from hfgenus.bounds import (admissible_region, best_lower_bound,
                             bound_min_region, circle_bundle_d,
                             large_surgery_d, lens_d, unlink_test)
 from hfgenus.cable import CableSpec, cable_alexander, region_via_T
-from hfgenus.hfunction import HTable, table_for, validate_H
+from hfgenus.hfunction import HTable
 from hfgenus.laurent import LaurentPoly
 from hfgenus.linkcat import catalog, disjoint_union
 from hfgenus.region import (UpwardClosedRegion, dominates,
@@ -42,7 +42,7 @@ NON_SPLIT = ["trefoil_rh", "whitehead", "borromean", "mirror_L7a3"]
 def test_criterion_1_two_bridge_family():
     ok = True
     for k in range(1, 6):
-        t = table_for(catalog("two_bridge", k))
+        t = HTable(catalog("two_bridge", k))
         ok &= bound_min_region(t) == k
         ok &= region_from_h(t).generators == tuple(sorted((i, k - i)
                                                           for i in range(k + 1)))
@@ -52,7 +52,7 @@ def test_criterion_1_two_bridge_family():
 
 
 def test_criterion_2_borromean():
-    t = table_for(catalog("borromean"))
+    t = HTable(catalog("borromean"))
     ok = t.h((0, 0, 0)) == 1
     for v in product(range(0, t.M + 1), repeat=3):
         if v != (0, 0, 0) and all(x >= 0 for x in v):
@@ -64,7 +64,7 @@ def test_criterion_2_borromean():
 
 
 def test_criterion_3_mirror_l7a3():
-    t = table_for(catalog("mirror_L7a3"))
+    t = HTable(catalog("mirror_L7a3"))
     ok = region_from_h(t).generators == ((0, 2), (1, 1))
     ok &= bound_min_region(t) == 2
     criterion(3, "mirror L7a3: generators {(1,1),(0,2)} with the trefoil on "
@@ -73,10 +73,10 @@ def test_criterion_3_mirror_l7a3():
 
 def test_criterion_4_cabled_whitehead():
     ok = True
-    base_region = region_from_h(table_for(catalog("whitehead")))
+    base_region = region_from_h(HTable(catalog("whitehead")))
     for p, q in [(2, 7), (3, 10)]:
         expected = (p - 1) * (q - 1) // 2 + 1
-        direct = region_from_h(table_for(catalog("whitehead_cable", p, q)))
+        direct = region_from_h(HTable(catalog("whitehead_cable", p, q)))
         transformed = region_via_T(base_region, CableSpec(((p, q), (1, 1))))
         ok &= direct.generators == transformed.generators
         ok &= direct.min_generator_sum() == expected
@@ -101,7 +101,7 @@ def test_criterion_5_cable_sanity():
 def test_criterion_6_chi_roundtrip():
     ok = True
     for d in catalog_roster():
-        t = table_for(d)
+        t = HTable(d)
         full = tuple(range(d.n))
         for s in product(range(-t.M + 1, t.M), repeat=d.n):
             if t.chi_from_H(s) != t.chi(full, s):
@@ -111,7 +111,7 @@ def test_criterion_6_chi_roundtrip():
 
 
 def test_criterion_7_validator_and_sign_flip():
-    ok = all(validate_H(d) == [] for d in catalog_roster())
+    ok = all(HTable(d).validation_report() == [] for d in catalog_roster())
     flipped = HTable(catalog("whitehead"), sign_overrides={(0, 1): -1})
     report = flipped.validation_report()
     ok &= any("negative" in p for p in report)
@@ -121,7 +121,7 @@ def test_criterion_7_validator_and_sign_flip():
 
 
 def test_criterion_8_d_invariant_cross_check():
-    unk = table_for(catalog("unknot"))
+    unk = HTable(catalog("unknot"))
     ok = True
     for m in range(1, 13):
         for k in range(-(m // 2), m // 2 + 1):
@@ -134,7 +134,7 @@ def test_criterion_8_d_invariant_cross_check():
 
 
 def test_criterion_9_unlink_checker():
-    ok = all(unlink_test(table_for(catalog("unlink", n))) for n in (1, 2, 3))
+    ok = all(unlink_test(HTable(catalog("unlink", n))) for n in (1, 2, 3))
     for key in NON_SPLIT + ["two_bridge", "whitehead_cable"]:
         if key == "two_bridge":
             d = catalog(key, 2)
@@ -142,7 +142,7 @@ def test_criterion_9_unlink_checker():
             d = catalog(key, 2, 7)
         else:
             d = catalog(key)
-        ok &= not unlink_test(table_for(d))
+        ok &= not unlink_test(HTable(d))
     criterion(9, "n-unlinks have identically zero h; every non-split catalog "
                  "link fails the unlink test", ok)
 
@@ -150,7 +150,7 @@ def test_criterion_9_unlink_checker():
 def test_criterion_10_containment_and_region_laws():
     ok = True
     for d in catalog_roster():
-        t = table_for(d)
+        t = HTable(d)
         adm = admissible_region(t)
         h_region = region_from_h(t)
         ok &= all(h_region.contains(g) for g in adm.generators)
@@ -176,12 +176,12 @@ def test_criterion_10_containment_and_region_laws():
 
     # product formula for disjoint unions
     pool = ["unknot", "trefoil_rh", "whitehead", "mirror_L7a3"]
-    pool_regions = {k: region_from_h(table_for(catalog(k))) for k in pool}
+    pool_regions = {k: region_from_h(HTable(catalog(k))) for k in pool}
     union_regions = {}
     for a in pool:
         for b in pool:
             u = disjoint_union(catalog(a), catalog(b))
-            union_regions[(a, b)] = region_from_h(table_for(u))
+            union_regions[(a, b)] = region_from_h(HTable(u))
     for _ in range(600):
         a, b = rng.choice(pool), rng.choice(pool)
         ra, rb = pool_regions[a], pool_regions[b]

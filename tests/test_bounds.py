@@ -9,7 +9,7 @@ from hfgenus.bounds import (admissible_region, best_lower_bound, bound_max_h,
                             f_cap, genus_admissible, large_surgery_d, lens_d,
                             unlink_test)
 from hfgenus.errors import LargenessError, ValidationError
-from hfgenus.hfunction import HTable, table_for
+from hfgenus.hfunction import HTable
 from hfgenus.linkcat import catalog, disjoint_union
 from hfgenus.region import region_from_h
 
@@ -31,17 +31,17 @@ def test_f_cap_monotone_in_genus():
 
 
 def test_genus_admissible_examples():
-    wh = table_for(catalog("whitehead"))
+    wh = HTable(catalog("whitehead"))
     assert genus_admissible(wh, (1, 0))
     assert genus_admissible(wh, (0, 1))
     assert not genus_admissible(wh, (0, 0))
-    bor = table_for(catalog("borromean"))
+    bor = HTable(catalog("borromean"))
     assert genus_admissible(bor, (1, 0, 0))
     assert not genus_admissible(bor, (0, 0, 0))
 
 
 def test_genus_admissible_monotone():
-    t = table_for(catalog("mirror_L7a3"))
+    t = HTable(catalog("mirror_L7a3"))
     for g in [(1, 1), (0, 2)]:
         assert genus_admissible(t, g)
         assert genus_admissible(t, (g[0] + 1, g[1]))
@@ -49,16 +49,16 @@ def test_genus_admissible_monotone():
 
 
 def test_admissible_region_examples():
-    assert admissible_region(table_for(catalog("unknot"))).generators == ((0,),)
-    assert admissible_region(table_for(catalog("whitehead"))).generators == \
+    assert admissible_region(HTable(catalog("unknot"))).generators == ((0,),)
+    assert admissible_region(HTable(catalog("whitehead"))).generators == \
         ((0, 1), (1, 0))
-    assert admissible_region(table_for(catalog("mirror_L7a3"))).generators == \
+    assert admissible_region(HTable(catalog("mirror_L7a3"))).generators == \
         ((0, 2), (1, 1))
 
 
 def test_admissible_region_contained_in_h_region():
     for key in ["whitehead", "borromean", "mirror_L7a3", "trefoil_rh"]:
-        t = table_for(catalog(key))
+        t = HTable(catalog(key))
         adm = admissible_region(t)
         h_region = region_from_h(t)
         for g in adm.generators:
@@ -67,21 +67,21 @@ def test_admissible_region_contained_in_h_region():
 
 def test_bound_min_region():
     for k in range(1, 6):
-        assert bound_min_region(table_for(catalog("two_bridge", k))) == k
-    assert bound_min_region(table_for(catalog("mirror_L7a3"))) == 2
-    assert bound_min_region(table_for(catalog("unlink", 3))) == 0
+        assert bound_min_region(HTable(catalog("two_bridge", k))) == k
+    assert bound_min_region(HTable(catalog("mirror_L7a3"))) == 2
+    assert bound_min_region(HTable(catalog("unlink", 3))) == 0
 
 
 def test_bound_max_h():
-    assert bound_max_h(table_for(catalog("whitehead"))) == 0
-    assert bound_max_h(table_for(catalog("borromean"))) == -1
-    assert bound_max_h(table_for(catalog("unknot"))) == -1
+    assert bound_max_h(HTable(catalog("whitehead"))) == 0
+    assert bound_max_h(HTable(catalog("borromean"))) == -1
+    assert bound_max_h(HTable(catalog("unknot"))) == -1
 
 
 def test_bound_weighted():
-    assert bound_weighted(table_for(catalog("whitehead"))) == 0
-    assert bound_weighted(table_for(catalog("mirror_L7a3"))) == 1
-    assert bound_weighted(table_for(catalog("unlink", 2))) == -2
+    assert bound_weighted(HTable(catalog("whitehead"))) == 0
+    assert bound_weighted(HTable(catalog("mirror_L7a3"))) == 1
+    assert bound_weighted(HTable(catalog("unlink", 2))) == -2
 
 
 def test_bound_weighted_needs_g4():
@@ -90,33 +90,33 @@ def test_bound_weighted_needs_g4():
     anon = LinkDescriptor("wh-no-g4", [Component("a"), Component("b")],
                           alexander=wh.alexander, lspace_asserted=True)
     with pytest.raises(ValidationError, match="g4"):
-        bound_weighted(table_for(anon))
+        bound_weighted(HTable(anon))
 
 
 def test_best_lower_bound_provenance():
-    report = best_lower_bound(table_for(catalog("two_bridge", 3)))
+    report = best_lower_bound(HTable(catalog("two_bridge", 3)))
     assert report["best"] == 3 and report["via"] == "min_generator_sum"
-    report = best_lower_bound(table_for(catalog("borromean")))
+    report = best_lower_bound(HTable(catalog("borromean")))
     assert report["best"] == 1
-    report = best_lower_bound(table_for(catalog("whitehead_cable", 2, 7)))
+    report = best_lower_bound(HTable(catalog("whitehead_cable", 2, 7)))
     assert report["best"] == (2 - 1) * (7 - 1) // 2 + 1 == 4
-    report = best_lower_bound(table_for(catalog("unlink", 3)))
+    report = best_lower_bound(HTable(catalog("unlink", 3)))
     assert report["best"] == 0
 
 
 def test_unlink_test():
-    assert unlink_test(table_for(catalog("unknot")))
-    assert unlink_test(table_for(catalog("unlink", 2)))
-    assert unlink_test(table_for(catalog("unlink", 3)))
-    assert not unlink_test(table_for(catalog("whitehead")))
-    assert not unlink_test(table_for(catalog("trefoil_rh")))
-    assert not unlink_test(table_for(disjoint_union(catalog("trefoil_rh"),
+    assert unlink_test(HTable(catalog("unknot")))
+    assert unlink_test(HTable(catalog("unlink", 2)))
+    assert unlink_test(HTable(catalog("unlink", 3)))
+    assert not unlink_test(HTable(catalog("whitehead")))
+    assert not unlink_test(HTable(catalog("trefoil_rh")))
+    assert not unlink_test(HTable(disjoint_union(catalog("trefoil_rh"),
                                                     catalog("unknot"))))
 
 
 def test_unlink_iff_trivial_region():
     for key in ["unknot", "whitehead", "borromean", "trefoil_rh"]:
-        t = table_for(catalog(key))
+        t = HTable(catalog(key))
         trivial = region_from_h(t).generators == ((0,) * t.n,)
         assert unlink_test(t) == trivial
 
@@ -142,7 +142,7 @@ def test_lens_d_symmetry():
 def test_lens_d_matches_surgery_oracle():
     # independent route: the degree-shift evaluation on the unknot, with the
     # orientation flip relating the two surgery signs
-    unk = table_for(catalog("unknot"))
+    unk = HTable(catalog("unknot"))
     for m in range(1, 13):
         for k in range(-(m // 2), m // 2 + 1):
             assert lens_d(m, k) == -large_surgery_d(unk, (m,), (k,), force=True)
@@ -163,23 +163,23 @@ def test_circle_bundle_warns_when_small():
 
 
 def test_large_surgery_d_values():
-    unk = table_for(catalog("unknot"))
+    unk = HTable(catalog("unknot"))
     assert large_surgery_d(unk, (3,), (0,), force=True) == Fraction(1, 2)
-    wh = table_for(catalog("whitehead"))
+    wh = HTable(catalog("whitehead"))
     assert large_surgery_d(wh, (50, 50), (0, 0)) == \
         2 * Fraction(50 ** 2, 4 * 50) - Fraction(2, 4) - 2 * 1
 
 
 def test_large_surgery_d_additive_on_unlinks():
     for n in (2, 3):
-        t = table_for(catalog("unlink", n))
+        t = HTable(catalog("unlink", n))
         for m in (20, 33):
             got = large_surgery_d(t, (m,) * n, (0,) * n, force=True)
             assert got == n * (Fraction(m, 4) - Fraction(1, 4))
 
 
 def test_large_surgery_d_guards():
-    unk = table_for(catalog("unknot"))
+    unk = HTable(catalog("unknot"))
     with pytest.raises(LargenessError):
         large_surgery_d(unk, (3,), (0,))
     with pytest.raises(ValueError, match="fundamental domain"):
@@ -192,10 +192,10 @@ def test_bound_dominates_component_thresholds():
     # a link's region bound is at least each component's own threshold
     for key in ["whitehead", "mirror_L7a3", "borromean"]:
         d = catalog(key)
-        whole = bound_min_region(table_for(d))
+        whole = bound_min_region(HTable(d))
         for i in range(d.n):
             from hfgenus.linkcat import sublink
-            comp = bound_min_region(table_for(sublink(d, (i,))))
+            comp = bound_min_region(HTable(sublink(d, (i,))))
             assert whole >= comp
 
 

@@ -151,6 +151,24 @@ def test_exit_code_usage(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["cable", "--catalog", "unlink:2", "--cable", "2:7,1:1"],
+    ["cable", "--catalog", "whitehead", "--cable", "2:3"],
+    ["d-invariants", "--circle-bundle", "5:-1"],
+    ["d-invariants", "--circle-bundle", "0:1"],
+    ["d-invariants", "--circle-bundle", "-3:1"],
+    ["d-invariants", "--catalog", "whitehead", "--framing", "50,50,50"],
+    ["d-invariants", "--catalog", "whitehead", "--framing", "50,50", "--point", "30,0"],
+    ["d-invariants", "--catalog", "whitehead", "--framing", "0,50", "--force"],
+    ["d-invariants", "--lens", "-3"],
+    ["d-invariants", "--lens", "0"],
+], ids=" ".join)
+def test_bad_arguments_exit_with_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert "usage error:" in err
+
+
 def test_exit_code_box(capsys):
     code, _, err = run(capsys, "h-table", "--catalog", "two_bridge:2",
                        "--box", "2")

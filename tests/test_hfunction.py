@@ -4,12 +4,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfgenus.cable import CableSpec, cable_alexander
 from hfgenus.errors import StabilizationError, ValidationError
-from hfgenus.hfunction import (HTable, H_value, _OrthantSums, chi, chi_from_H,
-                               h_value, table_for, tilde_alexander, validate_H)
-from hfgenus.laurent import KnotChiSeries, LaurentPoly
+from hfgenus.hfunction import HTable, _chi_table, _OrthantSums
+from hfgenus.laurent import LaurentPoly
 from hfgenus.linkcat import (LinkDescriptor, catalog, disjoint_union, sublink)
 
 H2 = Fraction(1, 2)
@@ -103,6 +104,14 @@ def test_H_outside_the_box(name):
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
+def test_h_is_symmetric(name):
+    # h(-s) = h(s) for zero-linking L-space links (Gorsky-Nemethi)
+    t = HTable(ORACLE_LINKS[name]())
+    for s in t.iter_box():
+        assert t.h(tuple(-x for x in s)) == t.h(s), f"{name} at {s}"
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
 def test_orthant_tables_match_support_scan(name):
     d = ORACLE_LINKS[name]()
     t = HTable(d)
@@ -143,27 +152,24 @@ def test_grown_box_matches_brute_force():
         assert t.H(s) == brute_H(d, s), s
 
 
-def test_tilde_alexander_whitehead():
-    tilde = tilde_alexander(catalog("whitehead"), (0, 1))
-    assert tilde == P(2, (-1, (1, 1)), (1, (1, 0)), (1, (0, 1)), (-1, (0, 0)))
+def test_chi_whitehead():
+    t = HTable(catalog("whitehead"))
+    assert [t.chi((0, 1), u) for u in ((1, 1), (1, 0), (0, 1), (0, 0))] == [-1, 1, 1, -1]
+    assert all(t.chi((0, 1), u) == 0 for u in product(range(-3, 4), repeat=2)
+               if not all(x in (0, 1) for x in u))
 
 
-def test_tilde_alexander_unknot_series():
-    acc = tilde_alexander(catalog("unknot"), (0,))
-    assert isinstance(acc, KnotChiSeries)
-    assert all(acc.coeff(u) == 1 for u in range(-5, 1))
-    assert all(acc.coeff(u) == 0 for u in range(1, 4))
-
-
-def test_tilde_alexander_borromean():
-    tilde = tilde_alexander(catalog("borromean"), (0, 1, 2))
+def test_chi_borromean():
+    t = HTable(catalog("borromean"))
     t1m1 = P(3, (1, (1, 0, 0)), (-1, (0, 0, 0)))
     t2m1 = P(3, (1, (0, 1, 0)), (-1, (0, 0, 0)))
     t3m1 = P(3, (1, (0, 0, 1)), (-1, (0, 0, 0)))
-    assert tilde == t1m1 * t2m1 * t3m1
+    expected = t1m1 * t2m1 * t3m1
+    for u in product(range(-2, 3), repeat=3):
+        assert t.chi((0, 1, 2), u) == expected.coeff(u), u
 
 
-def test_tilde_alexander_rejects_bad_parity():
+def test_chi_rejects_bad_parity():
     from hfgenus.linkcat import Component
     bad = LinkDescriptor("bad-parity", [Component("a"), Component("b")],
                          alexander={(0,): LaurentPoly.one(1),
@@ -171,19 +177,20 @@ def test_tilde_alexander_rejects_bad_parity():
                                     (0, 1): P(2, (1, (1, 1)), (1, (-1, -1)))},
                          lspace_asserted=True)
     with pytest.raises(ValidationError, match="parity"):
-        tilde_alexander(bad, (0, 1))
+        HTable(bad)
+    # the chi conversion checks the parity itself, whatever validated the input
+    with pytest.raises(ValidationError, match="parity"):
+        _chi_table(bad.delta((0, 1)))
 
 
 def test_chi_examples():
-    wh = catalog("whitehead")
-    assert chi(wh, (0, 1), (1, 1)) == -1
-    tref = catalog("trefoil_rh")
-    assert [chi(tref, (0,), u) for u in (1, 0, -1)] == [1, 0, 1]
-    assert chi(catalog("borromean"), (0, 1), (0, 0)) == 0
+    tref = HTable(catalog("trefoil_rh"))
+    assert [tref.chi((0,), u) for u in (1, 0, -1)] == [1, 0, 1]
+    assert HTable(catalog("borromean")).chi((0, 1), (0, 0)) == 0
 
 
 def test_whitehead_frozen_values():
-    t = table_for(catalog("whitehead"))
+    t = HTable(catalog("whitehead"))
     assert t.H((0, 0)) == 1
     assert t.H((1, 0)) == 0
     assert t.H((-1, 0)) == 1 and t.h((-1, 0)) == 0
@@ -192,7 +199,7 @@ def test_whitehead_frozen_values():
 
 
 def test_borromean_frozen_values():
-    t = table_for(catalog("borromean"))
+    t = HTable(catalog("borromean"))
     assert t.h((0, 0, 0)) == 1
     for s in product(range(0, 3), repeat=3):
         if s != (0, 0, 0):
@@ -200,7 +207,7 @@ def test_borromean_frozen_values():
 
 
 def test_mirror_l7a3_frozen_values():
-    t = table_for(catalog("mirror_L7a3"))
+    t = HTable(catalog("mirror_L7a3"))
     assert t.h((1, 1)) == 0
     assert t.h((0, 1)) == 1
     assert t.h((1, 0)) == 1
@@ -211,61 +218,59 @@ def test_mirror_l7a3_frozen_values():
 
 
 def test_unknot_is_H_O():
-    t = table_for(catalog("unknot"))
+    t = HTable(catalog("unknot"))
     for s in range(-4, 5):
         assert t.H((s,)) == max(0, -s)
-    assert H_value(catalog("unknot"), (-2,)) == 2
 
 
 def test_two_bridge_family_corner_values():
     for k in range(1, 6):
-        t = table_for(catalog("two_bridge", k))
+        t = HTable(catalog("two_bridge", k))
         assert t.h((k, 0)) == 0
         assert t.h((k - 1, 0)) == 1
-        assert h_value(catalog("two_bridge", k), (0, k)) == 0
+        assert t.h((0, k)) == 0
 
 
-def test_h_value_examples():
-    assert h_value(catalog("whitehead"), (-1, 0)) == 0
-    u2 = catalog("unlink", 2)
-    assert all(h_value(u2, s) == 0 for s in product(range(-3, 4), repeat=2))
+def test_h_examples():
+    assert HTable(catalog("whitehead")).h((-1, 0)) == 0
+    u2 = HTable(catalog("unlink", 2))
+    assert all(u2.h(s) == 0 for s in product(range(-3, 4), repeat=2))
 
 
 def test_chi_from_H_roundtrip():
     for key in ATOMIC_SAMPLES:
         d = catalog(key)
-        t = table_for(d)
+        t = HTable(d)
         full = tuple(range(d.n))
         for s in product(range(-t.M + 1, t.M), repeat=d.n):
             assert t.chi_from_H(s) == t.chi(full, s), (key, s)
-    assert chi_from_H(catalog("whitehead"), (1, 1)) == -1
+    assert HTable(catalog("whitehead")).chi_from_H((1, 1)) == -1
 
 
 def test_chi_from_H_vanishes_on_split_links():
-    t = table_for(catalog("unlink", 2))
+    t = HTable(catalog("unlink", 2))
     for s in product(range(-2, 3), repeat=2):
         assert t.chi_from_H(s) == 0
-    tm = table_for(disjoint_union(catalog("trefoil_rh"), catalog("unknot")))
+    tm = HTable(disjoint_union(catalog("trefoil_rh"), catalog("unknot")))
     for s in product(range(-3, 4), repeat=2):
         assert tm.chi_from_H(s) == 0
 
 
 def test_trefoil_chi_from_H():
-    t = table_for(catalog("trefoil_rh"))
+    t = HTable(catalog("trefoil_rh"))
     assert t.chi_from_H((0,)) == t.H((-1,)) - t.H((0,)) == 0
-    series = tilde_alexander(catalog("trefoil_rh"), (0,))
     for s in range(-3, 4):
-        assert t.chi_from_H((s,)) == series.coeff(s)
+        assert t.chi_from_H((s,)) == t.chi((0,), s)
 
 
 def test_forgetful_limit_matches_sublink():
     for key in ["whitehead", "mirror_L7a3", "borromean"]:
         d = catalog(key)
-        t = table_for(d)
+        t = HTable(d)
         M = t.M
         for i in range(d.n):
             rest_idx = tuple(j for j in range(d.n) if j != i)
-            sub = table_for(sublink(d, rest_idx))
+            sub = HTable(sublink(d, rest_idx))
             for rest in product(range(-2, 3), repeat=d.n - 1):
                 s = rest[:i] + (M,) + rest[i:]
                 assert t.H(s) == sub.H(rest), (key, i, rest)
@@ -273,7 +278,7 @@ def test_forgetful_limit_matches_sublink():
 
 def test_h_nonnegative_and_equals_H_on_nonneg():
     for key in ATOMIC_SAMPLES:
-        t = table_for(catalog(key))
+        t = HTable(catalog(key))
         for s in t.iter_box():
             assert t.h(s) >= 0
             if all(x >= 0 for x in s):
@@ -282,23 +287,49 @@ def test_h_nonnegative_and_equals_H_on_nonneg():
 
 def test_disjoint_union_additivity():
     a, b = catalog("whitehead"), catalog("trefoil_rh")
-    u = table_for(disjoint_union(a, b))
-    ta, tb = table_for(a), table_for(b)
+    u = HTable(disjoint_union(a, b))
+    ta, tb = HTable(a), HTable(b)
     for sa in product(range(-2, 3), repeat=2):
         for sb in range(-2, 3):
             assert u.H(sa + (sb,)) == ta.H(sa) + tb.H((sb,))
 
 
+UNION_PARTS = {
+    "unknot": lambda: catalog("unknot"),
+    "trefoil_rh": lambda: catalog("trefoil_rh"),
+    "whitehead": lambda: catalog("whitehead"),
+    "mirror_L7a3": lambda: catalog("mirror_L7a3"),
+    "two_bridge:2": lambda: catalog("two_bridge", 2),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(sorted(UNION_PARTS)), min_size=2, max_size=3),
+       st.data())
+def test_union_H_is_brute_force_and_additive(keys, data):
+    parts = [UNION_PARTS[key]() for key in keys]
+    u = disjoint_union(*parts)
+    t = HTable(u)
+    reach = t.M + 4  # inside the box and beyond it on every side
+    s = data.draw(st.tuples(*[st.integers(-reach, reach)] * u.n), label="s")
+    assert t.H(s) == brute_H(u, s)
+    total, start = 0, 0
+    for d in parts:
+        total += HTable(d).H(s[start:start + d.n])
+        start += d.n
+    assert t.H(s) == total
+
+
 def test_trefoil_union_unknot_value():
     u = disjoint_union(catalog("trefoil_rh"), catalog("unknot"))
-    assert H_value(u, (0, 0)) == 1
+    assert HTable(u).H((0, 0)) == 1
 
 
-def test_validate_H_passes_on_catalog():
+def test_validation_report_passes_on_catalog():
     for key in ATOMIC_SAMPLES:
-        assert validate_H(catalog(key)) == []
-    assert validate_H(catalog("unlink", 3)) == []
-    assert validate_H(catalog("whitehead_cable", 2, 7)) == []
+        assert HTable(catalog(key)).validation_report() == []
+    assert HTable(catalog("unlink", 3)).validation_report() == []
+    assert HTable(catalog("whitehead_cable", 2, 7)).validation_report() == []
 
 
 def test_flipped_sign_fails_validation():
@@ -332,7 +363,7 @@ def test_sign_resolution_recovers_flipped_input():
     t = HTable(flipped_whitehead())
     assert t.flipped_signs() == [(1, 2)]
     assert t.validation_report() == []
-    good = table_for(catalog("whitehead"))
+    good = HTable(catalog("whitehead"))
     for s in product(range(-2, 3), repeat=2):
         assert t.H(s) == good.H(s)
 

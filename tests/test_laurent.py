@@ -1,4 +1,5 @@
-"""Exact Laurent arithmetic: worked examples, ring laws, division fuzzing."""
+"""Exact Laurent arithmetic: worked examples, ring laws, division fuzzing,
+and the knot chi series Delta(t)/(1 - t^-1) against Laurent products."""
 
 from fractions import Fraction
 from math import gcd
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfgenus.errors import ExactDivisionError, SymmetryError
-from hfgenus.laurent import (KnotChiSeries, LaurentPoly, exact_div,
-                             geometric_cable_factor, involution,
-                             normalize_symmetric, substitute_powers,
-                             support_box)
+from hfgenus.errors import ExactDivisionError, SymmetryError, ValidationError
+from hfgenus.hfunction import HTable, _chi_table
+from hfgenus.laurent import (LaurentPoly, exact_div, geometric_cable_factor,
+                             involution, normalize_symmetric,
+                             substitute_powers, support_box)
+from hfgenus.linkcat import catalog
 
 H = Fraction(1, 2)
 
@@ -184,28 +186,29 @@ def test_involution_is_involution(f):
 
 def test_knot_chi_series_tail_sums():
     trefoil = P(1, (1, (1,)), (-1, (0,)), (1, (-1,)))
-    series = KnotChiSeries(trefoil)
+    t = HTable(catalog("trefoil_rh"))
+    assert t.link.delta((0,)) == trefoil
     # independent oracle: multiply by a truncated geometric series and compare
     # coefficients where the truncation cannot reach
     K = 12
     geom = LaurentPoly(1, {(-2 * j,): 1 for j in range(K + 1)})
     truncated = trefoil * geom
     for d in range(-8, 4):
-        assert series.coeff(d) == truncated.coeff((d,))
-    assert [series.coeff(d) for d in (2, 1, 0, -1, -5)] == [0, 1, 0, 1, 1]
+        assert t.chi((0,), d) == truncated.coeff((d,))
+    assert [t.chi((0,), d) for d in (2, 1, 0, -1, -5)] == [0, 1, 0, 1, 1]
 
 
 def test_knot_chi_series_unknot():
-    series = KnotChiSeries(LaurentPoly.one(1))
-    assert all(series.coeff(d) == 1 for d in range(-6, 1))
-    assert all(series.coeff(d) == 0 for d in range(1, 5))
-    # ray sums of the unknot reproduce max(0, 1 - v)
-    assert [series.ray_sum(v) for v in (-3, -1, 0, 1, 2)] == [4, 2, 1, 0, 0]
+    t = HTable(catalog("unknot"))
+    assert all(t.chi((0,), d) == 1 for d in range(-6, 1))
+    assert all(t.chi((0,), d) == 0 for d in range(1, 5))
+    # ray sums of the series from v on are H(v - 1): max(0, 1 - v) for the unknot
+    assert [t.H((v - 1,)) for v in (-3, -1, 0, 1, 2)] == [4, 2, 1, 0, 0]
 
 
 def test_knot_chi_series_rejects_half_exponents():
-    with pytest.raises(ValueError):
-        KnotChiSeries(P(1, (1, (H,))))
+    with pytest.raises(ValidationError, match="parity"):
+        _chi_table(P(1, (1, (H,))))
 
 
 @settings(max_examples=100)

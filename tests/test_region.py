@@ -5,15 +5,15 @@ from itertools import product
 
 import pytest
 
-from hfgenus.hfunction import table_for
+from hfgenus.hfunction import HTable
 from hfgenus.linkcat import catalog, disjoint_union, sublink
 from hfgenus.region import (UpwardClosedRegion, dominates,
-                            maximal_lattice_points, membership, minimalize,
+                            maximal_lattice_points, minimalize,
                             projection_check, region_from_h, region_product)
 
 
 def region_of(key, *params):
-    return region_from_h(table_for(catalog(key, *params)))
+    return region_from_h(HTable(catalog(key, *params)))
 
 
 def test_region_generators_catalog():
@@ -30,12 +30,12 @@ def test_two_bridge_staircase_generators():
         assert region_of("two_bridge", k).generators == expected
 
 
-def test_membership():
+def test_region_contains():
     r = region_of("whitehead")
-    assert membership(r, (3, 0))
-    assert not membership(r, (0, 0))
+    assert r.contains((3, 0)) and (3, 0) in r
+    assert not r.contains((0, 0))
     empty = UpwardClosedRegion(2, ())
-    assert not membership(empty, (5, 5))
+    assert not empty.contains((5, 5))
 
 
 def test_membership_monotone():
@@ -57,20 +57,20 @@ def test_minimalize_gives_antichain():
 
 
 def test_maximal_points_catalog():
-    assert maximal_lattice_points(table_for(catalog("whitehead"))) == ((0, 0),)
-    assert maximal_lattice_points(table_for(catalog("borromean"))) == ((0, 0, 0),)
-    assert maximal_lattice_points(table_for(catalog("two_bridge", 2))) == \
+    assert maximal_lattice_points(HTable(catalog("whitehead"))) == ((0, 0),)
+    assert maximal_lattice_points(HTable(catalog("borromean"))) == ((0, 0, 0),)
+    assert maximal_lattice_points(HTable(catalog("two_bridge", 2))) == \
         ((0, 1), (1, 0))
-    assert maximal_lattice_points(table_for(catalog("mirror_L7a3"))) == ((0, 1),)
-    assert maximal_lattice_points(table_for(catalog("trefoil_rh"))) == ((0,),)
-    assert maximal_lattice_points(table_for(catalog("unknot"))) == ()
+    assert maximal_lattice_points(HTable(catalog("mirror_L7a3"))) == ((0, 1),)
+    assert maximal_lattice_points(HTable(catalog("trefoil_rh"))) == ((0,),)
+    assert maximal_lattice_points(HTable(catalog("unknot"))) == ()
 
 
 def test_maximal_points_definition():
     # outside the region, every upper neighbor inside
     for key in ["whitehead", "two_bridge", "mirror_L7a3", "borromean"]:
         d = catalog(key, 2) if key == "two_bridge" else catalog(key)
-        t = table_for(d)
+        t = HTable(d)
         r = region_from_h(t)
         for z in maximal_lattice_points(t):
             assert not r.contains(z)
@@ -93,7 +93,7 @@ def test_region_product_matches_union_region():
     for a in pool:
         for b in pool:
             u = disjoint_union(catalog(a), catalog(b))
-            direct = region_from_h(table_for(u))
+            direct = region_from_h(HTable(u))
             via_product = region_product(region_of(a), region_of(b))
             assert direct.generators == via_product.generators, (a, b)
 
@@ -101,7 +101,7 @@ def test_region_product_matches_union_region():
 def test_projection_check_passes():
     for key in ["whitehead", "mirror_L7a3", "borromean"]:
         d = catalog(key)
-        r = region_from_h(table_for(d))
+        r = region_from_h(HTable(d))
         assert projection_check(d, r) == []
 
 
@@ -116,14 +116,14 @@ def test_region_reconstruction_from_maximal_points():
     # one-coordinate-deleted projection lies in the sublink's region
     for key in ["whitehead", "two_bridge", "mirror_L7a3", "borromean", "trefoil_rh"]:
         d = catalog(key, 3) if key == "two_bridge" else catalog(key)
-        t = table_for(d)
+        t = HTable(d)
         r = region_from_h(t)
         zmax = maximal_lattice_points(t)
         if d.n == 1:
             sub_regions = []
         else:
             sub_regions = [
-                (i, region_from_h(table_for(
+                (i, region_from_h(HTable(
                     sublink(d, tuple(j for j in range(d.n) if j != i)))))
                 for i in range(d.n)]
         for x in product(range(0, t.M), repeat=d.n):
@@ -142,7 +142,6 @@ def test_generators_are_nonnegative_antichain():
 
 def test_region_from_h_refuses_invalid_table():
     from hfgenus.errors import StabilizationError
-    from hfgenus.hfunction import HTable
     bad = HTable(catalog("whitehead"), sign_overrides={(0, 1): -1})
     with pytest.raises(StabilizationError):
         region_from_h(bad)

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .errors import HfgenusError, LargenessError, ValidationError
 from .hfunction import HTable
-from .region import UpwardClosedRegion, dominates, region_from_h
+from .region import UpwardClosedRegion, minimal_generators, region_from_h
 
 
 def f_cap(g: int, v: int) -> int:
@@ -29,30 +29,21 @@ def f_cap(g: int, v: int) -> int:
 def genus_admissible(table: HTable, g: Sequence[int]) -> bool:
     """True iff h(v) <= sum_i f_cap(g_i, v_i) for every v.
 
-    The sweep box has margin support_radius + max(g) + 2; h stabilizes outside
-    it (checked by the table validator), so the box sweep decides the global
+    Sweeps only the table's fixed box [-M, M]^n.  Outside it h(v) equals h at
+    the clamped point, while f_cap(g_i, v_i) drops to 0 once |v_i| > g_i, so
+    each boundary-shell coordinate (|v_i| = M) stands for the points beyond it
+    and contributes an f-term of 0; the box sweep then decides the global
     inequality.
     """
     g = tuple(g)
     if len(g) != table.n or any(x < 0 for x in g):
         raise ValueError("genus vector must be nonnegative with one entry per component")
-    M = table.support_radius + max(g, default=0) + 2
-    table.ensure_box(M)
     table.require_valid()
-    for v, hv in table.h_positive(M):
-        if hv > sum(f_cap(gi, vi) for gi, vi in zip(g, v)):
+    M = table.M
+    for v, hv in table.h_positive():
+        if hv > sum(f_cap(gi, vi) for gi, vi in zip(g, v) if abs(vi) < M):
             return False
     return True
-
-
-def _level_points(n: int, total: int):
-    """Nonnegative integer vectors of length n with the given coordinate sum."""
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _level_points(n - 1, total - first):
-            yield (first,) + rest
 
 
 def admissible_region(table: HTable) -> UpwardClosedRegion:
@@ -62,31 +53,15 @@ def admissible_region(table: HTable) -> UpwardClosedRegion:
     + 2: a witness forcing g - e_i inadmissible must drop an f-term at
     coordinate i, so |v_i| <= g_i, and past the stabilized core such witnesses
     would fail g itself too; inside it, ceil((g_i - |v_i|)/2) <= h(v) caps g_i.
-    Admissibility is monotone in g, so a sum-ordered sweep of the capped box
-    with domination pruning yields exactly the minimal generators.  The result
-    is asserted to sit inside the h-vanishing region.
+    Admissibility is monotone in g, so the sum-ordered sweep of the capped
+    box, with `genus_admissible` (and its boundary-shell rule) as predicate,
+    yields exactly the minimal generators.  The result is asserted to sit
+    inside the h-vanishing region.
     """
     h_region = region_from_h(table)
     cap = 2 * table.max_h() + table.support_radius + 2
-    sweep = table.support_radius + cap + 2
-    table.ensure_box(sweep)
-    table.require_valid()
-    positives = table.h_positive(sweep)
-
-    def admissible(g):
-        return all(hv <= sum(f_cap(gi, vi) for gi, vi in zip(g, v))
-                   for v, hv in positives)
-
-    gens: list = []
-    for level in range(table.n * cap + 1):
-        for g in _level_points(table.n, level):
-            if any(x > cap for x in g):
-                continue
-            if any(dominates(g, q) for q in gens):
-                continue
-            if admissible(g):
-                gens.append(g)
-    region = UpwardClosedRegion(table.n, tuple(gens))
+    region = UpwardClosedRegion(
+        table.n, minimal_generators(table.n, cap, lambda g: genus_admissible(table, g)))
     for g in region.generators:
         if not h_region.contains(g):
             raise HfgenusError(
@@ -115,7 +90,6 @@ def bound_weighted(table: HTable, component_g4: Optional[Sequence[int]] = None) 
             f"{table.link.name}: component 4-genus unknown; the weighted bound "
             f"needs g4 for every component")
     component_g4 = tuple(component_g4)
-    table.ensure_box(table.support_radius + max(component_g4, default=0) + 2)
     table.require_valid()
     best = None
     for s in product(*(range(-g, g + 1) for g in component_g4)):
@@ -205,13 +179,11 @@ def large_surgery_d(table: HTable, q: Sequence[int], v: Sequence[int],
         raise ValueError("surgery coefficients must be positive")
     if any(2 * abs(x) > qi for x, qi in zip(v, q)):
         raise ValueError(f"label {v} outside the fundamental domain |v_i| <= q_i/2")
-    # The box the table was built with, not table.M: later box growth must
-    # not change the answer.
-    threshold = 2 * (2 * table.initial_M)
+    threshold = 2 * (2 * table.M)
     small = [qi for qi in q if qi <= threshold]
     if small and not force:
         raise LargenessError(
             f"surgery coefficients {small} do not exceed twice the box diameter "
-            f"{2 * table.initial_M}; pass force=True if the surgery is known to be large")
+            f"{2 * table.M}; pass force=True if the surgery is known to be large")
     shift = sum(Fraction((2 * vi - qi) ** 2, 4 * qi) for vi, qi in zip(v, q))
     return shift - Fraction(n, 4) - 2 * table.H(v)

@@ -177,16 +177,19 @@ def cable_consistency_check(d: LinkDescriptor, spec: CableSpec,
     the region of the original link.  They agree generator-for-generator for
     honest L-space cables; disagreement flags either a bug or a violated
     largeness hypothesis.  Sharpness transfers the same way: if the original
-    region is realized by disjoint surfaces, so is the transformed one.
+    region is realized by disjoint surfaces, so is the transformed one.  The
+    report carries the cabled descriptor under "cabled".
     """
+    cabled = cable_alexander(d, spec)
     warnings = spec.largeness_warnings()
     transformed = region_via_T(region_from_h(HTable(d, force=force)), spec)
     try:
-        direct = region_from_h(HTable(cable_alexander(d, spec), force=force))
+        direct = region_from_h(HTable(cabled, force=force))
     except (ValidationError, BoxError) as exc:
         # The cabled Alexander data does not produce a valid H-function: the
         # cable is not an L-space link (small q/p), so the direct route is out.
         return {
+            "cabled": cabled,
             "equal": False,
             "direct_generators": None,
             "direct_error": str(exc),
@@ -194,6 +197,7 @@ def cable_consistency_check(d: LinkDescriptor, spec: CableSpec,
             "warnings": warnings,
         }
     return {
+        "cabled": cabled,
         "equal": direct.generators == transformed.generators,
         "direct_generators": direct.generators,
         "direct_error": None,

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import linkcat
-from .cable import cable_alexander, cable_consistency_check, parse_cable_spec
+from .cable import cable_consistency_check, parse_cable_spec
 from .errors import BoxError, UsageError, ValidationError
 from .hfunction import HTable
 from .region import maximal_lattice_points, region_from_h
@@ -212,10 +212,10 @@ def _cmd_cable(args) -> int:
     d = _load_input(args)
     spec = parse_cable_spec(args.cable)
     try:
-        cabled = cable_alexander(d, spec)
+        report = cable_consistency_check(d, spec, force=args.force)
     except ValueError as exc:
         raise UsageError(str(exc))
-    report = cable_consistency_check(d, spec, force=args.force)
+    cabled = report["cabled"]
     payload = {
         "name": cabled.name,
         "descriptor": linkcat.descriptor_to_dict(cabled),

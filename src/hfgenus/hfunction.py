@@ -16,6 +16,13 @@ at most 2^n - 1 lookups, whatever the size of the supports or of the lattice
 box.  Disjoint unions take the same path: a sublink mixing parts has zero
 polynomial and contributes nothing.
 
+Each table's lattice box [-M, M]^n is fixed at construction, with
+M >= support_radius + 2.  Every orthant table reads 0 beyond its support and
+is constant below it, up to the knot slope Delta(1) = 1 that h subtracts (the
+bottom-shell check confirms it), so h(v) = h(clamp(v)) for every lattice
+point v, clamp taking each coordinate into [-M, M]: the laws validated on the
+box hold everywhere, and a sweep of the box decides every question about h.
+
 The overall sign of a multi-component Alexander polynomial is not pinned down
 by symmetry alone; it is resolved here, bottom-up over sublinks, by requiring
 the resulting H-function to be valid (nonnegative, unit steps, stabilizing).
@@ -112,13 +119,12 @@ class HTable:
     2^n - 1 lookups, for atomic descriptors and disjoint unions alike.  The box
     bounds only the validation sweeps and region extraction; H itself is a
     closed-form alternating sum and can be evaluated at any lattice point.
-    The box grows on demand (ensure_box) and revalidates lazily; `initial_M`
-    keeps the radius the table was constructed with.
+    M is the support-based minimum support_radius + 2, or the requested `box`
+    if larger, and never changes; validation runs once, on first request.
     """
 
-    def __init__(self, link: LinkDescriptor, genus_margin: int = 0,
-                 box: Optional[int] = None, force: bool = False,
-                 sign_overrides: Optional[dict] = None):
+    def __init__(self, link: LinkDescriptor, box: Optional[int] = None,
+                 force: bool = False, sign_overrides: Optional[dict] = None):
         require_valid(link)
         if not _lspace_asserted(link) and not force:
             raise LSpaceAssertionError(
@@ -128,21 +134,19 @@ class HTable:
         self.n = link.n
         self._full = tuple(range(self.n))
         self._memo: dict = {}
-        self._h_positive_cache: dict = {}
-        self._validated_radius = -1
-        self._problems: list = []
+        self._h_positive: Optional[list] = None
+        self._problems: Optional[list] = None
         self._tables: dict = {}  # sublink -> _OrthantSums, nonzero polynomials only
         self._terms: dict = {}   # sublink B -> (parity, C, positions of C in B, table)
         self._signs: dict = {}   # sublink -> +1 or -1, filled bottom-up
         self._resolve_signs(sign_overrides)
 
         self.support_radius = max(t.radius for t in self._tables.values())
-        auto = self.support_radius + genus_margin + 2
+        auto = self.support_radius + 2
         if box is not None and box < auto:
             raise StabilizationError(
                 f"requested box {box} is below the auto-computed minimum {auto}")
         self.M = max(auto, box or 0)
-        self.initial_M = self.M
 
     # -- construction helpers ------------------------------------------------
 
@@ -224,9 +228,13 @@ class HTable:
         return self.H(s) - sum((abs(x) - x) // 2 for x in s)
 
     def chi(self, B, u) -> int:
-        """chi(HFL^-(L_B, u)) with the resolved sign."""
-        B = tuple(sorted(B))
+        """chi(HFL^-(L_B, u)) with the resolved sign; u[j] belongs to component B[j]."""
         u = (u,) if isinstance(u, int) else tuple(u)
+        if len(u) != len(B):
+            raise ValueError(f"point {u} has wrong dimension, expected {len(B)}")
+        pairs = sorted(zip(B, u))
+        B = tuple(b for b, _ in pairs)
+        u = tuple(x for _, x in pairs)
         table = self._tables.get(B)
         if table is None:
             return 0  # split sublink, vanishing chi
@@ -258,19 +266,14 @@ class HTable:
         B = tuple(j for j in range(self.n) if j != i)
         return self._eval(B, tuple(rest), self._memo)
 
-    # -- box management and validation -----------------------------------------
+    # -- the box and validation ------------------------------------------------
 
-    def ensure_box(self, M: int) -> None:
-        if M > self.M:
-            self.M = M
-
-    def iter_box(self, radius: Optional[int] = None):
-        M = self.M if radius is None else radius
-        return product(range(-M, M + 1), repeat=self.n)
+    def iter_box(self):
+        return product(range(-self.M, self.M + 1), repeat=self.n)
 
     def validation_report(self) -> list:
-        """Check the standing H-function laws over the current box; cached."""
-        if self._validated_radius == self.M:
+        """Check the standing H-function laws over the box; computed once."""
+        if self._problems is not None:
             return self._problems
         M = self.M
         problems = []
@@ -289,7 +292,6 @@ class HTable:
                 problems.append(f"H{s} = {v} on the top corner block, expected 0")
         problems.extend(self._stabilization_problems())
         self._problems = problems
-        self._validated_radius = M
         return problems
 
     def _stabilization_problems(self) -> list:
@@ -333,14 +335,11 @@ class HTable:
 
     # -- sweeps used by regions and bounds ---------------------------------------
 
-    def h_positive(self, radius: Optional[int] = None):
-        """All (point, h) with h > 0 in the box of the given radius."""
-        M = self.M if radius is None else radius
-        self.ensure_box(M)
-        if M not in self._h_positive_cache:
-            self._h_positive_cache[M] = [
-                (s, hv) for s in self.iter_box(M) if (hv := self.h(s)) > 0]
-        return self._h_positive_cache[M]
+    def h_positive(self) -> list:
+        """All (point, h) with h > 0 in the box; computed once."""
+        if self._h_positive is None:
+            self._h_positive = [(s, hv) for s in self.iter_box() if (hv := self.h(s)) > 0]
+        return self._h_positive
 
     def max_h(self) -> int:
         return max((hv for _, hv in self.h_positive()), default=0)

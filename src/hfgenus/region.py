@@ -64,23 +64,32 @@ class UpwardClosedRegion:
         return min(sum(g) for g in self.generators)
 
 
+def minimal_generators(n: int, cap: int, member) -> tuple:
+    """Minimal points of [0, cap]^n satisfying an upward-closed predicate.
+
+    Sweeps the points in increasing coordinate-sum order and skips every point
+    dominating a generator already found, so `member` is asked only about
+    points that would be new generators.
+    """
+    gens: list = []
+    for p in sorted(product(range(cap + 1), repeat=n), key=lambda p: (sum(p), p)):
+        if any(dominates(p, g) for g in gens):
+            continue
+        if member(p):
+            gens.append(p)
+    return tuple(gens)
+
+
 def region_from_h(table: HTable) -> UpwardClosedRegion:
     """Minimal generators of the set of nonnegative points with h = 0.
 
-    Sweeps the nonnegative part of the table box in increasing coordinate-sum
-    order; stabilization (checked by the table validator) guarantees the
-    generators are found inside the box.
+    Sweeps the nonnegative part of the table box; stabilization (checked by
+    the table validator) guarantees the generators are found inside the box.
     """
     table.require_valid()
     M = table.M
-    pts = sorted(product(range(M + 1), repeat=table.n), key=lambda p: (sum(p), p))
-    gens: list = []
-    for p in pts:
-        if any(dominates(p, g) for g in gens):
-            continue
-        if table.h(p) == 0:
-            gens.append(p)
-    region = UpwardClosedRegion(table.n, tuple(gens))
+    region = UpwardClosedRegion(
+        table.n, minimal_generators(table.n, M, lambda p: table.h(p) == 0))
     if any(x >= M for g in region.generators for x in g):
         raise StabilizationError(
             f"{table.link.name}: region generator on the box boundary; "

@@ -1,6 +1,7 @@
 """Genus bounds, the unlink criterion, and d-invariants."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -8,10 +9,12 @@ from hfgenus.bounds import (admissible_region, best_lower_bound, bound_max_h,
                             bound_min_region, bound_weighted, circle_bundle_d,
                             f_cap, genus_admissible, large_surgery_d, lens_d,
                             unlink_test)
+from hfgenus.cable import CableSpec, cable_alexander
 from hfgenus.errors import LargenessError, ValidationError
 from hfgenus.hfunction import HTable
 from hfgenus.linkcat import catalog, disjoint_union
 from hfgenus.region import region_from_h
+from test_hfunction import ORACLE_LINKS
 
 
 def test_f_cap_values():
@@ -200,9 +203,69 @@ def test_bound_dominates_component_thresholds():
 
 
 def test_large_surgery_threshold_ignores_box_growth():
+    # the box is fixed at construction: no call moves M or the threshold
     t = HTable(catalog("whitehead"))
     assert t.M == 3
     assert large_surgery_d(t, (20, 20), (0, 0)) == Fraction(15, 2)
     admissible_region(t)
-    assert t.M == 8
+    assert t.M == 3
     assert large_surgery_d(t, (20, 20), (0, 0)) == Fraction(15, 2)
+    with pytest.raises(LargenessError):
+        large_surgery_d(t, (12, 20), (0, 0))
+
+
+# -- brute-force oracle for the admissible region -----------------------------------
+
+
+def oracle_admissible_region(t):
+    """The grown-box algorithm: every positive point within support_radius +
+    cap + 2 through t.h, and a sum-ordered sweep of the capped genus box with
+    domination pruning.  Returns (generators, admissibility predicate, cap)."""
+    cap = 2 * max((t.h(v) for v in t.iter_box()), default=0) + t.support_radius + 2
+    R = t.support_radius + cap + 2
+    # f_cap reads |v_i| only: keep the largest h per vector of absolute values
+    worst: dict = {}
+    for v in product(range(-R, R + 1), repeat=t.n):
+        if (hv := t.h(v)) > 0:
+            key = tuple(map(abs, v))
+            worst[key] = max(worst.get(key, 0), hv)
+
+    def admissible(g):
+        return all(hv <= sum(f_cap(gi, vi) for gi, vi in zip(g, v))
+                   for v, hv in worst.items())
+
+    gens = []
+    for g in sorted(product(range(cap + 1), repeat=t.n), key=lambda g: (sum(g), g)):
+        if not any(all(a >= b for a, b in zip(g, q)) for q in gens) and admissible(g):
+            gens.append(g)
+    return tuple(sorted(gens)), admissible, cap
+
+
+ADMISSIBLE_ORACLE_LINKS = {
+    **ORACLE_LINKS,
+    "whitehead_cable:2,7": lambda: catalog("whitehead_cable", 2, 7),
+    "two_bridge:2_cable:2,9,3,13": lambda: cable_alexander(
+        catalog("two_bridge", 2), CableSpec(((2, 9), (3, 13)))),
+    "trefoil_rh_cable:2,7": lambda: cable_alexander(
+        catalog("trefoil_rh"), CableSpec(((2, 7),))),
+    "whitehead+unknot": lambda: disjoint_union(catalog("whitehead"), catalog("unknot")),
+    "trefoil_rh+trefoil_rh": lambda: disjoint_union(catalog("trefoil_rh"),
+                                                    catalog("trefoil_rh")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADMISSIBLE_ORACLE_LINKS))
+def test_admissible_region_matches_oracle(name):
+    d = ADMISSIBLE_ORACLE_LINKS[name]()
+    want, admissible, cap = oracle_admissible_region(HTable(d))
+    t = HTable(d)
+    assert admissible_region(t).generators == want
+    # genus_admissible agrees on a grid of genus vectors and around the staircase
+    reach = max(2, int((400 if d.n < 3 else 60) ** (1 / d.n)))
+    checks = set(product(range(min(cap, reach) + 1), repeat=d.n))
+    for g in want:
+        for i in range(d.n):
+            for step in (-1, 1):
+                checks.add(g[:i] + (max(0, g[i] + step),) + g[i + 1:])
+    for g in sorted(checks):
+        assert genus_admissible(t, g) == admissible(g), f"{name} at {g}"

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -220,10 +221,17 @@ def test_h_table_ascii_rejected_for_three_components(capsys):
     assert code == 4 and "two components" in err
 
 
-EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+EXPECTED = PERFBENCH / "expected"
+
+
+_spec = importlib.util.spec_from_file_location("perfbench_job", PERFBENCH / "job.py")
+JOB = importlib.util.module_from_spec(_spec)  # perfbench/job.py, run in process
+_spec.loader.exec_module(JOB)
+
 
 # The benchmark's jobs on catalog links, by the name of the file in
-# perfbench/expected/ that holds their stdout.
+# perfbench/expected/ that holds their stdout: `job.py cli ARG...` ...
 BENCHMARK_JOBS = {
     "region_tb20_json": ["region", "--catalog", "two_bridge:20", "--format", "json"],
     "region_tb20_ascii": ["region", "--catalog", "two_bridge:20", "--format", "ascii"],
@@ -244,9 +252,39 @@ BENCHMARK_JOBS = {
     "cable_two_bridge_3_3_7_2_5": ["cable", "--catalog", "two_bridge:3", "--cable", "3:7,2:5"],
 }
 
+# ... and `job.py lib KEY [CABLE]`, one JSON line of admissible generators.
+BENCHMARK_LIB_JOBS = {
+    "admissible_tb12": ["two_bridge:12"],
+    "admissible_whitehead_cable_5_16": ["whitehead_cable:5,16"],
+    "admissible_borromean": ["borromean"],
+    "admissible_mirror_L7a3": ["mirror_L7a3"],
+    "admissible_borromean_cable_2_7_2_7_1_1": ["borromean", "2:7,2:7,1:1"],
+}
 
-@pytest.mark.parametrize("name", sorted(BENCHMARK_JOBS))
+
+@pytest.mark.parametrize("name", sorted({**BENCHMARK_JOBS, **BENCHMARK_LIB_JOBS}))
 def test_benchmark_outputs_are_byte_identical(capsys, name):
-    code, out, _ = run(capsys, *BENCHMARK_JOBS[name])
+    if name in BENCHMARK_JOBS:
+        argv = ["cli", *BENCHMARK_JOBS[name]]
+    else:
+        argv = ["lib", *BENCHMARK_LIB_JOBS[name]]
+    code = JOB.main(argv)
+    out = capsys.readouterr().out
     assert code == 0
     assert out.encode("utf-8") == (EXPECTED / f"{name}.out").read_bytes()
+
+
+def test_cable_computes_the_cable_once(capsys, monkeypatch):
+    from hfgenus import cable
+    calls = []
+
+    def counted(d, spec):
+        calls.append(spec)
+        return real(d, spec)
+
+    real = cable.cable_alexander
+    monkeypatch.setattr(cable, "cable_alexander", counted)
+    code, out, _ = run(capsys, "cable", "--catalog", "whitehead", "--cable", "2:7,1:1")
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["descriptor"] == descriptor_to_dict(
+        real(catalog("whitehead"), calls[0]))

@@ -141,15 +141,33 @@ def test_orthant_tables_match_support_scan(name):
 
 
 def test_grown_box_matches_brute_force():
+    # a box requested wider than the minimum: validated and exact throughout
     d = catalog("two_bridge", 3)
-    M0 = HTable(d).M + 1
-    t = HTable(d, box=M0)
-    assert t.validation_report() == []
-    t.ensure_box(M0 + 6)
-    assert (t.M, t.initial_M) == (M0 + 6, M0)
+    M0 = HTable(d).M
+    t = HTable(d, box=M0 + 6)
+    assert t.M == M0 + 6
     assert t.validation_report() == []
     for s in t.iter_box():
         assert t.H(s) == brute_H(d, s), s
+
+
+def clamp(t, s):
+    return tuple(max(-t.M, min(t.M, x)) for x in s)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
+def test_h_stabilizes_beyond_the_box(name):
+    # h(v) = h(clamp(v)): the laws validated on the box hold everywhere
+    t = HTable(ORACLE_LINKS[name]())
+    M, n = t.M, t.n
+    sides = (-5 * M - 3, -M - 1, -M, 0, 1, M, M + 1, 5 * M + 3)
+    for s in product(sides, repeat=n):
+        assert t.h(s) == t.h(clamp(t, s)), f"{name} at {s}"
+    for i in range(n):
+        for x in (-7 * M, 7 * M):
+            for rest in product(range(-2, 3), repeat=n - 1):
+                s = rest[:i] + (x,) + rest[i:]
+                assert t.h(s) == t.h(clamp(t, s)), f"{name} at {s}"
 
 
 def test_chi_whitehead():
@@ -181,6 +199,26 @@ def test_chi_rejects_bad_parity():
     # the chi conversion checks the parity itself, whatever validated the input
     with pytest.raises(ValidationError, match="parity"):
         _chi_table(bad.delta((0, 1)))
+
+
+def test_chi_rejects_wrong_dimension():
+    t = HTable(catalog("whitehead"))
+    for u in ((1, 1, 7), (1,), 1):
+        with pytest.raises(ValueError, match="wrong dimension"):
+            t.chi((0, 1), u)
+    with pytest.raises(ValueError, match="wrong dimension"):
+        t.chi((0,), (0, 0))
+
+
+def test_chi_reads_u_in_the_order_of_B():
+    t = HTable(catalog("mirror_L7a3"))  # not symmetric under swapping components
+    pts = [u for u in product(range(-3, 4), repeat=2) if t.chi((0, 1), u) != 0]
+    assert any(t.chi((0, 1), u) != t.chi((0, 1), u[::-1]) for u in pts)
+    for u in product(range(-3, 4), repeat=2):
+        assert t.chi((1, 0), u[::-1]) == t.chi((0, 1), u), u
+    bor = HTable(catalog("borromean"))
+    for u in product(range(-2, 3), repeat=3):
+        assert bor.chi((2, 0, 1), (u[2], u[0], u[1])) == bor.chi((0, 1, 2), u), u
 
 
 def test_chi_examples():
@@ -391,11 +429,3 @@ def test_box_override_floor():
     with pytest.raises(StabilizationError):
         HTable(catalog("two_bridge", 2), box=2)
     assert HTable(catalog("two_bridge", 2), box=9).M == 9
-
-
-def test_genus_margin_widens_box():
-    wh = catalog("whitehead")
-    base = HTable(wh)
-    widened = HTable(wh, genus_margin=3)
-    assert widened.M == base.M + 3
-    assert widened.validation_report() == []

@@ -113,15 +113,13 @@ def _cable_link_poly(delta: LaurentPoly, pairs) -> LaurentPoly:
 
 
 def cable_alexander(d: LinkDescriptor, spec: CableSpec) -> LinkDescriptor:
-    """Descriptor of the componentwise cable of an atomic link.
+    """Descriptor of the componentwise cable of a link.
 
     Every sublink of the cable is the cable of the corresponding sublink, so
     the whole Alexander map transforms subset by subset.  Component 4-genera
     update along g -> p*g + (p-1)(q-1)/2 when known.
     """
     require_valid(d)
-    if not d.is_atomic:
-        raise ValueError("cabling is implemented for atomic descriptors")
     if spec.n != d.n:
         raise ValueError(f"cable spec has {spec.n} pairs but the link has "
                          f"{d.n} components")

@@ -135,7 +135,7 @@ def _nested(table: HTable, window: int, fn):
 
 def _cmd_h_table(args) -> int:
     table = _make_table(args)
-    window = args.box if args.box is not None else table.M
+    window = table.M
     fmt = args.fmt or ("ascii" if table.n <= 2 else "json")
     if fmt == "svg":
         raise UsageError("h-table has no svg format; use the region command")
@@ -169,8 +169,7 @@ def _cmd_region(args) -> int:
         if table.n != 2:
             raise UsageError("svg staircases need exactly two components")
         region = region_from_h(table)
-        window = args.box if args.box is not None else table.M
-        _emit(args, region_svg(region, window, maximal_lattice_points(table)))
+        _emit(args, region_svg(region, table.M, maximal_lattice_points(table)))
         return 0
     payload = _region_payload(table)
     if fmt == "ascii":

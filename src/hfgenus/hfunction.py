@@ -13,8 +13,8 @@ tables share no state.  `_chi_table` alone turns a sublink's polynomial into
 Euler characteristics: it checks the exponent parity and builds a suffix-sum
 (summed-area) table over the polynomial's support box, so one H value costs
 at most 2^n - 1 lookups, whatever the size of the supports or of the lattice
-box.  Disjoint unions take the same path: a sublink mixing parts has zero
-polynomial and contributes nothing.
+box.  A disjoint union is an ordinary descriptor: a sublink mixing parts has
+zero polynomial and contributes nothing.
 
 Each table's lattice box [-M, M]^n is fixed at construction, with
 M >= support_radius + 2.  Every orthant table reads 0 beyond its support and
@@ -106,19 +106,15 @@ def _chi_table(delta: LaurentPoly) -> _OrthantSums:
     return _OrthantSums(coeffs, knot=knot)
 
 
-def _lspace_asserted(d: LinkDescriptor) -> bool:
-    return d.lspace_asserted and (d.is_atomic or all(map(_lspace_asserted, d.parts)))
-
-
 class HTable:
     """Memoized H-function of a link descriptor over a lattice box [-M, M]^n.
 
     Construction resolves the sign of every sublink polynomial and builds one
     orthant-sum table per sublink with nonzero polynomial, sized by that
     polynomial's support and never by the box; an H value is then at most
-    2^n - 1 lookups, for atomic descriptors and disjoint unions alike.  The box
-    bounds only the validation sweeps and region extraction; H itself is a
-    closed-form alternating sum and can be evaluated at any lattice point.
+    2^n - 1 lookups, disjoint unions included.  The box bounds only the
+    validation sweeps and region extraction; H itself is a closed-form
+    alternating sum and can be evaluated at any lattice point.
     M is the support-based minimum support_radius + 2, or the requested `box`
     if larger, and never changes; validation runs once, on first request.
     """
@@ -126,7 +122,7 @@ class HTable:
     def __init__(self, link: LinkDescriptor, box: Optional[int] = None,
                  force: bool = False, sign_overrides: Optional[dict] = None):
         require_valid(link)
-        if not _lspace_asserted(link) and not force:
+        if not link.lspace_asserted and not force:
             raise LSpaceAssertionError(
                 f"{link.name}: the L-space property is not asserted; the H-function "
                 f"formula presupposes it (pass force=True to compute anyway)")
@@ -169,10 +165,11 @@ class HTable:
             if overrides is not None and B in overrides:
                 signs[B] = overrides[B]
                 continue
+            radius = max(table.radius for _, _, _, table in terms) + 2
             for sigma in (1, -1):  # prefer the stored sign
                 signs[B] = sigma
                 memo: dict = {}
-                if not self._subset_problems(B, memo):
+                if next(self._law_problems(B, radius, memo), None) is None:
                     self._memo.update(memo)  # B's values under its final sign
                     break
             else:
@@ -181,26 +178,21 @@ class HTable:
                     f"{tuple(i + 1 for i in B)} yields a valid H-function; "
                     f"not an L-space link with this data")
 
-    def _subset_problems(self, B, memo) -> list:
-        """Validity sweep for the sublink indexed by B with its candidate sign."""
-        radius = max(table.radius for _, _, _, table in self._terms[B]) + 2
-        k = len(B)
-        problems = []
-        for s in product(range(-radius, radius + 1), repeat=k):
+    def _law_problems(self, B, radius, memo):
+        """Yield the violations, on the box [-radius, radius]^|B|, of the laws
+        H >= 0, unit steps and zero top corner by the sublink indexed by B."""
+        for s in product(range(-radius, radius + 1), repeat=len(B)):
             v = self._eval(B, s, memo)
             if v < 0:
-                problems.append(f"H{s} = {v} < 0")
-                return problems
-            for i in range(k):
+                yield f"H{s} = {v} is negative"
+                continue
+            for i in range(len(B)):
                 if s[i] > -radius:
                     down = self._eval(B, s[:i] + (s[i] - 1,) + s[i + 1:], memo)
                     if down - v not in (0, 1):
-                        problems.append(f"step law fails at {s} in direction {i + 1}")
-                        return problems
+                        yield f"step law fails: H at {s} minus e_{i + 1} jumps by {down - v}"
             if all(x >= radius - 1 for x in s) and v != 0:
-                problems.append(f"H{s} = {v} at the top corner, expected 0")
-                return problems
-        return problems
+                yield f"H{s} = {v} on the top corner block, expected 0"
 
     def _eval(self, B, s, memo):
         """H of the sublink B at point s (coordinates aligned with sorted B)."""
@@ -275,21 +267,7 @@ class HTable:
         """Check the standing H-function laws over the box; computed once."""
         if self._problems is not None:
             return self._problems
-        M = self.M
-        problems = []
-        for s in self.iter_box():
-            v = self.H(s)
-            if v < 0:
-                problems.append(f"H{s} = {v} is negative")
-                continue
-            for i in range(self.n):
-                if s[i] > -M:
-                    down = self.H(s[:i] + (s[i] - 1,) + s[i + 1:])
-                    if down - v not in (0, 1):
-                        problems.append(
-                            f"step law fails: H at {s} minus e_{i + 1} jumps by {down - v}")
-            if all(x >= M - 1 for x in s) and v != 0:
-                problems.append(f"H{s} = {v} on the top corner block, expected 0")
+        problems = list(self._law_problems(self._full, self.M, self._memo))
         problems.extend(self._stabilization_problems())
         self._problems = problems
         return problems

@@ -84,11 +84,6 @@ class LaurentPoly:
         return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
-    def monomial(cls, nvars: int, coef: int, exps: Sequence) -> "LaurentPoly":
-        """Single term; ``exps`` entries may be ints or half-integer Fractions."""
-        return cls(nvars, {tuple(double_exponent(e) for e in exps): coef})
-
-    @classmethod
     def from_terms(cls, nvars: int, terms: Iterable) -> "LaurentPoly":
         """Build from (coef, exponent tuple) pairs with half-integer exponents."""
         acc: dict = {}

@@ -1,10 +1,10 @@
 """Link data model: components, zero linking matrix, per-sublink Alexander
 polynomials, disjoint unions, JSON persistence, and the built-in catalog.
 
-A descriptor is either *atomic* (it stores one symmetrized Alexander polynomial
-for every nonempty subset of its components) or a *disjoint union* of smaller
-descriptors (no polynomial is stored for subsets mixing parts: those vanish,
-which makes the H-function additive over the parts).
+A descriptor stores one symmetrized Alexander polynomial for every nonempty
+subset of its components.  A disjoint union is an ordinary descriptor: each
+part's polynomials sit at its component offset, and every subset mixing parts
+has zero polynomial, which makes the H-function additive over the parts.
 
 Component subsets are 0-based index tuples in the Python API; the JSON schema
 uses 1-based comma-joined keys like "1,2".
@@ -48,13 +48,12 @@ class LinkDescriptor:
     """An n-component link with vanishing pairwise linking numbers."""
 
     __slots__ = ("name", "components", "linking", "alexander",
-                 "lspace_asserted", "parts", "_hash")
+                 "lspace_asserted", "_hash")
 
     def __init__(self, name: str, components: Sequence[Component],
                  alexander: Mapping[Iterable[int], LaurentPoly] | None = None,
                  linking: Sequence[Sequence[int]] | None = None,
-                 lspace_asserted: bool = False,
-                 parts: Sequence["LinkDescriptor"] | None = None):
+                 lspace_asserted: bool = False):
         components = tuple(components)
         n = len(components)
         if n == 0:
@@ -74,18 +73,11 @@ class LinkDescriptor:
                 if poly.nvars != len(key):
                     raise ValueError(f"polynomial for subset {key} has wrong arity")
                 alex[key] = poly
-        if parts is not None:
-            parts = tuple(parts)
-            if sum(p.n for p in parts) != n:
-                raise ValueError("disjoint union parts do not match component count")
-            if alex:
-                raise ValueError("disjoint unions store no top-level Alexander data")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "linking", linking)
         object.__setattr__(self, "alexander", alex)
         object.__setattr__(self, "lspace_asserted", bool(lspace_asserted))
-        object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -95,39 +87,16 @@ class LinkDescriptor:
     def n(self) -> int:
         return len(self.components)
 
-    @property
-    def is_atomic(self) -> bool:
-        return self.parts is None
-
     def delta(self, B: Iterable[int]) -> LaurentPoly:
-        """Symmetrized Alexander polynomial of the sublink indexed by B.
-
-        For disjoint unions, subsets mixing parts have identically zero
-        polynomial; subsets inside one part delegate to it.
-        """
+        """Symmetrized Alexander polynomial of the sublink indexed by B."""
         key = subset_key(B)
-        if self.is_atomic:
-            if key not in self.alexander:
-                raise ValidationError(f"{self.name}: missing Alexander data for subset {key}")
-            return self.alexander[key]
-        for part, (lo, hi) in zip(self.parts, self._part_ranges()):
-            if lo <= key[0] and key[-1] < hi:
-                return part.delta(tuple(i - lo for i in key))
-        return LaurentPoly.zero(len(key))  # subset hits several parts: split sublink
-
-    def _part_ranges(self):
-        ranges = []
-        lo = 0
-        for part in self.parts:
-            ranges.append((lo, lo + part.n))
-            lo += part.n
-        return ranges
+        if key not in self.alexander:
+            raise ValidationError(f"{self.name}: missing Alexander data for subset {key}")
+        return self.alexander[key]
 
     def _canonical(self):
         return (self.name, self.components, self.linking,
-                tuple(sorted(self.alexander.items())),
-                self.lspace_asserted,
-                self.parts if self.parts is not None else None)
+                tuple(sorted(self.alexander.items())), self.lspace_asserted)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinkDescriptor) and self._canonical() == other._canonical()
@@ -138,8 +107,7 @@ class LinkDescriptor:
         return self._hash
 
     def __repr__(self) -> str:
-        kind = "atomic" if self.is_atomic else f"union of {len(self.parts)}"
-        return f"<LinkDescriptor {self.name!r}: {self.n} component(s), {kind}>"
+        return f"<LinkDescriptor {self.name!r}: {self.n} component(s)>"
 
 
 # -- validation ---------------------------------------------------------------
@@ -152,22 +120,6 @@ def validate_descriptor(d: LinkDescriptor) -> list:
         for j in range(d.n):
             if d.linking[i][j] != 0:
                 problems.append(f"nonzero linking number at ({i + 1},{j + 1})")
-    if d.is_atomic:
-        problems.extend(_validate_atomic(d))
-    else:
-        for part in d.parts:
-            problems.extend(f"[{part.name}] {p}" for p in validate_descriptor(part))
-        offset = 0
-        for part in d.parts:
-            for k, comp in enumerate(part.components):
-                if d.components[offset + k] != comp:
-                    problems.append(f"component {offset + k + 1} disagrees with part data")
-            offset += part.n
-    return problems
-
-
-def _validate_atomic(d: LinkDescriptor) -> list:
-    problems = []
     for B in all_subsets(d.n):
         if B not in d.alexander:
             problems.append(f"incomplete sublink data: subset {_key_str(B)} missing")
@@ -220,41 +172,38 @@ def sublink(d: LinkDescriptor, B: Iterable[int]) -> LinkDescriptor:
         return d
     comps = tuple(d.components[i] for i in key)
     name = f"{d.name}[{','.join(str(i + 1) for i in key)}]"
-    if d.is_atomic:
-        alex = {}
-        for C in all_subsets(len(key)):
-            orig = tuple(key[c] for c in C)
-            if orig in d.alexander:
-                alex[C] = d.alexander[orig]
-        return LinkDescriptor(name, comps, alexander=alex,
-                              lspace_asserted=d.lspace_asserted)
-    pieces = []
-    for part, (lo, hi) in zip(d.parts, d._part_ranges()):
-        inside = tuple(i - lo for i in key if lo <= i < hi)
-        if inside:
-            pieces.append(sublink(part, inside))
-    if len(pieces) == 1:
-        return pieces[0]
-    out = disjoint_union(*pieces)
-    return LinkDescriptor(name, out.components, lspace_asserted=out.lspace_asserted,
-                          parts=out.parts)
+    alex = {}
+    for C in all_subsets(len(key)):
+        orig = tuple(key[c] for c in C)
+        if orig in d.alexander:
+            alex[C] = d.alexander[orig]
+    return LinkDescriptor(name, comps, alexander=alex,
+                          lspace_asserted=d.lspace_asserted)
 
 
 def disjoint_union(*links: LinkDescriptor) -> LinkDescriptor:
-    """Split union of the given links; H-functions add componentwise."""
-    if len(links) < 2:
-        raise ValueError("a disjoint union needs at least two links")
-    parts = []
-    for d in links:  # flatten nested unions
-        if d.is_atomic:
-            parts.append(d)
-        else:
-            parts.extend(d.parts)
-    comps = tuple(c for p in parts for c in p.components)
-    name = " + ".join(p.name for p in parts)
-    return LinkDescriptor(name, comps,
-                          lspace_asserted=all(p.lspace_asserted for p in parts),
-                          parts=tuple(parts))
+    """Split union of the given links; H-functions add componentwise.
+
+    Each part's polynomials and linking numbers move to its component offset,
+    and every subset mixing parts gets the zero polynomial.
+    """
+    if not links:
+        raise ValueError("a disjoint union needs at least one link")
+    owner = [k for k, d in enumerate(links) for _ in d.components]
+    n = len(owner)
+    alex = {B: LaurentPoly.zero(len(B)) for B in all_subsets(n)
+            if owner[B[0]] != owner[B[-1]]}
+    linking = [[0] * n for _ in range(n)]
+    offset = 0
+    for d in links:
+        alex.update({tuple(i + offset for i in B): poly for B, poly in d.alexander.items()})
+        for i, row in enumerate(d.linking):
+            linking[offset + i][offset:offset + d.n] = row
+        offset += d.n
+    return LinkDescriptor(" + ".join(d.name for d in links),
+                          tuple(c for d in links for c in d.components),
+                          alexander=alex, linking=linking,
+                          lspace_asserted=all(d.lspace_asserted for d in links))
 
 
 # -- catalog -------------------------------------------------------------------
@@ -349,8 +298,8 @@ def make_unlink(n: int) -> LinkDescriptor:
     if n == 1:
         return make_unknot()
     out = disjoint_union(*(make_unknot() for _ in range(n)))
-    return LinkDescriptor(f"unlink({n})", out.components, lspace_asserted=True,
-                          parts=out.parts)
+    return LinkDescriptor(f"unlink({n})", out.components, alexander=out.alexander,
+                          lspace_asserted=True)
 
 
 def make_whitehead_cable(p: int, q: int) -> LinkDescriptor:
@@ -373,9 +322,6 @@ class CatalogEntry:
     params: str  # human-readable parameter signature
     generator: callable
 
-    def build(self, *args) -> LinkDescriptor:
-        return self.generator(*args)
-
 
 CATALOG = {
     "unknot": CatalogEntry("unknot", "", make_unknot),
@@ -394,7 +340,7 @@ CATALOG = {
 def catalog(key: str, *params: int) -> LinkDescriptor:
     if key not in CATALOG:
         raise ValueError(f"unknown catalog key {key!r}; known: {', '.join(sorted(CATALOG))}")
-    return CATALOG[key].build(*params)
+    return CATALOG[key].generator(*params)
 
 
 def catalog_list():
@@ -463,20 +409,15 @@ def _poly_from_list(items, nvars: int, where: str) -> LaurentPoly:
 
 
 def descriptor_to_dict(d: LinkDescriptor) -> dict:
-    out = {
+    return {
         "name": d.name,
         "components": [{"label": c.label, "g4": c.g4} for c in d.components],
         "linking": [list(row) for row in d.linking],
         "lspace": d.lspace_asserted,
+        "alexander": {_key_str(B): _poly_to_list(poly)
+                      for B, poly in sorted(d.alexander.items())},
+        "structure": "atomic",
     }
-    if d.is_atomic:
-        out["alexander"] = {_key_str(B): _poly_to_list(poly)
-                            for B, poly in sorted(d.alexander.items())}
-        out["structure"] = "atomic"
-    else:
-        out["alexander"] = {}
-        out["structure"] = {"disjoint_union": [descriptor_to_dict(p) for p in d.parts]}
-    return out
 
 
 def descriptor_from_dict(data: dict) -> LinkDescriptor:
@@ -521,10 +462,14 @@ def descriptor_from_dict(data: dict) -> LinkDescriptor:
         if data["alexander"]:
             raise SchemaError("disjoint unions must not carry top-level 'alexander' data")
         parts = [descriptor_from_dict(p) for p in structure["disjoint_union"]]
-        if sum(p.n for p in parts) != n:
+        if [c for p in parts for c in p.components] != comps:
             raise SchemaError("parts of the disjoint union do not match 'components'")
-        return LinkDescriptor(data["name"], comps, linking=linking,
-                              lspace_asserted=lspace, parts=parts)
+        union = disjoint_union(*parts)
+        if [list(row) for row in union.linking] != linking:
+            raise SchemaError("parts of the disjoint union do not match 'linking'")
+        return LinkDescriptor(data["name"], comps, alexander=union.alexander,
+                              linking=linking,
+                              lspace_asserted=lspace and union.lspace_asserted)
     raise SchemaError("'structure' must be \"atomic\" or {\"disjoint_union\": [...]}")
 
 

@@ -9,7 +9,7 @@ from hfgenus.cable import (CableSpec, T_transform, cable_alexander,
 from hfgenus.errors import UsageError
 from hfgenus.hfunction import HTable
 from hfgenus.laurent import LaurentPoly
-from hfgenus.linkcat import catalog, sublink, validate_descriptor
+from hfgenus.linkcat import catalog, disjoint_union, sublink, validate_descriptor
 from hfgenus.region import UpwardClosedRegion, region_from_h
 
 
@@ -176,6 +176,15 @@ def test_two_bridge_cable_below_threshold_is_rejected():
 def test_cable_spec_mismatch():
     with pytest.raises(ValueError):
         cable_alexander(catalog("whitehead"), CableSpec(((2, 3),)))
+
+
+def test_cable_of_a_union_is_the_union_of_the_cables():
+    wh, tr = catalog("whitehead"), catalog("trefoil_rh")
+    d = cable_alexander(disjoint_union(wh, tr), CableSpec(((2, 7), (1, 1), (2, 9))))
+    u = disjoint_union(cable_alexander(wh, CableSpec(((2, 7), (1, 1)))),
+                       cable_alexander(tr, CableSpec(((2, 9),))))
+    assert d.alexander == u.alexander
+    assert d.components == u.components
 
 
 def test_one_strand_cables_on_links():

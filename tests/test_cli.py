@@ -153,7 +153,7 @@ def test_exit_code_usage(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["cable", "--catalog", "unlink:2", "--cable", "2:7,1:1"],
+    ["cable", "--catalog", "unlink:2", "--cable", "2:7"],
     ["cable", "--catalog", "whitehead", "--cable", "2:3"],
     ["d-invariants", "--circle-bundle", "5:-1"],
     ["d-invariants", "--circle-bundle", "0:1"],
@@ -168,6 +168,14 @@ def test_bad_arguments_exit_with_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
     assert "usage error:" in err
+
+
+def test_cable_of_a_union(capsys):
+    code, out, _ = run(capsys, "cable", "--catalog", "unlink:2", "--cable", "2:7,1:1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["consistent"] is True
+    assert data["direct_generators"] == [[3, 0]]
 
 
 def test_exit_code_box(capsys):

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from hfgenus.errors import SchemaError, ValidationError
+from hfgenus.errors import LSpaceAssertionError, SchemaError, ValidationError
+from hfgenus.hfunction import HTable
 from hfgenus.laurent import LaurentPoly
 from hfgenus.linkcat import (Component, LinkDescriptor, catalog, catalog_list,
                              descriptor_from_dict, descriptor_to_dict,
@@ -91,12 +92,16 @@ def test_sublink_composes():
 
 def test_disjoint_union_counts_and_flattens():
     a = disjoint_union(catalog("unknot"), catalog("unknot"))
-    assert a.n == 2 and not a.is_atomic
+    assert a.n == 2
     b = disjoint_union(a, catalog("trefoil_rh"))
-    assert b.n == 3 and len(b.parts) == 3
+    assert b.n == 3 and b.name == "unknot + unknot + trefoil_rh"
+    assert b == disjoint_union(catalog("unknot"), catalog("unknot"), catalog("trefoil_rh"))
     wh2 = disjoint_union(catalog("whitehead"), catalog("whitehead"))
     assert wh2.n == 4
     assert validate_descriptor(wh2) == []
+    for B in [(0, 2), (1, 3), (0, 1, 2), (0, 1, 2, 3)]:
+        assert wh2.delta(B) == LaurentPoly.zero(len(B))
+    assert wh2.delta((2, 3)) == catalog("whitehead").delta((0, 1))
 
 
 def test_disjoint_union_mixed_subsets_vanish():
@@ -106,11 +111,14 @@ def test_disjoint_union_mixed_subsets_vanish():
 
 
 def test_sublink_of_union():
-    u = disjoint_union(catalog("whitehead"), catalog("unknot"))
+    wh = catalog("whitehead")
+    u = disjoint_union(wh, catalog("unknot"))
     sub = sublink(u, (0, 1))
-    assert sub.is_atomic and sub.delta((0, 1)) == catalog("whitehead").delta((0, 1))
+    assert sub.alexander == wh.alexander
     mixed = sublink(u, (0, 2))
-    assert not mixed.is_atomic and mixed.delta((0, 1)).is_zero()
+    assert mixed.delta((0,)) == wh.delta((0,))
+    assert mixed.delta((1,)) == catalog("unknot").delta((0,))
+    assert mixed.delta((0, 1)).is_zero()
 
 
 def test_validate_reports_nonzero_linking():
@@ -150,6 +158,61 @@ def test_json_roundtrip(d, tmp_path):
     path = tmp_path / "link.json"
     save_json(d, path)
     assert load_json(path) == d
+
+
+def union_document(*parts):
+    n = sum(p.n for p in parts)
+    return {"name": "my union",
+            "components": [c for p in parts for c in descriptor_to_dict(p)["components"]],
+            "linking": [[0] * n for _ in range(n)],
+            "lspace": True,
+            "alexander": {},
+            "structure": {"disjoint_union": [descriptor_to_dict(p) for p in parts]}}
+
+
+def test_json_union_loads_as_disjoint_union(tmp_path):
+    parts = [catalog("whitehead"), catalog("trefoil_rh"), catalog("unknot")]
+    path = tmp_path / "union.json"
+    path.write_text(json.dumps(union_document(*parts)))
+    u = disjoint_union(*parts)
+    assert load_json(path) == LinkDescriptor("my union", u.components,
+                                             alexander=u.alexander,
+                                             lspace_asserted=True)
+
+
+def test_json_union_must_match_its_parts():
+    parts = [catalog("whitehead"), catalog("trefoil_rh")]
+    data = union_document(*parts)
+    data["components"][2]["label"] = "unknot"
+    with pytest.raises(SchemaError, match="components"):
+        descriptor_from_dict(data)
+    data = union_document(*parts)
+    data["components"].pop()
+    data["linking"] = [[0, 0], [0, 0]]
+    with pytest.raises(SchemaError, match="components"):
+        descriptor_from_dict(data)
+    data = union_document(*parts)
+    data["linking"][0][2] = data["linking"][2][0] = 1
+    with pytest.raises(SchemaError, match="linking"):
+        descriptor_from_dict(data)
+
+
+def test_json_union_of_one_part():
+    wh = catalog("whitehead")
+    d = descriptor_from_dict(union_document(wh))
+    assert d.name == "my union" and d.alexander == wh.alexander
+    assert validate_descriptor(d) == []
+
+
+def test_json_union_needs_every_part_lspace(tmp_path):
+    data = union_document(catalog("whitehead"), catalog("trefoil_rh"))
+    data["structure"]["disjoint_union"][1]["lspace"] = False
+    path = tmp_path / "union.json"
+    path.write_text(json.dumps(data))
+    d = load_json(path)
+    assert not d.lspace_asserted
+    with pytest.raises(LSpaceAssertionError):
+        HTable(d)
 
 
 def test_json_roundtrip_is_canonical(tmp_path):

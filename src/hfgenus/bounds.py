@@ -2,7 +2,8 @@
 
 The central inequality: if the components bound pairwise disjoint surfaces of
 genera g_i in the 4-ball, then h(v) <= sum_i f_cap(g_i, v_i) for every lattice
-point v.  Everything in this module is exact; d-invariants are Fractions.
+point v; h never increases away from 0, so the corners of its folded level
+sets decide it.  Everything in this module is exact; d-invariants are Fractions.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional, Sequence
 
 from .errors import HfgenusError, LargenessError, ValidationError
 from .hfunction import HTable
-from .region import UpwardClosedRegion, minimal_generators, region_from_h
+from .region import UpwardClosedRegion, dominates, region_from_h
 
 
 def f_cap(g: int, v: int) -> int:
@@ -29,19 +30,17 @@ def f_cap(g: int, v: int) -> int:
 def genus_admissible(table: HTable, g: Sequence[int]) -> bool:
     """True iff h(v) <= sum_i f_cap(g_i, v_i) for every v.
 
-    Sweeps only the table's fixed box [-M, M]^n.  Outside it h(v) equals h at
-    the clamped point, while f_cap(g_i, v_i) drops to 0 once |v_i| > g_i, so
-    each boundary-shell coordinate (|v_i| = M) stands for the points beyond it
-    and contributes an f-term of 0; the box sweep then decides the global
-    inequality.
+    Outside the box [-M, M]^n h(v) equals h at the clamped point, while
+    f_cap(g_i, v_i) is 0 once |v_i| > g_i, so a boundary-shell coordinate
+    (|v_i| = M) contributes an f-term of 0.  That side depends on |v| only and
+    never grows with it, so a violation persists up to a corner of the same
+    height (`HTable.corners`), and the corners decide the inequality.
     """
     g = tuple(g)
     if len(g) != table.n or any(x < 0 for x in g):
         raise ValueError("genus vector must be nonnegative with one entry per component")
-    table.require_valid()
-    M = table.M
-    for v, hv in table.h_positive():
-        if hv > sum(f_cap(gi, vi) for gi, vi in zip(g, v) if abs(vi) < M):
+    for w, k in table.corners():
+        if k > sum(f_cap(gi, wi) for gi, wi in zip(g, w) if wi < table.M):
             return False
     return True
 
@@ -49,19 +48,22 @@ def genus_admissible(table: HTable, g: Sequence[int]) -> bool:
 def admissible_region(table: HTable) -> UpwardClosedRegion:
     """Minimal genus vectors passing the inequality, as an upward-closed region.
 
-    Every minimal generator coordinate is bounded by 2*max_h + support_radius
-    + 2: a witness forcing g - e_i inadmissible must drop an f-term at
-    coordinate i, so |v_i| <= g_i, and past the stabilized core such witnesses
-    would fail g itself too; inside it, ceil((g_i - |v_i|)/2) <= h(v) caps g_i.
-    Admissibility is monotone in g, so the sum-ordered sweep of the capped
-    box, with `genus_admissible` (and its boundary-shell rule) as predicate,
-    yields exactly the minimal generators.  The result is asserted to sit
-    inside the h-vanishing region.
+    Every minimal generator coordinate is bounded by 2*h(0) + support_radius
+    + 2 (h(0) = max h): a witness forcing g - e_i inadmissible must drop an
+    f-term at coordinate i, so |v_i| <= g_i, and past the stabilized core such
+    witnesses would fail g itself too; inside it, ceil((g_i - |v_i|)/2) <= h(v)
+    caps g_i.  Admissibility is monotone in g, so the sum-ordered sweep of the
+    capped box, skipping points above a generator found, with
+    `genus_admissible` as predicate, yields exactly the minimal generators.
+    The result is asserted to sit inside the h-vanishing region.
     """
     h_region = region_from_h(table)
-    cap = 2 * table.max_h() + table.support_radius + 2
-    region = UpwardClosedRegion(
-        table.n, minimal_generators(table.n, cap, lambda g: genus_admissible(table, g)))
+    cap = 2 * table.h((0,) * table.n) + table.support_radius + 2
+    gens: list = []
+    for g in sorted(product(range(cap + 1), repeat=table.n), key=lambda p: (sum(p), p)):
+        if not any(dominates(g, q) for q in gens) and genus_admissible(table, g):
+            gens.append(g)
+    region = UpwardClosedRegion(table.n, tuple(gens))
     for g in region.generators:
         if not h_region.contains(g):
             raise HfgenusError(
@@ -78,7 +80,7 @@ def bound_min_region(table: HTable) -> int:
 def bound_max_h(table: HTable) -> int:
     """2 * max h - n, signed (a genuine bound only after flooring at zero)."""
     table.require_valid()
-    return 2 * table.max_h() - table.n
+    return 2 * table.h((0,) * table.n) - table.n
 
 
 def bound_weighted(table: HTable, component_g4: Optional[Sequence[int]] = None) -> int:

@@ -46,9 +46,6 @@ class CableSpec:
     def n(self) -> int:
         return len(self.pairs)
 
-    def is_identity(self) -> bool:
-        return all(p == 1 for p, _ in self.pairs)
-
     def restrict(self, B) -> "CableSpec":
         return CableSpec(tuple(self.pairs[i] for i in sorted(B)))
 

@@ -23,6 +23,12 @@ bottom-shell check confirms it), so h(v) = h(clamp(v)) for every lattice
 point v, clamp taking each coordinate into [-M, M]: the laws validated on the
 box hold everywhere, and a sweep of the box decides every question about h.
 
+The step law makes h monotone, never increasing as a coordinate moves away
+from 0: for s_i >= 1, H(s - e_i) >= H(s) and H_O is unchanged; for s_i <= 0,
+H(s - e_i) <= H(s) + 1 and H_O grows by 1.  So max h = h(0), {h = 0} is
+up-closed on [0, M]^n and each folded level set {|v| : h(v) >= k} is a
+down-set of [0, M]^n, fixed by its maximal points (`HTable.corners`).
+
 The overall sign of a multi-component Alexander polynomial is not pinned down
 by symmetry alone; it is resolved here, bottom-up over sublinks, by requiring
 the resulting H-function to be valid (nonnegative, unit steps, stabilizing).
@@ -130,7 +136,7 @@ class HTable:
         self.n = link.n
         self._full = tuple(range(self.n))
         self._memo: dict = {}
-        self._h_positive: Optional[list] = None
+        self._corners: Optional[list] = None
         self._problems: Optional[list] = None
         self._tables: dict = {}  # sublink -> _OrthantSums, nonzero polynomials only
         self._terms: dict = {}   # sublink B -> (parity, C, positions of C in B, table)
@@ -313,11 +319,19 @@ class HTable:
 
     # -- sweeps used by regions and bounds ---------------------------------------
 
-    def h_positive(self) -> list:
-        """All (point, h) with h > 0 in the box; computed once."""
-        if self._h_positive is None:
-            self._h_positive = [(s, hv) for s in self.iter_box() if (hv := self.h(s)) > 0]
-        return self._h_positive
-
-    def max_h(self) -> int:
-        return max((hv for _, hv in self.h_positive()), default=0)
+    def corners(self) -> list:
+        """The pairs (w, k) with k = top[w] > 0 and top[w + e_i] < k for every i
+        with w_i < M, sorted, where top[w] is the largest h(v) with |v| = w.
+        The maximal points of {w : top[w] >= j} are the maximal w among the
+        corners with k >= j.  One sweep of the box, computed once."""
+        if self._corners is None:
+            self.require_valid()
+            top: dict = {}
+            for v in self.iter_box():
+                w = tuple(map(abs, v))
+                top[w] = max(top.get(w, 0), self.h(v))
+            self._corners = sorted(
+                (w, k) for w, k in top.items()
+                if k > 0 and all(top[w[:i] + (x + 1,) + w[i + 1:]] < k
+                                 for i, x in enumerate(w) if x < self.M))
+        return self._corners

@@ -64,37 +64,23 @@ class UpwardClosedRegion:
         return min(sum(g) for g in self.generators)
 
 
-def minimal_generators(n: int, cap: int, member) -> tuple:
-    """Minimal points of [0, cap]^n satisfying an upward-closed predicate.
-
-    Sweeps the points in increasing coordinate-sum order and skips every point
-    dominating a generator already found, so `member` is asked only about
-    points that would be new generators.
-    """
-    gens: list = []
-    for p in sorted(product(range(cap + 1), repeat=n), key=lambda p: (sum(p), p)):
-        if any(dominates(p, g) for g in gens):
-            continue
-        if member(p):
-            gens.append(p)
-    return tuple(gens)
-
-
 def region_from_h(table: HTable) -> UpwardClosedRegion:
     """Minimal generators of the set of nonnegative points with h = 0.
 
-    Sweeps the nonnegative part of the table box; stabilization (checked by
-    the table validator) guarantees the generators are found inside the box.
+    That set is up-closed on [0, M]^n, so they are the w with h(w) = 0 and
+    h(w - e_i) > 0 for every i with w_i > 0.  Stabilization (checked by the
+    table validator) guarantees the generators are found inside the box.
     """
     table.require_valid()
     M = table.M
-    region = UpwardClosedRegion(
-        table.n, minimal_generators(table.n, M, lambda p: table.h(p) == 0))
-    if any(x >= M for g in region.generators for x in g):
+    gens = [w for w in product(range(M + 1), repeat=table.n) if table.h(w) == 0
+            and all(table.h(w[:i] + (x - 1,) + w[i + 1:]) > 0
+                    for i, x in enumerate(w) if x > 0)]
+    if any(x >= M for g in gens for x in g):
         raise StabilizationError(
             f"{table.link.name}: region generator on the box boundary; "
             f"the box is too small to trust")
-    return region
+    return UpwardClosedRegion(table.n, tuple(gens))
 
 
 def maximal_lattice_points(table: HTable) -> tuple:

@@ -1,9 +1,12 @@
 """Genus bounds, the unlink criterion, and d-invariants."""
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfgenus.bounds import (admissible_region, best_lower_bound, bound_max_h,
                             bound_min_region, bound_weighted, circle_bundle_d,
@@ -13,8 +16,8 @@ from hfgenus.cable import CableSpec, cable_alexander
 from hfgenus.errors import LargenessError, ValidationError
 from hfgenus.hfunction import HTable
 from hfgenus.linkcat import catalog, disjoint_union
-from hfgenus.region import region_from_h
-from test_hfunction import ORACLE_LINKS
+from hfgenus.region import minimalize, region_from_h, region_product
+from test_hfunction import ORACLE_LINKS, UNION_PARTS
 
 
 def test_f_cap_values():
@@ -269,3 +272,55 @@ def test_admissible_region_matches_oracle(name):
                 checks.add(g[:i] + (max(0, g[i] + step),) + g[i + 1:])
     for g in sorted(checks):
         assert genus_admissible(t, g) == admissible(g), f"{name} at {g}"
+
+
+def maximal_points(points):
+    return minimalize(tuple(-x for x in w) for w in points)
+
+
+@pytest.mark.parametrize("name", sorted(ADMISSIBLE_ORACLE_LINKS))
+def test_corners_give_the_maximal_points_of_every_level_set(name):
+    t = HTable(ADMISSIBLE_ORACLE_LINKS[name]())
+    corners = t.corners()
+    assert corners == sorted(corners) and all(k > 0 for _, k in corners)
+    folded = [(tuple(map(abs, v)), t.h(v)) for v in t.iter_box()]
+    for j in range(1, max(hv for _, hv in folded) + 1):
+        assert maximal_points(w for w, k in corners if k >= j) == \
+            maximal_points(w for w, hv in folded if hv >= j), f"{name}, level {j}"
+
+
+def test_corner_counts():
+    # the box holds 2439, 18139 and 761 points with h > 0
+    cable = cable_alexander(catalog("borromean"), CableSpec(((2, 7),) * 3))
+    assert len(HTable(cable).corners()) == 27
+    assert len(HTable(catalog("whitehead_cable", 7, 22)).corners()) == 25
+    assert len(HTable(catalog("two_bridge", 20)).corners()) == 110
+
+
+# -- the admissible region of a disjoint union ----------------------------------------
+
+
+PRODUCT_PARTS = {**UNION_PARTS, "borromean": lambda: catalog("borromean")}
+
+
+def admissible_product(parts):
+    return reduce(region_product, (admissible_region(HTable(d)) for d in parts))
+
+
+# At most 4 components in all, which keeps each example well under a second.
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(sorted(PRODUCT_PARTS)), min_size=2, max_size=3)
+       .map(lambda keys: [PRODUCT_PARTS[key]() for key in keys])
+       .filter(lambda parts: sum(d.n for d in parts) <= 4))
+def test_admissible_region_of_a_union_is_the_product(parts):
+    # h and f_cap both add over the parts, and each part's sup(h - f) is >= 0
+    assert admissible_region(HTable(disjoint_union(*parts))) == admissible_product(parts)
+
+
+def test_admissible_region_of_a_four_component_union():
+    parts = [cable_alexander(catalog("whitehead"), CableSpec(((2, 7), (2, 7)))),
+             catalog("whitehead")]
+    region = admissible_region(HTable(disjoint_union(*parts)))
+    assert region.generators == \
+        ((3, 5, 0, 1), (3, 5, 1, 0), (5, 3, 0, 1), (5, 3, 1, 0))
+    assert region == admissible_product(parts)

@@ -48,19 +48,21 @@ def genus_admissible(table: HTable, g: Sequence[int]) -> bool:
 def admissible_region(table: HTable) -> UpwardClosedRegion:
     """Minimal genus vectors passing the inequality, as an upward-closed region.
 
-    Every minimal generator coordinate is bounded by 2*h(0) + support_radius
-    + 2 (h(0) = max h): a witness forcing g - e_i inadmissible must drop an
-    f-term at coordinate i, so |v_i| <= g_i, and past the stabilized core such
-    witnesses would fail g itself too; inside it, ceil((g_i - |v_i|)/2) <= h(v)
-    caps g_i.  Admissibility is monotone in g, so the sum-ordered sweep of the
-    capped box, skipping points above a generator found, with
-    `genus_admissible` as predicate, yields exactly the minimal generators.
-    The result is asserted to sit inside the h-vanishing region.
+    Each coordinate of a minimal generator is at most cap_i, the largest
+    w_i + 2k - 1 over the corners (w, k) with w_i < M (0 if there are none):
+    once g_i >= cap_i, f_cap(g_i, w_i) >= k meets every such corner alone, and
+    the corners with w_i = M never read g_i, so g - e_i passes whenever g does.
+    Admissibility is monotone in g, so the sum-ordered sweep of the capped
+    box, skipping points above a generator found, with `genus_admissible` as
+    predicate, yields exactly the minimal generators.  The result is asserted
+    to sit inside the h-vanishing region.
     """
     h_region = region_from_h(table)
-    cap = 2 * table.h((0,) * table.n) + table.support_radius + 2
+    corners = table.corners()
+    caps = [max((w[i] + 2 * k - 1 for w, k in corners if w[i] < table.M), default=0)
+            for i in range(table.n)]
     gens: list = []
-    for g in sorted(product(range(cap + 1), repeat=table.n), key=lambda p: (sum(p), p)):
+    for g in sorted(product(*(range(c + 1) for c in caps)), key=lambda p: (sum(p), p)):
         if not any(dominates(g, q) for q in gens) and genus_admissible(table, g):
             gens.append(g)
     region = UpwardClosedRegion(table.n, tuple(gens))
@@ -122,7 +124,10 @@ def best_lower_bound(table: HTable) -> dict:
 
 
 def unlink_test(table: HTable) -> bool:
-    """True iff h vanishes identically (with stabilization validated).
+    """True iff h vanishes identically.
+
+    h(v) = h(clamp(v)) holds by construction (see `hfunction`), checked by
+    the oracle tests, so a sweep of the validated box decides it.
 
     A slice L-space link with identically zero h-function is the unlink; a
     True result means the input is consistent with that conclusion.

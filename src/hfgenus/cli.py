@@ -104,8 +104,11 @@ def _make_table(args) -> HTable:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}")
     else:
         sys.stdout.write(text)
 

@@ -42,8 +42,10 @@ class BoxError(HfgenusError):
 
 
 class StabilizationError(BoxError):
-    """H failed to stabilize at the box boundary.
+    """A requested box is below the minimum, or H fails validation.
 
+    Raised by `HTable` for a `box` below the support-based minimum and by
+    `HTable.require_valid`; stabilization itself holds by construction.
     `problems` holds every problem a validation sweep found; the message
     shows only the first few.
     """

@@ -17,11 +17,18 @@ box.  A disjoint union is an ordinary descriptor: a sublink mixing parts has
 zero polynomial and contributes nothing.
 
 Each table's lattice box [-M, M]^n is fixed at construction, with
-M >= support_radius + 2.  Every orthant table reads 0 beyond its support and
-is constant below it, up to the knot slope Delta(1) = 1 that h subtracts (the
-bottom-shell check confirms it), so h(v) = h(clamp(v)) for every lattice
-point v, clamp taking each coordinate into [-M, M]: the laws validated on the
-box hold everywhere, and a sweep of the box decides every question about h.
+M >= support_radius + 2, and h stabilizes on it by construction.  Every
+orthant table is read at v = s + 1.  At s_i >= M - 1, v_i >= M lies above the
+top of every support, so each sublink containing component i contributes 0:
+H is constant in s_i there, equals the H of the sublink with component i
+deleted, and vanishes on the top corner block.  At s_i <= -M + 1, v_i lies at
+or below the bottom of every support, where a table is constant up to the
+knot slope Delta(1) = 1 (enforced on the input by `require_valid`), which h
+subtracts, so h is constant in s_i there.  Hence h(v) = h(clamp(v)) for every
+lattice point v, clamp taking each coordinate into [-M, M]: the laws validated
+on the box hold everywhere, and a sweep of the box decides every question
+about h.  This holds by construction, checked by the oracle tests; validation
+checks only the laws the Alexander data can break, H >= 0 and unit steps.
 
 The step law makes h monotone, never increasing as a coordinate moves away
 from 0: for s_i >= 1, H(s - e_i) >= H(s) and H_O is unchanged; for s_i <= 0,
@@ -31,7 +38,7 @@ down-set of [0, M]^n, fixed by its maximal points (`HTable.corners`).
 
 The overall sign of a multi-component Alexander polynomial is not pinned down
 by symmetry alone; it is resolved here, bottom-up over sublinks, by requiring
-the resulting H-function to be valid (nonnegative, unit steps, stabilizing).
+the resulting H-function to be valid (nonnegative, unit steps).
 
 h(s) = H(s) - H_O(s), where H_O is the H-function of the unlink.
 """
@@ -186,7 +193,9 @@ class HTable:
 
     def _law_problems(self, B, radius, memo):
         """Yield the violations, on the box [-radius, radius]^|B|, of the laws
-        H >= 0, unit steps and zero top corner by the sublink indexed by B."""
+        H >= 0 and unit steps by the sublink indexed by B.  Stabilization at
+        the box boundary holds by construction (see the module docstring),
+        checked by the oracle tests."""
         for s in product(range(-radius, radius + 1), repeat=len(B)):
             v = self._eval(B, s, memo)
             if v < 0:
@@ -197,8 +206,6 @@ class HTable:
                     down = self._eval(B, s[:i] + (s[i] - 1,) + s[i + 1:], memo)
                     if down - v not in (0, 1):
                         yield f"step law fails: H at {s} minus e_{i + 1} jumps by {down - v}"
-            if all(x >= radius - 1 for x in s) and v != 0:
-                yield f"H{s} = {v} on the top corner block, expected 0"
 
     def _eval(self, B, s, memo):
         """H of the sublink B at point s (coordinates aligned with sorted B)."""
@@ -257,48 +264,16 @@ class HTable:
                 total += sign * self.H(p)
         return total
 
-    def H_minus(self, i: int, rest: Sequence[int]) -> int:
-        """H of the sublink with component i deleted, at the projected point."""
-        if self.n == 1:
-            return 0
-        B = tuple(j for j in range(self.n) if j != i)
-        return self._eval(B, tuple(rest), self._memo)
-
     # -- the box and validation ------------------------------------------------
 
     def iter_box(self):
         return product(range(-self.M, self.M + 1), repeat=self.n)
 
     def validation_report(self) -> list:
-        """Check the standing H-function laws over the box; computed once."""
-        if self._problems is not None:
-            return self._problems
-        problems = list(self._law_problems(self._full, self.M, self._memo))
-        problems.extend(self._stabilization_problems())
-        self._problems = problems
-        return problems
-
-    def _stabilization_problems(self) -> list:
-        M = self.M
-        problems = []
-        for i in range(self.n):
-            for rest in product(range(-M, M + 1), repeat=self.n - 1):
-                top = rest[:i] + (M,) + rest[i:]
-                below = rest[:i] + (M - 1,) + rest[i:]
-                if self.H(top) != self.H(below):
-                    problems.append(
-                        f"H not constant across the top shells in direction {i + 1} at {rest}")
-                    continue
-                if self.H(top) != self.H_minus(i, rest):
-                    problems.append(
-                        f"H at the top edge in direction {i + 1} disagrees with the "
-                        f"component-deleted sublink at {rest}")
-                bot = rest[:i] + (-M,) + rest[i:]
-                above = rest[:i] + (-M + 1,) + rest[i:]
-                if self.h(bot) != self.h(above):
-                    problems.append(
-                        f"h not constant across the bottom shells in direction {i + 1} at {rest}")
-        return problems
+        """Check H >= 0 and unit steps over the box; computed once."""
+        if self._problems is None:
+            self._problems = list(self._law_problems(self._full, self.M, self._memo))
+        return self._problems
 
     def require_valid(self) -> None:
         problems = self.validation_report()

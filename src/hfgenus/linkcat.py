@@ -48,7 +48,7 @@ class LinkDescriptor:
     """An n-component link with vanishing pairwise linking numbers."""
 
     __slots__ = ("name", "components", "linking", "alexander",
-                 "lspace_asserted", "_hash")
+                 "lspace_asserted")
 
     def __init__(self, name: str, components: Sequence[Component],
                  alexander: Mapping[Iterable[int], LaurentPoly] | None = None,
@@ -78,7 +78,6 @@ class LinkDescriptor:
         object.__setattr__(self, "linking", linking)
         object.__setattr__(self, "alexander", alex)
         object.__setattr__(self, "lspace_asserted", bool(lspace_asserted))
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinkDescriptor is immutable")
@@ -100,11 +99,6 @@ class LinkDescriptor:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinkDescriptor) and self._canonical() == other._canonical()
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self._canonical()))
-        return self._hash
 
     def __repr__(self) -> str:
         return f"<LinkDescriptor {self.name!r}: {self.n} component(s)>"
@@ -386,6 +380,11 @@ def _parse_exp(s: str) -> int:
         raise SchemaError(f"bad exponent {s!r}")
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; JSON booleans load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _poly_to_list(poly: LaurentPoly) -> list:
     return [{"exp": [_exp_str(e) for e in exp], "coef": coef}
             for exp, coef in poly.sorted_terms()]
@@ -398,7 +397,7 @@ def _poly_from_list(items, nvars: int, where: str) -> LaurentPoly:
     for item in items:
         if not isinstance(item, dict) or set(item) != {"exp", "coef"}:
             raise SchemaError(f"{where}: each term needs exactly 'exp' and 'coef'")
-        if not isinstance(item["coef"], int):
+        if not _is_int(item["coef"]):
             raise SchemaError(f"{where}: coefficient must be an integer")
         exp = item["exp"]
         if not isinstance(exp, list) or len(exp) != nvars:
@@ -435,14 +434,14 @@ def descriptor_from_dict(data: dict) -> LinkDescriptor:
         if not isinstance(c, dict) or "label" not in c:
             raise SchemaError("each component needs a 'label'")
         g4 = c.get("g4")
-        if g4 is not None and (not isinstance(g4, int) or g4 < 0):
+        if g4 is not None and (not _is_int(g4) or g4 < 0):
             raise SchemaError("component 'g4' must be a nonnegative integer or null")
         comps.append(Component(str(c["label"]), g4))
     n = len(comps)
     linking = data["linking"]
     if (not isinstance(linking, list) or len(linking) != n
             or any(not isinstance(r, list) or len(r) != n for r in linking)
-            or any(not isinstance(x, int) for r in linking for x in r)):
+            or any(not _is_int(x) for r in linking for x in r)):
         raise SchemaError(f"'linking' must be an {n}x{n} integer matrix")
     lspace = data.get("lspace", False)
     if not isinstance(lspace, bool):

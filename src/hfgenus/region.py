@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-from .errors import HfgenusError, StabilizationError
+from .errors import HfgenusError
 from .hfunction import HTable
 from .linkcat import LinkDescriptor, sublink
 
@@ -68,18 +68,15 @@ def region_from_h(table: HTable) -> UpwardClosedRegion:
     """Minimal generators of the set of nonnegative points with h = 0.
 
     That set is up-closed on [0, M]^n, so they are the w with h(w) = 0 and
-    h(w - e_i) > 0 for every i with w_i > 0.  Stabilization (checked by the
-    table validator) guarantees the generators are found inside the box.
+    h(w - e_i) > 0 for every i with w_i > 0.  h is constant in w_i from
+    M - 1 on, by construction (see `hfunction`), checked by the oracle
+    tests, so every generator lies inside the box and below its top shell.
     """
     table.require_valid()
     M = table.M
     gens = [w for w in product(range(M + 1), repeat=table.n) if table.h(w) == 0
             and all(table.h(w[:i] + (x - 1,) + w[i + 1:]) > 0
                     for i, x in enumerate(w) if x > 0)]
-    if any(x >= M for g in gens for x in g):
-        raise StabilizationError(
-            f"{table.link.name}: region generator on the box boundary; "
-            f"the box is too small to trust")
     return UpwardClosedRegion(table.n, tuple(gens))
 
 

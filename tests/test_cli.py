@@ -163,6 +163,7 @@ def test_exit_code_usage(capsys):
     ["d-invariants", "--catalog", "whitehead", "--framing", "0,50", "--force"],
     ["d-invariants", "--lens", "-3"],
     ["d-invariants", "--lens", "0"],
+    ["region", "--catalog", "whitehead", "--out", "/nonexistent/x.json"],
 ], ids=" ".join)
 def test_bad_arguments_exit_with_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

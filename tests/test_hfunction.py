@@ -170,6 +170,47 @@ def test_h_stabilizes_beyond_the_box(name):
                 assert t.h(s) == t.h(clamp(t, s)), f"{name} at {s}"
 
 
+def bad_knot():
+    # Delta(1) = 1 and symmetric, so the descriptor is valid, but h goes negative
+    from hfgenus.linkcat import Component
+    return LinkDescriptor("bad-knot", [Component("k")],
+                          alexander={(0,): P(1, (-1, (1,)), (3, (0,)), (-1, (-1,)))},
+                          lspace_asserted=False)
+
+
+# Tables whose Alexander data fail validation.
+INVALID_TABLES = {
+    "whitehead, sign overridden": lambda: HTable(
+        catalog("whitehead"), sign_overrides={(0, 1): -1}),
+    "two_bridge:3, sign overridden": lambda: HTable(
+        catalog("two_bridge", 3), sign_overrides={(0, 1): -1}),
+    "-t + 3 - 1/t, forced": lambda: HTable(bad_knot(), force=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_LINKS) + sorted(INVALID_TABLES))
+def test_h_stabilizes_at_the_box_boundary(name):
+    # Holds by construction for any data, so validation never checks it: H = 0
+    # on the top corner block, H is constant across the top shells and equals
+    # the component-deleted sublink's H there, and h is constant across the
+    # bottom shells.
+    t = INVALID_TABLES[name]() if name in INVALID_TABLES else HTable(ORACLE_LINKS[name]())
+    M, n = t.M, t.n
+    for s in product((M - 1, M), repeat=n):
+        assert t.H(s) == 0, f"{name} at {s}"
+    for i in range(n):
+        rest_idx = tuple(j for j in range(n) if j != i)
+        sub = HTable(sublink(t.link, rest_idx)) if n > 1 else None
+        for rest in product(range(-M, M + 1), repeat=n - 1):
+            at = lambda x: rest[:i] + (x,) + rest[i:]
+            assert t.H(at(M)) == t.H(at(M - 1)), f"{name} at {at(M)}"
+            assert t.H(at(M)) == (sub.H(rest) if sub else 0), f"{name} at {at(M)}"
+            assert t.h(at(-M)) == t.h(at(-M + 1)), f"{name} at {at(-M)}"
+    if name in INVALID_TABLES:
+        report = t.validation_report()
+        assert report and all("negative" in p or "step law" in p for p in report)
+
+
 def test_chi_whitehead():
     t = HTable(catalog("whitehead"))
     assert [t.chi((0, 1), u) for u in ((1, 1), (1, 0), (0, 1), (0, 0))] == [-1, 1, 1, -1]

@@ -253,6 +253,19 @@ def test_json_schema_violations():
     data["linking"] = [[0, 0]]
     with pytest.raises(SchemaError, match="linking"):
         descriptor_from_dict(data)
+    # JSON booleans load as bool, a subclass of int: none passes as an integer
+    data = descriptor_to_dict(catalog("unknot"))
+    data["components"][0]["g4"] = True
+    with pytest.raises(SchemaError, match="g4"):
+        descriptor_from_dict(data)
+    data = descriptor_to_dict(catalog("unknot"))
+    data["alexander"]["1"][0]["coef"] = True
+    with pytest.raises(SchemaError, match="coefficient"):
+        descriptor_from_dict(data)
+    data = descriptor_to_dict(catalog("whitehead"))
+    data["linking"][0][1] = False
+    with pytest.raises(SchemaError, match="linking"):
+        descriptor_from_dict(data)
 
 
 def test_catalog_list_contains_known_keys():

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .errors import BoxError, UsageError, ValidationError
+from .errors import UsageError, ValidationError
 from .hfunction import HTable
 from .laurent import (LaurentPoly, exact_div, geometric_cable_factor,
                       normalize_symmetric, substitute_powers)
@@ -45,9 +45,6 @@ class CableSpec:
     @property
     def n(self) -> int:
         return len(self.pairs)
-
-    def restrict(self, B) -> "CableSpec":
-        return CableSpec(tuple(self.pairs[i] for i in sorted(B)))
 
     def genus_shift(self, i: int) -> int:
         p, q = self.pairs[i]
@@ -180,7 +177,7 @@ def cable_consistency_check(d: LinkDescriptor, spec: CableSpec,
     transformed = region_via_T(region_from_h(HTable(d, force=force)), spec)
     try:
         direct = region_from_h(HTable(cabled, force=force))
-    except (ValidationError, BoxError) as exc:
+    except ValidationError as exc:
         # The cabled Alexander data does not produce a valid H-function: the
         # cable is not an L-space link (small q/p), so the direct route is out.
         return {

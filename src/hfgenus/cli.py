@@ -5,7 +5,7 @@ catalog-list.  Inputs come from the built-in catalog (--catalog KEY[:params])
 or a JSON descriptor file (--link FILE).  All outputs are deterministic:
 identical inputs give byte-identical bytes, rationals print as num/den.
 
-Exit codes: 0 success, 2 validation failure, 3 box/largeness failure, 4 usage.
+Exit codes: 0 success, 2 validation failure, 3 largeness failure, 4 usage.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import bounds as bounds_mod
 from . import linkcat
 from .cable import cable_consistency_check, parse_cable_spec
-from .errors import BoxError, UsageError, ValidationError
+from .errors import LargenessError, UsageError, ValidationError
 from .hfunction import HTable
 from .region import maximal_lattice_points, region_from_h
 from .render import ascii_h_grid, region_svg
@@ -39,8 +39,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--catalog", metavar="KEY[:p1,p2,...]",
                         help="built-in link (see catalog-list)")
     common.add_argument("--link", metavar="FILE", help="JSON descriptor file")
-    common.add_argument("--box", type=int, metavar="M",
-                        help="lattice box radius; must be at least the computed minimum")
     common.add_argument("--format", choices=("json", "ascii", "svg"), dest="fmt")
     common.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     common.add_argument("--force", action="store_true",
@@ -99,7 +97,7 @@ def _load_input(args) -> linkcat.LinkDescriptor:
 
 
 def _make_table(args) -> HTable:
-    return HTable(_load_input(args), box=args.box, force=args.force)
+    return HTable(_load_input(args), force=args.force)
 
 
 def _emit(args, text: str) -> None:
@@ -138,6 +136,7 @@ def _nested(table: HTable, window: int, fn):
 
 def _cmd_h_table(args) -> int:
     table = _make_table(args)
+    table.require_valid()
     window = table.M
     fmt = args.fmt or ("ascii" if table.n <= 2 else "json")
     if fmt == "svg":
@@ -287,7 +286,7 @@ def _cmd_validate(args) -> int:
     problems.extend(linkcat.validate_descriptor(d))
     if not problems:
         try:
-            table = HTable(d, box=args.box, force=args.force)
+            table = HTable(d, force=args.force)
             problems.extend(table.validation_report())
             for B in table.flipped_signs():
                 problems.append(
@@ -331,8 +330,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 4
-    except BoxError as exc:
-        print(f"box/largeness error: {exc}", file=sys.stderr)
+    except LargenessError as exc:
+        print(f"largeness error: {exc}", file=sys.stderr)
         return 3
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: input/validation problems exit with 2,
-box-size and largeness problems with 3, usage problems with 4.
+largeness problems with 3, usage problems with 4.
 """
 
 
@@ -37,17 +37,12 @@ class LSpaceAssertionError(ValidationError):
     """The descriptor does not assert the L-space property and force=False."""
 
 
-class BoxError(HfgenusError):
-    """A lattice box is too small for the requested computation."""
+class StabilizationError(ValidationError):
+    """H fails validation (H >= 0 or unit steps) on the table's box.
 
-
-class StabilizationError(BoxError):
-    """A requested box is below the minimum, or H fails validation.
-
-    Raised by `HTable` for a `box` below the support-based minimum and by
-    `HTable.require_valid`; stabilization itself holds by construction.
-    `problems` holds every problem a validation sweep found; the message
-    shows only the first few.
+    Raised by `HTable.require_valid`; stabilization itself holds by
+    construction.  `problems` holds every problem the validation sweep found;
+    the message shows only the first few.
     """
 
     def __init__(self, message: str, problems=()):
@@ -55,7 +50,7 @@ class StabilizationError(BoxError):
         self.problems = list(problems)
 
 
-class LargenessError(BoxError):
+class LargenessError(HfgenusError):
     """A surgery coefficient fails the largeness heuristic and force=False."""
 
 

@@ -17,7 +17,7 @@ box.  A disjoint union is an ordinary descriptor: a sublink mixing parts has
 zero polynomial and contributes nothing.
 
 Each table's lattice box [-M, M]^n is fixed at construction, with
-M >= support_radius + 2, and h stabilizes on it by construction.  Every
+M = support_radius + 2, and h stabilizes on it by construction.  Every
 orthant table is read at v = s + 1.  At s_i >= M - 1, v_i >= M lies above the
 top of every support, so each sublink containing component i contributes 0:
 H is constant in s_i there, equals the H of the sublink with component i
@@ -38,7 +38,8 @@ down-set of [0, M]^n, fixed by its maximal points (`HTable.corners`).
 
 The overall sign of a multi-component Alexander polynomial is not pinned down
 by symmetry alone; it is resolved here, bottom-up over sublinks, by requiring
-the resulting H-function to be valid (nonnegative, unit steps).
+the resulting H-function to be valid (nonnegative, unit steps).  The sweep that
+accepts the full link's sign is its validation sweep, run on the same box.
 
 h(s) = H(s) - H_O(s), where H_O is the H-function of the unlink.
 """
@@ -128,12 +129,13 @@ class HTable:
     2^n - 1 lookups, disjoint unions included.  The box bounds only the
     validation sweeps and region extraction; H itself is a closed-form
     alternating sum and can be evaluated at any lattice point.
-    M is the support-based minimum support_radius + 2, or the requested `box`
-    if larger, and never changes; validation runs once, on first request.
+    M = support_radius + 2 and never changes.  Validation runs at most once:
+    during sign resolution when the full link's sign is swept, otherwise on
+    first request.
     """
 
-    def __init__(self, link: LinkDescriptor, box: Optional[int] = None,
-                 force: bool = False, sign_overrides: Optional[dict] = None):
+    def __init__(self, link: LinkDescriptor, force: bool = False,
+                 sign_overrides: Optional[dict] = None):
         require_valid(link)
         if not link.lspace_asserted and not force:
             raise LSpaceAssertionError(
@@ -151,11 +153,7 @@ class HTable:
         self._resolve_signs(sign_overrides)
 
         self.support_radius = max(t.radius for t in self._tables.values())
-        auto = self.support_radius + 2
-        if box is not None and box < auto:
-            raise StabilizationError(
-                f"requested box {box} is below the auto-computed minimum {auto}")
-        self.M = max(auto, box or 0)
+        self.M = self.support_radius + 2
 
     # -- construction helpers ------------------------------------------------
 
@@ -178,12 +176,13 @@ class HTable:
             if overrides is not None and B in overrides:
                 signs[B] = overrides[B]
                 continue
-            radius = max(table.radius for _, _, _, table in terms) + 2
             for sigma in (1, -1):  # prefer the stored sign
                 signs[B] = sigma
                 memo: dict = {}
-                if next(self._law_problems(B, radius, memo), None) is None:
+                if next(self._law_problems(B, memo), None) is None:
                     self._memo.update(memo)  # B's values under its final sign
+                    if B == self._full:
+                        self._problems = []  # this sweep was the validation sweep
                     break
             else:
                 raise SignResolutionError(
@@ -191,11 +190,13 @@ class HTable:
                     f"{tuple(i + 1 for i in B)} yields a valid H-function; "
                     f"not an L-space link with this data")
 
-    def _law_problems(self, B, radius, memo):
-        """Yield the violations, on the box [-radius, radius]^|B|, of the laws
-        H >= 0 and unit steps by the sublink indexed by B.  Stabilization at
-        the box boundary holds by construction (see the module docstring),
-        checked by the oracle tests."""
+    def _law_problems(self, B, memo):
+        """Yield the violations of the laws H >= 0 and unit steps by the
+        sublink indexed by B, on its box [-r, r]^|B|, r two more than the
+        largest support radius of B's sublink tables (r = M for the full
+        link).  Stabilization at the box boundary holds by construction (see
+        the module docstring), checked by the oracle tests."""
+        radius = max(table.radius for _, _, _, table in self._terms[B]) + 2
         for s in product(range(-radius, radius + 1), repeat=len(B)):
             v = self._eval(B, s, memo)
             if v < 0:
@@ -270,9 +271,14 @@ class HTable:
         return product(range(-self.M, self.M + 1), repeat=self.n)
 
     def validation_report(self) -> list:
-        """Check H >= 0 and unit steps over the box; computed once."""
+        """The violations of H >= 0 and unit steps over the box; computed once.
+
+        When sign resolution swept the full link, that sweep passed and was
+        this one, so the list is empty.  Only a knot, a link with zero full
+        polynomial (every disjoint union) or an overridden full-link sign is
+        swept here."""
         if self._problems is None:
-            self._problems = list(self._law_problems(self._full, self.M, self._memo))
+            self._problems = list(self._law_problems(self._full, self._memo))
         return self._problems
 
     def require_valid(self) -> None:

@@ -51,7 +51,7 @@ class LaurentPoly:
     True
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Exp, int]):
         clean = {}
@@ -68,7 +68,6 @@ class LaurentPoly:
             clean[exp] = coef
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -149,13 +148,6 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         return (isinstance(other, LaurentPoly)
                 and self.nvars == other.nvars and self.terms == other.terms)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(
-                self, "_hash",
-                hash((self.nvars, frozenset(self.terms.items()))))
-        return self._hash
 
     def shift(self, dexp: Exp) -> "LaurentPoly":
         """Multiply by the monomial with doubled exponent ``dexp``."""

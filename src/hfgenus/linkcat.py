@@ -460,6 +460,8 @@ def descriptor_from_dict(data: dict) -> LinkDescriptor:
     if isinstance(structure, dict) and set(structure) == {"disjoint_union"}:
         if data["alexander"]:
             raise SchemaError("disjoint unions must not carry top-level 'alexander' data")
+        if not isinstance(structure["disjoint_union"], list):
+            raise SchemaError("'disjoint_union' must be a list of descriptors")
         parts = [descriptor_from_dict(p) for p in structure["disjoint_union"]]
         if [c for p in parts for c in p.components] != comps:
             raise SchemaError("parts of the disjoint union do not match 'components'")

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ def run(capsys, *argv):
 
 
 def test_h_table_ascii_whitehead(capsys):
-    code, out, _ = run(capsys, "h-table", "--catalog", "whitehead", "--box", "3")
+    code, out, _ = run(capsys, "h-table", "--catalog", "whitehead")
     assert code == 0
     assert "s1" in out and "s2" in out
     row0 = next(line for line in out.splitlines() if line.startswith("   0 |"))
@@ -142,6 +143,21 @@ def test_validate_flipped_sign_hint(capsys, tmp_path):
     assert "flipped sign" in out and "(1, 2)" in out
 
 
+def test_invalid_h_exits_2_on_every_table_command(capsys, tmp_path):
+    # Delta = -t + 3 - 1/t: a valid descriptor whose h(0) = -1
+    data = descriptor_to_dict(catalog("trefoil_rh"))
+    for term in data["alexander"]["1"]:
+        term["coef"] = 3 if term["exp"] == ["0"] else -term["coef"]
+    path = tmp_path / "bad-knot.json"
+    path.write_text(json.dumps(data))
+    for command in ("h-table", "region", "bounds"):
+        code, out, err = run(capsys, command, "--link", str(path))
+        assert code == 2 and out == "", command
+        assert err.startswith("validation error:") and "H(0,) = -1" in err, command
+    code, out, _ = run(capsys, "validate", "--link", str(path))
+    assert code == 2 and "H(0,) = -1 is negative" in out
+
+
 def test_exit_code_usage(capsys):
     code, _, err = run(capsys, "h-table", "--catalog", "nosuch")
     assert code == 4
@@ -164,6 +180,7 @@ def test_exit_code_usage(capsys):
     ["d-invariants", "--lens", "-3"],
     ["d-invariants", "--lens", "0"],
     ["region", "--catalog", "whitehead", "--out", "/nonexistent/x.json"],
+    ["h-table", "--catalog", "whitehead", "--box", "3"],
 ], ids=" ".join)
 def test_bad_arguments_exit_with_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -177,12 +194,6 @@ def test_cable_of_a_union(capsys):
     data = json.loads(out)
     assert data["consistent"] is True
     assert data["direct_generators"] == [[3, 0]]
-
-
-def test_exit_code_box(capsys):
-    code, _, err = run(capsys, "h-table", "--catalog", "two_bridge:2",
-                       "--box", "2")
-    assert code == 3 and "minimum" in err
 
 
 def test_catalog_list(capsys):
@@ -209,7 +220,7 @@ def test_out_writes_file(capsys, tmp_path):
 
 
 def test_h_table_ascii_unknot_row(capsys):
-    code, out, _ = run(capsys, "h-table", "--catalog", "unknot", "--box", "2")
+    code, out, _ = run(capsys, "h-table", "--catalog", "unknot")
     assert code == 0
     lines = out.splitlines()
     assert lines[1].split(":")[1].split() == ["0", "0", "0", "0", "0"]
@@ -234,9 +245,17 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 EXPECTED = PERFBENCH / "expected"
 
 
-_spec = importlib.util.spec_from_file_location("perfbench_job", PERFBENCH / "job.py")
-JOB = importlib.util.module_from_spec(_spec)  # perfbench/job.py, run in process
-_spec.loader.exec_module(JOB)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+JOB = _load("job")              # perfbench/job.py, run in process
+WORKLOADS = _load("workloads")  # its generated inputs
 
 
 # The benchmark's jobs on catalog links, by the name of the file in
@@ -270,16 +289,29 @@ BENCHMARK_LIB_JOBS = {
     "admissible_borromean_cable_2_7_2_7_1_1": ["borromean", "2:7,2:7,1:1"],
 }
 
+# ... and `job.py cli validate --link FILE` on generated descriptors, which exit 2.
+BENCHMARK_VALIDATE_JOBS = {
+    "validate_flipped_tb15": lambda: WORKLOADS.flipped_two_bridge(15),
+    **{f"validate_corrupt_tb10_{i}": lambda exp=exp: WORKLOADS.corrupted_two_bridge(10, exp)
+       for i, exp in enumerate(WORKLOADS.CORRUPT_AT)},
+}
 
-@pytest.mark.parametrize("name", sorted({**BENCHMARK_JOBS, **BENCHMARK_LIB_JOBS}))
-def test_benchmark_outputs_are_byte_identical(capsys, name):
+
+@pytest.mark.parametrize("name", sorted({**BENCHMARK_JOBS, **BENCHMARK_LIB_JOBS,
+                                         **BENCHMARK_VALIDATE_JOBS}))
+def test_benchmark_outputs_are_byte_identical(capsys, tmp_path, name):
+    want = 0
     if name in BENCHMARK_JOBS:
         argv = ["cli", *BENCHMARK_JOBS[name]]
-    else:
+    elif name in BENCHMARK_LIB_JOBS:
         argv = ["lib", *BENCHMARK_LIB_JOBS[name]]
+    else:
+        path = str(tmp_path / "input.json")
+        WORKLOADS.write_input(BENCHMARK_VALIDATE_JOBS[name](), path, None)
+        argv, want = ["cli", "validate", "--link", path], 2
     code = JOB.main(argv)
     out = capsys.readouterr().out
-    assert code == 0
+    assert code == want
     assert out.encode("utf-8") == (EXPECTED / f"{name}.out").read_bytes()
 
 

@@ -140,17 +140,6 @@ def test_orthant_tables_match_support_scan(name):
             assert t.chi(B, v) == sign * coeff(v), (B, v)
 
 
-def test_grown_box_matches_brute_force():
-    # a box requested wider than the minimum: validated and exact throughout
-    d = catalog("two_bridge", 3)
-    M0 = HTable(d).M
-    t = HTable(d, box=M0 + 6)
-    assert t.M == M0 + 6
-    assert t.validation_report() == []
-    for s in t.iter_box():
-        assert t.H(s) == brute_H(d, s), s
-
-
 def clamp(t, s):
     return tuple(max(-t.M, min(t.M, x)) for x in s)
 
@@ -488,6 +477,35 @@ def test_sign_resolution_recovers_flipped_input():
         assert t.H(s) == good.H(s)
 
 
+REPORT_TABLES = {
+    **{name: lambda make=make: HTable(make()) for name, make in ORACLE_LINKS.items()},
+    **INVALID_TABLES,
+    "whitehead, stored sign flipped": lambda: HTable(flipped_whitehead()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_TABLES))
+def test_validation_report_matches_a_fresh_sweep(name):
+    # the sign sweep that validated the full link gives the same report
+    t = REPORT_TABLES[name]()
+    assert t.validation_report() == list(t._law_problems(t._full, {}))
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_TABLES))
+def test_a_swept_full_link_is_not_swept_again(name, monkeypatch):
+    t = REPORT_TABLES[name]()
+    # each invalid table is a knot or overrides the full link's sign
+    swept = t.n > 1 and not t.link.delta(t._full).is_zero() and name not in INVALID_TABLES
+    before = len(t._memo)
+    calls = []
+    real = t._law_problems
+    monkeypatch.setattr(t, "_law_problems", lambda *a: calls.append(a) or real(*a))
+    t.validation_report()
+    assert (calls == []) == swept
+    if swept:
+        assert len(t._memo) == before
+
+
 def test_sign_resolution_of_a_union():
     t = HTable(disjoint_union(flipped_whitehead(), catalog("trefoil_rh")))
     assert t.sign_resolution == {(1,): 1, (2,): 1, (3,): 1, (1, 2): -1,
@@ -504,10 +522,3 @@ def test_lspace_assertion_gate():
     with pytest.raises(LSpaceAssertionError):
         HTable(unasserted)
     assert HTable(unasserted, force=True).H((0, 0)) == 1
-
-
-def test_box_override_floor():
-    from hfgenus.errors import StabilizationError
-    with pytest.raises(StabilizationError):
-        HTable(catalog("two_bridge", 2), box=2)
-    assert HTable(catalog("two_bridge", 2), box=9).M == 9

@@ -266,6 +266,12 @@ def test_json_schema_violations():
     data["linking"][0][1] = False
     with pytest.raises(SchemaError, match="linking"):
         descriptor_from_dict(data)
+    # a union whose parts are not a list
+    for parts in (5, None):
+        data = descriptor_to_dict(catalog("unlink", 2))
+        data["alexander"], data["structure"] = {}, {"disjoint_union": parts}
+        with pytest.raises(SchemaError, match="must be a list"):
+            descriptor_from_dict(data)
 
 
 def test_catalog_list_contains_known_keys():

@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import HfgenusError, LargenessError, ValidationError
 from .hfunction import HTable
@@ -85,15 +85,14 @@ def bound_max_h(table: HTable) -> int:
     return 2 * table.h((0,) * table.n) - table.n
 
 
-def bound_weighted(table: HTable, component_g4: Optional[Sequence[int]] = None) -> int:
-    """max over |s_i| <= g4(L_i) of 2 h(s) - n + sum |s_i|, signed."""
-    if component_g4 is None:
-        component_g4 = tuple(c.g4 for c in table.link.components)
+def bound_weighted(table: HTable) -> int:
+    """max over |s_i| <= g4(L_i) of 2 h(s) - n + sum |s_i|, signed, g4(L_i)
+    read from the link's components; a ValidationError if one is unknown."""
+    component_g4 = tuple(c.g4 for c in table.link.components)
     if any(g is None for g in component_g4):
         raise ValidationError(
             f"{table.link.name}: component 4-genus unknown; the weighted bound "
             f"needs g4 for every component")
-    component_g4 = tuple(component_g4)
     table.require_valid()
     best = None
     for s in product(*(range(-g, g + 1) for g in component_g4)):
@@ -175,7 +174,8 @@ def large_surgery_d(table: HTable, q: Sequence[int], v: Sequence[int],
     Computed as sum_i (2 v_i - q_i)^2 / (4 q_i) - n/4 - 2 H(v); the quadratic
     part is the degree shift of the reversed 2-handle cobordism with the
     diagonal linking matrix.  Labels live in the centered fundamental domain
-    |v_i| <= q_i / 2.
+    |v_i| <= q_i / 2.  Data failing validation raise a StabilizationError
+    whatever the framing, before the largeness check.
     """
     q = tuple(q)
     v = tuple(v)
@@ -186,6 +186,7 @@ def large_surgery_d(table: HTable, q: Sequence[int], v: Sequence[int],
         raise ValueError("surgery coefficients must be positive")
     if any(2 * abs(x) > qi for x, qi in zip(v, q)):
         raise ValueError(f"label {v} outside the fundamental domain |v_i| <= q_i/2")
+    table.require_valid()
     threshold = 2 * (2 * table.M)
     small = [qi for qi in q if qi <= threshold]
     if small and not force:

@@ -23,7 +23,7 @@ from .hfunction import HTable
 from .laurent import (LaurentPoly, exact_div, geometric_cable_factor,
                       normalize_symmetric, substitute_powers)
 from .linkcat import Component, LinkDescriptor, all_subsets, require_valid
-from .region import UpwardClosedRegion, minimalize, region_from_h
+from .region import UpwardClosedRegion, region_from_h
 
 
 @dataclass(frozen=True)
@@ -153,12 +153,12 @@ def region_via_T(r: UpwardClosedRegion, spec: CableSpec) -> UpwardClosedRegion:
     """Image of an upward-closed region under the cable transform.
 
     T is strictly monotone componentwise, so the upward closure of the image
-    is generated by the images of the generators.
+    is generated by the images of the generators (`UpwardClosedRegion`
+    minimalizes them).
     """
     if r.n != spec.n:
         raise ValueError("region dimension does not match the cable spec")
-    return UpwardClosedRegion(r.n, minimalize(T_transform(spec, g)
-                                              for g in r.generators))
+    return UpwardClosedRegion(r.n, tuple(T_transform(spec, g) for g in r.generators))
 
 
 def cable_consistency_check(d: LinkDescriptor, spec: CableSpec,

@@ -40,12 +40,12 @@ class LSpaceAssertionError(ValidationError):
 class StabilizationError(ValidationError):
     """H fails validation (H >= 0 or unit steps) on the table's box.
 
-    Raised by `HTable.require_valid`; stabilization itself holds by
-    construction.  `problems` holds every problem the validation sweep found;
-    the message shows only the first few.
+    Raised by `HTable.require_valid`, the one raiser, which passes every
+    problem the validation sweep found as `problems`; the message shows only
+    the first few.  Stabilization itself holds by construction.
     """
 
-    def __init__(self, message: str, problems=()):
+    def __init__(self, message: str, problems):
         super().__init__(message)
         self.problems = list(problems)
 

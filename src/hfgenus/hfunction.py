@@ -131,11 +131,11 @@ class HTable:
     alternating sum and can be evaluated at any lattice point.
     M = support_radius + 2 and never changes.  Validation runs at most once:
     during sign resolution when the full link's sign is swept, otherwise on
-    first request.
+    first request.  The memo holds the full link's H by point; the values a
+    sublink's sign trial computes are dropped with the trial.
     """
 
-    def __init__(self, link: LinkDescriptor, force: bool = False,
-                 sign_overrides: Optional[dict] = None):
+    def __init__(self, link: LinkDescriptor, force: bool = False):
         require_valid(link)
         if not link.lspace_asserted and not force:
             raise LSpaceAssertionError(
@@ -150,14 +150,14 @@ class HTable:
         self._tables: dict = {}  # sublink -> _OrthantSums, nonzero polynomials only
         self._terms: dict = {}   # sublink B -> (parity, C, positions of C in B, table)
         self._signs: dict = {}   # sublink -> +1 or -1, filled bottom-up
-        self._resolve_signs(sign_overrides)
+        self._resolve_signs()
 
         self.support_radius = max(t.radius for t in self._tables.values())
         self.M = self.support_radius + 2
 
     # -- construction helpers ------------------------------------------------
 
-    def _resolve_signs(self, overrides) -> None:
+    def _resolve_signs(self) -> None:
         signs = self._signs
         for B in all_subsets(self.n):
             signs[B] = 1
@@ -173,16 +173,13 @@ class HTable:
             self._terms[B] = terms
             if len(B) == 1 or delta.is_zero():
                 continue
-            if overrides is not None and B in overrides:
-                signs[B] = overrides[B]
-                continue
             for sigma in (1, -1):  # prefer the stored sign
                 signs[B] = sigma
                 memo: dict = {}
                 if next(self._law_problems(B, memo), None) is None:
-                    self._memo.update(memo)  # B's values under its final sign
-                    if B == self._full:
-                        self._problems = []  # this sweep was the validation sweep
+                    if B == self._full:  # this sweep was the validation sweep
+                        self._memo = memo
+                        self._problems = []
                     break
             else:
                 raise SignResolutionError(
@@ -209,15 +206,15 @@ class HTable:
                         yield f"step law fails: H at {s} minus e_{i + 1} jumps by {down - v}"
 
     def _eval(self, B, s, memo):
-        """H of the sublink B at point s (coordinates aligned with sorted B)."""
-        key = (B, s)
-        total = memo.get(key)
+        """H of the sublink B at point s (coordinates aligned with sorted B),
+        memoized by s in `memo`, which serves B alone."""
+        total = memo.get(s)
         if total is None:
             v = tuple(x + 1 for x in s)
             total = 0
             for parity, C, idx, table in self._terms[B]:
                 total += parity * self._signs[C] * table(v, idx)
-            memo[key] = total
+            memo[s] = total
         return total
 
     # -- evaluation ------------------------------------------------------------
@@ -274,9 +271,8 @@ class HTable:
         """The violations of H >= 0 and unit steps over the box; computed once.
 
         When sign resolution swept the full link, that sweep passed and was
-        this one, so the list is empty.  Only a knot, a link with zero full
-        polynomial (every disjoint union) or an overridden full-link sign is
-        swept here."""
+        this one, so the list is empty.  Only a knot or a link with zero full
+        polynomial (every disjoint union) is swept here."""
         if self._problems is None:
             self._problems = list(self._law_problems(self._full, self._memo))
         return self._problems

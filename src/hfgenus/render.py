@@ -8,7 +8,7 @@ window and shades the complement; it is only produced for two components.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .hfunction import HTable
 from .region import UpwardClosedRegion
@@ -46,7 +46,7 @@ def ascii_h_grid(table: HTable, window: int) -> str:
 
 
 def region_svg(region: UpwardClosedRegion, window: int,
-               maximal_points: Optional[Sequence] = None) -> str:
+               maximal_points: Sequence) -> str:
     """SVG staircase of a 2-dimensional region over [0, window]^2.
 
     Unit cells whose lower-left lattice point is outside the region are shaded;
@@ -102,7 +102,7 @@ def region_svg(region: UpwardClosedRegion, window: int,
             if g[0] <= W and g[1] <= W:
                 parts.append(f'<circle cx="{px(g[0])}" cy="{py(g[1])}" r="5" '
                              f'fill="black"/>')
-    for z in maximal_points or ():
+    for z in maximal_points:
         if z[0] <= W and z[1] <= W:
             parts.append(f'<circle cx="{px(z[0])}" cy="{py(z[1])}" r="5" '
                          f'fill="none" stroke="black" stroke-width="2"/>')

@@ -13,10 +13,11 @@ from hfgenus.bounds import (admissible_region, best_lower_bound,
 from hfgenus.cable import CableSpec, cable_alexander, region_via_T
 from hfgenus.hfunction import HTable
 from hfgenus.laurent import LaurentPoly
-from hfgenus.linkcat import catalog, disjoint_union
+from hfgenus.linkcat import LinkDescriptor, catalog, disjoint_union
 from hfgenus.region import (UpwardClosedRegion, dominates,
                             maximal_lattice_points, minimalize, region_from_h,
                             region_product)
+from test_hfunction import bad_knot
 
 
 def criterion(number, description, ok):
@@ -112,12 +113,17 @@ def test_criterion_6_chi_roundtrip():
 
 def test_criterion_7_validator_and_sign_flip():
     ok = all(HTable(d).validation_report() == [] for d in catalog_roster())
-    flipped = HTable(catalog("whitehead"), sign_overrides={(0, 1): -1})
-    report = flipped.validation_report()
+    bad = HTable(disjoint_union(bad_knot(), catalog("unknot")), force=True)
+    report = bad.validation_report()
     ok &= any("negative" in p for p in report)
-    ok &= flipped.H((0, 0)) == -1
-    criterion(7, "H-function laws hold on all catalog links; the flipped "
-                 "whitehead sign fails with negative H", ok)
+    ok &= bad.H((0, 0)) == -1
+    wh = catalog("whitehead")
+    flipped = LinkDescriptor("whitehead-flipped", wh.components, alexander={
+        **wh.alexander, (0, 1): -wh.delta((0, 1))}, lspace_asserted=True)
+    ok &= HTable(flipped).flipped_signs() == [(1, 2)]
+    criterion(7, "H-function laws hold on all catalog links; a knot with "
+                 "negative H fails them, and a flipped whitehead sign is "
+                 "resolved back", ok)
 
 
 def test_criterion_8_d_invariant_cross_check():

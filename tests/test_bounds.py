@@ -13,11 +13,11 @@ from hfgenus.bounds import (admissible_region, best_lower_bound, bound_max_h,
                             f_cap, genus_admissible, large_surgery_d, lens_d,
                             unlink_test)
 from hfgenus.cable import CableSpec, cable_alexander
-from hfgenus.errors import LargenessError, ValidationError
+from hfgenus.errors import LargenessError, StabilizationError, ValidationError
 from hfgenus.hfunction import HTable
 from hfgenus.linkcat import catalog, disjoint_union
 from hfgenus.region import minimalize, region_from_h, region_product
-from test_hfunction import ORACLE_LINKS, UNION_PARTS
+from test_hfunction import INVALID_TABLES, ORACLE_LINKS, UNION_PARTS
 
 
 def test_f_cap_values():
@@ -192,6 +192,10 @@ def test_large_surgery_d_guards():
         large_surgery_d(unk, (100,), (51,), force=True)
     with pytest.raises(ValueError):
         large_surgery_d(unk, (0,), (0,), force=True)
+    bad = INVALID_TABLES["-t + 3 - 1/t, forced"]()
+    for q, force in (((100,), False), ((3,), False), ((3,), True)):
+        with pytest.raises(StabilizationError):
+            large_surgery_d(bad, q, (0,), force=force)
 
 
 def test_bound_dominates_component_thresholds():

@@ -150,8 +150,9 @@ def test_invalid_h_exits_2_on_every_table_command(capsys, tmp_path):
         term["coef"] = 3 if term["exp"] == ["0"] else -term["coef"]
     path = tmp_path / "bad-knot.json"
     path.write_text(json.dumps(data))
-    for command in ("h-table", "region", "bounds"):
-        code, out, err = run(capsys, command, "--link", str(path))
+    for command in (["h-table"], ["region"], ["bounds"],
+                    ["d-invariants", "--framing", "100"]):
+        code, out, err = run(capsys, *command, "--link", str(path))
         assert code == 2 and out == "", command
         assert err.startswith("validation error:") and "H(0,) = -1" in err, command
     code, out, _ = run(capsys, "validate", "--link", str(path))

@@ -169,11 +169,11 @@ def bad_knot():
 
 # Tables whose Alexander data fail validation.
 INVALID_TABLES = {
-    "whitehead, sign overridden": lambda: HTable(
-        catalog("whitehead"), sign_overrides={(0, 1): -1}),
-    "two_bridge:3, sign overridden": lambda: HTable(
-        catalog("two_bridge", 3), sign_overrides={(0, 1): -1}),
     "-t + 3 - 1/t, forced": lambda: HTable(bad_knot(), force=True),
+    "-t + 3 - 1/t + whitehead, forced": lambda: HTable(
+        disjoint_union(bad_knot(), catalog("whitehead")), force=True),
+    "-t + 3 - 1/t + two_bridge:3, forced": lambda: HTable(
+        disjoint_union(bad_knot(), catalog("two_bridge", 3)), force=True),
 }
 
 
@@ -189,7 +189,7 @@ def test_h_stabilizes_at_the_box_boundary(name):
         assert t.H(s) == 0, f"{name} at {s}"
     for i in range(n):
         rest_idx = tuple(j for j in range(n) if j != i)
-        sub = HTable(sublink(t.link, rest_idx)) if n > 1 else None
+        sub = HTable(sublink(t.link, rest_idx), force=True) if n > 1 else None
         for rest in product(range(-M, M + 1), repeat=n - 1):
             at = lambda x: rest[:i] + (x,) + rest[i:]
             assert t.H(at(M)) == t.H(at(M - 1)), f"{name} at {at(M)}"
@@ -442,15 +442,15 @@ def test_validation_report_passes_on_catalog():
 
 
 def test_flipped_sign_fails_validation():
-    wh = catalog("whitehead")
-    bad = HTable(wh, sign_overrides={(0, 1): -1})
+    # sign resolution picks every multi-variable sign, so the bad data are a knot's
+    bad = HTable(disjoint_union(bad_knot(), catalog("unknot")), force=True)
     report = bad.validation_report()
     assert any("negative" in p for p in report)
     assert bad.H((0, 0)) == -1
 
 
 def test_require_valid_keeps_every_problem():
-    bad = HTable(catalog("two_bridge", 3), sign_overrides={(0, 1): -1})
+    bad = INVALID_TABLES["-t + 3 - 1/t + two_bridge:3, forced"]()
     report = bad.validation_report()
     assert len(report) > 5
     with pytest.raises(StabilizationError) as info:
@@ -494,8 +494,8 @@ def test_validation_report_matches_a_fresh_sweep(name):
 @pytest.mark.parametrize("name", sorted(REPORT_TABLES))
 def test_a_swept_full_link_is_not_swept_again(name, monkeypatch):
     t = REPORT_TABLES[name]()
-    # each invalid table is a knot or overrides the full link's sign
-    swept = t.n > 1 and not t.link.delta(t._full).is_zero() and name not in INVALID_TABLES
+    # a knot or a disjoint union has no sign sweep of its full link
+    swept = t.n > 1 and not t.link.delta(t._full).is_zero()
     before = len(t._memo)
     calls = []
     real = t._law_problems
@@ -506,8 +506,18 @@ def test_a_swept_full_link_is_not_swept_again(name, monkeypatch):
         assert len(t._memo) == before
 
 
+@pytest.mark.parametrize("name", sorted(REPORT_TABLES))
+def test_memo_holds_only_full_link_points(name):
+    t = REPORT_TABLES[name]()
+    for _ in range(2):
+        assert all(isinstance(s, tuple) and len(s) == t.n
+                   and all(isinstance(x, int) for x in s) for s in t._memo), name
+        t.validation_report()
+
+
 def test_sign_resolution_of_a_union():
     t = HTable(disjoint_union(flipped_whitehead(), catalog("trefoil_rh")))
+    assert t._memo == {}  # the sublinks' sign trials keep nothing
     assert t.sign_resolution == {(1,): 1, (2,): 1, (3,): 1, (1, 2): -1,
                                  (1, 3): 1, (2, 3): 1, (1, 2, 3): 1}
     assert t.flipped_signs() == [(1, 2)]

@@ -142,7 +142,8 @@ def test_generators_are_nonnegative_antichain():
 
 def test_region_from_h_refuses_invalid_table():
     from hfgenus.errors import StabilizationError
-    bad = HTable(catalog("whitehead"), sign_overrides={(0, 1): -1})
+    from test_hfunction import bad_knot
+    bad = HTable(disjoint_union(bad_knot(), catalog("whitehead")), force=True)
     with pytest.raises(StabilizationError):
         region_from_h(bad)
 

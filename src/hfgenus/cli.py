@@ -283,18 +283,16 @@ def _cmd_validate(args) -> int:
     except ValidationError as exc:
         _emit(args, f"invalid: {exc}\n")
         return 2
-    problems.extend(linkcat.validate_descriptor(d))
-    if not problems:
-        try:
-            table = HTable(d, force=args.force)
-            problems.extend(table.validation_report())
-            for B in table.flipped_signs():
-                problems.append(
-                    f"stored polynomial sign for subset {B} is inconsistent: "
-                    f"only the flipped sign yields a valid H-function "
-                    f"(hint: negate that polynomial)")
-        except ValidationError as exc:
-            problems.append(str(exc))
+    try:
+        table = HTable(d, force=args.force)
+        problems.extend(table.validation_report())
+        for B in table.flipped_signs():
+            problems.append(
+                f"stored polynomial sign for subset {B} is inconsistent: "
+                f"only the flipped sign yields a valid H-function "
+                f"(hint: negate that polynomial)")
+    except ValidationError as exc:
+        problems.append(str(exc))
     if problems:
         _emit(args, "\n".join(f"invalid: {p}" for p in problems) + "\n")
         return 2

@@ -11,10 +11,13 @@ sublinks).
 `HTable` is the only entry point to H, h, chi and their validation, and
 tables share no state.  `_chi_table` alone turns a sublink's polynomial into
 Euler characteristics: it checks the exponent parity and builds a suffix-sum
-(summed-area) table over the polynomial's support box, so one H value costs
-at most 2^n - 1 lookups, whatever the size of the supports or of the lattice
-box.  A disjoint union is an ordinary descriptor: a sublink mixing parts has
-zero polynomial and contributes nothing.
+(summed-area) table over the polynomial's support box.  A sublink's H over a
+box [-r, r]^k is one flat row-major list, in the point order of
+`itertools.product`: each table's lookups over the box are row slices of its
+sums (`_OrthantSums.grid`), repeated along the axes its sublink lacks
+(`_broadcast`), and added with their signs, with no Python call per point.
+A disjoint union is an ordinary descriptor: a sublink mixing parts has zero
+polynomial and contributes nothing.
 
 Each table's lattice box [-M, M]^n is fixed at construction, with
 M = support_radius + 2, and h stabilizes on it by construction.  Every
@@ -38,15 +41,18 @@ down-set of [0, M]^n, fixed by its maximal points (`HTable.corners`).
 
 The overall sign of a multi-component Alexander polynomial is not pinned down
 by symmetry alone; it is resolved here, bottom-up over sublinks, by requiring
-the resulting H-function to be valid (nonnegative, unit steps).  The sweep that
-accepts the full link's sign is its validation sweep, run on the same box.
+the resulting H-function to be valid (nonnegative, unit steps), checked with
+whole-list operations on the sublink's list.  The full link's list is the
+memo of H on its box, and the trial that accepts the full link's sign is its
+validation.
 
 h(s) = H(s) - H_O(s), where H_O is the H-function of the unlink.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import chain, combinations, product, repeat
+from operator import add, mul, sub
 from typing import Optional, Sequence
 
 from .errors import (LSpaceAssertionError, SignResolutionError,
@@ -102,6 +108,33 @@ class _OrthantSums:
             index += (x - lo) * stride
         return self.sums[index] + self.slope * below
 
+    def grid(self, r: int) -> list:
+        """The lookups at v = s + 1 for every s in [-r, r]^k, flat, in the
+        order of `itertools.product`.  Each row is a slice of `sums`; below the
+        support a row or slab repeats (a knot row also grows by the slope per
+        step), and above it the values are 0.  Needs r >= radius + 2, so that
+        every axis reaches past both ends of the support."""
+        assert r >= self.radius + 2, (r, self.radius)
+
+        def split(lo, hi):  # the v_i in [1 - r, 1 + r] below, in and above [lo, hi]
+            return lo + r - 1, hi - lo + 1, r + 1 - hi
+
+        *outer, (lo, hi, _) = self.axes
+        below, width, above = split(lo, hi)
+        sums = self.sums
+        if self.slope:  # a knot: one axis
+            return ([sums[0] + self.slope * d for d in range(below, 0, -1)]
+                    + sums + [0] * above)
+        blocks = [[sums[i]] * below + sums[i:i + width] + [0] * above
+                  for i in range(0, len(sums), width)]
+        for lo, hi, _ in reversed(outer):
+            below, width, above = split(lo, hi)
+            zeros = [0] * (len(blocks[0]) * above)
+            blocks = [blocks[i] * (below + 1)
+                      + list(chain.from_iterable(blocks[i + 1:i + width])) + zeros
+                      for i in range(0, len(blocks), width)]
+        return blocks[0]
+
 
 def _chi_table(delta: LaurentPoly) -> _OrthantSums:
     """Orthant sums of a sublink's Euler characteristics, from its nonzero
@@ -120,19 +153,78 @@ def _chi_table(delta: LaurentPoly) -> _OrthantSums:
     return _OrthantSums(coeffs, knot=knot)
 
 
+def _broadcast(grid: list, side: int, present: Sequence[bool]) -> list:
+    """A sublink's flat grid repeated along the axes of a larger box that it
+    lacks; present[j] says whether axis j of the box is one of the grid's."""
+    unit = 1  # length of the trailing block already laid out as in the box
+    for here in reversed(present):
+        if not here:
+            blocks = zip(*[iter(grid)] * unit)
+            grid = list(chain.from_iterable(map(mul, blocks, repeat(side))))
+        unit *= side
+    return grid
+
+
+def _unlink_H(s) -> int:
+    """H_O(s), the H-function of the unlink: the sum of max(-s_i, 0)."""
+    return sum((abs(x) - x) // 2 for x in s)
+
+
+def _strides(side: int, k: int) -> list:
+    return [side ** (k - 1 - i) for i in range(k)]
+
+
+def _steps(grid: list, side: int, k: int):
+    """For every axis i and every slab (the points of a flat grid over
+    [-r, r]^k, side = 2r + 1, that share the coordinates before i): the index
+    of the slab's first point with s_i > -r, and the steps H(s - e_i) - H(s)
+    from there on, in box order."""
+    for st in _strides(side, k):
+        for base in range(0, len(grid), st * side):
+            slab = grid[base:base + st * side]
+            yield base + st, map(sub, slab, slab[st:])
+
+
+def _laws_hold(grid: list, side: int, k: int) -> bool:
+    """Whether H >= 0 and every step is 0 or 1, by whole-list operations."""
+    return min(grid) >= 0 and all(set(steps) <= {0, 1}
+                                  for _, steps in _steps(grid, side, k))
+
+
+def _law_messages(grid: list, r: int, k: int) -> list:
+    """The violations of the laws on a flat grid over [-r, r]^k, in box order:
+    at each point the negative value first, else the failing steps e_1..e_k."""
+    side = 2 * r + 1
+    strides = _strides(side, k)
+    bad = {j for j, x in enumerate(grid) if x < 0}
+    for start, steps in _steps(grid, side, k):
+        bad.update(start + j for j, d in enumerate(steps) if d not in (0, 1))
+    problems = []
+    for j in sorted(bad):
+        s = tuple((j // st) % side - r for st in strides)
+        v = grid[j]
+        if v < 0:
+            problems.append(f"H{s} = {v} is negative")
+            continue
+        for i, st in enumerate(strides):
+            if s[i] > -r and (jump := grid[j - st] - v) not in (0, 1):
+                problems.append(f"step law fails: H at {s} minus e_{i + 1} jumps by {jump}")
+    return problems
+
+
 class HTable:
-    """Memoized H-function of a link descriptor over a lattice box [-M, M]^n.
+    """H-function of a link descriptor over a lattice box [-M, M]^n.
 
     Construction resolves the sign of every sublink polynomial and builds one
     orthant-sum table per sublink with nonzero polynomial, sized by that
-    polynomial's support and never by the box; an H value is then at most
-    2^n - 1 lookups, disjoint unions included.  The box bounds only the
-    validation sweeps and region extraction; H itself is a closed-form
-    alternating sum and can be evaluated at any lattice point.
+    polynomial's support and never by the box.  Each sign trial, and the full
+    link's H, is a flat list over a box summed from the tables' grids; the
+    full link's list over [-M, M]^n is the memo, read by index.  Outside the
+    box H is the closed-form alternating sum, at most 2^n - 1 lookups, and is
+    not cached.  The box bounds only validation and region extraction.
     M = support_radius + 2 and never changes.  Validation runs at most once:
-    during sign resolution when the full link's sign is swept, otherwise on
-    first request.  The memo holds the full link's H by point; the values a
-    sublink's sign trial computes are dropped with the trial.
+    it is the full link's sign trial when its polynomial is nonzero, otherwise
+    one whole-list check on first request.
     """
 
     def __init__(self, link: LinkDescriptor, force: bool = False):
@@ -144,91 +236,93 @@ class HTable:
         self.link = link
         self.n = link.n
         self._full = tuple(range(self.n))
-        self._memo: dict = {}
         self._corners: Optional[list] = None
         self._problems: Optional[list] = None
         self._tables: dict = {}  # sublink -> _OrthantSums, nonzero polynomials only
-        self._terms: dict = {}   # sublink B -> (parity, C, positions of C in B, table)
         self._signs: dict = {}   # sublink -> +1 or -1, filled bottom-up
+        self._grid: list = []    # the full link's H over the box, flat
         self._resolve_signs()
 
         self.support_radius = max(t.radius for t in self._tables.values())
         self.M = self.support_radius + 2
+        self._side = 2 * self.M + 1
+        self._origin = self.M * sum(_strides(self._side, self.n))  # index of 0
+        self._terms = [(parity * self._signs[C], self._tables[C], C)
+                       for parity, C, _ in self._terms_of(self._full)]
 
     # -- construction helpers ------------------------------------------------
 
+    def _terms_of(self, B) -> list:
+        """(parity, C, positions of C in B) for each sublink C of B with a
+        table; a split sublink contributes nothing."""
+        terms = []
+        for size in range(1, len(B) + 1):
+            for idx in combinations(range(len(B)), size):
+                C = tuple(B[i] for i in idx)
+                if C in self._tables:
+                    terms.append((1 if size % 2 else -1, C, idx))
+        return terms
+
     def _resolve_signs(self) -> None:
-        signs = self._signs
+        """Choose the sign of every multi-component sublink polynomial, bottom
+        up, as the first (stored first) whose H passes the laws on the
+        sublink's box [-r, r]^|B|, r two more than the largest support radius
+        of its tables (r = M for the full link), and keep the full link's H."""
+        tables, signs = self._tables, self._signs
         for B in all_subsets(self.n):
             signs[B] = 1
             delta = self.link.delta(B)
             if not delta.is_zero():
-                self._tables[B] = _chi_table(delta)
-            terms = []
-            for size in range(1, len(B) + 1):
-                for idx in combinations(range(len(B)), size):
-                    C = tuple(B[i] for i in idx)
-                    if C in self._tables:  # a split sublink contributes nothing
-                        terms.append((1 if size % 2 else -1, C, idx, self._tables[C]))
-            self._terms[B] = terms
-            if len(B) == 1 or delta.is_zero():
+                tables[B] = _chi_table(delta)
+            trial = len(B) > 1 and B in tables
+            if not trial and B != self._full:
                 continue
-            for sigma in (1, -1):  # prefer the stored sign
-                signs[B] = sigma
-                memo: dict = {}
-                if next(self._law_problems(B, memo), None) is None:
-                    if B == self._full:  # this sweep was the validation sweep
-                        self._memo = memo
-                        self._problems = []
-                    break
-            else:
-                raise SignResolutionError(
-                    f"{self.link.name}: neither sign of the polynomial for subset "
-                    f"{tuple(i + 1 for i in B)} yields a valid H-function; "
-                    f"not an L-space link with this data")
-
-    def _law_problems(self, B, memo):
-        """Yield the violations of the laws H >= 0 and unit steps by the
-        sublink indexed by B, on its box [-r, r]^|B|, r two more than the
-        largest support radius of B's sublink tables (r = M for the full
-        link).  Stabilization at the box boundary holds by construction (see
-        the module docstring), checked by the oracle tests."""
-        radius = max(table.radius for _, _, _, table in self._terms[B]) + 2
-        for s in product(range(-radius, radius + 1), repeat=len(B)):
-            v = self._eval(B, s, memo)
-            if v < 0:
-                yield f"H{s} = {v} is negative"
-                continue
-            for i in range(len(B)):
-                if s[i] > -radius:
-                    down = self._eval(B, s[:i] + (s[i] - 1,) + s[i + 1:], memo)
-                    if down - v not in (0, 1):
-                        yield f"step law fails: H at {s} minus e_{i + 1} jumps by {down - v}"
-
-    def _eval(self, B, s, memo):
-        """H of the sublink B at point s (coordinates aligned with sorted B),
-        memoized by s in `memo`, which serves B alone."""
-        total = memo.get(s)
-        if total is None:
-            v = tuple(x + 1 for x in s)
-            total = 0
-            for parity, C, idx, table in self._terms[B]:
-                total += parity * self._signs[C] * table(v, idx)
-            memo[s] = total
-        return total
+            terms = self._terms_of(B)
+            r = max(tables[C].radius for _, C, _ in terms) + 2
+            side = 2 * r + 1
+            grid = [0] * side ** len(B)
+            for parity, C, idx in terms:
+                if C != B or not trial:
+                    part = _broadcast(tables[C].grid(r), side,
+                                      [j in idx for j in range(len(B))])
+                    grid = list(map(add if parity * signs[C] > 0 else sub, grid, part))
+            if trial:
+                rest, own = grid, tables[B].grid(r)
+                parity = 1 if len(B) % 2 else -1
+                for sigma in (1, -1):  # prefer the stored sign
+                    signs[B] = sigma
+                    grid = list(map(add if sigma * parity > 0 else sub, rest, own))
+                    if _laws_hold(grid, side, len(B)):
+                        break
+                else:
+                    raise SignResolutionError(
+                        f"{self.link.name}: neither sign of the polynomial for subset "
+                        f"{tuple(i + 1 for i in B)} yields a valid H-function; "
+                        f"not an L-space link with this data")
+            if B == self._full:
+                self._grid = grid
+                if trial:  # the trial that passed was the validation
+                    self._problems = []
 
     # -- evaluation ------------------------------------------------------------
 
     def H(self, s: Sequence[int]) -> int:
-        """H-function at any lattice point (memoized)."""
+        """H-function at any lattice point: read from the list inside the
+        box, computed from the closed form outside it."""
         s = tuple(s)
         if len(s) != self.n:
             raise ValueError(f"point {s} has wrong dimension, expected {self.n}")
-        return self._eval(self._full, s, self._memo)
+        M, index = self.M, 0
+        for x in s:
+            if not -M <= x <= M:
+                v = tuple(y + 1 for y in s)
+                return sum(c * table(v, C) for c, table, C in self._terms)
+            index = index * self._side + x
+        return self._grid[index + self._origin]
 
     def h(self, s: Sequence[int]) -> int:
         s = tuple(s)
-        return self.H(s) - sum((abs(x) - x) // 2 for x in s)
+        return self.H(s) - _unlink_H(s)
 
     def chi(self, B, u) -> int:
         """chi(HFL^-(L_B, u)) with the resolved sign; u[j] belongs to component B[j]."""
@@ -270,11 +364,13 @@ class HTable:
     def validation_report(self) -> list:
         """The violations of H >= 0 and unit steps over the box; computed once.
 
-        When sign resolution swept the full link, that sweep passed and was
-        this one, so the list is empty.  Only a knot or a link with zero full
-        polynomial (every disjoint union) is swept here."""
+        When sign resolution tried the full link's sign, the trial that passed
+        was this check, so the list is empty.  Only a knot or a link with zero
+        full polynomial (every disjoint union) is checked here: the laws on
+        the whole list first, then the messages at the failing points."""
         if self._problems is None:
-            self._problems = list(self._law_problems(self._full, self._memo))
+            grid, M, n = self._grid, self.M, self.n
+            self._problems = [] if _laws_hold(grid, self._side, n) else _law_messages(grid, M, n)
         return self._problems
 
     def require_valid(self) -> None:
@@ -300,13 +396,13 @@ class HTable:
         """The pairs (w, k) with k = top[w] > 0 and top[w + e_i] < k for every i
         with w_i < M, sorted, where top[w] is the largest h(v) with |v| = w.
         The maximal points of {w : top[w] >= j} are the maximal w among the
-        corners with k >= j.  One sweep of the box, computed once."""
+        corners with k >= j.  One sweep of the box list, computed once."""
         if self._corners is None:
             self.require_valid()
             top: dict = {}
-            for v in self.iter_box():
+            for v, H in zip(self.iter_box(), self._grid):
                 w = tuple(map(abs, v))
-                top[w] = max(top.get(w, 0), self.h(v))
+                top[w] = max(top.get(w, 0), H - _unlink_H(v))
             self._corners = sorted(
                 (w, k) for w, k in top.items()
                 if k > 0 and all(top[w[:i] + (x + 1,) + w[i + 1:]] < k

@@ -225,15 +225,13 @@ def two_bridge_poly(k: int) -> LaurentPoly:
     """Alexander polynomial of the two-bridge link family member with k twists:
 
         (-1)^k  sum over |i+1/2| + |j+1/2| <= k  of  (-1)^{i+j} t1^{i+1/2} t2^{j+1/2}.
+
+    In doubled exponents a = 2i + 1, b = 2j + 1 (both odd): |a| + |b| <= 2k,
+    with sign +1 iff 2k + a + b - 2 is divisible by 4.
     """
-    half = Fraction(1, 2)
-    terms = []
-    for i in range(-k - 1, k + 1):
-        for j in range(-k - 1, k + 1):
-            if abs(i + half) + abs(j + half) <= k:
-                sign = 1 if (k + i + j) % 2 == 0 else -1
-                terms.append((sign, (i + half, j + half)))
-    return LaurentPoly.from_terms(2, terms)
+    odd = range(-2 * k + 1, 2 * k, 2)
+    return LaurentPoly(2, {(a, b): 1 if (2 * k + a + b - 2) % 4 == 0 else -1
+                           for a in odd for b in odd if abs(a) + abs(b) <= 2 * k})
 
 
 def make_two_bridge(k: int) -> LinkDescriptor:

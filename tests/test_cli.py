@@ -330,3 +330,16 @@ def test_cable_computes_the_cable_once(capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
     assert json.loads(out)["descriptor"] == descriptor_to_dict(
         real(catalog("whitehead"), calls[0]))
+
+
+def test_validate_link_validates_the_descriptor_twice(capsys, monkeypatch, tmp_path):
+    # once in load_json, once in HTable; the CLI adds no third check
+    from hfgenus import linkcat
+    calls = []
+    real = linkcat.validate_descriptor
+    monkeypatch.setattr(linkcat, "validate_descriptor", lambda d: calls.append(d) or real(d))
+    path = tmp_path / "tb.json"
+    path.write_text(json.dumps(descriptor_to_dict(catalog("two_bridge", 3))))
+    code, out, _ = run(capsys, "validate", "--link", str(path))
+    assert code == 0 and out == "valid: two_bridge(3)\n"
+    assert len(calls) == 2

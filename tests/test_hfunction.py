@@ -1,17 +1,21 @@
 """H-function engine: brute-force oracle, frozen worked values, validation."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hfgenus import hfunction
 from hfgenus.cable import CableSpec, cable_alexander
-from hfgenus.errors import StabilizationError, ValidationError
-from hfgenus.hfunction import HTable, _chi_table, _OrthantSums
+from hfgenus.errors import SignResolutionError, StabilizationError, ValidationError
+from hfgenus.hfunction import HTable, _broadcast, _chi_table, _OrthantSums
 from hfgenus.laurent import LaurentPoly
-from hfgenus.linkcat import (LinkDescriptor, catalog, disjoint_union, sublink)
+from hfgenus.linkcat import (LinkDescriptor, all_subsets, catalog, descriptor_from_dict,
+                             disjoint_union, sublink)
+from hfgenus.region import maximal_lattice_points, region_from_h
+from test_cli import WORKLOADS
 
 H2 = Fraction(1, 2)
 
@@ -484,44 +488,198 @@ REPORT_TABLES = {
 }
 
 
+def reference_sweep(H, k, radius):
+    """The laws H >= 0 and unit steps checked point by point on [-r, r]^k: at
+    each point the negative value first, else the failing steps e_1..e_k."""
+    for s in product(range(-radius, radius + 1), repeat=k):
+        v = H(s)
+        if v < 0:
+            yield f"H{s} = {v} is negative"
+            continue
+        for i in range(k):
+            if s[i] > -radius:
+                down = H(s[:i] + (s[i] - 1,) + s[i + 1:])
+                if down - v not in (0, 1):
+                    yield f"step law fails: H at {s} minus e_{i + 1} jumps by {down - v}"
+
+
+def reference_law_problems(tables, B, signs):
+    """`reference_sweep` of the sublink B on its box, r two more than the
+    largest support radius of its tables, each H value summed from
+    orthant-table lookups."""
+    terms = []
+    for size in range(1, len(B) + 1):
+        for idx in combinations(range(len(B)), size):
+            C = tuple(B[i] for i in idx)
+            if C in tables:
+                terms.append((1 if size % 2 else -1, C, idx))
+    memo = {}
+
+    def H(s):
+        if s not in memo:
+            v = tuple(x + 1 for x in s)
+            memo[s] = sum(p * signs[C] * tables[C](v, idx) for p, C, idx in terms)
+        return memo[s]
+
+    return reference_sweep(H, len(B), max(tables[C].radius for _, C, _ in terms) + 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(1, 1), (1, 3), (2, 1), (2, 2), (3, 1)]), st.data())
+def test_array_laws_match_the_reference_sweep(shape, data):
+    k, r = shape
+    low, high = data.draw(st.sampled_from([(0, 1), (0, 2), (-1, 1), (-1, 3)]))
+    values = st.integers(low, high)
+    grid = data.draw(st.lists(values, min_size=(2 * r + 1) ** k, max_size=(2 * r + 1) ** k))
+    box = dict(zip(product(range(-r, r + 1), repeat=k), grid))
+    expected = list(reference_sweep(box.__getitem__, k, r))
+    assert hfunction._laws_hold(grid, 2 * r + 1, k) == (expected == [])
+    assert hfunction._law_messages(grid, r, k) == expected
+
+
+def reference_sign_resolution(d):
+    """Orthant tables and signs chosen bottom up by the point-by-point sweep:
+    the stored sign unless only its negation passes the laws."""
+    tables, signs = {}, {}
+    for B in all_subsets(d.n):
+        signs[B] = 1
+        if not d.delta(B).is_zero():
+            tables[B] = _chi_table(d.delta(B))
+        if len(B) > 1 and B in tables:
+            for sigma in (1, -1):
+                signs[B] = sigma
+                if next(reference_law_problems(tables, B, signs), None) is None:
+                    break
+            else:
+                raise SignResolutionError(
+                    f"{d.name}: neither sign of the polynomial for subset "
+                    f"{tuple(i + 1 for i in B)} yields a valid H-function; "
+                    f"not an L-space link with this data")
+    return tables, signs
+
+
 @pytest.mark.parametrize("name", sorted(REPORT_TABLES))
 def test_validation_report_matches_a_fresh_sweep(name):
-    # the sign sweep that validated the full link gives the same report
+    # the array check that validated the full link gives the same report as
+    # the point-by-point sweep with the same signs
     t = REPORT_TABLES[name]()
-    assert t.validation_report() == list(t._law_problems(t._full, {}))
+    expected = list(reference_law_problems(t._tables, t._full, t._signs))
+    assert t.validation_report() == expected
+
+
+# Inputs whose sign resolution flips a sign or fails, besides REPORT_TABLES.
+RESOLUTION_LINKS = {
+    "two_bridge:15, stored sign flipped": lambda: descriptor_from_dict(
+        WORKLOADS.flipped_two_bridge(15)),
+    **{f"two_bridge:10, corrupted at {exp}": lambda exp=exp: descriptor_from_dict(
+        WORKLOADS.corrupted_two_bridge(10, exp)) for exp in WORKLOADS.CORRUPT_AT},
+    "two_bridge:3 cabled by (3,7),(2,5)": lambda: cable_alexander(
+        catalog("two_bridge", 3), CableSpec(((3, 7), (2, 5)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_TABLES) + sorted(RESOLUTION_LINKS))
+def test_sign_resolution_matches_the_reference_sweep(name):
+    d = REPORT_TABLES[name]().link if name in REPORT_TABLES else RESOLUTION_LINKS[name]()
+    try:
+        tables, signs = reference_sign_resolution(d)
+    except SignResolutionError as exc:
+        with pytest.raises(SignResolutionError) as info:
+            HTable(d, force=True)
+        assert str(info.value) == str(exc)
+        return
+    t = HTable(d, force=True)
+    assert t._signs == signs
+    assert t.validation_report() == list(reference_law_problems(tables, t._full, signs))
+
+
+def test_sign_resolution_messages():
+    flipped = HTable(RESOLUTION_LINKS["two_bridge:15, stored sign flipped"]())
+    assert flipped.flipped_signs() == [(1, 2)] and flipped.validation_report() == []
+    with pytest.raises(SignResolutionError) as info:
+        HTable(RESOLUTION_LINKS["two_bridge:3 cabled by (3,7),(2,5)"]())
+    assert str(info.value) == (
+        "two_bridge(3)_cable(3:7,2:5): neither sign of the polynomial for "
+        "subset (1, 2) yields a valid H-function; not an L-space link with this data")
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_TABLES))
 def test_a_swept_full_link_is_not_swept_again(name, monkeypatch):
     t = REPORT_TABLES[name]()
-    # a knot or a disjoint union has no sign sweep of its full link
+    # a knot or a disjoint union has no sign trial of its full link
     swept = t.n > 1 and not t.link.delta(t._full).is_zero()
-    before = len(t._memo)
+    grid = list(t._grid)
     calls = []
-    real = t._law_problems
-    monkeypatch.setattr(t, "_law_problems", lambda *a: calls.append(a) or real(*a))
+    real = hfunction._laws_hold
+    monkeypatch.setattr(hfunction, "_laws_hold", lambda *a: calls.append(a) or real(*a))
     t.validation_report()
     assert (calls == []) == swept
-    if swept:
-        assert len(t._memo) == before
+    assert t._grid == grid
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_TABLES))
 def test_memo_holds_only_full_link_points(name):
     t = REPORT_TABLES[name]()
     for _ in range(2):
-        assert all(isinstance(s, tuple) and len(s) == t.n
-                   and all(isinstance(x, int) for x in s) for s in t._memo), name
+        assert len(t._grid) == (2 * t.M + 1) ** t.n, name
         t.validation_report()
+        t.H((t.M + 3,) * t.n)  # outside the box: computed, not cached
 
 
 def test_sign_resolution_of_a_union():
     t = HTable(disjoint_union(flipped_whitehead(), catalog("trefoil_rh")))
-    assert t._memo == {}  # the sublinks' sign trials keep nothing
+    assert len(t._grid) == (2 * t.M + 1) ** 3  # the sublinks' sign trials keep nothing
     assert t.sign_resolution == {(1,): 1, (2,): 1, (3,): 1, (1, 2): -1,
                                  (1, 3): 1, (2, 3): 1, (1, 2, 3): 1}
     assert t.flipped_signs() == [(1, 2)]
     assert t.validation_report() == []
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
+def test_grid_matches_lookups(name):
+    t = HTable(ORACLE_LINKS[name]())
+    for B, table in t._tables.items():
+        axes = range(len(B))
+        for r in range(table.radius + 2, table.radius + 5):
+            box = product(range(-r, r + 1), repeat=len(B))
+            assert table.grid(r) == [table(tuple(x + 1 for x in s), axes) for s in box], (B, r)
+        with pytest.raises(AssertionError):
+            table.grid(table.radius + 1)
+
+
+def test_broadcast_repeats_along_the_missing_axes():
+    side = 3
+    for k in range(1, 4):
+        for present in product((True, False), repeat=k):
+            axes = [j for j in range(k) if present[j]]
+            grid = list(range(side ** len(axes)))  # distinct values, row-major
+            expected = [sum(s[j] * side ** (len(axes) - 1 - i) for i, j in enumerate(axes))
+                        for s in product(range(side), repeat=k)]
+            assert _broadcast(grid, side, present) == expected, present
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
+def test_full_link_list_is_brute_force(name):
+    d = ORACLE_LINKS[name]()
+    t = HTable(d)
+    assert t._grid == [brute_H(d, s) for s in t.iter_box()]
+
+
+def test_box_reads_make_no_orthant_lookups(monkeypatch):
+    # every H inside the box reads the full link's list
+    calls = []
+    real = _OrthantSums.__call__
+    monkeypatch.setattr(_OrthantSums, "__call__",
+                        lambda self, v, idx: calls.append(v) or real(self, v, idx))
+    for name, make in REPORT_TABLES.items():
+        make().validation_report()
+        assert calls == [], name
+    for name, make in ORACLE_LINKS.items():
+        t = HTable(make())
+        region_from_h(t)
+        maximal_lattice_points(t)
+        assert calls == [], name
+    assert t.H((t.M + 1,) + (0,) * (t.n - 1)) == 0 and calls  # outside: the closed form
 
 
 def test_lspace_assertion_gate():

@@ -45,6 +45,21 @@ def test_two_bridge_term_count():
         assert len(two_bridge_poly(k).terms) == 2 * k * (k + 1)
 
 
+def fraction_two_bridge_poly(k):
+    """The two-bridge polynomial built term by term on half-integer exponents."""
+    terms = []
+    for i in range(-k - 1, k + 1):
+        for j in range(-k - 1, k + 1):
+            if abs(i + H) + abs(j + H) <= k:
+                terms.append((1 if (k + i + j) % 2 == 0 else -1, (i + H, j + H)))
+    return LaurentPoly.from_terms(2, terms)
+
+
+def test_two_bridge_poly_matches_the_fraction_formula():
+    for k in range(1, 31):
+        assert two_bridge_poly(k).terms == fraction_two_bridge_poly(k).terms, k
+
+
 def test_borromean_polynomial():
     b = catalog("borromean")
     delta = b.delta((0, 1, 2))

@@ -8,8 +8,6 @@ sets decide it.  Everything in this module is exact; d-invariants are Fractions.
 
 from __future__ import annotations
 
-import warnings
-from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
@@ -144,6 +142,7 @@ def lens_d(m: int, k: int) -> Fraction:
     Closed form 1/4 - (m - 2|k|)^2 / (4m); it agrees with the degree-shift
     evaluation of large_surgery_d on the unknot (see the test suite).
     """
+    from fractions import Fraction
     if m < 1:
         raise ValueError("lens space order must be positive")
     if 2 * abs(k) > m:
@@ -159,6 +158,7 @@ def circle_bundle_d(m: int, g: int, k: int) -> Fraction:
     if g < 0:
         raise ValueError("genus must be nonnegative")
     if m <= 2 * g + 2 and g > 0:
+        import warnings
         warnings.warn(f"circle_bundle_d: m={m} may not be large enough for g={g}",
                       stacklevel=2)
     base = lens_d(m, k)
@@ -193,5 +193,6 @@ def large_surgery_d(table: HTable, q: Sequence[int], v: Sequence[int],
         raise LargenessError(
             f"surgery coefficients {small} do not exceed twice the box diameter "
             f"{2 * table.M}; pass force=True if the surgery is known to be large")
+    from fractions import Fraction
     shift = sum(Fraction((2 * vi - qi) ** 2, 4 * qi) for vi, qi in zip(v, q))
     return shift - Fraction(n, 4) - 2 * table.H(v)

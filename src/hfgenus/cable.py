@@ -14,7 +14,6 @@ are implemented and can be cross-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
@@ -22,25 +21,25 @@ from .errors import UsageError, ValidationError
 from .hfunction import HTable
 from .laurent import (LaurentPoly, exact_div, geometric_cable_factor,
                       normalize_symmetric, substitute_powers)
-from .linkcat import Component, LinkDescriptor, all_subsets, require_valid
+from .linkcat import (Component, LinkDescriptor, Record, all_subsets,
+                      require_valid)
 from .region import UpwardClosedRegion, region_from_h
 
 
-@dataclass(frozen=True)
-class CableSpec:
+class CableSpec(Record):
     """One coprime (p_i, q_i) pair per component; (1, q) pairs leave a
     component untouched."""
 
-    pairs: tuple
+    __slots__ = ("pairs",)
 
-    def __post_init__(self):
-        pairs = tuple((int(p), int(q)) for p, q in self.pairs)
+    def __init__(self, pairs: tuple):
+        pairs = tuple((int(p), int(q)) for p, q in pairs)
         for p, q in pairs:
             if p < 1 or q < 1:
                 raise ValueError(f"cable parameters must be positive, got ({p}, {q})")
             if gcd(p, q) != 1:
                 raise ValueError(f"cable parameters must be coprime, got ({p}, {q})")
-        object.__setattr__(self, "pairs", pairs)
+        self._init(pairs)
 
     @property
     def n(self) -> int:
@@ -51,6 +50,9 @@ class CableSpec:
         return (p - 1) * (q - 1) // 2
 
     def largeness_warnings(self) -> list:
+        """One warning per cabled component with q < 3p.  This is a heuristic,
+        not a proven threshold: on two_bridge:3 a (2, 7) or (2, 9) cable of one
+        component fails sign resolution unwarned (see test_cable_routes_agree)."""
         out = []
         for i, (p, q) in enumerate(self.pairs):
             if p > 1 and q < 3 * p:

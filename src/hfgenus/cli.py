@@ -6,30 +6,23 @@ or a JSON descriptor file (--link FILE).  All outputs are deterministic:
 identical inputs give byte-identical bytes, rationals print as num/den.
 
 Exit codes: 0 success, 2 validation failure, 3 largeness failure, 4 usage.
+Each command imports only the layers it uses, so a job loads no other.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-from fractions import Fraction
 
-from . import bounds as bounds_mod
-from . import linkcat
-from .cable import cable_consistency_check, parse_cable_spec
 from .errors import LargenessError, UsageError, ValidationError
-from .hfunction import HTable
-from .region import maximal_lattice_points, region_from_h
-from .render import ascii_h_grid, region_svg
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
+def _build_parser():
+    import argparse
 
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
 
-def _build_parser() -> _Parser:
     parser = _Parser(prog="hfgenus",
                      description="H-functions, genus regions, 4-genus bounds, "
                                  "d-invariants and cables of L-space links")
@@ -70,7 +63,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_catalog(text: str) -> linkcat.LinkDescriptor:
+def _parse_catalog(text: str):
+    from . import linkcat
     key, sep, raw = text.partition(":")
     params = []
     if sep:
@@ -85,18 +79,20 @@ def _parse_catalog(text: str) -> linkcat.LinkDescriptor:
         raise UsageError(str(exc))
 
 
-def _load_input(args) -> linkcat.LinkDescriptor:
+def _load_input(args):
     if bool(args.catalog) == bool(args.link):
         raise UsageError("exactly one of --catalog or --link is required")
     if args.catalog:
         return _parse_catalog(args.catalog)
+    from . import linkcat
     try:
         return linkcat.load_json(args.link)
     except OSError as exc:
         raise UsageError(f"cannot read {args.link}: {exc}")
 
 
-def _make_table(args) -> HTable:
+def _make_table(args):
+    from .hfunction import HTable
     return HTable(_load_input(args), force=args.force)
 
 
@@ -112,10 +108,11 @@ def _emit(args, text: str) -> None:
 
 
 def _json(obj) -> str:
+    import json
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _frac(x: Fraction) -> str:
+def _frac(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -126,7 +123,7 @@ def _ints(text: str, what: str) -> tuple:
         raise UsageError(f"bad {what} {text!r}; expected comma-separated integers")
 
 
-def _nested(table: HTable, window: int, fn):
+def _nested(table, window: int, fn):
     def rec(prefix):
         if len(prefix) == table.n:
             return fn(prefix)
@@ -144,6 +141,7 @@ def _cmd_h_table(args) -> int:
     if fmt == "ascii":
         if table.n > 2:
             raise UsageError("ascii grids need one or two components; use --format json")
+        from .render import ascii_h_grid
         _emit(args, ascii_h_grid(table, window) + "\n")
     else:
         _emit(args, _json({
@@ -156,24 +154,21 @@ def _cmd_h_table(args) -> int:
     return 0
 
 
-def _region_payload(table: HTable) -> dict:
-    region = region_from_h(table)
-    zmax = maximal_lattice_points(table)
-    return {"name": table.link.name,
-            "generators": [list(g) for g in region.generators],
-            "maximal_points": [list(z) for z in zmax]}
-
-
 def _cmd_region(args) -> int:
+    from .region import maximal_lattice_points, region_from_h
     table = _make_table(args)
     fmt = args.fmt or "json"
+    if fmt == "svg" and table.n != 2:
+        raise UsageError("svg staircases need exactly two components")
+    region = region_from_h(table)
+    zmax = maximal_lattice_points(table)
     if fmt == "svg":
-        if table.n != 2:
-            raise UsageError("svg staircases need exactly two components")
-        region = region_from_h(table)
-        _emit(args, region_svg(region, table.M, maximal_lattice_points(table)))
+        from .render import region_svg
+        _emit(args, region_svg(region, table.M, zmax))
         return 0
-    payload = _region_payload(table)
+    payload = {"name": table.link.name,
+               "generators": [list(g) for g in region.generators],
+               "maximal_points": [list(z) for z in zmax]}
     if fmt == "ascii":
         lines = [f"link: {payload['name']}",
                  "generators: " + " ".join(str(tuple(g)) for g in payload["generators"]),
@@ -185,6 +180,7 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds as bounds_mod
     table = _make_table(args)
     report = bounds_mod.best_lower_bound(table)
     payload = {
@@ -210,6 +206,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_cable(args) -> int:
+    from . import linkcat
+    from .cable import cable_consistency_check, parse_cable_spec
     d = _load_input(args)
     spec = parse_cable_spec(args.cable)
     try:
@@ -232,6 +230,7 @@ def _cmd_cable(args) -> int:
 
 
 def _cmd_d_invariants(args) -> int:
+    from . import bounds as bounds_mod
     modes = [args.lens is not None, bool(args.circle_bundle),
              bool(args.catalog or args.link)]
     if sum(modes) != 1:
@@ -277,6 +276,7 @@ def _cmd_d_invariants(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .hfunction import HTable
     problems = []
     try:
         d = _load_input(args)
@@ -301,6 +301,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_catalog_list(args) -> int:
+    from . import linkcat
     lines = []
     for entry in linkcat.catalog_list():
         suffix = f":{entry.params}" if entry.params else ""

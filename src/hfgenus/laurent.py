@@ -12,7 +12,6 @@ construction and safe to share.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -25,6 +24,7 @@ def double_exponent(e) -> int:
     """Convert an exponent given as int or half-integer Fraction to doubled form."""
     if isinstance(e, int):
         return 2 * e
+    from fractions import Fraction
     f = Fraction(e)
     d = f * 2
     if d.denominator != 1:
@@ -34,6 +34,7 @@ def double_exponent(e) -> int:
 
 def halve_exponent(d: int) -> Fraction:
     """Inverse of double_exponent."""
+    from fractions import Fraction
     return Fraction(d, 2)
 
 

@@ -12,10 +12,8 @@ uses 1-based comma-joined keys like "1,2".
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
+from operator import neg
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ParseError, SchemaError, SymmetryError, ValidationError
@@ -25,10 +23,46 @@ from .laurent import (LaurentPoly, involution, normalize_symmetric,
 Subset = tuple  # sorted tuple of 0-based component indices
 
 
-@dataclass(frozen=True)
-class Component:
-    label: str
-    g4: Optional[int] = None  # smooth 4-genus of the component, when known
+class Record:
+    """An immutable value: equal, hashed and printed by the fields named in
+    its ``__slots__``, in order.  Subclasses set the fields with ``_init``."""
+
+    __slots__ = ()
+
+    def _init(self, *values):
+        for field, value in zip(self.__slots__, values):
+            object.__setattr__(self, field, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Component(Record):
+    __slots__ = ("label", "g4")
+
+    def __init__(self, label: str, g4: Optional[int] = None):
+        self._init(label, g4)  # g4: smooth 4-genus of the component, when known
 
 
 def subset_key(B: Iterable[int]) -> Subset:
@@ -44,11 +78,11 @@ def all_subsets(n: int):
         yield from combinations(range(n), size)
 
 
-class LinkDescriptor:
+class LinkDescriptor(Record):
     """An n-component link with vanishing pairwise linking numbers."""
 
-    __slots__ = ("name", "components", "linking", "alexander",
-                 "lspace_asserted")
+    __slots__ = ("name", "components", "alexander", "linking", "lspace_asserted")
+    __hash__ = None  # the polynomials sit in a dict
 
     def __init__(self, name: str, components: Sequence[Component],
                  alexander: Mapping[Iterable[int], LaurentPoly] | None = None,
@@ -73,14 +107,7 @@ class LinkDescriptor:
                 if poly.nvars != len(key):
                     raise ValueError(f"polynomial for subset {key} has wrong arity")
                 alex[key] = poly
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "linking", linking)
-        object.__setattr__(self, "alexander", alex)
-        object.__setattr__(self, "lspace_asserted", bool(lspace_asserted))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinkDescriptor is immutable")
+        self._init(name, components, alex, linking, bool(lspace_asserted))
 
     @property
     def n(self) -> int:
@@ -92,13 +119,6 @@ class LinkDescriptor:
         if key not in self.alexander:
             raise ValidationError(f"{self.name}: missing Alexander data for subset {key}")
         return self.alexander[key]
-
-    def _canonical(self):
-        return (self.name, self.components, self.linking,
-                tuple(sorted(self.alexander.items())), self.lspace_asserted)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinkDescriptor) and self._canonical() == other._canonical()
 
     def __repr__(self) -> str:
         return f"<LinkDescriptor {self.name!r}: {self.n} component(s)>"
@@ -134,7 +154,7 @@ def validate_descriptor(d: LinkDescriptor) -> list:
             if any(e % 2 == 0 for exp in poly.terms for e in exp):
                 problems.append(f"subset {_key_str(B)}: exponents must be half-odd "
                                 f"(zero linking parity)")
-        if not poly.is_zero():
+        if not poly.is_zero() and not _symmetric_as_stored(poly, len(B)):
             try:
                 norm = normalize_symmetric(poly)
             except SymmetryError:
@@ -146,6 +166,16 @@ def validate_descriptor(d: LinkDescriptor) -> list:
             if involution(poly) != symmetry_sign(len(B)) * poly:
                 problems.append(f"subset {_key_str(B)}: wrong symmetry sign")
     return problems
+
+
+def _symmetric_as_stored(poly: LaurentPoly, k: int) -> bool:
+    """terms[-e] == symmetry_sign(k) * c for every term (so the support box is
+    centered too) and, for a knot, value 1 at t=1.  Then `normalize_symmetric`
+    gives poly and `involution` gives the sign times poly: no message."""
+    sign = symmetry_sign(k)
+    terms = poly.terms
+    return (all(terms.get(tuple(map(neg, e))) == sign * c for e, c in terms.items())
+            and (k > 1 or poly.evaluate_at_one() == 1))
 
 
 def require_valid(d: LinkDescriptor):
@@ -251,15 +281,10 @@ def make_whitehead() -> LinkDescriptor:
 
 
 def make_borromean() -> LinkDescriptor:
-    half = Fraction(1, 2)
-    factor = LaurentPoly.from_terms(1, [(1, (half,)), (-1, (-half,))])
-    terms = []
-    for (e1,), c1 in factor.terms.items():
-        for (e2,), c2 in factor.terms.items():
-            for (e3,), c3 in factor.terms.items():
-                terms.append((c1 * c2 * c3,
-                              (Fraction(e1, 2), Fraction(e2, 2), Fraction(e3, 2))))
-    triple = LaurentPoly.from_terms(3, terms)
+    # prod_i (t_i^(1/2) - t_i^(-1/2)): coefficient a*b*c at doubled (a, b, c)
+    signs = (1, -1)
+    triple = LaurentPoly(3, {(a, b, c): a * b * c
+                             for a in signs for b in signs for c in signs})
     alex = {(i,): _unknot_poly() for i in range(3)}
     alex.update({B: LaurentPoly.zero(2) for B in [(0, 1), (0, 2), (1, 2)]})
     alex[(0, 1, 2)] = triple
@@ -272,10 +297,10 @@ def make_mirror_l7a3() -> LinkDescriptor:
     # The polynomial carries the trefoil factor (t2 + t2^-1) on the second
     # variable, so component 2 must be the trefoil, even though link tables
     # usually list the trefoil component of L7a3 first.
-    half = Fraction(1, 2)
-    f1 = LaurentPoly.from_terms(2, [(1, (half, 0)), (-1, (-half, 0))])
-    f2 = LaurentPoly.from_terms(2, [(1, (0, half)), (-1, (0, -half))])
-    f3 = LaurentPoly.from_terms(2, [(1, (0, 1)), (1, (0, -1))])
+    # Doubled exponents: f1 = t1^(1/2) - t1^(-1/2), f2 likewise in t2.
+    f1 = LaurentPoly(2, {(1, 0): 1, (-1, 0): -1})
+    f2 = LaurentPoly(2, {(0, 1): 1, (0, -1): -1})
+    f3 = LaurentPoly(2, {(0, 2): 1, (0, -2): 1})
     delta = -(f1 * f2 * f3)
     return LinkDescriptor(
         "mirror_L7a3",
@@ -308,11 +333,11 @@ def make_two_bridge_cable(k: int, p1: int, q1: int, p2: int, q2: int) -> LinkDes
                           alexander=d.alexander, lspace_asserted=True)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    key: str
-    params: str  # human-readable parameter signature
-    generator: callable
+class CatalogEntry(Record):
+    __slots__ = ("key", "params", "generator")
+
+    def __init__(self, key: str, params: str, generator: callable):
+        self._init(key, params, generator)  # params: human-readable signature
 
 
 CATALOG = {
@@ -473,12 +498,14 @@ def descriptor_from_dict(data: dict) -> LinkDescriptor:
 
 
 def save_json(d: LinkDescriptor, path) -> None:
+    import json
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(descriptor_to_dict(d), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_json(path) -> LinkDescriptor:
+    import json
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)

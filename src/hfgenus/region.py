@@ -8,13 +8,12 @@ bounded window, which is what a staircase plot draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import HfgenusError
 from .hfunction import HTable
-from .linkcat import LinkDescriptor, sublink
+from .linkcat import LinkDescriptor, Record, sublink
 
 
 def dominates(x: Sequence[int], y: Sequence[int]) -> bool:
@@ -34,18 +33,16 @@ def minimalize(points: Iterable[Sequence[int]]) -> tuple:
     return tuple(sorted(keep))
 
 
-@dataclass(frozen=True)
-class UpwardClosedRegion:
-    n: int
-    generators: tuple
+class UpwardClosedRegion(Record):
+    __slots__ = ("n", "generators")
 
-    def __post_init__(self):
-        gens = minimalize(self.generators)
-        if any(len(g) != self.n for g in gens):
+    def __init__(self, n: int, generators: tuple):
+        gens = minimalize(generators)
+        if any(len(g) != n for g in gens):
             raise ValueError("generator dimension mismatch")
         if any(x < 0 for g in gens for x in g):
             raise ValueError("generators must be nonnegative")
-        object.__setattr__(self, "generators", gens)
+        self._init(n, gens)
 
     def contains(self, x: Sequence[int]) -> bool:
         x = tuple(x)

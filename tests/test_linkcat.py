@@ -4,14 +4,19 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hfgenus.errors import LSpaceAssertionError, SchemaError, ValidationError
+from hfgenus.errors import (LSpaceAssertionError, SchemaError, SymmetryError,
+                            ValidationError)
 from hfgenus.hfunction import HTable
-from hfgenus.laurent import LaurentPoly
-from hfgenus.linkcat import (Component, LinkDescriptor, catalog, catalog_list,
-                             descriptor_from_dict, descriptor_to_dict,
-                             disjoint_union, load_json, save_json, sublink,
-                             two_bridge_poly, validate_descriptor)
+from hfgenus.laurent import (LaurentPoly, involution, normalize_symmetric,
+                             symmetry_sign)
+from hfgenus.linkcat import (Component, LinkDescriptor, _key_str, all_subsets,
+                             catalog, catalog_list, descriptor_from_dict,
+                             descriptor_to_dict, disjoint_union, load_json,
+                             save_json, sublink, two_bridge_poly,
+                             validate_descriptor)
 
 H = Fraction(1, 2)
 
@@ -163,6 +168,84 @@ def test_validate_reports_wrong_knot_normalization():
     d = LinkDescriptor("bad", [Component("a")],
                        alexander={(0,): P(1, (1, (1,)), (1, (-1,)))})
     assert any("expected 1" in p for p in validate_descriptor(d))
+
+
+def reference_validate_descriptor(d):
+    """The check as it was before it read the stored terms first: every
+    nonzero polynomial goes through `normalize_symmetric` and `involution`."""
+    problems = []
+    for i in range(d.n):
+        for j in range(d.n):
+            if d.linking[i][j] != 0:
+                problems.append(f"nonzero linking number at ({i + 1},{j + 1})")
+    for B in all_subsets(d.n):
+        if B not in d.alexander:
+            problems.append(f"incomplete sublink data: subset {_key_str(B)} missing")
+            continue
+        poly = d.alexander[B]
+        if len(B) == 1:
+            if poly.is_zero():
+                problems.append(f"subset {_key_str(B)}: knot polynomial must be nonzero")
+                continue
+            if poly.evaluate_at_one() != 1:
+                problems.append(f"subset {_key_str(B)}: knot polynomial value at t=1 is "
+                                f"{poly.evaluate_at_one()}, expected 1")
+            if any(e % 2 for (e,) in poly.terms):
+                problems.append(f"subset {_key_str(B)}: knot exponents must be integers")
+        else:
+            if poly.is_zero():
+                continue  # split sublink
+            if any(e % 2 == 0 for exp in poly.terms for e in exp):
+                problems.append(f"subset {_key_str(B)}: exponents must be half-odd "
+                                f"(zero linking parity)")
+        if not poly.is_zero():
+            try:
+                norm = normalize_symmetric(poly)
+            except SymmetryError:
+                problems.append(f"subset {_key_str(B)}: no symmetric unit multiple")
+                continue
+            if norm != poly and norm != -poly:
+                problems.append(f"subset {_key_str(B)}: polynomial is not centered "
+                                f"(expected {norm} up to sign)")
+            if involution(poly) != symmetry_sign(len(B)) * poly:
+                problems.append(f"subset {_key_str(B)}: wrong symmetry sign")
+    return problems
+
+
+@st.composite
+def stored_polys(draw, k):
+    """A k-variable polynomial: zero, or random terms made symmetric,
+    antisymmetric or neither, centered or shifted, and for a knot given
+    some value at t=1."""
+    if draw(st.integers(0, 5)) == 0:
+        return LaurentPoly.zero(k)
+    parity = 0 if k == 1 else 1  # integer knot exponents, half-odd link exponents
+    if draw(st.integers(0, 7)) == 0:
+        parity = 1 - parity
+    exps = st.tuples(*[st.integers(-3, 3).map(lambda x: 2 * x + parity)] * k)
+    raw = LaurentPoly(k, draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool),
+                                              min_size=1, max_size=4)))
+    mirror = draw(st.sampled_from([symmetry_sign(k), -symmetry_sign(k), 0]))
+    poly = raw + mirror * involution(raw)
+    if k == 1:
+        value = draw(st.sampled_from([1, 1, -1, 0, 3]))
+        poly = poly + LaurentPoly(1, {(0,): value - poly.evaluate_at_one()})
+    if draw(st.booleans()):
+        poly = poly.shift(tuple(draw(st.integers(-2, 2)) for _ in range(k)))
+    return poly
+
+
+@st.composite
+def stored_descriptors(draw):
+    n = draw(st.integers(1, 3))
+    return LinkDescriptor("random", [Component(str(i)) for i in range(n)],
+                          alexander={B: draw(stored_polys(len(B))) for B in all_subsets(n)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(stored_descriptors())
+def test_validate_descriptor_matches_the_per_polynomial_path(d):
+    assert validate_descriptor(d) == reference_validate_descriptor(d)
 
 
 # -- JSON ---------------------------------------------------------------------

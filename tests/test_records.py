@@ -1,0 +1,111 @@
+"""The immutable value classes: repr, equality, hashing, immutability and
+constructor validation."""
+
+import copy
+import pickle
+
+import pytest
+
+from hfgenus.cable import CableSpec
+from hfgenus.linkcat import CatalogEntry, Component, LinkDescriptor, catalog
+from hfgenus.region import UpwardClosedRegion
+
+
+def _entry_generator():
+    return None
+
+
+# repr text as the frozen dataclasses printed it.
+REPRS = [
+    (Component("K"), "Component(label='K', g4=None)"),
+    (Component("unknot", g4=0), "Component(label='unknot', g4=0)"),
+    (CatalogEntry("k", "n", len),
+     "CatalogEntry(key='k', params='n', generator=<built-in function len>)"),
+    (UpwardClosedRegion(2, ((1, 0), (0, 1), (2, 2))),
+     "UpwardClosedRegion(n=2, generators=((0, 1), (1, 0)))"),
+    (CableSpec(((2, 3), (1, 1))), "CableSpec(pairs=((2, 3), (1, 1)))"),
+    (CableSpec([[2, 3], [1, 1]]), "CableSpec(pairs=((2, 3), (1, 1)))"),
+]
+
+
+@pytest.mark.parametrize("value, text", REPRS, ids=lambda x: type(x).__name__)
+def test_repr_text(value, text):
+    assert repr(value) == text
+
+
+FIELDS = {Component: ("label", "g4"), CatalogEntry: ("key", "params", "generator"),
+          UpwardClosedRegion: ("n", "generators"), CableSpec: ("pairs",)}
+
+# (value, an equal value built separately, an unequal value)
+TRIPLES = [
+    (Component("K", 1), Component(label="K", g4=1), Component("K", 2)),
+    (CatalogEntry("k", "n", _entry_generator), CatalogEntry("k", "n", _entry_generator),
+     CatalogEntry("k", "", _entry_generator)),
+    (UpwardClosedRegion(2, ((0, 1), (1, 0))),
+     UpwardClosedRegion(n=2, generators=((1, 0), (0, 1), (3, 3))),
+     UpwardClosedRegion(2, ((0, 1),))),
+    (CableSpec(((2, 3),)), CableSpec(pairs=[(2, 3)]), CableSpec(((2, 5),))),
+]
+
+
+@pytest.mark.parametrize("a, same, other", TRIPLES, ids=lambda x: type(x).__name__)
+def test_equality_and_hash(a, same, other):
+    assert a == same and not a != same
+    assert hash(a) == hash(same)
+    assert a != other and not a == other
+    assert len({a, same, other}) == 2
+    assert a != tuple(getattr(a, f) for f in FIELDS[type(a)])
+    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+
+@pytest.mark.parametrize("a", [t[0] for t in TRIPLES], ids=lambda x: type(x).__name__)
+def test_immutable(a):
+    field = FIELDS[type(a)][0]
+    before = getattr(a, field)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(a, field, None)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert getattr(a, field) == before
+
+
+def test_component_default_g4():
+    assert Component("K").g4 is None
+
+
+@pytest.mark.parametrize("pairs, message", [
+    (((0, 3),), "cable parameters must be positive, got (0, 3)"),
+    (((2, -1),), "cable parameters must be positive, got (2, -1)"),
+    (((2, 4),), "cable parameters must be coprime, got (2, 4)"),
+])
+def test_cable_spec_rejects(pairs, message):
+    with pytest.raises(ValueError) as info:
+        CableSpec(pairs)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n, gens, message", [
+    (2, ((1,),), "generator dimension mismatch"),
+    (1, ((-1,),), "generators must be nonnegative"),
+])
+def test_region_rejects(n, gens, message):
+    with pytest.raises(ValueError) as info:
+        UpwardClosedRegion(n, gens)
+    assert str(info.value) == message
+
+
+def test_link_descriptor_value_semantics():
+    d = catalog("whitehead")
+    reordered = LinkDescriptor(d.name, d.components, lspace_asserted=True,
+                               alexander=dict(reversed(list(d.alexander.items()))))
+    assert reordered == d and copy.copy(d) == d
+    assert d != catalog("two_bridge", 2) and d != d.name
+    with pytest.raises(TypeError):
+        hash(d)
+    with pytest.raises(AttributeError):
+        d.name = "other"
+    with pytest.raises(AttributeError):
+        del d.alexander
+    assert repr(d) == "<LinkDescriptor 'whitehead': 2 component(s)>"

@@ -75,7 +75,7 @@ def _parse_catalog(text: str):
                 raise UsageError(f"catalog parameter {chunk!r} is not an integer")
     try:
         return linkcat.catalog(key, *params)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc))
 
 

@@ -10,28 +10,30 @@ sublinks).
 
 `HTable` is the only entry point to H, h, chi and their validation, and
 tables share no state.  `_chi_table` alone turns a sublink's polynomial into
-Euler characteristics: it checks the exponent parity and builds a suffix-sum
-(summed-area) table over the polynomial's support box.  A sublink's H over a
-box [-r, r]^k is one flat row-major list, in the point order of
-`itertools.product`: each table's lookups over the box are row slices of its
-sums (`_OrthantSums.grid`), repeated along the axes its sublink lacks
-(`_broadcast`), and added with their signs, with no Python call per point.
-A disjoint union is an ordinary descriptor: a sublink mixing parts has zero
-polynomial and contributes nothing.
+Euler characteristics: it checks the exponent parity and keeps the
+coefficients, from which chi is read.  A sublink's H over a box [-r, r]^k is
+one flat row-major list, in the point order of `itertools.product`: each
+sublink's orthant sums over the box (`_grid`, suffix sums of its coefficients
+placed in the box), repeated along the axes the sublink lacks (`_broadcast`),
+and added with their signs, with no Python call per point.  After
+construction the full link's list is the only source of H and h.  A disjoint
+union is an ordinary descriptor: a sublink mixing parts has zero polynomial
+and contributes nothing.
 
 Each table's lattice box [-M, M]^n is fixed at construction, with
 M = support_radius + 2, and h stabilizes on it by construction.  Every
-orthant table is read at v = s + 1.  At s_i >= M - 1, v_i >= M lies above the
+orthant sum is taken at v = s + 1.  At s_i >= M - 1, v_i >= M lies above the
 top of every support, so each sublink containing component i contributes 0:
 H is constant in s_i there, equals the H of the sublink with component i
 deleted, and vanishes on the top corner block.  At s_i <= -M + 1, v_i lies at
-or below the bottom of every support, where a table is constant up to the
-knot slope Delta(1) = 1 (enforced on the input by `require_valid`), which h
-subtracts, so h is constant in s_i there.  Hence h(v) = h(clamp(v)) for every
-lattice point v, clamp taking each coordinate into [-M, M]: the laws validated
-on the box hold everywhere, and a sweep of the box decides every question
-about h.  This holds by construction, checked by the oracle tests; validation
-checks only the laws the Alexander data can break, H >= 0 and unit steps.
+or below the bottom of every support, where an orthant sum is constant up to
+the knot slope Delta(1) = 1 (enforced on the input by `require_valid`), which
+h subtracts, so h is constant in s_i there.  Hence h(v) = h(clamp(v)) for
+every lattice point v, clamp taking each coordinate into [-M, M]: the laws
+validated on the box hold everywhere, a sweep of the box decides every
+question about h, and `HTable.H` reads any point off the box list.  This holds
+by construction, checked by the oracle tests; validation checks only the laws
+the Alexander data can break, H >= 0 and unit steps.
 
 The step law makes h monotone, never increasing as a coordinate moves away
 from 0: for s_i >= 1, H(s - e_i) >= H(s) and H_O is unchanged; for s_i <= 0,
@@ -51,7 +53,7 @@ h(s) = H(s) - H_O(s), where H_O is the H-function of the unlink.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, product, repeat
+from itertools import accumulate, chain, combinations, product, repeat
 from operator import add, mul, sub
 from typing import Optional, Sequence
 
@@ -61,88 +63,13 @@ from .laurent import LaurentPoly
 from .linkcat import LinkDescriptor, all_subsets, require_valid
 
 
-class _OrthantSums:
-    """Upper-orthant sums of an integer coefficient map, as a lookup table.
-
-    `sums` holds, for every v in the bounding box [lo, hi] of the support
-    (flat, row-major), the sum of the coefficients at all u >= v.  Outside the
-    box a lookup is 0 once some v_i > hi_i, and reads v_i < lo_i as lo_i.  A
-    knot table (knot=True, coefficients of Delta) holds the sums of the torsion
-    series Delta(t)/(1-t^{-1}) instead: one more suffix pass, and below lo the
-    sum grows by Delta(1) per unit step.
-    """
-
-    __slots__ = ("axes", "sums", "slope", "radius")
-
-    def __init__(self, coeffs: dict, knot: bool = False):
-        k = len(next(iter(coeffs)))
-        lo = [min(e[i] for e in coeffs) for i in range(k)]
-        hi = [max(e[i] for e in coeffs) for i in range(k)]
-        shape = [h - l + 1 for l, h in zip(lo, hi)]
-        strides = [1] * k
-        for i in range(k - 2, -1, -1):
-            strides[i] = strides[i + 1] * shape[i + 1]
-        sums = [0] * (strides[0] * shape[0])
-        for e, c in coeffs.items():
-            sums[sum((x - l) * st for x, l, st in zip(e, lo, strides))] += c
-        for axis in ([0] if knot else []) + list(range(k)):
-            step, size = strides[axis], shape[axis]
-            for i in range(len(sums) - 1, -1, -1):
-                if (i // step) % size < size - 1:
-                    sums[i] += sums[i + step]
-        self.axes = tuple(zip(lo, hi, strides))
-        self.sums = sums
-        self.slope = sum(coeffs.values()) if knot else 0
-        self.radius = max(max(-l, h) for l, h in zip(lo, hi))
-
-    def __call__(self, v, idx) -> int:
-        """The orthant sum at the point (v[i] for i in idx)."""
-        index = below = 0
-        for i, (lo, hi, stride) in zip(idx, self.axes):
-            x = v[i]
-            if x > hi:
-                return 0
-            if x < lo:
-                below += lo - x
-                x = lo
-            index += (x - lo) * stride
-        return self.sums[index] + self.slope * below
-
-    def grid(self, r: int) -> list:
-        """The lookups at v = s + 1 for every s in [-r, r]^k, flat, in the
-        order of `itertools.product`.  Each row is a slice of `sums`; below the
-        support a row or slab repeats (a knot row also grows by the slope per
-        step), and above it the values are 0.  Needs r >= radius + 2, so that
-        every axis reaches past both ends of the support."""
-        assert r >= self.radius + 2, (r, self.radius)
-
-        def split(lo, hi):  # the v_i in [1 - r, 1 + r] below, in and above [lo, hi]
-            return lo + r - 1, hi - lo + 1, r + 1 - hi
-
-        *outer, (lo, hi, _) = self.axes
-        below, width, above = split(lo, hi)
-        sums = self.sums
-        if self.slope:  # a knot: one axis
-            return ([sums[0] + self.slope * d for d in range(below, 0, -1)]
-                    + sums + [0] * above)
-        blocks = [[sums[i]] * below + sums[i:i + width] + [0] * above
-                  for i in range(0, len(sums), width)]
-        for lo, hi, _ in reversed(outer):
-            below, width, above = split(lo, hi)
-            zeros = [0] * (len(blocks[0]) * above)
-            blocks = [blocks[i] * (below + 1)
-                      + list(chain.from_iterable(blocks[i + 1:i + width])) + zeros
-                      for i in range(0, len(blocks), width)]
-        return blocks[0]
-
-
-def _chi_table(delta: LaurentPoly) -> _OrthantSums:
-    """Orthant sums of a sublink's Euler characteristics, from its nonzero
-    polynomial: the coefficients of delta * (t_1 ... t_k)^{1/2}, or for a knot
-    of the torsion series Delta(t)/(1 - t^{-1}).  Either way the exponents
-    must land on the integer lattice (the zero-linking parity)."""
-    knot = delta.nvars == 1
-    shift = 0 if knot else 1
+def _chi_table(delta: LaurentPoly) -> dict:
+    """A sublink's Euler characteristics, from its nonzero polynomial: the
+    coefficients of delta * (t_1 ... t_k)^{1/2}, or for a knot the coefficients
+    of Delta itself, whose torsion series Delta(t)/(1 - t^{-1}) holds the
+    characteristics.  Either way the exponents must land on the integer
+    lattice (the zero-linking parity)."""
+    shift = 0 if delta.nvars == 1 else 1
     coeffs = {}
     for exp, c in delta.terms.items():
         if any((e + shift) % 2 for e in exp):
@@ -150,7 +77,7 @@ def _chi_table(delta: LaurentPoly) -> _OrthantSums:
                 "exponents off the integer lattice after the half shift; polynomial "
                 "parity is inconsistent with zero linking numbers")
         coeffs[tuple((e + shift) // 2 for e in exp)] = c
-    return _OrthantSums(coeffs, knot=knot)
+    return coeffs
 
 
 def _broadcast(grid: list, side: int, present: Sequence[bool]) -> list:
@@ -172,6 +99,32 @@ def _unlink_H(s) -> int:
 
 def _strides(side: int, k: int) -> list:
     return [side ** (k - 1 - i) for i in range(k)]
+
+
+def _grid(coeffs: dict, r: int) -> list:
+    """A sublink's orthant sums at v = s + 1 for every s in [-r, r]^k, flat, in
+    the order of `itertools.product`: the sum of the coefficients at all
+    u >= v, or for a knot (k = 1) the sum of its torsion series over the
+    degrees >= v.  Each coefficient sits at the mirror of s = u - 1, so that
+    the suffix sums are prefix sums along every axis (a knot takes one more
+    pass); below the support the sums repeat, and a knot's climb by Delta(1),
+    above it they are 0.  Needs r > radius: a coefficient off the box would
+    wrap to another point without any error."""
+    assert max(map(abs, chain.from_iterable(coeffs))) < r, r
+    k = len(next(iter(coeffs)))
+    side = 2 * r + 1
+    strides = _strides(side, k)
+    grid = [0] * side ** k
+    top = (r + 1) * sum(strides)  # where u = 0 sits, mirrored
+    for u, c in coeffs.items():
+        grid[top - sum(map(mul, u, strides))] = c
+    for st in (strides * 2 if k == 1 else strides):
+        for base in range(0, len(grid), st * side):
+            for start in range(base, base + st):
+                stop = start + st * side
+                grid[start:stop:st] = accumulate(grid[start:stop:st])
+    grid.reverse()
+    return grid
 
 
 def _steps(grid: list, side: int, k: int):
@@ -215,16 +168,14 @@ def _law_messages(grid: list, r: int, k: int) -> list:
 class HTable:
     """H-function of a link descriptor over a lattice box [-M, M]^n.
 
-    Construction resolves the sign of every sublink polynomial and builds one
-    orthant-sum table per sublink with nonzero polynomial, sized by that
-    polynomial's support and never by the box.  Each sign trial, and the full
-    link's H, is a flat list over a box summed from the tables' grids; the
-    full link's list over [-M, M]^n is the memo, read by index.  Outside the
-    box H is the closed-form alternating sum, at most 2^n - 1 lookups, and is
-    not cached.  The box bounds only validation and region extraction.
-    M = support_radius + 2 and never changes.  Validation runs at most once:
-    it is the full link's sign trial when its polynomial is nonzero, otherwise
-    one whole-list check on first request.
+    Construction keeps the Euler characteristics of every sublink with
+    nonzero polynomial and resolves the sign of every sublink polynomial.
+    Each sign trial, and the full link's H, is a flat list over a box summed
+    from the sublinks' grids; the full link's list over [-M, M]^n is the
+    memo, read by index, at clamp(s) outside the box, and chi reads the
+    stored coefficients.  M = support_radius + 2 and never changes.
+    Validation runs at most once: it is the full link's sign trial when its
+    polynomial is nonzero, otherwise one whole-list check on first request.
     """
 
     def __init__(self, link: LinkDescriptor, force: bool = False):
@@ -238,17 +189,16 @@ class HTable:
         self._full = tuple(range(self.n))
         self._corners: Optional[list] = None
         self._problems: Optional[list] = None
-        self._tables: dict = {}  # sublink -> _OrthantSums, nonzero polynomials only
+        self._tables: dict = {}  # sublink -> its _chi_table, nonzero polynomials only
+        self._radii: dict = {}   # sublink -> the largest |u_i| over its table
         self._signs: dict = {}   # sublink -> +1 or -1, filled bottom-up
         self._grid: list = []    # the full link's H over the box, flat
         self._resolve_signs()
 
-        self.support_radius = max(t.radius for t in self._tables.values())
+        self.support_radius = max(self._radii.values())
         self.M = self.support_radius + 2
         self._side = 2 * self.M + 1
         self._origin = self.M * sum(_strides(self._side, self.n))  # index of 0
-        self._terms = [(parity * self._signs[C], self._tables[C], C)
-                       for parity, C, _ in self._terms_of(self._full)]
 
     # -- construction helpers ------------------------------------------------
 
@@ -268,26 +218,27 @@ class HTable:
         up, as the first (stored first) whose H passes the laws on the
         sublink's box [-r, r]^|B|, r two more than the largest support radius
         of its tables (r = M for the full link), and keep the full link's H."""
-        tables, signs = self._tables, self._signs
+        tables, radii, signs = self._tables, self._radii, self._signs
         for B in all_subsets(self.n):
             signs[B] = 1
             delta = self.link.delta(B)
             if not delta.is_zero():
                 tables[B] = _chi_table(delta)
+                radii[B] = max(map(abs, chain.from_iterable(tables[B])))
             trial = len(B) > 1 and B in tables
             if not trial and B != self._full:
                 continue
             terms = self._terms_of(B)
-            r = max(tables[C].radius for _, C, _ in terms) + 2
+            r = max(radii[C] for _, C, _ in terms) + 2
             side = 2 * r + 1
             grid = [0] * side ** len(B)
             for parity, C, idx in terms:
                 if C != B or not trial:
-                    part = _broadcast(tables[C].grid(r), side,
+                    part = _broadcast(_grid(tables[C], r), side,
                                       [j in idx for j in range(len(B))])
                     grid = list(map(add if parity * signs[C] > 0 else sub, grid, part))
             if trial:
-                rest, own = grid, tables[B].grid(r)
+                rest, own = grid, _grid(tables[B], r)
                 parity = 1 if len(B) % 2 else -1
                 for sigma in (1, -1):  # prefer the stored sign
                     signs[B] = sigma
@@ -307,25 +258,35 @@ class HTable:
     # -- evaluation ------------------------------------------------------------
 
     def H(self, s: Sequence[int]) -> int:
-        """H-function at any lattice point: read from the list inside the
-        box, computed from the closed form outside it."""
+        """H-function at any lattice point, read from the list at clamp(s):
+        h(s) = h(clamp(s)), so H(s) - H(clamp(s)) = H_O(s) - H_O(clamp(s)),
+        the sum of max(-M - s_i, 0)."""
         s = tuple(s)
         if len(s) != self.n:
             raise ValueError(f"point {s} has wrong dimension, expected {self.n}")
-        M, index = self.M, 0
+        M, index, below = self.M, 0, 0
         for x in s:
-            if not -M <= x <= M:
-                v = tuple(y + 1 for y in s)
-                return sum(c * table(v, C) for c, table, C in self._terms)
+            if x < -M:
+                below += -M - x
+                x = -M
+            elif x > M:
+                x = M
             index = index * self._side + x
-        return self._grid[index + self._origin]
+        return self._grid[index + self._origin] + below
 
     def h(self, s: Sequence[int]) -> int:
         s = tuple(s)
         return self.H(s) - _unlink_H(s)
 
     def chi(self, B, u) -> int:
-        """chi(HFL^-(L_B, u)) with the resolved sign; u[j] belongs to component B[j]."""
+        """chi(HFL^-(L_B, u)) with the resolved sign; u[j] belongs to component
+        B[j].  It is the coefficient at u of the sublink's table, for a knot
+        the sum of the table's coefficients at degrees >= u, and 0 for a split
+        sublink."""
+        B = tuple(B)
+        if not B or len(set(B)) != len(B) or not all(0 <= b < self.n for b in B):
+            raise ValueError(f"sublink {B} is not a nonempty set of distinct "
+                             f"components in range({self.n})")
         u = (u,) if isinstance(u, int) else tuple(u)
         if len(u) != len(B):
             raise ValueError(f"point {u} has wrong dimension, expected {len(B)}")
@@ -334,12 +295,10 @@ class HTable:
         u = tuple(x for _, x in pairs)
         table = self._tables.get(B)
         if table is None:
-            return 0  # split sublink, vanishing chi
-        total = 0
-        for corner in product((0, 1), repeat=len(B)):
-            sign = -1 if sum(corner) % 2 else 1
-            total += sign * table(tuple(x + c for x, c in zip(u, corner)), range(len(B)))
-        return self._signs[B] * total
+            return 0
+        if len(B) == 1:
+            return sum(c for (w,), c in table.items() if w >= u[0])
+        return self._signs[B] * table.get(u, 0)
 
     def chi_from_H(self, s: Sequence[int]) -> int:
         """Inclusion-exclusion of H over the unit cube below s.

@@ -73,6 +73,9 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):
+        return LaurentPoly, (self.nvars, self.terms)
+
     # -- constructors -------------------------------------------------------
 
     @classmethod

@@ -357,7 +357,12 @@ CATALOG = {
 def catalog(key: str, *params: int) -> LinkDescriptor:
     if key not in CATALOG:
         raise ValueError(f"unknown catalog key {key!r}; known: {', '.join(sorted(CATALOG))}")
-    return CATALOG[key].generator(*params)
+    entry = CATALOG[key]
+    arity = entry.params.count(",") + 1 if entry.params else 0
+    if len(params) != arity:
+        wanted = f"the parameters {entry.params}" if arity else "no parameters"
+        raise ValueError(f"catalog key {key!r} takes {wanted}, got {len(params)}")
+    return entry.generator(*params)
 
 
 def catalog_list():

@@ -182,6 +182,8 @@ def test_exit_code_usage(capsys):
     ["d-invariants", "--lens", "0"],
     ["region", "--catalog", "whitehead", "--out", "/nonexistent/x.json"],
     ["h-table", "--catalog", "whitehead", "--box", "3"],
+    ["region", "--catalog", "whitehead_cable:2"],
+    ["region", "--catalog", "whitehead:3"],
 ], ids=" ".join)
 def test_bad_arguments_exit_with_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

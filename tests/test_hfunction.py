@@ -1,7 +1,7 @@
 """H-function engine: brute-force oracle, frozen worked values, validation."""
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hfgenus import hfunction
 from hfgenus.cable import CableSpec, cable_alexander
 from hfgenus.errors import SignResolutionError, StabilizationError, ValidationError
-from hfgenus.hfunction import HTable, _broadcast, _chi_table, _OrthantSums
+from hfgenus.hfunction import HTable, _broadcast, _chi_table, _grid
 from hfgenus.laurent import LaurentPoly
 from hfgenus.linkcat import (LinkDescriptor, all_subsets, catalog, descriptor_from_dict,
                              disjoint_union, sublink)
@@ -65,6 +65,20 @@ def scan_knot_sum(coeffs, v):
     """Sum of the torsion series Delta(t)/(1-t^-1) over degrees >= v, by a
     support scan of Delta's coefficients."""
     return sum(c * (w - v[0] + 1) for (w,), c in coeffs.items() if w >= v[0])
+
+
+def scan_sum(coeffs, v):
+    """The orthant sum of a sublink's table at v: a knot's when it has one axis."""
+    return (scan_knot_sum if len(v) == 1 else scan_orthant_sum)(coeffs, v)
+
+
+def coeff_radius(coeffs):
+    """The largest |u_i| over the exponents of a table."""
+    return max(map(abs, chain.from_iterable(coeffs)))
+
+
+def unlink_H(s):
+    return sum(max(-x, 0) for x in s)
 
 
 ATOMIC_SAMPLES = ["unknot", "trefoil_rh", "whitehead", "borromean", "mirror_L7a3"]
@@ -126,21 +140,24 @@ def test_orthant_tables_match_support_scan(name):
             continue
         if len(B) == 1:
             coeffs = {(e // 2,): c for (e,), c in delta.terms.items()}
-            table, scan = _OrthantSums(coeffs, knot=True), scan_knot_sum
             coeff = lambda v: sum(c for (w,), c in coeffs.items() if w >= v[0])
         else:
             coeffs = {tuple((e + 1) // 2 for e in exp): c
                       for exp, c in delta.terms.items()}
-            table, scan = _OrthantSums(coeffs), scan_orthant_sum
             coeff = lambda v: coeffs.get(v, 0)
-        axes = range(len(B))
+        assert _chi_table(delta) == coeffs, B
+        r = coeff_radius(coeffs) + 1
+        box = product(range(-r, r + 1), repeat=len(B))
+        assert _grid(coeffs, r) == [scan_sum(coeffs, tuple(x + 1 for x in s))
+                                    for s in box], B
+        with pytest.raises(AssertionError):
+            _grid(coeffs, r - 1)
         sides = []
-        for i in axes:
+        for i in range(len(B)):
             lo, hi = min(e[i] for e in coeffs), max(e[i] for e in coeffs)
             sides.append(list(range(lo - 3, hi + 4)) + [lo - 40, hi + 40])
         sign = t.sign_resolution[tuple(i + 1 for i in B)]
         for v in product(*sides):
-            assert table(v, axes) == scan(coeffs, v), (B, v)
             assert t.chi(B, v) == sign * coeff(v), (B, v)
 
 
@@ -150,17 +167,30 @@ def clamp(t, s):
 
 @pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
 def test_h_stabilizes_beyond_the_box(name):
-    # h(v) = h(clamp(v)): the laws validated on the box hold everywhere
-    t = HTable(ORACLE_LINKS[name]())
+    # h(v) = h(clamp(v)), on the brute-force oracle: the laws validated on the
+    # box hold everywhere, and H outside the box may be read by clamping
+    d = ORACLE_LINKS[name]()
+    t = HTable(d)
     M, n = t.M, t.n
+    h = lambda s: brute_H(d, s) - unlink_H(s)
     sides = (-5 * M - 3, -M - 1, -M, 0, 1, M, M + 1, 5 * M + 3)
     for s in product(sides, repeat=n):
-        assert t.h(s) == t.h(clamp(t, s)), f"{name} at {s}"
+        assert h(s) == h(clamp(t, s)), f"{name} at {s}"
     for i in range(n):
         for x in (-7 * M, 7 * M):
             for rest in product(range(-2, 3), repeat=n - 1):
                 s = rest[:i] + (x,) + rest[i:]
-                assert t.h(s) == t.h(clamp(t, s)), f"{name} at {s}"
+                assert h(s) == h(clamp(t, s)), f"{name} at {s}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_LINKS)), st.data())
+def test_H_matches_brute_force_anywhere(name, data):
+    d = ORACLE_LINKS[name]()
+    t = HTable(d)
+    far = 4 * t.M
+    s = data.draw(st.tuples(*[st.integers(-far, far)] * t.n))
+    assert t.H(s) == brute_H(d, s), f"{name} at {s}"
 
 
 def bad_knot():
@@ -242,6 +272,13 @@ def test_chi_rejects_wrong_dimension():
             t.chi((0, 1), u)
     with pytest.raises(ValueError, match="wrong dimension"):
         t.chi((0,), (0, 0))
+
+
+def test_chi_rejects_a_malformed_sublink():
+    t = HTable(catalog("whitehead"))
+    for B, u in (((0, 0), (1, 1)), ((5,), (0,)), ((-1,), (0,)), ((), ())):
+        with pytest.raises(ValueError, match="sublink"):
+            t.chi(B, u)
 
 
 def test_chi_reads_u_in_the_order_of_B():
@@ -505,23 +542,29 @@ def reference_sweep(H, k, radius):
 
 def reference_law_problems(tables, B, signs):
     """`reference_sweep` of the sublink B on its box, r two more than the
-    largest support radius of its tables, each H value summed from
-    orthant-table lookups."""
+    largest support radius of its tables, each H value summed from support
+    scans of the tables."""
     terms = []
     for size in range(1, len(B) + 1):
         for idx in combinations(range(len(B)), size):
             C = tuple(B[i] for i in idx)
             if C in tables:
                 terms.append((1 if size % 2 else -1, C, idx))
-    memo = {}
+    scans, memo = {}, {}
+
+    def scan(C, v):
+        if (C, v) not in scans:
+            scans[C, v] = scan_sum(tables[C], v)
+        return scans[C, v]
 
     def H(s):
         if s not in memo:
             v = tuple(x + 1 for x in s)
-            memo[s] = sum(p * signs[C] * tables[C](v, idx) for p, C, idx in terms)
+            memo[s] = sum(p * signs[C] * scan(C, tuple(v[i] for i in idx))
+                          for p, C, idx in terms)
         return memo[s]
 
-    return reference_sweep(H, len(B), max(tables[C].radius for _, C, _ in terms) + 2)
+    return reference_sweep(H, len(B), max(coeff_radius(tables[C]) for _, C, _ in terms) + 2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -623,7 +666,7 @@ def test_memo_holds_only_full_link_points(name):
     for _ in range(2):
         assert len(t._grid) == (2 * t.M + 1) ** t.n, name
         t.validation_report()
-        t.H((t.M + 3,) * t.n)  # outside the box: computed, not cached
+        t.H((t.M + 3,) * t.n)  # outside the box: read by clamping, not cached
 
 
 def test_sign_resolution_of_a_union():
@@ -639,12 +682,12 @@ def test_sign_resolution_of_a_union():
 def test_grid_matches_lookups(name):
     t = HTable(ORACLE_LINKS[name]())
     for B, table in t._tables.items():
-        axes = range(len(B))
-        for r in range(table.radius + 2, table.radius + 5):
+        for r in range(coeff_radius(table) + 1, coeff_radius(table) + 4):
             box = product(range(-r, r + 1), repeat=len(B))
-            assert table.grid(r) == [table(tuple(x + 1 for x in s), axes) for s in box], (B, r)
+            assert _grid(table, r) == [scan_sum(table, tuple(x + 1 for x in s))
+                                       for s in box], (B, r)
         with pytest.raises(AssertionError):
-            table.grid(table.radius + 1)
+            _grid(table, coeff_radius(table))
 
 
 def test_broadcast_repeats_along_the_missing_axes():
@@ -666,20 +709,24 @@ def test_full_link_list_is_brute_force(name):
 
 
 def test_box_reads_make_no_orthant_lookups(monkeypatch):
-    # every H inside the box reads the full link's list
+    # after construction every H, inside the box or out, reads the full
+    # link's list, and chi reads the stored coefficients
+    reports = {name: make() for name, make in REPORT_TABLES.items()}
+    tables = {name: HTable(make()) for name, make in ORACLE_LINKS.items()}
     calls = []
-    real = _OrthantSums.__call__
-    monkeypatch.setattr(_OrthantSums, "__call__",
-                        lambda self, v, idx: calls.append(v) or real(self, v, idx))
-    for name, make in REPORT_TABLES.items():
-        make().validation_report()
+    monkeypatch.setattr(hfunction, "_grid", lambda *a: calls.append(a))
+    for name, t in reports.items():
+        t.validation_report()
         assert calls == [], name
-    for name, make in ORACLE_LINKS.items():
-        t = HTable(make())
+    for name, t in tables.items():
+        far = t.M + 5
+        for s in product((-far, 0, far), repeat=t.n):
+            t.H(s)
+        for B in t._tables:
+            t.chi(B, (0,) * len(B))
         region_from_h(t)
         maximal_lattice_points(t)
         assert calls == [], name
-    assert t.H((t.M + 1,) + (0,) * (t.n - 1)) == 0 and calls  # outside: the closed form
 
 
 def test_lspace_assertion_gate():

@@ -1,6 +1,8 @@
 """Link descriptors: catalog, validation, sublinks, unions, JSON persistence."""
 
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -36,6 +38,15 @@ CATALOG_SAMPLES = [
 @pytest.mark.parametrize("d", CATALOG_SAMPLES, ids=lambda d: d.name)
 def test_catalog_entries_validate(d):
     assert validate_descriptor(d) == []
+
+
+@pytest.mark.parametrize("d", CATALOG_SAMPLES + [
+    disjoint_union(catalog("whitehead"), catalog("trefoil_rh"))], ids=lambda d: d.name)
+def test_descriptors_pickle_and_deepcopy(d):
+    grid = HTable(d, force=True)._grid
+    for twin in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+        assert twin == d
+        assert HTable(twin, force=True)._grid == grid
 
 
 def test_whitehead_polynomial():
@@ -376,6 +387,13 @@ def test_catalog_list_contains_known_keys():
     keys = {e.key for e in catalog_list()}
     assert {"unknot", "whitehead", "borromean", "mirror_L7a3",
             "two_bridge", "whitehead_cable"} <= keys
+
+
+def test_catalog_checks_the_parameter_count():
+    with pytest.raises(ValueError, match="the parameters p,q, got 1"):
+        catalog("whitehead_cable", 2)
+    with pytest.raises(ValueError, match="no parameters, got 1"):
+        catalog("whitehead", 3)
 
 
 def test_catalog_rejects_unknown_key():

@@ -3,17 +3,21 @@
 The central inequality: if the components bound pairwise disjoint surfaces of
 genera g_i in the 4-ball, then h(v) <= sum_i f_cap(g_i, v_i) for every lattice
 point v; h never increases away from 0, so the corners of its folded level
-sets decide it.  Everything in this module is exact; d-invariants are Fractions.
+sets decide it.  Over each prefix (g_1 ... g_{n-1}) the corners give the least
+admissible g_n in closed form, which decides `genus_admissible` and, as the
+staircase of an up-set (see `region`), gives `admissible_region`.  Everything
+in this module is exact; d-invariants are Fractions.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import inf
 from typing import Sequence
 
 from .errors import HfgenusError, LargenessError, ValidationError
 from .hfunction import HTable
-from .region import UpwardClosedRegion, dominates, region_from_h
+from .region import UpwardClosedRegion, region_from_h
 
 
 def f_cap(g: int, v: int) -> int:
@@ -25,6 +29,22 @@ def f_cap(g: int, v: int) -> int:
     return (g - abs(v) + 1) // 2
 
 
+def _least_last(table: HTable, p: Sequence[int]) -> float:
+    """The least g_n with (p, g_n) admissible, or inf if there is none.
+
+    A corner (w, k) asks sum_i f_cap(g_i, w_i) >= k over the i with w_i < M.
+    With r = k - sum_{i<n, w_i<M} f_cap(p_i, w_i) left for g_n, it holds for
+    every g_n when r <= 0, for none when r > 0 and w_n = M, and otherwise iff
+    f_cap(g_n, w_n) >= r, that is g_n >= w_n + 2r - 1.
+    """
+    M = table.M
+    rest = [(w[-1], k - sum(f_cap(gi, wi) for gi, wi in zip(p, w) if wi < M))
+            for w, k in table.corners()]
+    if any(r > 0 and wn == M for wn, r in rest):
+        return inf
+    return max((wn + 2 * r - 1 for wn, r in rest if r > 0), default=0)
+
+
 def genus_admissible(table: HTable, g: Sequence[int]) -> bool:
     """True iff h(v) <= sum_i f_cap(g_i, v_i) for every v.
 
@@ -32,15 +52,12 @@ def genus_admissible(table: HTable, g: Sequence[int]) -> bool:
     f_cap(g_i, v_i) is 0 once |v_i| > g_i, so a boundary-shell coordinate
     (|v_i| = M) contributes an f-term of 0.  That side depends on |v| only and
     never grows with it, so a violation persists up to a corner of the same
-    height (`HTable.corners`), and the corners decide the inequality.
+    height (`HTable.corners`), and the corners decide the inequality, through
+    the least admissible last coordinate over the prefix of g.
     """
-    g = tuple(g)
     if len(g) != table.n or any(x < 0 for x in g):
         raise ValueError("genus vector must be nonnegative with one entry per component")
-    for w, k in table.corners():
-        if k > sum(f_cap(gi, wi) for gi, wi in zip(g, w) if wi < table.M):
-            return False
-    return True
+    return g[-1] >= _least_last(table, g[:-1])
 
 
 def admissible_region(table: HTable) -> UpwardClosedRegion:
@@ -50,20 +67,18 @@ def admissible_region(table: HTable) -> UpwardClosedRegion:
     w_i + 2k - 1 over the corners (w, k) with w_i < M (0 if there are none):
     once g_i >= cap_i, f_cap(g_i, w_i) >= k meets every such corner alone, and
     the corners with w_i = M never read g_i, so g - e_i passes whenever g does.
-    Admissibility is monotone in g, so the sum-ordered sweep of the capped
-    box, skipping points above a generator found, with `genus_admissible` as
-    predicate, yields exactly the minimal generators.  The result is asserted
-    to sit inside the h-vanishing region.
+    Admissibility is monotone in g, so every minimal generator is (p, m) with
+    p a prefix in the capped box and m = `_least_last(p)`, and the finite
+    candidates (p, m) are minimalized.  The result is asserted to sit inside
+    the h-vanishing region.
     """
     h_region = region_from_h(table)
     corners = table.corners()
     caps = [max((w[i] + 2 * k - 1 for w, k in corners if w[i] < table.M), default=0)
             for i in range(table.n)]
-    gens: list = []
-    for g in sorted(product(*(range(c + 1) for c in caps)), key=lambda p: (sum(p), p)):
-        if not any(dominates(g, q) for q in gens) and genus_admissible(table, g):
-            gens.append(g)
-    region = UpwardClosedRegion(table.n, tuple(gens))
+    region = UpwardClosedRegion(table.n, tuple(
+        p + (m,) for p in product(*(range(c + 1) for c in caps[:-1]))
+        if (m := _least_last(table, p)) < inf))
     for g in region.generators:
         if not h_region.contains(g):
             raise HfgenusError(

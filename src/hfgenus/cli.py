@@ -233,7 +233,7 @@ def _cmd_d_invariants(args) -> int:
     from . import bounds as bounds_mod
     modes = [args.lens is not None, bool(args.circle_bundle),
              bool(args.catalog or args.link)]
-    if sum(modes) != 1:
+    if sum(modes) != 1 or not modes[2] and (args.framing or args.point):
         raise UsageError("choose one of --lens, --circle-bundle, or a link input "
                          "with --framing")
     if args.lens is not None:

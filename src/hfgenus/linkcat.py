@@ -102,7 +102,7 @@ class LinkDescriptor(Record):
         if alexander:
             for B, poly in alexander.items():
                 key = subset_key(B)
-                if key[-1] >= n:
+                if key[0] < 0 or key[-1] >= n:
                     raise ValueError(f"subset {key} out of range for {n} components")
                 if poly.nvars != len(key):
                     raise ValueError(f"polynomial for subset {key} has wrong arity")
@@ -190,7 +190,7 @@ def require_valid(d: LinkDescriptor):
 def sublink(d: LinkDescriptor, B: Iterable[int]) -> LinkDescriptor:
     """Descriptor of the sublink with the given (0-based) component indices."""
     key = subset_key(B)
-    if key[-1] >= d.n:
+    if key[0] < 0 or key[-1] >= d.n:
         raise ValueError(f"subset {key} out of range")
     if key == tuple(range(d.n)):
         return d

@@ -1,13 +1,16 @@
 """Upward-closed subsets of the nonnegative lattice orthant.
 
 A region is stored as its finite antichain of minimal generators; membership
-means dominating some generator.  The genus region of a link is the set of
-nonnegative lattice points where h vanishes; its complement is finite in every
-bounded window, which is what a staircase plot draws.
+means dominating some generator.  An up-set is fixed by its least last
+coordinate over each prefix p of the first n - 1 coordinates: every minimal
+generator is (p, least[p]) for its own prefix.  The genus region of a link is
+the set of nonnegative lattice points where h vanishes; its complement is
+finite in every bounded window, which is what a staircase plot draws.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -22,27 +25,27 @@ def dominates(x: Sequence[int], y: Sequence[int]) -> bool:
 
 
 def minimalize(points: Iterable[Sequence[int]]) -> tuple:
-    """Minimal elements of the given set, sorted for deterministic output."""
-    pts = sorted(set(tuple(p) for p in points))
+    """Minimal elements of a set of equal-length points, sorted.
+
+    In lexicographic order a point comes after every point it dominates, so
+    a point is kept unless a point kept before it lies below it."""
     keep = []
-    for p in pts:
-        if any(dominates(p, q) for q in keep):
-            continue
-        keep = [q for q in keep if not dominates(q, p)]
-        keep.append(p)
-    return tuple(sorted(keep))
+    for p in sorted(set(map(tuple, points))):
+        if not any(dominates(p, q) for q in keep):
+            keep.append(p)
+    return tuple(keep)
 
 
 class UpwardClosedRegion(Record):
     __slots__ = ("n", "generators")
 
     def __init__(self, n: int, generators: tuple):
-        gens = minimalize(generators)
+        gens = tuple(map(tuple, generators))
         if any(len(g) != n for g in gens):
             raise ValueError("generator dimension mismatch")
         if any(x < 0 for g in gens for x in g):
             raise ValueError("generators must be nonnegative")
-        self._init(n, gens)
+        self._init(n, minimalize(gens))
 
     def contains(self, x: Sequence[int]) -> bool:
         x = tuple(x)
@@ -61,43 +64,54 @@ class UpwardClosedRegion(Record):
         return min(sum(g) for g in self.generators)
 
 
+def _first_zeros(table: HTable) -> dict:
+    """For each prefix p in [0, M]^(n-1), the least x <= M with h(p, x) = 0,
+    or M + 1 if there is none.
+
+    On [0, M]^n, h = H >= 0 and the validated step law makes H nonincreasing
+    along every axis, so the zeros of each column form its tail and a
+    bisection finds where it starts."""
+    table.require_valid()
+    xs = range(table.M + 1)
+    return {p: bisect_left(xs, True, key=lambda x: table.h(p + (x,)) == 0)
+            for p in product(xs, repeat=table.n - 1)}
+
+
 def region_from_h(table: HTable) -> UpwardClosedRegion:
     """Minimal generators of the set of nonnegative points with h = 0.
 
-    That set is up-closed on [0, M]^n, so they are the w with h(w) = 0 and
-    h(w - e_i) > 0 for every i with w_i > 0.  h is constant in w_i from
-    M - 1 on, by construction (see `hfunction`), checked by the oracle
-    tests, so every generator lies inside the box and below its top shell.
+    That set is up-closed on [0, M]^n, so they are the minimal points
+    (p, x) with x the first zero over p (`_first_zeros`).  h is constant in
+    w_i from M - 1 on, by construction (see `hfunction`), checked by the
+    oracle tests, so every generator lies inside the box and below its top
+    shell.
     """
-    table.require_valid()
-    M = table.M
-    gens = [w for w in product(range(M + 1), repeat=table.n) if table.h(w) == 0
-            and all(table.h(w[:i] + (x - 1,) + w[i + 1:]) > 0
-                    for i, x in enumerate(w) if x > 0)]
-    return UpwardClosedRegion(table.n, tuple(gens))
+    return UpwardClosedRegion(table.n, tuple(
+        p + (x,) for p, x in _first_zeros(table).items() if x <= table.M))
 
 
 def maximal_lattice_points(table: HTable) -> tuple:
     """Nonnegative points outside the region all of whose upper neighbors are in.
 
-    Each maximal point z is certified through the inclusion-exclusion identity:
-    the Euler characteristic at z+1 must be (-1)^(n-1).
+    A maximal point is z = (p, x - 1) with x the first zero over p, so
+    z + e_n is in; z + e_i is in iff the first zero over p + e_i is below x.
+    Each maximal point z is certified through the inclusion-exclusion
+    identity: the Euler characteristic at z+1 must be (-1)^(n-1).
     """
-    table.require_valid()
-    M = table.M
-    n = table.n
+    first = _first_zeros(table)
+    M, n = table.M, table.n
     out = []
-    for z in product(range(M), repeat=n):
-        if table.h(z) == 0:
-            continue
-        if all(table.h(z[:i] + (z[i] + 1,) + z[i + 1:]) == 0 for i in range(n)):
-            certificate = table.chi_from_H(tuple(x + 1 for x in z))
+    for p, x in first.items():
+        if 0 < x <= M and all(
+                y < M and first[p[:i] + (y + 1,) + p[i + 1:]] < x for i, y in enumerate(p)):
+            z = p + (x - 1,)
+            certificate = table.chi_from_H(tuple(v + 1 for v in z))
             if certificate != (-1) ** (n - 1):
                 raise HfgenusError(
                     f"{table.link.name}: internal consistency failure at maximal "
                     f"point {z}: chi at z+1 is {certificate}, expected {(-1) ** (n - 1)}")
             out.append(z)
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 def region_product(r1: UpwardClosedRegion, r2: UpwardClosedRegion) -> UpwardClosedRegion:

@@ -180,6 +180,8 @@ def test_exit_code_usage(capsys):
     ["d-invariants", "--catalog", "whitehead", "--framing", "0,50", "--force"],
     ["d-invariants", "--lens", "-3"],
     ["d-invariants", "--lens", "0"],
+    ["d-invariants", "--lens", "5", "--framing", "9,9"],
+    ["d-invariants", "--circle-bundle", "12:2", "--point", "1,1"],
     ["region", "--catalog", "whitehead", "--out", "/nonexistent/x.json"],
     ["h-table", "--catalog", "whitehead", "--box", "3"],
     ["region", "--catalog", "whitehead_cable:2"],

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfgenus import hfunction
+from hfgenus.bounds import admissible_region, genus_admissible
 from hfgenus.cable import CableSpec, cable_alexander
 from hfgenus.errors import SignResolutionError, StabilizationError, ValidationError
 from hfgenus.hfunction import HTable, _broadcast, _chi_table, _grid
@@ -726,6 +727,8 @@ def test_box_reads_make_no_orthant_lookups(monkeypatch):
             t.chi(B, (0,) * len(B))
         region_from_h(t)
         maximal_lattice_points(t)
+        genus_admissible(t, (0,) * t.n)
+        admissible_region(t)
         assert calls == [], name
 
 

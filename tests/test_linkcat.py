@@ -121,6 +121,17 @@ def test_sublink_composes():
         sublink(d, (2,)).delta((0,))
 
 
+def test_negative_component_indices_are_refused():
+    # Python indexing would wrap -1 to the last component, and a descriptor
+    # holding such a key would save a file that loading refuses
+    with pytest.raises(ValueError, match="out of range"):
+        sublink(catalog("mirror_L7a3"), (-1,))
+    wh = catalog("whitehead")
+    with pytest.raises(ValueError, match="out of range"):
+        LinkDescriptor("bad", wh.components,
+                       alexander={(-1,): LaurentPoly.one(1), **wh.alexander})
+
+
 def test_disjoint_union_counts_and_flattens():
     a = disjoint_union(catalog("unknot"), catalog("unknot"))
     assert a.n == 2

@@ -4,12 +4,15 @@ and the reconstruction of the region from maximal points plus sublink data."""
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hfgenus.hfunction import HTable
 from hfgenus.linkcat import catalog, disjoint_union, sublink
 from hfgenus.region import (UpwardClosedRegion, dominates,
                             maximal_lattice_points, minimalize,
                             projection_check, region_from_h, region_product)
+from test_bounds import ADMISSIBLE_ORACLE_LINKS
 
 
 def region_of(key, *params):
@@ -54,6 +57,14 @@ def test_minimalize_gives_antichain():
         for b in gens:
             if a != b:
                 assert not dominates(a, b)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=30)))
+def test_minimalize_matches_brute_force(points):
+    minimal = {p for p in points
+               if not any(q != p and dominates(p, q) for q in points)}
+    assert minimalize(points) == tuple(sorted(minimal))
 
 
 def test_maximal_points_catalog():
@@ -140,6 +151,14 @@ def test_generators_are_nonnegative_antichain():
     assert r.generators == ((1, 1),)
 
 
+@pytest.mark.parametrize("generators", [((0, 0), (1,)), ((3, 3), (4, 4, 4))])
+def test_malformed_generators_are_refused(generators):
+    # each bad point lies above a good one once zip truncates it, so it
+    # must be refused before any domination test can drop it
+    with pytest.raises(ValueError, match="dimension"):
+        UpwardClosedRegion(2, generators)
+
+
 def test_region_from_h_refuses_invalid_table():
     from hfgenus.errors import StabilizationError
     from test_hfunction import bad_knot
@@ -152,3 +171,37 @@ def test_membership_dimension_mismatch():
     r = UpwardClosedRegion(2, ((0, 0),))
     with pytest.raises(ValueError):
         r.contains((1, 2, 3))
+
+
+# -- the per-point sweeps, as oracles for the first-zero staircase ---------------
+
+
+def reference_region(t):
+    """The w in [0, M]^n with h(w) = 0 and h(w - e_i) > 0 wherever w_i > 0."""
+    t.require_valid()
+    gens = [w for w in product(range(t.M + 1), repeat=t.n) if t.h(w) == 0
+            and all(t.h(w[:i] + (x - 1,) + w[i + 1:]) > 0
+                    for i, x in enumerate(w) if x > 0)]
+    return UpwardClosedRegion(t.n, tuple(gens))
+
+
+def reference_maximal_points(t):
+    """The z in [0, M - 1]^n with h(z) > 0 and h(z + e_i) = 0 for every i."""
+    t.require_valid()
+    return tuple(z for z in product(range(t.M), repeat=t.n) if t.h(z) > 0
+                 and all(t.h(z[:i] + (x + 1,) + z[i + 1:]) == 0
+                         for i, x in enumerate(z)))
+
+
+STAIRCASE_LINKS = {
+    **ADMISSIBLE_ORACLE_LINKS,
+    "two_bridge:20": lambda: catalog("two_bridge", 20),
+    "whitehead_cable:7,22": lambda: catalog("whitehead_cable", 7, 22),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAIRCASE_LINKS))
+def test_staircase_matches_the_per_point_sweeps(name):
+    t = HTable(STAIRCASE_LINKS[name]())
+    assert region_from_h(t) == reference_region(t)
+    assert maximal_lattice_points(t) == reference_maximal_points(t)

@@ -9,7 +9,8 @@ acts by the coordinate map
     T(s)_i = p_i s_i + (p_i - 1)(q_i - 1) / 2,
 
 and the region of the cable is the upward closure of the T-image.  Both routes
-are implemented and can be cross-checked.
+are implemented and can be cross-checked.  Only the region functions import
+`hfunction` and `region`, so building a cable descriptor loads neither.
 """
 
 from __future__ import annotations
@@ -18,12 +19,10 @@ from math import gcd
 from typing import Sequence
 
 from .errors import UsageError, ValidationError
-from .hfunction import HTable
 from .laurent import (LaurentPoly, exact_div, geometric_cable_factor,
                       normalize_symmetric, substitute_powers)
 from .linkcat import (Component, LinkDescriptor, Record, all_subsets,
                       require_valid)
-from .region import UpwardClosedRegion, region_from_h
 
 
 class CableSpec(Record):
@@ -158,6 +157,7 @@ def region_via_T(r: UpwardClosedRegion, spec: CableSpec) -> UpwardClosedRegion:
     is generated by the images of the generators (`UpwardClosedRegion`
     minimalizes them).
     """
+    from .region import UpwardClosedRegion
     if r.n != spec.n:
         raise ValueError("region dimension does not match the cable spec")
     return UpwardClosedRegion(r.n, tuple(T_transform(spec, g) for g in r.generators))
@@ -174,6 +174,8 @@ def cable_consistency_check(d: LinkDescriptor, spec: CableSpec,
     region is realized by disjoint surfaces, so is the transformed one.  The
     report carries the cabled descriptor under "cabled".
     """
+    from .hfunction import HTable
+    from .region import region_from_h
     cabled = cable_alexander(d, spec)
     warnings = spec.largeness_warnings()
     transformed = region_via_T(region_from_h(HTable(d, force=force)), spec)

@@ -2,8 +2,10 @@
 
 Subcommands: h-table | region | bounds | cable | d-invariants | validate |
 catalog-list.  Inputs come from the built-in catalog (--catalog KEY[:params])
-or a JSON descriptor file (--link FILE).  All outputs are deterministic:
-identical inputs give byte-identical bytes, rationals print as num/den.
+or a JSON descriptor file (--link FILE).  Each command takes only the flags
+its handler reads; any other flag is a usage error.  All outputs are
+deterministic: identical inputs give byte-identical bytes, rationals print as
+num/den.
 
 Exit codes: 0 success, 2 validation failure, 3 largeness failure, 4 usage.
 Each command imports only the layers it uses, so a job loads no other.
@@ -28,26 +30,30 @@ def _build_parser():
                                  "d-invariants and cables of L-space links")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--catalog", metavar="KEY[:p1,p2,...]",
-                        help="built-in link (see catalog-list)")
-    common.add_argument("--link", metavar="FILE", help="JSON descriptor file")
-    common.add_argument("--format", choices=("json", "ascii", "svg"), dest="fmt")
-    common.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    common.add_argument("--force", action="store_true",
-                        help="proceed without the L-space assertion / largeness checks")
+    def command(name, text, formats=(), link_input=True):
+        cmd = sub.add_parser(name, help=text)
+        cmd.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+        if link_input:
+            cmd.add_argument("--catalog", metavar="KEY[:p1,p2,...]",
+                             help="built-in link (see catalog-list)")
+            cmd.add_argument("--link", metavar="FILE", help="JSON descriptor file")
+            cmd.add_argument("--force", action="store_true",
+                             help="proceed without the L-space assertion / largeness checks")
+        if formats:
+            cmd.add_argument("--format", choices=formats, dest="fmt")
+        return cmd
 
-    sub.add_parser("h-table", parents=[common], help="print h over the box")
-    sub.add_parser("region", parents=[common],
-                   help="generators and maximal points of the genus region")
-    sub.add_parser("bounds", parents=[common], help="4-genus lower bounds")
+    command("h-table", "print h over the box", formats=("json", "ascii"))
+    command("region", "generators and maximal points of the genus region",
+            formats=("json", "ascii", "svg"))
+    command("bounds", "4-genus lower bounds", formats=("json", "ascii"))
 
-    cab = sub.add_parser("cable", parents=[common], help="cable the link")
+    cab = command("cable", "cable the link")
     cab.add_argument("--cable", required=True, metavar="p1:q1,p2:q2,...",
                      help="coprime pair per component")
 
-    dinv = sub.add_parser("d-invariants", parents=[common],
-                          help="lens space, circle bundle, or large-surgery d-invariants")
+    dinv = command("d-invariants",
+                   "lens space, circle bundle, or large-surgery d-invariants")
     dinv.add_argument("--lens", type=int, metavar="M",
                       help="all d-invariants of the lens space of order M")
     dinv.add_argument("--circle-bundle", metavar="M:G",
@@ -57,9 +63,8 @@ def _build_parser():
     dinv.add_argument("--point", metavar="v1,v2,...",
                       help="structure label, default all zeros")
 
-    sub.add_parser("validate", parents=[common],
-                   help="validate a descriptor and its H-function; exit 0 iff valid")
-    sub.add_parser("catalog-list", parents=[common], help="list built-in links")
+    command("validate", "validate a descriptor and its H-function; exit 0 iff valid")
+    command("catalog-list", "list built-in links", link_input=False)
     return parser
 
 
@@ -136,8 +141,6 @@ def _cmd_h_table(args) -> int:
     table.require_valid()
     window = table.M
     fmt = args.fmt or ("ascii" if table.n <= 2 else "json")
-    if fmt == "svg":
-        raise UsageError("h-table has no svg format; use the region command")
     if fmt == "ascii":
         if table.n > 2:
             raise UsageError("ascii grids need one or two components; use --format json")
@@ -233,7 +236,7 @@ def _cmd_d_invariants(args) -> int:
     from . import bounds as bounds_mod
     modes = [args.lens is not None, bool(args.circle_bundle),
              bool(args.catalog or args.link)]
-    if sum(modes) != 1 or not modes[2] and (args.framing or args.point):
+    if sum(modes) != 1 or not modes[2] and (args.framing or args.point or args.force):
         raise UsageError("choose one of --lens, --circle-bundle, or a link input "
                          "with --framing")
     if args.lens is not None:

@@ -69,39 +69,35 @@ def region_svg(region: UpwardClosedRegion, window: int,
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
+    # lowest member of each column, clipped to the window (W + 1 if none)
+    low = [min([W + 1] + [y for x0, y in region.generators if x0 <= x])
+           for x in range(W + 1)]
     # shaded complement cells
     for x in range(W + 1):
-        for y in range(W + 1):
-            if not region.contains((x, y)):
-                parts.append(
-                    f'<rect x="{px(x)}" y="{py(y + 1)}" width="{CELL}" '
-                    f'height="{CELL}" fill="#d0d0d0"/>')
+        for y in range(low[x]):
+            parts.append(
+                f'<rect x="{px(x)}" y="{py(y + 1)}" width="{CELL}" '
+                f'height="{CELL}" fill="#d0d0d0"/>')
     # lattice grid
     for k in range(W + 2):
         parts.append(f'<line x1="{px(k)}" y1="{py(0)}" x2="{px(k)}" y2="{py(W + 1)}" '
                      f'stroke="#999999" stroke-width="1"/>')
         parts.append(f'<line x1="{px(0)}" y1="{py(k)}" x2="{px(W + 1)}" y2="{py(k)}" '
                      f'stroke="#999999" stroke-width="1"/>')
-    # staircase boundary: lowest member of each column, clipped to the window
-    if not region.is_empty():
-        col_min = {}
-        for x in range(W + 1):
-            ys = [y for y in range(W + 1) if region.contains((x, y))]
-            if ys:
-                col_min[x] = min(ys)
-        if col_min:
-            xs = sorted(col_min)
-            pts = [(xs[0], W + 1)]
-            for x in xs:
-                pts.append((x, col_min[x]))
-                pts.append((x + 1, col_min[x]))
-            path = " ".join(f"{px(x)},{py(y)}" for x, y in pts)
-            parts.append(f'<polyline points="{path}" fill="none" stroke="black" '
-                         f'stroke-width="3"/>')
-        for g in region.generators:
-            if g[0] <= W and g[1] <= W:
-                parts.append(f'<circle cx="{px(g[0])}" cy="{py(g[1])}" r="5" '
-                             f'fill="black"/>')
+    # staircase boundary over the columns that meet the region
+    xs = [x for x in range(W + 1) if low[x] <= W]
+    if xs:
+        pts = [(xs[0], W + 1)]
+        for x in xs:
+            pts.append((x, low[x]))
+            pts.append((x + 1, low[x]))
+        path = " ".join(f"{px(x)},{py(y)}" for x, y in pts)
+        parts.append(f'<polyline points="{path}" fill="none" stroke="black" '
+                     f'stroke-width="3"/>')
+    for g in region.generators:
+        if g[0] <= W and g[1] <= W:
+            parts.append(f'<circle cx="{px(g[0])}" cy="{py(g[1])}" r="5" '
+                         f'fill="black"/>')
     for z in maximal_points:
         if z[0] <= W and z[1] <= W:
             parts.append(f'<circle cx="{px(z[0])}" cy="{py(z[1])}" r="5" '

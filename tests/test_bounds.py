@@ -63,8 +63,10 @@ def test_admissible_region_examples():
 
 
 def test_admissible_region_contained_in_h_region():
-    for key in ["whitehead", "borromean", "mirror_L7a3", "trefoil_rh"]:
-        t = HTable(catalog(key))
+    links = [catalog(key) for key in ["whitehead", "borromean", "mirror_L7a3", "trefoil_rh"]]
+    links += [make() for make in ADMISSIBLE_ORACLE_LINKS.values()]
+    for d in links:
+        t = HTable(d)
         adm = admissible_region(t)
         h_region = region_from_h(t)
         for g in adm.generators:

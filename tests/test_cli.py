@@ -186,11 +186,105 @@ def test_exit_code_usage(capsys):
     ["h-table", "--catalog", "whitehead", "--box", "3"],
     ["region", "--catalog", "whitehead_cable:2"],
     ["region", "--catalog", "whitehead:3"],
+    # flags a command does not read
+    ["bounds", "--catalog", "whitehead", "--format", "svg"],
+    ["h-table", "--catalog", "whitehead", "--format", "svg"],
+    ["validate", "--catalog", "whitehead", "--format", "json"],
+    ["cable", "--catalog", "whitehead", "--cable", "2:7,1:1", "--format", "ascii"],
+    ["d-invariants", "--lens", "5", "--format", "json"],
+    ["d-invariants", "--lens", "5", "--force"],
+    ["catalog-list", "--catalog", "whitehead"],
+    ["catalog-list", "--force"],
 ], ids=" ".join)
 def test_bad_arguments_exit_with_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
     assert "usage error:" in err
+
+
+def accepted_flags():
+    """(command, flag) for every option the parser accepts, help aside, with
+    the choices of each --format."""
+    import argparse
+    from hfgenus.cli import _build_parser
+    commands = next(a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    return {(name, flag): action.choices
+            for name, cmd in commands.items() for action in cmd._actions
+            for flag in action.option_strings if flag not in ("-h", "--help")}
+
+
+LINK_INPUT_EXTRAS = {
+    "h-table": [], "region": [], "bounds": [], "validate": [],
+    "cable": ["--cable", "2:7,1:1"],
+    "d-invariants": ["--framing", "50,50"],
+}
+
+# (command, flag): an argv without the flag and the same argv with it
+FLAG_CASES = {
+    **{(c, flag): pair for c, e in LINK_INPUT_EXTRAS.items() for flag, pair in {
+        "--catalog": ([c, *e], [c, "--catalog", "whitehead", *e]),
+        "--link": ([c, *e], [c, "--link", "{link}", *e]),
+        "--force": ([c, "--link", "{unasserted}", *e],
+                    [c, "--link", "{unasserted}", "--force", *e]),
+        "--out": ([c, "--catalog", "whitehead", *e],
+                  [c, "--catalog", "whitehead", "--out", "{out}", *e]),
+    }.items()},
+    ("catalog-list", "--out"): (["catalog-list"], ["catalog-list", "--out", "{out}"]),
+    ("cable", "--cable"): (["cable", "--catalog", "whitehead"],
+                           ["cable", "--catalog", "whitehead", "--cable", "2:7,1:1"]),
+    ("d-invariants", "--lens"): (["d-invariants"], ["d-invariants", "--lens", "5"]),
+    ("d-invariants", "--circle-bundle"): (["d-invariants"],
+                                          ["d-invariants", "--circle-bundle", "7:1"]),
+    ("d-invariants", "--framing"): (["d-invariants", "--catalog", "whitehead"],
+                                    ["d-invariants", "--catalog", "whitehead",
+                                     "--framing", "50,50"]),
+    ("d-invariants", "--point"): (["d-invariants", "--catalog", "whitehead",
+                                   "--framing", "50,50"],
+                                  ["d-invariants", "--catalog", "whitehead",
+                                   "--framing", "50,50", "--point", "1,0"]),
+}
+
+FORMAT_COMMANDS = ["h-table", "region", "bounds"]
+
+
+def outcome(capsys, tmp_path, argv):
+    """Exit code, stdout and the --out file's text (None if none) of one run,
+    with {link}, {unasserted} and {out} standing for files under tmp_path."""
+    data = descriptor_to_dict(catalog("whitehead"))
+    (tmp_path / "link.json").write_text(json.dumps(data))
+    (tmp_path / "unasserted.json").write_text(json.dumps({**data, "lspace": False}))
+    out_file = tmp_path / "out.txt"
+    out_file.unlink(missing_ok=True)
+    code, out, _ = run(capsys, *(a.format(link=tmp_path / "link.json",
+                                          unasserted=tmp_path / "unasserted.json",
+                                          out=out_file) for a in argv))
+    return code, out, out_file.read_text() if out_file.exists() else None
+
+
+def test_every_accepted_flag_is_exercised():
+    flags = accepted_flags()
+    assert set(flags) == set(FLAG_CASES) | {(c, "--format") for c in FORMAT_COMMANDS}
+    assert {c: flags[c, "--format"] for c in FORMAT_COMMANDS} == {
+        "h-table": ("json", "ascii"), "region": ("json", "ascii", "svg"),
+        "bounds": ("json", "ascii")}
+
+
+@pytest.mark.parametrize("case", sorted(FLAG_CASES), ids=" ".join)
+def test_every_flag_changes_the_outcome(capsys, tmp_path, case):
+    without, with_flag = (outcome(capsys, tmp_path, argv) for argv in FLAG_CASES[case])
+    assert without != with_flag and with_flag[0] == 0
+
+
+@pytest.mark.parametrize("command", FORMAT_COMMANDS)
+def test_every_format_gives_its_own_output(capsys, tmp_path, command):
+    outputs = []
+    for fmt in accepted_flags()[command, "--format"]:
+        code, out, _ = outcome(capsys, tmp_path, [command, "--catalog", "whitehead",
+                                                  "--format", fmt])
+        assert code == 0, fmt
+        outputs.append(out)
+    assert len(set(outputs)) == len(outputs)
 
 
 def test_cable_of_a_union(capsys):

@@ -57,6 +57,15 @@ def test_validate_does_not_load_region():
                         "hfgenus.render"}
 
 
+def test_building_a_cable_descriptor_loads_no_table():
+    added = modules_added(
+        "from hfgenus.cable import CableSpec, cable_alexander\n"
+        "from hfgenus.linkcat import catalog\n"
+        "cable_alexander(catalog('whitehead'), CableSpec(((2, 7), (1, 1))))")
+    assert "hfgenus.cable" in added
+    assert not added & {"hfgenus.hfunction", "hfgenus.region"}
+
+
 COMMANDS = [
     ("h-table", "--catalog", "whitehead"),
     ("h-table", "--catalog", "whitehead", "--format", "json"),

@@ -13,6 +13,7 @@ from hfgenus.region import (UpwardClosedRegion, dominates,
                             maximal_lattice_points, minimalize,
                             projection_check, region_from_h, region_product)
 from test_bounds import ADMISSIBLE_ORACLE_LINKS
+from test_hfunction import ORACLE_LINKS
 
 
 def region_of(key, *params):
@@ -75,6 +76,15 @@ def test_maximal_points_catalog():
     assert maximal_lattice_points(HTable(catalog("mirror_L7a3"))) == ((0, 1),)
     assert maximal_lattice_points(HTable(catalog("trefoil_rh"))) == ((0,),)
     assert maximal_lattice_points(HTable(catalog("unknot"))) == ()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
+def test_maximal_points_have_H_one(name):
+    # the proof in maximal_lattice_points' docstring, checked point by point
+    t = HTable(ORACLE_LINKS[name]())
+    for z in maximal_lattice_points(t):
+        assert t.H(z) == 1, z
+        assert t.chi_from_H(tuple(x + 1 for x in z)) == (-1) ** (t.n - 1), z
 
 
 def test_maximal_points_definition():

@@ -90,26 +90,28 @@ def bound_min_region(table: HTable) -> int:
 
 
 def bound_max_h(table: HTable) -> int:
-    """2 * max h - n, signed (a genuine bound only after flooring at zero)."""
-    table.require_valid()
+    """2 * max h - n, signed (a genuine bound only after flooring at zero);
+    max h = h(0), as h never increases away from 0."""
     return 2 * table.h((0,) * table.n) - table.n
 
 
 def bound_weighted(table: HTable) -> int:
     """max over |s_i| <= g4(L_i) of 2 h(s) - n + sum |s_i|, signed, g4(L_i)
-    read from the link's components; a ValidationError if one is unknown."""
+    read from the link's components; a ValidationError if one is unknown.
+
+    h(s) = h(clamp(s)), so for g_i > M a point with M <= |s_i| < g_i loses to
+    the point with s_i = +-g_i of the same sign: h is the same and sum |s_i|
+    larger.  Each axis then takes |s_i| < M and +-g_i, at most 2M + 1 values,
+    whatever the genus."""
     component_g4 = tuple(c.g4 for c in table.link.components)
     if any(g is None for g in component_g4):
         raise ValidationError(
             f"{table.link.name}: component 4-genus unknown; the weighted bound "
             f"needs g4 for every component")
-    table.require_valid()
-    best = None
-    for s in product(*(range(-g, g + 1) for g in component_g4)):
-        value = 2 * table.h(s) - table.n + sum(abs(x) for x in s)
-        if best is None or value > best:
-            best = value
-    return best
+    M = table.M
+    axes = [range(-g, g + 1) if g <= M else (-g, *range(-M + 1, M), g)
+            for g in component_g4]
+    return max(2 * table.h(s) - table.n + sum(map(abs, s)) for s in product(*axes))
 
 
 BOUND_NAMES = ("min_generator_sum", "max_h_excess", "component_weighted")
@@ -136,13 +138,18 @@ def unlink_test(table: HTable) -> bool:
     """True iff h vanishes identically.
 
     h(v) = h(clamp(v)) holds by construction (see `hfunction`), checked by
-    the oracle tests, so a sweep of the validated box decides it.
+    the oracle tests, so the box [-M, M]^n decides it.  The step law makes h
+    nonincreasing as any coordinate moves away from 0, so max h = h(0), and
+    moving every coordinate of a box point away from 0 out to +-M never
+    raises h, so the box minimum lies at a corner of {-M, M}^n.  h vanishes
+    iff h(0) and h at the 2^n corners are 0.
 
     A slice L-space link with identically zero h-function is the unlink; a
     True result means the input is consistent with that conclusion.
     """
-    table.require_valid()
-    return all(table.h(s) == 0 for s in table.iter_box())
+    M = table.M
+    return table.h((0,) * table.n) == 0 and all(
+        table.h(v) == 0 for v in product((-M, M), repeat=table.n))
 
 
 # -- d-invariants ----------------------------------------------------------------
@@ -186,8 +193,8 @@ def large_surgery_d(table: HTable, q: Sequence[int], v: Sequence[int],
     Computed as sum_i (2 v_i - q_i)^2 / (4 q_i) - n/4 - 2 H(v); the quadratic
     part is the degree shift of the reversed 2-handle cobordism with the
     diagonal linking matrix.  Labels live in the centered fundamental domain
-    |v_i| <= q_i / 2.  Data failing validation raise a StabilizationError
-    whatever the framing, before the largeness check.
+    |v_i| <= q_i / 2.  Data failing validation never reach here: `HTable`
+    refuses them at construction.
     """
     q = tuple(q)
     v = tuple(v)
@@ -198,7 +205,6 @@ def large_surgery_d(table: HTable, q: Sequence[int], v: Sequence[int],
         raise ValueError("surgery coefficients must be positive")
     if any(2 * abs(x) > qi for x, qi in zip(v, q)):
         raise ValueError(f"label {v} outside the fundamental domain |v_i| <= q_i/2")
-    table.require_valid()
     threshold = 2 * (2 * table.M)
     small = [qi for qi in q if qi <= threshold]
     if small and not force:

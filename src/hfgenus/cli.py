@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 
-from .errors import LargenessError, UsageError, ValidationError
+from .errors import LargenessError, StabilizationError, UsageError, ValidationError
 
 
 def _build_parser():
@@ -138,7 +138,6 @@ def _nested(table, window: int, fn):
 
 def _cmd_h_table(args) -> int:
     table = _make_table(args)
-    table.require_valid()
     window = table.M
     fmt = args.fmt or ("ascii" if table.n <= 2 else "json")
     if fmt == "ascii":
@@ -280,22 +279,20 @@ def _cmd_d_invariants(args) -> int:
 
 def _cmd_validate(args) -> int:
     from .hfunction import HTable
-    problems = []
     try:
         d = _load_input(args)
     except ValidationError as exc:
         _emit(args, f"invalid: {exc}\n")
         return 2
     try:
-        table = HTable(d, force=args.force)
-        problems.extend(table.validation_report())
-        for B in table.flipped_signs():
-            problems.append(
-                f"stored polynomial sign for subset {B} is inconsistent: "
-                f"only the flipped sign yields a valid H-function "
-                f"(hint: negate that polynomial)")
+        problems, flipped = [], HTable(d, force=args.force).flipped_signs()
+    except StabilizationError as exc:
+        problems, flipped = exc.problems, exc.flipped
     except ValidationError as exc:
-        problems.append(str(exc))
+        problems, flipped = [str(exc)], []
+    problems += [f"stored polynomial sign for subset {B} is inconsistent: "
+                 f"only the flipped sign yields a valid H-function "
+                 f"(hint: negate that polynomial)" for B in flipped]
     if problems:
         _emit(args, "\n".join(f"invalid: {p}" for p in problems) + "\n")
         return 2

@@ -40,14 +40,16 @@ class LSpaceAssertionError(ValidationError):
 class StabilizationError(ValidationError):
     """H fails validation (H >= 0 or unit steps) on the table's box.
 
-    Raised by `HTable.require_valid`, the one raiser, which passes every
-    problem the validation sweep found as `problems`; the message shows only
-    the first few.  Stabilization itself holds by construction.
+    Raised by the `HTable` constructor, the one raiser, which passes every
+    problem the validation sweep found as `problems` and the 1-based subsets
+    whose stored sign it flipped as `flipped`; the message shows only the
+    first few problems.  Stabilization itself holds by construction.
     """
 
-    def __init__(self, message: str, problems):
+    def __init__(self, message: str, problems, flipped):
         super().__init__(message)
         self.problems = list(problems)
+        self.flipped = list(flipped)
 
 
 class LargenessError(HfgenusError):

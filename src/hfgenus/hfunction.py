@@ -27,13 +27,16 @@ top of every support, so each sublink containing component i contributes 0:
 H is constant in s_i there, equals the H of the sublink with component i
 deleted, and vanishes on the top corner block.  At s_i <= -M + 1, v_i lies at
 or below the bottom of every support, where an orthant sum is constant up to
-the knot slope Delta(1) = 1 (enforced on the input by `require_valid`), which
-h subtracts, so h is constant in s_i there.  Hence h(v) = h(clamp(v)) for
-every lattice point v, clamp taking each coordinate into [-M, M]: the laws
-validated on the box hold everywhere, a sweep of the box decides every
-question about h, and `HTable.H` reads any point off the box list.  This holds
-by construction, checked by the oracle tests; validation checks only the laws
-the Alexander data can break, H >= 0 and unit steps.
+the knot slope Delta(1) = 1 (enforced on the input by
+`linkcat.require_valid`), which h subtracts, so h is constant in s_i there.
+Hence h(v) = h(clamp(v)) for every lattice point v, clamp taking each
+coordinate into [-M, M]: the laws validated on the box hold everywhere, a
+sweep of the box decides every question about h, and `HTable.H` reads any
+point off the box list.  This holds by construction, checked by the oracle
+tests; validation checks only the laws
+the Alexander data can break, H >= 0 and unit steps, and it runs in the
+constructor: a table whose data break them raises `StabilizationError`, so
+every `HTable` that exists has passed the laws.
 
 The step law makes h monotone, never increasing as a coordinate moves away
 from 0: for s_i >= 1, H(s - e_i) >= H(s) and H_O is unchanged; for s_i <= 0,
@@ -46,7 +49,9 @@ by symmetry alone; it is resolved here, bottom-up over sublinks, by requiring
 the resulting H-function to be valid (nonnegative, unit steps), checked with
 whole-list operations on the sublink's list.  The full link's list is the
 memo of H on its box, and the trial that accepts the full link's sign is its
-validation.
+validation.  A knot or a link whose full polynomial is zero (every disjoint
+union) has no such trial; its list is checked once, by the same whole-list
+operations, and messages are rendered only at the failing points.
 
 h(s) = H(s) - H_O(s), where H_O is the H-function of the unlink.
 """
@@ -174,8 +179,10 @@ class HTable:
     from the sublinks' grids; the full link's list over [-M, M]^n is the
     memo, read by index, at clamp(s) outside the box, and chi reads the
     stored coefficients.  M = support_radius + 2 and never changes.
-    Validation runs at most once: it is the full link's sign trial when its
-    polynomial is nonzero, otherwise one whole-list check on first request.
+    Construction validates once: the full link's sign trial when its
+    polynomial is nonzero, otherwise one whole-list check of its list.  Data
+    breaking the laws raise `StabilizationError`, carrying every problem and
+    the subsets whose sign was flipped, so a table that exists is valid.
     """
 
     def __init__(self, link: LinkDescriptor, force: bool = False):
@@ -188,11 +195,9 @@ class HTable:
         self.n = link.n
         self._full = tuple(range(self.n))
         self._corners: Optional[list] = None
-        self._problems: Optional[list] = None
         self._tables: dict = {}  # sublink -> its _chi_table, nonzero polynomials only
         self._radii: dict = {}   # sublink -> the largest |u_i| over its table
         self._signs: dict = {}   # sublink -> +1 or -1, filled bottom-up
-        self._grid: list = []    # the full link's H over the box, flat
         self._resolve_signs()
 
         self.support_radius = max(self._radii.values())
@@ -217,7 +222,9 @@ class HTable:
         """Choose the sign of every multi-component sublink polynomial, bottom
         up, as the first (stored first) whose H passes the laws on the
         sublink's box [-r, r]^|B|, r two more than the largest support radius
-        of its tables (r = M for the full link), and keep the full link's H."""
+        of its tables (r = M for the full link), and keep the full link's H,
+        which comes last.  A full link without a sign trial has its list
+        checked here."""
         tables, radii, signs = self._tables, self._radii, self._signs
         for B in all_subsets(self.n):
             signs[B] = 1
@@ -250,10 +257,13 @@ class HTable:
                         f"{self.link.name}: neither sign of the polynomial for subset "
                         f"{tuple(i + 1 for i in B)} yields a valid H-function; "
                         f"not an L-space link with this data")
-            if B == self._full:
-                self._grid = grid
-                if trial:  # the trial that passed was the validation
-                    self._problems = []
+            elif not _laws_hold(grid, side, len(B)):  # B is the full link
+                problems = _law_messages(grid, r, len(B))
+                raise StabilizationError(
+                    f"{self.link.name}: H-function fails validation on box "
+                    f"[-{r}, {r}]^{len(B)}: " + "; ".join(problems[:5]),
+                    problems, self.flipped_signs())
+        self._grid = grid  # the full link's H over the box, flat
 
     # -- evaluation ------------------------------------------------------------
 
@@ -315,30 +325,10 @@ class HTable:
                 total += sign * self.H(p)
         return total
 
-    # -- the box and validation ------------------------------------------------
+    # -- the box and the signs ---------------------------------------------------
 
     def iter_box(self):
         return product(range(-self.M, self.M + 1), repeat=self.n)
-
-    def validation_report(self) -> list:
-        """The violations of H >= 0 and unit steps over the box; computed once.
-
-        When sign resolution tried the full link's sign, the trial that passed
-        was this check, so the list is empty.  Only a knot or a link with zero
-        full polynomial (every disjoint union) is checked here: the laws on
-        the whole list first, then the messages at the failing points."""
-        if self._problems is None:
-            grid, M, n = self._grid, self.M, self.n
-            self._problems = [] if _laws_hold(grid, self._side, n) else _law_messages(grid, M, n)
-        return self._problems
-
-    def require_valid(self) -> None:
-        problems = self.validation_report()
-        if problems:
-            raise StabilizationError(
-                f"{self.link.name}: H-function fails validation on box "
-                f"[-{self.M}, {self.M}]^{self.n}: " + "; ".join(problems[:5]),
-                problems=problems)
 
     @property
     def sign_resolution(self) -> dict:
@@ -357,7 +347,6 @@ class HTable:
         The maximal points of {w : top[w] >= j} are the maximal w among the
         corners with k >= j.  One sweep of the box list, computed once."""
         if self._corners is None:
-            self.require_valid()
             top: dict = {}
             for v, H in zip(self.iter_box(), self._grid):
                 w = tuple(map(abs, v))

@@ -67,10 +67,9 @@ def _first_zeros(table: HTable) -> dict:
     """For each prefix p in [0, M]^(n-1), the least x <= M with h(p, x) = 0,
     or M + 1 if there is none.
 
-    On [0, M]^n, h = H >= 0 and the validated step law makes H nonincreasing
-    along every axis, so the zeros of each column form its tail and a
-    bisection finds where it starts."""
-    table.require_valid()
+    On [0, M]^n, h = H >= 0 and the step law, validated when the table was
+    built, makes H nonincreasing along every axis, so the zeros of each
+    column form its tail and a bisection finds where it starts."""
     xs = range(table.M + 1)
     return {p: bisect_left(xs, True, key=lambda x: table.h(p + (x,)) == 0)
             for p in product(xs, repeat=table.n - 1)}

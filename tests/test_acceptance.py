@@ -11,6 +11,7 @@ from hfgenus.bounds import (admissible_region, best_lower_bound,
                             bound_min_region, circle_bundle_d,
                             large_surgery_d, lens_d, unlink_test)
 from hfgenus.cable import CableSpec, cable_alexander, region_via_T
+from hfgenus.errors import StabilizationError
 from hfgenus.hfunction import HTable
 from hfgenus.laurent import LaurentPoly
 from hfgenus.linkcat import LinkDescriptor, catalog, disjoint_union
@@ -112,11 +113,14 @@ def test_criterion_6_chi_roundtrip():
 
 
 def test_criterion_7_validator_and_sign_flip():
-    ok = all(HTable(d).validation_report() == [] for d in catalog_roster())
-    bad = HTable(disjoint_union(bad_knot(), catalog("unknot")), force=True)
-    report = bad.validation_report()
-    ok &= any("negative" in p for p in report)
-    ok &= bad.H((0, 0)) == -1
+    for d in catalog_roster():
+        HTable(d)  # raises StabilizationError unless H passes the laws
+    try:
+        HTable(disjoint_union(bad_knot(), catalog("unknot")), force=True)
+        report = []
+    except StabilizationError as exc:
+        report = exc.problems
+    ok = "H(0, 0) = -1 is negative" in report
     wh = catalog("whitehead")
     flipped = LinkDescriptor("whitehead-flipped", wh.components, alexander={
         **wh.alexander, (0, 1): -wh.delta((0, 1))}, lspace_asserted=True)

@@ -15,7 +15,7 @@ from hfgenus.bounds import (admissible_region, best_lower_bound, bound_max_h,
 from hfgenus.cable import CableSpec, cable_alexander
 from hfgenus.errors import LargenessError, StabilizationError, ValidationError
 from hfgenus.hfunction import HTable
-from hfgenus.linkcat import catalog, disjoint_union
+from hfgenus.linkcat import Component, LinkDescriptor, catalog, disjoint_union
 from hfgenus.region import minimalize, region_from_h, region_product
 from test_hfunction import INVALID_TABLES, ORACLE_LINKS, UNION_PARTS
 
@@ -93,12 +93,44 @@ def test_bound_weighted():
 
 
 def test_bound_weighted_needs_g4():
-    from hfgenus.linkcat import Component, LinkDescriptor
     wh = catalog("whitehead")
     anon = LinkDescriptor("wh-no-g4", [Component("a"), Component("b")],
                           alexander=wh.alexander, lspace_asserted=True)
     with pytest.raises(ValidationError, match="g4"):
         bound_weighted(HTable(anon))
+
+
+def with_component_g4(d, genera):
+    return LinkDescriptor(d.name, [Component(c.label, g) for c, g in zip(d.components, genera)],
+                          alexander=d.alexander, lspace_asserted=d.lspace_asserted)
+
+
+def reference_bound_weighted(t):
+    """2 h(s) - n + sum |s_i| at every s with |s_i| <= g4(L_i), maximized."""
+    genera = (c.g4 for c in t.link.components)
+    return max(2 * t.h(s) - t.n + sum(map(abs, s))
+               for s in product(*(range(-g, g + 1) for g in genera)))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
+def test_bound_weighted_matches_the_full_sweep(name):
+    d = ORACLE_LINKS[name]()
+    M = HTable(d).M
+    genera = [tuple(c.g4 for c in d.components)]
+    genera += [(g,) * d.n for g in (M - 1, M, M + 1, M + 3)]
+    genera.append(tuple(M + 3 if i % 2 else i for i in range(d.n)))
+    for g in genera:
+        t = HTable(with_component_g4(d, g))
+        assert bound_weighted(t) == reference_bound_weighted(t), g
+
+
+def test_bound_weighted_reads_at_most_the_box():
+    # the full sweep would read (2 * 10**6 + 1)**2 points; h = 0 at (g, g)
+    t = HTable(with_component_g4(catalog("whitehead"), (10 ** 6, 10 ** 6)))
+    reads, h = [], t.h
+    t.h = lambda s: reads.append(s) or h(s)
+    assert bound_weighted(t) == 2 * 10 ** 6 - 2
+    assert len(reads) <= (2 * t.M + 1) ** t.n
 
 
 def test_best_lower_bound_provenance():
@@ -120,6 +152,29 @@ def test_unlink_test():
     assert not unlink_test(HTable(catalog("trefoil_rh")))
     assert not unlink_test(HTable(disjoint_union(catalog("trefoil_rh"),
                                                     catalog("unknot"))))
+
+
+def reference_unlink_test(t):
+    """h = 0 at every point of the box."""
+    return all(t.h(s) == 0 for s in t.iter_box())
+
+
+UNLINK_ORACLE_LINKS = {
+    **ORACLE_LINKS,
+    "unlink:3": lambda: catalog("unlink", 3),
+    "unknot+unknot": lambda: disjoint_union(catalog("unknot"), catalog("unknot")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNLINK_ORACLE_LINKS))
+def test_unlink_test_matches_the_box_sweep(name):
+    # and reads h(0) and the 2^n corners of the box only
+    t = HTable(UNLINK_ORACLE_LINKS[name]())
+    want = reference_unlink_test(t)
+    reads, h = [], t.h
+    t.h = lambda s: reads.append(s) or h(s)
+    assert unlink_test(t) == want
+    assert len(reads) <= 2 ** t.n + 1
 
 
 def test_unlink_iff_trivial_region():
@@ -194,10 +249,9 @@ def test_large_surgery_d_guards():
         large_surgery_d(unk, (100,), (51,), force=True)
     with pytest.raises(ValueError):
         large_surgery_d(unk, (0,), (0,), force=True)
-    bad = INVALID_TABLES["-t + 3 - 1/t, forced"]()
-    for q, force in (((100,), False), ((3,), False), ((3,), True)):
-        with pytest.raises(StabilizationError):
-            large_surgery_d(bad, q, (0,), force=force)
+    # data failing validation are refused before any framing is read
+    with pytest.raises(StabilizationError):
+        HTable(INVALID_TABLES["-t + 3 - 1/t, forced"](), force=True)
 
 
 def test_bound_dominates_component_thresholds():

@@ -143,6 +143,24 @@ def test_validate_flipped_sign_hint(capsys, tmp_path):
     assert "flipped sign" in out and "(1, 2)" in out
 
 
+def test_validate_flags_a_flipped_sign_in_a_table_failing_the_laws(capsys, tmp_path):
+    # the whitehead sign is flipped back, then the bad knot breaks the laws:
+    # every law problem is printed, then the hint for the flipped sign
+    from hfgenus.linkcat import disjoint_union
+    from test_hfunction import (bad_knot, flipped_whitehead, reference_law_problems,
+                                reference_sign_resolution)
+    d = disjoint_union(flipped_whitehead(), bad_knot())
+    path = tmp_path / "flipped-and-bad.json"
+    path.write_text(json.dumps(descriptor_to_dict(d)))
+    code, out, _ = run(capsys, "validate", "--force", "--link", str(path))
+    tables, signs = reference_sign_resolution(d)
+    problems = list(reference_law_problems(tables, tuple(range(d.n)), signs))
+    assert code == 2 and len(problems) == 98
+    assert out.splitlines() == [f"invalid: {p}" for p in problems] + [
+        "invalid: stored polynomial sign for subset (1, 2) is inconsistent: only the "
+        "flipped sign yields a valid H-function (hint: negate that polynomial)"]
+
+
 def test_invalid_h_exits_2_on_every_table_command(capsys, tmp_path):
     # Delta = -t + 3 - 1/t: a valid descriptor whose h(0) = -1
     data = descriptor_to_dict(catalog("trefoil_rh"))

@@ -202,23 +202,43 @@ def bad_knot():
                           lspace_asserted=False)
 
 
-# Tables whose Alexander data fail validation.
+# Descriptors whose Alexander data fail validation, to be built with force=True.
 INVALID_TABLES = {
-    "-t + 3 - 1/t, forced": lambda: HTable(bad_knot(), force=True),
-    "-t + 3 - 1/t + whitehead, forced": lambda: HTable(
-        disjoint_union(bad_knot(), catalog("whitehead")), force=True),
-    "-t + 3 - 1/t + two_bridge:3, forced": lambda: HTable(
-        disjoint_union(bad_knot(), catalog("two_bridge", 3)), force=True),
+    "-t + 3 - 1/t, forced": bad_knot,
+    "-t + 3 - 1/t + whitehead, forced": lambda: disjoint_union(bad_knot(), catalog("whitehead")),
+    "-t + 3 - 1/t + two_bridge:3, forced": lambda: disjoint_union(
+        bad_knot(), catalog("two_bridge", 3)),
 }
 
 
+def law_problems(d):
+    """The (1-based) subsets whose sign `HTable(d, force=True)` flips and the
+    law problems it reports: none if the table builds, else those its
+    StabilizationError carries."""
+    try:
+        t = HTable(d, force=True)
+    except StabilizationError as exc:
+        return exc.flipped, exc.problems
+    return t.flipped_signs(), []
+
+
+def bypass_law_checks(monkeypatch):
+    """Let every HTable built from here on skip the laws, keeping every stored
+    sign, so the lists of data failing validation can be read."""
+    monkeypatch.setattr(hfunction, "_laws_hold", lambda *a: True)
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_LINKS) + sorted(INVALID_TABLES))
-def test_h_stabilizes_at_the_box_boundary(name):
+def test_h_stabilizes_at_the_box_boundary(name, monkeypatch):
     # Holds by construction for any data, so validation never checks it: H = 0
     # on the top corner block, H is constant across the top shells and equals
     # the component-deleted sublink's H there, and h is constant across the
-    # bottom shells.
-    t = INVALID_TABLES[name]() if name in INVALID_TABLES else HTable(ORACLE_LINKS[name]())
+    # bottom shells.  Data failing validation are read with the check bypassed.
+    if name in INVALID_TABLES:
+        bypass_law_checks(monkeypatch)
+        t = HTable(INVALID_TABLES[name](), force=True)
+    else:
+        t = HTable(ORACLE_LINKS[name]())
     M, n = t.M, t.n
     for s in product((M - 1, M), repeat=n):
         assert t.H(s) == 0, f"{name} at {s}"
@@ -231,7 +251,8 @@ def test_h_stabilizes_at_the_box_boundary(name):
             assert t.H(at(M)) == (sub.H(rest) if sub else 0), f"{name} at {at(M)}"
             assert t.h(at(-M)) == t.h(at(-M + 1)), f"{name} at {at(-M)}"
     if name in INVALID_TABLES:
-        report = t.validation_report()
+        monkeypatch.undo()
+        _, report = law_problems(t.link)
         assert report and all("negative" in p or "step law" in p for p in report)
 
 
@@ -478,27 +499,40 @@ def test_trefoil_union_unknot_value():
 
 def test_validation_report_passes_on_catalog():
     for key in ATOMIC_SAMPLES:
-        assert HTable(catalog(key)).validation_report() == []
-    assert HTable(catalog("unlink", 3)).validation_report() == []
-    assert HTable(catalog("whitehead_cable", 2, 7)).validation_report() == []
+        assert law_problems(catalog(key)) == ([], [])
+    assert law_problems(catalog("unlink", 3)) == ([], [])
+    assert law_problems(catalog("whitehead_cable", 2, 7)) == ([], [])
 
 
 def test_flipped_sign_fails_validation():
     # sign resolution picks every multi-variable sign, so the bad data are a knot's
-    bad = HTable(disjoint_union(bad_knot(), catalog("unknot")), force=True)
-    report = bad.validation_report()
+    _, report = law_problems(disjoint_union(bad_knot(), catalog("unknot")))
     assert any("negative" in p for p in report)
-    assert bad.H((0, 0)) == -1
+    assert "H(0, 0) = -1 is negative" in report
 
 
 def test_require_valid_keeps_every_problem():
-    bad = INVALID_TABLES["-t + 3 - 1/t + two_bridge:3, forced"]()
-    report = bad.validation_report()
-    assert len(report) > 5
+    # the constructor raises with every problem, the message shows five
     with pytest.raises(StabilizationError) as info:
-        bad.require_valid()
-    assert info.value.problems == report
+        HTable(INVALID_TABLES["-t + 3 - 1/t + two_bridge:3, forced"](), force=True)
+    report = info.value.problems
+    assert len(report) > 5
     assert str(info.value).endswith(": " + "; ".join(report[:5]))
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_TABLES))
+def test_invalid_data_raise_at_construction(name):
+    # with every problem of the point-by-point sweep and the message that
+    # names the box [-M, M]^n, M two more than the largest support radius
+    d = INVALID_TABLES[name]()
+    with pytest.raises(StabilizationError) as info:
+        HTable(d, force=True)
+    tables, signs = reference_sign_resolution(d)
+    problems = list(reference_law_problems(tables, tuple(range(d.n)), signs))
+    M = max(map(coeff_radius, tables.values())) + 2
+    assert info.value.problems == problems and info.value.flipped == []
+    assert str(info.value) == (f"{d.name}: H-function fails validation on box "
+                               f"[-{M}, {M}]^{d.n}: " + "; ".join(problems[:5]))
 
 
 def flipped_whitehead():
@@ -513,16 +547,16 @@ def flipped_whitehead():
 def test_sign_resolution_recovers_flipped_input():
     t = HTable(flipped_whitehead())
     assert t.flipped_signs() == [(1, 2)]
-    assert t.validation_report() == []
     good = HTable(catalog("whitehead"))
     for s in product(range(-2, 3), repeat=2):
         assert t.H(s) == good.H(s)
 
 
+# Descriptors, to be built with force=True: the ones failing validation last.
 REPORT_TABLES = {
-    **{name: lambda make=make: HTable(make()) for name, make in ORACLE_LINKS.items()},
+    **ORACLE_LINKS,
     **INVALID_TABLES,
-    "whitehead, stored sign flipped": lambda: HTable(flipped_whitehead()),
+    "whitehead, stored sign flipped": flipped_whitehead,
 }
 
 
@@ -606,9 +640,11 @@ def reference_sign_resolution(d):
 def test_validation_report_matches_a_fresh_sweep(name):
     # the array check that validated the full link gives the same report as
     # the point-by-point sweep with the same signs
-    t = REPORT_TABLES[name]()
-    expected = list(reference_law_problems(t._tables, t._full, t._signs))
-    assert t.validation_report() == expected
+    d = REPORT_TABLES[name]()
+    flipped, report = law_problems(d)
+    tables = {B: _chi_table(d.delta(B)) for B in all_subsets(d.n) if not d.delta(B).is_zero()}
+    signs = {B: -1 if tuple(i + 1 for i in B) in flipped else 1 for B in tables}
+    assert report == list(reference_law_problems(tables, tuple(range(d.n)), signs))
 
 
 # Inputs whose sign resolution flips a sign or fails, besides REPORT_TABLES.
@@ -624,7 +660,7 @@ RESOLUTION_LINKS = {
 
 @pytest.mark.parametrize("name", sorted(REPORT_TABLES) + sorted(RESOLUTION_LINKS))
 def test_sign_resolution_matches_the_reference_sweep(name):
-    d = REPORT_TABLES[name]().link if name in REPORT_TABLES else RESOLUTION_LINKS[name]()
+    d = REPORT_TABLES[name]() if name in REPORT_TABLES else RESOLUTION_LINKS[name]()
     try:
         tables, signs = reference_sign_resolution(d)
     except SignResolutionError as exc:
@@ -632,14 +668,14 @@ def test_sign_resolution_matches_the_reference_sweep(name):
             HTable(d, force=True)
         assert str(info.value) == str(exc)
         return
-    t = HTable(d, force=True)
-    assert t._signs == signs
-    assert t.validation_report() == list(reference_law_problems(tables, t._full, signs))
+    flipped, report = law_problems(d)
+    assert flipped == [tuple(i + 1 for i in B) for B, s in sorted(signs.items()) if s == -1]
+    assert report == list(reference_law_problems(tables, tuple(range(d.n)), signs))
 
 
 def test_sign_resolution_messages():
     flipped = HTable(RESOLUTION_LINKS["two_bridge:15, stored sign flipped"]())
-    assert flipped.flipped_signs() == [(1, 2)] and flipped.validation_report() == []
+    assert flipped.flipped_signs() == [(1, 2)]
     with pytest.raises(SignResolutionError) as info:
         HTable(RESOLUTION_LINKS["two_bridge:3 cabled by (3,7),(2,5)"]())
     assert str(info.value) == (
@@ -649,24 +685,32 @@ def test_sign_resolution_messages():
 
 @pytest.mark.parametrize("name", sorted(REPORT_TABLES))
 def test_a_swept_full_link_is_not_swept_again(name, monkeypatch):
-    t = REPORT_TABLES[name]()
-    # a knot or a disjoint union has no sign trial of its full link
-    swept = t.n > 1 and not t.link.delta(t._full).is_zero()
-    grid = list(t._grid)
+    # one law check per sign tried, and one more only for a knot or a
+    # disjoint union, which has no sign trial of its full link; the last
+    # check is of the full link's list, which the table keeps
+    d = REPORT_TABLES[name]()
+    tables, signs = reference_sign_resolution(d)
+    trials = sum(2 if signs[B] == -1 else 1 for B in tables if len(B) > 1)
+    swept = d.n > 1 and tuple(range(d.n)) in tables
     calls = []
     real = hfunction._laws_hold
     monkeypatch.setattr(hfunction, "_laws_hold", lambda *a: calls.append(a) or real(*a))
-    t.validation_report()
-    assert (calls == []) == swept
-    assert t._grid == grid
+    try:
+        t = HTable(d, force=True)
+    except StabilizationError:
+        assert name in INVALID_TABLES
+    else:
+        assert calls[-1][0] is t._grid
+    assert len(calls) == trials + (not swept)
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_TABLES))
-def test_memo_holds_only_full_link_points(name):
-    t = REPORT_TABLES[name]()
+def test_memo_holds_only_full_link_points(name, monkeypatch):
+    if name in INVALID_TABLES:
+        bypass_law_checks(monkeypatch)
+    t = HTable(REPORT_TABLES[name](), force=True)
     for _ in range(2):
         assert len(t._grid) == (2 * t.M + 1) ** t.n, name
-        t.validation_report()
         t.H((t.M + 3,) * t.n)  # outside the box: read by clamping, not cached
 
 
@@ -676,7 +720,6 @@ def test_sign_resolution_of_a_union():
     assert t.sign_resolution == {(1,): 1, (2,): 1, (3,): 1, (1, 2): -1,
                                  (1, 3): 1, (2, 3): 1, (1, 2, 3): 1}
     assert t.flipped_signs() == [(1, 2)]
-    assert t.validation_report() == []
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
@@ -712,13 +755,10 @@ def test_full_link_list_is_brute_force(name):
 def test_box_reads_make_no_orthant_lookups(monkeypatch):
     # after construction every H, inside the box or out, reads the full
     # link's list, and chi reads the stored coefficients
-    reports = {name: make() for name, make in REPORT_TABLES.items()}
-    tables = {name: HTable(make()) for name, make in ORACLE_LINKS.items()}
+    tables = {name: HTable(make(), force=True) for name, make in REPORT_TABLES.items()
+              if name not in INVALID_TABLES}
     calls = []
     monkeypatch.setattr(hfunction, "_grid", lambda *a: calls.append(a))
-    for name, t in reports.items():
-        t.validation_report()
-        assert calls == [], name
     for name, t in tables.items():
         far = t.M + 5
         for s in product((-far, 0, far), repeat=t.n):

@@ -4,15 +4,19 @@ The central inequality: if the components bound pairwise disjoint surfaces of
 genera g_i in the 4-ball, then h(v) <= sum_i f_cap(g_i, v_i) for every lattice
 point v; h never increases away from 0, so the corners of its folded level
 sets decide it.  Over each prefix (g_1 ... g_{n-1}) the corners give the least
-admissible g_n in closed form, which decides `genus_admissible` and, as the
-staircase of an up-set (see `region`), gives `admissible_region`.  Everything
-in this module is exact; d-invariants are Fractions.
+admissible g_n in closed form, which decides `genus_admissible`.  The region
+of admissible g is the staircase of an up-set (see `region`):
+`admissible_region` walks the prefixes depth first, only through the values
+where some f-term changes, and carries one remainder per corner, so moving a
+coordinate updates its own terms and nothing else.  Everything in this module
+is exact; d-invariants are Fractions.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, product, repeat
 from math import inf
+from operator import add, gt, sub
 from typing import Sequence
 
 from .errors import LargenessError, ValidationError
@@ -68,20 +72,45 @@ def admissible_region(table: HTable) -> UpwardClosedRegion:
     once g_i >= cap_i, f_cap(g_i, w_i) >= k meets every such corner alone, and
     the corners with w_i = M never read g_i, so g - e_i passes whenever g does.
     Admissibility is monotone in g, so every minimal generator is (p, m) with
-    p a prefix in the capped box and m = `_least_last(p)`, and the finite
-    candidates (p, m) are minimalized.
+    p a prefix in the capped box and m the least admissible last coordinate
+    over p, as in `_least_last`.  f_cap(g_i, w_i) changes with g_i only at
+    g_i = w_i + 2j - 1, so a prefix coordinate p_i at no such value (nor 0)
+    gives the m of the candidate value below it, and (p, m) is not minimal.
+    The walk therefore visits only those values, depth first, carrying one
+    remainder k - sum f_cap(p_i, w_i) per corner over the coordinates fixed so
+    far, and the finite candidates (p, m) are minimalized.
 
     Every admissible g lies in the h-vanishing region: at v = g every f-term
-    is f_cap(g_i, g_i) = 0, so h(g) <= 0 <= H(g) = h(g).  Only a wrong
-    `_least_last` could break this; the oracle tests compare it with the
-    per-point definition.
+    is f_cap(g_i, g_i) = 0, so h(g) <= 0 <= H(g) = h(g).  Only a wrong walk
+    could break this; the oracle tests compare it with the per-point
+    definition.
     """
-    corners = table.corners()
-    caps = [max((w[i] + 2 * k - 1 for w, k in corners if w[i] < table.M), default=0)
-            for i in range(table.n)]
-    return UpwardClosedRegion(table.n, tuple(
-        p + (m,) for p in product(*(range(c + 1) for c in caps[:-1]))
-        if (m := _least_last(table, p)) < inf))
+    M, n = table.M, table.n
+    # corners with w_n < M first: a positive remainder on one with w_n = M
+    # leaves no admissible g_n
+    corners = sorted(table.corners(), key=lambda c: c[0][-1] == M)
+    inner = sum(w[-1] < M for w, _ in corners)
+    last = [w[-1] - 1 for w, _ in corners[:inner]]
+    levels = []  # per prefix axis: each candidate value and the corners' f-terms there
+    for i in range(n - 1):
+        axis = [w[i] for w, _ in corners]
+        inside = {x for x in axis if x < M}
+        cap = max((x + 2 * k - 1 for x, (_, k) in zip(axis, corners) if x < M), default=0)
+        levels.append([])
+        for g in sorted({0}.union(*(range(x + 1, cap + 1, 2) for x in inside))):
+            term = {x: f_cap(g, x) for x in inside}
+            term[M] = 0
+            levels[-1].append((g, list(map(term.__getitem__, axis))))
+
+    def walk(prefix: tuple, rest: list):
+        if len(prefix) < n - 1:
+            for g, terms in levels[len(prefix)]:
+                yield from walk(prefix + (g,), list(map(sub, rest, terms)))
+        elif max(rest[inner:], default=0) <= 0:
+            least = compress(map(add, last, map(add, rest, rest)), map(gt, rest, repeat(0)))
+            yield prefix + (max(least, default=0),)
+
+    return UpwardClosedRegion(n, tuple(walk((), [k for _, k in corners])))
 
 
 def bound_min_region(table: HTable) -> int:

@@ -10,30 +10,35 @@ sublinks).
 
 `HTable` is the only entry point to H, h, chi and their validation, and
 tables share no state.  `_chi_table` alone turns a sublink's polynomial into
-Euler characteristics: it checks the exponent parity and keeps the
-coefficients, from which chi is read.  A sublink's H over a box [-r, r]^k is
-one flat row-major list, in the point order of `itertools.product`: each
-sublink's orthant sums over the box (`_grid`, suffix sums of its coefficients
-placed in the box), repeated along the axes the sublink lacks (`_broadcast`),
-and added with their signs, with no Python call per point.  After
-construction the full link's list is the only source of H and h.  A disjoint
-union is an ordinary descriptor: a sublink mixing parts has zero polynomial
-and contributes nothing.
+Euler characteristics, from which chi is read; the input's exponent parity
+is checked before, by `linkcat.require_valid`.  A sublink's H over a box
+prod [-r_j, r_j] is one flat row-major list, in the point order of
+`itertools.product`: each sublink's orthant sums over the box (`_grid`,
+suffix sums of its coefficients placed in the box), repeated along the axes
+the sublink lacks (`_broadcast`), and added with their signs, with no Python
+call per point.  After construction the full link's list is the only source
+of H and h.  A disjoint union is an ordinary descriptor: a sublink mixing
+parts has zero polynomial and contributes nothing.
 
-Each table's lattice box [-M, M]^n is fixed at construction, with
-M = support_radius + 2, and h stabilizes on it by construction.  Every
-orthant sum is taken at v = s + 1.  At s_i >= M - 1, v_i >= M lies above the
-top of every support, so each sublink containing component i contributes 0:
-H is constant in s_i there, equals the H of the sublink with component i
-deleted, and vanishes on the top corner block.  At s_i <= -M + 1, v_i lies at
-or below the bottom of every support, where an orthant sum is constant up to
-the knot slope Delta(1) = 1 (enforced on the input by
-`linkcat.require_valid`), which h subtracts, so h is constant in s_i there.
-Hence h(v) = h(clamp(v)) for every lattice point v, clamp taking each
-coordinate into [-M, M]: the laws validated on the box hold everywhere, a
-sweep of the box decides every question about h, and `HTable.H` reads any
-point off the box list.  This holds by construction, checked by the oracle
-tests; validation checks only the laws
+Each table's lattice box prod [-M_i, M_i] is fixed at construction, with M_i
+two more than the largest |u_i| over the tables of the sublinks that contain
+component i, and h stabilizes on it by construction.  The argument reads one
+coordinate at a time.  Every orthant sum is taken at v = s + 1.  At
+s_i >= M_i - 1, v_i >= M_i lies above the top of every support containing
+component i, so each such sublink contributes 0: H is constant in s_i there,
+equals the H of the sublink with component i deleted, and vanishes on the
+top corner block.  At s_i <= -M_i + 1, v_i lies at or below the bottom of
+those supports, where an orthant sum is constant up to the knot slope
+Delta(1) = 1 (enforced on the input by `linkcat.require_valid`), which h
+subtracts, so h is constant in s_i there.  Hence h(v) = h(clamp(v)) for
+every lattice point v, clamp taking each coordinate into [-M_i, M_i]: the
+laws validated on the box hold everywhere, a sweep of the box decides every
+question about h, and `HTable.H` reads any point off the box list.  A
+sublink's sign trial uses the same per-axis box of its own tables.
+M = support_radius + 2 is the largest M_i, and the cube [-M, M]^n holds the
+box: it is the window of the h-table and of `HTable.iter_box`, and the box
+over which a failing table's problems are rendered.  This holds by
+construction, checked by the oracle tests; validation checks only the laws
 the Alexander data can break, H >= 0 and unit steps, and it runs in the
 constructor: a table whose data break them raises `StabilizationError`, so
 every `HTable` that exists has passed the laws.
@@ -58,12 +63,12 @@ h(s) = H(s) - H_O(s), where H_O is the H-function of the unlink.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, combinations, product, repeat
-from operator import add, mul, sub
+from itertools import accumulate, chain, combinations, compress, product, repeat
+from math import prod
+from operator import add, and_, lt, mul, sub
 from typing import Optional, Sequence
 
-from .errors import (LSpaceAssertionError, SignResolutionError,
-                     StabilizationError, ValidationError)
+from .errors import LSpaceAssertionError, SignResolutionError, StabilizationError
 from .laurent import LaurentPoly
 from .linkcat import LinkDescriptor, all_subsets, require_valid
 
@@ -72,24 +77,20 @@ def _chi_table(delta: LaurentPoly) -> dict:
     """A sublink's Euler characteristics, from its nonzero polynomial: the
     coefficients of delta * (t_1 ... t_k)^{1/2}, or for a knot the coefficients
     of Delta itself, whose torsion series Delta(t)/(1 - t^{-1}) holds the
-    characteristics.  Either way the exponents must land on the integer
-    lattice (the zero-linking parity)."""
+    characteristics.  Either way the exponents land on the integer lattice:
+    `HTable` calls `require_valid` first, and `linkcat.validate_descriptor`
+    rejects a knot exponent that is not an integer and a link exponent that is
+    not half-odd (the zero-linking parity), so the halving below is exact."""
     shift = 0 if delta.nvars == 1 else 1
-    coeffs = {}
-    for exp, c in delta.terms.items():
-        if any((e + shift) % 2 for e in exp):
-            raise ValidationError(
-                "exponents off the integer lattice after the half shift; polynomial "
-                "parity is inconsistent with zero linking numbers")
-        coeffs[tuple((e + shift) // 2 for e in exp)] = c
-    return coeffs
+    return {tuple((e + shift) // 2 for e in exp): c for exp, c in delta.terms.items()}
 
 
-def _broadcast(grid: list, side: int, present: Sequence[bool]) -> list:
+def _broadcast(grid: list, sides: Sequence[int], present: Sequence[bool]) -> list:
     """A sublink's flat grid repeated along the axes of a larger box that it
-    lacks; present[j] says whether axis j of the box is one of the grid's."""
+    lacks; sides[j] is the length of axis j of the box, and present[j] says
+    whether it is one of the grid's axes."""
     unit = 1  # length of the trailing block already laid out as in the box
-    for here in reversed(present):
+    for here, side in zip(reversed(present), reversed(sides)):
         if not here:
             blocks = zip(*[iter(grid)] * unit)
             grid = list(chain.from_iterable(map(mul, blocks, repeat(side))))
@@ -102,28 +103,30 @@ def _unlink_H(s) -> int:
     return sum((abs(x) - x) // 2 for x in s)
 
 
-def _strides(side: int, k: int) -> list:
-    return [side ** (k - 1 - i) for i in range(k)]
+def _strides(sides: Sequence[int]) -> list:
+    """The index step of each axis in a row-major list with these sides."""
+    return list(accumulate(reversed(sides[1:]), mul, initial=1))[::-1]
 
 
-def _grid(coeffs: dict, r: int) -> list:
-    """A sublink's orthant sums at v = s + 1 for every s in [-r, r]^k, flat, in
-    the order of `itertools.product`: the sum of the coefficients at all
-    u >= v, or for a knot (k = 1) the sum of its torsion series over the
-    degrees >= v.  Each coefficient sits at the mirror of s = u - 1, so that
-    the suffix sums are prefix sums along every axis (a knot takes one more
-    pass); below the support the sums repeat, and a knot's climb by Delta(1),
-    above it they are 0.  Needs r > radius: a coefficient off the box would
-    wrap to another point without any error."""
-    assert max(map(abs, chain.from_iterable(coeffs))) < r, r
-    k = len(next(iter(coeffs)))
-    side = 2 * r + 1
-    strides = _strides(side, k)
-    grid = [0] * side ** k
-    top = (r + 1) * sum(strides)  # where u = 0 sits, mirrored
+def _grid(coeffs: dict, radii: Sequence[int]) -> list:
+    """A sublink's orthant sums at v = s + 1 for every s in the box
+    prod [-r_i, r_i], flat, in the order of `itertools.product`: the sum of the
+    coefficients at all u >= v, or for a knot (one axis) the sum of its
+    torsion series over the degrees >= v.  Each coefficient sits at the mirror
+    of s = u - 1, so that the suffix sums are prefix sums along every axis (a
+    knot takes one more pass); below the support the sums repeat, and a
+    knot's climb by Delta(1), above it they are 0.  Needs r_i > |u_i| for
+    every exponent u: a coefficient off the box would wrap to another point
+    without any error."""
+    assert all(max(map(abs, axis)) < r for axis, r in zip(zip(*coeffs), radii)), radii
+    sides = [2 * r + 1 for r in radii]
+    strides = _strides(sides)
+    grid = [0] * prod(sides)
+    top = sum((r + 1) * st for r, st in zip(radii, strides))  # where u = 0 sits, mirrored
     for u, c in coeffs.items():
         grid[top - sum(map(mul, u, strides))] = c
-    for st in (strides * 2 if k == 1 else strides):
+    axes = list(zip(strides, sides))
+    for st, side in (axes * 2 if len(axes) == 1 else axes):
         for base in range(0, len(grid), st * side):
             for start in range(base, base + st):
                 stop = start + st * side
@@ -132,57 +135,94 @@ def _grid(coeffs: dict, r: int) -> list:
     return grid
 
 
-def _steps(grid: list, side: int, k: int):
-    """For every axis i and every slab (the points of a flat grid over
-    [-r, r]^k, side = 2r + 1, that share the coordinates before i): the index
-    of the slab's first point with s_i > -r, and the steps H(s - e_i) - H(s)
-    from there on, in box order."""
-    for st in _strides(side, k):
+def _steps(grid: list, sides: Sequence[int]):
+    """For every axis i and every slab (the points of a flat grid over the box
+    prod [-r_j, r_j], sides[j] = 2 r_j + 1, that share the coordinates before
+    i): the index of the slab's first point with s_i > -r_i, and the steps
+    H(s - e_i) - H(s) from there on, in box order."""
+    for st, side in zip(_strides(sides), sides):
         for base in range(0, len(grid), st * side):
             slab = grid[base:base + st * side]
             yield base + st, map(sub, slab, slab[st:])
 
 
-def _laws_hold(grid: list, side: int, k: int) -> bool:
+def _laws_hold(grid: list, sides: Sequence[int]) -> bool:
     """Whether H >= 0 and every step is 0 or 1, by whole-list operations."""
-    return min(grid) >= 0 and all(set(steps) <= {0, 1}
-                                  for _, steps in _steps(grid, side, k))
+    return min(grid) >= 0 and all(set(steps) <= {0, 1} for _, steps in _steps(grid, sides))
 
 
-def _law_messages(grid: list, r: int, k: int) -> list:
-    """The violations of the laws on a flat grid over [-r, r]^k, in box order:
-    at each point the negative value first, else the failing steps e_1..e_k."""
-    side = 2 * r + 1
-    strides = _strides(side, k)
+def _law_messages(grid: list, radii: Sequence[int]) -> list:
+    """The violations of the laws on a flat grid over prod [-r_i, r_i], in box
+    order: at each point the negative value first, else the failing steps
+    e_1..e_k."""
+    sides = [2 * r + 1 for r in radii]
+    strides = _strides(sides)
     bad = {j for j, x in enumerate(grid) if x < 0}
-    for start, steps in _steps(grid, side, k):
+    for start, steps in _steps(grid, sides):
         bad.update(start + j for j, d in enumerate(steps) if d not in (0, 1))
     problems = []
     for j in sorted(bad):
-        s = tuple((j // st) % side - r for st in strides)
+        s = tuple((j // st) % side - r for st, side, r in zip(strides, sides, radii))
         v = grid[j]
         if v < 0:
             problems.append(f"H{s} = {v} is negative")
             continue
         for i, st in enumerate(strides):
-            if s[i] > -r and (jump := grid[j - st] - v) not in (0, 1):
+            if s[i] > -radii[i] and (jump := grid[j - st] - v) not in (0, 1):
                 problems.append(f"step law fails: H at {s} minus e_{i + 1} jumps by {jump}")
     return problems
 
 
+def _fold(grid: list, radii: Sequence[int]) -> list:
+    """top[w] = the largest h(v) over |v| = w, for w in prod [0, r_i], flat in
+    row-major order, from a flat H list over prod [-r_i, r_i].
+
+    Each pass folds the leading axis: the row at |s_0| = a is the larger of
+    the rows at s_0 = a and s_0 = -a, the latter less a, its part of H_O;
+    H_O adds over the axes, so the other axes' parts pass through the max
+    unchanged and are taken off in their own passes.  `zip` then turns the
+    folded axis into the last one, so after one pass per axis the axes are
+    back in order."""
+    for r in radii:
+        width = len(grid) // (2 * r + 1)
+        rows = [grid[j:j + width] for j in range(0, len(grid), width)]
+        grid = list(chain.from_iterable(zip(*(
+            map(max, rows[r + a], map(sub, rows[r - a], repeat(a))) for a in range(r + 1)))))
+    return grid
+
+
+def _drops(top: list, sides: Sequence[int]) -> list:
+    """Whether top[w] > 0 and top[w + e_i] < top[w] for every i with
+    w_i < sides[i] - 1, for every w of a flat list over prod [0, sides[i]),
+    by comparing consecutive rows of the leading axis and turning it into
+    the last one, as `_fold` does."""
+    keep = list(map(bool, top))
+    for side in sides:
+        width = len(top) // side
+        rows = [top[j:j + width] for j in range(0, len(top), width)]
+        flags = [keep[j:j + width] for j in range(0, len(keep), width)]
+        flags = [map(and_, flags[w], map(lt, rows[w + 1], rows[w])) for w in range(side - 1)] \
+            + flags[-1:]
+        top = list(chain.from_iterable(zip(*rows)))
+        keep = list(chain.from_iterable(zip(*flags)))
+    return keep
+
+
 class HTable:
-    """H-function of a link descriptor over a lattice box [-M, M]^n.
+    """H-function of a link descriptor over a lattice box prod [-M_i, M_i].
 
     Construction keeps the Euler characteristics of every sublink with
     nonzero polynomial and resolves the sign of every sublink polynomial.
     Each sign trial, and the full link's H, is a flat list over a box summed
-    from the sublinks' grids; the full link's list over [-M, M]^n is the
-    memo, read by index, at clamp(s) outside the box, and chi reads the
-    stored coefficients.  M = support_radius + 2 and never changes.
-    Construction validates once: the full link's sign trial when its
-    polynomial is nonzero, otherwise one whole-list check of its list.  Data
-    breaking the laws raise `StabilizationError`, carrying every problem and
-    the subsets whose sign was flipped, so a table that exists is valid.
+    from the sublinks' grids; the full link's list over prod [-M_i, M_i] is
+    the memo, read by index, at clamp(s) outside the box, and chi reads the
+    stored coefficients.  M_i is two more than the largest |u_i| over the
+    tables of the sublinks containing component i, M is the largest M_i,
+    and neither ever changes.  Construction validates once: the full link's
+    sign trial when its polynomial is nonzero, otherwise one whole-list check
+    of its list.  Data breaking the laws raise `StabilizationError`, carrying
+    every problem over the cube [-M, M]^n and the subsets whose sign was
+    flipped, so a table that exists is valid.
     """
 
     def __init__(self, link: LinkDescriptor, force: bool = False):
@@ -196,14 +236,14 @@ class HTable:
         self._full = tuple(range(self.n))
         self._corners: Optional[list] = None
         self._tables: dict = {}  # sublink -> its _chi_table, nonzero polynomials only
-        self._radii: dict = {}   # sublink -> the largest |u_i| over its table
+        self._radii: dict = {}   # sublink -> the largest |u_j| over its table, per axis
         self._signs: dict = {}   # sublink -> +1 or -1, filled bottom-up
         self._resolve_signs()
 
-        self.support_radius = max(self._radii.values())
-        self.M = self.support_radius + 2
-        self._side = 2 * self.M + 1
-        self._origin = self.M * sum(_strides(self._side, self.n))  # index of 0
+        self.M = max(self._box)
+        self.support_radius = self.M - 2
+        self._sides = [2 * m + 1 for m in self._box]
+        self._origin = sum(map(mul, self._box, _strides(self._sides)))  # index of 0
 
     # -- construction helpers ------------------------------------------------
 
@@ -218,70 +258,88 @@ class HTable:
                     terms.append((1 if size % 2 else -1, C, idx))
         return terms
 
+    def _sum_grids(self, terms: list, radii: list) -> list:
+        """The signed sum of the grids of `terms` over the box prod [-r_j, r_j],
+        each broadcast along the axes its sublink lacks."""
+        sides = [2 * r + 1 for r in radii]
+        grid = [0] * prod(sides)
+        for parity, C, idx in terms:
+            part = _broadcast(_grid(self._tables[C], [radii[j] for j in idx]), sides,
+                              [j in idx for j in range(len(radii))])
+            grid = list(map(add if parity * self._signs[C] > 0 else sub, grid, part))
+        return grid
+
     def _resolve_signs(self) -> None:
         """Choose the sign of every multi-component sublink polynomial, bottom
         up, as the first (stored first) whose H passes the laws on the
-        sublink's box [-r, r]^|B|, r two more than the largest support radius
-        of its tables (r = M for the full link), and keep the full link's H,
-        which comes last.  A full link without a sign trial has its list
-        checked here."""
+        sublink's box prod [-r_j, r_j], r_j two more than the largest |u_j|
+        over the tables containing axis j (the M_i for the full link), and
+        keep the full link's H and its box, which come last.  A full link
+        without a sign trial has its list checked here.
+
+        Deciding the laws on this box decides them on the cube [-r, r]^|B|,
+        r = max r_j, which the problems of a failing full link are rendered
+        over: outside the box H(s) = H(clamp(s)) plus the sum of the
+        max(-r_j - s_j, 0) (see the module docstring), so H >= 0 there, a
+        step along a clamped axis is 0 or 1, and a step along another axis
+        equals the step at the clamped point."""
         tables, radii, signs = self._tables, self._radii, self._signs
         for B in all_subsets(self.n):
             signs[B] = 1
             delta = self.link.delta(B)
             if not delta.is_zero():
                 tables[B] = _chi_table(delta)
-                radii[B] = max(map(abs, chain.from_iterable(tables[B])))
+                radii[B] = [max(map(abs, axis)) for axis in zip(*tables[B])]
             trial = len(B) > 1 and B in tables
             if not trial and B != self._full:
                 continue
             terms = self._terms_of(B)
-            r = max(radii[C] for _, C, _ in terms) + 2
-            side = 2 * r + 1
-            grid = [0] * side ** len(B)
-            for parity, C, idx in terms:
-                if C != B or not trial:
-                    part = _broadcast(_grid(tables[C], r), side,
-                                      [j in idx for j in range(len(B))])
-                    grid = list(map(add if parity * signs[C] > 0 else sub, grid, part))
+            box = [2 + max(radii[C][idx.index(j)] for _, C, idx in terms if j in idx)
+                   for j in range(len(B))]
+            sides = [2 * r + 1 for r in box]
             if trial:
-                rest, own = grid, _grid(tables[B], r)
+                rest = self._sum_grids([t for t in terms if t[1] != B], box)
+                own = _grid(tables[B], box)
                 parity = 1 if len(B) % 2 else -1
                 for sigma in (1, -1):  # prefer the stored sign
                     signs[B] = sigma
                     grid = list(map(add if sigma * parity > 0 else sub, rest, own))
-                    if _laws_hold(grid, side, len(B)):
+                    if _laws_hold(grid, sides):
                         break
                 else:
                     raise SignResolutionError(
                         f"{self.link.name}: neither sign of the polynomial for subset "
                         f"{tuple(i + 1 for i in B)} yields a valid H-function; "
                         f"not an L-space link with this data")
-            elif not _laws_hold(grid, side, len(B)):  # B is the full link
-                problems = _law_messages(grid, r, len(B))
-                raise StabilizationError(
-                    f"{self.link.name}: H-function fails validation on box "
-                    f"[-{r}, {r}]^{len(B)}: " + "; ".join(problems[:5]),
-                    problems, self.flipped_signs())
+            else:  # B is the full link
+                grid = self._sum_grids(terms, box)
+                if not _laws_hold(grid, sides):
+                    cube = [max(box)] * len(B)
+                    problems = _law_messages(self._sum_grids(terms, cube), cube)
+                    raise StabilizationError(
+                        f"{self.link.name}: H-function fails validation on box "
+                        f"[-{cube[0]}, {cube[0]}]^{len(B)}: " + "; ".join(problems[:5]),
+                        problems, self.flipped_signs())
         self._grid = grid  # the full link's H over the box, flat
+        self._box = box    # its M_i
 
     # -- evaluation ------------------------------------------------------------
 
     def H(self, s: Sequence[int]) -> int:
         """H-function at any lattice point, read from the list at clamp(s):
         h(s) = h(clamp(s)), so H(s) - H(clamp(s)) = H_O(s) - H_O(clamp(s)),
-        the sum of max(-M - s_i, 0)."""
+        the sum of max(-M_i - s_i, 0)."""
         s = tuple(s)
         if len(s) != self.n:
             raise ValueError(f"point {s} has wrong dimension, expected {self.n}")
-        M, index, below = self.M, 0, 0
-        for x in s:
-            if x < -M:
-                below += -M - x
-                x = -M
-            elif x > M:
-                x = M
-            index = index * self._side + x
+        index, below = 0, 0
+        for x, m, side in zip(s, self._box, self._sides):
+            if x < -m:
+                below += -m - x
+                x = -m
+            elif x > m:
+                x = m
+            index = index * side + x
         return self._grid[index + self._origin] + below
 
     def h(self, s: Sequence[int]) -> int:
@@ -328,6 +386,7 @@ class HTable:
     # -- the box and the signs ---------------------------------------------------
 
     def iter_box(self):
+        """The points of the cube [-M, M]^n, a window that holds every M_i."""
         return product(range(-self.M, self.M + 1), repeat=self.n)
 
     @property
@@ -345,14 +404,18 @@ class HTable:
         """The pairs (w, k) with k = top[w] > 0 and top[w + e_i] < k for every i
         with w_i < M, sorted, where top[w] is the largest h(v) with |v| = w.
         The maximal points of {w : top[w] >= j} are the maximal w among the
-        corners with k >= j.  One sweep of the box list, computed once."""
+        corners with k >= j.  Computed once, by whole-list operations on the
+        box list: `_fold` gives top over prod [0, M_i] and `_drops` the
+        corners there.  h is constant in v_i from M_i - 1 on (see the module
+        docstring), so on the cube [0, M]^n top[w + e_i] = top[w] whenever
+        M_i - 1 <= w_i < M: a corner's w_i is below M_i - 1 or on the shell,
+        and a shell coordinate w_i = M_i is reported as M."""
         if self._corners is None:
-            top: dict = {}
-            for v, H in zip(self.iter_box(), self._grid):
-                w = tuple(map(abs, v))
-                top[w] = max(top.get(w, 0), H - _unlink_H(v))
-            self._corners = sorted(
-                (w, k) for w, k in top.items()
-                if k > 0 and all(top[w[:i] + (x + 1,) + w[i + 1:]] < k
-                                 for i, x in enumerate(w) if x < self.M))
+            sides = [m + 1 for m in self._box]
+            top = _fold(self._grid, self._box)
+            points = product(*map(range, sides))
+            keep = _drops(top, sides)
+            self._corners = [
+                (tuple(self.M if x == m else x for x, m in zip(w, self._box)), k)
+                for w, k in zip(compress(points, keep), compress(top, keep))]
         return self._corners

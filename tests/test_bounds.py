@@ -3,11 +3,13 @@
 from fractions import Fraction
 from functools import reduce
 from itertools import product
+from math import inf
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hfgenus import bounds
 from hfgenus.bounds import (admissible_region, best_lower_bound, bound_max_h,
                             bound_min_region, bound_weighted, circle_bundle_d,
                             f_cap, genus_admissible, large_surgery_d, lens_d,
@@ -16,7 +18,7 @@ from hfgenus.cable import CableSpec, cable_alexander
 from hfgenus.errors import LargenessError, StabilizationError, ValidationError
 from hfgenus.hfunction import HTable
 from hfgenus.linkcat import Component, LinkDescriptor, catalog, disjoint_union
-from hfgenus.region import minimalize, region_from_h, region_product
+from hfgenus.region import UpwardClosedRegion, minimalize, region_from_h, region_product
 from test_hfunction import INVALID_TABLES, ORACLE_LINKS, UNION_PARTS
 
 
@@ -355,6 +357,107 @@ def test_corner_counts():
     assert len(HTable(cable).corners()) == 27
     assert len(HTable(catalog("whitehead_cable", 7, 22)).corners()) == 25
     assert len(HTable(catalog("two_bridge", 20)).corners()) == 110
+
+
+# -- the fold and the walk against their per-point definitions ---------------------
+
+
+def reference_corners(t):
+    """`HTable.corners` point by point: top[w], the largest h(v) over |v| = w,
+    from t.h over the cube [-M, M]^n, and the w with top[w] > 0 and
+    top[w + e_i] < top[w] for every i with w_i < M."""
+    top: dict = {}
+    for v in t.iter_box():
+        w = tuple(map(abs, v))
+        top[w] = max(top.get(w, 0), t.h(v))
+    return sorted((w, k) for w, k in top.items()
+                  if k > 0 and all(top[w[:i] + (x + 1,) + w[i + 1:]] < k
+                                   for i, x in enumerate(w) if x < t.M))
+
+
+def reference_least_last(corners, M, p):
+    """The least g_n with (p, g_n) admissible, or inf: each corner's f-terms
+    summed afresh over the prefix p."""
+    rest = [(w[-1], k - sum(f_cap(gi, wi) for gi, wi in zip(p, w) if wi < M))
+            for w, k in corners]
+    if any(r > 0 and wn == M for wn, r in rest):
+        return inf
+    return max((wn + 2 * r - 1 for wn, r in rest if r > 0), default=0)
+
+
+def reference_admissible_region(n, M, corners):
+    """The prefix sweep: the least last coordinate over every prefix of the
+    capped box, minimalized."""
+    caps = [max((w[i] + 2 * k - 1 for w, k in corners if w[i] < M), default=0)
+            for i in range(n)]
+    return UpwardClosedRegion(n, tuple(
+        p + (m,) for p in product(*(range(c + 1) for c in caps[:-1]))
+        if (m := reference_least_last(corners, M, p)) < inf))
+
+
+# ADMISSIBLE_ORACLE_LINKS holds four of the five inputs of the
+# admissible_region benchmark workload; the fifth, and two larger ones.
+FOLD_AND_WALK_LINKS = {
+    **ADMISSIBLE_ORACLE_LINKS,
+    "two_bridge:12": lambda: catalog("two_bridge", 12),
+    "two_bridge:40": lambda: catalog("two_bridge", 40),
+    "borromean_cable:3,16,3,16,3,16": lambda: cable_alexander(
+        catalog("borromean"), CableSpec(((3, 16),) * 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_AND_WALK_LINKS))
+def test_fold_and_walk_match_the_per_point_oracles(name):
+    t = HTable(FOLD_AND_WALK_LINKS[name]())
+    corners = reference_corners(t)
+    assert t.corners() == corners
+    assert admissible_region(t) == reference_admissible_region(t.n, t.M, corners)
+
+
+class CornerList:
+    """What `admissible_region` reads of a table: n, M and the corners."""
+
+    def __init__(self, n, M, corners):
+        self.n, self.M, self._corners = n, M, corners
+
+    def corners(self):
+        return self._corners
+
+
+@st.composite
+def corner_lists(draw):
+    n = draw(st.integers(1, 3))
+    M = draw(st.integers(2, 5))
+    corners = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, M)] * n),
+                                      st.integers(1, 4)), max_size=4))
+    return n, M, corners
+
+
+@settings(max_examples=300, deadline=None)
+@given(corner_lists())
+# the corners of the tables above never need a prefix value w_i + 2j - 1
+# with j > 1; this one needs 3 = 0 + 2 * 2 - 1 for the generator (3, 1)
+@example((2, 5, [((0, 0), 3)]))
+def test_walk_matches_the_sweep_on_any_corner_list(case):
+    # the walk's argument holds for any list of constraints (w, k), not only
+    # for the corners of a table
+    n, M, corners = case
+    assert admissible_region(CornerList(n, M, corners)) == \
+        reference_admissible_region(n, M, corners)
+
+
+def test_walk_reads_each_f_term_once_per_candidate(monkeypatch):
+    # f_cap runs once per candidate value and distinct w_i on each prefix
+    # axis; the prefix sweep that came before ran it per prefix, corner and
+    # coordinate, 896 and 546 times on these inputs
+    tables = [HTable(FOLD_AND_WALK_LINKS[name]())
+              for name in ("borromean_cable:2,7,2,7,1,1", "two_bridge:12")]
+    for t in tables:
+        t.corners()
+    calls = []
+    real = bounds.f_cap
+    monkeypatch.setattr(bounds, "f_cap", lambda g, v: calls.append(g) or real(g, v))
+    assert [(admissible_region(t), len(calls))[1] for t in tables] == [30, 30 + 156]
 
 
 # -- the admissible region of a disjoint union ----------------------------------------

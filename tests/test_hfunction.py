@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 from itertools import chain, combinations, product
+from math import prod
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,24 @@ def unlink_H(s):
     return sum(max(-x, 0) for x in s)
 
 
+def axis_radii(d):
+    """M_i for each component i: two more than the largest |u_i| over the
+    half-shifted exponents of the sublinks that contain i, read straight off
+    the stored polynomials."""
+    radii = [0] * d.n
+    for B in nonempty_subsets(d.n):
+        shift = 0 if len(B) == 1 else 1
+        for exp in d.delta(B).terms:
+            for i, e in zip(B, exp):
+                radii[i] = max(radii[i], abs((e + shift) // 2))
+    return [r + 2 for r in radii]
+
+
+def axis_box(d):
+    """The points of prod [-M_i, M_i], in the order of `itertools.product`."""
+    return product(*(range(-m, m + 1) for m in axis_radii(d)))
+
+
 ATOMIC_SAMPLES = ["unknot", "trefoil_rh", "whitehead", "borromean", "mirror_L7a3"]
 
 ORACLE_LINKS = {
@@ -147,12 +167,13 @@ def test_orthant_tables_match_support_scan(name):
                       for exp, c in delta.terms.items()}
             coeff = lambda v: coeffs.get(v, 0)
         assert _chi_table(delta) == coeffs, B
-        r = coeff_radius(coeffs) + 1
-        box = product(range(-r, r + 1), repeat=len(B))
-        assert _grid(coeffs, r) == [scan_sum(coeffs, tuple(x + 1 for x in s))
-                                    for s in box], B
-        with pytest.raises(AssertionError):
-            _grid(coeffs, r - 1)
+        radii = [max(map(abs, axis)) + 1 for axis in zip(*coeffs)]
+        box = product(*(range(-r, r + 1) for r in radii))
+        assert _grid(coeffs, radii) == [scan_sum(coeffs, tuple(x + 1 for x in s))
+                                        for s in box], B
+        for j in range(len(B)):
+            with pytest.raises(AssertionError):
+                _grid(coeffs, radii[:j] + [radii[j] - 1] + radii[j + 1:])
         sides = []
         for i in range(len(B)):
             lo, hi = min(e[i] for e in coeffs), max(e[i] for e in coeffs)
@@ -274,17 +295,20 @@ def test_chi_borromean():
 
 
 def test_chi_rejects_bad_parity():
-    from hfgenus.linkcat import Component
+    # require_valid refuses the parity before the chi conversion sees it, so
+    # the error is require_valid's own, word for word
+    from hfgenus.linkcat import Component, require_valid
     bad = LinkDescriptor("bad-parity", [Component("a"), Component("b")],
                          alexander={(0,): LaurentPoly.one(1),
                                     (1,): LaurentPoly.one(1),
                                     (0, 1): P(2, (1, (1, 1)), (1, (-1, -1)))},
                          lspace_asserted=True)
-    with pytest.raises(ValidationError, match="parity"):
+    with pytest.raises(ValidationError) as want:
+        require_valid(bad)
+    assert "parity" in str(want.value)
+    with pytest.raises(ValidationError) as info:
         HTable(bad)
-    # the chi conversion checks the parity itself, whatever validated the input
-    with pytest.raises(ValidationError, match="parity"):
-        _chi_table(bad.delta((0, 1)))
+    assert str(info.value) == str(want.value)
 
 
 def test_chi_rejects_wrong_dimension():
@@ -560,16 +584,18 @@ REPORT_TABLES = {
 }
 
 
-def reference_sweep(H, k, radius):
-    """The laws H >= 0 and unit steps checked point by point on [-r, r]^k: at
-    each point the negative value first, else the failing steps e_1..e_k."""
-    for s in product(range(-radius, radius + 1), repeat=k):
+def reference_sweep(H, radii):
+    """The laws H >= 0 and unit steps checked point by point on
+    prod [-r_i, r_i]: at each point the negative value first, else the
+    failing steps e_1..e_k."""
+    k = len(radii)
+    for s in product(*(range(-r, r + 1) for r in radii)):
         v = H(s)
         if v < 0:
             yield f"H{s} = {v} is negative"
             continue
         for i in range(k):
-            if s[i] > -radius:
+            if s[i] > -radii[i]:
                 down = H(s[:i] + (s[i] - 1,) + s[i + 1:])
                 if down - v not in (0, 1):
                     yield f"step law fails: H at {s} minus e_{i + 1} jumps by {down - v}"
@@ -599,20 +625,22 @@ def reference_law_problems(tables, B, signs):
                           for p, C, idx in terms)
         return memo[s]
 
-    return reference_sweep(H, len(B), max(coeff_radius(tables[C]) for _, C, _ in terms) + 2)
+    r = max(coeff_radius(tables[C]) for _, C, _ in terms) + 2
+    return reference_sweep(H, [r] * len(B))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([(1, 1), (1, 3), (2, 1), (2, 2), (3, 1)]), st.data())
-def test_array_laws_match_the_reference_sweep(shape, data):
-    k, r = shape
+@given(st.sampled_from([(1,), (3,), (1, 1), (2, 2), (1, 3), (3, 1), (2, 1, 1), (1, 1, 2)]),
+       st.data())
+def test_array_laws_match_the_reference_sweep(radii, data):
     low, high = data.draw(st.sampled_from([(0, 1), (0, 2), (-1, 1), (-1, 3)]))
     values = st.integers(low, high)
-    grid = data.draw(st.lists(values, min_size=(2 * r + 1) ** k, max_size=(2 * r + 1) ** k))
-    box = dict(zip(product(range(-r, r + 1), repeat=k), grid))
-    expected = list(reference_sweep(box.__getitem__, k, r))
-    assert hfunction._laws_hold(grid, 2 * r + 1, k) == (expected == [])
-    assert hfunction._law_messages(grid, r, k) == expected
+    size = prod(2 * r + 1 for r in radii)
+    grid = data.draw(st.lists(values, min_size=size, max_size=size))
+    box = dict(zip(product(*(range(-r, r + 1) for r in radii)), grid))
+    expected = list(reference_sweep(box.__getitem__, radii))
+    assert hfunction._laws_hold(grid, [2 * r + 1 for r in radii]) == (expected == [])
+    assert hfunction._law_messages(grid, radii) == expected
 
 
 def reference_sign_resolution(d):
@@ -708,15 +736,18 @@ def test_a_swept_full_link_is_not_swept_again(name, monkeypatch):
 def test_memo_holds_only_full_link_points(name, monkeypatch):
     if name in INVALID_TABLES:
         bypass_law_checks(monkeypatch)
-    t = HTable(REPORT_TABLES[name](), force=True)
+    d = REPORT_TABLES[name]()
+    t = HTable(d, force=True)
     for _ in range(2):
-        assert len(t._grid) == (2 * t.M + 1) ** t.n, name
+        assert len(t._grid) == prod(2 * m + 1 for m in axis_radii(d)), name
         t.H((t.M + 3,) * t.n)  # outside the box: read by clamping, not cached
 
 
 def test_sign_resolution_of_a_union():
-    t = HTable(disjoint_union(flipped_whitehead(), catalog("trefoil_rh")))
-    assert len(t._grid) == (2 * t.M + 1) ** 3  # the sublinks' sign trials keep nothing
+    d = disjoint_union(flipped_whitehead(), catalog("trefoil_rh"))
+    t = HTable(d)
+    # the sublinks' sign trials keep nothing
+    assert len(t._grid) == prod(2 * m + 1 for m in axis_radii(d)) == 7 ** 3
     assert t.sign_resolution == {(1,): 1, (2,): 1, (3,): 1, (1, 2): -1,
                                  (1, 3): 1, (2, 3): 1, (1, 2, 3): 1}
     assert t.flipped_signs() == [(1, 2)]
@@ -726,30 +757,33 @@ def test_sign_resolution_of_a_union():
 def test_grid_matches_lookups(name):
     t = HTable(ORACLE_LINKS[name]())
     for B, table in t._tables.items():
-        for r in range(coeff_radius(table) + 1, coeff_radius(table) + 4):
-            box = product(range(-r, r + 1), repeat=len(B))
-            assert _grid(table, r) == [scan_sum(table, tuple(x + 1 for x in s))
-                                       for s in box], (B, r)
+        least = [max(map(abs, axis)) + 1 for axis in zip(*table)]
+        for extra in product(range(3), repeat=len(B)):
+            radii = list(map(add, least, extra))
+            box = product(*(range(-r, r + 1) for r in radii))
+            assert _grid(table, radii) == [scan_sum(table, tuple(x + 1 for x in s))
+                                           for s in box], (B, radii)
         with pytest.raises(AssertionError):
-            _grid(table, coeff_radius(table))
+            _grid(table, [coeff_radius(table)] * len(B))
 
 
 def test_broadcast_repeats_along_the_missing_axes():
-    side = 3
-    for k in range(1, 4):
+    for sides in ([3], [3, 3], [3, 5], [5, 3, 7], [3, 3, 3]):
+        k = len(sides)
         for present in product((True, False), repeat=k):
             axes = [j for j in range(k) if present[j]]
-            grid = list(range(side ** len(axes)))  # distinct values, row-major
-            expected = [sum(s[j] * side ** (len(axes) - 1 - i) for i, j in enumerate(axes))
-                        for s in product(range(side), repeat=k)]
-            assert _broadcast(grid, side, present) == expected, present
+            own = [sides[j] for j in axes]
+            grid = list(range(prod(own)))  # distinct values, row-major
+            expected = [sum(s[j] * prod(own[i + 1:]) for i, j in enumerate(axes))
+                        for s in product(*map(range, sides))]
+            assert _broadcast(grid, sides, present) == expected, (sides, present)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
 def test_full_link_list_is_brute_force(name):
     d = ORACLE_LINKS[name]()
     t = HTable(d)
-    assert t._grid == [brute_H(d, s) for s in t.iter_box()]
+    assert t._grid == [brute_H(d, s) for s in axis_box(d)]
 
 
 def test_box_reads_make_no_orthant_lookups(monkeypatch):
@@ -765,6 +799,7 @@ def test_box_reads_make_no_orthant_lookups(monkeypatch):
             t.H(s)
         for B in t._tables:
             t.chi(B, (0,) * len(B))
+        t.corners()
         region_from_h(t)
         maximal_lattice_points(t)
         genus_admissible(t, (0,) * t.n)

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfgenus.errors import ExactDivisionError, SymmetryError, ValidationError
-from hfgenus.hfunction import HTable, _chi_table
+from hfgenus.hfunction import HTable
 from hfgenus.laurent import (LaurentPoly, exact_div, geometric_cable_factor,
                              involution, normalize_symmetric,
                              substitute_powers, support_box)
-from hfgenus.linkcat import catalog
+from hfgenus.linkcat import Component, LinkDescriptor, catalog, require_valid
 
 H = Fraction(1, 2)
 
@@ -207,8 +207,16 @@ def test_knot_chi_series_unknot():
 
 
 def test_knot_chi_series_rejects_half_exponents():
-    with pytest.raises(ValidationError, match="parity"):
-        _chi_table(P(1, (1, (H,))))
+    # a knot exponent off the integers is refused by require_valid, before
+    # the chi conversion sees it
+    bad = LinkDescriptor("half-knot", [Component("k")],
+                         alexander={(0,): P(1, (1, (H,)), (-1, (-H,)))})
+    with pytest.raises(ValidationError) as want:
+        require_valid(bad)
+    assert "knot exponents must be integers" in str(want.value)
+    with pytest.raises(ValidationError) as info:
+        HTable(bad)
+    assert str(info.value) == str(want.value)
 
 
 @settings(max_examples=100)

@@ -1,12 +1,20 @@
-"""tools/code_lines.py counts code lines as its docstring defines them."""
+"""The tools under tools/ do what their docstrings say."""
 
 import importlib.util
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
-spec = importlib.util.spec_from_file_location("code_lines", TOOL)
-code_lines = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(code_lines)
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = load("code_lines")
+bench_pairs = load("bench_pairs")
 
 SOURCE = '''"""Module docstring,
 two lines."""
@@ -32,3 +40,49 @@ def test_code_lines_prints_every_module_and_the_sum(tmp_path, capsys):
     assert code_lines.main([str(tmp_path)]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows[1:] == [["a.py", "5", "11"], ["b.py", "1", "2"], ["sum", "6", "13"]]
+
+
+# Ten paired runs: the parent's quartiles are 0.38 and 0.40 (spread 0.02).
+PARENT = [0.38, 0.39, 0.40, 0.38, 0.39, 0.40, 0.38, 0.39, 0.40, 0.39]
+
+
+def test_bench_pairs_claims_a_gain_won_in_nine_pairs_beyond_the_spread():
+    change = [x - 0.03 for x in PARENT[:9]] + [0.40]  # the last pair is lost
+    c = bench_pairs.compare(PARENT, change, "lower")
+    assert [round(q, 9) for q in c["parent"]] == [0.38, 0.39, 0.40]
+    assert c["won"] == 9 and c["pairs"] == 10
+    assert round(c["gain"], 9) == 0.03 and round(c["spread"], 9) == 0.02
+    assert c["claimed"]
+
+
+def test_bench_pairs_refuses_eight_pairs_or_a_gain_within_the_spread():
+    eight = [x - 0.03 for x in PARENT[:8]] + [0.40, 0.39]  # a tie counts for neither
+    c = bench_pairs.compare(PARENT, eight, "lower")
+    assert c["won"] == 8 and not c["claimed"]
+    small = [x - 0.01 for x in PARENT]  # every pair won, but by less than the spread
+    c = bench_pairs.compare(PARENT, small, "lower")
+    assert c["won"] == 10 and c["gain"] < c["spread"] and not c["claimed"]
+
+
+def test_bench_pairs_reads_the_better_direction():
+    higher = [x + 0.03 for x in PARENT]
+    assert bench_pairs.compare(PARENT, higher, "higher")["claimed"]
+    assert not bench_pairs.compare(PARENT, higher, "lower")["claimed"]
+    assert bench_pairs.compare(PARENT, higher, "lower")["won"] == 0
+
+
+def test_bench_pairs_reports_each_declared_metric():
+    def run(wall, rss):
+        return {"metrics": {"w.wall_s": {"value": wall}, "w.peak_rss_mb": {"value": rss},
+                            "w.undeclared": {"value": 0}}}
+    runs = {"parent": [run(x, 18.0) for x in PARENT],
+            "change": [run(x - 0.03, 18.0) for x in PARENT]}
+    lines = bench_pairs.report(runs, {"wall_s": "lower", "peak_rss_mb": "lower"})
+    assert len(lines) == 2
+    assert lines[0].startswith("w.peak_rss_mb (lower is better): parent median 18 ")
+    assert lines[0].endswith("change won 0 of 10 pairs; median gain 0 vs parent "
+                             "quartile spread 0: no gain claimed")
+    assert lines[1].startswith("w.wall_s (lower is better): parent median 0.39 "
+                               "[0.38, 0.4], change median 0.36 [0.35, 0.37]; "
+                               "change won 10 of 10 pairs;")
+    assert lines[1].endswith(": gain")

@@ -64,6 +64,13 @@ def test_bench_pairs_refuses_eight_pairs_or_a_gain_within_the_spread():
     assert c["won"] == 10 and c["gain"] < c["spread"] and not c["claimed"]
 
 
+def test_bench_pairs_refuses_a_clean_sweep_of_fewer_than_ten_pairs():
+    six = [x - 0.03 for x in PARENT[:6]]  # every pair won, far beyond the spread
+    c = bench_pairs.compare(PARENT[:6], six, "lower")
+    assert c["won"] == 6 and c["pairs"] == 6 and c["gain"] > c["spread"]
+    assert not c["claimed"]
+
+
 def test_bench_pairs_reads_the_better_direction():
     higher = [x + 0.03 for x in PARENT]
     assert bench_pairs.compare(PARENT, higher, "higher")["claimed"]

@@ -1,17 +1,18 @@
 """Compare two checkouts on the benchmark in alternating pairs of runs.
 
-    python tools/bench_pairs.py DIR_A DIR_B --workload W --seed S --pairs N [--seconds T]
+    python tools/bench_pairs.py DIR_A DIR_B --workload W --seed S --pairs N
 
 DIR_A is the parent and DIR_B the change, each the root of a source checkout.
-A pair runs `perfbench/run.py --workload W --seed S --seconds T` once in
-each checkout, from its root; the side that runs first alternates from pair
-to pair.  For every end-to-end metric that DIR_A's BENCHMARK.json declares,
-on every workload run, it prints both sides' medians and quartiles and the
-number of pairs the change won (ties count for neither), then the verdict:
-a gain needs the change to win at least nine tenths of the pairs and the
-medians to differ, in the metric's better direction, by more than the
-distance between the parent's quartiles.  A run that reports failed jobs is
-printed and makes the exit code 1.
+A pair runs `perfbench/run.py --workload W --seed S` once in each checkout,
+from its root, at the benchmark's own run length; the side that runs first
+alternates from pair to pair.  For every end-to-end metric that DIR_A's
+BENCHMARK.json declares, on every workload run, it prints both sides' medians
+and quartiles and the number of pairs the change won (ties count for
+neither), then the verdict: a gain needs at least ten pairs, the change
+winning at least nine tenths of them, and the medians to differ, in the
+metric's better direction, by more than the distance between the parent's
+quartiles.  A run that reports failed jobs is printed and makes the exit
+code 1.
 """
 
 from __future__ import annotations
@@ -38,15 +39,16 @@ def compare(parent: list, change: list, better: str) -> dict:
     spread = qa[2] - qa[0]
     return {"parent": qa, "change": qb, "won": won, "pairs": len(parent),
             "gain": gain, "spread": spread,
-            "claimed": 10 * won >= 9 * len(parent) and gain > spread}
+            "claimed": len(parent) >= 10 and 10 * won >= 9 * len(parent)
+                       and gain > spread}
 
 
-def run_benchmark(root: str, workload: str, seed: int, seconds: float) -> dict:
+def run_benchmark(root: str, workload: str, seed: int) -> dict:
     """One run of the benchmark in a checkout: its result line, with each
     metric keyed "workload.metric"."""
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+         "--seed", str(seed)],
         cwd=root, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{root}: perfbench/run.py exited {proc.returncode}:\n"
@@ -84,7 +86,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 to give quartiles")
@@ -95,7 +96,7 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_benchmark(getattr(args, side), args.workload, args.seed, args.seconds)
+            result = run_benchmark(getattr(args, side), args.workload, args.seed)
             runs[side].append(result)
             print(f"pair {i + 1} {side}: correct {result['correct']}, "
                   f"{result['failed']} of {result['attempted']} job runs failed", flush=True)

@@ -6,8 +6,8 @@ The namespace is lazy (PEP 562): a layer is imported when one of its names is
 first read, so a job loads only the layers it uses."""
 
 _EXPORTS = {
-    "laurent": ("LaurentPoly", "exact_div", "geometric_cable_factor", "involution",
-                "normalize_symmetric", "substitute_powers", "support_box"),
+    "laurent": ("LaurentPoly", "geometric_cable_factor", "involution",
+                "normalize_symmetric", "substitute_powers"),
     "linkcat": ("CatalogEntry", "Component", "LinkDescriptor", "catalog",
                 "catalog_list", "disjoint_union", "load_json", "save_json",
                 "sublink", "validate_descriptor"),

@@ -3,8 +3,8 @@
 The central inequality: if the components bound pairwise disjoint surfaces of
 genera g_i in the 4-ball, then h(v) <= sum_i f_cap(g_i, v_i) for every lattice
 point v; h never increases away from 0, so the corners of its folded level
-sets decide it.  Over each prefix (g_1 ... g_{n-1}) the corners give the least
-admissible g_n in closed form, which decides `genus_admissible`.  The region
+sets decide it, as `genus_admissible` checks.  Over each prefix (g_1 ...
+g_{n-1}) the corners give the least admissible g_n in closed form.  The region
 of admissible g is the staircase of an up-set (see `region`):
 `admissible_region` walks the prefixes depth first, only through the values
 where some f-term changes, and carries one remainder per corner, so moving a
@@ -15,7 +15,6 @@ is exact; d-invariants are Fractions.
 from __future__ import annotations
 
 from itertools import compress, product, repeat
-from math import inf
 from operator import add, gt, sub
 from typing import Sequence
 
@@ -33,22 +32,6 @@ def f_cap(g: int, v: int) -> int:
     return (g - abs(v) + 1) // 2
 
 
-def _least_last(table: HTable, p: Sequence[int]) -> float:
-    """The least g_n with (p, g_n) admissible, or inf if there is none.
-
-    A corner (w, k) asks sum_i f_cap(g_i, w_i) >= k over the i with w_i < M.
-    With r = k - sum_{i<n, w_i<M} f_cap(p_i, w_i) left for g_n, it holds for
-    every g_n when r <= 0, for none when r > 0 and w_n = M, and otherwise iff
-    f_cap(g_n, w_n) >= r, that is g_n >= w_n + 2r - 1.
-    """
-    M = table.M
-    rest = [(w[-1], k - sum(f_cap(gi, wi) for gi, wi in zip(p, w) if wi < M))
-            for w, k in table.corners()]
-    if any(r > 0 and wn == M for wn, r in rest):
-        return inf
-    return max((wn + 2 * r - 1 for wn, r in rest if r > 0), default=0)
-
-
 def genus_admissible(table: HTable, g: Sequence[int]) -> bool:
     """True iff h(v) <= sum_i f_cap(g_i, v_i) for every v.
 
@@ -56,12 +39,14 @@ def genus_admissible(table: HTable, g: Sequence[int]) -> bool:
     f_cap(g_i, v_i) is 0 once |v_i| > g_i, so a boundary-shell coordinate
     (|v_i| = M) contributes an f-term of 0.  That side depends on |v| only and
     never grows with it, so a violation persists up to a corner of the same
-    height (`HTable.corners`), and the corners decide the inequality, through
-    the least admissible last coordinate over the prefix of g.
+    height (`HTable.corners`): g passes iff every corner (w, k) has
+    sum_{w_i < M} f_cap(g_i, w_i) >= k.
     """
     if len(g) != table.n or any(x < 0 for x in g):
         raise ValueError("genus vector must be nonnegative with one entry per component")
-    return g[-1] >= _least_last(table, g[:-1])
+    M = table.M
+    return all(sum(f_cap(gi, wi) for gi, wi in zip(g, w) if wi < M) >= k
+               for w, k in table.corners())
 
 
 def admissible_region(table: HTable) -> UpwardClosedRegion:
@@ -73,12 +58,17 @@ def admissible_region(table: HTable) -> UpwardClosedRegion:
     the corners with w_i = M never read g_i, so g - e_i passes whenever g does.
     Admissibility is monotone in g, so every minimal generator is (p, m) with
     p a prefix in the capped box and m the least admissible last coordinate
-    over p, as in `_least_last`.  f_cap(g_i, w_i) changes with g_i only at
-    g_i = w_i + 2j - 1, so a prefix coordinate p_i at no such value (nor 0)
-    gives the m of the candidate value below it, and (p, m) is not minimal.
-    The walk therefore visits only those values, depth first, carrying one
-    remainder k - sum f_cap(p_i, w_i) per corner over the coordinates fixed so
-    far, and the finite candidates (p, m) are minimalized.
+    over p.  Each corner leaves r = k - sum_{i<n, w_i<M} f_cap(p_i, w_i) for
+    g_n: it holds for every g_n when r <= 0, for none when r > 0 and w_n = M,
+    and otherwise iff f_cap(g_n, w_n) >= r, that is g_n >= w_n + 2r - 1.  So
+    m is the largest w_n + 2r - 1 over the corners with r > 0 (0 if there are
+    none), and there is no m if one of them has w_n = M.  f_cap(g_i, w_i)
+    changes with g_i only at g_i = w_i + 2j - 1, so a prefix coordinate p_i at
+    no such value (nor 0) gives the m of the candidate value below it, and
+    (p, m) is not minimal.  The walk therefore visits only those values, depth
+    first, carrying one remainder k - sum f_cap(p_i, w_i) per corner over the
+    coordinates fixed so far, and the finite candidates (p, m) are
+    minimalized.
 
     Every admissible g lies in the h-vanishing region: at v = g every f-term
     is f_cap(g_i, g_i) = 0, so h(g) <= 0 <= H(g) = h(g).  Only a wrong walk
@@ -172,6 +162,12 @@ def unlink_test(table: HTable) -> bool:
     moving every coordinate of a box point away from 0 out to +-M never
     raises h, so the box minimum lies at a corner of {-M, M}^n.  h vanishes
     iff h(0) and h at the 2^n corners are 0.
+
+    Reading h(0) alone would need h = 0 at every corner.  That follows from
+    stabilization together with the symmetry h(-s) = h(s).  The tests check
+    that symmetry on every oracle link, but it is not derived from the
+    validated laws (it rests on the Torres condition of the Alexander data,
+    which validation does not check), so the corners are still read.
 
     A slice L-space link with identically zero h-function is the unlink; a
     True result means the input is consistent with that conclusion.

@@ -1,10 +1,11 @@
 """Cabling: the Alexander-polynomial transform and the region transform.
 
-Replacing each component L_i by its (p_i, q_i)-cable multiplies the Alexander
-polynomial, after the substitution t_i -> t_i^{p_i}, by the closed factor
-(t^{p q/2} - t^{-p q/2}) / (t^{q/2} - t^{-q/2}) per component; for a knot the
-polynomial is first divided by (t - 1).  On genus regions the same operation
-acts by the coordinate map
+Replacing each component L_i of a link by its (p_i, q_i)-cable multiplies the
+Alexander polynomial, after the substitution t_i -> t_i^{p_i}, by the closed
+factor (t^{p q/2} - t^{-p q/2}) / (t^{q/2} - t^{-q/2}) per component.  A knot
+follows the classical cabling formula Delta_K(t^p) * Delta_{T(p,q)}(t), with
+the torus knot polynomial read off the semigroup generated by p and q.  On
+genus regions the same operation acts by the coordinate map
 
     T(s)_i = p_i s_i + (p_i - 1)(q_i - 1) / 2,
 
@@ -19,8 +20,8 @@ from math import gcd
 from typing import Sequence
 
 from .errors import UsageError, ValidationError
-from .laurent import (LaurentPoly, exact_div, geometric_cable_factor,
-                      normalize_symmetric, substitute_powers)
+from .laurent import (LaurentPoly, geometric_cable_factor, normalize_symmetric,
+                      substitute_powers)
 from .linkcat import (Component, LinkDescriptor, Record, all_subsets,
                       require_valid)
 
@@ -80,14 +81,18 @@ def parse_cable_spec(text: str) -> CableSpec:
 def _cable_knot_poly(delta: LaurentPoly, p: int, q: int) -> LaurentPoly:
     """Alexander polynomial of the (p, q)-cable of a knot with polynomial delta.
 
-    The knot form of the cable formula divides by (t - 1) on both sides;
-    rearranged to stay polynomial:  delta(t^p) * factor * (t - 1) / (t^p - 1),
-    computed by exact division with a remainder-zero guarantee.
+    The cabling formula gives delta(t^p) * Delta_{T(p,q)}(t).  With S the
+    semigroup generated by p and q and c = (p - 1)(q - 1), S contains every
+    s >= c, so Delta_{T(p,q)} = (1 - t) * sum_{s in S} t^s is the polynomial
+    sum_{s in S, s < c} (t^s - t^{s+1}) + t^c: the coefficient of t^e is
+    [e in S] - [e - 1 in S] for 0 <= e <= c.  Every s <= c in S is a p + b q
+    with a < q and b < p.
     """
-    t_minus_1 = LaurentPoly.from_terms(1, [(1, (1,)), (-1, (0,))])
-    tp_minus_1 = LaurentPoly.from_terms(1, [(1, (p,)), (-1, (0,))])
-    numerator = substitute_powers(delta, (p,)) * geometric_cable_factor(p, q) * t_minus_1
-    return normalize_symmetric(exact_div(numerator, tp_minus_1))
+    c = (p - 1) * (q - 1)
+    semigroup = {a * p + b * q for a in range(q) for b in range(p)}
+    torus = LaurentPoly(1, {(2 * e,): (e in semigroup) - (e - 1 in semigroup)
+                            for e in range(c + 1)})
+    return normalize_symmetric(substitute_powers(delta, (p,)) * torus)
 
 
 def _embed(poly: LaurentPoly, nvars: int, position: int) -> LaurentPoly:
@@ -180,23 +185,16 @@ def cable_consistency_check(d: LinkDescriptor, spec: CableSpec,
     warnings = spec.largeness_warnings()
     transformed = region_via_T(region_from_h(HTable(d, force=force)), spec)
     try:
-        direct = region_from_h(HTable(cabled, force=force))
+        direct, error = region_from_h(HTable(cabled, force=force)).generators, None
     except ValidationError as exc:
         # The cabled Alexander data does not produce a valid H-function: the
         # cable is not an L-space link (small q/p), so the direct route is out.
-        return {
-            "cabled": cabled,
-            "equal": False,
-            "direct_generators": None,
-            "direct_error": str(exc),
-            "transformed_generators": transformed.generators,
-            "warnings": warnings,
-        }
+        direct, error = None, str(exc)
     return {
         "cabled": cabled,
-        "equal": direct.generators == transformed.generators,
-        "direct_generators": direct.generators,
-        "direct_error": None,
+        "equal": direct == transformed.generators,
+        "direct_generators": direct,
+        "direct_error": error,
         "transformed_generators": transformed.generators,
         "warnings": warnings,
     }

@@ -21,10 +21,6 @@ class ParseError(SchemaError):
     """A descriptor file is not valid JSON at all."""
 
 
-class ExactDivisionError(ValidationError):
-    """Laurent division left a nonzero remainder; the input is malformed."""
-
-
 class SymmetryError(ValidationError):
     """No unit multiple of the polynomial has the required symmetry."""
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ExactDivisionError, SymmetryError
+from .errors import SymmetryError
 
 Exp = tuple  # doubled exponent tuple, one int per variable
 
@@ -230,62 +230,6 @@ def involution(f: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(f.nvars, {tuple(-d for d in exp): c for exp, c in f.terms.items()})
 
 
-def support_box(f: LaurentPoly):
-    """Componentwise (min, max) exponent vectors over the support, as Fractions."""
-    if f.is_zero():
-        raise ValueError("zero polynomial has no support box")
-    lo, hi = _support_box_doubled(f)
-    return (tuple(halve_exponent(d) for d in lo), tuple(halve_exponent(d) for d in hi))
-
-
-def _support_box_doubled(f: LaurentPoly):
-    exps = list(f.terms)
-    lo = tuple(min(e[i] for e in exps) for i in range(f.nvars))
-    hi = tuple(max(e[i] for e in exps) for i in range(f.nvars))
-    return lo, hi
-
-
-def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Return h with h*g == f exactly; raise ExactDivisionError otherwise.
-
-    Iterated leading-term elimination under lexicographic exponent order.  In a
-    domain both the leading and trailing monomials of a product are the products
-    of the factors' leading/trailing monomials, so every quotient monomial lies
-    in the componentwise box [min(f)-min(g), max(f)-max(g)]; leaving that box
-    proves the division inexact, which also bounds the loop.
-    """
-    f._check_compatible(g)
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero():
-        return LaurentPoly.zero(f.nvars)
-    flo, fhi = _support_box_doubled(f)
-    glo, ghi = _support_box_doubled(g)
-    qlo = tuple(a - b for a, b in zip(flo, glo))
-    qhi = tuple(a - b for a, b in zip(fhi, ghi))
-
-    lead_g = max(g.terms)
-    cg = g.terms[lead_g]
-    quotient: dict = {}
-    rem = dict(f.terms)
-    while rem:
-        lead_r = max(rem)
-        cr = rem[lead_r]
-        u = tuple(a - b for a, b in zip(lead_r, lead_g))
-        if any(x < lo or x > hi for x, lo, hi in zip(u, qlo, qhi)) or cr % cg != 0:
-            raise ExactDivisionError(f"({f}) is not divisible by ({g})")
-        c = cr // cg
-        quotient[u] = c
-        for eg, cg2 in g.terms.items():
-            key = tuple(a + b for a, b in zip(u, eg))
-            val = rem.get(key, 0) - c * cg2
-            if val:
-                rem[key] = val
-            else:
-                rem.pop(key, None)
-    return LaurentPoly(f.nvars, quotient)
-
-
 def symmetry_sign(nvars: int) -> int:
     """Target sign under variable inversion: +1 for knots, (-1)^n for links."""
     return 1 if nvars == 1 else (-1) ** nvars
@@ -302,7 +246,8 @@ def normalize_symmetric(f: LaurentPoly) -> LaurentPoly:
     """
     if f.is_zero():
         raise SymmetryError("the zero polynomial cannot be normalized")
-    lo, hi = _support_box_doubled(f)
+    lo = [min(e[i] for e in f.terms) for i in range(f.nvars)]
+    hi = [max(e[i] for e in f.terms) for i in range(f.nvars)]
     if any((a + b) % 2 for a, b in zip(lo, hi)):
         raise SymmetryError(f"no symmetric unit multiple of ({f}) on the half-integer lattice")
     shift = tuple(-(a + b) // 2 for a, b in zip(lo, hi))

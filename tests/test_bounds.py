@@ -415,7 +415,8 @@ def test_fold_and_walk_match_the_per_point_oracles(name):
 
 
 class CornerList:
-    """What `admissible_region` reads of a table: n, M and the corners."""
+    """What `admissible_region` and `genus_admissible` read of a table: n, M
+    and the corners."""
 
     def __init__(self, n, M, corners):
         self.n, self.M, self._corners = n, M, corners
@@ -442,8 +443,12 @@ def test_walk_matches_the_sweep_on_any_corner_list(case):
     # the walk's argument holds for any list of constraints (w, k), not only
     # for the corners of a table
     n, M, corners = case
-    assert admissible_region(CornerList(n, M, corners)) == \
-        reference_admissible_region(n, M, corners)
+    table = CornerList(n, M, corners)
+    assert admissible_region(table) == reference_admissible_region(n, M, corners)
+    # genus_admissible reads the same corners one genus vector at a time
+    for g in product(range(2 * M + 1), repeat=n):
+        assert genus_admissible(table, g) == \
+            (g[-1] >= reference_least_last(corners, M, g[:-1])), g
 
 
 def test_walk_reads_each_f_term_once_per_candidate(monkeypatch):

@@ -12,7 +12,7 @@ from hfgenus.cable import (CableSpec, T_transform, cable_alexander,
                            region_via_T)
 from hfgenus.errors import UsageError
 from hfgenus.hfunction import HTable
-from hfgenus.laurent import LaurentPoly
+from hfgenus.laurent import LaurentPoly, geometric_cable_factor, substitute_powers
 from hfgenus.linkcat import catalog, disjoint_union, sublink, validate_descriptor
 from hfgenus.region import UpwardClosedRegion, region_from_h
 
@@ -52,9 +52,41 @@ def test_unknot_cable_is_trefoil():
     assert region_from_h(HTable(d)).generators == ((1,),)
 
 
+COPRIME_PAIRS = [(p, q) for p in range(1, 9) for q in range(1, 40) if gcd(p, q) == 1]
+
+
+def binomial(e):
+    """t^e - 1."""
+    return P(1, (1, (e,)), (-1, (0,)))
+
+
+def up_to_monomial(f):
+    """f shifted so that its lowest exponent is 0."""
+    return f.shift(tuple(-e for e in min(f.terms)))
+
+
 def test_unknot_cables_give_torus_knot_polynomials():
     assert cable_alexander(catalog("unknot"), CableSpec(((2, 5),))).delta((0,)) == T25
     assert cable_alexander(catalog("unknot"), CableSpec(((2, 7),))).delta((0,)) == T27
+    # Delta_{T(p,q)} = (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)), by multiplication
+    for p, q in COPRIME_PAIRS:
+        cable = cable_alexander(catalog("unknot"), CableSpec(((p, q),))).delta((0,))
+        assert up_to_monomial(cable * binomial(p) * binomial(q)) == \
+            up_to_monomial(binomial(p * q) * binomial(1)), (p, q)
+
+
+@pytest.mark.parametrize("knot", [
+    lambda: catalog("trefoil_rh"),
+    lambda: cable_alexander(catalog("trefoil_rh"), CableSpec(((2, 5),))),
+], ids=["trefoil_rh", "trefoil_rh_cable(2:5)"])
+def test_knot_cables_follow_the_division_formula(knot):
+    # cable * (t^p - 1) = delta(t^p) * factor(p, q) * (t - 1), up to a monomial
+    d = knot()
+    delta = d.delta((0,))
+    for p, q in COPRIME_PAIRS:
+        cable = cable_alexander(d, CableSpec(((p, q),))).delta((0,))
+        expected = substitute_powers(delta, (p,)) * geometric_cable_factor(p, q) * binomial(1)
+        assert up_to_monomial(cable * binomial(p)) == up_to_monomial(expected), (p, q)
 
 
 def test_one_strand_cable_is_identity():

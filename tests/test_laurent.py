@@ -1,5 +1,5 @@
-"""Exact Laurent arithmetic: worked examples, ring laws, division fuzzing,
-and the knot chi series Delta(t)/(1 - t^-1) against Laurent products."""
+"""Exact Laurent arithmetic: worked examples, ring laws and the knot chi
+series Delta(t)/(1 - t^-1) against Laurent products."""
 
 from fractions import Fraction
 from math import gcd
@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfgenus.errors import ExactDivisionError, SymmetryError, ValidationError
+from hfgenus.errors import SymmetryError, ValidationError
 from hfgenus.hfunction import HTable
-from hfgenus.laurent import (LaurentPoly, exact_div, geometric_cable_factor,
-                             involution, normalize_symmetric,
-                             substitute_powers, support_box)
+from hfgenus.laurent import (LaurentPoly, geometric_cable_factor, involution,
+                             normalize_symmetric, substitute_powers)
 from hfgenus.linkcat import Component, LinkDescriptor, catalog, require_valid
 
 H = Fraction(1, 2)
@@ -83,27 +82,6 @@ def test_geometric_cable_factor_multiplies_back():
             assert geometric_cable_factor(p, q) * den == num
 
 
-def test_exact_div_examples():
-    assert exact_div(P(1, (1, (2,)), (-1, (0,))), P(1, (1, (1,)), (-1, (0,)))) \
-        == P(1, (1, (1,)), (1, (0,)))
-    f = P(1, (2, (3,)), (-1, (0,)), (5, (-2,)))
-    assert exact_div(f, f) == LaurentPoly.one(1)
-    # the (2,3)-cable-of-unknot quotient
-    num = P(1, (1, (Fraction(3, 2),)), (1, (Fraction(-3, 2),))) * \
-        P(1, (1, (1,)), (-1, (0,)))
-    got = exact_div(num, P(1, (1, (2,)), (-1, (0,))))
-    assert got == P(1, (1, (H,)), (-1, (-H,)), (1, (Fraction(-3, 2),)))
-
-
-def test_exact_div_rejects_inexact():
-    with pytest.raises(ExactDivisionError):
-        exact_div(P(1, (1, (2,)), (1, (0,))), P(1, (1, (1,)), (-1, (0,))))
-    with pytest.raises(ExactDivisionError):
-        exact_div(P(1, (1, (1,))), P(1, (2, (0,))))
-    with pytest.raises(ZeroDivisionError):
-        exact_div(LaurentPoly.one(1), LaurentPoly.zero(1))
-
-
 def test_involution_examples():
     f = P(1, (1, (1,)), (-1, (0,)), (1, (-1,)))
     assert involution(f) == f
@@ -134,16 +112,6 @@ def test_normalize_symmetric_rejects():
         normalize_symmetric(LaurentPoly.zero(1))
 
 
-def test_support_box():
-    f = P(1, (1, (1,)), (-1, (0,)), (1, (-1,)))
-    assert support_box(f) == ((-1,), (1,))
-    tilde = P(2, (-1, (1, 1)), (1, (1, 0)), (1, (0, 1)), (-1, (0, 0)))
-    assert support_box(tilde) == ((0, 0), (1, 1))
-    assert support_box(P(3, (5, (0, 0, 0)))) == ((0, 0, 0), (0, 0, 0))
-    with pytest.raises(ValueError):
-        support_box(LaurentPoly.zero(2))
-
-
 def test_coefficients_must_be_ints():
     with pytest.raises(TypeError):
         LaurentPoly(1, {(0,): 1.5})
@@ -167,15 +135,6 @@ def test_ring_laws(fgh):
     assert f * g == g * f
     assert f * (g + h) == f * g + f * h
     assert (f * g) * h == f * (g * h)
-
-
-@settings(max_examples=200)
-@given(st.integers(1, 2).flatmap(lambda n: st.tuples(polys(n), polys(n))))
-def test_exact_div_roundtrip(fg):
-    f, g = fg
-    if g.is_zero():
-        return
-    assert exact_div(f * g, g) == f
 
 
 @settings(max_examples=100)

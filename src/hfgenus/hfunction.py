@@ -35,9 +35,9 @@ every lattice point v, clamp taking each coordinate into [-M_i, M_i]: the
 laws validated on the box hold everywhere, a sweep of the box decides every
 question about h, and `HTable.H` reads any point off the box list.  A
 sublink's sign trial uses the same per-axis box of its own tables.
-M = support_radius + 2 is the largest M_i, and the cube [-M, M]^n holds the
-box: it is the window of the h-table and of `HTable.iter_box`, and the box
-over which a failing table's problems are rendered.  This holds by
+M = max M_i, and the cube [-M, M]^n holds the box: it is the window of the
+h-table and of `HTable.iter_box`, and the box over which a failing table's
+problems are rendered.  This holds by
 construction, checked by the oracle tests; validation checks only the laws
 the Alexander data can break, H >= 0 and unit steps, and it runs in the
 constructor: a table whose data break them raises `StabilizationError`, so
@@ -45,9 +45,14 @@ every `HTable` that exists has passed the laws.
 
 The step law makes h monotone, never increasing as a coordinate moves away
 from 0: for s_i >= 1, H(s - e_i) >= H(s) and H_O is unchanged; for s_i <= 0,
-H(s - e_i) <= H(s) + 1 and H_O grows by 1.  So max h = h(0), {h = 0} is
-up-closed on [0, M]^n and each folded level set {|v| : h(v) >= k} is a
-down-set of [0, M]^n, fixed by its maximal points (`HTable.corners`).
+H(s - e_i) <= H(s) + 1 and H_O grows by 1.  So max h = h(0), and every
+level set is read off the box list by one primitive, `_drops`, which marks
+the points of a flat list where it falls along every axis.  Each folded
+level set {|v| : h(v) >= k} is a down-set of [0, M]^n, fixed by its maximal
+points (`HTable.corners`, after `_fold`).  On the orthant h = H, so
+{h = 0} is up-closed there; it is fixed by its minimal points and its
+complement by its maximal points (`HTable.staircases`, after
+`_nonnegative`).
 
 The overall sign of a multi-component Alexander polynomial is not pinned down
 by symmetry alone; it is resolved here, bottom-up over sublinks, by requiring
@@ -191,6 +196,18 @@ def _fold(grid: list, radii: Sequence[int]) -> list:
     return grid
 
 
+def _nonnegative(grid: list, radii: Sequence[int]) -> list:
+    """The part at s >= 0 of a flat list over prod [-r_i, r_i], flat over
+    prod [0, r_i] in row-major order: one pass per axis keeps the slice
+    s_i >= 0 of every block of the points that share the coordinates before
+    i, the later axes still whole."""
+    for i, r in enumerate(radii):
+        st = prod(2 * x + 1 for x in radii[i + 1:])
+        grid = list(chain.from_iterable(
+            grid[j:j + (r + 1) * st] for j in range(r * st, len(grid), (2 * r + 1) * st)))
+    return grid
+
+
 def _drops(top: list, sides: Sequence[int]) -> list:
     """Whether top[w] > 0 and top[w + e_i] < top[w] for every i with
     w_i < sides[i] - 1, for every w of a flat list over prod [0, sides[i]),
@@ -241,7 +258,6 @@ class HTable:
         self._resolve_signs()
 
         self.M = max(self._box)
-        self.support_radius = self.M - 2
         self._sides = [2 * m + 1 for m in self._box]
         self._origin = sum(map(mul, self._box, _strides(self._sides)))  # index of 0
 
@@ -419,3 +435,21 @@ class HTable:
                 (tuple(self.M if x == m else x for x, m in zip(w, self._box)), k)
                 for w, k in zip(compress(points, keep), compress(top, keep))]
         return self._corners
+
+    def staircases(self) -> tuple:
+        """The minimal points of {w >= 0 : h(w) = 0} and the maximal points w
+        of its complement, those with h(w + e_i) = 0 for every i, each sorted,
+        by whole-list operations on the box list.  On prod [0, M_i] h = H
+        (`_nonnegative`); `_drops` on the list of h > 0 marks the points where
+        it falls along every axis, and on the list of h = 0 with every axis
+        reversed (the list reversed) the points where it falls along every
+        axis downward, which are the minimal points.  h is constant in w_i
+        from M_i - 1 on, so no minimal point has w_i = M_i, and no maximal
+        point has w_i >= M_i - 1: the shell points w_i = M_i, which `_drops`
+        does not compare along axis i, are dropped."""
+        sides = [m + 1 for m in self._box]
+        positive = [x > 0 for x in _nonnegative(self._grid, self._box)]
+        minimal = reversed(_drops([not x for x in reversed(positive)], sides))
+        maximal = compress(product(*map(range, sides)), _drops(positive, sides))
+        return (tuple(compress(product(*map(range, sides)), minimal)),
+                tuple(w for w in maximal if all(map(lt, w, self._box))))

@@ -1,17 +1,16 @@
 """Upward-closed subsets of the nonnegative lattice orthant.
 
 A region is stored as its finite antichain of minimal generators; membership
-means dominating some generator.  An up-set is fixed by its least last
-coordinate over each prefix p of the first n - 1 coordinates: every minimal
-generator is (p, least[p]) for its own prefix.  The genus region of a link is
-the set of nonnegative lattice points where h vanishes; its complement is
-finite in every bounded window, which is what a staircase plot draws.
+means dominating some generator.  The genus region of a link is the set of
+nonnegative lattice points where h vanishes; its complement is finite in
+every bounded window, which is what a staircase plot draws.  Its generators
+and the maximal points of its complement come from one whole-list pass over
+the table's box list (`HTable.staircases`), which reads no point through
+`HTable.h`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import product
 from typing import Iterable, Sequence
 
 from .hfunction import HTable
@@ -63,36 +62,22 @@ class UpwardClosedRegion(Record):
         return min(sum(g) for g in self.generators)
 
 
-def _first_zeros(table: HTable) -> dict:
-    """For each prefix p in [0, M]^(n-1), the least x <= M with h(p, x) = 0,
-    or M + 1 if there is none.
-
-    On [0, M]^n, h = H >= 0 and the step law, validated when the table was
-    built, makes H nonincreasing along every axis, so the zeros of each
-    column form its tail and a bisection finds where it starts."""
-    xs = range(table.M + 1)
-    return {p: bisect_left(xs, True, key=lambda x: table.h(p + (x,)) == 0)
-            for p in product(xs, repeat=table.n - 1)}
-
-
 def region_from_h(table: HTable) -> UpwardClosedRegion:
     """Minimal generators of the set of nonnegative points with h = 0.
 
-    That set is up-closed on [0, M]^n, so they are the minimal points
-    (p, x) with x the first zero over p (`_first_zeros`).  h is constant in
-    w_i from M - 1 on, by construction (see `hfunction`), checked by the
-    oracle tests, so every generator lies inside the box and below its top
-    shell.
+    They are the points w >= 0 with h(w) = 0 and h(w - e_i) > 0 wherever
+    w_i > 0, read off the box list with the maximal points in one pass
+    (`HTable.staircases`).  h is constant in w_i from M_i - 1 on, by
+    construction (see `hfunction`), checked by the oracle tests, so every
+    generator lies inside the box and below its top shell.
     """
-    return UpwardClosedRegion(table.n, tuple(
-        p + (x,) for p, x in _first_zeros(table).items() if x <= table.M))
+    return UpwardClosedRegion(table.n, table.staircases()[0])
 
 
 def maximal_lattice_points(table: HTable) -> tuple:
-    """Nonnegative points outside the region all of whose upper neighbors are in.
-
-    A maximal point is z = (p, x - 1) with x the first zero over p, so
-    z + e_n is in; z + e_i is in iff the first zero over p + e_i is below x.
+    """Nonnegative points outside the region all of whose upper neighbors are in,
+    sorted: the points z >= 0 with h(z) > 0 and h(z + e_i) = 0 for every i,
+    read off the box list with the generators (`HTable.staircases`).
 
     Every maximal point has H(z) = 1, so chi at z + 1 is (-1)^(n-1)
     (`HTable.chi_from_H`; a standing test checks it).  Each corner
@@ -101,12 +86,7 @@ def maximal_lattice_points(table: HTable) -> tuple:
     sum is then (-1)^(n-1) H(z).  H(z) > 0 as z is outside the region, and
     the step law at z + e_n gives H(z) <= H(z + e_n) + 1 = 1.
     """
-    first = _first_zeros(table)
-    M = table.M
-    return tuple(
-        p + (x - 1,) for p, x in first.items()
-        if 0 < x <= M and all(
-            y < M and first[p[:i] + (y + 1,) + p[i + 1:]] < x for i, y in enumerate(p)))
+    return table.staircases()[1]
 
 
 def region_product(r1: UpwardClosedRegion, r2: UpwardClosedRegion) -> UpwardClosedRegion:

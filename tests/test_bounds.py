@@ -283,11 +283,11 @@ def test_large_surgery_threshold_ignores_box_growth():
 
 
 def oracle_admissible_region(t):
-    """The grown-box algorithm: every positive point within support_radius +
-    cap + 2 through t.h, and a sum-ordered sweep of the capped genus box with
-    domination pruning.  Returns (generators, admissibility predicate, cap)."""
-    cap = 2 * max((t.h(v) for v in t.iter_box()), default=0) + t.support_radius + 2
-    R = t.support_radius + cap + 2
+    """The grown-box algorithm: every positive point within M + cap through
+    t.h, and a sum-ordered sweep of the capped genus box with domination
+    pruning.  Returns (generators, admissibility predicate, cap)."""
+    cap = 2 * max((t.h(v) for v in t.iter_box()), default=0) + t.M
+    R = t.M + cap
     # f_cap reads |v_i| only: keep the largest h per vector of absolute values
     worst: dict = {}
     for v in product(range(-R, R + 1), repeat=t.n):

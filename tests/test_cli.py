@@ -1,13 +1,19 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
+import contextlib
 import importlib.util
+import io
 import json
+import re
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hfgenus.cli import main
+from hfgenus.cli import _TABLE, _parse, main
+from hfgenus.errors import UsageError
 from hfgenus.linkcat import catalog, descriptor_to_dict
 
 
@@ -221,15 +227,159 @@ def test_bad_arguments_exit_with_usage_error(capsys, argv):
 
 
 def accepted_flags():
-    """(command, flag) for every option the parser accepts, help aside, with
-    the choices of each --format."""
+    """(command, flag) for every flag the table gives a command, help aside,
+    with the choices of each --format (None for any other flag)."""
+    return {(name, flag): kind if isinstance(kind, tuple) else None
+            for name, (_, _, flags) in _TABLE.items() for flag, (kind, _) in flags.items()}
+
+
+def reference_parser():
+    """The argparse parser (of Python 3.11) that read the command line
+    before _TABLE did."""
     import argparse
-    from hfgenus.cli import _build_parser
-    commands = next(a for a in _build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices
-    return {(name, flag): action.choices
-            for name, cmd in commands.items() for action in cmd._actions
-            for flag in action.option_strings if flag not in ("-h", "--help")}
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
+    parser = _Parser(prog="hfgenus",
+                     description="H-functions, genus regions, 4-genus bounds, "
+                                 "d-invariants and cables of L-space links")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, text, formats=(), link_input=True):
+        cmd = sub.add_parser(name, help=text)
+        cmd.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+        if link_input:
+            cmd.add_argument("--catalog", metavar="KEY[:p1,p2,...]",
+                             help="built-in link (see catalog-list)")
+            cmd.add_argument("--link", metavar="FILE", help="JSON descriptor file")
+            cmd.add_argument("--force", action="store_true",
+                             help="proceed without the L-space assertion / largeness checks")
+        if formats:
+            cmd.add_argument("--format", choices=formats, dest="fmt")
+        return cmd
+
+    command("h-table", "print h over the box", formats=("json", "ascii"))
+    command("region", "generators and maximal points of the genus region",
+            formats=("json", "ascii", "svg"))
+    command("bounds", "4-genus lower bounds", formats=("json", "ascii"))
+
+    cab = command("cable", "cable the link")
+    cab.add_argument("--cable", required=True, metavar="p1:q1,p2:q2,...",
+                     help="coprime pair per component")
+
+    dinv = command("d-invariants",
+                   "lens space, circle bundle, or large-surgery d-invariants")
+    dinv.add_argument("--lens", type=int, metavar="M",
+                      help="all d-invariants of the lens space of order M")
+    dinv.add_argument("--circle-bundle", metavar="M:G",
+                      help="d-invariants of the order-M circle bundle over genus G")
+    dinv.add_argument("--framing", metavar="q1,q2,...",
+                      help="surgery coefficients (with --catalog/--link)")
+    dinv.add_argument("--point", metavar="v1,v2,...",
+                      help="structure label, default all zeros")
+
+    command("validate", "validate a descriptor and its H-function; exit 0 iff valid")
+    command("catalog-list", "list built-in links", link_input=False)
+    return parser
+
+
+REFERENCE = reference_parser()
+
+
+def parsed(parse, argv):
+    """What a parser makes of argv: the namespace as a dict, "help" for -h
+    (exit 0) or "rejected" for a usage error."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return vars(parse(argv))
+    except SystemExit as exc:
+        assert exc.code == 0
+        return "help"
+    except UsageError:
+        return "rejected"
+
+
+VALUE_FLAGS = ["--out", "--catalog", "--link", "--format", "--cable", "--lens",
+               "--circle-bundle", "--framing", "--point"]
+FLAGS = VALUE_FLAGS + ["--force", "--help"]
+VALUES = ["whitehead", "two_bridge:3", "json", "ascii", "svg", "xml", "5", "-3", "x", "",
+          "2:7,1:1", "7:1", "50,50", "1,0", "-1,0", "-x", "-h", "-"]
+NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")  # what argparse reads as a negative number
+
+
+@st.composite
+def command_lines(draw):
+    """A command (or none, or not first), then flags, mostly the command's
+    own, named in full or by a prefix of at least one letter, with a value
+    after them or after `=`; values are choices, integers, non-integers,
+    negative numbers and other values that begin with a single `-`; also
+    stray values, unknown flags, repeats and -h."""
+    command = draw(st.sampled_from(sorted(_TABLE)))
+    own = [flag for (name, flag) in accepted_flags() if name == command]
+    flag = st.builds(lambda f, n: f[:n], st.sampled_from(own) | st.sampled_from(FLAGS),
+                     st.integers(3, 16))
+    value = st.sampled_from(VALUES)
+    item = st.one_of(st.tuples(st.sampled_from(own), value), st.tuples(flag, value),
+                     st.tuples(flag), st.builds("{}={}".format, flag, value).map(lambda t: (t,)),
+                     st.tuples(value), st.sampled_from([("-h",), ("--nope",), ("--nope=1",)]))
+    argv = [token for tokens in draw(st.lists(item, max_size=4)) for token in tokens]
+    if draw(st.integers(0, 5)):
+        argv.insert(draw(st.integers(0, len(argv))) if draw(st.integers(0, 3)) == 0 else 0,
+                    command)
+    return argv
+
+
+def single_dash_value(argv):
+    """Whether argv holds a value that begins with a single `-` and is not a
+    negative number: any such token but -h, or -h after a token that could
+    name a flag taking a value.  argparse reads these as flags, the table
+    parser as values or, before the command, as the command."""
+    return any(token[:1] == "-" and token[1:2] != "-" and not NEGATIVE.match(token) and (
+        token != "-h" or prev[:2] == "--" and "=" not in prev and
+        any(flag.startswith(prev) for flag in VALUE_FLAGS))
+        for prev, token in zip(["", *argv], argv))
+
+
+@settings(max_examples=500, deadline=None)
+@given(command_lines())
+@example(["region", "--cat", "whitehead", "--form", "ascii"])
+@example(["region", "--catalog=whitehead", "--format=json", "--format", "ascii"])
+@example(["d-invariants", "--lens", "-3"])
+@example(["d-invariants", "--framing", "--lens", "5"])
+@example(["d-invariants", "--lens", "five"])
+@example(["region", "--c", "whitehead"])
+@example(["region", "--force=1", "--catalog", "whitehead"])
+@example(["region", "--catalog", "whitehead", "--nope", "--help"])
+@example(["region", "--help", "--f"])
+@example(["region", "--help", "--", "--f"])
+@example(["region", "--", "--help"])
+@example(["--nope", "--help", "region"])
+@example(["cable", "--catalog", "whitehead"])
+@example(["cable", "--help"])
+@example([])
+def test_the_table_parser_agrees_with_argparse(argv):
+    table, reference = parsed(_parse, argv), parsed(REFERENCE.parse_args, argv)
+    assert table == reference or single_dash_value(argv), (table, reference)
+
+
+def test_a_value_may_begin_with_a_single_dash(capsys):
+    argv = ["d-invariants", "--catalog", "whitehead", "--framing", "50,50"]
+    code, out, _ = run(capsys, *argv, "--point", "-1,0")
+    assert code == 0 and json.loads(out)["d"] == "588/25"
+    assert run(capsys, *argv, "--point=-1,0") == (code, out, "")
+
+
+@pytest.mark.parametrize("command", [None, *_TABLE])
+def test_help_lists_the_commands_or_the_flags(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "-h"] if command else ["--he"])
+    out = capsys.readouterr().out
+    assert exit_.value.code == 0
+    names = _TABLE[command][2] if command else _TABLE
+    assert [line.split()[0] for line in out.splitlines() if line[:2] == "  "] == [
+        *names, "--help"]
 
 
 LINK_INPUT_EXTRAS = {

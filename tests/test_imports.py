@@ -84,6 +84,14 @@ def test_no_command_loads_dataclasses(argv):
     assert "dataclasses" not in run_cli(*argv)
 
 
+def test_no_command_loads_argparse():
+    # the command line is read from a table: argparse, and the gettext and
+    # locale it loads, cost every fresh process several milliseconds
+    added = modules_added("from hfgenus.cli import main\n" + "".join(
+        f"assert main({list(argv)!r}) == 0\n" for argv in COMMANDS))
+    assert not added & {"argparse", "gettext", "locale"}
+
+
 def test_namespace_names_resolve_to_their_modules():
     import importlib
     for module, names in hfgenus._EXPORTS.items():

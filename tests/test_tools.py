@@ -36,10 +36,11 @@ def test_code_lines_skip_docstrings_comments_and_blanks():
 
 def test_code_lines_prints_every_module_and_the_sum(tmp_path, capsys):
     (tmp_path / "a.py").write_text(SOURCE)
-    (tmp_path / "b.py").write_text("x = 1\n\n")
+    (tmp_path / "b.py").write_text("x = 1\n\n")  # nodes: Module Assign Name Store Constant
     assert code_lines.main([str(tmp_path)]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert rows[1:] == [["a.py", "5", "11"], ["b.py", "1", "2"], ["sum", "6", "13"]]
+    assert rows == [["module", "code", "nodes", "total"], ["a.py", "5", "20", "11"],
+                    ["b.py", "1", "5", "2"], ["sum", "6", "25", "13"]]
 
 
 # Ten paired runs: the parent's quartiles are 0.38 and 0.40 (spread 0.02).

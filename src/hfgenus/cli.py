@@ -7,11 +7,12 @@ its handler reads; any other flag is a usage error.  All outputs are
 deterministic: identical inputs give byte-identical bytes, rationals print as
 num/den.
 
-The command line is read against one table, _TABLE, which gives each command
-its handler, its help and its flags.  `_parse` takes full or unique-prefix
-flag names, `--flag value` and `--flag=value` (a value may begin with a
-single `-`), the last value winning, and -h or --help.  It imports nothing:
-the standard library's parser, with the gettext and locale it loads and one
+The command line is read in order against one table, _TABLE, which gives
+each command its handler, its help and its flags.  `_parse` takes full or
+unique-prefix flag names, `--flag value` and `--flag=value` (a value may
+begin with a single `-`), the last value winning, and -h or --help; the
+first token it cannot read is a usage error.  It imports nothing: the
+standard library's parser, with the gettext and locale it loads and one
 parser per command, cost each process 7.5 ms (median of 21 fresh processes
 on a 2-CPU Xeon VM, Python 3.11).
 
@@ -22,6 +23,7 @@ Each command imports only the layers it uses, so a job loads no other.
 from __future__ import annotations
 
 import sys
+from types import SimpleNamespace
 
 from .errors import LargenessError, StabilizationError, UsageError, ValidationError
 
@@ -299,24 +301,6 @@ _TABLE = {
 }
 
 
-class _Args:
-    """A parsed command line: `command` and one attribute per flag."""
-
-    def __init__(self, **values):
-        self.__dict__.update(values)
-
-
-def _flag(token: str, flags: dict):
-    """The flag that `token`, maybe `--flag=value`, names in full or by a
-    unique prefix; None if it names none."""
-    name = token.partition("=")[0]
-    found = [flag for flag in flags
-             if name.startswith("--") and token != "--" and flag.startswith(name)]
-    if len(found) > 1:
-        raise UsageError(f"ambiguous flag {name}: {' '.join(found)}")
-    return "--help" if name == "-h" else found[0] if found else None
-
-
 def _help(command) -> str:
     """The -h text: one command's flags, or the commands."""
     text, flags = _TABLE[command][1:] if command else (
@@ -331,50 +315,49 @@ def _help(command) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse(argv: list) -> _Args:
-    """The command line `argv` read against _TABLE.
+def _flag(token: str, flags: dict) -> str:
+    """The flag that `token`, maybe `--flag=value`, names in full or by a
+    unique prefix, or --help for -h; a usage error if it names none."""
+    name = "--help" if token == "-h" else token.partition("=")[0]
+    found = [flag for flag in flags if len(name) > 2 and flag.startswith(name)]
+    if len(found) != 1:
+        raise UsageError(f"{'ambiguous' if found else 'unrecognized'} flag {token!r}")
+    return found[0]
 
-    The first token that is neither -h nor begins with `--` names the
-    command.  A flag is named in full or by a unique prefix, and a value
-    follows it as `--flag value` or `--flag=value`: the next token is the
-    value unless it begins with `--`, so `--point -1,0` works.  The last value
-    given wins.  As the standard library's parser did, an ambiguous prefix
-    after the command is an error before any flag is read; the flags are then
-    read in order, so a missing or bad value before -h is an error, while
-    unknown flags and stray tokens, which include every token from a `--` on,
-    are reported after the last flag.  -h prints the help of the command
-    before it, or the list of commands, and exits 0.
+
+def _parse(argv: list) -> SimpleNamespace:
+    """The command line `argv` read against _TABLE, in order.
+
+    The first token that does not begin with `-` names the command.  Every
+    other token is a flag, named in full or by a unique prefix, or the value
+    of the flag before it: a value follows as `--flag value` or
+    `--flag=value`, and the next token is the value unless it begins with
+    `--` and holds no space or may name a flag, so `--point -1,0` works.
+    The last value given wins.  Any other token is a usage error.  -h prints
+    the help of the command before it, or the list of commands, and exits 0,
+    once the whole command line has been read without error.
     """
-    if "--" in argv:  # every later token is a stray one
-        argv = argv[:argv.index("--") + 1]
-    command, flags, values, stray = None, _HELP, {}, []
+    command, flags, values, shown = None, _HELP, {}, ""
     tokens = iter(argv)
     for token in tokens:
-        flag = _flag(token, flags)
-        if flag is None:
-            if command or token[:2] == "--":
-                stray.append(token)
-                continue
+        if command is None and token[:1] != "-":
             if token not in _TABLE:
                 raise UsageError(f"unknown command {token!r}")
             command, flags = token, {**_TABLE[token][2], **_HELP}
-            values = {flag: False if kind is bool else None
-                      for flag, (kind, _) in _TABLE[token][2].items()}
-            for later in argv[argv.index(token) + 1:]:  # ambiguity fails first
-                _flag(later, flags)
             continue
+        flag = _flag(token, flags)
         kind = flags[flag][0]
         _, eq, value = token.partition("=")
         if kind is bool:
             if eq:
                 raise UsageError(f"{flag} takes no value")
             if flag == "--help":
-                sys.stdout.write(_help(command))
-                raise SystemExit(0)
+                shown = shown or _help(command)
             value = True
         elif not eq:
             value = next(tokens, "--")
-            if value[:2] == "--":
+            if value[:2] == "--" and (" " not in value or any(
+                    other.startswith(value.partition("=")[0]) for other in flags)):
                 raise UsageError(f"{flag} expects a value")
         if isinstance(kind, tuple) and value not in kind:
             raise UsageError(f"{flag} expects one of {', '.join(kind)}, got {value!r}")
@@ -382,15 +365,18 @@ def _parse(argv: list) -> _Args:
             values[flag] = int(value) if kind is int else value
         except ValueError:
             raise UsageError(f"{flag} expects an integer, got {value!r}")
+    if shown:
+        sys.stdout.write(shown)
+        raise SystemExit(0)
     if command is None:
         raise UsageError("no command given")
-    if command == "cable" and values["--cable"] is None:
+    args = SimpleNamespace(command=command, **{
+        "fmt" if flag == "--format" else flag[2:].replace("-", "_"):
+            values.get(flag, False if kind is bool else None)
+        for flag, (kind, _) in _TABLE[command][2].items()})
+    if command == "cable" and args.cable is None:
         raise UsageError("cable needs --cable")
-    if stray:
-        raise UsageError(f"unrecognized arguments: {' '.join(stray)}")
-    return _Args(command=command, **{"fmt" if flag == "--format" else
-                                     flag[2:].replace("-", "_"): value
-                                     for flag, value in values.items()})
+    return args
 
 
 def main(argv=None) -> int:

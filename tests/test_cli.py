@@ -284,8 +284,9 @@ def reference_parser(exit_on_help=True):
 
     command("validate", "validate a descriptor and its H-function; exit 0 iff valid")
     command("catalog-list", "list built-in links", link_input=False)
-    for each in [parser, *sub.choices.values()] * (not exit_on_help):
-        each.add_argument("-h", "--help", action="store_true")
+    if not exit_on_help:
+        for each in [parser, *sub.choices.values()]:
+            each.add_argument("-h", "--help", action="store_true")
     return parser
 
 
@@ -364,6 +365,7 @@ def single_dash_value(argv):
 @example(["-h", "region", "--nope"])
 @example(["-x", "-h"])
 @example(["catalog-list", "--out", "--a b"])
+@example(["catalog-list", "--out", "--o=--a b"])
 @example(["catalog-list", "--out", "-"])
 @example(["cable", "--catalog", "whitehead"])
 @example(["cable", "--help"])

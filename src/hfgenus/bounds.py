@@ -19,8 +19,6 @@ from operator import add, gt, sub
 from typing import Sequence
 
 from .errors import LargenessError, ValidationError
-from .hfunction import HTable
-from .region import UpwardClosedRegion, region_from_h
 
 
 def f_cap(g: int, v: int) -> int:
@@ -75,6 +73,7 @@ def admissible_region(table: HTable) -> UpwardClosedRegion:
     could break this; the oracle tests compare it with the per-point
     definition.
     """
+    from .region import UpwardClosedRegion
     M, n = table.M, table.n
     # corners with w_n < M first: a positive remainder on one with w_n = M
     # leaves no admissible g_n
@@ -105,6 +104,7 @@ def admissible_region(table: HTable) -> UpwardClosedRegion:
 
 def bound_min_region(table: HTable) -> int:
     """Smallest coordinate sum over generators of the h-vanishing region."""
+    from .region import region_from_h
     return region_from_h(table).min_generator_sum()
 
 

@@ -16,8 +16,20 @@ standard library's parser, with the gettext and locale it loads and one
 parser per command, cost each process 7.5 ms (median of 21 fresh processes
 on a 2-CPU Xeon VM, Python 3.11).
 
-Exit codes: 0 success, 2 validation failure, 3 largeness failure, 4 usage.
-Each command imports only the layers it uses, so a job loads no other.
+Each handler builds one payload and hands it to `_emit`, which writes it as
+JSON, as the "label: value" lines of --format ascii, or as the text it is,
+and returns the exit code: 0 success, 2 validation failure, 3 largeness
+failure, 4 usage.  `_usage` turns a ValueError of a layer into a usage error.
+
+Each command imports only the layers it uses.  A link input loads linkcat
+and laurent, a table hfunction, and beyond these:
+
+    h-table       render, for --format ascii
+    region        region and render, for --format svg; json and ascii
+                  read both fields off one HTable.staircases call
+    bounds        bounds and region
+    cable         cable and region
+    d-invariants  bounds, all that --lens and --circle-bundle load
 """
 
 from __future__ import annotations
@@ -28,32 +40,28 @@ from types import SimpleNamespace
 from .errors import LargenessError, StabilizationError, UsageError, ValidationError
 
 
-def _parse_catalog(text: str):
-    from . import linkcat
-    key, sep, raw = text.partition(":")
-    params = []
-    if sep:
-        for chunk in raw.split(","):
-            try:
-                params.append(int(chunk))
-            except ValueError:
-                raise UsageError(f"catalog parameter {chunk!r} is not an integer")
+def _usage(fn, *args, why=None):
+    """fn(*args), a ValueError it raises turned into a UsageError reading
+    `why`, or else the error's own message."""
     try:
-        return linkcat.catalog(key, *params)
+        return fn(*args)
     except ValueError as exc:
-        raise UsageError(str(exc))
+        raise UsageError(why or str(exc))
 
 
 def _load_input(args):
+    from . import linkcat
     if bool(args.catalog) == bool(args.link):
         raise UsageError("exactly one of --catalog or --link is required")
-    if args.catalog:
-        return _parse_catalog(args.catalog)
-    from . import linkcat
-    try:
-        return linkcat.load_json(args.link)
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.link}: {exc}")
+    if args.link:
+        try:
+            return linkcat.load_json(args.link)
+        except OSError as exc:
+            raise UsageError(f"cannot read {args.link}: {exc}")
+    key, sep, raw = args.catalog.partition(":")
+    params = [_usage(int, chunk, why=f"catalog parameter {chunk!r} is not an integer")
+              for chunk in raw.split(",")] if sep else []
+    return _usage(linkcat.catalog, key, *params)
 
 
 def _make_table(args):
@@ -61,20 +69,25 @@ def _make_table(args):
     return HTable(_load_input(args), force=args.force)
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, out, rows=None, code=0) -> int:
+    """Write `out` to --out or stdout and return `code`: a string as it is,
+    else under --format ascii a line "label: value" for the link's name and
+    each item of `rows`, else `out` as JSON."""
+    if rows and args.fmt == "ascii":
+        out = "".join(f"{label}: {value}\n"
+                      for label, value in {"link": out["name"], **rows}.items())
+    elif not isinstance(out, str):
+        import json
+        out = json.dumps(out, sort_keys=True, indent=2) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.write(out)
         except OSError as exc:
             raise UsageError(f"cannot write {args.out}: {exc}")
     else:
-        sys.stdout.write(text)
-
-
-def _json(obj) -> str:
-    import json
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        sys.stdout.write(out)
+    return code
 
 
 def _frac(x) -> str:
@@ -82,169 +95,102 @@ def _frac(x) -> str:
 
 
 def _ints(text: str, what: str) -> tuple:
-    try:
-        return tuple(int(c) for c in text.split(","))
-    except ValueError:
-        raise UsageError(f"bad {what} {text!r}; expected comma-separated integers")
+    why = f"bad {what} {text!r}; expected comma-separated integers"
+    return tuple(_usage(int, chunk, why=why) for chunk in text.split(","))
 
 
-def _nested(table, window: int, fn):
-    def rec(prefix):
-        if len(prefix) == table.n:
-            return fn(prefix)
-        return [rec(prefix + (s,)) for s in range(-window, window + 1)]
-    return rec(())
+def _nested(table, fn, prefix=()):
+    """fn over [-M, M]^n as nested lists, the first coordinate outermost."""
+    if len(prefix) == table.n:
+        return fn(prefix)
+    return [_nested(table, fn, prefix + (s,)) for s in range(-table.M, table.M + 1)]
 
 
 def _cmd_h_table(args) -> int:
     table = _make_table(args)
-    window = table.M
-    fmt = args.fmt or ("ascii" if table.n <= 2 else "json")
-    if fmt == "ascii":
-        if table.n > 2:
-            raise UsageError("ascii grids need one or two components; use --format json")
-        from .render import ascii_h_grid
-        _emit(args, ascii_h_grid(table, window) + "\n")
-    else:
-        _emit(args, _json({
-            "name": table.link.name,
-            "window": window,
-            "origin": [-window] * table.n,
-            "h": _nested(table, window, table.h),
-            "H": _nested(table, window, table.H),
-        }))
-    return 0
+    if (args.fmt or ("ascii" if table.n <= 2 else "json")) == "json":
+        return _emit(args, {"name": table.link.name, "window": table.M,
+                            "origin": [-table.M] * table.n,
+                            "h": _nested(table, table.h), "H": _nested(table, table.H)})
+    if table.n > 2:
+        raise UsageError("ascii grids need one or two components; use --format json")
+    from .render import ascii_h_grid
+    return _emit(args, ascii_h_grid(table, table.M) + "\n")
 
 
 def _cmd_region(args) -> int:
-    from .region import maximal_lattice_points, region_from_h
     table = _make_table(args)
-    fmt = args.fmt or "json"
-    if fmt == "svg" and table.n != 2:
-        raise UsageError("svg staircases need exactly two components")
-    region = region_from_h(table)
-    zmax = maximal_lattice_points(table)
-    if fmt == "svg":
+    generators, maximal = table.staircases()
+    if args.fmt == "svg":
+        if table.n != 2:
+            raise UsageError("svg staircases need exactly two components")
+        from .region import UpwardClosedRegion
         from .render import region_svg
-        _emit(args, region_svg(region, table.M, zmax))
-        return 0
-    payload = {"name": table.link.name,
-               "generators": [list(g) for g in region.generators],
-               "maximal_points": [list(z) for z in zmax]}
-    if fmt == "ascii":
-        lines = [f"link: {payload['name']}",
-                 "generators: " + " ".join(str(tuple(g)) for g in payload["generators"]),
-                 "maximal points: " + " ".join(str(tuple(z)) for z in payload["maximal_points"])]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, _json(payload))
-    return 0
+        return _emit(args, region_svg(UpwardClosedRegion(2, generators), table.M, maximal))
+    return _emit(args, {"name": table.link.name, "generators": generators,
+                        "maximal_points": maximal},
+                 {"generators": " ".join(map(str, generators)),
+                  "maximal points": " ".join(map(str, maximal))})
 
 
 def _cmd_bounds(args) -> int:
-    from . import bounds as bounds_mod
+    from .bounds import best_lower_bound, unlink_test
     table = _make_table(args)
-    report = bounds_mod.best_lower_bound(table)
-    payload = {
-        "name": table.link.name,
-        "bounds": report["bounds"],
-        "best": report["best"],
-        "via": report["via"],
-        "unlink_consistent": bounds_mod.unlink_test(table),
-    }
-    if (args.fmt or "json") == "ascii":
-        lines = [f"link: {payload['name']}"]
-        for key in bounds_mod.BOUND_NAMES:
-            value = report["bounds"].get(key)
-            lines.append(f"{key}: {'n/a' if value is None else value}")
-        lines.append(f"best lower bound: {report['best']} (via {report['via']})")
-        if payload["unlink_consistent"]:
-            lines.append("h vanishes identically: a slice L-space link with this "
-                         "data is the unlink")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, _json(payload))
-    return 0
+    report = best_lower_bound(table)
+    unlink = unlink_test(table)
+    rows = {key: "n/a" if value is None else value for key, value in report["bounds"].items()}
+    rows["best lower bound"] = f"{report['best']} (via {report['via']})"
+    if unlink:
+        rows["h vanishes identically"] = "a slice L-space link with this data is the unlink"
+    return _emit(args, {"name": table.link.name, **report, "unlink_consistent": unlink}, rows)
 
 
 def _cmd_cable(args) -> int:
-    from . import linkcat
     from .cable import cable_consistency_check, parse_cable_spec
+    from .linkcat import descriptor_to_dict
     d = _load_input(args)
-    spec = parse_cable_spec(args.cable)
-    try:
-        report = cable_consistency_check(d, spec, force=args.force)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    cabled = report["cabled"]
-    payload = {
-        "name": cabled.name,
-        "descriptor": linkcat.descriptor_to_dict(cabled),
-        "direct_generators": (None if report["direct_generators"] is None
-                              else [list(g) for g in report["direct_generators"]]),
-        "direct_error": report["direct_error"],
-        "transformed_generators": [list(g) for g in report["transformed_generators"]],
-        "consistent": report["equal"],
-        "warnings": report["warnings"],
-    }
-    _emit(args, _json(payload))
-    return 0
+    report = _usage(cable_consistency_check, d, parse_cable_spec(args.cable), args.force)
+    cabled = report.pop("cabled")
+    report["consistent"] = report.pop("equal")
+    return _emit(args, {**report, "name": cabled.name,
+                        "descriptor": descriptor_to_dict(cabled)})
 
 
 def _cmd_d_invariants(args) -> int:
-    from . import bounds as bounds_mod
-    modes = [args.lens is not None, bool(args.circle_bundle),
-             bool(args.catalog or args.link)]
-    if sum(modes) != 1 or not modes[2] and (args.framing or args.point or args.force):
+    from .bounds import circle_bundle_d, large_surgery_d
+    link = bool(args.catalog or args.link)
+    if (args.lens is not None) + bool(args.circle_bundle) + link != 1 or not link and (
+            args.framing or args.point or args.force):
         raise UsageError("choose one of --lens, --circle-bundle, or a link input "
                          "with --framing")
-    if args.lens is not None:
-        m = args.lens
-        if m < 1:
-            raise UsageError(f"--lens expects a positive order, got {m}")
-        values = [[k, _frac(bounds_mod.lens_d(m, k))]
-                  for k in range(-(m // 2), m // 2 + 1)]
-        _emit(args, _json({"lens": m, "values": values}))
-        return 0
-    if args.circle_bundle:
-        raw_m, sep, raw_g = args.circle_bundle.partition(":")
+    if link:
+        if not args.framing:
+            raise UsageError("--framing is required with a link input")
+        table = _make_table(args)
+        q = _ints(args.framing, "framing")
+        v = _ints(args.point, "point") if args.point else (0,) * table.n
+        return _emit(args, {"name": table.link.name, "framing": q, "point": v,
+                            "d": _frac(_usage(large_surgery_d, table, q, v, args.force))})
+    if args.lens is None:
+        m, sep, g = args.circle_bundle.partition(":")
         if not sep:
             raise UsageError("--circle-bundle expects M:G")
-        try:
-            m, g = int(raw_m), int(raw_g)
-        except ValueError:
-            raise UsageError("--circle-bundle expects integers M:G")
-        if m < 1:
-            raise UsageError(f"--circle-bundle expects a positive order, got {m}")
-        try:
-            values = [[k, _frac(bounds_mod.circle_bundle_d(m, g, k))]
-                      for k in range(-(m // 2), m // 2 + 1)]
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        _emit(args, _json({"circle_bundle": [m, g], "values": values}))
-        return 0
-    if not args.framing:
-        raise UsageError("--framing is required with a link input")
-    table = _make_table(args)
-    q = _ints(args.framing, "framing")
-    v = _ints(args.point, "point") if args.point else (0,) * table.n
-    try:
-        value = bounds_mod.large_surgery_d(table, q, v, force=args.force)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    _emit(args, _json({"name": table.link.name, "framing": list(q),
-                       "point": list(v), "d": _frac(value)}))
-    return 0
+        m, g = (_usage(int, x, why="--circle-bundle expects integers M:G") for x in (m, g))
+        flag, payload = "--circle-bundle", {"circle_bundle": [m, g]}
+    else:
+        m, g, flag, payload = args.lens, 0, "--lens", {"lens": args.lens}
+    if m < 1:
+        raise UsageError(f"{flag} expects a positive order, got {m}")
+    # the lens space L(m, 1) is the circle bundle of Euler number -m over the sphere
+    payload["values"] = [[k, _frac(_usage(circle_bundle_d, m, g, k))]
+                         for k in range(-(m // 2), m // 2 + 1)]
+    return _emit(args, payload)
 
 
 def _cmd_validate(args) -> int:
     from .hfunction import HTable
     try:
         d = _load_input(args)
-    except ValidationError as exc:
-        _emit(args, f"invalid: {exc}\n")
-        return 2
-    try:
         problems, flipped = [], HTable(d, force=args.force).flipped_signs()
     except StabilizationError as exc:
         problems, flipped = exc.problems, exc.flipped
@@ -253,21 +199,14 @@ def _cmd_validate(args) -> int:
     problems += [f"stored polynomial sign for subset {B} is inconsistent: "
                  f"only the flipped sign yields a valid H-function "
                  f"(hint: negate that polynomial)" for B in flipped]
-    if problems:
-        _emit(args, "\n".join(f"invalid: {p}" for p in problems) + "\n")
-        return 2
-    _emit(args, f"valid: {d.name}\n")
-    return 0
+    return _emit(args, "".join(f"invalid: {p}\n" for p in problems) or f"valid: {d.name}\n",
+                 code=2 if problems else 0)
 
 
 def _cmd_catalog_list(args) -> int:
-    from . import linkcat
-    lines = []
-    for entry in linkcat.catalog_list():
-        suffix = f":{entry.params}" if entry.params else ""
-        lines.append(f"{entry.key}{suffix}")
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    from .linkcat import catalog_list
+    return _emit(args, "".join(f"{e.key}:{e.params}\n" if e.params else f"{e.key}\n"
+                               for e in catalog_list()))
 
 
 _OUT = {"--out": ("PATH", "write output here instead of stdout")}
@@ -306,13 +245,13 @@ def _help(command) -> str:
     text, flags = _TABLE[command][1:] if command else (
         "H-functions, genus regions, 4-genus bounds, d-invariants and cables of L-space links",
         {name: (bool, text) for name, (_, text, _) in _TABLE.items()})
-    lines = [f"usage: hfgenus {command or 'COMMAND'} [FLAG ...]", "", text, ""]
+    out = f"usage: hfgenus {command or 'COMMAND'} [FLAG ...]\n\n{text}\n\n"
     for flag, (kind, text) in {**flags, **_HELP}.items():
         if kind is not bool:
             flag += " " + ("INT" if kind is int else kind if isinstance(kind, str) else
                            "|".join(kind))
-        lines.append(f"  {flag:<26}  {text}")
-    return "\n".join(lines) + "\n"
+        out += f"  {flag:<26}  {text}\n"
+    return out
 
 
 def _flag(token: str, flags: dict) -> str:
@@ -361,22 +300,19 @@ def _parse(argv: list) -> SimpleNamespace:
                 raise UsageError(f"{flag} expects a value")
         if isinstance(kind, tuple) and value not in kind:
             raise UsageError(f"{flag} expects one of {', '.join(kind)}, got {value!r}")
-        try:
-            values[flag] = int(value) if kind is int else value
-        except ValueError:
-            raise UsageError(f"{flag} expects an integer, got {value!r}")
+        values[flag] = _usage(int, value, why=f"{flag} expects an integer, got "
+                              f"{value!r}") if kind is int else value
     if shown:
         sys.stdout.write(shown)
         raise SystemExit(0)
     if command is None:
         raise UsageError("no command given")
-    args = SimpleNamespace(command=command, **{
+    if command == "cable" and "--cable" not in values:
+        raise UsageError("cable needs --cable")
+    return SimpleNamespace(command=command, **{
         "fmt" if flag == "--format" else flag[2:].replace("-", "_"):
             values.get(flag, False if kind is bool else None)
         for flag, (kind, _) in _TABLE[command][2].items()})
-    if command == "cable" and args.cable is None:
-        raise UsageError("cable needs --cable")
-    return args
 
 
 def main(argv=None) -> int:

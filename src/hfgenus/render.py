@@ -10,9 +10,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .hfunction import HTable
-from .region import UpwardClosedRegion
-
 CELL = 28  # svg cell size in px
 
 

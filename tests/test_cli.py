@@ -614,6 +614,16 @@ def test_cable_computes_the_cable_once(capsys, monkeypatch):
         real(catalog("whitehead"), calls[0]))
 
 
+@pytest.mark.parametrize("fmt", ["json", "ascii", "svg"])
+def test_region_computes_the_staircases_once(capsys, monkeypatch, fmt):
+    from hfgenus.hfunction import HTable
+    calls = []
+    real = HTable.staircases
+    monkeypatch.setattr(HTable, "staircases", lambda self: calls.append(self) or real(self))
+    code, _, _ = run(capsys, "region", "--catalog", "two_bridge:20", "--format", fmt)
+    assert code == 0 and len(calls) == 1
+
+
 def test_validate_link_validates_the_descriptor_twice(capsys, monkeypatch, tmp_path):
     # once in load_json, once in HTable; the CLI adds no third check
     from hfgenus import linkcat

@@ -44,10 +44,28 @@ def test_importing_the_cli_loads_no_layer():
 
 
 def test_region_loads_only_its_layers():
-    added = run_cli("region", "--catalog", "two_bridge:20")
-    assert "hfgenus.region" in added
-    assert not added & {"hfgenus.cable", "hfgenus.bounds", "hfgenus.render",
-                        "dataclasses", "fractions"}
+    # json and ascii read their fields off HTable.staircases; only svg draws
+    # an UpwardClosedRegion
+    for fmt in ("json", "ascii"):
+        added = run_cli("region", "--catalog", "two_bridge:20", "--format", fmt)
+        assert "hfgenus.hfunction" in added
+        assert not added & {"hfgenus.region", "hfgenus.cable", "hfgenus.bounds",
+                            "hfgenus.render", "dataclasses", "fractions"}
+    assert "hfgenus.region" in run_cli("region", "--catalog", "whitehead", "--format", "svg")
+
+
+@pytest.mark.parametrize("argv", [("d-invariants", "--lens", "5"),
+                                  ("d-invariants", "--circle-bundle", "7:1")], ids=" ".join)
+def test_closed_form_d_invariants_load_no_table(argv):
+    added = run_cli(*argv)
+    assert {m for m in added if m.startswith("hfgenus")} == {
+        "hfgenus", "hfgenus.cli", "hfgenus.errors", "hfgenus.bounds"}
+
+
+def test_an_ascii_h_table_loads_no_region():
+    added = run_cli("h-table", "--catalog", "two_bridge:12", "--format", "ascii")
+    assert "hfgenus.render" in added
+    assert "hfgenus.region" not in added
 
 
 def test_validate_does_not_load_region():

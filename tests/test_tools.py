@@ -1,6 +1,7 @@
 """The tools under tools/ do what their docstrings say."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -86,11 +87,29 @@ def test_bench_pairs_reports_each_declared_metric():
     runs = {"parent": [run(x, 18.0) for x in PARENT],
             "change": [run(x - 0.03, 18.0) for x in PARENT]}
     lines = bench_pairs.report(runs, {"wall_s": "lower", "peak_rss_mb": "lower"})
-    assert len(lines) == 2
+    assert len(lines) == 4
     assert lines[0].startswith("w.peak_rss_mb (lower is better): parent median 18 ")
     assert lines[0].endswith("change won 0 of 10 pairs; median gain 0 vs parent "
                              "quartile spread 0: no gain claimed")
-    assert lines[1].startswith("w.wall_s (lower is better): parent median 0.39 "
+    assert lines[1] == "w.peak_rss_mb pairs: " + json.dumps([[18.0, 18.0]] * 10)
+    assert lines[2].startswith("w.wall_s (lower is better): parent median 0.39 "
                                "[0.38, 0.4], change median 0.36 [0.35, 0.37]; "
                                "change won 10 of 10 pairs;")
-    assert lines[1].endswith(": gain")
+    assert lines[2].endswith(": gain")
+    assert lines[3].startswith("w.wall_s pairs: [[0.38, 0.35")
+
+
+def test_bench_pairs_prints_the_pairs_so_runs_can_be_pooled():
+    # two runs of five pairs: neither is judged alone, their ten pairs are
+    def run(wall):
+        return {"metrics": {"w.wall_s": {"value": wall}}}
+    pooled = []
+    for half in (PARENT[:5], PARENT[5:]):
+        runs = {"parent": [run(x) for x in half], "change": [run(x - 0.03) for x in half]}
+        line = bench_pairs.report(runs, {"wall_s": "lower"})[1]
+        prefix = "w.wall_s pairs: "
+        assert line.startswith(prefix)
+        pooled += json.loads(line[len(prefix):])
+    assert [a for a, _ in pooled] == PARENT
+    c = bench_pairs.compare(*zip(*pooled), "lower")
+    assert c["won"] == 10 and c["claimed"]

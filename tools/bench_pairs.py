@@ -11,8 +11,11 @@ and quartiles and the number of pairs the change won (ties count for
 neither), then the verdict: a gain needs at least ten pairs, the change
 winning at least nine tenths of them, and the medians to differ, in the
 metric's better direction, by more than the distance between the parent's
-quartiles.  A run that reports failed jobs is printed and makes the exit
-code 1.
+quartiles.  After each verdict it prints the pairs themselves, as
+"KEY pairs: " and a JSON list of [parent, change] values, so runs on several
+seeds, all fixed before measuring, can be pooled: join their lists and judge
+the pooled pairs with `compare`.  A run that reports failed jobs is printed
+and makes the exit code 1.
 """
 
 from __future__ import annotations
@@ -60,7 +63,8 @@ def run_benchmark(root: str, workload: str, seed: int) -> dict:
 
 
 def report(runs: dict, metrics: dict) -> list:
-    """Lines comparing the runs of each side, per workload and metric."""
+    """Lines comparing the runs of each side, per workload and metric: the
+    verdict, then every pair's values."""
     lines = []
     for key in sorted(runs["parent"][0]["metrics"]):
         better = metrics.get(key.split(".", 1)[1])
@@ -76,6 +80,7 @@ def report(runs: dict, metrics: dict) -> list:
             f"change won {c['won']} of {c['pairs']} pairs; median gain {c['gain']:.6g} "
             f"vs parent quartile spread {c['spread']:.6g}: "
             + ("gain" if c["claimed"] else "no gain claimed"))
+        lines.append(f"{key} pairs: {json.dumps([list(pair) for pair in zip(parent, change)])}")
     return lines
 
 

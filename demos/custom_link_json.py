@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 from hfgenus import HTable, catalog, load_json, save_json
-from hfgenus.linkcat import descriptor_to_dict
+from hfgenus.linkjson import descriptor_to_dict
 
 workdir = Path(tempfile.mkdtemp(prefix="hfgenus-demo-"))
 

@@ -6,19 +6,20 @@ The namespace is lazy (PEP 562): a layer is imported when one of its names is
 first read, so a job loads only the layers it uses."""
 
 _EXPORTS = {
-    "laurent": ("LaurentPoly", "geometric_cable_factor", "involution",
-                "normalize_symmetric", "substitute_powers"),
+    "laurent": ("LaurentPoly", "involution", "normalize_symmetric"),
     "linkcat": ("CatalogEntry", "Component", "LinkDescriptor", "catalog",
-                "catalog_list", "disjoint_union", "load_json", "save_json",
-                "sublink", "validate_descriptor"),
+                "catalog_list", "disjoint_union", "sublink", "validate_descriptor"),
+    "linkjson": ("load_json", "save_json"),
     "hfunction": ("HTable",),
     "region": ("UpwardClosedRegion", "maximal_lattice_points", "minimalize",
                "projection_check", "region_from_h", "region_product"),
     "bounds": ("admissible_region", "best_lower_bound", "bound_max_h",
-               "bound_min_region", "bound_weighted", "circle_bundle_d", "f_cap",
-               "genus_admissible", "large_surgery_d", "lens_d", "unlink_test"),
+               "bound_min_region", "bound_weighted", "f_cap", "genus_admissible",
+               "unlink_test"),
+    "surgery": ("circle_bundle_d", "large_surgery_d", "lens_d"),
     "cable": ("CableSpec", "T_transform", "cable_alexander",
-              "cable_consistency_check", "parse_cable_spec", "region_via_T"),
+              "cable_consistency_check", "geometric_cable_factor",
+              "parse_cable_spec", "region_via_T", "substitute_powers"),
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

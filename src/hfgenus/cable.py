@@ -10,7 +10,9 @@ genus regions the same operation acts by the coordinate map
     T(s)_i = p_i s_i + (p_i - 1)(q_i - 1) / 2,
 
 and the region of the cable is the upward closure of the T-image.  Both routes
-are implemented and can be cross-checked.  Only the region functions import
+are implemented and can be cross-checked.  The polynomial side, the power
+substitution t_i -> t_i^{p_i} and the closed factor, lives here rather than in
+`laurent`, which every job loads.  Only the region functions import
 `hfunction` and `region`, so building a cable descriptor loads neither.
 """
 
@@ -20,8 +22,7 @@ from math import gcd
 from typing import Sequence
 
 from .errors import UsageError, ValidationError
-from .laurent import (LaurentPoly, geometric_cable_factor, normalize_symmetric,
-                      substitute_powers)
+from .laurent import LaurentPoly, normalize_symmetric
 from .linkcat import (Component, LinkDescriptor, Record, all_subsets,
                       require_valid)
 
@@ -76,6 +77,31 @@ def parse_cable_spec(text: str) -> CableSpec:
         return CableSpec(tuple(pairs))
     except ValueError as exc:
         raise UsageError(str(exc))
+
+
+def substitute_powers(f: LaurentPoly, powers: Sequence[int]) -> LaurentPoly:
+    """Substitute t_i -> t_i^{p_i}; exponent vectors scale componentwise."""
+    if len(powers) != f.nvars:
+        raise ValueError("power vector has wrong arity")
+    if any(p < 1 for p in powers):
+        raise ValueError("powers must be positive")
+    return LaurentPoly(
+        f.nvars,
+        {tuple(p * e for p, e in zip(powers, exp)): coef
+         for exp, coef in f.terms.items()})
+
+
+def geometric_cable_factor(p: int, q: int) -> LaurentPoly:
+    """The one-variable factor (t^{pq/2} - t^{-pq/2}) / (t^{q/2} - t^{-q/2}).
+
+    Returned in closed form as sum_{j=0}^{p-1} t^{q(p-1-2j)/2}, which multiplies
+    back exactly against the denominator.
+    """
+    if p < 1 or q < 1:
+        raise ValueError("cable parameters must be positive")
+    if gcd(p, q) != 1:
+        raise ValueError(f"cable parameters must be coprime, got ({p}, {q})")
+    return LaurentPoly(1, {(q * (p - 1 - 2 * j),): 1 for j in range(p)})
 
 
 def _cable_knot_poly(delta: LaurentPoly, p: int, q: int) -> LaurentPoly:

@@ -22,14 +22,15 @@ and returns the exit code: 0 success, 2 validation failure, 3 largeness
 failure, 4 usage.  `_usage` turns a ValueError of a layer into a usage error.
 
 Each command imports only the layers it uses.  A link input loads linkcat
-and laurent, a table hfunction, and beyond these:
+and laurent, and the JSON format linkjson only for --link; a table loads
+hfunction; and beyond these:
 
     h-table       render, for --format ascii
     region        region and render, for --format svg; json and ascii
                   read both fields off one HTable.staircases call
-    bounds        bounds and region
-    cable         cable and region
-    d-invariants  bounds, all that --lens and --circle-bundle load
+    bounds        bounds
+    cable         cable, region, and linkjson to print the cabled descriptor
+    d-invariants  surgery, all that --lens and --circle-bundle load
 """
 
 from __future__ import annotations
@@ -50,18 +51,19 @@ def _usage(fn, *args, why=None):
 
 
 def _load_input(args):
-    from . import linkcat
     if bool(args.catalog) == bool(args.link):
         raise UsageError("exactly one of --catalog or --link is required")
     if args.link:
+        from .linkjson import load_json
         try:
-            return linkcat.load_json(args.link)
+            return load_json(args.link)
         except OSError as exc:
             raise UsageError(f"cannot read {args.link}: {exc}")
+    from .linkcat import catalog
     key, sep, raw = args.catalog.partition(":")
     params = [_usage(int, chunk, why=f"catalog parameter {chunk!r} is not an integer")
               for chunk in raw.split(",")] if sep else []
-    return _usage(linkcat.catalog, key, *params)
+    return _usage(catalog, key, *params)
 
 
 def _make_table(args):
@@ -147,7 +149,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_cable(args) -> int:
     from .cable import cable_consistency_check, parse_cable_spec
-    from .linkcat import descriptor_to_dict
+    from .linkjson import descriptor_to_dict
     d = _load_input(args)
     report = _usage(cable_consistency_check, d, parse_cable_spec(args.cable), args.force)
     cabled = report.pop("cabled")
@@ -157,7 +159,7 @@ def _cmd_cable(args) -> int:
 
 
 def _cmd_d_invariants(args) -> int:
-    from .bounds import circle_bundle_d, large_surgery_d
+    from .surgery import circle_bundle_d, large_surgery_d
     link = bool(args.catalog or args.link)
     if (args.lens is not None) + bool(args.circle_bundle) + link != 1 or not link and (
             args.framing or args.point or args.force):

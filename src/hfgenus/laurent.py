@@ -7,12 +7,13 @@ arbitrary-precision ints.  A polynomial is a finite map
     doubled exponent tuple  ->  nonzero int coefficient
 
 and the zero polynomial is the empty map.  Everything here is immutable after
-construction and safe to share.
+construction and safe to share.  Every job loads this module, so it holds only
+the ring and the symmetry that every link needs; the power substitution and
+the cable factor are in `cable`, their only user.
 """
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SymmetryError
@@ -198,31 +199,6 @@ class LaurentPoly:
 
 
 # -- free functions ----------------------------------------------------------
-
-
-def substitute_powers(f: LaurentPoly, powers: Sequence[int]) -> LaurentPoly:
-    """Substitute t_i -> t_i^{p_i}; exponent vectors scale componentwise."""
-    if len(powers) != f.nvars:
-        raise ValueError("power vector has wrong arity")
-    if any(p < 1 for p in powers):
-        raise ValueError("powers must be positive")
-    return LaurentPoly(
-        f.nvars,
-        {tuple(p * e for p, e in zip(powers, exp)): coef
-         for exp, coef in f.terms.items()})
-
-
-def geometric_cable_factor(p: int, q: int) -> LaurentPoly:
-    """The one-variable factor (t^{pq/2} - t^{-pq/2}) / (t^{q/2} - t^{-q/2}).
-
-    Returned in closed form as sum_{j=0}^{p-1} t^{q(p-1-2j)/2}, which multiplies
-    back exactly against the denominator.
-    """
-    if p < 1 or q < 1:
-        raise ValueError("cable parameters must be positive")
-    if gcd(p, q) != 1:
-        raise ValueError(f"cable parameters must be coprime, got ({p}, {q})")
-    return LaurentPoly(1, {(q * (p - 1 - 2 * j),): 1 for j in range(p)})
 
 
 def involution(f: LaurentPoly) -> LaurentPoly:

@@ -8,8 +8,7 @@ import random
 from itertools import product
 
 from hfgenus.bounds import (admissible_region, best_lower_bound,
-                            bound_min_region, circle_bundle_d,
-                            large_surgery_d, lens_d, unlink_test)
+                            bound_min_region, unlink_test)
 from hfgenus.cable import CableSpec, cable_alexander, region_via_T
 from hfgenus.errors import StabilizationError
 from hfgenus.hfunction import HTable
@@ -18,6 +17,7 @@ from hfgenus.linkcat import LinkDescriptor, catalog, disjoint_union
 from hfgenus.region import (UpwardClosedRegion, dominates,
                             maximal_lattice_points, minimalize, region_from_h,
                             region_product)
+from hfgenus.surgery import circle_bundle_d, large_surgery_d, lens_d
 from test_hfunction import bad_knot
 
 

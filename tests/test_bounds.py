@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from hfgenus import bounds
 from hfgenus.bounds import (admissible_region, best_lower_bound, bound_max_h,
-                            bound_min_region, bound_weighted, circle_bundle_d,
-                            f_cap, genus_admissible, large_surgery_d, lens_d,
-                            unlink_test)
+                            bound_min_region, bound_weighted, f_cap,
+                            genus_admissible, unlink_test)
 from hfgenus.cable import CableSpec, cable_alexander
 from hfgenus.errors import LargenessError, StabilizationError, ValidationError
 from hfgenus.hfunction import HTable
 from hfgenus.linkcat import Component, LinkDescriptor, catalog, disjoint_union
 from hfgenus.region import UpwardClosedRegion, minimalize, region_from_h, region_product
+from hfgenus.surgery import circle_bundle_d, large_surgery_d, lens_d
 from test_hfunction import INVALID_TABLES, ORACLE_LINKS, UNION_PARTS
 
 

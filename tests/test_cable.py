@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from hfgenus.bounds import bound_min_region
 from hfgenus.cable import (CableSpec, T_transform, cable_alexander,
-                           cable_consistency_check, parse_cable_spec,
-                           region_via_T)
+                           cable_consistency_check, geometric_cable_factor,
+                           parse_cable_spec, region_via_T, substitute_powers)
 from hfgenus.errors import UsageError
 from hfgenus.hfunction import HTable
-from hfgenus.laurent import LaurentPoly, geometric_cable_factor, substitute_powers
+from hfgenus.laurent import LaurentPoly
 from hfgenus.linkcat import catalog, disjoint_union, sublink, validate_descriptor
 from hfgenus.region import UpwardClosedRegion, region_from_h
 

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from hfgenus.cli import _TABLE, _parse, main
 from hfgenus.errors import UsageError
-from hfgenus.linkcat import catalog, descriptor_to_dict
+from hfgenus.linkcat import catalog
+from hfgenus.linkjson import descriptor_to_dict
 
 
 def run(capsys, *argv):

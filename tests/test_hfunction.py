@@ -15,8 +15,8 @@ from hfgenus.cable import CableSpec, cable_alexander
 from hfgenus.errors import SignResolutionError, StabilizationError, ValidationError
 from hfgenus.hfunction import HTable, _broadcast, _chi_table, _grid
 from hfgenus.laurent import LaurentPoly
-from hfgenus.linkcat import (LinkDescriptor, all_subsets, catalog, descriptor_from_dict,
-                             disjoint_union, sublink)
+from hfgenus.linkcat import LinkDescriptor, all_subsets, catalog, disjoint_union, sublink
+from hfgenus.linkjson import descriptor_from_dict
 from hfgenus.region import maximal_lattice_points, region_from_h
 from test_cli import WORKLOADS
 

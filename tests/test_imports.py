@@ -37,6 +37,40 @@ def run_cli(*argv) -> set:
     return modules_added(f"from hfgenus.cli import main\nassert main({list(argv)!r}) == 0")
 
 
+def compiled_nodes(*argv) -> int:
+    """AST nodes over the hfgenus modules that one command loads in a fresh
+    interpreter: with no cached bytecode, what the job compiles."""
+    package = Path(hfgenus.__file__).parent
+    total = 0
+    for module in run_cli(*argv):
+        if module.split(".")[0] == "hfgenus":
+            path = package / f"{module.partition('.')[2] or '__init__'}.py"
+            total += sum(1 for _ in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    return total
+
+
+# The five dense_two_bridge jobs and the bounds and d-invariants jobs on
+# cables, pinned at the nodes they compile (Python 3.11).  While the JSON
+# format sat in linkcat, the cable algebra in laurent and the d-invariants in
+# bounds, with bounds loading region, these read 11667, 13778, 11667, 12724,
+# 13329, 15013 and 14408.
+COMPILE_CEILINGS = [
+    (("region", "--catalog", "two_bridge:20", "--format", "json"), 10245),
+    (("bounds", "--catalog", "two_bridge:20", "--format", "ascii"), 11293),
+    (("region", "--catalog", "two_bridge:25", "--format", "ascii"), 10245),
+    (("h-table", "--catalog", "two_bridge:12", "--format", "ascii"), 11302),
+    (("region", "--catalog", "two_bridge:12", "--format", "svg"), 11907),
+    (("bounds", "--catalog", "whitehead_cable:7,22"), 12716),
+    (("d-invariants", "--catalog", "whitehead_cable:5,16", "--framing", "400,400"), 12138),
+]
+
+
+@pytest.mark.parametrize("argv, ceiling", COMPILE_CEILINGS, ids=lambda x: (
+    " ".join(x) if isinstance(x, tuple) else str(x)))
+def test_a_catalog_job_compiles_at_most(argv, ceiling):
+    assert compiled_nodes(*argv) <= ceiling
+
+
 def test_importing_the_cli_loads_no_layer():
     added = modules_added("import hfgenus.cli")
     assert {"hfgenus", "hfgenus.cli", "hfgenus.errors"} <= added
@@ -59,7 +93,49 @@ def test_region_loads_only_its_layers():
 def test_closed_form_d_invariants_load_no_table(argv):
     added = run_cli(*argv)
     assert {m for m in added if m.startswith("hfgenus")} == {
-        "hfgenus", "hfgenus.cli", "hfgenus.errors", "hfgenus.bounds"}
+        "hfgenus", "hfgenus.cli", "hfgenus.errors", "hfgenus.surgery"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("region", "--catalog", "whitehead"),
+    ("bounds", "--catalog", "whitehead"),
+    ("h-table", "--catalog", "whitehead", "--format", "ascii"),
+], ids=" ".join)
+def test_a_catalog_input_loads_no_json_format(argv):
+    assert "hfgenus.linkjson" not in run_cli(*argv)
+
+
+def test_d_invariants_of_a_link_load_no_bounds_nor_json_format():
+    added = run_cli("d-invariants", "--catalog", "whitehead", "--framing", "50,50")
+    assert "hfgenus.surgery" in added
+    assert not added & {"hfgenus.bounds", "hfgenus.linkjson"}
+
+
+def test_link_files_and_cable_output_load_the_json_format(tmp_path):
+    from hfgenus.linkcat import catalog
+    from hfgenus.linkjson import save_json
+    path = tmp_path / "whitehead.json"
+    save_json(catalog("whitehead"), path)
+    assert "hfgenus.linkjson" in run_cli("validate", "--link", str(path))
+    assert "hfgenus.linkjson" in run_cli("cable", "--catalog", "whitehead",
+                                         "--cable", "2:7,1:1")
+
+
+def test_bounds_loads_no_region():
+    added = run_cli("bounds", "--catalog", "two_bridge:20")
+    assert "hfgenus.bounds" in added
+    assert "hfgenus.region" not in added
+
+
+def test_linkcat_reads_the_json_names_from_linkjson():
+    added = modules_added("import hfgenus.linkcat")
+    assert "hfgenus.linkcat" in added
+    assert "hfgenus.linkjson" not in added
+    from hfgenus import linkcat, linkjson
+    for name in ("descriptor_from_dict", "descriptor_to_dict", "load_json", "save_json"):
+        assert getattr(linkcat, name) is getattr(linkjson, name)
+    with pytest.raises(AttributeError, match="'nope'"):
+        linkcat.nope
 
 
 def test_an_ascii_h_table_loads_no_region():

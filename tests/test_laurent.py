@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hfgenus.cable import geometric_cable_factor, substitute_powers
 from hfgenus.errors import SymmetryError, ValidationError
 from hfgenus.hfunction import HTable
-from hfgenus.laurent import (LaurentPoly, geometric_cable_factor, involution,
-                             normalize_symmetric, substitute_powers)
+from hfgenus.laurent import LaurentPoly, involution, normalize_symmetric
 from hfgenus.linkcat import Component, LinkDescriptor, catalog, require_valid
 
 H = Fraction(1, 2)

@@ -15,10 +15,10 @@ from hfgenus.hfunction import HTable
 from hfgenus.laurent import (LaurentPoly, involution, normalize_symmetric,
                              symmetry_sign)
 from hfgenus.linkcat import (Component, LinkDescriptor, _key_str, all_subsets,
-                             catalog, catalog_list, descriptor_from_dict,
-                             descriptor_to_dict, disjoint_union, load_json,
-                             save_json, sublink, two_bridge_poly,
-                             validate_descriptor)
+                             catalog, catalog_list, disjoint_union, sublink,
+                             two_bridge_poly, validate_descriptor)
+from hfgenus.linkjson import (descriptor_from_dict, descriptor_to_dict, load_json,
+                              save_json)
 
 H = Fraction(1, 2)
 

@@ -44,6 +44,25 @@ def test_code_lines_prints_every_module_and_the_sum(tmp_path, capsys):
                     ["b.py", "1", "5", "2"], ["sum", "6", "25", "13"]]
 
 
+def test_code_lines_command_prints_the_modules_a_command_loads(capsys):
+    assert code_lines.main(["--command", "d-invariants", "--lens", "5"]) == 0
+    header, *rows, total = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["module", "nodes"]
+    assert [m for m, _ in rows] == ["hfgenus", "hfgenus.cli", "hfgenus.errors",
+                                    "hfgenus.surgery"]
+    for module, nodes in rows:
+        source = code_lines.module_path(module).read_text(encoding="utf-8")
+        assert int(nodes) == code_lines.ast_nodes(source)
+    assert total == ["sum", str(sum(int(n) for _, n in rows))]
+
+
+def test_code_lines_command_returns_the_commands_exit_code(capsys):
+    # a usage error: the command's message is discarded, its modules still listed
+    assert code_lines.main(["--command", "region", "--catalog", "nope:1"]) == 4
+    out = capsys.readouterr().out
+    assert "hfgenus.linkcat" in out and "usage error" not in out
+
+
 # Ten paired runs: the parent's quartiles are 0.38 and 0.40 (spread 0.02).
 PARENT = [0.38, 0.39, 0.40, 0.38, 0.39, 0.40, 0.38, 0.39, 0.40, 0.39]
 

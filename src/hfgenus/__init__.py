@@ -6,9 +6,11 @@ The namespace is lazy (PEP 562): a layer is imported when one of its names is
 first read, so a job loads only the layers it uses."""
 
 _EXPORTS = {
-    "laurent": ("LaurentPoly", "involution", "normalize_symmetric"),
+    "laurent": ("LaurentPoly",),
+    "symmetry": ("involution", "normalize_symmetric"),
     "linkcat": ("CatalogEntry", "Component", "LinkDescriptor", "catalog",
-                "catalog_list", "disjoint_union", "sublink", "validate_descriptor"),
+                "catalog_list", "validate_descriptor"),
+    "linkops": ("disjoint_union", "sublink"),
     "linkjson": ("load_json", "save_json"),
     "hfunction": ("HTable",),
     "region": ("UpwardClosedRegion", "maximal_lattice_points", "minimalize",

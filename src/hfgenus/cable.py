@@ -22,9 +22,10 @@ from math import gcd
 from typing import Sequence
 
 from .errors import UsageError, ValidationError
-from .laurent import LaurentPoly, normalize_symmetric
+from .laurent import LaurentPoly
 from .linkcat import (Component, LinkDescriptor, Record, all_subsets,
                       require_valid)
+from .symmetry import normalize_symmetric
 
 
 class CableSpec(Record):

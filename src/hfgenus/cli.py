@@ -16,21 +16,27 @@ standard library's parser, with the gettext and locale it loads and one
 parser per command, cost each process 7.5 ms (median of 21 fresh processes
 on a 2-CPU Xeon VM, Python 3.11).
 
-Each handler builds one payload and hands it to `_emit`, which writes it as
-JSON, as the "label: value" lines of --format ascii, or as the text it is,
-and returns the exit code: 0 success, 2 validation failure, 3 largeness
-failure, 4 usage.  `_usage` turns a ValueError of a layer into a usage error.
+Each command's handler is `run(args)` in its own module of
+`hfgenus.commands`, which _TABLE names and `main` imports once the command
+line has been read, so a job compiles no other command's code.  A handler
+builds one payload and hands it to `_emit`, which writes it as JSON, as the
+"label: value" lines of --format ascii, or as the text it is, and returns the
+exit code: 0 success, 2 validation failure, 3 largeness failure, 4 usage.
+`_usage` turns a ValueError of a layer into a usage error.
 
 Each command imports only the layers it uses.  A link input loads linkcat
 and laurent, and the JSON format linkjson only for --link; a table loads
-hfunction; and beyond these:
+hfunction; and beyond these and its handler module:
 
     h-table       render, for --format ascii
     region        region and render, for --format svg; json and ascii
                   read both fields off one HTable.staircases call
     bounds        bounds
-    cable         cable, region, and linkjson to print the cabled descriptor
+    cable         cable, symmetry, region, and linkjson to print the cabled
+                  descriptor
     d-invariants  surgery, all that --lens and --circle-bundle load
+    validate      nothing more
+    catalog-list  linkcat and laurent, to list the catalog
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from __future__ import annotations
 import sys
 from types import SimpleNamespace
 
-from .errors import LargenessError, StabilizationError, UsageError, ValidationError
+from .errors import LargenessError, UsageError, ValidationError
 
 
 def _usage(fn, *args, why=None):
@@ -92,125 +98,6 @@ def _emit(args, out, rows=None, code=0) -> int:
     return code
 
 
-def _frac(x) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _ints(text: str, what: str) -> tuple:
-    why = f"bad {what} {text!r}; expected comma-separated integers"
-    return tuple(_usage(int, chunk, why=why) for chunk in text.split(","))
-
-
-def _nested(table, fn, prefix=()):
-    """fn over [-M, M]^n as nested lists, the first coordinate outermost."""
-    if len(prefix) == table.n:
-        return fn(prefix)
-    return [_nested(table, fn, prefix + (s,)) for s in range(-table.M, table.M + 1)]
-
-
-def _cmd_h_table(args) -> int:
-    table = _make_table(args)
-    if (args.fmt or ("ascii" if table.n <= 2 else "json")) == "json":
-        return _emit(args, {"name": table.link.name, "window": table.M,
-                            "origin": [-table.M] * table.n,
-                            "h": _nested(table, table.h), "H": _nested(table, table.H)})
-    if table.n > 2:
-        raise UsageError("ascii grids need one or two components; use --format json")
-    from .render import ascii_h_grid
-    return _emit(args, ascii_h_grid(table, table.M) + "\n")
-
-
-def _cmd_region(args) -> int:
-    table = _make_table(args)
-    generators, maximal = table.staircases()
-    if args.fmt == "svg":
-        if table.n != 2:
-            raise UsageError("svg staircases need exactly two components")
-        from .region import UpwardClosedRegion
-        from .render import region_svg
-        return _emit(args, region_svg(UpwardClosedRegion(2, generators), table.M, maximal))
-    return _emit(args, {"name": table.link.name, "generators": generators,
-                        "maximal_points": maximal},
-                 {"generators": " ".join(map(str, generators)),
-                  "maximal points": " ".join(map(str, maximal))})
-
-
-def _cmd_bounds(args) -> int:
-    from .bounds import best_lower_bound, unlink_test
-    table = _make_table(args)
-    report = best_lower_bound(table)
-    unlink = unlink_test(table)
-    rows = {key: "n/a" if value is None else value for key, value in report["bounds"].items()}
-    rows["best lower bound"] = f"{report['best']} (via {report['via']})"
-    if unlink:
-        rows["h vanishes identically"] = "a slice L-space link with this data is the unlink"
-    return _emit(args, {"name": table.link.name, **report, "unlink_consistent": unlink}, rows)
-
-
-def _cmd_cable(args) -> int:
-    from .cable import cable_consistency_check, parse_cable_spec
-    from .linkjson import descriptor_to_dict
-    d = _load_input(args)
-    report = _usage(cable_consistency_check, d, parse_cable_spec(args.cable), args.force)
-    cabled = report.pop("cabled")
-    report["consistent"] = report.pop("equal")
-    return _emit(args, {**report, "name": cabled.name,
-                        "descriptor": descriptor_to_dict(cabled)})
-
-
-def _cmd_d_invariants(args) -> int:
-    from .surgery import circle_bundle_d, large_surgery_d
-    link = bool(args.catalog or args.link)
-    if (args.lens is not None) + bool(args.circle_bundle) + link != 1 or not link and (
-            args.framing or args.point or args.force):
-        raise UsageError("choose one of --lens, --circle-bundle, or a link input "
-                         "with --framing")
-    if link:
-        if not args.framing:
-            raise UsageError("--framing is required with a link input")
-        table = _make_table(args)
-        q = _ints(args.framing, "framing")
-        v = _ints(args.point, "point") if args.point else (0,) * table.n
-        return _emit(args, {"name": table.link.name, "framing": q, "point": v,
-                            "d": _frac(_usage(large_surgery_d, table, q, v, args.force))})
-    if args.lens is None:
-        m, sep, g = args.circle_bundle.partition(":")
-        if not sep:
-            raise UsageError("--circle-bundle expects M:G")
-        m, g = (_usage(int, x, why="--circle-bundle expects integers M:G") for x in (m, g))
-        flag, payload = "--circle-bundle", {"circle_bundle": [m, g]}
-    else:
-        m, g, flag, payload = args.lens, 0, "--lens", {"lens": args.lens}
-    if m < 1:
-        raise UsageError(f"{flag} expects a positive order, got {m}")
-    # the lens space L(m, 1) is the circle bundle of Euler number -m over the sphere
-    payload["values"] = [[k, _frac(_usage(circle_bundle_d, m, g, k))]
-                         for k in range(-(m // 2), m // 2 + 1)]
-    return _emit(args, payload)
-
-
-def _cmd_validate(args) -> int:
-    from .hfunction import HTable
-    try:
-        d = _load_input(args)
-        problems, flipped = [], HTable(d, force=args.force).flipped_signs()
-    except StabilizationError as exc:
-        problems, flipped = exc.problems, exc.flipped
-    except ValidationError as exc:
-        problems, flipped = [str(exc)], []
-    problems += [f"stored polynomial sign for subset {B} is inconsistent: "
-                 f"only the flipped sign yields a valid H-function "
-                 f"(hint: negate that polynomial)" for B in flipped]
-    return _emit(args, "".join(f"invalid: {p}\n" for p in problems) or f"valid: {d.name}\n",
-                 code=2 if problems else 0)
-
-
-def _cmd_catalog_list(args) -> int:
-    from .linkcat import catalog_list
-    return _emit(args, "".join(f"{e.key}:{e.params}\n" if e.params else f"{e.key}\n"
-                               for e in catalog_list()))
-
-
 _OUT = {"--out": ("PATH", "write output here instead of stdout")}
 _LINK = {**_OUT,
          "--catalog": ("KEY[:p1,p2,...]", "built-in link (see catalog-list)"),
@@ -218,27 +105,28 @@ _LINK = {**_OUT,
          "--force": (bool, "proceed without the L-space assertion / largeness checks")}
 _HELP = {"--help": (bool, "print this help and exit")}
 
-# command: (handler, help, {flag: (kind, help)}), where a flag's kind is bool
-# for a switch, the tuple of its choices, int, or the metavar of a string
+# command: (its handler's module in hfgenus.commands, help, {flag: (kind,
+# help)}), where a flag's kind is bool for a switch, the tuple of its choices,
+# int, or the metavar of a string
 _TABLE = {
-    "h-table": (_cmd_h_table, "print h over the box",
+    "h-table": ("h_table", "print h over the box",
                 {**_LINK, "--format": (("json", "ascii"), "output format")}),
-    "region": (_cmd_region, "generators and maximal points of the genus region",
+    "region": ("region", "generators and maximal points of the genus region",
                {**_LINK, "--format": (("json", "ascii", "svg"), "output format")}),
-    "bounds": (_cmd_bounds, "4-genus lower bounds",
+    "bounds": ("bounds", "4-genus lower bounds",
                {**_LINK, "--format": (("json", "ascii"), "output format")}),
-    "cable": (_cmd_cable, "cable the link",
+    "cable": ("cable", "cable the link",
               {**_LINK, "--cable": ("p1:q1,p2:q2,...", "coprime pair per component (required)")}),
-    "d-invariants": (_cmd_d_invariants,
+    "d-invariants": ("d_invariants",
                      "lens space, circle bundle, or large-surgery d-invariants", {
         **_LINK,
         "--lens": (int, "all d-invariants of the lens space of order INT"),
         "--circle-bundle": ("M:G", "d-invariants of the order-M circle bundle over genus G"),
         "--framing": ("q1,q2,...", "surgery coefficients (with --catalog/--link)"),
         "--point": ("v1,v2,...", "structure label, default all zeros")}),
-    "validate": (_cmd_validate, "validate a descriptor and its H-function; exit 0 iff valid",
+    "validate": ("validate", "validate a descriptor and its H-function; exit 0 iff valid",
                  _LINK),
-    "catalog-list": (_cmd_catalog_list, "list built-in links", _OUT),
+    "catalog-list": ("catalog_list", "list built-in links", _OUT),
 }
 
 
@@ -320,7 +208,8 @@ def _parse(argv: list) -> SimpleNamespace:
 def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        return _TABLE[args.command][0](args)
+        from importlib import import_module
+        return import_module(f"{__package__}.commands.{_TABLE[args.command][0]}").run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 4
@@ -333,4 +222,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # under `python -m hfgenus.cli` this module is __main__; the handlers
+    # import it as hfgenus.cli, which would compile and run it once more
+    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     sys.exit(main())

@@ -1,0 +1,3 @@
+"""One module per CLI command, each holding the command's handler
+`run(args)`: `hfgenus.cli.main` imports only the module of the command it
+runs, so a job compiles no other command's code."""

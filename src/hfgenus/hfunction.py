@@ -61,7 +61,8 @@ whole-list operations on the sublink's list.  The full link's list is the
 memo of H on its box, and the trial that accepts the full link's sign is its
 validation.  A knot or a link whose full polynomial is zero (every disjoint
 union) has no such trial; its list is checked once, by the same whole-list
-operations, and messages are rendered only at the failing points.
+operations, and messages are rendered only at the failing points, by
+`violations`, which only a failing table imports.
 
 h(s) = H(s) - H_O(s), where H_O is the H-function of the unlink.
 """
@@ -154,28 +155,6 @@ def _steps(grid: list, sides: Sequence[int]):
 def _laws_hold(grid: list, sides: Sequence[int]) -> bool:
     """Whether H >= 0 and every step is 0 or 1, by whole-list operations."""
     return min(grid) >= 0 and all(set(steps) <= {0, 1} for _, steps in _steps(grid, sides))
-
-
-def _law_messages(grid: list, radii: Sequence[int]) -> list:
-    """The violations of the laws on a flat grid over prod [-r_i, r_i], in box
-    order: at each point the negative value first, else the failing steps
-    e_1..e_k."""
-    sides = [2 * r + 1 for r in radii]
-    strides = _strides(sides)
-    bad = {j for j, x in enumerate(grid) if x < 0}
-    for start, steps in _steps(grid, sides):
-        bad.update(start + j for j, d in enumerate(steps) if d not in (0, 1))
-    problems = []
-    for j in sorted(bad):
-        s = tuple((j // st) % side - r for st, side, r in zip(strides, sides, radii))
-        v = grid[j]
-        if v < 0:
-            problems.append(f"H{s} = {v} is negative")
-            continue
-        for i, st in enumerate(strides):
-            if s[i] > -radii[i] and (jump := grid[j - st] - v) not in (0, 1):
-                problems.append(f"step law fails: H at {s} minus e_{i + 1} jumps by {jump}")
-    return problems
 
 
 def _fold(grid: list, radii: Sequence[int]) -> list:
@@ -330,8 +309,9 @@ class HTable:
             else:  # B is the full link
                 grid = self._sum_grids(terms, box)
                 if not _laws_hold(grid, sides):
+                    from .violations import law_messages
                     cube = [max(box)] * len(B)
-                    problems = _law_messages(self._sum_grids(terms, cube), cube)
+                    problems = law_messages(self._sum_grids(terms, cube), cube)
                     raise StabilizationError(
                         f"{self.link.name}: H-function fails validation on box "
                         f"[-{cube[0]}, {cube[0]}]^{len(B)}: " + "; ".join(problems[:5]),

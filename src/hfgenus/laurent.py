@@ -8,15 +8,16 @@ arbitrary-precision ints.  A polynomial is a finite map
 
 and the zero polynomial is the empty map.  Everything here is immutable after
 construction and safe to share.  Every job loads this module, so it holds only
-the ring and the symmetry that every link needs; the power substitution and
-the cable factor are in `cable`, their only user.
+the ring and the symmetry sign that every link needs.  The symmetric
+normalization is `symmetry`, which only cables and the messages of an invalid
+descriptor need; the text form of a polynomial is `polytext`, which
+only messages and printing need; the power substitution and the cable factor
+are in `cable`, their only user.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
-
-from .errors import SymmetryError
 
 Exp = tuple  # doubled exponent tuple, one int per variable
 
@@ -166,74 +167,13 @@ class LaurentPoly:
         return f"LaurentPoly({self.nvars}, '{self}')"
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        names = ["t"] if self.nvars == 1 else [f"t{i+1}" for i in range(self.nvars)]
-        parts = []
-        for exp, coef in sorted(self.terms.items(), reverse=True):
-            factors = []
-            for name, d in zip(names, exp):
-                if d == 0:
-                    continue
-                e = halve_exponent(d)
-                if e == 1:
-                    factors.append(name)
-                elif e.denominator == 1:
-                    factors.append(f"{name}^{e.numerator}")
-                else:
-                    factors.append(f"{name}^({e})")
-            mono = "*".join(factors)
-            if not mono:
-                body = str(abs(coef))
-            elif abs(coef) == 1:
-                body = mono
-            else:
-                body = f"{abs(coef)}*{mono}"
-            sign = "-" if coef < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        from .polytext import poly_text
+        return poly_text(self)
 
 
 # -- free functions ----------------------------------------------------------
 
 
-def involution(f: LaurentPoly) -> LaurentPoly:
-    """Invert every variable: exponent vector e -> -e."""
-    return LaurentPoly(f.nvars, {tuple(-d for d in exp): c for exp, c in f.terms.items()})
-
-
 def symmetry_sign(nvars: int) -> int:
     """Target sign under variable inversion: +1 for knots, (-1)^n for links."""
     return 1 if nvars == 1 else (-1) ** nvars
-
-
-def normalize_symmetric(f: LaurentPoly) -> LaurentPoly:
-    """Recenter f by a unit monomial so that inverting all variables gives
-    symmetry_sign(nvars) times the result.
-
-    The overall sign is preserved for multivariable input (the valid choice is
-    decided later by H-function validity); for one variable it is fixed by
-    requiring the value 1 at t=1.  Raises SymmetryError when no unit multiple
-    is symmetric.
-    """
-    if f.is_zero():
-        raise SymmetryError("the zero polynomial cannot be normalized")
-    lo = [min(e[i] for e in f.terms) for i in range(f.nvars)]
-    hi = [max(e[i] for e in f.terms) for i in range(f.nvars)]
-    if any((a + b) % 2 for a, b in zip(lo, hi)):
-        raise SymmetryError(f"no symmetric unit multiple of ({f}) on the half-integer lattice")
-    shift = tuple(-(a + b) // 2 for a, b in zip(lo, hi))
-    g = f.shift(shift)
-    if involution(g) != symmetry_sign(f.nvars) * g:
-        raise SymmetryError(f"no symmetric unit multiple of ({f})")
-    if f.nvars == 1:
-        v = g.evaluate_at_one()
-        if v == -1:
-            g = -g
-        elif v != 1:
-            raise SymmetryError(f"knot polynomial ({f}) cannot be normalized to value 1 at t=1")
-    return g

@@ -1,10 +1,12 @@
 """Link data model: components, zero linking matrix, per-sublink Alexander
-polynomials, validation, sublinks, disjoint unions, and the built-in catalog.
+polynomials, validation, and the built-in catalog.
 
 A descriptor stores one symmetrized Alexander polynomial for every nonempty
-subset of its components.  A disjoint union is an ordinary descriptor: each
-part's polynomials sit at its component offset, and every subset mixing parts
-has zero polynomial, which makes the H-function additive over the parts.
+subset of its components, each subset given once.  Validation checks each
+polynomial's symmetry term by term, and imports `symmetry` only to describe
+a polynomial that fails.  Sublinks and disjoint unions are `linkops`, which
+only the unlink, union files and projection checks need, so a catalog job
+of another link never compiles them.
 
 Component subsets are 0-based index tuples in the Python API; the JSON schema
 uses 1-based comma-joined keys like "1,2".  The JSON format itself is
@@ -20,8 +22,7 @@ from operator import neg
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import SymmetryError, ValidationError
-from .laurent import (LaurentPoly, involution, normalize_symmetric,
-                      symmetry_sign)
+from .laurent import LaurentPoly, symmetry_sign
 
 Subset = tuple  # sorted tuple of 0-based component indices
 
@@ -114,6 +115,8 @@ class LinkDescriptor(Record):
                     raise ValueError(f"subset {key} out of range for {n} components")
                 if poly.nvars != len(key):
                     raise ValueError(f"polynomial for subset {key} has wrong arity")
+                if key in alex:
+                    raise ValueError(f"subset {key} is given twice")
                 alex[key] = poly
         self._init(name, components, alex, linking, bool(lspace_asserted))
 
@@ -163,6 +166,7 @@ def validate_descriptor(d: LinkDescriptor) -> list:
                 problems.append(f"subset {_key_str(B)}: exponents must be half-odd "
                                 f"(zero linking parity)")
         if not poly.is_zero() and not _symmetric_as_stored(poly, len(B)):
+            from .symmetry import involution, normalize_symmetric
             try:
                 norm = normalize_symmetric(poly)
             except SymmetryError:
@@ -190,52 +194,6 @@ def require_valid(d: LinkDescriptor):
     problems = validate_descriptor(d)
     if problems:
         raise ValidationError(f"{d.name}: " + "; ".join(problems))
-
-
-# -- structural operations ------------------------------------------------------
-
-
-def sublink(d: LinkDescriptor, B: Iterable[int]) -> LinkDescriptor:
-    """Descriptor of the sublink with the given (0-based) component indices."""
-    key = subset_key(B)
-    if key[0] < 0 or key[-1] >= d.n:
-        raise ValueError(f"subset {key} out of range")
-    if key == tuple(range(d.n)):
-        return d
-    comps = tuple(d.components[i] for i in key)
-    name = f"{d.name}[{','.join(str(i + 1) for i in key)}]"
-    alex = {}
-    for C in all_subsets(len(key)):
-        orig = tuple(key[c] for c in C)
-        if orig in d.alexander:
-            alex[C] = d.alexander[orig]
-    return LinkDescriptor(name, comps, alexander=alex,
-                          lspace_asserted=d.lspace_asserted)
-
-
-def disjoint_union(*links: LinkDescriptor) -> LinkDescriptor:
-    """Split union of the given links; H-functions add componentwise.
-
-    Each part's polynomials and linking numbers move to its component offset,
-    and every subset mixing parts gets the zero polynomial.
-    """
-    if not links:
-        raise ValueError("a disjoint union needs at least one link")
-    owner = [k for k, d in enumerate(links) for _ in d.components]
-    n = len(owner)
-    alex = {B: LaurentPoly.zero(len(B)) for B in all_subsets(n)
-            if owner[B[0]] != owner[B[-1]]}
-    linking = [[0] * n for _ in range(n)]
-    offset = 0
-    for d in links:
-        alex.update({tuple(i + offset for i in B): poly for B, poly in d.alexander.items()})
-        for i, row in enumerate(d.linking):
-            linking[offset + i][offset:offset + d.n] = row
-        offset += d.n
-    return LinkDescriptor(" + ".join(d.name for d in links),
-                          tuple(c for d in links for c in d.components),
-                          alexander=alex, linking=linking,
-                          lspace_asserted=all(d.lspace_asserted for d in links))
 
 
 # -- catalog -------------------------------------------------------------------
@@ -322,6 +280,7 @@ def make_unlink(n: int) -> LinkDescriptor:
         raise ValueError("unlink needs at least one component")
     if n == 1:
         return make_unknot()
+    from .linkops import disjoint_union
     out = disjoint_union(*(make_unknot() for _ in range(n)))
     return LinkDescriptor(f"unlink({n})", out.components, alexander=out.alexander,
                           lspace_asserted=True)

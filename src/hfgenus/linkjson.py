@@ -18,8 +18,7 @@ import json
 
 from .errors import ParseError, SchemaError
 from .laurent import LaurentPoly
-from .linkcat import (Component, LinkDescriptor, Subset, _key_str,
-                      disjoint_union, require_valid)
+from .linkcat import Component, LinkDescriptor, Subset, _key_str, require_valid
 
 
 def _parse_key(s: str, n: int) -> Subset:
@@ -128,6 +127,8 @@ def descriptor_from_dict(data: dict) -> LinkDescriptor:
         alex = {}
         for key_str, items in data["alexander"].items():
             B = _parse_key(key_str, n)
+            if B in alex:
+                raise SchemaError(f"subset key {key_str!r} repeats subset {_key_str(B)}")
             alex[B] = _poly_from_list(items, len(B), f"alexander[{key_str!r}]")
         return LinkDescriptor(data["name"], comps, alexander=alex,
                               linking=linking, lspace_asserted=lspace)
@@ -136,6 +137,7 @@ def descriptor_from_dict(data: dict) -> LinkDescriptor:
             raise SchemaError("disjoint unions must not carry top-level 'alexander' data")
         if not isinstance(structure["disjoint_union"], list):
             raise SchemaError("'disjoint_union' must be a list of descriptors")
+        from .linkops import disjoint_union
         parts = [descriptor_from_dict(p) for p in structure["disjoint_union"]]
         if [c for p in parts for c in p.components] != comps:
             raise SchemaError("parts of the disjoint union do not match 'components'")

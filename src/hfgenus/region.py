@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .hfunction import HTable
-from .linkcat import LinkDescriptor, Record, sublink
+from .linkcat import LinkDescriptor, Record
 
 
 def dominates(x: Sequence[int], y: Sequence[int]) -> bool:
@@ -106,6 +106,7 @@ def projection_check(d: LinkDescriptor, r: UpwardClosedRegion) -> list:
     problems = []
     if d.n == 1:
         return problems  # deleting the only component leaves the empty link
+    from .linkops import sublink
     for i in range(d.n):
         rest = tuple(j for j in range(d.n) if j != i)
         sub_region = region_from_h(HTable(sublink(d, rest)))

@@ -13,7 +13,8 @@ from hfgenus.cable import CableSpec, cable_alexander, region_via_T
 from hfgenus.errors import StabilizationError
 from hfgenus.hfunction import HTable
 from hfgenus.laurent import LaurentPoly
-from hfgenus.linkcat import LinkDescriptor, catalog, disjoint_union
+from hfgenus.linkcat import LinkDescriptor, catalog
+from hfgenus.linkops import disjoint_union
 from hfgenus.region import (UpwardClosedRegion, dominates,
                             maximal_lattice_points, minimalize, region_from_h,
                             region_product)

@@ -16,7 +16,8 @@ from hfgenus.bounds import (admissible_region, best_lower_bound, bound_max_h,
 from hfgenus.cable import CableSpec, cable_alexander
 from hfgenus.errors import LargenessError, StabilizationError, ValidationError
 from hfgenus.hfunction import HTable
-from hfgenus.linkcat import Component, LinkDescriptor, catalog, disjoint_union
+from hfgenus.linkcat import Component, LinkDescriptor, catalog
+from hfgenus.linkops import disjoint_union
 from hfgenus.region import UpwardClosedRegion, minimalize, region_from_h, region_product
 from hfgenus.surgery import circle_bundle_d, large_surgery_d, lens_d
 from test_hfunction import INVALID_TABLES, ORACLE_LINKS, UNION_PARTS
@@ -262,7 +263,7 @@ def test_bound_dominates_component_thresholds():
         d = catalog(key)
         whole = bound_min_region(HTable(d))
         for i in range(d.n):
-            from hfgenus.linkcat import sublink
+            from hfgenus.linkops import sublink
             comp = bound_min_region(HTable(sublink(d, (i,))))
             assert whole >= comp
 

@@ -13,7 +13,8 @@ from hfgenus.cable import (CableSpec, T_transform, cable_alexander,
 from hfgenus.errors import UsageError
 from hfgenus.hfunction import HTable
 from hfgenus.laurent import LaurentPoly
-from hfgenus.linkcat import catalog, disjoint_union, sublink, validate_descriptor
+from hfgenus.linkcat import catalog, validate_descriptor
+from hfgenus.linkops import disjoint_union, sublink
 from hfgenus.region import UpwardClosedRegion, region_from_h
 
 

@@ -114,6 +114,14 @@ def test_d_invariants_circle_bundle(capsys):
     assert code == 0 and len(data["values"]) == 13
 
 
+def test_d_invariants_small_circle_bundle_warns_in_one_line(capsys):
+    code, out, err = run(capsys, "d-invariants", "--circle-bundle", "3:1")
+    assert code == 0
+    assert json.loads(out)["values"] == [[-1, "-5/6"], [0, "1/2"], [1, "-5/6"]]
+    assert err == "warning: circle_bundle_d: m=3 may not be large enough for g=1\n"
+    assert run(capsys, "d-invariants", "--circle-bundle", "12:2")[2] == ""
+
+
 def test_d_invariants_surgery(capsys):
     code, out, _ = run(capsys, "d-invariants", "--catalog", "whitehead",
                        "--framing", "50,50", "--point", "0,0")
@@ -153,7 +161,7 @@ def test_validate_flipped_sign_hint(capsys, tmp_path):
 def test_validate_flags_a_flipped_sign_in_a_table_failing_the_laws(capsys, tmp_path):
     # the whitehead sign is flipped back, then the bad knot breaks the laws:
     # every law problem is printed, then the hint for the flipped sign
-    from hfgenus.linkcat import disjoint_union
+    from hfgenus.linkops import disjoint_union
     from test_hfunction import (bad_knot, flipped_whitehead, reference_law_problems,
                                 reference_sign_resolution)
     d = disjoint_union(flipped_whitehead(), bad_knot())

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfgenus import hfunction
+from hfgenus import hfunction, violations
 from hfgenus.bounds import admissible_region, genus_admissible
 from hfgenus.cable import CableSpec, cable_alexander
 from hfgenus.errors import SignResolutionError, StabilizationError, ValidationError
 from hfgenus.hfunction import HTable, _broadcast, _chi_table, _grid
 from hfgenus.laurent import LaurentPoly
-from hfgenus.linkcat import LinkDescriptor, all_subsets, catalog, disjoint_union, sublink
+from hfgenus.linkcat import LinkDescriptor, all_subsets, catalog
+from hfgenus.linkops import disjoint_union, sublink
 from hfgenus.linkjson import descriptor_from_dict
 from hfgenus.region import maximal_lattice_points, region_from_h
 from test_cli import WORKLOADS
@@ -640,7 +641,7 @@ def test_array_laws_match_the_reference_sweep(radii, data):
     box = dict(zip(product(*(range(-r, r + 1) for r in radii)), grid))
     expected = list(reference_sweep(box.__getitem__, radii))
     assert hfunction._laws_hold(grid, [2 * r + 1 for r in radii]) == (expected == [])
-    assert hfunction._law_messages(grid, radii) == expected
+    assert violations.law_messages(grid, radii) == expected
 
 
 def reference_sign_resolution(d):

@@ -37,38 +37,64 @@ def run_cli(*argv) -> set:
     return modules_added(f"from hfgenus.cli import main\nassert main({list(argv)!r}) == 0")
 
 
-def compiled_nodes(*argv) -> int:
-    """AST nodes over the hfgenus modules that one command loads in a fresh
-    interpreter: with no cached bytecode, what the job compiles."""
-    package = Path(hfgenus.__file__).parent
+def compiled_nodes(modules: set) -> int:
+    """AST nodes over the hfgenus modules among `modules`, those one job
+    loaded in a fresh interpreter: with no cached bytecode, what it compiles."""
     total = 0
-    for module in run_cli(*argv):
+    for module in modules:
         if module.split(".")[0] == "hfgenus":
-            path = package / f"{module.partition('.')[2] or '__init__'}.py"
+            path = Path(SRC).joinpath(*module.split("."))
+            path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
             total += sum(1 for _ in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
     return total
 
 
-# The five dense_two_bridge jobs and the bounds and d-invariants jobs on
-# cables, pinned at the nodes they compile (Python 3.11).  While the JSON
-# format sat in linkcat, the cable algebra in laurent and the d-invariants in
-# bounds, with bounds loading region, these read 11667, 13778, 11667, 12724,
-# 13329, 15013 and 14408.
+# The five dense_two_bridge jobs, the bounds and d-invariants jobs on cables
+# and the cable job, pinned at the nodes they compile (Python 3.11).  With
+# every command's handler in cli, sublink and disjoint_union in linkcat, the
+# law messages in hfunction and the symmetric normalization and text form of
+# a polynomial in laurent, these read 10245, 11293, 10245, 11302, 11907,
+# 12716, 12138 and 13566.
 COMPILE_CEILINGS = [
-    (("region", "--catalog", "two_bridge:20", "--format", "json"), 10245),
-    (("bounds", "--catalog", "two_bridge:20", "--format", "ascii"), 11293),
-    (("region", "--catalog", "two_bridge:25", "--format", "ascii"), 10245),
-    (("h-table", "--catalog", "two_bridge:12", "--format", "ascii"), 11302),
-    (("region", "--catalog", "two_bridge:12", "--format", "svg"), 11907),
-    (("bounds", "--catalog", "whitehead_cable:7,22"), 12716),
-    (("d-invariants", "--catalog", "whitehead_cable:5,16", "--framing", "400,400"), 12138),
+    (("region", "--catalog", "two_bridge:20", "--format", "json"), 8030),
+    (("bounds", "--catalog", "two_bridge:20", "--format", "ascii"), 9074),
+    (("region", "--catalog", "two_bridge:25", "--format", "ascii"), 8030),
+    (("h-table", "--catalog", "two_bridge:12", "--format", "ascii"), 9154),
+    (("region", "--catalog", "two_bridge:12", "--format", "svg"), 9693),
+    (("bounds", "--catalog", "whitehead_cable:7,22"), 10796),
+    (("d-invariants", "--catalog", "whitehead_cable:5,16", "--framing", "400,400"), 10578),
+    (("cable", "--catalog", "whitehead", "--cable", "7:22,1:1"), 11638),
 ]
 
 
 @pytest.mark.parametrize("argv, ceiling", COMPILE_CEILINGS, ids=lambda x: (
     " ".join(x) if isinstance(x, tuple) else str(x)))
 def test_a_catalog_job_compiles_at_most(argv, ceiling):
-    assert compiled_nodes(*argv) <= ceiling
+    assert compiled_nodes(run_cli(*argv)) <= ceiling
+
+
+def test_a_link_file_job_compiles_at_most(tmp_path):
+    # was 11538 before the handlers, the law messages and the normalization moved
+    from hfgenus.linkcat import catalog
+    from hfgenus.linkjson import save_json
+    path = tmp_path / "two_bridge_10.json"
+    save_json(catalog("two_bridge", 10), path)
+    assert compiled_nodes(run_cli("validate", "--link", str(path))) <= 9367
+
+
+LIBRARY_JOB = ("import hfgenus.cli\n"
+               "from hfgenus import bounds\n"
+               "from hfgenus.hfunction import HTable\n"
+               "from hfgenus.linkcat import catalog\n"
+               "bounds.admissible_region(HTable(catalog('borromean')))")
+
+
+def test_a_library_admissible_region_job_compiles_at_most():
+    # the admissible_region workload imports the CLI, then calls the library;
+    # was 11898 before the handlers, the law messages and the normalization moved
+    added = modules_added(LIBRARY_JOB)
+    assert not any(m.startswith("hfgenus.commands") for m in added)
+    assert compiled_nodes(added) <= 9555
 
 
 def test_importing_the_cli_loads_no_layer():
@@ -93,7 +119,8 @@ def test_region_loads_only_its_layers():
 def test_closed_form_d_invariants_load_no_table(argv):
     added = run_cli(*argv)
     assert {m for m in added if m.startswith("hfgenus")} == {
-        "hfgenus", "hfgenus.cli", "hfgenus.errors", "hfgenus.surgery"}
+        "hfgenus", "hfgenus.cli", "hfgenus.errors", "hfgenus.surgery",
+        "hfgenus.commands", "hfgenus.commands.d_invariants"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -171,6 +198,62 @@ COMMANDS = [
     ("d-invariants", "--catalog", "whitehead", "--framing", "50,50"),
     ("catalog-list",),
 ]
+
+
+@pytest.mark.parametrize("argv", [("h-table", "--catalog", "whitehead"),
+                                  ("region", "--catalog", "whitehead"),
+                                  ("bounds", "--catalog", "whitehead"),
+                                  ("cable", "--catalog", "whitehead", "--cable", "2:7,1:1"),
+                                  ("d-invariants", "--lens", "5"),
+                                  ("validate", "--catalog", "whitehead"),
+                                  ("catalog-list",)], ids=lambda argv: argv[0])
+def test_a_command_loads_no_other_commands_handler(argv):
+    from hfgenus.cli import _TABLE
+    added = run_cli(*argv)
+    assert {m for m in added if m.startswith("hfgenus.commands.")} == {
+        f"hfgenus.commands.{_TABLE[argv[0]][0]}"}
+
+
+def test_only_unions_and_projections_load_linkops(tmp_path):
+    from hfgenus.linkcat import catalog
+    from hfgenus.linkjson import save_json
+    path = tmp_path / "whitehead.json"
+    save_json(catalog("whitehead"), path)
+    for argv in [("region", "--catalog", "two_bridge:3"),
+                 ("region", "--catalog", "whitehead", "--format", "svg"),
+                 ("validate", "--link", str(path)),
+                 ("cable", "--catalog", "whitehead", "--cable", "2:7,1:1")]:
+        assert "hfgenus.linkops" not in run_cli(*argv), argv
+    assert "hfgenus.linkops" in run_cli("region", "--catalog", "unlink:2")
+    assert "hfgenus.linkops" in modules_added(
+        "from hfgenus import catalog, projection_check, region_from_h, HTable\n"
+        "d = catalog('whitehead')\n"
+        "assert projection_check(d, region_from_h(HTable(d))) == []")
+
+
+def test_only_cables_and_printing_load_the_normalization_and_text_form():
+    added = run_cli("bounds", "--catalog", "two_bridge:20")
+    assert not added & {"hfgenus.symmetry", "hfgenus.polytext"}
+    added = run_cli("cable", "--catalog", "whitehead", "--cable", "2:7,1:1")
+    assert "hfgenus.symmetry" in added and "hfgenus.polytext" not in added
+    assert "hfgenus.polytext" in modules_added(
+        "from hfgenus.linkcat import catalog\n"
+        "assert str(catalog('trefoil_rh').delta((0,))) == 't - 1 + t^-1'")
+
+
+def test_only_a_failing_table_loads_the_law_messages():
+    assert "hfgenus.violations" not in run_cli("validate", "--catalog", "two_bridge:3")
+    assert "hfgenus.violations" in modules_added(
+        "from hfgenus import HTable, LinkDescriptor, Component\n"
+        "from hfgenus.errors import StabilizationError\n"
+        "from hfgenus.laurent import LaurentPoly\n"
+        "knot = LaurentPoly.from_terms(1, [(-1, (1,)), (3, (0,)), (-1, (-1,))])\n"
+        "try:\n"
+        "    HTable(LinkDescriptor('bad', [Component('k')], {(0,): knot}), force=True)\n"
+        "except StabilizationError as exc:\n"
+        "    assert exc.problems\n"
+        "else:\n"
+        "    raise AssertionError('the table passed')")
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hfgenus.cable import geometric_cable_factor, substitute_powers
 from hfgenus.errors import SymmetryError, ValidationError
 from hfgenus.hfunction import HTable
-from hfgenus.laurent import LaurentPoly, involution, normalize_symmetric
+from hfgenus.laurent import LaurentPoly
+from hfgenus.symmetry import involution, normalize_symmetric
 from hfgenus.linkcat import Component, LinkDescriptor, catalog, require_valid
 
 H = Fraction(1, 2)

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from hfgenus.errors import (LSpaceAssertionError, SchemaError, SymmetryError,
                             ValidationError)
 from hfgenus.hfunction import HTable
-from hfgenus.laurent import (LaurentPoly, involution, normalize_symmetric,
-                             symmetry_sign)
+from hfgenus.laurent import LaurentPoly, symmetry_sign
 from hfgenus.linkcat import (Component, LinkDescriptor, _key_str, all_subsets,
-                             catalog, catalog_list, disjoint_union, sublink,
-                             two_bridge_poly, validate_descriptor)
+                             catalog, catalog_list, two_bridge_poly, validate_descriptor)
+from hfgenus.linkops import disjoint_union, sublink
 from hfgenus.linkjson import (descriptor_from_dict, descriptor_to_dict, load_json,
                               save_json)
+from hfgenus.symmetry import involution, normalize_symmetric
 
 H = Fraction(1, 2)
 
@@ -130,6 +130,17 @@ def test_negative_component_indices_are_refused():
     with pytest.raises(ValueError, match="out of range"):
         LinkDescriptor("bad", wh.components,
                        alexander={(-1,): LaurentPoly.one(1), **wh.alexander})
+
+
+def test_a_subset_given_twice_is_refused():
+    # (0, 1) and (1, 0) name one subset: the later polynomial used to replace
+    # the earlier one without a word
+    wh = catalog("whitehead")
+    p = wh.alexander[(0, 1)]
+    with pytest.raises(ValueError, match=r"subset \(0, 1\) is given twice"):
+        LinkDescriptor("twice", wh.components,
+                       alexander={(0,): LaurentPoly.one(1), (1,): LaurentPoly.one(1),
+                                  (0, 1): p, (1, 0): -p})
 
 
 def test_disjoint_union_counts_and_flattens():
@@ -392,6 +403,17 @@ def test_json_schema_violations():
         data["alexander"], data["structure"] = {}, {"disjoint_union": parts}
         with pytest.raises(SchemaError, match="must be a list"):
             descriptor_from_dict(data)
+
+
+def test_json_subset_key_given_twice_is_refused(tmp_path):
+    # "1,2" and "2,1" are distinct JSON keys naming one subset
+    data = descriptor_to_dict(catalog("whitehead"))
+    data["alexander"]["2,1"] = [{"exp": [e for e in reversed(t["exp"])], "coef": -t["coef"]}
+                                for t in data["alexander"]["1,2"]]
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError, match="'2,1' repeats subset 1,2"):
+        load_json(path)
 
 
 def test_catalog_list_contains_known_keys():

@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hfgenus.hfunction import HTable
-from hfgenus.linkcat import catalog, disjoint_union, sublink
+from hfgenus.linkcat import catalog
+from hfgenus.linkops import disjoint_union, sublink
 from hfgenus.region import (UpwardClosedRegion, dominates,
                             maximal_lattice_points, minimalize,
                             projection_check, region_from_h, region_product)

@@ -1,5 +1,6 @@
 """The tools under tools/ do what their docstrings say."""
 
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -47,13 +48,45 @@ def test_code_lines_prints_every_module_and_the_sum(tmp_path, capsys):
 def test_code_lines_command_prints_the_modules_a_command_loads(capsys):
     assert code_lines.main(["--command", "d-invariants", "--lens", "5"]) == 0
     header, *rows, total = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert header == ["module", "nodes"]
-    assert [m for m, _ in rows] == ["hfgenus", "hfgenus.cli", "hfgenus.errors",
-                                    "hfgenus.surgery"]
-    for module, nodes in rows:
+    assert header == ["module", "nodes", "unused"]
+    assert [m for m, _, _ in rows] == ["hfgenus", "hfgenus.cli", "hfgenus.commands",
+                                       "hfgenus.commands.d_invariants", "hfgenus.errors",
+                                       "hfgenus.surgery"]
+    for module, nodes, unused in rows:
         source = code_lines.module_path(module).read_text(encoding="utf-8")
         assert int(nodes) == code_lines.ast_nodes(source)
-    assert total == ["sum", str(sum(int(n) for _, n in rows))]
+        assert 0 <= int(unused) <= int(nodes)
+    assert total == ["sum", str(sum(int(n) for _, n, _ in rows)),
+                     str(sum(int(u) for _, _, u in rows))]
+    # --lens reads circle_bundle_d, which calls lens_d: of surgery's three
+    # functions only large_surgery_d never runs
+    unused = {module: int(u) for module, _, u in rows}
+    tree = ast.parse(code_lines.module_path("hfgenus.surgery").read_text(encoding="utf-8"))
+    sizes = {fn.name: code_lines.ast_nodes(fn) for _, fn in code_lines.definitions(tree)}
+    assert set(sizes) == {"lens_d", "circle_bundle_d", "large_surgery_d"}
+    assert unused["hfgenus.surgery"] == sizes["large_surgery_d"]
+    assert unused["hfgenus.commands.d_invariants"] < sizes["large_surgery_d"]
+
+
+def test_code_lines_unused_nodes_are_the_definitions_never_called():
+    tree = ast.parse("class A:\n"
+                     "    @property\n"
+                     "    def x(self):\n"
+                     "        return 1\n"
+                     "\n"
+                     "    def y(self):\n"
+                     "        def inner():\n"
+                     "            pass\n"
+                     "\n"
+                     "\n"
+                     "def f():\n"
+                     "    pass\n")
+    defs = list(code_lines.definitions(tree))
+    assert [(line, fn.name) for line, fn in defs] == [(2, "x"), (6, "y"), (11, "f")]
+    size = {fn.name: code_lines.ast_nodes(fn) for _, fn in defs}
+    assert code_lines.unused_nodes(tree, {(2, "x")}) == size["y"] + size["f"]
+    assert code_lines.unused_nodes(tree, {(2, "x"), (6, "y"), (11, "f")}) == 0
+    assert code_lines.unused_nodes(tree, {(3, "x")}) == sum(size.values())
 
 
 def test_code_lines_command_returns_the_commands_exit_code(capsys):

@@ -1,4 +1,5 @@
-"""Count code lines and AST nodes in each module of src/hfgenus.
+"""Count code lines and AST nodes in each module of src/hfgenus and its
+subpackages.
 
 A code line is a nonblank line holding a token that is neither a comment nor
 part of a docstring; a docstring is any expression statement that is a
@@ -14,13 +15,17 @@ per module and the sum.
 With --command, it runs `hfgenus ARG...` in a fresh interpreter, the
 command's own output discarded, and prints the AST nodes of each `hfgenus`
 module the command loads and their sum: the nodes that one job of that
-command compiles.  The exit code is the command's.
+command compiles.  Beside each, it prints the unused nodes: those of the
+module's top-level functions and of the methods of its top-level classes
+that the command compiled but never called, as a `sys.setprofile` hook in
+the child saw it.  The exit code is the command's.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import json
 import os
 import subprocess
 import sys
@@ -45,51 +50,84 @@ def code_lines(source: str) -> int:
     return len(rows)
 
 
-def ast_nodes(source: str) -> int:
-    return sum(1 for _ in ast.walk(ast.parse(source)))
+def ast_nodes(source) -> int:
+    """The nodes of a source text, or of a parsed tree."""
+    tree = ast.parse(source) if isinstance(source, str) else source
+    return sum(1 for _ in ast.walk(tree))
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Run the command with its output discarded, then list the hfgenus modules it
-# loaded, one a line, after the exit code.
-_CHILD = """import contextlib, io, sys
+# Run the command with its output discarded and every Python call recorded,
+# then print the exit code and, as JSON, the (first line, name) of each code
+# object called in each hfgenus module the command loaded.
+_CHILD = """import contextlib, io, json, sys
+seen = set()
+def record(frame, event, arg):
+    if event == "call":
+        seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno, frame.f_code.co_name))
+sys.setprofile(record)
 from hfgenus.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
         code = main(sys.argv[1:])
     except SystemExit as exc:  # -h
         code = exc.code
+sys.setprofile(None)
+files = {sys.modules[m].__file__: m for m in sys.modules if m.split(".")[0] == "hfgenus"}
+called = {m: [] for m in files.values()}
+for filename, line, name in seen:
+    if filename in files:
+        called[files[filename]].append([line, name])
 print(code)
-print("\\n".join(sorted(m for m in sys.modules if m.split(".")[0] == "hfgenus")))
+print(json.dumps(called, sort_keys=True))
 """
 
 
-def command_modules(argv: list) -> tuple:
-    """The exit code of `hfgenus ARG...` run in a fresh interpreter, and the
-    sorted names of the hfgenus modules it loaded."""
+def command_calls(argv: list) -> tuple:
+    """The exit code of `hfgenus ARG...` run in a fresh interpreter, and for
+    each hfgenus module it loaded, in name order, the set of (first line,
+    name) of the code objects it called there."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _CHILD, *argv], env=env,
                           capture_output=True, text=True, check=True)
-    code, *modules = proc.stdout.splitlines()
-    return int(code), modules
+    code, called = proc.stdout.splitlines()
+    return int(code), {module: {tuple(call) for call in calls}
+                       for module, calls in sorted(json.loads(called).items())}
 
 
 def module_path(module: str) -> Path:
-    """The source file of an hfgenus module."""
-    return SRC / "hfgenus" / f"{module.partition('.')[2] or '__init__'}.py"
+    """The source file of an hfgenus module or package."""
+    path = SRC.joinpath(*module.split("."))
+    return path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+
+
+def definitions(tree: ast.Module):
+    """The top-level functions and the methods of top-level classes, each
+    with the first line of its code object: its first decorator's, if any."""
+    for node in tree.body:
+        for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield min([fn.lineno] + [d.lineno for d in fn.decorator_list]), fn
+
+
+def unused_nodes(tree: ast.Module, called: set) -> int:
+    """The nodes of the definitions whose code was never called."""
+    return sum(ast_nodes(fn) for line, fn in definitions(tree)
+               if (line, fn.name) not in called)
 
 
 def command_nodes(argv: list) -> int:
-    code, modules = command_modules(argv)
-    total = 0
-    print(f"{'module':<20} {'nodes':>6}")
-    for module in modules:
-        nodes = ast_nodes(module_path(module).read_text(encoding="utf-8"))
-        total += nodes
-        print(f"{module:<20} {nodes:>6}")
-    print(f"{'sum':<20} {total:>6}")
+    code, calls = command_calls(argv)
+    total = unused = 0
+    print(f"{'module':<30} {'nodes':>6} {'unused':>6}")
+    for module, called in calls.items():
+        tree = ast.parse(module_path(module).read_text(encoding="utf-8"))
+        nodes, idle = ast_nodes(tree), unused_nodes(tree, called)
+        total, unused = total + nodes, unused + idle
+        print(f"{module:<30} {nodes:>6} {idle:>6}")
+    print(f"{'sum':<30} {total:>6} {unused:>6}")
     return code
 
 
@@ -98,13 +136,13 @@ def main(argv: list) -> int:
         return command_nodes(argv[1:])
     root = Path(argv[0]) if argv else SRC / "hfgenus"
     code = nodes = total = 0
-    print(f"{'module':<16} {'code':>6} {'nodes':>6} {'total':>6}")
-    for path in sorted(root.glob("*.py")):
+    print(f"{'module':<26} {'code':>6} {'nodes':>6} {'total':>6}")
+    for path in sorted(root.rglob("*.py")):
         source = path.read_text(encoding="utf-8")
         c, n, t = code_lines(source), ast_nodes(source), len(source.splitlines())
         code, nodes, total = code + c, nodes + n, total + t
-        print(f"{path.name:<16} {c:>6} {n:>6} {t:>6}")
-    print(f"{'sum':<16} {code:>6} {nodes:>6} {total:>6}")
+        print(f"{path.relative_to(root).as_posix():<26} {c:>6} {n:>6} {t:>6}")
+    print(f"{'sum':<26} {code:>6} {nodes:>6} {total:>6}")
     return 0
 
 

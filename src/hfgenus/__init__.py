@@ -9,7 +9,7 @@ _EXPORTS = {
     "laurent": ("LaurentPoly",),
     "symmetry": ("involution", "normalize_symmetric"),
     "linkcat": ("CatalogEntry", "Component", "LinkDescriptor", "catalog",
-                "catalog_list", "validate_descriptor"),
+                "catalog_list"),
     "linkops": ("disjoint_union", "sublink"),
     "linkjson": ("load_json", "save_json"),
     "hfunction": ("HTable",),

@@ -23,8 +23,7 @@ from typing import Sequence
 
 from .errors import UsageError, ValidationError
 from .laurent import LaurentPoly
-from .linkcat import (Component, LinkDescriptor, Record, all_subsets,
-                      require_valid)
+from .linkcat import Component, LinkDescriptor, Record, all_subsets
 from .symmetry import normalize_symmetric
 
 
@@ -35,8 +34,10 @@ class CableSpec(Record):
     __slots__ = ("pairs",)
 
     def __init__(self, pairs: tuple):
-        pairs = tuple((int(p), int(q)) for p, q in pairs)
+        pairs = tuple((p, q) for p, q in pairs)
         for p, q in pairs:
+            if not all(type(x) is int for x in (p, q)):
+                raise ValueError(f"cable parameters must be integers, got ({p!r}, {q!r})")
             if p < 1 or q < 1:
                 raise ValueError(f"cable parameters must be positive, got ({p}, {q})")
             if gcd(p, q) != 1:
@@ -146,7 +147,6 @@ def cable_alexander(d: LinkDescriptor, spec: CableSpec) -> LinkDescriptor:
     the whole Alexander map transforms subset by subset.  Component 4-genera
     update along g -> p*g + (p-1)(q-1)/2 when known.
     """
-    require_valid(d)
     if spec.n != d.n:
         raise ValueError(f"cable spec has {spec.n} pairs but the link has "
                          f"{d.n} components")

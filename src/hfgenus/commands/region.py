@@ -13,9 +13,8 @@ def run(args) -> int:
     if args.fmt == "svg":
         if table.n != 2:
             raise UsageError("svg staircases need exactly two components")
-        from ..region import UpwardClosedRegion
         from ..render import region_svg
-        return _emit(args, region_svg(UpwardClosedRegion(2, generators), table.M, maximal))
+        return _emit(args, region_svg(generators, table.M, maximal))
     return _emit(args, {"name": table.link.name, "generators": generators,
                         "maximal_points": maximal},
                  {"generators": " ".join(map(str, generators)),

@@ -11,8 +11,8 @@ sublinks).
 `HTable` is the only entry point to H, h, chi and their validation, and
 tables share no state.  `_chi_table` alone turns a sublink's polynomial into
 Euler characteristics, from which chi is read; the input's exponent parity
-is checked before, by `linkcat.require_valid`.  A sublink's H over a box
-prod [-r_j, r_j] is one flat row-major list, in the point order of
+holds already, since a `LinkDescriptor` is valid once built.  A sublink's H
+over a box prod [-r_j, r_j] is one flat row-major list, in the point order of
 `itertools.product`: each sublink's orthant sums over the box (`_grid`,
 suffix sums of its coefficients placed in the box), repeated along the axes
 the sublink lacks (`_broadcast`), and added with their signs, with no Python
@@ -29,7 +29,7 @@ component i, so each such sublink contributes 0: H is constant in s_i there,
 equals the H of the sublink with component i deleted, and vanishes on the
 top corner block.  At s_i <= -M_i + 1, v_i lies at or below the bottom of
 those supports, where an orthant sum is constant up to the knot slope
-Delta(1) = 1 (enforced on the input by `linkcat.require_valid`), which h
+Delta(1) = 1 (enforced by the `LinkDescriptor` constructor), which h
 subtracts, so h is constant in s_i there.  Hence h(v) = h(clamp(v)) for
 every lattice point v, clamp taking each coordinate into [-M_i, M_i]: the
 laws validated on the box hold everywhere, a sweep of the box decides every
@@ -76,7 +76,7 @@ from typing import Optional, Sequence
 
 from .errors import LSpaceAssertionError, SignResolutionError, StabilizationError
 from .laurent import LaurentPoly
-from .linkcat import LinkDescriptor, all_subsets, require_valid
+from .linkcat import LinkDescriptor, all_subsets
 
 
 def _chi_table(delta: LaurentPoly) -> dict:
@@ -84,9 +84,9 @@ def _chi_table(delta: LaurentPoly) -> dict:
     coefficients of delta * (t_1 ... t_k)^{1/2}, or for a knot the coefficients
     of Delta itself, whose torsion series Delta(t)/(1 - t^{-1}) holds the
     characteristics.  Either way the exponents land on the integer lattice:
-    `HTable` calls `require_valid` first, and `linkcat.validate_descriptor`
-    rejects a knot exponent that is not an integer and a link exponent that is
-    not half-odd (the zero-linking parity), so the halving below is exact."""
+    the `LinkDescriptor` constructor rejects a knot exponent that is not an
+    integer and a link exponent that is not half-odd (the zero-linking
+    parity), so the halving below is exact."""
     shift = 0 if delta.nvars == 1 else 1
     return {tuple((e + shift) // 2 for e in exp): c for exp, c in delta.terms.items()}
 
@@ -222,7 +222,6 @@ class HTable:
     """
 
     def __init__(self, link: LinkDescriptor, force: bool = False):
-        require_valid(link)
         if not link.lspace_asserted and not force:
             raise LSpaceAssertionError(
                 f"{link.name}: the L-space property is not asserted; the H-function "

@@ -1,12 +1,14 @@
-"""Link data model: components, zero linking matrix, per-sublink Alexander
-polynomials, validation, and the built-in catalog.
+"""Link data model: components, per-sublink Alexander polynomials, validation,
+and the built-in catalog.
 
 A descriptor stores one symmetrized Alexander polynomial for every nonempty
-subset of its components, each subset given once.  Validation checks each
-polynomial's symmetry term by term, and imports `symmetry` only to describe
-a polynomial that fails.  Sublinks and disjoint unions are `linkops`, which
-only the unlink, union files and projection checks need, so a catalog job
-of another link never compiles them.
+subset of its components, each subset given once, and is valid once built:
+its constructor checks each polynomial's symmetry term by term, and imports
+`symmetry` only to describe a polynomial that fails.  The paper covers only
+links with vanishing pairwise linking numbers, so a descriptor stores no
+linking matrix.  Sublinks and disjoint unions are `linkops`, which only the
+unlink, union files and projection checks need, so a catalog job of another
+link never compiles them.
 
 Component subsets are 0-based index tuples in the Python API; the JSON schema
 uses 1-based comma-joined keys like "1,2".  The JSON format itself is
@@ -24,7 +26,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import SymmetryError, ValidationError
 from .laurent import LaurentPoly, symmetry_sign
 
-Subset = tuple  # sorted tuple of 0-based component indices
+Subset = tuple  # sorted tuple of distinct 0-based component indices
 
 
 class Record:
@@ -70,9 +72,11 @@ class Component(Record):
 
 
 def subset_key(B: Iterable[int]) -> Subset:
-    key = tuple(sorted(set(B)))
+    key = tuple(sorted(B))
     if not key:
         raise ValueError("component subset must be nonempty")
+    if len(set(key)) != len(key):
+        raise ValueError(f"component subset {key} repeats an index")
     return key
 
 
@@ -88,25 +92,23 @@ def all_subsets(n: int):
 
 
 class LinkDescriptor(Record):
-    """An n-component link with vanishing pairwise linking numbers."""
+    """An n-component link with vanishing pairwise linking numbers.
 
-    __slots__ = ("name", "components", "alexander", "linking", "lspace_asserted")
+    A descriptor is valid once built: the constructor refuses data that the
+    H-function cannot be read from, raising `ValidationError` with every
+    problem.  `alexander` is a plain dict from subset to polynomial; it must
+    not be mutated."""
+
+    __slots__ = ("name", "components", "alexander", "lspace_asserted")
     __hash__ = None  # the polynomials sit in a dict
 
     def __init__(self, name: str, components: Sequence[Component],
                  alexander: Mapping[Iterable[int], LaurentPoly] | None = None,
-                 linking: Sequence[Sequence[int]] | None = None,
                  lspace_asserted: bool = False):
         components = tuple(components)
         n = len(components)
         if n == 0:
             raise ValueError("a link needs at least one component")
-        if linking is None:
-            linking = tuple((0,) * n for _ in range(n))
-        else:
-            linking = tuple(tuple(row) for row in linking)
-        if len(linking) != n or any(len(row) != n for row in linking):
-            raise ValueError("linking matrix has wrong shape")
         alex = {}
         if alexander:
             for B, poly in alexander.items():
@@ -118,7 +120,10 @@ class LinkDescriptor(Record):
                 if key in alex:
                     raise ValueError(f"subset {key} is given twice")
                 alex[key] = poly
-        self._init(name, components, alex, linking, bool(lspace_asserted))
+        problems = _problems(n, alex)
+        if problems:
+            raise ValidationError(f"{name}: " + "; ".join(problems))
+        self._init(name, components, alex, bool(lspace_asserted))
 
     @property
     def n(self) -> int:
@@ -138,18 +143,15 @@ class LinkDescriptor(Record):
 # -- validation ---------------------------------------------------------------
 
 
-def validate_descriptor(d: LinkDescriptor) -> list:
-    """Check the standing invariants; return a list of violations (empty = valid)."""
+def _problems(n: int, alexander: dict) -> list:
+    """The standing invariants that the polynomials of an n-component link,
+    keyed by sorted subset, break; empty when they are valid."""
     problems = []
-    for i in range(d.n):
-        for j in range(d.n):
-            if d.linking[i][j] != 0:
-                problems.append(f"nonzero linking number at ({i + 1},{j + 1})")
-    for B in all_subsets(d.n):
-        if B not in d.alexander:
+    for B in all_subsets(n):
+        if B not in alexander:
             problems.append(f"incomplete sublink data: subset {_key_str(B)} missing")
             continue
-        poly = d.alexander[B]
+        poly = alexander[B]
         if len(B) == 1:
             if poly.is_zero():
                 problems.append(f"subset {_key_str(B)}: knot polynomial must be nonzero")
@@ -188,12 +190,6 @@ def _symmetric_as_stored(poly: LaurentPoly, k: int) -> bool:
     terms = poly.terms
     return (all(terms.get(tuple(map(neg, e))) == sign * c for e, c in terms.items())
             and (k > 1 or poly.evaluate_at_one() == 1))
-
-
-def require_valid(d: LinkDescriptor):
-    problems = validate_descriptor(d)
-    if problems:
-        raise ValidationError(f"{d.name}: " + "; ".join(problems))
 
 
 # -- catalog -------------------------------------------------------------------

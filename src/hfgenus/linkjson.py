@@ -6,7 +6,9 @@ component subset, keyed by its 1-based indices joined by commas ("1,2").  A
 polynomial is a list of terms {"exp": [...], "coef": int}, each exponent a
 string such as "1" or "-1/2".  The structure {"disjoint_union": [...]} reads a
 list of part descriptors instead; it loads as an ordinary descriptor and is
-saved in the "atomic" form.  `load_json` validates what it reads.
+saved in the "atomic" form.  A descriptor keeps no linking matrix: reading
+refuses a nonzero entry, and writing gives the zero matrix.  The rest of what
+a file must satisfy is checked by the `LinkDescriptor` it builds.
 
 Only `--link` files and `cable` output use this module, so a catalog job
 never imports it.
@@ -18,7 +20,7 @@ import json
 
 from .errors import ParseError, SchemaError
 from .laurent import LaurentPoly
-from .linkcat import Component, LinkDescriptor, Subset, _key_str, require_valid
+from .linkcat import Component, LinkDescriptor, Subset, _key_str
 
 
 def _parse_key(s: str, n: int) -> Subset:
@@ -84,7 +86,7 @@ def descriptor_to_dict(d: LinkDescriptor) -> dict:
     return {
         "name": d.name,
         "components": [{"label": c.label, "g4": c.g4} for c in d.components],
-        "linking": [list(row) for row in d.linking],
+        "linking": [[0] * d.n for _ in range(d.n)],
         "lspace": d.lspace_asserted,
         "alexander": {_key_str(B): _poly_to_list(poly)
                       for B, poly in sorted(d.alexander.items())},
@@ -106,10 +108,12 @@ def descriptor_from_dict(data: dict) -> LinkDescriptor:
     for c in data["components"]:
         if not isinstance(c, dict) or "label" not in c:
             raise SchemaError("each component needs a 'label'")
+        if not isinstance(c["label"], str):
+            raise SchemaError("component 'label' must be a string")
         g4 = c.get("g4")
         if g4 is not None and (not _is_int(g4) or g4 < 0):
             raise SchemaError("component 'g4' must be a nonnegative integer or null")
-        comps.append(Component(str(c["label"]), g4))
+        comps.append(Component(c["label"], g4))
     n = len(comps)
     linking = data["linking"]
     if (not isinstance(linking, list) or len(linking) != n
@@ -130,9 +134,7 @@ def descriptor_from_dict(data: dict) -> LinkDescriptor:
             if B in alex:
                 raise SchemaError(f"subset key {key_str!r} repeats subset {_key_str(B)}")
             alex[B] = _poly_from_list(items, len(B), f"alexander[{key_str!r}]")
-        return LinkDescriptor(data["name"], comps, alexander=alex,
-                              linking=linking, lspace_asserted=lspace)
-    if isinstance(structure, dict) and set(structure) == {"disjoint_union"}:
+    elif isinstance(structure, dict) and set(structure) == {"disjoint_union"}:
         if data["alexander"]:
             raise SchemaError("disjoint unions must not carry top-level 'alexander' data")
         if not isinstance(structure["disjoint_union"], list):
@@ -142,12 +144,14 @@ def descriptor_from_dict(data: dict) -> LinkDescriptor:
         if [c for p in parts for c in p.components] != comps:
             raise SchemaError("parts of the disjoint union do not match 'components'")
         union = disjoint_union(*parts)
-        if [list(row) for row in union.linking] != linking:
-            raise SchemaError("parts of the disjoint union do not match 'linking'")
-        return LinkDescriptor(data["name"], comps, alexander=union.alexander,
-                              linking=linking,
-                              lspace_asserted=lspace and union.lspace_asserted)
-    raise SchemaError("'structure' must be \"atomic\" or {\"disjoint_union\": [...]}")
+        alex, lspace = union.alexander, lspace and union.lspace_asserted
+    else:
+        raise SchemaError("'structure' must be \"atomic\" or {\"disjoint_union\": [...]}")
+    nonzero = [f"nonzero linking number at ({i + 1},{j + 1})"
+               for i, row in enumerate(linking) for j, x in enumerate(row) if x]
+    if nonzero:
+        raise SchemaError(f"{data['name']}: " + "; ".join(nonzero))
+    return LinkDescriptor(data["name"], comps, alexander=alex, lspace_asserted=lspace)
 
 
 def save_json(d: LinkDescriptor, path) -> None:
@@ -162,6 +166,4 @@ def load_json(path) -> LinkDescriptor:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"JSON parse error: {exc}") from exc
-    d = descriptor_from_dict(data)
-    require_valid(d)
-    return d
+    return descriptor_from_dict(data)

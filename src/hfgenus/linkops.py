@@ -36,23 +36,19 @@ def sublink(d: LinkDescriptor, B: Iterable[int]) -> LinkDescriptor:
 def disjoint_union(*links: LinkDescriptor) -> LinkDescriptor:
     """Split union of the given links; H-functions add componentwise.
 
-    Each part's polynomials and linking numbers move to its component offset,
-    and every subset mixing parts gets the zero polynomial.
+    Each part's polynomials move to its component offset, and every subset
+    mixing parts gets the zero polynomial.
     """
     if not links:
         raise ValueError("a disjoint union needs at least one link")
     owner = [k for k, d in enumerate(links) for _ in d.components]
-    n = len(owner)
-    alex = {B: LaurentPoly.zero(len(B)) for B in all_subsets(n)
+    alex = {B: LaurentPoly.zero(len(B)) for B in all_subsets(len(owner))
             if owner[B[0]] != owner[B[-1]]}
-    linking = [[0] * n for _ in range(n)]
     offset = 0
     for d in links:
         alex.update({tuple(i + offset for i in B): poly for B, poly in d.alexander.items()})
-        for i, row in enumerate(d.linking):
-            linking[offset + i][offset:offset + d.n] = row
         offset += d.n
     return LinkDescriptor(" + ".join(d.name for d in links),
                           tuple(c for d in links for c in d.components),
-                          alexander=alex, linking=linking,
+                          alexander=alex,
                           lspace_asserted=all(d.lspace_asserted for d in links))

@@ -42,15 +42,15 @@ def ascii_h_grid(table: HTable, window: int) -> str:
     return "\n".join(lines)
 
 
-def region_svg(region: UpwardClosedRegion, window: int,
-               maximal_points: Sequence) -> str:
-    """SVG staircase of a 2-dimensional region over [0, window]^2.
+def region_svg(generators: Sequence, window: int, maximal_points: Sequence) -> str:
+    """SVG staircase over [0, window]^2 of the 2-dimensional region with these
+    minimal generators.
 
     Unit cells whose lower-left lattice point is outside the region are shaded;
-    the boundary staircase is drawn on top of them, and maximal lattice points
-    are marked.
+    the boundary staircase is drawn on top of them, and the generators and
+    maximal lattice points are marked.
     """
-    if region.n != 2:
+    if any(len(g) != 2 for g in generators):
         raise ValueError("SVG staircases are only drawn for two components")
     W = window
     size = (W + 2) * CELL
@@ -67,7 +67,7 @@ def region_svg(region: UpwardClosedRegion, window: int,
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
     # lowest member of each column, clipped to the window (W + 1 if none)
-    low = [min([W + 1] + [y for x0, y in region.generators if x0 <= x])
+    low = [min([W + 1] + [y for x0, y in generators if x0 <= x])
            for x in range(W + 1)]
     # shaded complement cells
     for x in range(W + 1):
@@ -91,7 +91,7 @@ def region_svg(region: UpwardClosedRegion, window: int,
         path = " ".join(f"{px(x)},{py(y)}" for x, y in pts)
         parts.append(f'<polyline points="{path}" fill="none" stroke="black" '
                      f'stroke-width="3"/>')
-    for g in region.generators:
+    for g in generators:
         if g[0] <= W and g[1] <= W:
             parts.append(f'<circle cx="{px(g[0])}" cy="{py(g[1])}" r="5" '
                          f'fill="black"/>')

@@ -13,7 +13,7 @@ from hfgenus.cable import (CableSpec, T_transform, cable_alexander,
 from hfgenus.errors import UsageError
 from hfgenus.hfunction import HTable
 from hfgenus.laurent import LaurentPoly
-from hfgenus.linkcat import catalog, validate_descriptor
+from hfgenus.linkcat import _problems, catalog
 from hfgenus.linkops import disjoint_union, sublink
 from hfgenus.region import UpwardClosedRegion, region_from_h
 
@@ -103,7 +103,7 @@ def test_one_strand_cable_is_identity():
 def test_cabled_descriptors_validate():
     for pairs in [((2, 7), (1, 1)), ((3, 10), (1, 1))]:
         d = cable_alexander(catalog("whitehead"), CableSpec(pairs))
-        assert validate_descriptor(d) == []
+        assert _problems(d.n, d.alexander) == []
 
 
 def test_cable_commutes_with_sublink():

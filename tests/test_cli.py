@@ -633,14 +633,19 @@ def test_region_computes_the_staircases_once(capsys, monkeypatch, fmt):
     assert code == 0 and len(calls) == 1
 
 
-def test_validate_link_validates_the_descriptor_twice(capsys, monkeypatch, tmp_path):
-    # once in load_json, once in HTable; the CLI adds no third check
+@pytest.mark.parametrize("argv, checks", [
+    (("validate", "--link", "{link}"), 1),
+    (("cable", "--catalog", "whitehead", "--cable", "7:22,1:1"), 2),
+    (("region", "--catalog", "two_bridge:20"), 1),
+], ids=lambda x: " ".join(x) if isinstance(x, tuple) else str(x))
+def test_a_job_checks_each_descriptor_once(capsys, monkeypatch, tmp_path, argv, checks):
+    # a descriptor is checked where it is built, and nowhere else: the
+    # validated file, or the link and its cable
     from hfgenus import linkcat
-    calls = []
-    real = linkcat.validate_descriptor
-    monkeypatch.setattr(linkcat, "validate_descriptor", lambda d: calls.append(d) or real(d))
     path = tmp_path / "tb.json"
     path.write_text(json.dumps(descriptor_to_dict(catalog("two_bridge", 3))))
-    code, out, _ = run(capsys, "validate", "--link", str(path))
-    assert code == 0 and out == "valid: two_bridge(3)\n"
-    assert len(calls) == 2
+    calls = []
+    real = linkcat._problems
+    monkeypatch.setattr(linkcat, "_problems", lambda *a: calls.append(a) or real(*a))
+    code, _, _ = run(capsys, *(str(path) if x == "{link}" else x for x in argv))
+    assert code == 0 and len(calls) == checks

@@ -296,20 +296,17 @@ def test_chi_borromean():
 
 
 def test_chi_rejects_bad_parity():
-    # require_valid refuses the parity before the chi conversion sees it, so
-    # the error is require_valid's own, word for word
-    from hfgenus.linkcat import Component, require_valid
-    bad = LinkDescriptor("bad-parity", [Component("a"), Component("b")],
-                         alexander={(0,): LaurentPoly.one(1),
-                                    (1,): LaurentPoly.one(1),
-                                    (0, 1): P(2, (1, (1, 1)), (1, (-1, -1)))},
-                         lspace_asserted=True)
-    with pytest.raises(ValidationError) as want:
-        require_valid(bad)
-    assert "parity" in str(want.value)
+    # the descriptor's constructor refuses the parity, so no table, and no
+    # chi conversion, ever sees it
+    from hfgenus.linkcat import Component
     with pytest.raises(ValidationError) as info:
-        HTable(bad)
-    assert str(info.value) == str(want.value)
+        LinkDescriptor("bad-parity", [Component("a"), Component("b")],
+                       alexander={(0,): LaurentPoly.one(1),
+                                  (1,): LaurentPoly.one(1),
+                                  (0, 1): P(2, (1, (1, 1)), (1, (-1, -1)))},
+                       lspace_asserted=True)
+    assert str(info.value) == ("bad-parity: subset 1,2: exponents must be half-odd "
+                               "(zero linking parity)")
 
 
 def test_chi_rejects_wrong_dimension():

@@ -13,7 +13,7 @@ from hfgenus.errors import SymmetryError, ValidationError
 from hfgenus.hfunction import HTable
 from hfgenus.laurent import LaurentPoly
 from hfgenus.symmetry import involution, normalize_symmetric
-from hfgenus.linkcat import Component, LinkDescriptor, catalog, require_valid
+from hfgenus.linkcat import Component, LinkDescriptor, catalog
 
 H = Fraction(1, 2)
 
@@ -167,16 +167,14 @@ def test_knot_chi_series_unknot():
 
 
 def test_knot_chi_series_rejects_half_exponents():
-    # a knot exponent off the integers is refused by require_valid, before
-    # the chi conversion sees it
-    bad = LinkDescriptor("half-knot", [Component("k")],
-                         alexander={(0,): P(1, (1, (H,)), (-1, (-H,)))})
-    with pytest.raises(ValidationError) as want:
-        require_valid(bad)
-    assert "knot exponents must be integers" in str(want.value)
+    # a knot exponent off the integers is refused by the descriptor's
+    # constructor, so no table, and no chi conversion, ever sees it
     with pytest.raises(ValidationError) as info:
-        HTable(bad)
-    assert str(info.value) == str(want.value)
+        LinkDescriptor("half-knot", [Component("k")],
+                       alexander={(0,): P(1, (1, (H,)), (-1, (-H,)))})
+    assert str(info.value) == ("half-knot: subset 1: knot polynomial value at t=1 is 0, "
+                               "expected 1; subset 1: knot exponents must be integers; "
+                               "subset 1: no symmetric unit multiple")
 
 
 @settings(max_examples=100)

@@ -13,8 +13,8 @@ from hfgenus.errors import (LSpaceAssertionError, SchemaError, SymmetryError,
                             ValidationError)
 from hfgenus.hfunction import HTable
 from hfgenus.laurent import LaurentPoly, symmetry_sign
-from hfgenus.linkcat import (Component, LinkDescriptor, _key_str, all_subsets,
-                             catalog, catalog_list, two_bridge_poly, validate_descriptor)
+from hfgenus.linkcat import (Component, LinkDescriptor, _key_str, _problems, all_subsets,
+                             catalog, catalog_list, two_bridge_poly)
 from hfgenus.linkops import disjoint_union, sublink
 from hfgenus.linkjson import (descriptor_from_dict, descriptor_to_dict, load_json,
                               save_json)
@@ -37,7 +37,7 @@ CATALOG_SAMPLES = [
 
 @pytest.mark.parametrize("d", CATALOG_SAMPLES, ids=lambda d: d.name)
 def test_catalog_entries_validate(d):
-    assert validate_descriptor(d) == []
+    assert _problems(d.n, d.alexander) == []
 
 
 @pytest.mark.parametrize("d", CATALOG_SAMPLES + [
@@ -112,7 +112,7 @@ def test_sublink_of_borromean_pair_is_unlink_data():
     assert sub.n == 2
     assert sub.delta((0, 1)).is_zero()
     assert sub.delta((0,)) == LaurentPoly.one(1)
-    assert validate_descriptor(sub) == []
+    assert _problems(sub.n, sub.alexander) == []
 
 
 def test_sublink_composes():
@@ -151,7 +151,7 @@ def test_disjoint_union_counts_and_flattens():
     assert b == disjoint_union(catalog("unknot"), catalog("unknot"), catalog("trefoil_rh"))
     wh2 = disjoint_union(catalog("whitehead"), catalog("whitehead"))
     assert wh2.n == 4
-    assert validate_descriptor(wh2) == []
+    assert _problems(wh2.n, wh2.alexander) == []
     for B in [(0, 2), (1, 3), (0, 1, 2), (0, 1, 2, 3)]:
         assert wh2.delta(B) == LaurentPoly.zero(len(B))
     assert wh2.delta((2, 3)) == catalog("whitehead").delta((0, 1))
@@ -174,48 +174,72 @@ def test_sublink_of_union():
     assert mixed.delta((0, 1)).is_zero()
 
 
+def test_a_repeated_index_in_a_subset_is_refused():
+    # (0, 0) names no subset of distinct components; it must not read as (0,)
+    wh = catalog("whitehead")
+    with pytest.raises(ValueError, match=r"component subset \(0, 0\) repeats an index"):
+        sublink(wh, (0, 0))
+    with pytest.raises(ValueError, match=r"component subset \(0, 0\) repeats an index"):
+        wh.delta((0, 0))
+    with pytest.raises(ValueError, match=r"component subset \(0, 0\) repeats an index"):
+        LinkDescriptor("k", [Component("a")], alexander={(0, 0): LaurentPoly.one(1)})
+
+
 def test_validate_reports_nonzero_linking():
-    d = LinkDescriptor("bad", [Component("a"), Component("b")],
-                       alexander={(0,): LaurentPoly.one(1),
-                                  (1,): LaurentPoly.one(1),
-                                  (0, 1): LaurentPoly.zero(2)},
-                       linking=((0, 1), (1, 0)))
-    assert any("nonzero linking" in p for p in validate_descriptor(d))
+    # a descriptor keeps no linking matrix; a file's nonzero entry is refused
+    data = descriptor_to_dict(catalog("unlink", 2))
+    data["name"], data["linking"] = "bad", [[0, 1], [1, 0]]
+    with pytest.raises(SchemaError) as info:
+        descriptor_from_dict(data)
+    assert str(info.value) == ("bad: nonzero linking number at (1,2); "
+                               "nonzero linking number at (2,1)")
+
+
+def test_nonzero_linking_is_reported_alone():
+    # the linking is checked before the polynomials, so a file breaking both
+    # reports only the linking
+    data = descriptor_to_dict(catalog("whitehead"))
+    data["linking"] = [[0, 2], [2, 0]]
+    del data["alexander"]["1"]
+    with pytest.raises(SchemaError) as info:
+        descriptor_from_dict(data)
+    assert str(info.value) == ("whitehead: nonzero linking number at (1,2); "
+                               "nonzero linking number at (2,1)")
 
 
 def test_validate_reports_missing_subset():
-    d = LinkDescriptor("bad", [Component("a"), Component("b")],
+    with pytest.raises(ValidationError) as info:
+        LinkDescriptor("bad", [Component("a"), Component("b")],
                        alexander={(0,): LaurentPoly.one(1),
                                   (0, 1): LaurentPoly.zero(2)})
-    assert any("incomplete sublink data" in p for p in validate_descriptor(d))
+    assert str(info.value) == "bad: incomplete sublink data: subset 2 missing"
 
 
 def test_validate_reports_asymmetric_polynomial():
-    d = LinkDescriptor("bad", [Component("a")],
+    with pytest.raises(ValidationError) as info:
+        LinkDescriptor("bad", [Component("a")],
                        alexander={(0,): P(1, (1, (2,)), (-1, (1,)))})
-    problems = validate_descriptor(d)
-    assert problems and any("symmetric" in p or "t=1" in p for p in problems)
+    assert str(info.value) == ("bad: subset 1: knot polynomial value at t=1 is 0, "
+                               "expected 1; subset 1: no symmetric unit multiple")
 
 
 def test_validate_reports_wrong_knot_normalization():
-    d = LinkDescriptor("bad", [Component("a")],
+    with pytest.raises(ValidationError) as info:
+        LinkDescriptor("bad", [Component("a")],
                        alexander={(0,): P(1, (1, (1,)), (1, (-1,)))})
-    assert any("expected 1" in p for p in validate_descriptor(d))
+    assert str(info.value) == ("bad: subset 1: knot polynomial value at t=1 is 2, "
+                               "expected 1; subset 1: no symmetric unit multiple")
 
 
-def reference_validate_descriptor(d):
+def reference_problems(n, alexander):
     """The check as it was before it read the stored terms first: every
     nonzero polynomial goes through `normalize_symmetric` and `involution`."""
     problems = []
-    for i in range(d.n):
-        for j in range(d.n):
-            if d.linking[i][j] != 0:
-                problems.append(f"nonzero linking number at ({i + 1},{j + 1})")
-    for B in all_subsets(d.n):
-        if B not in d.alexander:
+    for B in all_subsets(n):
+        if B not in alexander:
             problems.append(f"incomplete sublink data: subset {_key_str(B)} missing")
             continue
-        poly = d.alexander[B]
+        poly = alexander[B]
         if len(B) == 1:
             if poly.is_zero():
                 problems.append(f"subset {_key_str(B)}: knot polynomial must be nonzero")
@@ -269,16 +293,26 @@ def stored_polys(draw, k):
 
 
 @st.composite
-def stored_descriptors(draw):
+def stored_data(draw):
     n = draw(st.integers(1, 3))
-    return LinkDescriptor("random", [Component(str(i)) for i in range(n)],
-                          alexander={B: draw(stored_polys(len(B))) for B in all_subsets(n)})
+    return n, {B: draw(stored_polys(len(B))) for B in all_subsets(n)}
 
 
 @settings(max_examples=300, deadline=None)
-@given(stored_descriptors())
-def test_validate_descriptor_matches_the_per_polynomial_path(d):
-    assert validate_descriptor(d) == reference_validate_descriptor(d)
+@given(stored_data())
+def test_validate_descriptor_matches_the_per_polynomial_path(data):
+    # the constructor raises exactly when the reference finds a problem, with
+    # every problem in its message
+    n, alexander = data
+    problems = reference_problems(n, alexander)
+    assert _problems(n, alexander) == problems
+    components = [Component(str(i)) for i in range(n)]
+    if problems:
+        with pytest.raises(ValidationError) as info:
+            LinkDescriptor("random", components, alexander=alexander)
+        assert str(info.value) == "random: " + "; ".join(problems)
+    else:
+        assert LinkDescriptor("random", components, alexander=alexander).alexander == alexander
 
 
 # -- JSON ---------------------------------------------------------------------
@@ -322,17 +356,36 @@ def test_json_union_must_match_its_parts():
     data["linking"] = [[0, 0], [0, 0]]
     with pytest.raises(SchemaError, match="components"):
         descriptor_from_dict(data)
+    # the top level is checked for zeros on its own, not against the parts
     data = union_document(*parts)
     data["linking"][0][2] = data["linking"][2][0] = 1
-    with pytest.raises(SchemaError, match="linking"):
+    with pytest.raises(SchemaError) as info:
         descriptor_from_dict(data)
+    assert str(info.value) == ("my union: nonzero linking number at (1,3); "
+                               "nonzero linking number at (3,1)")
+
+
+def test_json_union_reports_a_bad_part_under_its_own_name():
+    # each part is a descriptor: its problems carry its name and its numbering
+    data = union_document(catalog("whitehead"), catalog("trefoil_rh"))
+    part = data["structure"]["disjoint_union"][1]
+    part["name"] = "badknot"
+    part["alexander"]["1"][0]["coef"] = 3
+    with pytest.raises(ValidationError) as info:
+        descriptor_from_dict(data)
+    assert str(info.value).startswith("badknot: subset 1: ")
+    part["alexander"]["1"][0]["coef"] = 1
+    part["linking"] = [[1]]
+    with pytest.raises(SchemaError) as info:
+        descriptor_from_dict(data)
+    assert str(info.value) == "badknot: nonzero linking number at (1,1)"
 
 
 def test_json_union_of_one_part():
     wh = catalog("whitehead")
     d = descriptor_from_dict(union_document(wh))
     assert d.name == "my union" and d.alexander == wh.alexander
-    assert validate_descriptor(d) == []
+    assert _problems(d.n, d.alexander) == []
 
 
 def test_json_union_needs_every_part_lspace(tmp_path):
@@ -397,6 +450,12 @@ def test_json_schema_violations():
     data["linking"][0][1] = False
     with pytest.raises(SchemaError, match="linking"):
         descriptor_from_dict(data)
+    # a label is a string as it stands, never coerced
+    for label in (None, {"a": 1}, 7):
+        data = descriptor_to_dict(catalog("unknot"))
+        data["components"][0]["label"] = label
+        with pytest.raises(SchemaError, match="component 'label' must be a string"):
+            descriptor_from_dict(data)
     # a union whose parts are not a list
     for parts in (5, None):
         data = descriptor_to_dict(catalog("unlink", 2))

@@ -79,6 +79,9 @@ def test_component_default_g4():
     (((0, 3),), "cable parameters must be positive, got (0, 3)"),
     (((2, -1),), "cable parameters must be positive, got (2, -1)"),
     (((2, 4),), "cable parameters must be coprime, got (2, 4)"),
+    (((2.9, 7), (1, 1)), "cable parameters must be integers, got (2.9, 7)"),
+    (((True, True),), "cable parameters must be integers, got (True, True)"),
+    (((2, "7"),), "cable parameters must be integers, got (2, '7')"),
 ])
 def test_cable_spec_rejects(pairs, message):
     with pytest.raises(ValueError) as info:

@@ -1,6 +1,7 @@
 """SVG staircases: the column minima read off the generators agree with the
 per-cell membership scan."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -73,5 +74,10 @@ POINTS = st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)), max_size=8)
 @given(POINTS, st.integers(0, 12), POINTS)
 def test_region_svg_matches_the_per_cell_scan(generators, window, maximal_points):
     region = UpwardClosedRegion(2, tuple(generators))
-    assert region_svg(region, window, maximal_points) == \
+    assert region_svg(region.generators, window, maximal_points) == \
         per_cell_region_svg(region, window, maximal_points)
+
+
+def test_region_svg_needs_two_coordinates():
+    with pytest.raises(ValueError, match="only drawn for two components"):
+        region_svg(((0, 1, 2),), 3, ())

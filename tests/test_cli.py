@@ -647,5 +647,7 @@ def test_a_job_checks_each_descriptor_once(capsys, monkeypatch, tmp_path, argv, 
     calls = []
     real = linkcat._problems
     monkeypatch.setattr(linkcat, "_problems", lambda *a: calls.append(a) or real(*a))
-    code, _, _ = run(capsys, *(str(path) if x == "{link}" else x for x in argv))
+    code, out, _ = run(capsys, *(str(path) if x == "{link}" else x for x in argv))
     assert code == 0 and len(calls) == checks
+    if argv[0] == "validate":
+        assert out == "valid: two_bridge(3)\n"

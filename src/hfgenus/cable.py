@@ -24,7 +24,6 @@ from typing import Sequence
 from .errors import UsageError, ValidationError
 from .laurent import LaurentPoly
 from .linkcat import Component, LinkDescriptor, Record, all_subsets
-from .symmetry import normalize_symmetric
 
 
 class CableSpec(Record):
@@ -107,20 +106,27 @@ def geometric_cable_factor(p: int, q: int) -> LaurentPoly:
 
 
 def _cable_knot_poly(delta: LaurentPoly, p: int, q: int) -> LaurentPoly:
-    """Alexander polynomial of the (p, q)-cable of a knot with polynomial delta.
+    """Alexander polynomial of the (p, q)-cable of a knot with polynomial delta,
+    centred and symmetric, with value 1 at t = 1.
 
     The cabling formula gives delta(t^p) * Delta_{T(p,q)}(t).  With S the
     semigroup generated by p and q and c = (p - 1)(q - 1), S contains every
-    s >= c, so Delta_{T(p,q)} = (1 - t) * sum_{s in S} t^s is the polynomial
-    sum_{s in S, s < c} (t^s - t^{s+1}) + t^c: the coefficient of t^e is
-    [e in S] - [e - 1 in S] for 0 <= e <= c.  Every s <= c in S is a p + b q
-    with a < q and b < p.
+    s >= c, so Delta_{T(p,q)} = (1 - t) * sum_{s in S} t^s is, up to a unit,
+    the polynomial sum_{s in S, s < c} (t^s - t^{s+1}) + t^c: the coefficient
+    of t^e is [e in S] - [e - 1 in S] for 0 <= e <= c.  Every s <= c in S is
+    a p + b q with a < q and b < p.  The torus factor is built centred, at
+    the exponents e - c/2 (c is even, as p and q are coprime): it is
+    symmetric, since S is (e in S exactly when c - 1 - e is not), and its
+    value at 1 telescopes to [c in S] = 1.  delta(t^p) is centred and
+    symmetric with value 1 at 1, as delta is, so the product is too, and no
+    normalization is needed; the `LinkDescriptor` constructor checks the
+    result term by term.
     """
     c = (p - 1) * (q - 1)
     semigroup = {a * p + b * q for a in range(q) for b in range(p)}
-    torus = LaurentPoly(1, {(2 * e,): (e in semigroup) - (e - 1 in semigroup)
+    torus = LaurentPoly(1, {(2 * e - c,): (e in semigroup) - (e - 1 in semigroup)
                             for e in range(c + 1)})
-    return normalize_symmetric(substitute_powers(delta, (p,)) * torus)
+    return substitute_powers(delta, (p,)) * torus
 
 
 def _embed(poly: LaurentPoly, nvars: int, position: int) -> LaurentPoly:
@@ -134,10 +140,22 @@ def _embed(poly: LaurentPoly, nvars: int, position: int) -> LaurentPoly:
 
 
 def _cable_link_poly(delta: LaurentPoly, pairs) -> LaurentPoly:
+    """The cabled polynomial of a sublink: delta(t_i^{p_i}) times the closed
+    factor of each component, centred and symmetric as it stands.
+
+    The substitution scales every exponent, so it keeps delta's centre 0
+    and its symmetry sign; each closed factor is symmetric about 0 with sign
+    +1.  In a product over the integers the largest and the smallest
+    exponent along each axis add (the extreme coefficients, polynomials in
+    the other variables, multiply to a nonzero one), so the product is
+    centred too, and it has delta's symmetry sign: no normalization is
+    needed, and the `LinkDescriptor` constructor checks the result term by
+    term.
+    """
     out = substitute_powers(delta, tuple(p for p, _ in pairs))
     for i, (p, q) in enumerate(pairs):
         out = out * _embed(geometric_cable_factor(p, q), len(pairs), i)
-    return normalize_symmetric(out)
+    return out
 
 
 def cable_alexander(d: LinkDescriptor, spec: CableSpec) -> LinkDescriptor:

@@ -32,7 +32,7 @@ hfunction; and beyond these and its handler module:
     region        region and render, for --format svg; json and ascii
                   read both fields off one HTable.staircases call
     bounds        bounds
-    cable         cable, symmetry, region, and linkjson to print the cabled
+    cable         cable, region, and linkjson to print the cabled
                   descriptor
     d-invariants  surgery, all that --lens and --circle-bundle load
     validate      nothing more

@@ -13,12 +13,12 @@ tables share no state.  `_chi_table` alone turns a sublink's polynomial into
 Euler characteristics, from which chi is read; the input's exponent parity
 holds already, since a `LinkDescriptor` is valid once built.  A sublink's H
 over a box prod [-r_j, r_j] is one flat row-major list, in the point order of
-`itertools.product`: each sublink's orthant sums over the box (`_grid`,
-suffix sums of its coefficients placed in the box), repeated along the axes
-the sublink lacks (`_broadcast`), and added with their signs, with no Python
-call per point.  After construction the full link's list is the only source
-of H and h.  A disjoint union is an ordinary descriptor: a sublink mixing
-parts has zero polynomial and contributes nothing.
+`itertools.product`, built by `HTable._h_grid` from one placement: every
+signed coefficient of every table of the sublink's sublinks is set once in
+the list, and one prefix-sum pass per axis sums all the orthants, with no
+Python call per point.  After construction the full link's list is the only
+source of H and h.  A disjoint union is an ordinary descriptor: a sublink
+mixing parts has zero polynomial and contributes nothing.
 
 Each table's lattice box prod [-M_i, M_i] is fixed at construction, with M_i
 two more than the largest |u_i| over the tables of the sublinks that contain
@@ -33,8 +33,7 @@ Delta(1) = 1 (enforced by the `LinkDescriptor` constructor), which h
 subtracts, so h is constant in s_i there.  Hence h(v) = h(clamp(v)) for
 every lattice point v, clamp taking each coordinate into [-M_i, M_i]: the
 laws validated on the box hold everywhere, a sweep of the box decides every
-question about h, and `HTable.H` reads any point off the box list.  A
-sublink's sign trial uses the same per-axis box of its own tables.
+question about h, and `HTable.H` reads any point off the box list.
 M = max M_i, and the cube [-M, M]^n holds the box: it is the window of the
 h-table and of `HTable.iter_box`, and the box over which a failing table's
 problems are rendered.  This holds by
@@ -55,13 +54,13 @@ complement by its maximal points (`HTable.staircases`, after
 `_nonnegative`).
 
 The overall sign of a multi-component Alexander polynomial is not pinned down
-by symmetry alone; it is resolved here, bottom-up over sublinks, by requiring
-the resulting H-function to be valid (nonnegative, unit steps), checked with
-whole-list operations on the sublink's list.  The full link's list is the
-memo of H on its box, and the trial that accepts the full link's sign is its
-validation.  A knot or a link whose full polynomial is zero (every disjoint
-union) has no such trial; its list is checked once, by the same whole-list
-operations, and messages are rendered only at the failing points, by
+by symmetry alone.  It is read here in closed form, bottom-up over sublinks:
+at the lexicographically largest exponent of a sublink's table, the step law
+along e_1 holds for at most one sign (`HTable._resolve_signs` has the rule
+and its proof).  The full link's list, built with those signs, is the memo of
+H on its box, and one whole-list check of it is the validation.  Only when it
+fails are the sublinks' lists built, to name a sublink that no sign makes
+valid, and messages are rendered only at the failing points, by
 `violations`, which only a failing table imports.
 
 h(s) = H(s) - H_O(s), where H_O is the H-function of the unlink.
@@ -71,7 +70,7 @@ from __future__ import annotations
 
 from itertools import accumulate, chain, combinations, compress, product, repeat
 from math import prod
-from operator import add, and_, lt, mul, sub
+from operator import add, and_, ge, lt, mul, sub
 from typing import Optional, Sequence
 
 from .errors import LSpaceAssertionError, SignResolutionError, StabilizationError
@@ -91,19 +90,6 @@ def _chi_table(delta: LaurentPoly) -> dict:
     return {tuple((e + shift) // 2 for e in exp): c for exp, c in delta.terms.items()}
 
 
-def _broadcast(grid: list, sides: Sequence[int], present: Sequence[bool]) -> list:
-    """A sublink's flat grid repeated along the axes of a larger box that it
-    lacks; sides[j] is the length of axis j of the box, and present[j] says
-    whether it is one of the grid's axes."""
-    unit = 1  # length of the trailing block already laid out as in the box
-    for here, side in zip(reversed(present), reversed(sides)):
-        if not here:
-            blocks = zip(*[iter(grid)] * unit)
-            grid = list(chain.from_iterable(map(mul, blocks, repeat(side))))
-        unit *= side
-    return grid
-
-
 def _unlink_H(s) -> int:
     """H_O(s), the H-function of the unlink: the sum of max(-s_i, 0)."""
     return sum((abs(x) - x) // 2 for x in s)
@@ -112,33 +98,6 @@ def _unlink_H(s) -> int:
 def _strides(sides: Sequence[int]) -> list:
     """The index step of each axis in a row-major list with these sides."""
     return list(accumulate(reversed(sides[1:]), mul, initial=1))[::-1]
-
-
-def _grid(coeffs: dict, radii: Sequence[int]) -> list:
-    """A sublink's orthant sums at v = s + 1 for every s in the box
-    prod [-r_i, r_i], flat, in the order of `itertools.product`: the sum of the
-    coefficients at all u >= v, or for a knot (one axis) the sum of its
-    torsion series over the degrees >= v.  Each coefficient sits at the mirror
-    of s = u - 1, so that the suffix sums are prefix sums along every axis (a
-    knot takes one more pass); below the support the sums repeat, and a
-    knot's climb by Delta(1), above it they are 0.  Needs r_i > |u_i| for
-    every exponent u: a coefficient off the box would wrap to another point
-    without any error."""
-    assert all(max(map(abs, axis)) < r for axis, r in zip(zip(*coeffs), radii)), radii
-    sides = [2 * r + 1 for r in radii]
-    strides = _strides(sides)
-    grid = [0] * prod(sides)
-    top = sum((r + 1) * st for r, st in zip(radii, strides))  # where u = 0 sits, mirrored
-    for u, c in coeffs.items():
-        grid[top - sum(map(mul, u, strides))] = c
-    axes = list(zip(strides, sides))
-    for st, side in (axes * 2 if len(axes) == 1 else axes):
-        for base in range(0, len(grid), st * side):
-            for start in range(base, base + st):
-                stop = start + st * side
-                grid[start:stop:st] = accumulate(grid[start:stop:st])
-    grid.reverse()
-    return grid
 
 
 def _steps(grid: list, sides: Sequence[int]):
@@ -208,17 +167,17 @@ class HTable:
     """H-function of a link descriptor over a lattice box prod [-M_i, M_i].
 
     Construction keeps the Euler characteristics of every sublink with
-    nonzero polynomial and resolves the sign of every sublink polynomial.
-    Each sign trial, and the full link's H, is a flat list over a box summed
-    from the sublinks' grids; the full link's list over prod [-M_i, M_i] is
-    the memo, read by index, at clamp(s) outside the box, and chi reads the
-    stored coefficients.  M_i is two more than the largest |u_i| over the
-    tables of the sublinks containing component i, M is the largest M_i,
-    and neither ever changes.  Construction validates once: the full link's
-    sign trial when its polynomial is nonzero, otherwise one whole-list check
-    of its list.  Data breaking the laws raise `StabilizationError`, carrying
-    every problem over the cube [-M, M]^n and the subsets whose sign was
-    flipped, so a table that exists is valid.
+    nonzero polynomial and reads the sign of every sublink polynomial in
+    closed form.  The full link's H is one flat list over prod [-M_i, M_i]
+    (`_h_grid`), the memo, read by index, at clamp(s) outside the box, and
+    chi reads the stored coefficients.  M_i is two more than the largest
+    |u_i| over the tables of the sublinks containing component i, M is the
+    largest M_i, and neither ever changes.  Construction validates once, by
+    one whole-list check of that list.  Data for which no sign makes a
+    sublink valid raise `SignResolutionError`; other data breaking the laws
+    raise `StabilizationError`, carrying every problem over the cube
+    [-M, M]^n and the subsets whose sign was flipped, so a table that exists
+    is valid.
     """
 
     def __init__(self, link: LinkDescriptor, force: bool = False):
@@ -241,82 +200,129 @@ class HTable:
 
     # -- construction helpers ------------------------------------------------
 
-    def _terms_of(self, B) -> list:
-        """(parity, C, positions of C in B) for each sublink C of B with a
-        table; a split sublink contributes nothing."""
-        terms = []
-        for size in range(1, len(B) + 1):
-            for idx in combinations(range(len(B)), size):
-                C = tuple(B[i] for i in idx)
-                if C in self._tables:
-                    terms.append((1 if size % 2 else -1, C, idx))
-        return terms
+    def _h_grid(self, B, radii: Sequence[int]) -> list:
+        """H of the sublink B over the box prod [-r_j, r_j], with the signs
+        chosen so far: one flat list, in the order of `itertools.product`.
 
-    def _sum_grids(self, terms: list, radii: list) -> list:
-        """The signed sum of the grids of `terms` over the box prod [-r_j, r_j],
-        each broadcast along the axes its sublink lacks."""
+        H is the signed sum, over the sublinks C of B with a table, of the
+        orthant sums at v = s + 1: the sum of C's coefficients at all u >= v,
+        or for a knot the sum of its torsion coefficients (the sums of its
+        coefficients at the degrees >= w) over the degrees w >= v, each
+        constant along the axes C lacks.  So every signed coefficient is
+        placed once, at the mirror of s = u - 1 (a knot's torsion
+        coefficients at every degree from -r + 1 up), and at the top index of
+        each axis C lacks; one prefix-sum pass per axis, which `zip` turns
+        into the last one as in `_fold`, sums every orthant at once, and
+        reversing the list undoes the mirror.  Needs r_j > |u_j| for every
+        exponent u: a coefficient off the box would wrap to another point, or
+        onto another table's, without any error."""
         sides = [2 * r + 1 for r in radii]
+        strides = _strides(sides)
         grid = [0] * prod(sides)
-        for parity, C, idx in terms:
-            part = _broadcast(_grid(self._tables[C], [radii[j] for j in idx]), sides,
-                              [j in idx for j in range(len(radii))])
-            grid = list(map(add if parity * self._signs[C] > 0 else sub, grid, part))
+        for C, table in self._tables.items():
+            if not set(C) <= set(B):
+                continue
+            idx = [B.index(j) for j in C]
+            assert all(map(lt, self._radii[C], map(radii.__getitem__, idx))), (C, radii)
+            if len(C) == 1:  # torsion coefficients, summed down from the top degree
+                (top,), r, st = self._radii[C], radii[idx[0]], strides[idx[0]]
+                grid[(r + 1 - top) * st:(2 * r + 1) * st:st] = accumulate(
+                    table.get((w,), 0) for w in range(top, -r, -1))
+                continue
+            sign = self._signs[C] * (-1) ** (len(C) - 1)
+            steps = [strides[k] for k in idx]
+            top = sum((radii[k] + 1) * strides[k] for k in idx)  # where u = 0 sits, mirrored
+            for u, c in table.items():
+                grid[top - sum(map(mul, u, steps))] = sign * c
+        for side in sides:
+            width = len(grid) // side
+            rows = accumulate((grid[j:j + width] for j in range(0, len(grid), width)),
+                              lambda x, y: list(map(add, x, y)))
+            grid = list(chain.from_iterable(zip(*rows)))
+        grid.reverse()
         return grid
 
     def _resolve_signs(self) -> None:
-        """Choose the sign of every multi-component sublink polynomial, bottom
-        up, as the first (stored first) whose H passes the laws on the
-        sublink's box prod [-r_j, r_j], r_j two more than the largest |u_j|
-        over the tables containing axis j (the M_i for the full link), and
-        keep the full link's H and its box, which come last.  A full link
-        without a sign trial has its list checked here.
+        """Choose the sign of every multi-component sublink polynomial by the
+        closed-form rule below, bottom up, then build the full link's H over
+        its box prod [-M_i, M_i] and check the laws on it once.
 
-        Deciding the laws on this box decides them on the cube [-r, r]^|B|,
-        r = max r_j, which the problems of a failing full link are rendered
-        over: outside the box H(s) = H(clamp(s)) plus the sum of the
-        max(-r_j - s_j, 0) (see the module docstring), so H >= 0 there, a
-        step along a clamped axis is 0 or 1, and a step along another axis
-        equals the step at the clamped point."""
+        The rule.  Let c be B's table, a = max(c) its lexicographically
+        largest exponent, parity = (-1)^(|B| - 1), and rho the sum of
+        parity_C * sign_C * step_C over the tables C of proper sublinks of B
+        that contain B[0], where step_C is the sum of c_C(u) over the u with
+        u_1 = a_1 and u >= a on C's other axes (for the knot C = (B[0],), the
+        sum of c_C(w) over w >= a_1).  Take sign_B = +1 if
+        rho + parity * c(a) is 0 or 1, else -1.
+
+        Proof that no other sign can be valid.  Take the step of H_B along
+        e_1 between v = a and v = a + e_1 (v = s + 1).  B's own orthant sum
+        is c(a) at a, since every other u >= a is lexicographically larger,
+        and 0 at a + e_1.  A sublink C without B[0] sees the same point at
+        both.  A sublink C with B[0] changes by step_C: for a link table, the
+        terms with u_1 = a_1 leave the orthant; for a knot, the orthant sum
+        of the torsion series falls by its torsion coefficient at a_1.  So
+        the step law there reads rho + parity * sign_B * c(a) in {0, 1}.  The
+        two signs give values 2|c(a)| >= 2 apart, so at most one sign is
+        valid, and the rule picks it whenever one is.  H determines chi by
+        inclusion-exclusion, so this pins the sign of chi that the laws
+        allow (Liu, "L-space surgeries on links"; Gorsky-Nemethi).
+
+        When the full link's laws fail, its H on the face s_j = M_j (j not in
+        B) is H_B, and on a box that wide the laws decide H_B everywhere (see
+        below).  So the first multi-component sublink, in `all_subsets`
+        order, whose H on prod [-M_j, M_j] (j in B) fails is one that no sign
+        makes valid, since every earlier one had its only valid sign, and
+        it raises `SignResolutionError`; if there is none, the data break
+        the laws elsewhere, and `StabilizationError` carries every problem.
+
+        Deciding the laws on a box prod [-r_j, r_j], r_j two more than the
+        largest |u_j| over the tables containing axis j, decides them on
+        every larger box, such as the cube [-r, r]^|B|, r = max r_j, which
+        the problems of a failing full link are rendered over: outside the
+        box H(s) = H(clamp(s)) plus the sum of the max(-r_j - s_j, 0) (see
+        the module docstring), so H >= 0 there, a step along a clamped axis
+        is 0 or 1, and a step along another axis equals the step at the
+        clamped point."""
         tables, radii, signs = self._tables, self._radii, self._signs
         for B in all_subsets(self.n):
             signs[B] = 1
             delta = self.link.delta(B)
-            if not delta.is_zero():
-                tables[B] = _chi_table(delta)
-                radii[B] = [max(map(abs, axis)) for axis in zip(*tables[B])]
-            trial = len(B) > 1 and B in tables
-            if not trial and B != self._full:
+            if delta.is_zero():
                 continue
-            terms = self._terms_of(B)
-            box = [2 + max(radii[C][idx.index(j)] for _, C, idx in terms if j in idx)
-                   for j in range(len(B))]
-            sides = [2 * r + 1 for r in box]
-            if trial:
-                rest = self._sum_grids([t for t in terms if t[1] != B], box)
-                own = _grid(tables[B], box)
-                parity = 1 if len(B) % 2 else -1
-                for sigma in (1, -1):  # prefer the stored sign
-                    signs[B] = sigma
-                    grid = list(map(add if sigma * parity > 0 else sub, rest, own))
-                    if _laws_hold(grid, sides):
-                        break
-                else:
-                    raise SignResolutionError(
-                        f"{self.link.name}: neither sign of the polynomial for subset "
-                        f"{tuple(i + 1 for i in B)} yields a valid H-function; "
-                        f"not an L-space link with this data")
-            else:  # B is the full link
-                grid = self._sum_grids(terms, box)
-                if not _laws_hold(grid, sides):
-                    from .violations import law_messages
-                    cube = [max(box)] * len(B)
-                    problems = law_messages(self._sum_grids(terms, cube), cube)
-                    raise StabilizationError(
-                        f"{self.link.name}: H-function fails validation on box "
-                        f"[-{cube[0]}, {cube[0]}]^{len(B)}: " + "; ".join(problems[:5]),
-                        problems, self.flipped_signs())
-        self._grid = grid  # the full link's H over the box, flat
-        self._box = box    # its M_i
+            c = _chi_table(delta)
+            if len(B) > 1:  # the tables so far hold every proper sublink of B
+                a = max(c)
+                rho = 0
+                for C, table in tables.items():
+                    if C[0] == B[0] and set(C) <= set(B):
+                        corner = [a[B.index(j)] for j in C]
+                        rho += signs[C] * (-1) ** (len(C) - 1) * sum(
+                            x for u, x in table.items()
+                            if all(map(ge, u, corner)) and (len(u) == 1 or u[0] == a[0]))
+                signs[B] = 1 if rho + (-1) ** (len(B) - 1) * c[a] in (0, 1) else -1
+            tables[B] = c
+            radii[B] = [max(map(abs, axis)) for axis in zip(*c)]
+        box = self._box = [2 + max(r[C.index(j)] for C, r in radii.items() if j in C)
+                           for j in range(self.n)]
+        self._grid = self._h_grid(self._full, box)  # the full link's H over the box, flat
+        if _laws_hold(self._grid, [2 * m + 1 for m in box]):
+            return
+        for B in tables:  # the full link comes last, if it has a table: its list failed
+            sub = [box[j] for j in B]
+            if len(B) > 1 and (B == self._full or not _laws_hold(
+                    self._h_grid(B, sub), [2 * m + 1 for m in sub])):
+                raise SignResolutionError(
+                    f"{self.link.name}: neither sign of the polynomial for subset "
+                    f"{tuple(i + 1 for i in B)} yields a valid H-function; "
+                    f"not an L-space link with this data")
+        from .violations import law_messages
+        cube = [max(box)] * self.n
+        problems = law_messages(self._h_grid(self._full, cube), cube)
+        raise StabilizationError(
+            f"{self.link.name}: H-function fails validation on box "
+            f"[-{cube[0]}, {cube[0]}]^{self.n}: " + "; ".join(problems[:5]),
+            problems, self.flipped_signs())
 
     # -- evaluation ------------------------------------------------------------
 

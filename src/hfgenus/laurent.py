@@ -9,7 +9,7 @@ arbitrary-precision ints.  A polynomial is a finite map
 and the zero polynomial is the empty map.  Everything here is immutable after
 construction and safe to share.  Every job loads this module, so it holds only
 the ring and the symmetry sign that every link needs.  The symmetric
-normalization is `symmetry`, which only cables and the messages of an invalid
+normalization is `symmetry`, which only the messages of an invalid
 descriptor need; the text form of a polynomial is `polytext`, which
 only messages and printing need; the power substitution and the cable factor
 are in `cable`, their only user.

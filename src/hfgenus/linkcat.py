@@ -80,6 +80,13 @@ def subset_key(B: Iterable[int]) -> Subset:
     return key
 
 
+def _key_in_range(B: Iterable[int], n: int) -> Subset:
+    key = subset_key(B)
+    if key[0] < 0 or key[-1] >= n:
+        raise ValueError(f"subset {key} out of range for {n} components")
+    return key
+
+
 def _key_str(B: Subset) -> str:
     """The JSON form of a subset key: 1-based indices joined by commas."""
     return ",".join(str(i + 1) for i in B)
@@ -112,9 +119,7 @@ class LinkDescriptor(Record):
         alex = {}
         if alexander:
             for B, poly in alexander.items():
-                key = subset_key(B)
-                if key[0] < 0 or key[-1] >= n:
-                    raise ValueError(f"subset {key} out of range for {n} components")
+                key = _key_in_range(B, n)
                 if poly.nvars != len(key):
                     raise ValueError(f"polynomial for subset {key} has wrong arity")
                 if key in alex:
@@ -130,11 +135,17 @@ class LinkDescriptor(Record):
         return len(self.components)
 
     def delta(self, B: Iterable[int]) -> LaurentPoly:
-        """Symmetrized Alexander polynomial of the sublink indexed by B."""
-        key = subset_key(B)
-        if key not in self.alexander:
-            raise ValidationError(f"{self.name}: missing Alexander data for subset {key}")
-        return self.alexander[key]
+        """Symmetrized Alexander polynomial of the sublink indexed by B; a
+        subset out of range raises `ValueError`, as in the constructor."""
+        return self.alexander[_key_in_range(B, self.n)]
+
+    def _renamed(self, name: str, lspace_asserted: bool) -> LinkDescriptor:
+        """This link under another name and L-space assertion, its components
+        and polynomials shared: they were checked when it was built, so they
+        are not checked again."""
+        out = object.__new__(LinkDescriptor)
+        out._init(name, self.components, self.alexander, lspace_asserted)
+        return out
 
     def __repr__(self) -> str:
         return f"<LinkDescriptor {self.name!r}: {self.n} component(s)>"
@@ -277,23 +288,19 @@ def make_unlink(n: int) -> LinkDescriptor:
     if n == 1:
         return make_unknot()
     from .linkops import disjoint_union
-    out = disjoint_union(*(make_unknot() for _ in range(n)))
-    return LinkDescriptor(f"unlink({n})", out.components, alexander=out.alexander,
-                          lspace_asserted=True)
+    return disjoint_union(*(make_unknot() for _ in range(n)))._renamed(f"unlink({n})", True)
 
 
 def make_whitehead_cable(p: int, q: int) -> LinkDescriptor:
     from .cable import CableSpec, cable_alexander
     d = cable_alexander(make_whitehead(), CableSpec(((p, q), (1, 1))))
-    return LinkDescriptor(f"whitehead_cable({p},{q})", d.components,
-                          alexander=d.alexander, lspace_asserted=True)
+    return d._renamed(f"whitehead_cable({p},{q})", True)
 
 
 def make_two_bridge_cable(k: int, p1: int, q1: int, p2: int, q2: int) -> LinkDescriptor:
     from .cable import CableSpec, cable_alexander
     d = cable_alexander(make_two_bridge(k), CableSpec(((p1, q1), (p2, q2))))
-    return LinkDescriptor(f"two_bridge_cable({k},{p1},{q1},{p2},{q2})", d.components,
-                          alexander=d.alexander, lspace_asserted=True)
+    return d._renamed(f"two_bridge_cable({k},{p1},{q1},{p2},{q2})", True)
 
 
 class CatalogEntry(Record):

@@ -144,14 +144,15 @@ def descriptor_from_dict(data: dict) -> LinkDescriptor:
         if [c for p in parts for c in p.components] != comps:
             raise SchemaError("parts of the disjoint union do not match 'components'")
         union = disjoint_union(*parts)
-        alex, lspace = union.alexander, lspace and union.lspace_asserted
     else:
         raise SchemaError("'structure' must be \"atomic\" or {\"disjoint_union\": [...]}")
     nonzero = [f"nonzero linking number at ({i + 1},{j + 1})"
                for i, row in enumerate(linking) for j, x in enumerate(row) if x]
     if nonzero:
         raise SchemaError(f"{data['name']}: " + "; ".join(nonzero))
-    return LinkDescriptor(data["name"], comps, alexander=alex, lspace_asserted=lspace)
+    if structure == "atomic":
+        return LinkDescriptor(data["name"], comps, alexander=alex, lspace_asserted=lspace)
+    return union._renamed(data["name"], lspace and union.lspace_asserted)
 
 
 def save_json(d: LinkDescriptor, path) -> None:

@@ -1,10 +1,10 @@
 """Symmetric normalization of Laurent polynomials.
 
 A valid descriptor stores each polynomial already centered and symmetric,
-which `linkcat` checks term by term without this module.  Only a cable, whose
-polynomials are built anew, and the messages of an invalid descriptor need
-the inverse-variable image and the symmetric unit multiple, so a job on a
-catalog link or a valid file never imports this module.
+which `linkcat` checks term by term without this module; a cable builds its
+polynomials centered.  Only the messages of an invalid descriptor need the
+inverse-variable image and the symmetric unit multiple, so a job whose
+descriptors are all valid never imports this module.
 """
 
 from __future__ import annotations

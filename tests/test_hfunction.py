@@ -1,7 +1,7 @@
 """H-function engine: brute-force oracle, frozen worked values, validation."""
 
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, combinations, permutations, product
 from math import prod
 from operator import add
 
@@ -13,9 +13,9 @@ from hfgenus import hfunction, violations
 from hfgenus.bounds import admissible_region, genus_admissible
 from hfgenus.cable import CableSpec, cable_alexander
 from hfgenus.errors import SignResolutionError, StabilizationError, ValidationError
-from hfgenus.hfunction import HTable, _broadcast, _chi_table, _grid
+from hfgenus.hfunction import HTable, _chi_table
 from hfgenus.laurent import LaurentPoly
-from hfgenus.linkcat import LinkDescriptor, all_subsets, catalog
+from hfgenus.linkcat import Component, LinkDescriptor, _key_str, all_subsets, catalog
 from hfgenus.linkops import disjoint_union, sublink
 from hfgenus.linkjson import descriptor_from_dict
 from hfgenus.region import maximal_lattice_points, region_from_h
@@ -74,6 +74,14 @@ def scan_knot_sum(coeffs, v):
 def scan_sum(coeffs, v):
     """The orthant sum of a sublink's table at v: a knot's when it has one axis."""
     return (scan_knot_sum if len(v) == 1 else scan_orthant_sum)(coeffs, v)
+
+
+def scan_H(tables, signs, B, s):
+    """H of the sublink B at s: the signed sum of the orthant sums of the
+    tables of its sublinks at v = s + 1, each by a support scan."""
+    v = dict(zip(B, (x + 1 for x in s)))
+    return sum((-1) ** (len(C) - 1) * signs[C] * scan_sum(table, tuple(map(v.get, C)))
+               for C, table in tables.items() if set(C) <= set(B))
 
 
 def coeff_radius(coeffs):
@@ -156,6 +164,14 @@ def test_orthant_tables_match_support_scan(name):
     d = ORACLE_LINKS[name]()
     t = HTable(d)
     for B in nonempty_subsets(d.n):
+        # H of the sublink over the least box its tables fit in, one placement
+        radii = [1 + max(r[C.index(j)] for C, r in t._radii.items() if j in C and set(C) <= set(B))
+                 for j in B]
+        box = product(*(range(-r, r + 1) for r in radii))
+        assert t._h_grid(B, radii) == [scan_H(t._tables, t._signs, B, s) for s in box], B
+        for j in range(len(B)):
+            with pytest.raises(AssertionError):
+                t._h_grid(B, radii[:j] + [radii[j] - 1] + radii[j + 1:])
         delta = d.delta(B)
         if delta.is_zero():
             assert all(t.chi(B, u) == 0 for u in product(range(-2, 3), repeat=len(B)))
@@ -168,13 +184,6 @@ def test_orthant_tables_match_support_scan(name):
                       for exp, c in delta.terms.items()}
             coeff = lambda v: coeffs.get(v, 0)
         assert _chi_table(delta) == coeffs, B
-        radii = [max(map(abs, axis)) + 1 for axis in zip(*coeffs)]
-        box = product(*(range(-r, r + 1) for r in radii))
-        assert _grid(coeffs, radii) == [scan_sum(coeffs, tuple(x + 1 for x in s))
-                                        for s in box], B
-        for j in range(len(B)):
-            with pytest.raises(AssertionError):
-                _grid(coeffs, radii[:j] + [radii[j] - 1] + radii[j + 1:])
         sides = []
         for i in range(len(B)):
             lo, hi = min(e[i] for e in coeffs), max(e[i] for e in coeffs)
@@ -673,6 +682,17 @@ def test_validation_report_matches_a_fresh_sweep(name):
     assert report == list(reference_law_problems(tables, tuple(range(d.n)), signs))
 
 
+def linked_pairs_borromean():
+    """Data passing the laws (not a known link) with nonzero polynomials on
+    proper sublinks: whitehead's on the pairs (1,2) and (1,3), the
+    borromean rings' on (1,2,3)."""
+    wh, bo = catalog("whitehead").delta((0, 1)), catalog("borromean").delta((0, 1, 2))
+    return LinkDescriptor("linked pairs", [Component("unknot")] * 3,
+                          alexander={(0,): LaurentPoly.one(1), (1,): LaurentPoly.one(1),
+                                     (2,): LaurentPoly.one(1), (0, 1): wh, (0, 2): wh,
+                                     (1, 2): LaurentPoly.zero(2), (0, 1, 2): bo})
+
+
 # Inputs whose sign resolution flips a sign or fails, besides REPORT_TABLES.
 RESOLUTION_LINKS = {
     "two_bridge:15, stored sign flipped": lambda: descriptor_from_dict(
@@ -681,6 +701,7 @@ RESOLUTION_LINKS = {
         WORKLOADS.corrupted_two_bridge(10, exp)) for exp in WORKLOADS.CORRUPT_AT},
     "two_bridge:3 cabled by (3,7),(2,5)": lambda: cable_alexander(
         catalog("two_bridge", 3), CableSpec(((3, 7), (2, 5)))),
+    "borromean polynomial over two whitehead pairs": linked_pairs_borromean,
 }
 
 
@@ -699,6 +720,104 @@ def test_sign_resolution_matches_the_reference_sweep(name):
     assert report == list(reference_law_problems(tables, tuple(range(d.n)), signs))
 
 
+def permuted(d, perm):
+    """d with its components reordered: component k of the result is
+    component perm[k] of d, and each polynomial's variables follow."""
+    new = {old: k for k, old in enumerate(perm)}
+    alex = {}
+    for B, poly in d.alexander.items():
+        key = tuple(sorted(new[b] for b in B))
+        order = [B.index(perm[k]) for k in key]
+        alex[key] = LaurentPoly(len(B), {tuple(e[i] for i in order): c
+                                         for e, c in poly.terms.items()})
+    return LinkDescriptor(f"{d.name}@{''.join(str(i + 1) for i in perm)}",
+                          [d.components[i] for i in perm], alexander=alex,
+                          lspace_asserted=d.lspace_asserted)
+
+
+def flipped(d, B):
+    """d with the stored sign of the polynomial of B flipped."""
+    return LinkDescriptor(f"{d.name}~{_key_str(B)}", d.components,
+                          alexander={**d.alexander, B: -d.delta(B)},
+                          lspace_asserted=d.lspace_asserted)
+
+
+def variants(d):
+    """d under every order of its components (up to three of them), each
+    as stored and with the stored sign of one multi-component polynomial
+    flipped."""
+    for perm in permutations(range(d.n)) if d.n <= 3 else [tuple(range(d.n))]:
+        e = permuted(d, perm)
+        yield e
+        yield from (flipped(e, B) for B, poly in e.alexander.items()
+                    if len(B) > 1 and not poly.is_zero())
+
+
+def test_variants_cover_the_trefoil_first_mirror_L7a3():
+    names = [e.name for e in variants(catalog("mirror_L7a3"))]
+    assert names == ["mirror_L7a3@12", "mirror_L7a3@12~1,2",
+                     "mirror_L7a3@21", "mirror_L7a3@21~1,2"]
+    trefoil_first = permuted(catalog("mirror_L7a3"), (1, 0))
+    assert trefoil_first.delta((0,)) == catalog("trefoil_rh").delta((0,))
+
+
+# two_bridge:15 takes seconds a variant; the test above covers it as given
+VARIANT_LINKS = {**REPORT_TABLES, **{name: make for name, make in RESOLUTION_LINKS.items()
+                                     if not name.startswith("two_bridge:15")}}
+
+
+@pytest.mark.parametrize("name", sorted(VARIANT_LINKS))
+def test_one_sign_at_most_is_valid_and_the_table_takes_it(name):
+    # over every component order and single sign flip: the sign trials, run
+    # point by point (the stored sign unless only its negation passes), give
+    # the table's signs, list and box, or its error with the same message,
+    # problems and flipped subsets; and, as the closed-form sign rule's
+    # proof says, the sign a trial did not pick fails, so the stored sign's
+    # preference decides nothing
+    for d in variants(VARIANT_LINKS[name]()):
+        try:
+            tables, signs = reference_sign_resolution(d)
+        except SignResolutionError as exc:
+            with pytest.raises(SignResolutionError) as info:
+                HTable(d, force=True)
+            assert str(info.value) == str(exc)
+            continue
+        for B in tables:
+            if len(B) > 1:
+                other = {**signs, B: -signs[B]}
+                assert next(reference_law_problems(tables, B, other), None), (d.name, B)
+        full = tuple(range(d.n))
+        swept = d.n > 1 and full in tables  # by its sign trial, which passed
+        problems = [] if swept else list(reference_law_problems(tables, full, signs))
+        flips = [tuple(i + 1 for i in B) for B, s in sorted(signs.items()) if s == -1]
+        if problems:
+            M = max(axis_radii(d))
+            with pytest.raises(StabilizationError) as info:
+                HTable(d, force=True)
+            assert (info.value.problems, info.value.flipped) == (problems, flips)
+            assert str(info.value) == (f"{d.name}: H-function fails validation on box "
+                                       f"[-{M}, {M}]^{d.n}: " + "; ".join(problems[:5]))
+            continue
+        t = HTable(d, force=True)
+        assert t.sign_resolution == {tuple(i + 1 for i in B): s for B, s in signs.items()}
+        assert t.flipped_signs() == flips
+        assert t._box == axis_radii(d)
+        assert t._grid == [scan_H(tables, signs, full, s) for s in axis_box(d)], d.name
+
+
+def test_the_sign_rule_counts_the_sublinks_below():
+    # at the largest exponent a = (1, 1, 1) of the full table, c(a) = 1, and
+    # the two whitehead pairs' terms add rho = 2 to the step along e_1, so
+    # only the flipped sign gives a step of 0 or 1: a rule reading c(a)
+    # alone would keep the stored sign, which breaks the laws
+    d = linked_pairs_borromean()
+    assert _chi_table(d.delta((0, 1, 2)))[1, 1, 1] == 1
+    assert HTable(d, force=True).flipped_signs() == [(1, 2, 3)]
+    tables, signs = reference_sign_resolution(d)
+    assert signs[0, 1, 2] == -1
+    assert next(reference_law_problems(tables, (0, 1, 2), {**signs, (0, 1, 2): 1}), None)
+
+
 def test_sign_resolution_messages():
     flipped = HTable(RESOLUTION_LINKS["two_bridge:15, stored sign flipped"]())
     assert flipped.flipped_signs() == [(1, 2)]
@@ -711,13 +830,10 @@ def test_sign_resolution_messages():
 
 @pytest.mark.parametrize("name", sorted(REPORT_TABLES))
 def test_a_swept_full_link_is_not_swept_again(name, monkeypatch):
-    # one law check per sign tried, and one more only for a knot or a
-    # disjoint union, which has no sign trial of its full link; the last
-    # check is of the full link's list, which the table keeps
+    # a valid table makes one law check, of the full link's list, which it
+    # keeps; a failing one then checks each multi-component sublink's list
     d = REPORT_TABLES[name]()
-    tables, signs = reference_sign_resolution(d)
-    trials = sum(2 if signs[B] == -1 else 1 for B in tables if len(B) > 1)
-    swept = d.n > 1 and tuple(range(d.n)) in tables
+    tables, _ = reference_sign_resolution(d)
     calls = []
     real = hfunction._laws_hold
     monkeypatch.setattr(hfunction, "_laws_hold", lambda *a: calls.append(a) or real(*a))
@@ -725,9 +841,9 @@ def test_a_swept_full_link_is_not_swept_again(name, monkeypatch):
         t = HTable(d, force=True)
     except StabilizationError:
         assert name in INVALID_TABLES
+        assert len(calls) == 1 + sum(len(B) > 1 for B in tables)
     else:
-        assert calls[-1][0] is t._grid
-    assert len(calls) == trials + (not swept)
+        assert len(calls) == 1 and calls[0][0] is t._grid
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_TABLES))
@@ -753,28 +869,19 @@ def test_sign_resolution_of_a_union():
 
 @pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
 def test_grid_matches_lookups(name):
-    t = HTable(ORACLE_LINKS[name]())
-    for B, table in t._tables.items():
-        least = [max(map(abs, axis)) + 1 for axis in zip(*table)]
-        for extra in product(range(3), repeat=len(B)):
+    # each sublink's list, over the least box its tables fit in and boxes up
+    # to two wider in all, is the brute-force H of the sublink's descriptor
+    d = ORACLE_LINKS[name]()
+    t = HTable(d)
+    for B in t._tables:
+        sub = sublink(d, B)
+        least = [m - 1 for m in axis_radii(sub)]
+        for extra in (x for x in product(range(3), repeat=len(B)) if sum(x) <= 2):
             radii = list(map(add, least, extra))
             box = product(*(range(-r, r + 1) for r in radii))
-            assert _grid(table, radii) == [scan_sum(table, tuple(x + 1 for x in s))
-                                           for s in box], (B, radii)
+            assert t._h_grid(B, radii) == [brute_H(sub, s) for s in box], (B, radii)
         with pytest.raises(AssertionError):
-            _grid(table, [coeff_radius(table)] * len(B))
-
-
-def test_broadcast_repeats_along_the_missing_axes():
-    for sides in ([3], [3, 3], [3, 5], [5, 3, 7], [3, 3, 3]):
-        k = len(sides)
-        for present in product((True, False), repeat=k):
-            axes = [j for j in range(k) if present[j]]
-            own = [sides[j] for j in axes]
-            grid = list(range(prod(own)))  # distinct values, row-major
-            expected = [sum(s[j] * prod(own[i + 1:]) for i, j in enumerate(axes))
-                        for s in product(*map(range, sides))]
-            assert _broadcast(grid, sides, present) == expected, (sides, present)
+            t._h_grid(B, [m - 2 for m in axis_radii(sub)])
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
@@ -790,7 +897,7 @@ def test_box_reads_make_no_orthant_lookups(monkeypatch):
     tables = {name: HTable(make(), force=True) for name, make in REPORT_TABLES.items()
               if name not in INVALID_TABLES}
     calls = []
-    monkeypatch.setattr(hfunction, "_grid", lambda *a: calls.append(a))
+    monkeypatch.setattr(HTable, "_h_grid", lambda *a: calls.append(a))
     for name, t in tables.items():
         far = t.M + 5
         for s in product((-far, 0, far), repeat=t.n):

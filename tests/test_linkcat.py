@@ -143,6 +143,36 @@ def test_a_subset_given_twice_is_refused():
                                   (0, 1): p, (1, 0): -p})
 
 
+def test_delta_refuses_an_out_of_range_subset():
+    # with the constructor's text: a built descriptor holds every subset in range
+    wh = catalog("whitehead")
+    with pytest.raises(ValueError) as info:
+        wh.delta((5,))
+    assert str(info.value) == "subset (5,) out of range for 2 components"
+    with pytest.raises(ValueError) as info:
+        LinkDescriptor("bad", wh.components, alexander={**wh.alexander, (5,): LaurentPoly.one(1)})
+    assert str(info.value) == "subset (5,) out of range for 2 components"
+
+
+def test_each_descriptor_is_checked_once(monkeypatch):
+    # a descriptor renamed after it was built is not checked again: the
+    # component counts of the checks are those of the parts, the union or
+    # the link and its cable
+    from hfgenus import linkcat
+    union = union_document(catalog("whitehead"), catalog("trefoil_rh"))
+    calls = []
+    real = linkcat._problems
+    monkeypatch.setattr(linkcat, "_problems", lambda n, alex: calls.append(n) or real(n, alex))
+    for make, checks in [(lambda: catalog("unlink", 3), [1, 1, 1, 3]),
+                         (lambda: catalog("whitehead_cable", 7, 22), [2, 2]),
+                         (lambda: catalog("two_bridge_cable", 2, 3, 7, 1, 1), [2, 2]),
+                         (lambda: descriptor_from_dict(union), [2, 1, 3])]:
+        calls.clear()
+        d = make()
+        assert calls == checks, d.name
+        assert real(d.n, d.alexander) == []
+
+
 def test_disjoint_union_counts_and_flattens():
     a = disjoint_union(catalog("unknot"), catalog("unknot"))
     assert a.n == 2

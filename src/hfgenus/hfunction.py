@@ -35,8 +35,8 @@ every lattice point v, clamp taking each coordinate into [-M_i, M_i]: the
 laws validated on the box hold everywhere, a sweep of the box decides every
 question about h, and `HTable.H` reads any point off the box list.
 M = max M_i, and the cube [-M, M]^n holds the box: it is the window of the
-h-table and of `HTable.iter_box`, and the box over which a failing table's
-problems are rendered.  This holds by
+h-table, and the box over which a failing table's problems are rendered.
+This holds by
 construction, checked by the oracle tests; validation checks only the laws
 the Alexander data can break, H >= 0 and unit steps, and it runs in the
 constructor: a table whose data break them raises `StabilizationError`, so
@@ -385,10 +385,6 @@ class HTable:
         return total
 
     # -- the box and the signs ---------------------------------------------------
-
-    def iter_box(self):
-        """The points of the cube [-M, M]^n, a window that holds every M_i."""
-        return product(range(-self.M, self.M + 1), repeat=self.n)
 
     @property
     def sign_resolution(self) -> dict:

@@ -19,7 +19,7 @@ from hfgenus.region import (UpwardClosedRegion, dominates,
                             maximal_lattice_points, minimalize, region_from_h,
                             region_product)
 from hfgenus.surgery import circle_bundle_d, large_surgery_d, lens_d
-from test_hfunction import bad_knot
+from oracles import bad_knot
 
 
 def criterion(number, description, ok):

@@ -18,9 +18,13 @@ from hfgenus.errors import LargenessError, StabilizationError, ValidationError
 from hfgenus.hfunction import HTable
 from hfgenus.linkcat import Component, LinkDescriptor, catalog
 from hfgenus.linkops import disjoint_union
-from hfgenus.region import UpwardClosedRegion, minimalize, region_from_h, region_product
+from hfgenus.region import region_from_h, region_product
 from hfgenus.surgery import circle_bundle_d, large_surgery_d, lens_d
-from test_hfunction import INVALID_TABLES, ORACLE_LINKS, UNION_PARTS
+from oracles import (ADMISSIBLE, ORACLE, PARTS, SPLIT, TABLE_READ_EXCEPTION, WALK, axis_radii,
+                     count_reads, cube, link, minimalize, oracle_admissible_region, oracle_h,
+                     reference_bound_weighted, reference_corners, reference_unlink_test,
+                     two_bridge_h, with_component_g4)
+from oracles import f_cap as reference_f_cap
 
 
 def test_f_cap_values():
@@ -67,7 +71,7 @@ def test_admissible_region_examples():
 
 def test_admissible_region_contained_in_h_region():
     links = [catalog(key) for key in ["whitehead", "borromean", "mirror_L7a3", "trefoil_rh"]]
-    links += [make() for make in ADMISSIBLE_ORACLE_LINKS.values()]
+    links += [link(name) for name in ORACLE + ADMISSIBLE]
     for d in links:
         t = HTable(d)
         adm = admissible_region(t)
@@ -103,35 +107,23 @@ def test_bound_weighted_needs_g4():
         bound_weighted(HTable(anon))
 
 
-def with_component_g4(d, genera):
-    return LinkDescriptor(d.name, [Component(c.label, g) for c, g in zip(d.components, genera)],
-                          alexander=d.alexander, lspace_asserted=d.lspace_asserted)
-
-
-def reference_bound_weighted(t):
-    """2 h(s) - n + sum |s_i| at every s with |s_i| <= g4(L_i), maximized."""
-    genera = (c.g4 for c in t.link.components)
-    return max(2 * t.h(s) - t.n + sum(map(abs, s))
-               for s in product(*(range(-g, g + 1) for g in genera)))
-
-
-@pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
+@pytest.mark.parametrize("name", ORACLE)
 def test_bound_weighted_matches_the_full_sweep(name):
-    d = ORACLE_LINKS[name]()
-    M = HTable(d).M
+    d = link(name)
+    M = max(axis_radii(d))
     genera = [tuple(c.g4 for c in d.components)]
     genera += [(g,) * d.n for g in (M - 1, M, M + 1, M + 3)]
     genera.append(tuple(M + 3 if i % 2 else i for i in range(d.n)))
+    h = oracle_h(name)
     for g in genera:
         t = HTable(with_component_g4(d, g))
-        assert bound_weighted(t) == reference_bound_weighted(t), g
+        assert bound_weighted(t) == reference_bound_weighted(h, g), g
 
 
 def test_bound_weighted_reads_at_most_the_box():
     # the full sweep would read (2 * 10**6 + 1)**2 points; h = 0 at (g, g)
     t = HTable(with_component_g4(catalog("whitehead"), (10 ** 6, 10 ** 6)))
-    reads, h = [], t.h
-    t.h = lambda s: reads.append(s) or h(s)
+    reads = count_reads(t)
     assert bound_weighted(t) == 2 * 10 ** 6 - 2
     assert len(reads) <= (2 * t.M + 1) ** t.n
 
@@ -157,26 +149,12 @@ def test_unlink_test():
                                                     catalog("unknot"))))
 
 
-def reference_unlink_test(t):
-    """h = 0 at every point of the box."""
-    return all(t.h(s) == 0 for s in t.iter_box())
-
-
-UNLINK_ORACLE_LINKS = {
-    **ORACLE_LINKS,
-    "unlink:3": lambda: catalog("unlink", 3),
-    "unknot+unknot": lambda: disjoint_union(catalog("unknot"), catalog("unknot")),
-}
-
-
-@pytest.mark.parametrize("name", sorted(UNLINK_ORACLE_LINKS))
+@pytest.mark.parametrize("name", sorted(ORACLE + SPLIT))
 def test_unlink_test_matches_the_box_sweep(name):
     # and reads h(0) and the 2^n corners of the box only
-    t = HTable(UNLINK_ORACLE_LINKS[name]())
-    want = reference_unlink_test(t)
-    reads, h = [], t.h
-    t.h = lambda s: reads.append(s) or h(s)
-    assert unlink_test(t) == want
+    t = HTable(link(name))
+    reads = count_reads(t)
+    assert unlink_test(t) == reference_unlink_test(oracle_h(name), axis_radii(t.link))
     assert len(reads) <= 2 ** t.n + 1
 
 
@@ -254,7 +232,7 @@ def test_large_surgery_d_guards():
         large_surgery_d(unk, (0,), (0,), force=True)
     # data failing validation are refused before any framing is read
     with pytest.raises(StabilizationError):
-        HTable(INVALID_TABLES["-t + 3 - 1/t, forced"](), force=True)
+        HTable(link("-t + 3 - 1/t, forced"), force=True)
 
 
 def test_bound_dominates_component_thresholds():
@@ -280,50 +258,13 @@ def test_large_surgery_threshold_ignores_box_growth():
         large_surgery_d(t, (12, 20), (0, 0))
 
 
-# -- brute-force oracle for the admissible region -----------------------------------
+# -- the admissible region, the fold and the walk against their per-point definitions --
 
 
-def oracle_admissible_region(t):
-    """The grown-box algorithm: every positive point within M + cap through
-    t.h, and a sum-ordered sweep of the capped genus box with domination
-    pruning.  Returns (generators, admissibility predicate, cap)."""
-    cap = 2 * max((t.h(v) for v in t.iter_box()), default=0) + t.M
-    R = t.M + cap
-    # f_cap reads |v_i| only: keep the largest h per vector of absolute values
-    worst: dict = {}
-    for v in product(range(-R, R + 1), repeat=t.n):
-        if (hv := t.h(v)) > 0:
-            key = tuple(map(abs, v))
-            worst[key] = max(worst.get(key, 0), hv)
-
-    def admissible(g):
-        return all(hv <= sum(f_cap(gi, vi) for gi, vi in zip(g, v))
-                   for v, hv in worst.items())
-
-    gens = []
-    for g in sorted(product(range(cap + 1), repeat=t.n), key=lambda g: (sum(g), g)):
-        if not any(all(a >= b for a, b in zip(g, q)) for q in gens) and admissible(g):
-            gens.append(g)
-    return tuple(sorted(gens)), admissible, cap
-
-
-ADMISSIBLE_ORACLE_LINKS = {
-    **ORACLE_LINKS,
-    "whitehead_cable:2,7": lambda: catalog("whitehead_cable", 2, 7),
-    "two_bridge:2_cable:2,9,3,13": lambda: cable_alexander(
-        catalog("two_bridge", 2), CableSpec(((2, 9), (3, 13)))),
-    "trefoil_rh_cable:2,7": lambda: cable_alexander(
-        catalog("trefoil_rh"), CableSpec(((2, 7),))),
-    "whitehead+unknot": lambda: disjoint_union(catalog("whitehead"), catalog("unknot")),
-    "trefoil_rh+trefoil_rh": lambda: disjoint_union(catalog("trefoil_rh"),
-                                                    catalog("trefoil_rh")),
-}
-
-
-@pytest.mark.parametrize("name", sorted(ADMISSIBLE_ORACLE_LINKS))
+@pytest.mark.parametrize("name", sorted(ORACLE + ADMISSIBLE))
 def test_admissible_region_matches_oracle(name):
-    d = ADMISSIBLE_ORACLE_LINKS[name]()
-    want, admissible, cap = oracle_admissible_region(HTable(d))
+    d = link(name)
+    want, admissible, cap = oracle_admissible_region(oracle_h(name), axis_radii(d))
     t = HTable(d)
     assert admissible_region(t).generators == want
     # genus_admissible agrees on a grid of genus vectors and around the staircase
@@ -341,12 +282,13 @@ def maximal_points(points):
     return minimalize(tuple(-x for x in w) for w in points)
 
 
-@pytest.mark.parametrize("name", sorted(ADMISSIBLE_ORACLE_LINKS))
+@pytest.mark.parametrize("name", sorted(ORACLE + ADMISSIBLE))
 def test_corners_give_the_maximal_points_of_every_level_set(name):
-    t = HTable(ADMISSIBLE_ORACLE_LINKS[name]())
+    t = HTable(link(name))
     corners = t.corners()
     assert corners == sorted(corners) and all(k > 0 for _, k in corners)
-    folded = [(tuple(map(abs, v)), t.h(v)) for v in t.iter_box()]
+    h = oracle_h(name)
+    folded = [(tuple(map(abs, v)), h(v)) for v in cube(max(axis_radii(t.link)), t.n)]
     for j in range(1, max(hv for _, hv in folded) + 1):
         assert maximal_points(w for w, k in corners if k >= j) == \
             maximal_points(w for w, hv in folded if hv >= j), f"{name}, level {j}"
@@ -360,26 +302,10 @@ def test_corner_counts():
     assert len(HTable(catalog("two_bridge", 20)).corners()) == 110
 
 
-# -- the fold and the walk against their per-point definitions ---------------------
-
-
-def reference_corners(t):
-    """`HTable.corners` point by point: top[w], the largest h(v) over |v| = w,
-    from t.h over the cube [-M, M]^n, and the w with top[w] > 0 and
-    top[w + e_i] < top[w] for every i with w_i < M."""
-    top: dict = {}
-    for v in t.iter_box():
-        w = tuple(map(abs, v))
-        top[w] = max(top.get(w, 0), t.h(v))
-    return sorted((w, k) for w, k in top.items()
-                  if k > 0 and all(top[w[:i] + (x + 1,) + w[i + 1:]] < k
-                                   for i, x in enumerate(w) if x < t.M))
-
-
 def reference_least_last(corners, M, p):
     """The least g_n with (p, g_n) admissible, or inf: each corner's f-terms
     summed afresh over the prefix p."""
-    rest = [(w[-1], k - sum(f_cap(gi, wi) for gi, wi in zip(p, w) if wi < M))
+    rest = [(w[-1], k - sum(reference_f_cap(gi, wi) for gi, wi in zip(p, w) if wi < M))
             for w, k in corners]
     if any(r > 0 and wn == M for wn, r in rest):
         return inf
@@ -391,28 +317,28 @@ def reference_admissible_region(n, M, corners):
     capped box, minimalized."""
     caps = [max((w[i] + 2 * k - 1 for w, k in corners if w[i] < M), default=0)
             for i in range(n)]
-    return UpwardClosedRegion(n, tuple(
-        p + (m,) for p in product(*(range(c + 1) for c in caps[:-1]))
-        if (m := reference_least_last(corners, M, p)) < inf))
+    return minimalize(p + (m,) for p in product(*(range(c + 1) for c in caps[:-1]))
+                      if (m := reference_least_last(corners, M, p)) < inf)
 
 
-# ADMISSIBLE_ORACLE_LINKS holds four of the five inputs of the
-# admissible_region benchmark workload; the fifth, and two larger ones.
-FOLD_AND_WALK_LINKS = {
-    **ADMISSIBLE_ORACLE_LINKS,
-    "two_bridge:12": lambda: catalog("two_bridge", 12),
-    "two_bridge:40": lambda: catalog("two_bridge", 40),
-    "borromean_cable:3,16,3,16,3,16": lambda: cable_alexander(
-        catalog("borromean"), CableSpec(((3, 16),) * 3)),
-}
-
-
-@pytest.mark.parametrize("name", sorted(FOLD_AND_WALK_LINKS))
+@pytest.mark.parametrize("name", sorted(ORACLE + ADMISSIBLE + WALK))
 def test_fold_and_walk_match_the_per_point_oracles(name):
-    t = HTable(FOLD_AND_WALK_LINKS[name]())
-    corners = reference_corners(t)
+    t = HTable(link(name))
+    # the one input whose oracle reads the table under test: see oracles
+    h = t.h if name == TABLE_READ_EXCEPTION else oracle_h(name)
+    corners = reference_corners(h, axis_radii(t.link))
     assert t.corners() == corners
-    assert admissible_region(t) == reference_admissible_region(t.n, t.M, corners)
+    assert admissible_region(t).generators == reference_admissible_region(t.n, t.M, corners)
+
+
+def test_two_bridge_closed_forms_at_a_size_brute_force_cannot_reach():
+    # two_bridge:120 has 60,025 box points and a polynomial of 29,040 terms
+    k = 120
+    t = HTable(catalog("two_bridge", k))
+    assert t.staircases() == (tuple((i, k - i) for i in range(k + 1)),
+                              tuple((i, k - 1 - i) for i in range(k)))
+    assert t.corners() == reference_corners(two_bridge_h(k), axis_radii(t.link))
+    assert admissible_region(t).generators == tuple((i, k - i) for i in range(k + 1))
 
 
 class CornerList:
@@ -445,7 +371,7 @@ def test_walk_matches_the_sweep_on_any_corner_list(case):
     # for the corners of a table
     n, M, corners = case
     table = CornerList(n, M, corners)
-    assert admissible_region(table) == reference_admissible_region(n, M, corners)
+    assert admissible_region(table).generators == reference_admissible_region(n, M, corners)
     # genus_admissible reads the same corners one genus vector at a time
     for g in product(range(2 * M + 1), repeat=n):
         assert genus_admissible(table, g) == \
@@ -456,7 +382,7 @@ def test_walk_reads_each_f_term_once_per_candidate(monkeypatch):
     # f_cap runs once per candidate value and distinct w_i on each prefix
     # axis; the prefix sweep that came before ran it per prefix, corner and
     # coordinate, 896 and 546 times on these inputs
-    tables = [HTable(FOLD_AND_WALK_LINKS[name]())
+    tables = [HTable(link(name))
               for name in ("borromean_cable:2,7,2,7,1,1", "two_bridge:12")]
     for t in tables:
         t.corners()
@@ -469,17 +395,14 @@ def test_walk_reads_each_f_term_once_per_candidate(monkeypatch):
 # -- the admissible region of a disjoint union ----------------------------------------
 
 
-PRODUCT_PARTS = {**UNION_PARTS, "borromean": lambda: catalog("borromean")}
-
-
 def admissible_product(parts):
     return reduce(region_product, (admissible_region(HTable(d)) for d in parts))
 
 
 # At most 4 components in all, which keeps each example well under a second.
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.sampled_from(sorted(PRODUCT_PARTS)), min_size=2, max_size=3)
-       .map(lambda keys: [PRODUCT_PARTS[key]() for key in keys])
+@given(st.lists(st.sampled_from(sorted(PARTS + ("borromean",))), min_size=2, max_size=3)
+       .map(lambda keys: [link(key) for key in keys])
        .filter(lambda parts: sum(d.n for d in parts) <= 4))
 def test_admissible_region_of_a_union_is_the_product(parts):
     # h and f_cap both add over the parts, and each part's sup(h - f) is >= 0

@@ -16,10 +16,7 @@ from hfgenus.laurent import LaurentPoly
 from hfgenus.linkcat import _problems, catalog
 from hfgenus.linkops import disjoint_union, sublink
 from hfgenus.region import UpwardClosedRegion, region_from_h
-
-
-def P(nvars, *terms):
-    return LaurentPoly.from_terms(nvars, terms)
+from oracles import P, link
 
 
 TREFOIL = P(1, (1, (1,)), (-1, (0,)), (1, (-1,)))
@@ -232,17 +229,15 @@ def test_one_strand_cables_on_links():
 
 # Links whose cables by CABLE_PAIRS keep the L-space property.  two_bridge:3 is
 # left out: its (2, 7) and (2, 9) cables on one component fail sign resolution.
-CABLE_LINKS = {"whitehead": ("whitehead",), "two_bridge:2": ("two_bridge", 2),
-               "mirror_L7a3": ("mirror_L7a3",), "trefoil_rh": ("trefoil_rh",),
-               "borromean": ("borromean",)}
+CABLE_LINKS = ("borromean", "mirror_L7a3", "trefoil_rh", "two_bridge", "whitehead")
 CABLE_PAIRS = [(1, 1)] + [(p, q) for p in (2, 3) for q in range(3 * p, 3 * p + 7)
                           if gcd(p, q) == 1]
 
 
 @st.composite
 def cable_cases(draw):
-    key = draw(st.sampled_from(sorted(CABLE_LINKS)))
-    d = catalog(*CABLE_LINKS[key])
+    key = draw(st.sampled_from(CABLE_LINKS))
+    d = link(key)
     pairs = [draw(st.sampled_from(CABLE_PAIRS)) for _ in range(d.n)]
     if key == "borromean":  # cable at most two components
         pairs[draw(st.integers(0, d.n - 1))] = (1, 1)

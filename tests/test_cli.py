@@ -1,12 +1,9 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
 import contextlib
-import importlib.util
 import io
 import json
 import re
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +13,9 @@ from hfgenus.cli import _TABLE, _parse, main
 from hfgenus.errors import UsageError
 from hfgenus.linkcat import catalog
 from hfgenus.linkjson import descriptor_to_dict
+from hfgenus.linkops import disjoint_union
+from oracles import (PERFBENCH, WORKLOADS, bad_knot, flipped_whitehead, perfbench,
+                     reference_report, reference_sign_resolution)
 
 
 def run(capsys, *argv):
@@ -161,15 +161,11 @@ def test_validate_flipped_sign_hint(capsys, tmp_path):
 def test_validate_flags_a_flipped_sign_in_a_table_failing_the_laws(capsys, tmp_path):
     # the whitehead sign is flipped back, then the bad knot breaks the laws:
     # every law problem is printed, then the hint for the flipped sign
-    from hfgenus.linkops import disjoint_union
-    from test_hfunction import (bad_knot, flipped_whitehead, reference_law_problems,
-                                reference_sign_resolution)
     d = disjoint_union(flipped_whitehead(), bad_knot())
     path = tmp_path / "flipped-and-bad.json"
     path.write_text(json.dumps(descriptor_to_dict(d)))
     code, out, _ = run(capsys, "validate", "--force", "--link", str(path))
-    tables, signs = reference_sign_resolution(d)
-    problems = list(reference_law_problems(tables, tuple(range(d.n)), signs))
+    problems = reference_report(d, reference_sign_resolution(d))
     assert code == 2 and len(problems) == 98
     assert out.splitlines() == [f"invalid: {p}" for p in problems] + [
         "invalid: stored polynomial sign for subset (1, 2) is inconsistent: only the "
@@ -533,21 +529,8 @@ def test_h_table_ascii_rejected_for_three_components(capsys):
     assert code == 4 and "two components" in err
 
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 EXPECTED = PERFBENCH / "expected"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
-JOB = _load("job")              # perfbench/job.py, run in process
-WORKLOADS = _load("workloads")  # its generated inputs
+JOB = perfbench("job")  # perfbench/job.py, run in process
 
 
 # The benchmark's jobs on catalog links, by the name of the file in

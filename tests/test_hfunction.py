@@ -1,7 +1,6 @@
 """H-function engine: brute-force oracle, frozen worked values, validation."""
 
-from fractions import Fraction
-from itertools import chain, combinations, permutations, product
+from itertools import permutations, product
 from math import prod
 from operator import add
 
@@ -11,138 +10,35 @@ from hypothesis import strategies as st
 
 from hfgenus import hfunction, violations
 from hfgenus.bounds import admissible_region, genus_admissible
-from hfgenus.cable import CableSpec, cable_alexander
-from hfgenus.errors import SignResolutionError, StabilizationError, ValidationError
+from hfgenus.errors import (LSpaceAssertionError, SignResolutionError, StabilizationError,
+                            ValidationError)
 from hfgenus.hfunction import HTable, _chi_table
 from hfgenus.laurent import LaurentPoly
 from hfgenus.linkcat import Component, LinkDescriptor, _key_str, all_subsets, catalog
 from hfgenus.linkops import disjoint_union, sublink
-from hfgenus.linkjson import descriptor_from_dict
 from hfgenus.region import maximal_lattice_points, region_from_h
-from test_cli import WORKLOADS
-
-H2 = Fraction(1, 2)
-
-
-def P(nvars, *terms):
-    return LaurentPoly.from_terms(nvars, terms)
+from oracles import (ATOMIC, INVALID, ORACLE, PARTS, REPORT, RESOLUTION, SLOW_RESOLUTION, P,
+                     axis_radii, bad_knot, box, brute_H, brute_h, cube, flipped_whitehead,
+                     formula_H, link, linked_pairs_borromean, reference_law_problems,
+                     reference_report, reference_sign_resolution, reference_sweep,
+                     two_bridge_h, unlink_H)
 
 
-def nonempty_subsets(n):
-    out = []
-    for mask in range(1, 2 ** n):
-        out.append(tuple(i for i in range(n) if mask >> i & 1))
-    return out
-
-
-def brute_H(d, s):
-    """Independent evaluation of the alternating sublink sum, straight from the
-    stored polynomial dictionaries (no shared code path with HTable)."""
-    total = 0
-    for B in nonempty_subsets(d.n):
-        delta = d.delta(B)
-        if delta.is_zero():
-            continue
-        if len(B) == 1:
-            coeffs = {e // 2: c for (e,), c in delta.terms.items()}
-            v = s[B[0]] + 1
-            top = max(coeffs)
-            inner = 0
-            for u in range(v, top + 1):
-                inner += sum(c for w, c in coeffs.items() if w >= u)
-        else:
-            shifted = {tuple((e + 1) // 2 for e in exp): c
-                       for exp, c in delta.terms.items()}
-            v = tuple(s[i] + 1 for i in B)
-            inner = sum(c for exp, c in shifted.items()
-                        if all(x >= y for x, y in zip(exp, v)))
-        total += inner if len(B) % 2 == 1 else -inner
-    return total
-
-
-def scan_orthant_sum(coeffs, v):
-    """Sum of the coefficients over the upper orthant at v, by a support scan."""
-    return sum(c for exp, c in coeffs.items() if all(e >= w for e, w in zip(exp, v)))
-
-
-def scan_knot_sum(coeffs, v):
-    """Sum of the torsion series Delta(t)/(1-t^-1) over degrees >= v, by a
-    support scan of Delta's coefficients."""
-    return sum(c * (w - v[0] + 1) for (w,), c in coeffs.items() if w >= v[0])
-
-
-def scan_sum(coeffs, v):
-    """The orthant sum of a sublink's table at v: a knot's when it has one axis."""
-    return (scan_knot_sum if len(v) == 1 else scan_orthant_sum)(coeffs, v)
-
-
-def scan_H(tables, signs, B, s):
-    """H of the sublink B at s: the signed sum of the orthant sums of the
-    tables of its sublinks at v = s + 1, each by a support scan."""
-    v = dict(zip(B, (x + 1 for x in s)))
-    return sum((-1) ** (len(C) - 1) * signs[C] * scan_sum(table, tuple(map(v.get, C)))
-               for C, table in tables.items() if set(C) <= set(B))
-
-
-def coeff_radius(coeffs):
-    """The largest |u_i| over the exponents of a table."""
-    return max(map(abs, chain.from_iterable(coeffs)))
-
-
-def unlink_H(s):
-    return sum(max(-x, 0) for x in s)
-
-
-def axis_radii(d):
-    """M_i for each component i: two more than the largest |u_i| over the
-    half-shifted exponents of the sublinks that contain i, read straight off
-    the stored polynomials."""
-    radii = [0] * d.n
-    for B in nonempty_subsets(d.n):
-        shift = 0 if len(B) == 1 else 1
-        for exp in d.delta(B).terms:
-            for i, e in zip(B, exp):
-                radii[i] = max(radii[i], abs((e + shift) // 2))
-    return [r + 2 for r in radii]
-
-
-def axis_box(d):
-    """The points of prod [-M_i, M_i], in the order of `itertools.product`."""
-    return product(*(range(-m, m + 1) for m in axis_radii(d)))
-
-
-ATOMIC_SAMPLES = ["unknot", "trefoil_rh", "whitehead", "borromean", "mirror_L7a3"]
-
-ORACLE_LINKS = {
-    **{key: lambda key=key: catalog(key) for key in ATOMIC_SAMPLES},
-    "two_bridge": lambda: catalog("two_bridge", 2),
-    # sparse support, wide box
-    "whitehead_cable:5,16": lambda: catalog("whitehead_cable", 5, 16),
-    "borromean_cable:2,7,2,7,1,1": lambda: cable_alexander(
-        catalog("borromean"), CableSpec(((2, 7), (2, 7), (1, 1)))),
-    "whitehead+trefoil_rh": lambda: disjoint_union(
-        catalog("whitehead"), catalog("trefoil_rh")),
-    "mirror_L7a3+unknot+trefoil_rh": lambda: disjoint_union(
-        catalog("mirror_L7a3"), catalog("unknot"), catalog("trefoil_rh")),
-    "unlink:4": lambda: catalog("unlink", 4),
-}
-
-
-@pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
+@pytest.mark.parametrize("name", ORACLE)
 def test_H_matches_brute_force(name):
-    d = ORACLE_LINKS[name]()
+    d = link(name)
     table = HTable(d)
-    for s in table.iter_box():
+    for s in cube(table.M, d.n):
         assert table.H(s) == brute_H(d, s), f"{name} at {s}"
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
+@pytest.mark.parametrize("name", ORACLE)
 def test_H_outside_the_box(name):
-    d = ORACLE_LINKS[name]()
+    d = link(name)
     t = HTable(d)
     far = t.M + 9
     for s in product((-far, -t.M, 0, t.M, far), repeat=d.n):
-        assert t.H(s) == brute_H(d, s), f"{name} at {s}"
+        assert t.H(s) == formula_H(d, s), f"{name} at {s}"
     # above the support top every orthant sum is empty
     assert t.H((t.M - 2,) * d.n) == 0
     # far below, only the knot sublinks contribute, each with slope Delta(1) = 1
@@ -151,27 +47,19 @@ def test_H_outside_the_box(name):
         assert t.H(low[:i] + (-far - 1,) + low[i + 1:]) == t.H(low) + 1
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
+@pytest.mark.parametrize("name", ORACLE)
 def test_h_is_symmetric(name):
     # h(-s) = h(s) for zero-linking L-space links (Gorsky-Nemethi)
-    t = HTable(ORACLE_LINKS[name]())
-    for s in t.iter_box():
+    t = HTable(link(name))
+    for s in cube(t.M, t.n):
         assert t.h(tuple(-x for x in s)) == t.h(s), f"{name} at {s}"
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
+@pytest.mark.parametrize("name", ORACLE)
 def test_orthant_tables_match_support_scan(name):
-    d = ORACLE_LINKS[name]()
+    d = link(name)
     t = HTable(d)
-    for B in nonempty_subsets(d.n):
-        # H of the sublink over the least box its tables fit in, one placement
-        radii = [1 + max(r[C.index(j)] for C, r in t._radii.items() if j in C and set(C) <= set(B))
-                 for j in B]
-        box = product(*(range(-r, r + 1) for r in radii))
-        assert t._h_grid(B, radii) == [scan_H(t._tables, t._signs, B, s) for s in box], B
-        for j in range(len(B)):
-            with pytest.raises(AssertionError):
-                t._h_grid(B, radii[:j] + [radii[j] - 1] + radii[j + 1:])
+    for B in all_subsets(d.n):
         delta = d.delta(B)
         if delta.is_zero():
             assert all(t.chi(B, u) == 0 for u in product(range(-2, 3), repeat=len(B)))
@@ -193,53 +81,32 @@ def test_orthant_tables_match_support_scan(name):
             assert t.chi(B, v) == sign * coeff(v), (B, v)
 
 
-def clamp(t, s):
-    return tuple(max(-t.M, min(t.M, x)) for x in s)
-
-
-@pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
+@pytest.mark.parametrize("name", ORACLE)
 def test_h_stabilizes_beyond_the_box(name):
-    # h(v) = h(clamp(v)), on the brute-force oracle: the laws validated on the
-    # box hold everywhere, and H outside the box may be read by clamping
-    d = ORACLE_LINKS[name]()
-    t = HTable(d)
-    M, n = t.M, t.n
-    h = lambda s: brute_H(d, s) - unlink_H(s)
+    # h(v) = h(clamp(v)) on the formula, clamp taking each coordinate into
+    # [-M_i, M_i]: the laws validated on the box hold everywhere, and H
+    # outside the box may be read by clamping, as brute_H and HTable.H do
+    d = link(name)
+    M, n = max(axis_radii(d)), d.n
+    h = brute_h(d)
     sides = (-5 * M - 3, -M - 1, -M, 0, 1, M, M + 1, 5 * M + 3)
     for s in product(sides, repeat=n):
-        assert h(s) == h(clamp(t, s)), f"{name} at {s}"
+        assert formula_H(d, s) - unlink_H(s) == h(s), f"{name} at {s}"
     for i in range(n):
         for x in (-7 * M, 7 * M):
             for rest in product(range(-2, 3), repeat=n - 1):
                 s = rest[:i] + (x,) + rest[i:]
-                assert h(s) == h(clamp(t, s)), f"{name} at {s}"
+                assert formula_H(d, s) - unlink_H(s) == h(s), f"{name} at {s}"
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(ORACLE_LINKS)), st.data())
+@given(st.sampled_from(ORACLE), st.data())
 def test_H_matches_brute_force_anywhere(name, data):
-    d = ORACLE_LINKS[name]()
+    d = link(name)
     t = HTable(d)
     far = 4 * t.M
     s = data.draw(st.tuples(*[st.integers(-far, far)] * t.n))
-    assert t.H(s) == brute_H(d, s), f"{name} at {s}"
-
-
-def bad_knot():
-    # Delta(1) = 1 and symmetric, so the descriptor is valid, but h goes negative
-    from hfgenus.linkcat import Component
-    return LinkDescriptor("bad-knot", [Component("k")],
-                          alexander={(0,): P(1, (-1, (1,)), (3, (0,)), (-1, (-1,)))},
-                          lspace_asserted=False)
-
-
-# Descriptors whose Alexander data fail validation, to be built with force=True.
-INVALID_TABLES = {
-    "-t + 3 - 1/t, forced": bad_knot,
-    "-t + 3 - 1/t + whitehead, forced": lambda: disjoint_union(bad_knot(), catalog("whitehead")),
-    "-t + 3 - 1/t + two_bridge:3, forced": lambda: disjoint_union(
-        bad_knot(), catalog("two_bridge", 3)),
-}
+    assert t.H(s) == formula_H(d, s), f"{name} at {s}"
 
 
 def law_problems(d):
@@ -259,17 +126,15 @@ def bypass_law_checks(monkeypatch):
     monkeypatch.setattr(hfunction, "_laws_hold", lambda *a: True)
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_LINKS) + sorted(INVALID_TABLES))
+@pytest.mark.parametrize("name", ORACLE + INVALID)
 def test_h_stabilizes_at_the_box_boundary(name, monkeypatch):
     # Holds by construction for any data, so validation never checks it: H = 0
     # on the top corner block, H is constant across the top shells and equals
     # the component-deleted sublink's H there, and h is constant across the
     # bottom shells.  Data failing validation are read with the check bypassed.
-    if name in INVALID_TABLES:
+    if name in INVALID:
         bypass_law_checks(monkeypatch)
-        t = HTable(INVALID_TABLES[name](), force=True)
-    else:
-        t = HTable(ORACLE_LINKS[name]())
+    t = HTable(link(name), force=True)
     M, n = t.M, t.n
     for s in product((M - 1, M), repeat=n):
         assert t.H(s) == 0, f"{name} at {s}"
@@ -281,7 +146,7 @@ def test_h_stabilizes_at_the_box_boundary(name, monkeypatch):
             assert t.H(at(M)) == t.H(at(M - 1)), f"{name} at {at(M)}"
             assert t.H(at(M)) == (sub.H(rest) if sub else 0), f"{name} at {at(M)}"
             assert t.h(at(-M)) == t.h(at(-M + 1)), f"{name} at {at(-M)}"
-    if name in INVALID_TABLES:
+    if name in INVALID:
         monkeypatch.undo()
         _, report = law_problems(t.link)
         assert report and all("negative" in p or "step law" in p for p in report)
@@ -307,7 +172,6 @@ def test_chi_borromean():
 def test_chi_rejects_bad_parity():
     # the descriptor's constructor refuses the parity, so no table, and no
     # chi conversion, ever sees it
-    from hfgenus.linkcat import Component
     with pytest.raises(ValidationError) as info:
         LinkDescriptor("bad-parity", [Component("a"), Component("b")],
                        alexander={(0,): LaurentPoly.one(1),
@@ -357,7 +221,7 @@ def test_whitehead_frozen_values():
     assert t.H((1, 0)) == 0
     assert t.H((-1, 0)) == 1 and t.h((-1, 0)) == 0
     assert t.H((-1, -1)) == 2 and t.h((-1, -1)) == 0
-    assert {s for s in t.iter_box() if t.h(s) != 0} == {(0, 0)}
+    assert {s for s in cube(t.M, 2) if t.h(s) != 0} == {(0, 0)}
 
 
 def test_borromean_frozen_values():
@@ -400,8 +264,8 @@ def test_h_examples():
 
 
 def test_chi_from_H_roundtrip():
-    for key in ATOMIC_SAMPLES:
-        d = catalog(key)
+    for key in ATOMIC:
+        d = link(key)
         t = HTable(d)
         full = tuple(range(d.n))
         for s in product(range(-t.M + 1, t.M), repeat=d.n):
@@ -410,9 +274,9 @@ def test_chi_from_H_roundtrip():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(ORACLE_LINKS)), st.data())
+@given(st.sampled_from(ORACLE), st.data())
 def test_chi_from_H_roundtrip_inside_and_outside_the_box(name, data):
-    d = ORACLE_LINKS[name]()
+    d = link(name)
     t = HTable(d)
     reach = t.M + 5
     s = data.draw(st.tuples(*[st.integers(-reach, reach)] * d.n), label="s")
@@ -449,9 +313,9 @@ def test_forgetful_limit_matches_sublink():
 
 
 def test_h_nonnegative_and_equals_H_on_nonneg():
-    for name, make in ORACLE_LINKS.items():
-        t = HTable(make())
-        for s in t.iter_box():
+    for name in ORACLE:
+        t = HTable(link(name))
+        for s in cube(t.M, t.n):
             assert t.h(s) >= 0, f"{name} at {s}"
             if all(x >= 0 for x in s):
                 assert t.h(s) == t.H(s), f"{name} at {s}"
@@ -465,26 +329,26 @@ def away_from_zero(t, s):
                 yield s[:i] + (x + step,) + s[i + 1:]
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
+@pytest.mark.parametrize("name", ORACLE)
 def test_h_nonincreasing_away_from_zero(name):
-    t = HTable(ORACLE_LINKS[name]())
-    for s in t.iter_box():
+    t = HTable(link(name))
+    for s in cube(t.M, t.n):
         for u in away_from_zero(t, s):
             assert t.h(u) <= t.h(s), f"{name}: h{u} > h{s}"
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
+@pytest.mark.parametrize("name", ORACLE)
 def test_max_h_is_h_at_the_origin(name):
-    t = HTable(ORACLE_LINKS[name]())
-    assert max(t.h(s) for s in t.iter_box()) == t.h((0,) * t.n)
+    t = HTable(link(name))
+    assert max(map(t.h, cube(t.M, t.n))) == t.h((0,) * t.n)
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
+@pytest.mark.parametrize("name", ORACLE)
 def test_h_at_most_h_of_absolute_value(name):
     # Observed on every oracle link, but not validated by HTable: no code
     # relies on it yet (a sweep of [0, M]^n alone would need it).
-    t = HTable(ORACLE_LINKS[name]())
-    for s in t.iter_box():
+    t = HTable(link(name))
+    for s in cube(t.M, t.n):
         assert t.h(s) <= t.h(tuple(map(abs, s))), f"{name} at {s}"
 
 
@@ -497,25 +361,15 @@ def test_disjoint_union_additivity():
             assert u.H(sa + (sb,)) == ta.H(sa) + tb.H((sb,))
 
 
-UNION_PARTS = {
-    "unknot": lambda: catalog("unknot"),
-    "trefoil_rh": lambda: catalog("trefoil_rh"),
-    "whitehead": lambda: catalog("whitehead"),
-    "mirror_L7a3": lambda: catalog("mirror_L7a3"),
-    "two_bridge:2": lambda: catalog("two_bridge", 2),
-}
-
-
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.sampled_from(sorted(UNION_PARTS)), min_size=2, max_size=3),
-       st.data())
+@given(st.lists(st.sampled_from(PARTS), min_size=2, max_size=3), st.data())
 def test_union_H_is_brute_force_and_additive(keys, data):
-    parts = [UNION_PARTS[key]() for key in keys]
+    parts = [link(key) for key in keys]
     u = disjoint_union(*parts)
     t = HTable(u)
     reach = t.M + 4  # inside the box and beyond it on every side
     s = data.draw(st.tuples(*[st.integers(-reach, reach)] * u.n), label="s")
-    assert t.H(s) == brute_H(u, s)
+    assert t.H(s) == formula_H(u, s)
     total, start = 0, 0
     for d in parts:
         total += HTable(d).H(s[start:start + d.n])
@@ -529,8 +383,8 @@ def test_trefoil_union_unknot_value():
 
 
 def test_validation_report_passes_on_catalog():
-    for key in ATOMIC_SAMPLES:
-        assert law_problems(catalog(key)) == ([], [])
+    for key in ATOMIC:
+        assert law_problems(link(key)) == ([], [])
     assert law_problems(catalog("unlink", 3)) == ([], [])
     assert law_problems(catalog("whitehead_cable", 2, 7)) == ([], [])
 
@@ -545,34 +399,24 @@ def test_flipped_sign_fails_validation():
 def test_require_valid_keeps_every_problem():
     # the constructor raises with every problem, the message shows five
     with pytest.raises(StabilizationError) as info:
-        HTable(INVALID_TABLES["-t + 3 - 1/t + two_bridge:3, forced"](), force=True)
+        HTable(link("-t + 3 - 1/t + two_bridge:3, forced"), force=True)
     report = info.value.problems
     assert len(report) > 5
     assert str(info.value).endswith(": " + "; ".join(report[:5]))
 
 
-@pytest.mark.parametrize("name", sorted(INVALID_TABLES))
+@pytest.mark.parametrize("name", INVALID)
 def test_invalid_data_raise_at_construction(name):
     # with every problem of the point-by-point sweep and the message that
     # names the box [-M, M]^n, M two more than the largest support radius
-    d = INVALID_TABLES[name]()
+    d = link(name)
     with pytest.raises(StabilizationError) as info:
         HTable(d, force=True)
-    tables, signs = reference_sign_resolution(d)
-    problems = list(reference_law_problems(tables, tuple(range(d.n)), signs))
-    M = max(map(coeff_radius, tables.values())) + 2
+    problems = reference_report(d, reference_sign_resolution(d))
+    M = max(axis_radii(d))
     assert info.value.problems == problems and info.value.flipped == []
     assert str(info.value) == (f"{d.name}: H-function fails validation on box "
                                f"[-{M}, {M}]^{d.n}: " + "; ".join(problems[:5]))
-
-
-def flipped_whitehead():
-    wh = catalog("whitehead")
-    return LinkDescriptor("whitehead-flipped", wh.components,
-                          alexander={(0,): wh.delta((0,)),
-                                     (1,): wh.delta((1,)),
-                                     (0, 1): -wh.delta((0, 1))},
-                          lspace_asserted=True)
 
 
 def test_sign_resolution_recovers_flipped_input():
@@ -583,59 +427,6 @@ def test_sign_resolution_recovers_flipped_input():
         assert t.H(s) == good.H(s)
 
 
-# Descriptors, to be built with force=True: the ones failing validation last.
-REPORT_TABLES = {
-    **ORACLE_LINKS,
-    **INVALID_TABLES,
-    "whitehead, stored sign flipped": flipped_whitehead,
-}
-
-
-def reference_sweep(H, radii):
-    """The laws H >= 0 and unit steps checked point by point on
-    prod [-r_i, r_i]: at each point the negative value first, else the
-    failing steps e_1..e_k."""
-    k = len(radii)
-    for s in product(*(range(-r, r + 1) for r in radii)):
-        v = H(s)
-        if v < 0:
-            yield f"H{s} = {v} is negative"
-            continue
-        for i in range(k):
-            if s[i] > -radii[i]:
-                down = H(s[:i] + (s[i] - 1,) + s[i + 1:])
-                if down - v not in (0, 1):
-                    yield f"step law fails: H at {s} minus e_{i + 1} jumps by {down - v}"
-
-
-def reference_law_problems(tables, B, signs):
-    """`reference_sweep` of the sublink B on its box, r two more than the
-    largest support radius of its tables, each H value summed from support
-    scans of the tables."""
-    terms = []
-    for size in range(1, len(B) + 1):
-        for idx in combinations(range(len(B)), size):
-            C = tuple(B[i] for i in idx)
-            if C in tables:
-                terms.append((1 if size % 2 else -1, C, idx))
-    scans, memo = {}, {}
-
-    def scan(C, v):
-        if (C, v) not in scans:
-            scans[C, v] = scan_sum(tables[C], v)
-        return scans[C, v]
-
-    def H(s):
-        if s not in memo:
-            v = tuple(x + 1 for x in s)
-            memo[s] = sum(p * signs[C] * scan(C, tuple(v[i] for i in idx))
-                          for p, C, idx in terms)
-        return memo[s]
-
-    r = max(coeff_radius(tables[C]) for _, C, _ in terms) + 2
-    return reference_sweep(H, [r] * len(B))
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([(1,), (3,), (1, 1), (2, 2), (1, 3), (3, 1), (2, 1, 1), (1, 1, 2)]),
        st.data())
@@ -644,72 +435,27 @@ def test_array_laws_match_the_reference_sweep(radii, data):
     values = st.integers(low, high)
     size = prod(2 * r + 1 for r in radii)
     grid = data.draw(st.lists(values, min_size=size, max_size=size))
-    box = dict(zip(product(*(range(-r, r + 1) for r in radii)), grid))
-    expected = list(reference_sweep(box.__getitem__, radii))
+    at = dict(zip(box(radii), grid))
+    expected = list(reference_sweep(at.__getitem__, radii))
     assert hfunction._laws_hold(grid, [2 * r + 1 for r in radii]) == (expected == [])
     assert violations.law_messages(grid, radii) == expected
 
 
-def reference_sign_resolution(d):
-    """Orthant tables and signs chosen bottom up by the point-by-point sweep:
-    the stored sign unless only its negation passes the laws."""
-    tables, signs = {}, {}
-    for B in all_subsets(d.n):
-        signs[B] = 1
-        if not d.delta(B).is_zero():
-            tables[B] = _chi_table(d.delta(B))
-        if len(B) > 1 and B in tables:
-            for sigma in (1, -1):
-                signs[B] = sigma
-                if next(reference_law_problems(tables, B, signs), None) is None:
-                    break
-            else:
-                raise SignResolutionError(
-                    f"{d.name}: neither sign of the polynomial for subset "
-                    f"{tuple(i + 1 for i in B)} yields a valid H-function; "
-                    f"not an L-space link with this data")
-    return tables, signs
-
-
-@pytest.mark.parametrize("name", sorted(REPORT_TABLES))
+@pytest.mark.parametrize("name", sorted(REPORT))
 def test_validation_report_matches_a_fresh_sweep(name):
     # the array check that validated the full link gives the same report as
     # the point-by-point sweep with the same signs
-    d = REPORT_TABLES[name]()
+    d = link(name)
     flipped, report = law_problems(d)
-    tables = {B: _chi_table(d.delta(B)) for B in all_subsets(d.n) if not d.delta(B).is_zero()}
-    signs = {B: -1 if tuple(i + 1 for i in B) in flipped else 1 for B in tables}
-    assert report == list(reference_law_problems(tables, tuple(range(d.n)), signs))
+    signs = {B: -1 if tuple(i + 1 for i in B) in flipped else 1 for B in all_subsets(d.n)}
+    assert report == reference_report(d, signs)
 
 
-def linked_pairs_borromean():
-    """Data passing the laws (not a known link) with nonzero polynomials on
-    proper sublinks: whitehead's on the pairs (1,2) and (1,3), the
-    borromean rings' on (1,2,3)."""
-    wh, bo = catalog("whitehead").delta((0, 1)), catalog("borromean").delta((0, 1, 2))
-    return LinkDescriptor("linked pairs", [Component("unknot")] * 3,
-                          alexander={(0,): LaurentPoly.one(1), (1,): LaurentPoly.one(1),
-                                     (2,): LaurentPoly.one(1), (0, 1): wh, (0, 2): wh,
-                                     (1, 2): LaurentPoly.zero(2), (0, 1, 2): bo})
-
-
-# Inputs whose sign resolution flips a sign or fails, besides REPORT_TABLES.
-RESOLUTION_LINKS = {
-    "two_bridge:15, stored sign flipped": lambda: descriptor_from_dict(
-        WORKLOADS.flipped_two_bridge(15)),
-    **{f"two_bridge:10, corrupted at {exp}": lambda exp=exp: descriptor_from_dict(
-        WORKLOADS.corrupted_two_bridge(10, exp)) for exp in WORKLOADS.CORRUPT_AT},
-    "two_bridge:3 cabled by (3,7),(2,5)": lambda: cable_alexander(
-        catalog("two_bridge", 3), CableSpec(((3, 7), (2, 5)))),
-    "borromean polynomial over two whitehead pairs": linked_pairs_borromean,
-}
-
-
-@pytest.mark.parametrize("name", sorted(REPORT_TABLES) + sorted(RESOLUTION_LINKS))
+@pytest.mark.parametrize("name", sorted(REPORT) + sorted(RESOLUTION))
 def test_sign_resolution_matches_the_reference_sweep(name):
-    d = REPORT_TABLES[name]() if name in REPORT_TABLES else RESOLUTION_LINKS[name]()
+    d = link(name)
     try:
-        tables, signs = reference_sign_resolution(d)
+        signs = reference_sign_resolution(d)
     except SignResolutionError as exc:
         with pytest.raises(SignResolutionError) as info:
             HTable(d, force=True)
@@ -717,7 +463,7 @@ def test_sign_resolution_matches_the_reference_sweep(name):
         return
     flipped, report = law_problems(d)
     assert flipped == [tuple(i + 1 for i in B) for B, s in sorted(signs.items()) if s == -1]
-    assert report == list(reference_law_problems(tables, tuple(range(d.n)), signs))
+    assert report == reference_report(d, signs)
 
 
 def permuted(d, perm):
@@ -761,12 +507,7 @@ def test_variants_cover_the_trefoil_first_mirror_L7a3():
     assert trefoil_first.delta((0,)) == catalog("trefoil_rh").delta((0,))
 
 
-# two_bridge:15 takes seconds a variant; the test above covers it as given
-VARIANT_LINKS = {**REPORT_TABLES, **{name: make for name, make in RESOLUTION_LINKS.items()
-                                     if not name.startswith("two_bridge:15")}}
-
-
-@pytest.mark.parametrize("name", sorted(VARIANT_LINKS))
+@pytest.mark.parametrize("name", sorted(set(REPORT + RESOLUTION) - set(SLOW_RESOLUTION)))
 def test_one_sign_at_most_is_valid_and_the_table_takes_it(name):
     # over every component order and single sign flip: the sign trials, run
     # point by point (the stored sign unless only its negation passes), give
@@ -774,21 +515,23 @@ def test_one_sign_at_most_is_valid_and_the_table_takes_it(name):
     # problems and flipped subsets; and, as the closed-form sign rule's
     # proof says, the sign a trial did not pick fails, so the stored sign's
     # preference decides nothing
-    for d in variants(VARIANT_LINKS[name]()):
+    for d in variants(link(name)):
         try:
-            tables, signs = reference_sign_resolution(d)
+            signs = reference_sign_resolution(d)
         except SignResolutionError as exc:
             with pytest.raises(SignResolutionError) as info:
                 HTable(d, force=True)
             assert str(info.value) == str(exc)
             continue
-        for B in tables:
-            if len(B) > 1:
-                other = {**signs, B: -signs[B]}
-                assert next(reference_law_problems(tables, B, other), None), (d.name, B)
+        multi = [B for B in all_subsets(d.n) if len(B) > 1 and not d.delta(B).is_zero()]
+        for B in multi:
+            other = {**signs, B: -signs[B]}
+            assert next(reference_law_problems(d, B, other, axis_radii(d, B)), None), \
+                (d.name, B)
         full = tuple(range(d.n))
-        swept = d.n > 1 and full in tables  # by its sign trial, which passed
-        problems = [] if swept else list(reference_law_problems(tables, full, signs))
+        # a full link with a polynomial passed its sign trial, on a box that
+        # decides the laws on the cube too
+        problems = [] if full in multi else reference_report(d, signs)
         flips = [tuple(i + 1 for i in B) for B, s in sorted(signs.items()) if s == -1]
         if problems:
             M = max(axis_radii(d))
@@ -802,7 +545,7 @@ def test_one_sign_at_most_is_valid_and_the_table_takes_it(name):
         assert t.sign_resolution == {tuple(i + 1 for i in B): s for B, s in signs.items()}
         assert t.flipped_signs() == flips
         assert t._box == axis_radii(d)
-        assert t._grid == [scan_H(tables, signs, full, s) for s in axis_box(d)], d.name
+        assert t._grid == [brute_H(d, s, signs) for s in box(axis_radii(d))], d.name
 
 
 def test_the_sign_rule_counts_the_sublinks_below():
@@ -813,44 +556,45 @@ def test_the_sign_rule_counts_the_sublinks_below():
     d = linked_pairs_borromean()
     assert _chi_table(d.delta((0, 1, 2)))[1, 1, 1] == 1
     assert HTable(d, force=True).flipped_signs() == [(1, 2, 3)]
-    tables, signs = reference_sign_resolution(d)
+    signs = reference_sign_resolution(d)
     assert signs[0, 1, 2] == -1
-    assert next(reference_law_problems(tables, (0, 1, 2), {**signs, (0, 1, 2): 1}), None)
+    stored = {**signs, (0, 1, 2): 1}
+    assert next(reference_law_problems(d, (0, 1, 2), stored, axis_radii(d)), None)
 
 
 def test_sign_resolution_messages():
-    flipped = HTable(RESOLUTION_LINKS["two_bridge:15, stored sign flipped"]())
+    flipped = HTable(link("two_bridge:15, stored sign flipped"))
     assert flipped.flipped_signs() == [(1, 2)]
     with pytest.raises(SignResolutionError) as info:
-        HTable(RESOLUTION_LINKS["two_bridge:3 cabled by (3,7),(2,5)"]())
+        HTable(link("two_bridge:3 cabled by (3,7),(2,5)"))
     assert str(info.value) == (
         "two_bridge(3)_cable(3:7,2:5): neither sign of the polynomial for "
         "subset (1, 2) yields a valid H-function; not an L-space link with this data")
 
 
-@pytest.mark.parametrize("name", sorted(REPORT_TABLES))
+@pytest.mark.parametrize("name", sorted(REPORT))
 def test_a_swept_full_link_is_not_swept_again(name, monkeypatch):
     # a valid table makes one law check, of the full link's list, which it
     # keeps; a failing one then checks each multi-component sublink's list
-    d = REPORT_TABLES[name]()
-    tables, _ = reference_sign_resolution(d)
+    d = link(name)
     calls = []
     real = hfunction._laws_hold
     monkeypatch.setattr(hfunction, "_laws_hold", lambda *a: calls.append(a) or real(*a))
     try:
         t = HTable(d, force=True)
     except StabilizationError:
-        assert name in INVALID_TABLES
-        assert len(calls) == 1 + sum(len(B) > 1 for B in tables)
+        assert name in INVALID
+        assert len(calls) == 1 + sum(len(B) > 1 and not d.delta(B).is_zero()
+                                     for B in all_subsets(d.n))
     else:
         assert len(calls) == 1 and calls[0][0] is t._grid
 
 
-@pytest.mark.parametrize("name", sorted(REPORT_TABLES))
+@pytest.mark.parametrize("name", sorted(REPORT))
 def test_memo_holds_only_full_link_points(name, monkeypatch):
-    if name in INVALID_TABLES:
+    if name in INVALID:
         bypass_law_checks(monkeypatch)
-    d = REPORT_TABLES[name]()
+    d = link(name)
     t = HTable(d, force=True)
     for _ in range(2):
         assert len(t._grid) == prod(2 * m + 1 for m in axis_radii(d)), name
@@ -867,35 +611,43 @@ def test_sign_resolution_of_a_union():
     assert t.flipped_signs() == [(1, 2)]
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
+@pytest.mark.parametrize("name", ORACLE)
 def test_grid_matches_lookups(name):
     # each sublink's list, over the least box its tables fit in and boxes up
-    # to two wider in all, is the brute-force H of the sublink's descriptor
-    d = ORACLE_LINKS[name]()
+    # to two wider in all, is the brute-force H of the sublink's descriptor,
+    # and a box one narrower on any axis is refused
+    d = link(name)
     t = HTable(d)
-    for B in t._tables:
+    for B in all_subsets(d.n):
         sub = sublink(d, B)
         least = [m - 1 for m in axis_radii(sub)]
         for extra in (x for x in product(range(3), repeat=len(B)) if sum(x) <= 2):
             radii = list(map(add, least, extra))
-            box = product(*(range(-r, r + 1) for r in radii))
-            assert t._h_grid(B, radii) == [brute_H(sub, s) for s in box], (B, radii)
-        with pytest.raises(AssertionError):
-            t._h_grid(B, [m - 2 for m in axis_radii(sub)])
+            assert t._h_grid(B, radii) == [brute_H(sub, s) for s in box(radii)], (B, radii)
+        for j in range(len(B)):
+            with pytest.raises(AssertionError):
+                t._h_grid(B, least[:j] + [least[j] - 1] + least[j + 1:])
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
+@pytest.mark.parametrize("name", ORACLE)
 def test_full_link_list_is_brute_force(name):
-    d = ORACLE_LINKS[name]()
+    d = link(name)
     t = HTable(d)
-    assert t._grid == [brute_H(d, s) for s in axis_box(d)]
+    assert t._grid == [brute_H(d, s) for s in box(axis_radii(d))]
+
+
+def test_two_bridge_closed_form_is_the_formula():
+    # the oracle of two_bridge:k for k >= 12, where the brute sum is slow
+    for k in range(1, 13):
+        d = catalog("two_bridge", k)
+        h, closed = brute_h(d), two_bridge_h(k)
+        assert all(h(s) == closed(s) for s in cube(max(axis_radii(d)) + 1, 2)), k
 
 
 def test_box_reads_make_no_orthant_lookups(monkeypatch):
     # after construction every H, inside the box or out, reads the full
     # link's list, and chi reads the stored coefficients
-    tables = {name: HTable(make(), force=True) for name, make in REPORT_TABLES.items()
-              if name not in INVALID_TABLES}
+    tables = {name: HTable(link(name), force=True) for name in REPORT if name not in INVALID}
     calls = []
     monkeypatch.setattr(HTable, "_h_grid", lambda *a: calls.append(a))
     for name, t in tables.items():
@@ -913,7 +665,6 @@ def test_box_reads_make_no_orthant_lookups(monkeypatch):
 
 
 def test_lspace_assertion_gate():
-    from hfgenus.errors import LSpaceAssertionError
     wh = catalog("whitehead")
     unasserted = LinkDescriptor("wh-unasserted", wh.components,
                                 alexander=wh.alexander, lspace_asserted=False)

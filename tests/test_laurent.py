@@ -14,12 +14,9 @@ from hfgenus.hfunction import HTable
 from hfgenus.laurent import LaurentPoly
 from hfgenus.symmetry import involution, normalize_symmetric
 from hfgenus.linkcat import Component, LinkDescriptor, catalog
+from oracles import P
 
 H = Fraction(1, 2)
-
-
-def P(nvars, *terms):
-    return LaurentPoly.from_terms(nvars, terms)
 
 
 def test_mul_distributes_over_binomials():

@@ -19,12 +19,9 @@ from hfgenus.linkops import disjoint_union, sublink
 from hfgenus.linkjson import (descriptor_from_dict, descriptor_to_dict, load_json,
                               save_json)
 from hfgenus.symmetry import involution, normalize_symmetric
+from oracles import P
 
 H = Fraction(1, 2)
-
-
-def P(nvars, *terms):
-    return LaurentPoly.from_terms(nvars, terms)
 
 
 CATALOG_SAMPLES = [

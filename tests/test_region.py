@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hfgenus.errors import StabilizationError
 from hfgenus.hfunction import HTable
 from hfgenus.linkcat import catalog
 from hfgenus.linkops import disjoint_union, sublink
 from hfgenus.region import (UpwardClosedRegion, dominates,
                             maximal_lattice_points, minimalize,
                             projection_check, region_from_h, region_product)
-from test_bounds import ADMISSIBLE_ORACLE_LINKS
-from test_hfunction import ORACLE_LINKS
+from oracles import (ADMISSIBLE, ORACLE, STAIRCASE, axis_radii, bad_knot, count_reads, link,
+                     oracle_h, reference_maximal_points, reference_region)
 
 
 def region_of(key, *params):
@@ -79,10 +80,10 @@ def test_maximal_points_catalog():
     assert maximal_lattice_points(HTable(catalog("unknot"))) == ()
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_LINKS))
+@pytest.mark.parametrize("name", ORACLE)
 def test_maximal_points_have_H_one(name):
     # the proof in maximal_lattice_points' docstring, checked point by point
-    t = HTable(ORACLE_LINKS[name]())
+    t = HTable(link(name))
     for z in maximal_lattice_points(t):
         assert t.H(z) == 1, z
         assert t.chi_from_H(tuple(x + 1 for x in z)) == (-1) ** (t.n - 1), z
@@ -172,8 +173,6 @@ def test_malformed_generators_are_refused(generators):
 
 def test_region_from_h_refuses_invalid_table():
     # data failing validation never make a table to read a region from
-    from hfgenus.errors import StabilizationError
-    from test_hfunction import bad_knot
     with pytest.raises(StabilizationError):
         HTable(disjoint_union(bad_knot(), catalog("whitehead")), force=True)
 
@@ -187,43 +186,18 @@ def test_membership_dimension_mismatch():
 # -- the per-point sweeps, as oracles for the whole-list staircases -------------
 
 
-def reference_region(t):
-    """The w in [0, M]^n with h(w) = 0 and h(w - e_i) > 0 wherever w_i > 0."""
-    gens = [w for w in product(range(t.M + 1), repeat=t.n) if t.h(w) == 0
-            and all(t.h(w[:i] + (x - 1,) + w[i + 1:]) > 0
-                    for i, x in enumerate(w) if x > 0)]
-    return UpwardClosedRegion(t.n, tuple(gens))
-
-
-def reference_maximal_points(t):
-    """The z in [0, M - 1]^n with h(z) > 0 and h(z + e_i) = 0 for every i."""
-    return tuple(z for z in product(range(t.M), repeat=t.n) if t.h(z) > 0
-                 and all(t.h(z[:i] + (x + 1,) + z[i + 1:]) == 0
-                         for i, x in enumerate(z)))
-
-
-STAIRCASE_LINKS = {
-    **ADMISSIBLE_ORACLE_LINKS,
-    "two_bridge:20": lambda: catalog("two_bridge", 20),
-    "whitehead_cable:7,22": lambda: catalog("whitehead_cable", 7, 22),
-    # M_i = 37, 3, 2: a thin box in the cube, where h is constant beyond each M_i
-    "whitehead_cable:5,16+unknot": lambda: disjoint_union(
-        catalog("whitehead_cable", 5, 16), catalog("unknot")),
-}
-
-
-@pytest.mark.parametrize("name", sorted(STAIRCASE_LINKS))
+@pytest.mark.parametrize("name", sorted(ORACLE + ADMISSIBLE + STAIRCASE))
 def test_staircase_matches_the_per_point_sweeps(name):
-    t = HTable(STAIRCASE_LINKS[name]())
-    assert region_from_h(t) == reference_region(t)
-    assert maximal_lattice_points(t) == reference_maximal_points(t)
+    t = HTable(link(name))
+    h, radii = oracle_h(name), axis_radii(t.link)
+    assert region_from_h(t).generators == reference_region(h, radii)
+    assert maximal_lattice_points(t) == reference_maximal_points(h, radii)
 
 
 @pytest.mark.parametrize("name", ["two_bridge:20", "borromean_cable:2,7,2,7,1,1"])
 def test_staircases_read_no_point(name):
     # both are read off the box list in one whole-list pass, not point by point
-    t = HTable(STAIRCASE_LINKS[name]())
-    reads, h = [], t.h
-    t.h = lambda s: reads.append(s) or h(s)
+    t = HTable(link(name))
+    reads = count_reads(t)
     region_from_h(t), maximal_lattice_points(t)
     assert reads == []

@@ -11,14 +11,16 @@ sublinks).
 `HTable` is the only entry point to H, h, chi and their validation, and
 tables share no state.  `_chi_table` alone turns a sublink's polynomial into
 Euler characteristics, from which chi is read; the input's exponent parity
-holds already, since a `LinkDescriptor` is valid once built.  A sublink's H
+holds already, since a `LinkDescriptor` is valid once built.  The link's H
 over a box prod [-r_j, r_j] is one flat row-major list, in the point order of
 `itertools.product`, built by `HTable._h_grid` from one placement: every
-signed coefficient of every table of the sublink's sublinks is set once in
-the list, and one prefix-sum pass per axis sums all the orthants, with no
-Python call per point.  After construction the full link's list is the only
-source of H and h.  A disjoint union is an ordinary descriptor: a sublink
-mixing parts has zero polynomial and contributes nothing.
+signed coefficient of every sublink's table is set once in the list, and one
+prefix-sum pass per axis sums all the orthants, with no Python call per
+point.  After construction that list is the only source of H and h, for the
+link and for every sublink: a sublink's H is the face s_j = M_j of the list,
+for every j outside it (see below).  A disjoint union is an ordinary
+descriptor: a sublink mixing parts has zero polynomial and contributes
+nothing.
 
 Each table's lattice box prod [-M_i, M_i] is fixed at construction, with M_i
 two more than the largest |u_i| over the tables of the sublinks that contain
@@ -27,13 +29,15 @@ coordinate at a time.  Every orthant sum is taken at v = s + 1.  At
 s_i >= M_i - 1, v_i >= M_i lies above the top of every support containing
 component i, so each such sublink contributes 0: H is constant in s_i there,
 equals the H of the sublink with component i deleted, and vanishes on the
-top corner block.  At s_i <= -M_i + 1, v_i lies at or below the bottom of
-those supports, where an orthant sum is constant up to the knot slope
-Delta(1) = 1 (enforced by the `LinkDescriptor` constructor), which h
-subtracts, so h is constant in s_i there.  Hence h(v) = h(clamp(v)) for
-every lattice point v, clamp taking each coordinate into [-M_i, M_i]: the
-laws validated on the box hold everywhere, a sweep of the box decides every
-question about h, and `HTable.H` reads any point off the box list.
+top corner block; so the face s_j = M_j, for every j outside a sublink, is
+that sublink's H over prod [-M_j, M_j], j in it.  At s_i <= -M_i + 1, v_i
+lies at or below the bottom of those supports, where an orthant sum is
+constant up to the knot slope Delta(1) = 1 (enforced by the
+`LinkDescriptor` constructor), which h subtracts, so h is constant in s_i
+there.  Hence h(v) = h(clamp(v)) for every lattice point v, clamp taking
+each coordinate into [-M_i, M_i]: the laws validated on the box hold
+everywhere, a sweep of the box decides every question about h, and
+`HTable.H` reads any point off the box list.
 M = max M_i, and the cube [-M, M]^n holds the box: it is the window of the
 h-table, and the box over which a failing table's problems are rendered.
 This holds by
@@ -50,8 +54,7 @@ the points of a flat list where it falls along every axis.  Each folded
 level set {|v| : h(v) >= k} is a down-set of [0, M]^n, fixed by its maximal
 points (`HTable.corners`, after `_fold`).  On the orthant h = H, so
 {h = 0} is up-closed there; it is fixed by its minimal points and its
-complement by its maximal points (`HTable.staircases`, after
-`_nonnegative`).
+complement by its maximal points (`HTable.staircases`, after `_slice`).
 
 The overall sign of a multi-component Alexander polynomial is not pinned down
 by symmetry alone.  It is read here in closed form, bottom-up over sublinks:
@@ -59,9 +62,10 @@ at the lexicographically largest exponent of a sublink's table, the step law
 along e_1 holds for at most one sign (`HTable._resolve_signs` has the rule
 and its proof).  The full link's list, built with those signs, is the memo of
 H on its box, and one whole-list check of it is the validation.  Only when it
-fails are the sublinks' lists built, to name a sublink that no sign makes
-valid, and messages are rendered only at the failing points, by
-`violations`, which only a failing table imports.
+fails are the sublinks' faces of it checked, to name a sublink that no sign
+makes valid; no second list is built but the cube's over which the problems
+are rendered, only at the failing points, by `violations`, which only a
+failing table imports.
 
 h(s) = H(s) - H_O(s), where H_O is the H-function of the unlink.
 """
@@ -134,15 +138,16 @@ def _fold(grid: list, radii: Sequence[int]) -> list:
     return grid
 
 
-def _nonnegative(grid: list, radii: Sequence[int]) -> list:
-    """The part at s >= 0 of a flat list over prod [-r_i, r_i], flat over
-    prod [0, r_i] in row-major order: one pass per axis keeps the slice
-    s_i >= 0 of every block of the points that share the coordinates before
-    i, the later axes still whole."""
-    for i, r in enumerate(radii):
+def _slice(grid: list, radii: Sequence[int], lows: Sequence[int]) -> list:
+    """The part at s >= lows of a flat list over prod [-r_i, r_i], flat over
+    prod [lows_i, r_i] in row-major order: one pass per axis keeps the slice
+    s_i >= lows_i of every block of the points that share the coordinates
+    before i, the later axes still whole."""
+    for i, (r, low) in enumerate(zip(radii, lows)):
         st = prod(2 * x + 1 for x in radii[i + 1:])
         grid = list(chain.from_iterable(
-            grid[j:j + (r + 1) * st] for j in range(r * st, len(grid), (2 * r + 1) * st)))
+            grid[j:j + (r - low + 1) * st]
+            for j in range((r + low) * st, len(grid), (2 * r + 1) * st)))
     return grid
 
 
@@ -187,7 +192,6 @@ class HTable:
                 f"formula presupposes it (pass force=True to compute anyway)")
         self.link = link
         self.n = link.n
-        self._full = tuple(range(self.n))
         self._corners: Optional[list] = None
         self._tables: dict = {}  # sublink -> its _chi_table, nonzero polynomials only
         self._radii: dict = {}   # sublink -> the largest |u_j| over its table, per axis
@@ -200,11 +204,11 @@ class HTable:
 
     # -- construction helpers ------------------------------------------------
 
-    def _h_grid(self, B, radii: Sequence[int]) -> list:
-        """H of the sublink B over the box prod [-r_j, r_j], with the signs
-        chosen so far: one flat list, in the order of `itertools.product`.
+    def _h_grid(self, radii: Sequence[int]) -> list:
+        """H of the full link over the box prod [-r_j, r_j], with the signs
+        chosen: one flat list, in the order of `itertools.product`.
 
-        H is the signed sum, over the sublinks C of B with a table, of the
+        H is the signed sum, over the sublinks C with a table, of the
         orthant sums at v = s + 1: the sum of C's coefficients at all u >= v,
         or for a knot the sum of its torsion coefficients (the sums of its
         coefficients at the degrees >= w) over the degrees w >= v, each
@@ -215,23 +219,22 @@ class HTable:
         into the last one as in `_fold`, sums every orthant at once, and
         reversing the list undoes the mirror.  Needs r_j > |u_j| for every
         exponent u: a coefficient off the box would wrap to another point, or
-        onto another table's, without any error."""
+        onto another table's, without any error.  A table builds it once,
+        over its box, where every sublink's H is a face of it; only a
+        `StabilizationError` builds a second, over the cube."""
         sides = [2 * r + 1 for r in radii]
         strides = _strides(sides)
         grid = [0] * prod(sides)
         for C, table in self._tables.items():
-            if not set(C) <= set(B):
-                continue
-            idx = [B.index(j) for j in C]
-            assert all(map(lt, self._radii[C], map(radii.__getitem__, idx))), (C, radii)
+            assert all(map(lt, self._radii[C], map(radii.__getitem__, C))), (C, radii)
             if len(C) == 1:  # torsion coefficients, summed down from the top degree
-                (top,), r, st = self._radii[C], radii[idx[0]], strides[idx[0]]
+                (top,), r, st = self._radii[C], radii[C[0]], strides[C[0]]
                 grid[(r + 1 - top) * st:(2 * r + 1) * st:st] = accumulate(
                     table.get((w,), 0) for w in range(top, -r, -1))
                 continue
             sign = self._signs[C] * (-1) ** (len(C) - 1)
-            steps = [strides[k] for k in idx]
-            top = sum((radii[k] + 1) * strides[k] for k in idx)  # where u = 0 sits, mirrored
+            steps = [strides[k] for k in C]
+            top = sum((radii[k] + 1) * strides[k] for k in C)  # where u = 0 sits, mirrored
             for u, c in table.items():
                 grid[top - sum(map(mul, u, steps))] = sign * c
         for side in sides:
@@ -268,13 +271,14 @@ class HTable:
         inclusion-exclusion, so this pins the sign of chi that the laws
         allow (Liu, "L-space surgeries on links"; Gorsky-Nemethi).
 
-        When the full link's laws fail, its H on the face s_j = M_j (j not in
-        B) is H_B, and on a box that wide the laws decide H_B everywhere (see
-        below).  So the first multi-component sublink, in `all_subsets`
-        order, whose H on prod [-M_j, M_j] (j in B) fails is one that no sign
-        makes valid, since every earlier one had its only valid sign, and
-        it raises `SignResolutionError`; if there is none, the data break
-        the laws elsewhere, and `StabilizationError` carries every problem.
+        When the full link's laws fail, its list's face s_j = M_j (j not in
+        B), sliced off by `_slice`, is H_B on prod [-M_j, M_j] (j in B), and
+        on a box that wide the laws decide H_B everywhere (see below).  So
+        the first multi-component sublink, in `all_subsets` order, whose face
+        fails is one that no sign makes valid, since every earlier one had
+        its only valid sign, and it raises `SignResolutionError`; if there is
+        none, the data break the laws elsewhere, and `StabilizationError`
+        carries every problem, over a second list: the cube's.
 
         Deciding the laws on a box prod [-r_j, r_j], r_j two more than the
         largest |u_j| over the tables containing axis j, decides them on
@@ -305,20 +309,20 @@ class HTable:
             radii[B] = [max(map(abs, axis)) for axis in zip(*c)]
         box = self._box = [2 + max(r[C.index(j)] for C, r in radii.items() if j in C)
                            for j in range(self.n)]
-        self._grid = self._h_grid(self._full, box)  # the full link's H over the box, flat
+        self._grid = self._h_grid(box)  # the full link's H over the box, flat
         if _laws_hold(self._grid, [2 * m + 1 for m in box]):
             return
-        for B in tables:  # the full link comes last, if it has a table: its list failed
-            sub = [box[j] for j in B]
-            if len(B) > 1 and (B == self._full or not _laws_hold(
-                    self._h_grid(B, sub), [2 * m + 1 for m in sub])):
+        for B in tables:  # B's H is the face s_j = M_j of the list, j not in B
+            if len(B) > 1 and not _laws_hold(
+                    _slice(self._grid, box, [-m if j in B else m for j, m in enumerate(box)]),
+                    [2 * box[j] + 1 for j in B]):
                 raise SignResolutionError(
                     f"{self.link.name}: neither sign of the polynomial for subset "
                     f"{tuple(i + 1 for i in B)} yields a valid H-function; "
                     f"not an L-space link with this data")
         from .violations import law_messages
         cube = [max(box)] * self.n
-        problems = law_messages(self._h_grid(self._full, cube), cube)
+        problems = law_messages(self._h_grid(cube), cube)
         raise StabilizationError(
             f"{self.link.name}: H-function fails validation on box "
             f"[-{cube[0]}, {cube[0]}]^{self.n}: " + "; ".join(problems[:5]),
@@ -421,7 +425,7 @@ class HTable:
         """The minimal points of {w >= 0 : h(w) = 0} and the maximal points w
         of its complement, those with h(w + e_i) = 0 for every i, each sorted,
         by whole-list operations on the box list.  On prod [0, M_i] h = H
-        (`_nonnegative`); `_drops` on the list of h > 0 marks the points where
+        (`_slice` at lows 0); `_drops` on the list of h > 0 marks the points where
         it falls along every axis, and on the list of h = 0 with every axis
         reversed (the list reversed) the points where it falls along every
         axis downward, which are the minimal points.  h is constant in w_i
@@ -429,7 +433,7 @@ class HTable:
         point has w_i >= M_i - 1: the shell points w_i = M_i, which `_drops`
         does not compare along axis i, are dropped."""
         sides = [m + 1 for m in self._box]
-        positive = [x > 0 for x in _nonnegative(self._grid, self._box)]
+        positive = [x > 0 for x in _slice(self._grid, self._box, [0] * self.n)]
         minimal = reversed(_drops([not x for x in reversed(positive)], sides))
         maximal = compress(product(*map(range, sides)), _drops(positive, sides))
         return (tuple(compress(product(*map(range, sides)), minimal)),

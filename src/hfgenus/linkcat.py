@@ -7,8 +7,8 @@ its constructor checks each polynomial's symmetry term by term, and imports
 `symmetry` only to describe a polynomial that fails.  The paper covers only
 links with vanishing pairwise linking numbers, so a descriptor stores no
 linking matrix.  Sublinks and disjoint unions are `linkops`, which only the
-unlink, union files and projection checks need, so a catalog job of another
-link never compiles them.
+unlink and union files need, so a catalog job of another link never compiles
+them.
 
 Component subsets are 0-based index tuples in the Python API; the JSON schema
 uses 1-based comma-joined keys like "1,2".  The JSON format itself is

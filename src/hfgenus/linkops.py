@@ -3,8 +3,10 @@
 A disjoint union is an ordinary descriptor: each part's polynomials sit at
 its component offset, and every subset mixing parts has zero polynomial,
 which makes the H-function additive over the parts.  Only the unlink of the
-catalog, union files, projection checks and library callers use these, so a
-catalog job of another link never imports this module.
+catalog, union files and library callers use these, so a catalog job of
+another link never imports this module.  No table needs a sublink's
+descriptor: a sublink's H is a face of the link's own H list (see
+`hfunction`), which is how `region.projection_check` reads it.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Shared test code: the H-function oracle, the per-point references, the
-named inputs and the fixtures.  Every test module imports from here, and none
-imports another.
+named inputs, the fixtures and the loaders of the benchmark's and the tools'
+scripts.  Every test module imports from here, and none imports another.
 
 The oracles read a descriptor's Alexander polynomials and nothing else: none
 of them builds or reads an `HTable`, and this module imports nothing from
@@ -30,18 +30,28 @@ from hfgenus.errors import SignResolutionError
 from hfgenus.laurent import LaurentPoly
 from hfgenus.linkcat import Component, LinkDescriptor, all_subsets, catalog
 from hfgenus.linkjson import descriptor_from_dict
-from hfgenus.linkops import disjoint_union
+from hfgenus.linkops import disjoint_union, sublink
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
-def perfbench(name):
-    """perfbench/<name>.py, loaded as a module: the benchmark is not a package."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+def perfbench(name):
+    """perfbench/<name>.py, loaded as a module: the benchmark is not a package."""
+    return _load(PERFBENCH / f"{name}.py", f"perfbench_{name}")
+
+
+def tool(name):
+    """tools/<name>.py, loaded as a module: the tools are scripts."""
+    return _load(ROOT / "tools" / f"{name}.py", name)
 
 
 WORKLOADS = perfbench("workloads")  # the benchmark's generated inputs
@@ -177,6 +187,10 @@ RESOLUTION = SLOW_RESOLUTION + _group({
     "two_bridge:3 cabled by (3,7),(2,5)": lambda: cable_alexander(
         catalog("two_bridge", 3), CableSpec(((3, 7), (2, 5)))),
     "borromean polynomial over two whitehead pairs": linked_pairs_borromean,
+    # the union's own list fails, and only the face of the pair (1, 2) does
+    f"two_bridge:10, corrupted at {WORKLOADS.CORRUPT_AT[0]}, + unknot": lambda: disjoint_union(
+        descriptor_from_dict(WORKLOADS.corrupted_two_bridge(10, WORKLOADS.CORRUPT_AT[0])),
+        catalog("unknot")),
 })
 # The parts that unions are drawn from.
 PARTS = ("mirror_L7a3", "trefoil_rh", "two_bridge", "unknot", "whitehead")
@@ -351,20 +365,25 @@ def reference_corners(h, radii):
 
 
 def oracle_admissible_region(h, radii):
-    """The grown-box algorithm: every positive point within M + cap, M the
-    largest radius, and a sum-ordered sweep of the capped genus box with
-    domination pruning.  Returns (generators, admissibility predicate, cap)."""
+    """The grown-box algorithm: every positive point of the per-axis box
+    prod [-r_i, r_i], and a sum-ordered sweep of the capped genus box, cap =
+    2 max h + M with M the largest radius, with domination pruning.  h(v) =
+    h(clamp(v)), and f_cap(g_i, v_i) is 0 once |v_i| > g_i, so the point of
+    each clamp class that binds hardest lies beyond every capped g_i on the
+    clamped axes: a shell coordinate |v_i| = r_i is read as lying there, with
+    f-term 0.  Returns (generators, admissibility predicate, cap)."""
     M, n = max(radii), len(radii)
-    cap = 2 * max(map(h, cube(M, n))) + M
-    # f_cap reads |v_i| only: keep the largest h per vector of absolute values
+    cap = 2 * max(map(h, box(radii))) + M
+    # f_cap reads |v_i| only: keep the largest h per vector of absolute
+    # values, None for a shell coordinate
     worst: dict = {}
-    for v in cube(M + cap, n):
+    for v in box(radii):
         if (hv := h(v)) > 0:
-            key = tuple(map(abs, v))
+            key = tuple(None if abs(x) == r else abs(x) for x, r in zip(v, radii))
             worst[key] = max(worst.get(key, 0), hv)
 
     def admissible(g):
-        return all(hv <= sum(f_cap(gi, vi) for gi, vi in zip(g, v))
+        return all(hv <= sum(f_cap(gi, vi) for gi, vi in zip(g, v) if vi is not None)
                    for v, hv in worst.items())
 
     gens = []
@@ -372,6 +391,26 @@ def oracle_admissible_region(h, radii):
         if not any(all(map(ge, g, q)) for q in gens) and admissible(g):
             gens.append(g)
     return tuple(sorted(gens)), admissible, cap
+
+
+def reference_projection_check(d, r):
+    """`projection_check` by its definition: each generator of the region r,
+    with coordinate i dropped, against the generators of the region of the
+    sublink with component i deleted, from `brute_h` of that sublink's own
+    descriptor."""
+    problems = []
+    if d.n == 1:
+        return problems  # deleting the only component leaves the empty link
+    for i in range(d.n):
+        rest = tuple(j for j in range(d.n) if j != i)
+        sub = sublink(d, rest)
+        gens = reference_region(brute_h(sub), axis_radii(sub))
+        for g in r.generators:
+            proj = tuple(g[j] for j in rest)
+            if not any(all(map(ge, proj, q)) for q in gens):
+                problems.append(f"generator {g} projects outside the region of the sublink "
+                                f"with component {i + 1} deleted")
+    return problems
 
 
 def reference_bound_weighted(h, genera):

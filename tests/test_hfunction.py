@@ -16,7 +16,7 @@ from hfgenus.hfunction import HTable, _chi_table
 from hfgenus.laurent import LaurentPoly
 from hfgenus.linkcat import Component, LinkDescriptor, _key_str, all_subsets, catalog
 from hfgenus.linkops import disjoint_union, sublink
-from hfgenus.region import maximal_lattice_points, region_from_h
+from hfgenus.region import maximal_lattice_points, projection_check, region_from_h
 from oracles import (ATOMIC, INVALID, ORACLE, PARTS, REPORT, RESOLUTION, SLOW_RESOLUTION, P,
                      axis_radii, bad_knot, box, brute_H, brute_h, cube, flipped_whitehead,
                      formula_H, link, linked_pairs_borromean, reference_law_problems,
@@ -575,7 +575,8 @@ def test_sign_resolution_messages():
 @pytest.mark.parametrize("name", sorted(REPORT))
 def test_a_swept_full_link_is_not_swept_again(name, monkeypatch):
     # a valid table makes one law check, of the full link's list, which it
-    # keeps; a failing one then checks each multi-component sublink's list
+    # keeps; a failing one then checks each multi-component sublink's face
+    # of that list
     d = link(name)
     calls = []
     real = hfunction._laws_hold
@@ -613,20 +614,54 @@ def test_sign_resolution_of_a_union():
 
 @pytest.mark.parametrize("name", ORACLE)
 def test_grid_matches_lookups(name):
-    # each sublink's list, over the least box its tables fit in and boxes up
-    # to two wider in all, is the brute-force H of the sublink's descriptor,
-    # and a box one narrower on any axis is refused
+    # the link's list, over the least box its tables fit in and boxes up to
+    # two wider in all, is the brute-force H, and a box one narrower on any
+    # axis is refused; on the table's box, the face s_j = M_j (j off B) of
+    # the list is the brute-force H of the sublink B's own descriptor
     d = link(name)
     t = HTable(d)
+    least = [m - 1 for m in axis_radii(d)]
+    for extra in (x for x in product(range(3), repeat=d.n) if sum(x) <= 2):
+        radii = list(map(add, least, extra))
+        assert t._h_grid(radii) == [brute_H(d, s) for s in box(radii)], radii
+    for j in range(d.n):
+        with pytest.raises(AssertionError):
+            t._h_grid(least[:j] + [least[j] - 1] + least[j + 1:])
     for B in all_subsets(d.n):
+        lows = [-m if j in B else m for j, m in enumerate(t._box)]
+        face = hfunction._slice(t._grid, t._box, lows)
         sub = sublink(d, B)
-        least = [m - 1 for m in axis_radii(sub)]
-        for extra in (x for x in product(range(3), repeat=len(B)) if sum(x) <= 2):
-            radii = list(map(add, least, extra))
-            assert t._h_grid(B, radii) == [brute_H(sub, s) for s in box(radii)], (B, radii)
-        for j in range(len(B)):
-            with pytest.raises(AssertionError):
-                t._h_grid(B, least[:j] + [least[j] - 1] + least[j + 1:])
+        assert face == [brute_H(sub, s) for s in box([t._box[j] for j in B])], B
+
+
+@pytest.mark.parametrize("name", sorted(REPORT + RESOLUTION))
+def test_one_list_per_link(name, monkeypatch):
+    # a table builds one H list, over its box, and reads every sublink's H
+    # off it: a valid table and a SignResolutionError build no other, a
+    # StabilizationError one more, over the cube it renders its problems on;
+    # and a projection check reads every sublink off one table of the link
+    d = link(name)
+    grids, tables = [], []
+    real_grid, real_init = HTable._h_grid, HTable.__init__
+    monkeypatch.setattr(HTable, "_h_grid",
+                        lambda t, radii: grids.append(radii) or real_grid(t, radii))
+    monkeypatch.setattr(HTable, "__init__",
+                        lambda t, *a, **k: tables.append(a) or real_init(t, *a, **k))
+    try:
+        t = HTable(d, force=True)
+    except SignResolutionError:
+        assert grids == [axis_radii(d)]
+        return
+    except StabilizationError:
+        assert name in INVALID
+        assert grids == [axis_radii(d), [max(axis_radii(d))] * d.n]
+        return
+    assert grids == [t._box]
+    if d.lspace_asserted:
+        grids.clear()
+        tables.clear()
+        assert projection_check(d, region_from_h(t)) == []
+        assert len(tables) == len(grids) == (d.n > 1)
 
 
 @pytest.mark.parametrize("name", ORACLE)

@@ -1,12 +1,14 @@
 """Genus regions: generators, maximal points, products, projections,
 and the reconstruction of the region from maximal points plus sublink data."""
 
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hfgenus.cable import CableSpec, region_via_T
 from hfgenus.errors import StabilizationError
 from hfgenus.hfunction import HTable
 from hfgenus.linkcat import catalog
@@ -15,7 +17,8 @@ from hfgenus.region import (UpwardClosedRegion, dominates,
                             maximal_lattice_points, minimalize,
                             projection_check, region_from_h, region_product)
 from oracles import (ADMISSIBLE, ORACLE, STAIRCASE, axis_radii, bad_knot, count_reads, link,
-                     oracle_h, reference_maximal_points, reference_region)
+                     oracle_h, reference_maximal_points, reference_projection_check,
+                     reference_region)
 
 
 def region_of(key, *params):
@@ -132,6 +135,23 @@ def test_projection_check_detects_violation():
     d = catalog("mirror_L7a3")
     bogus = UpwardClosedRegion(2, ((0, 0),))
     assert projection_check(d, bogus)  # (0,) is not in the trefoil's region
+
+
+@pytest.mark.parametrize("name", sorted(n for n in ORACLE + ADMISSIBLE if link(n).n > 1))
+def test_projection_check_matches_the_oracle(name):
+    # the read off the link's own table against each component-deleted
+    # sublink's region from that sublink's descriptor: on the link's region,
+    # its image under a cable transform and generator sets drawn at random
+    d = link(name)
+    r = region_from_h(HTable(d))
+    rng = random.Random(26)
+    top = max(axis_radii(d)) + 1
+    regions = [r, region_via_T(r, CableSpec(((2, 3),) * d.n))] + [
+        UpwardClosedRegion(d.n, [tuple(rng.randrange(top) for _ in range(d.n))
+                                 for _ in range(rng.randrange(1, 5))])
+        for _ in range(30)]
+    for g in regions:
+        assert projection_check(d, g) == reference_projection_check(d, g), g.generators
 
 
 def test_region_reconstruction_from_maximal_points():

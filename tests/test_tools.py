@@ -1,22 +1,12 @@
 """The tools under tools/ do what their docstrings say."""
 
 import ast
-import importlib.util
 import json
-from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+from oracles import tool
 
-
-def load(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-code_lines = load("code_lines")
-bench_pairs = load("bench_pairs")
+code_lines = tool("code_lines")
+bench_pairs = tool("bench_pairs")
 
 SOURCE = '''"""Module docstring,
 two lines."""

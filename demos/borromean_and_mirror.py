@@ -32,7 +32,7 @@ tm = HTable(mir)
 print(ascii_h_grid(tm, 3))
 region = region_from_h(tm)
 print("region generators:", region.generators)
-print("projections land in sublink regions:", projection_check(mir, region) == [])
+print("projections land in sublink regions:", projection_check(tm, region) == [])
 print("the trefoil sublink's region:",
       region_from_h(HTable(sublink(mir, (1,)))).generators)
 print("genus pairs meeting the inequality:", admissible_region(tm).generators)

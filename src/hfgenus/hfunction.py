@@ -8,10 +8,12 @@ coefficients of the half-shifted Alexander polynomial (multi-component
 sublinks) or of the torsion-coefficient series Delta(t)/(1-t^{-1}) (knot
 sublinks).
 
-`HTable` is the only entry point to H, h, chi and their validation, and
+`HTable` is the only entry point to H and h and their validation, and
 tables share no state.  `_chi_table` alone turns a sublink's polynomial into
-Euler characteristics, from which chi is read; the input's exponent parity
-holds already, since a `LinkDescriptor` is valid once built.  The link's H
+Euler characteristics, which only construction reads; the input's exponent
+parity holds already, since a `LinkDescriptor` is valid once built.  A
+sublink's chi is its coefficient times its sign in `sign_resolution`, and
+H gives it back by inclusion-exclusion over a unit cube.  The link's H
 over a box prod [-r_j, r_j] is one flat row-major list, in the point order of
 `itertools.product`, built by `HTable._h_grid` from one placement: every
 signed coefficient of every sublink's table is set once in the list, and one
@@ -72,7 +74,7 @@ h(s) = H(s) - H_O(s), where H_O is the H-function of the unlink.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, combinations, compress, product, repeat
+from itertools import accumulate, chain, compress, product, repeat
 from math import prod
 from operator import add, and_, ge, lt, mul, sub
 from typing import Optional, Sequence
@@ -89,7 +91,8 @@ def _chi_table(delta: LaurentPoly) -> dict:
     characteristics.  Either way the exponents land on the integer lattice:
     the `LinkDescriptor` constructor rejects a knot exponent that is not an
     integer and a link exponent that is not half-odd (the zero-linking
-    parity), so the halving below is exact."""
+    parity), so the halving below is exact.  Only construction reads the
+    result: the sign rule and `_h_grid`."""
     shift = 0 if delta.nvars == 1 else 1
     return {tuple((e + shift) // 2 for e in exp): c for exp, c in delta.terms.items()}
 
@@ -171,18 +174,18 @@ def _drops(top: list, sides: Sequence[int]) -> list:
 class HTable:
     """H-function of a link descriptor over a lattice box prod [-M_i, M_i].
 
-    Construction keeps the Euler characteristics of every sublink with
-    nonzero polynomial and reads the sign of every sublink polynomial in
-    closed form.  The full link's H is one flat list over prod [-M_i, M_i]
-    (`_h_grid`), the memo, read by index, at clamp(s) outside the box, and
-    chi reads the stored coefficients.  M_i is two more than the largest
-    |u_i| over the tables of the sublinks containing component i, M is the
-    largest M_i, and neither ever changes.  Construction validates once, by
-    one whole-list check of that list.  Data for which no sign makes a
-    sublink valid raise `SignResolutionError`; other data breaking the laws
-    raise `StabilizationError`, carrying every problem over the cube
-    [-M, M]^n and the subsets whose sign was flipped, so a table that exists
-    is valid.
+    Construction reads the Euler characteristics of every sublink with
+    nonzero polynomial and the sign of every sublink polynomial in closed
+    form.  The full link's H is one flat list over prod [-M_i, M_i]
+    (`_h_grid`), the memo, read by index, at clamp(s) outside the box; H
+    and h are the only values read after construction.  M_i is two more
+    than the largest |u_i| over the tables of the sublinks containing
+    component i, M is the largest M_i, and neither ever changes.
+    Construction validates once, by one whole-list check of that list.
+    Data for which no sign makes a sublink valid raise
+    `SignResolutionError`; other data breaking the laws raise
+    `StabilizationError`, carrying every problem over the cube [-M, M]^n and
+    the subsets whose sign was flipped, so a table that exists is valid.
     """
 
     def __init__(self, link: LinkDescriptor, force: bool = False):
@@ -350,43 +353,6 @@ class HTable:
     def h(self, s: Sequence[int]) -> int:
         s = tuple(s)
         return self.H(s) - _unlink_H(s)
-
-    def chi(self, B, u) -> int:
-        """chi(HFL^-(L_B, u)) with the resolved sign; u[j] belongs to component
-        B[j].  It is the coefficient at u of the sublink's table, for a knot
-        the sum of the table's coefficients at degrees >= u, and 0 for a split
-        sublink."""
-        B = tuple(B)
-        if not B or len(set(B)) != len(B) or not all(0 <= b < self.n for b in B):
-            raise ValueError(f"sublink {B} is not a nonempty set of distinct "
-                             f"components in range({self.n})")
-        u = (u,) if isinstance(u, int) else tuple(u)
-        if len(u) != len(B):
-            raise ValueError(f"point {u} has wrong dimension, expected {len(B)}")
-        pairs = sorted(zip(B, u))
-        B = tuple(b for b, _ in pairs)
-        u = tuple(x for _, x in pairs)
-        table = self._tables.get(B)
-        if table is None:
-            return 0
-        if len(B) == 1:
-            return sum(c for (w,), c in table.items() if w >= u[0])
-        return self._signs[B] * table.get(u, 0)
-
-    def chi_from_H(self, s: Sequence[int]) -> int:
-        """Inclusion-exclusion of H over the unit cube below s.
-
-        Reproduces chi(HFL^-) of the whole link at s; the roundtrip against the
-        polynomial coefficients is a standing consistency check.
-        """
-        s = tuple(s)
-        total = 0
-        for size in range(self.n + 1):
-            sign = -1 if size % 2 == 0 else 1
-            for idx in combinations(range(self.n), size):
-                p = tuple(x - 1 if i in idx else x for i, x in enumerate(s))
-                total += sign * self.H(p)
-        return total
 
     # -- the box and the signs ---------------------------------------------------
 

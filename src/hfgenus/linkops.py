@@ -14,14 +14,12 @@ from __future__ import annotations
 from typing import Iterable
 
 from .laurent import LaurentPoly
-from .linkcat import LinkDescriptor, all_subsets, subset_key
+from .linkcat import LinkDescriptor, _key_in_range, all_subsets
 
 
 def sublink(d: LinkDescriptor, B: Iterable[int]) -> LinkDescriptor:
     """Descriptor of the sublink with the given (0-based) component indices."""
-    key = subset_key(B)
-    if key[0] < 0 or key[-1] >= d.n:
-        raise ValueError(f"subset {key} out of range")
+    key = _key_in_range(B, d.n)
     if key == tuple(range(d.n)):
         return d
     comps = tuple(d.components[i] for i in key)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .hfunction import HTable
-from .linkcat import LinkDescriptor, Record
+from .linkcat import Record
 
 
 def dominates(x: Sequence[int], y: Sequence[int]) -> bool:
@@ -80,7 +80,8 @@ def maximal_lattice_points(table: HTable) -> tuple:
     read off the box list with the generators (`HTable.staircases`).
 
     Every maximal point has H(z) = 1, so chi at z + 1 is (-1)^(n-1)
-    (`HTable.chi_from_H`; a standing test checks it).  Each corner
+    (`test_maximal_points_have_H_one` checks it against the polynomial
+    coefficients).  Each corner
     z + 1 - e_S of the unit cube other than z dominates some z + e_i, so it
     lies in the up-closed region and H = 0 there; the inclusion-exclusion
     sum is then (-1)^(n-1) H(z).  H(z) > 0 as z is outside the region, and
@@ -98,20 +99,19 @@ def region_product(r1: UpwardClosedRegion, r2: UpwardClosedRegion) -> UpwardClos
         tuple(g1 + g2 for g1 in r1.generators for g2 in r2.generators))
 
 
-def projection_check(d: LinkDescriptor, r: UpwardClosedRegion) -> list:
+def projection_check(t: HTable, r: UpwardClosedRegion) -> list:
     """Every generator, with any one coordinate dropped, must lie in the region
     of the corresponding component-deleted sublink.  Returns violations.
 
     The sublink without component i has the H of the face s_i = M_i of the
-    link's own table (see `hfunction`), and H_O adds nothing there, so a
+    link's table t (see `hfunction`), and H_O adds nothing there, so a
     projection lies in its region, {h = 0} on the orthant, exactly when h
     vanishes at the generator with g_i replaced by M.  One table answers
     every sublink."""
-    if d.n != r.n:
+    if t.n != r.n:
         raise ValueError("region dimension does not match the link")
-    if d.n == 1:
+    if t.n == 1:
         return []  # deleting the only component leaves the empty link
-    t = HTable(d)
     return [f"generator {g} projects outside the region of the sublink "
             f"with component {i + 1} deleted"
-            for i in range(d.n) for g in r.generators if t.h(g[:i] + (t.M,) + g[i + 1:])]
+            for i in range(t.n) for g in r.generators if t.h(g[:i] + (t.M,) + g[i + 1:])]

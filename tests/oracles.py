@@ -10,7 +10,9 @@ its oracle by reading itself.  H comes from `brute_H`, the alternating sum
 over sublinks of orthant sums, term by term; h of `two_bridge:k` with
 k >= 12, where that sum is slow, from the closed form `two_bridge_h`.  The
 per-point references take such an h (or the descriptor) and the per-axis
-radii of the box, and carry their own `f_cap` and `minimalize`.
+radii of the box, and carry their own `f_cap` and `minimalize`.  chi comes
+from `oracle_chi`, a signed coefficient of the stored polynomial, and the
+tests compare it with the `inclusion_exclusion` of a table's H.
 
 The one exception is `TABLE_READ_EXCEPTION`: a brute sweep of the borromean
 (3,16)^3 cable's 68,921 box points takes about 16 s, so the test of the
@@ -316,6 +318,46 @@ def oracle_h(name):
     if k and int(k[1]) >= 12:
         return two_bridge_h(int(k[1]))
     return brute_h(link(name))
+
+
+# -- chi from the polynomials ---------------------------------------------------------
+
+
+_SIGNS = {}  # id of a descriptor -> (the descriptor, its reference_sign_resolution)
+
+
+def oracle_chi(d, B, u):
+    """chi(HFL^-) of the sublink B (0-based, increasing) of d at u, read off
+    the stored polynomial: for a link the coefficient at the half-shifted
+    exponent u - 1/2, times B's sign from `reference_sign_resolution`,
+    memoised per descriptor as `brute_h` is; for a knot the sum of the
+    coefficients at the degrees >= u, its torsion coefficient at u."""
+    terms = d.delta(B).terms  # at doubled exponents
+    if len(B) == 1:
+        return sum(c for (e,), c in terms.items() if e >= 2 * u[0])
+    if id(d) not in _SIGNS:
+        _SIGNS[id(d)] = d, reference_sign_resolution(d)  # keeps d alive, as _MEMOS does
+    return _SIGNS[id(d)][1][B] * terms.get(tuple(2 * x - 1 for x in u), 0)
+
+
+def inclusion_exclusion(H, s):
+    """The sum over the sets S of axes of (-1)^(|S| + 1) H(s - e_S), for a
+    function H of points: applied to an H-function, chi at s (each orthant
+    sum at v = s + 1 differenced once along every axis)."""
+    return sum((-1) ** (sum(S) + 1) * H(tuple(x - y for x, y in zip(s, S)))
+               for S in product((0, 1), repeat=len(s)))
+
+
+def face(H, n, B, top):
+    """The function of the coordinates of the sublink B that reads an
+    n-component H at s_j = top for every j off B: B's own H-function when
+    top >= M_j - 1 for each such j (see the `hfunction` docstring)."""
+    def H_B(x):
+        at = [top] * n
+        for j, y in zip(B, x):
+            at[j] = y
+        return H(tuple(at))
+    return H_B
 
 
 # -- per-point references ---------------------------------------------------------------

@@ -18,8 +18,9 @@ from hfgenus.linkcat import Component, LinkDescriptor, _key_str, all_subsets, ca
 from hfgenus.linkops import disjoint_union, sublink
 from hfgenus.region import maximal_lattice_points, projection_check, region_from_h
 from oracles import (ATOMIC, INVALID, ORACLE, PARTS, REPORT, RESOLUTION, SLOW_RESOLUTION, P,
-                     axis_radii, bad_knot, box, brute_H, brute_h, cube, flipped_whitehead,
-                     formula_H, link, linked_pairs_borromean, reference_law_problems,
+                     axis_radii, bad_knot, box, brute_H, brute_h, cube, face,
+                     flipped_whitehead, formula_H, inclusion_exclusion, link,
+                     linked_pairs_borromean, oracle_chi, reference_law_problems,
                      reference_report, reference_sign_resolution, reference_sweep,
                      two_bridge_h, unlink_H)
 
@@ -57,12 +58,15 @@ def test_h_is_symmetric(name):
 
 @pytest.mark.parametrize("name", ORACLE)
 def test_orthant_tables_match_support_scan(name):
+    # chi of every sublink, by inclusion-exclusion of the table's H on the
+    # sublink's face, is its coefficient signed as the table resolved it
     d = link(name)
     t = HTable(d)
     for B in all_subsets(d.n):
-        delta = d.delta(B)
+        delta, H_B = d.delta(B), face(t.H, d.n, B, t.M)
         if delta.is_zero():
-            assert all(t.chi(B, u) == 0 for u in product(range(-2, 3), repeat=len(B)))
+            assert all(inclusion_exclusion(H_B, u) == 0 == oracle_chi(d, B, u)
+                       for u in product(range(-2, 3), repeat=len(B)))
             continue
         if len(B) == 1:
             coeffs = {(e // 2,): c for (e,), c in delta.terms.items()}
@@ -78,7 +82,7 @@ def test_orthant_tables_match_support_scan(name):
             sides.append(list(range(lo - 3, hi + 4)) + [lo - 40, hi + 40])
         sign = t.sign_resolution[tuple(i + 1 for i in B)]
         for v in product(*sides):
-            assert t.chi(B, v) == sign * coeff(v), (B, v)
+            assert inclusion_exclusion(H_B, v) == oracle_chi(d, B, v) == sign * coeff(v), (B, v)
 
 
 @pytest.mark.parametrize("name", ORACLE)
@@ -154,8 +158,9 @@ def test_h_stabilizes_at_the_box_boundary(name, monkeypatch):
 
 def test_chi_whitehead():
     t = HTable(catalog("whitehead"))
-    assert [t.chi((0, 1), u) for u in ((1, 1), (1, 0), (0, 1), (0, 0))] == [-1, 1, 1, -1]
-    assert all(t.chi((0, 1), u) == 0 for u in product(range(-3, 4), repeat=2)
+    chi = lambda u: inclusion_exclusion(t.H, u)
+    assert [chi(u) for u in ((1, 1), (1, 0), (0, 1), (0, 0))] == [-1, 1, 1, -1]
+    assert all(chi(u) == 0 for u in product(range(-3, 4), repeat=2)
                if not all(x in (0, 1) for x in u))
 
 
@@ -166,7 +171,7 @@ def test_chi_borromean():
     t3m1 = P(3, (1, (0, 0, 1)), (-1, (0, 0, 0)))
     expected = t1m1 * t2m1 * t3m1
     for u in product(range(-2, 3), repeat=3):
-        assert t.chi((0, 1, 2), u) == expected.coeff(u), u
+        assert inclusion_exclusion(t.H, u) == expected.coeff(u), u
 
 
 def test_chi_rejects_bad_parity():
@@ -182,37 +187,11 @@ def test_chi_rejects_bad_parity():
                                "(zero linking parity)")
 
 
-def test_chi_rejects_wrong_dimension():
-    t = HTable(catalog("whitehead"))
-    for u in ((1, 1, 7), (1,), 1):
-        with pytest.raises(ValueError, match="wrong dimension"):
-            t.chi((0, 1), u)
-    with pytest.raises(ValueError, match="wrong dimension"):
-        t.chi((0,), (0, 0))
-
-
-def test_chi_rejects_a_malformed_sublink():
-    t = HTable(catalog("whitehead"))
-    for B, u in (((0, 0), (1, 1)), ((5,), (0,)), ((-1,), (0,)), ((), ())):
-        with pytest.raises(ValueError, match="sublink"):
-            t.chi(B, u)
-
-
-def test_chi_reads_u_in_the_order_of_B():
-    t = HTable(catalog("mirror_L7a3"))  # not symmetric under swapping components
-    pts = [u for u in product(range(-3, 4), repeat=2) if t.chi((0, 1), u) != 0]
-    assert any(t.chi((0, 1), u) != t.chi((0, 1), u[::-1]) for u in pts)
-    for u in product(range(-3, 4), repeat=2):
-        assert t.chi((1, 0), u[::-1]) == t.chi((0, 1), u), u
-    bor = HTable(catalog("borromean"))
-    for u in product(range(-2, 3), repeat=3):
-        assert bor.chi((2, 0, 1), (u[2], u[0], u[1])) == bor.chi((0, 1, 2), u), u
-
-
 def test_chi_examples():
     tref = HTable(catalog("trefoil_rh"))
-    assert [tref.chi((0,), u) for u in (1, 0, -1)] == [1, 0, 1]
-    assert HTable(catalog("borromean")).chi((0, 1), (0, 0)) == 0
+    assert [inclusion_exclusion(tref.H, (u,)) for u in (1, 0, -1)] == [1, 0, 1]
+    bor = HTable(catalog("borromean"))
+    assert inclusion_exclusion(face(bor.H, 3, (0, 1), bor.M), (0, 0)) == 0
 
 
 def test_whitehead_frozen_values():
@@ -264,13 +243,14 @@ def test_h_examples():
 
 
 def test_chi_from_H_roundtrip():
+    # inclusion-exclusion of the table's H gives back the polynomial's chi
     for key in ATOMIC:
         d = link(key)
         t = HTable(d)
         full = tuple(range(d.n))
         for s in product(range(-t.M + 1, t.M), repeat=d.n):
-            assert t.chi_from_H(s) == t.chi(full, s), (key, s)
-    assert HTable(catalog("whitehead")).chi_from_H((1, 1)) == -1
+            assert inclusion_exclusion(t.H, s) == oracle_chi(d, full, s), (key, s)
+    assert inclusion_exclusion(HTable(catalog("whitehead")).H, (1, 1)) == -1
 
 
 @settings(max_examples=60, deadline=None)
@@ -280,23 +260,26 @@ def test_chi_from_H_roundtrip_inside_and_outside_the_box(name, data):
     t = HTable(d)
     reach = t.M + 5
     s = data.draw(st.tuples(*[st.integers(-reach, reach)] * d.n), label="s")
-    assert t.chi_from_H(s) == t.chi(tuple(range(d.n)), s)
+    assert inclusion_exclusion(t.H, s) == oracle_chi(d, tuple(range(d.n)), s)
 
 
 def test_chi_from_H_vanishes_on_split_links():
-    t = HTable(catalog("unlink", 2))
+    d = catalog("unlink", 2)
+    t = HTable(d)
     for s in product(range(-2, 3), repeat=2):
-        assert t.chi_from_H(s) == 0
-    tm = HTable(disjoint_union(catalog("trefoil_rh"), catalog("unknot")))
+        assert inclusion_exclusion(t.H, s) == 0 == oracle_chi(d, (0, 1), s)
+    dm = disjoint_union(catalog("trefoil_rh"), catalog("unknot"))
+    tm = HTable(dm)
     for s in product(range(-3, 4), repeat=2):
-        assert tm.chi_from_H(s) == 0
+        assert inclusion_exclusion(tm.H, s) == 0 == oracle_chi(dm, (0, 1), s)
 
 
 def test_trefoil_chi_from_H():
-    t = HTable(catalog("trefoil_rh"))
-    assert t.chi_from_H((0,)) == t.H((-1,)) - t.H((0,)) == 0
+    d = catalog("trefoil_rh")
+    t = HTable(d)
+    assert inclusion_exclusion(t.H, (0,)) == t.H((-1,)) - t.H((0,)) == 0
     for s in range(-3, 4):
-        assert t.chi_from_H((s,)) == t.chi((0,), s)
+        assert inclusion_exclusion(t.H, (s,)) == oracle_chi(d, (0,), (s,))
 
 
 def test_forgetful_limit_matches_sublink():
@@ -639,7 +622,8 @@ def test_one_list_per_link(name, monkeypatch):
     # a table builds one H list, over its box, and reads every sublink's H
     # off it: a valid table and a SignResolutionError build no other, a
     # StabilizationError one more, over the cube it renders its problems on;
-    # and a projection check reads every sublink off one table of the link
+    # and a projection check reads every sublink off the caller's table,
+    # building no table and no list
     d = link(name)
     grids, tables = [], []
     real_grid, real_init = HTable._h_grid, HTable.__init__
@@ -660,8 +644,8 @@ def test_one_list_per_link(name, monkeypatch):
     if d.lspace_asserted:
         grids.clear()
         tables.clear()
-        assert projection_check(d, region_from_h(t)) == []
-        assert len(tables) == len(grids) == (d.n > 1)
+        assert projection_check(t, region_from_h(t)) == []
+        assert tables == grids == []
 
 
 @pytest.mark.parametrize("name", ORACLE)
@@ -681,7 +665,7 @@ def test_two_bridge_closed_form_is_the_formula():
 
 def test_box_reads_make_no_orthant_lookups(monkeypatch):
     # after construction every H, inside the box or out, reads the full
-    # link's list, and chi reads the stored coefficients
+    # link's list
     tables = {name: HTable(link(name), force=True) for name in REPORT if name not in INVALID}
     calls = []
     monkeypatch.setattr(HTable, "_h_grid", lambda *a: calls.append(a))
@@ -689,8 +673,6 @@ def test_box_reads_make_no_orthant_lookups(monkeypatch):
         far = t.M + 5
         for s in product((-far, 0, far), repeat=t.n):
             t.H(s)
-        for B in t._tables:
-            t.chi(B, (0,) * len(B))
         t.corners()
         region_from_h(t)
         maximal_lattice_points(t)

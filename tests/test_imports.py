@@ -58,16 +58,18 @@ def compiled_nodes(modules: set) -> int:
 # 8938, 10673, 10455 and 11561; with HTable.iter_box, 7826, 8876, 7826,
 # 8962, 8889, 10324, 10106 and 11216; with sublink lists in the failure path
 # of the sign resolution and sublink tables in projection_check, 7796, 8846,
-# 7796, 8932, 8859, 10294, 10076 and 11186.
+# 7796, 8932, 8859, 10294, 10076 and 11186; with HTable.chi, HTable.chi_from_H
+# and a descriptor's table in projection_check, 7778, 8828, 7778, 8914, 8841,
+# 10276, 10058 and 11125.
 COMPILE_CEILINGS = [
-    (("region", "--catalog", "two_bridge:20", "--format", "json"), 7778),
-    (("bounds", "--catalog", "two_bridge:20", "--format", "ascii"), 8828),
-    (("region", "--catalog", "two_bridge:25", "--format", "ascii"), 7778),
-    (("h-table", "--catalog", "two_bridge:12", "--format", "ascii"), 8914),
-    (("region", "--catalog", "two_bridge:12", "--format", "svg"), 8841),
-    (("bounds", "--catalog", "whitehead_cable:7,22"), 10276),
-    (("d-invariants", "--catalog", "whitehead_cable:5,16", "--framing", "400,400"), 10058),
-    (("cable", "--catalog", "whitehead", "--cable", "7:22,1:1"), 11125),
+    (("region", "--catalog", "two_bridge:20", "--format", "json"), 7404),
+    (("bounds", "--catalog", "two_bridge:20", "--format", "ascii"), 8454),
+    (("region", "--catalog", "two_bridge:25", "--format", "ascii"), 7404),
+    (("h-table", "--catalog", "two_bridge:12", "--format", "ascii"), 8540),
+    (("region", "--catalog", "two_bridge:12", "--format", "svg"), 8467),
+    (("bounds", "--catalog", "whitehead_cable:7,22"), 9902),
+    (("d-invariants", "--catalog", "whitehead_cable:5,16", "--framing", "400,400"), 9684),
+    (("cable", "--catalog", "whitehead", "--cable", "7:22,1:1"), 10742),
 ]
 
 
@@ -81,13 +83,14 @@ def test_a_catalog_job_compiles_at_most(argv, ceiling):
 def test_a_link_file_job_compiles_at_most(tmp_path):
     # was 11538 before the handlers, the law messages and the normalization
     # moved, 9367 with a stored linking matrix, 9264 with sign trials,
-    # 9219 with HTable.iter_box and 9189 with sublink lists in the failure
-    # path of the sign resolution
+    # 9219 with HTable.iter_box, 9189 with sublink lists in the failure
+    # path of the sign resolution and 9171 with HTable.chi and
+    # HTable.chi_from_H
     from hfgenus.linkcat import catalog
     from hfgenus.linkjson import save_json
     path = tmp_path / "two_bridge_10.json"
     save_json(catalog("two_bridge", 10), path)
-    assert compiled_nodes(run_cli("validate", "--link", str(path))) <= 9171
+    assert compiled_nodes(run_cli("validate", "--link", str(path))) <= 8797
 
 
 LIBRARY_JOB = ("import hfgenus.cli\n"
@@ -101,10 +104,12 @@ def test_a_library_admissible_region_job_compiles_at_most():
     # the admissible_region workload imports the CLI, then calls the library;
     # was 11898 before the handlers, the law messages and the normalization
     # moved, 9555 with a stored linking matrix, 9406 with sign trials, 9357
-    # with HTable.iter_box and 9327 with sublink tables in projection_check
+    # with HTable.iter_box, 9327 with sublink tables in projection_check and
+    # 9266 with HTable.chi, HTable.chi_from_H and a descriptor's table in
+    # projection_check
     added = modules_added(LIBRARY_JOB)
     assert not any(m.startswith("hfgenus.commands") for m in added)
-    assert compiled_nodes(added) <= 9266
+    assert compiled_nodes(added) <= 8883
 
 
 def test_importing_the_cli_loads_no_layer():
@@ -240,8 +245,8 @@ def test_only_unions_load_linkops(tmp_path):
     assert "hfgenus.linkops" in run_cli("region", "--catalog", "unlink:2")
     assert "hfgenus.linkops" not in modules_added(
         "from hfgenus import catalog, projection_check, region_from_h, HTable\n"
-        "d = catalog('whitehead')\n"
-        "assert projection_check(d, region_from_h(HTable(d))) == []")
+        "t = HTable(catalog('whitehead'))\n"
+        "assert projection_check(t, region_from_h(t)) == []")
 
 
 def test_only_cables_and_printing_load_the_normalization_and_text_form():

@@ -16,9 +16,9 @@ from hfgenus.linkops import disjoint_union, sublink
 from hfgenus.region import (UpwardClosedRegion, dominates,
                             maximal_lattice_points, minimalize,
                             projection_check, region_from_h, region_product)
-from oracles import (ADMISSIBLE, ORACLE, STAIRCASE, axis_radii, bad_knot, count_reads, link,
-                     oracle_h, reference_maximal_points, reference_projection_check,
-                     reference_region)
+from oracles import (ADMISSIBLE, ORACLE, STAIRCASE, axis_radii, bad_knot, count_reads,
+                     inclusion_exclusion, link, oracle_chi, oracle_h, reference_maximal_points,
+                     reference_projection_check, reference_region)
 
 
 def region_of(key, *params):
@@ -86,10 +86,13 @@ def test_maximal_points_catalog():
 @pytest.mark.parametrize("name", ORACLE)
 def test_maximal_points_have_H_one(name):
     # the proof in maximal_lattice_points' docstring, checked point by point
-    t = HTable(link(name))
+    d = link(name)
+    t = HTable(d)
     for z in maximal_lattice_points(t):
         assert t.H(z) == 1, z
-        assert t.chi_from_H(tuple(x + 1 for x in z)) == (-1) ** (t.n - 1), z
+        above = tuple(x + 1 for x in z)
+        assert inclusion_exclusion(t.H, above) == (-1) ** (t.n - 1) == \
+            oracle_chi(d, tuple(range(d.n)), above), z
 
 
 def test_maximal_points_definition():
@@ -126,15 +129,14 @@ def test_region_product_matches_union_region():
 
 def test_projection_check_passes():
     for key in ["whitehead", "mirror_L7a3", "borromean"]:
-        d = catalog(key)
-        r = region_from_h(HTable(d))
-        assert projection_check(d, r) == []
+        t = HTable(catalog(key))
+        assert projection_check(t, region_from_h(t)) == []
 
 
 def test_projection_check_detects_violation():
-    d = catalog("mirror_L7a3")
+    t = HTable(catalog("mirror_L7a3"))
     bogus = UpwardClosedRegion(2, ((0, 0),))
-    assert projection_check(d, bogus)  # (0,) is not in the trefoil's region
+    assert projection_check(t, bogus)  # (0,) is not in the trefoil's region
 
 
 @pytest.mark.parametrize("name", sorted(n for n in ORACLE + ADMISSIBLE if link(n).n > 1))
@@ -143,7 +145,8 @@ def test_projection_check_matches_the_oracle(name):
     # sublink's region from that sublink's descriptor: on the link's region,
     # its image under a cable transform and generator sets drawn at random
     d = link(name)
-    r = region_from_h(HTable(d))
+    t = HTable(d)
+    r = region_from_h(t)
     rng = random.Random(26)
     top = max(axis_radii(d)) + 1
     regions = [r, region_via_T(r, CableSpec(((2, 3),) * d.n))] + [
@@ -151,7 +154,7 @@ def test_projection_check_matches_the_oracle(name):
                                  for _ in range(rng.randrange(1, 5))])
         for _ in range(30)]
     for g in regions:
-        assert projection_check(d, g) == reference_projection_check(d, g), g.generators
+        assert projection_check(t, g) == reference_projection_check(d, g), g.generators
 
 
 def test_region_reconstruction_from_maximal_points():

@@ -159,24 +159,14 @@ def best_lower_bound(table: HTable) -> dict:
 
 
 def unlink_test(table: HTable) -> bool:
-    """True iff h vanishes identically.
+    """True iff h vanishes identically, read off h(0) alone.
 
-    h(v) = h(clamp(v)) holds by construction (see `hfunction`), checked by
-    the oracle tests, so the box [-M, M]^n decides it.  The step law makes h
-    nonincreasing as any coordinate moves away from 0, so max h = h(0), and
-    moving every coordinate of a box point away from 0 out to +-M never
-    raises h, so the box minimum lies at a corner of {-M, M}^n.  h vanishes
-    iff h(0) and h at the 2^n corners are 0.
-
-    Reading h(0) alone would need h = 0 at every corner.  That follows from
-    stabilization together with the symmetry h(-s) = h(s).  The tests check
-    that symmetry on every oracle link, but it is not derived from the
-    validated laws (it rests on the Torres condition of the Alexander data,
-    which validation does not check), so the corners are still read.
+    h >= 0 everywhere and max h = h(0), both theorems of the validated laws:
+    h is 0 at every corner of the cube, and the step law carries that to
+    every point (C and D in the `hfunction` docstring).  So h vanishes iff
+    h(0) = 0.
 
     A slice L-space link with identically zero h-function is the unlink; a
     True result means the input is consistent with that conclusion.
     """
-    M = table.M
-    return table.h((0,) * table.n) == 0 and all(
-        table.h(v) == 0 for v in product((-M, M), repeat=table.n))
+    return table.h((0,) * table.n) == 0

@@ -34,7 +34,11 @@ class LSpaceAssertionError(ValidationError):
 
 
 class StabilizationError(ValidationError):
-    """H fails validation (H >= 0 or unit steps) on the table's box.
+    """H fails the step law on the table's box, and no sublink's face does.
+
+    A broken shell law always names a sublink, as `SignResolutionError`, and
+    H >= 0 follows from the laws (see `hfunction`), so the problems are
+    failing steps and the negative values they leave.
 
     Raised by the `HTable` constructor, the one raiser, which passes every
     problem the validation sweep found as `problems` and the 1-based subsets

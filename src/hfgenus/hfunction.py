@@ -44,9 +44,11 @@ M = max M_i, and the cube [-M, M]^n holds the box: it is the window of the
 h-table, and the box over which a failing table's problems are rendered.
 This holds by
 construction, checked by the oracle tests; validation checks only the laws
-the Alexander data can break, H >= 0 and unit steps, and it runs in the
-constructor: a table whose data break them raises `StabilizationError`, so
-every `HTable` that exists has passed the laws.
+the Alexander data can break, unit steps and the shell law below, and it
+runs in the constructor: a table whose data break them raises
+`SignResolutionError` or `StabilizationError`, so every `HTable` that exists
+has passed the laws.  H >= 0 is not checked: it is a theorem of the step
+law (D below).
 
 The step law makes h monotone, never increasing as a coordinate moves away
 from 0: for s_i >= 1, H(s - e_i) >= H(s) and H_O is unchanged; for s_i <= 0,
@@ -70,6 +72,80 @@ are rendered, only at the failing points, by `violations`, which only a
 failing table imports.
 
 h(s) = H(s) - H_O(s), where H_O is the H-function of the unlink.
+
+What the laws prove.  Let c_C be a sublink's table (`_chi_table`, at the
+coordinates u = (e + 1)/2 of the doubled exponents e), eps_C =
+sign_C * (-1)^(|C| - 1) its sign in `_h_grid`, and O_C(v) its orthant sum,
+the sum of c_C over u >= v; for a knot K, tau_K(w) is the sum of its
+coefficients at the degrees >= w (its torsion coefficients), O_K(v) the sum
+of tau_K over w >= v, and eps_K = 1.  So H(s) is the sum of eps_C O_C(s + 1).
+The `LinkDescriptor` constructor enforces c_C(1 - u) = (-1)^|C| c_C(u) for
+|C| >= 2, and symmetric knots with Delta(1) = 1.  At s_j = M_j the orthant
+sums of every sublink containing j are empty, so a coordinate at +M_j
+deletes component j; at s_j = -M_j they run over all of u_j.
+- (A) Knots.  tau_K(w) + tau_K(1 - w) is the sum of the coefficients at the
+  degrees >= w and, by symmetry, at the degrees <= w - 1, that is
+  Delta(1) = 1.  So the knot's step d(x) = H_K(x - 1) - H_K(x) = tau_K(x)
+  satisfies d(1 - x) = 1 - d(x), and H_K(-s) = H_K(s) + s: for s >= 0 the
+  difference is the sum of tau_K over 1 - s <= w <= s, s pairs w, 1 - w.
+  Below the support O_K(v) = sum_e a_e (e - v + 1) = 1 - v, the a_e being
+  Delta's coefficients, whose sum e a_e is 0 by symmetry: O_K(-M_j + 1) =
+  M_j.
+- (B) Every multi-component table sums to 0.  For odd |C| this is the
+  antisymmetry.  For even |C|, fix i in C and take the line where s_i
+  varies, s_j = -M_j for j in C - i and s_j = M_j for j off C.  The line
+  lies in the box, so the step law is checked on it.  Only the sublinks
+  D in C vary along it; those with i, |D| >= 2, see every u_j, j != i, so
+  the step along e_i at s_i = x is d_i(x) + sum eps_D rho_D(x), over
+  i in D in C, |D| >= 2, where rho_D(x) is the sum of c_D over u_i = x
+  and rho_D(1 - x) = (-1)^|D| rho_D(x).  The steps at x and at 1 - x add
+  to 1 + 2 sum_{|D| even} eps_D rho_D(x), in {0, 1, 2}, so that even sum
+  is 0 for every x; the same line for each even D in C gives the same,
+  and by induction on |D| rho_C = 0 identically, so C's coefficients sum
+  to 0.  For a pair C, rho_C = 0 for both choices of i is Torres's
+  condition itself: Delta_C vanishes at t_j = 1.
+- (C) h = 0 at every corner of {-M_j, M_j}^n, so at every corner of the
+  cube.  The coordinates at +M_j delete their components.  At the
+  all-(-M_j) corner of the remaining sublink S, each knot gives M_j by
+  (A), each multi-component D in S the sum of its coefficients, 0 by (B),
+  and H_O gives the sum of the M_j over S.
+- (D) h >= 0 everywhere.  The step law makes h nonincreasing away from 0
+  along every axis (above), so moving each coordinate of a box point away
+  from 0 out to +-M_j never raises h, and at the corner reached h = 0 by
+  (C).  Hence H = h + H_O >= 0, and h = 0 identically exactly when
+  h(0) = max h = 0.
+None of this needs Torres's condition beyond pairs, and the laws do not
+imply it on three or more components: the triple t_1^(3/2) t_2^(1/2)
+t_3^(-1/2) - t_1^(-3/2) t_2^(-1/2) t_3^(1/2) over the knots T(2,5), the
+trefoil and T(2,5), with zero pair polynomials, passes the step law with
+its sign flipped, yet does not vanish at t_3 = 1, and its h breaks
+h(-s) = h(s), 2 at (-4, -4, 0) against 1 at (4, 4, 0).
+
+The shell law, the law the data can break beyond the steps: on every axis
+i, h at s_i = -M_i equals h at s_i = M_i, that is H there is H at M_i plus
+M_i.  At s_i = M_i every sublink containing i gives 0.  At s_i = -M_i the
+knot gives M_i (A), and every C with i in C, |C| >= 2, gives eps_C times
+the orthant sum, over C - i, of P_{C,i}, c_C summed over u_i: the table of
+Delta_C at t_i = 1.  So h(s_i = -M_i) - h(s_i = M_i) is the sum of those
+terms.  On the face s_j = M_j for j off S + i only the C in S + i remain;
+if every C in S + i but S + i itself satisfies Torres in t_i, the
+difference there is eps times the orthant sum of P_{S+i,i} alone, and
+inclusion-exclusion over that face gives P_{S+i,i} back.  So by induction on
+|S| the shell law on axis i holds exactly when every sublink containing i
+vanishes at t_i = 1, and where the steps hold, by (B), it can fail only
+with a sublink of three or more components.  `_laws_hold` checks it with the steps, slab by slab:
+the first row of each slab along axis i against its last row.  A failing
+shell shows on the face of a sublink breaking Torres, which no sign
+repairs, so it raises `SignResolutionError`.
+
+Symmetry, a theorem of the shell law: h(-s) = h(s).  Substituting
+u -> 1 - u, O_C(1 - s) = (-1)^|C| times the sum of c_C over u <= s.
+Writing [u_j <= s_j] = 1 - [u_j >= s_j + 1] on each axis turns that sum
+into the signed orthant sums over u_j >= s_j + 1 on some axes with the
+others free; Torres makes every term with a free axis 0, leaving
+(-1)^|C| O_C(s + 1).  So each multi-component sublink gives the same at
+-s as at s, each knot s_j more by (A), and H(-s) = H(s) + sum s_j =
+H(s) + H_O(-s) - H_O(s).
 """
 
 from __future__ import annotations
@@ -107,20 +183,20 @@ def _strides(sides: Sequence[int]) -> list:
     return list(accumulate(reversed(sides[1:]), mul, initial=1))[::-1]
 
 
-def _steps(grid: list, sides: Sequence[int]):
-    """For every axis i and every slab (the points of a flat grid over the box
-    prod [-r_j, r_j], sides[j] = 2 r_j + 1, that share the coordinates before
-    i): the index of the slab's first point with s_i > -r_i, and the steps
-    H(s - e_i) - H(s) from there on, in box order."""
+def _laws_hold(grid: list, sides: Sequence[int]) -> bool:
+    """Whether a flat H list over the box prod [-r_j, r_j], sides[j] =
+    2 r_j + 1, keeps the laws, by whole-list operations on each slab (the
+    points that share the coordinates before axis i): every step
+    H(s - e_i) - H(s) is 0 or 1, and the slab's first row, s_i = -r_i, is
+    its last row, s_i = r_i, plus r_i (the shell law).  H >= 0 is not
+    checked: it follows (D in the module docstring)."""
     for st, side in zip(_strides(sides), sides):
         for base in range(0, len(grid), st * side):
             slab = grid[base:base + st * side]
-            yield base + st, map(sub, slab, slab[st:])
-
-
-def _laws_hold(grid: list, sides: Sequence[int]) -> bool:
-    """Whether H >= 0 and every step is 0 or 1, by whole-list operations."""
-    return min(grid) >= 0 and all(set(steps) <= {0, 1} for _, steps in _steps(grid, sides))
+            if not (set(map(sub, slab, slab[st:])) <= {0, 1}
+                    and set(map(sub, slab[:st], slab[-st:])) == {side // 2}):
+                return False
+    return True
 
 
 def _fold(grid: list, radii: Sequence[int]) -> list:
@@ -181,9 +257,10 @@ class HTable:
     and h are the only values read after construction.  M_i is two more
     than the largest |u_i| over the tables of the sublinks containing
     component i, M is the largest M_i, and neither ever changes.
-    Construction validates once, by one whole-list check of that list.
-    Data for which no sign makes a sublink valid raise
-    `SignResolutionError`; other data breaking the laws raise
+    Construction validates once, by one whole-list check of that list: unit
+    steps and the shell law, of which H >= 0 and h(-s) = h(s) are theorems
+    (see the module docstring).  Data for which no sign makes a sublink
+    valid raise `SignResolutionError`; other data breaking the laws raise
     `StabilizationError`, carrying every problem over the cube [-M, M]^n and
     the subsets whose sign was flipped, so a table that exists is valid.
     """
@@ -279,18 +356,21 @@ class HTable:
         on a box that wide the laws decide H_B everywhere (see below).  So
         the first multi-component sublink, in `all_subsets` order, whose face
         fails is one that no sign makes valid, since every earlier one had
-        its only valid sign, and it raises `SignResolutionError`; if there is
-        none, the data break the laws elsewhere, and `StabilizationError`
-        carries every problem, over a second list: the cube's.
+        its only valid sign, or one breaking Torres's condition, which no
+        sign repairs (see the module docstring), and it raises
+        `SignResolutionError`; if there is none, the data break the step law
+        elsewhere (a broken shell always shows on such a face), and
+        `StabilizationError` carries every problem, over a second list: the
+        cube's.
 
         Deciding the laws on a box prod [-r_j, r_j], r_j two more than the
         largest |u_j| over the tables containing axis j, decides them on
         every larger box, such as the cube [-r, r]^|B|, r = max r_j, which
         the problems of a failing full link are rendered over: outside the
         box H(s) = H(clamp(s)) plus the sum of the max(-r_j - s_j, 0) (see
-        the module docstring), so H >= 0 there, a step along a clamped axis
-        is 0 or 1, and a step along another axis equals the step at the
-        clamped point."""
+        the module docstring), so a step along a clamped axis is 0 or 1, a
+        step along another axis equals the step at the clamped point, and h
+        on a shell of the larger box is h on the box's shell."""
         tables, radii, signs = self._tables, self._radii, self._signs
         for B in all_subsets(self.n):
             signs[B] = 1

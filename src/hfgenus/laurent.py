@@ -128,13 +128,6 @@ class LaurentPoly:
             acc[exp] = acc.get(exp, 0) + coef
         return LaurentPoly(self.nvars, acc)
 
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check_compatible(other)
-        acc = dict(self.terms)
-        for exp, coef in other.terms.items():
-            acc[exp] = acc.get(exp, 0) - coef
-        return LaurentPoly(self.nvars, acc)
-
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 

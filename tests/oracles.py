@@ -93,6 +93,28 @@ def linked_pairs_borromean():
                                      (1, 2): LaurentPoly.zero(2), (0, 1, 2): bo})
 
 
+# Knot polynomials at doubled exponents, for drawn data.
+KNOTS = {"unknot": {(0,): 1}, "trefoil": {(2,): 1, (0,): -1, (-2,): 1},
+         "T(2,5)": {(4,): 1, (2,): -1, (0,): 1, (-2,): -1, (-4,): 1}}
+
+
+def torres_breaking():
+    """Data passing the step law (with the triple's sign flipped) that no
+    link has: knots T(2,5), the trefoil and T(2,5), zero pair polynomials,
+    and the symmetric triple t_1^(3/2) t_2^(1/2) t_3^(-1/2) -
+    t_1^(-3/2) t_2^(-1/2) t_3^(1/2), which does not vanish at t_3 = 1, so
+    it breaks Torres's condition and h(-s) = h(s)."""
+    t25, tref = LaurentPoly(1, KNOTS["T(2,5)"]), LaurentPoly(1, KNOTS["trefoil"])
+    pair = LaurentPoly.zero(2)
+    return LinkDescriptor("torres-breaking", [Component("T(2,5)"), Component("trefoil"),
+                                              Component("T(2,5)")],
+                          alexander={(0,): t25, (1,): tref, (2,): t25,
+                                     (0, 1): pair, (0, 2): pair, (1, 2): pair,
+                                     (0, 1, 2): LaurentPoly(3, {(3, 1, -1): 1,
+                                                                (-3, -1, 1): -1})},
+                          lspace_asserted=True)
+
+
 def with_component_g4(d, genera):
     return LinkDescriptor(d.name, [Component(c.label, g) for c, g in zip(d.components, genera)],
                           alexander=d.alexander, lspace_asserted=d.lspace_asserted)
@@ -189,6 +211,8 @@ RESOLUTION = SLOW_RESOLUTION + _group({
     "two_bridge:3 cabled by (3,7),(2,5)": lambda: cable_alexander(
         catalog("two_bridge", 3), CableSpec(((3, 7), (2, 5)))),
     "borromean polynomial over two whitehead pairs": linked_pairs_borromean,
+    # passes the step law, but its triple breaks Torres's condition
+    "T(2,5), trefoil, T(2,5) with a triple breaking Torres": torres_breaking,
     # the union's own list fails, and only the face of the pair (1, 2) does
     f"two_bridge:10, corrupted at {WORKLOADS.CORRUPT_AT[0]}, + unknot": lambda: disjoint_union(
         descriptor_from_dict(WORKLOADS.corrupted_two_bridge(10, WORKLOADS.CORRUPT_AT[0])),
@@ -482,10 +506,16 @@ def reference_sweep(H, radii):
                     yield f"step law fails: H at {s} minus e_{i + 1} jumps by {down - v}"
 
 
-def reference_law_problems(d, B, signs, radii):
-    """`reference_sweep` of the sublink B over prod [-r_j, r_j] (j in B), H
-    from `brute_H` of d at s_j = M_j for every j off B, where each sublink
-    containing j contributes 0."""
+def reference_shell_holds(H, radii):
+    """The shell law point by point on prod [-r_i, r_i]: for every axis i and
+    every s with s_i = r_i, H at s_i = -r_i is H(s) + r_i."""
+    return all(H(s[:i] + (-r,) + s[i + 1:]) == H(s) + r
+               for i, r in enumerate(radii) for s in box(radii) if s[i] == r)
+
+
+def sublink_H(d, B, signs):
+    """H of the sublink B, from `brute_H` of d at s_j = M_j for every j off
+    B, where each sublink containing j contributes 0."""
     top, h = axis_radii(d), brute_h(d, signs)
 
     def H_B(s):
@@ -494,7 +524,12 @@ def reference_law_problems(d, B, signs, radii):
             at[j] = x
         return h(at) + unlink_H(at)
 
-    return reference_sweep(H_B, radii)
+    return H_B
+
+
+def reference_law_problems(d, B, signs, radii):
+    """`reference_sweep` of the sublink B over prod [-r_j, r_j] (j in B)."""
+    return reference_sweep(sublink_H(d, B, signs), radii)
 
 
 def reference_report(d, signs):
@@ -506,14 +541,18 @@ def reference_report(d, signs):
 def reference_sign_resolution(d):
     """The sign of every sublink's stored polynomial, chosen bottom up by
     point-by-point sweeps of the sublink's box: the stored sign unless only
-    its negation passes the laws; `SignResolutionError` if neither does."""
+    its negation passes the laws, unit steps (`reference_sweep`) and the
+    shell law (`reference_shell_holds`); `SignResolutionError` if neither
+    does."""
     signs = dict.fromkeys(all_subsets(d.n), 1)
     for B in signs:
         if len(B) > 1 and not d.delta(B).is_zero():
             radii = axis_radii(d, B)
             for sigma in (1, -1):
                 signs[B] = sigma
-                if next(reference_law_problems(d, B, signs, radii), None) is None:
+                H_B = sublink_H(d, B, signs)
+                if next(reference_sweep(H_B, radii), None) is None \
+                        and reference_shell_holds(H_B, radii):
                     break
             else:
                 raise SignResolutionError(

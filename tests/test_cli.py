@@ -15,7 +15,7 @@ from hfgenus.linkcat import catalog
 from hfgenus.linkjson import descriptor_to_dict
 from hfgenus.linkops import disjoint_union
 from oracles import (PERFBENCH, WORKLOADS, bad_knot, flipped_whitehead, perfbench,
-                     reference_report, reference_sign_resolution)
+                     reference_report, reference_sign_resolution, torres_breaking)
 
 
 def run(capsys, *argv):
@@ -156,6 +156,17 @@ def test_validate_flipped_sign_hint(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", "--link", str(path))
     assert code == 2
     assert "flipped sign" in out and "(1, 2)" in out
+
+
+def test_validate_refuses_a_triple_breaking_torres(capsys, tmp_path):
+    # it passes the step law with the triple's sign flipped, and only the
+    # shell law rejects it
+    path = tmp_path / "torres-breaking.json"
+    path.write_text(json.dumps(descriptor_to_dict(torres_breaking())))
+    code, out, _ = run(capsys, "validate", "--link", str(path))
+    assert (code, out) == (2, "invalid: torres-breaking: neither sign of the polynomial for "
+                              "subset (1, 2, 3) yields a valid H-function; not an L-space "
+                              "link with this data\n")
 
 
 def test_validate_flags_a_flipped_sign_in_a_table_failing_the_laws(capsys, tmp_path):

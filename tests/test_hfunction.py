@@ -1,5 +1,6 @@
 """H-function engine: brute-force oracle, frozen worked values, validation."""
 
+import random
 from itertools import permutations, product
 from math import prod
 from operator import add
@@ -17,12 +18,12 @@ from hfgenus.laurent import LaurentPoly
 from hfgenus.linkcat import Component, LinkDescriptor, _key_str, all_subsets, catalog
 from hfgenus.linkops import disjoint_union, sublink
 from hfgenus.region import maximal_lattice_points, projection_check, region_from_h
-from oracles import (ATOMIC, INVALID, ORACLE, PARTS, REPORT, RESOLUTION, SLOW_RESOLUTION, P,
-                     axis_radii, bad_knot, box, brute_H, brute_h, cube, face,
-                     flipped_whitehead, formula_H, inclusion_exclusion, link,
+from oracles import (ADMISSIBLE, ATOMIC, INVALID, KNOTS, ORACLE, PARTS, REPORT, RESOLUTION,
+                     SLOW_RESOLUTION, P, axis_radii, bad_knot, box, brute_H, brute_h, cube,
+                     face, flipped_whitehead, formula_H, inclusion_exclusion, link,
                      linked_pairs_borromean, oracle_chi, reference_law_problems,
-                     reference_report, reference_sign_resolution, reference_sweep,
-                     two_bridge_h, unlink_H)
+                     reference_report, reference_shell_holds, reference_sign_resolution,
+                     reference_sweep, torres_breaking, two_bridge_h, unlink_H)
 
 
 @pytest.mark.parametrize("name", ORACLE)
@@ -50,10 +51,45 @@ def test_H_outside_the_box(name):
 
 @pytest.mark.parametrize("name", ORACLE)
 def test_h_is_symmetric(name):
-    # h(-s) = h(s) for zero-linking L-space links (Gorsky-Nemethi)
+    # h(-s) = h(s) for zero-linking L-space links (Gorsky-Nemethi), a theorem
+    # of the shell law (see the hfunction docstring)
     t = HTable(link(name))
     for s in cube(t.M, t.n):
         assert t.h(tuple(-x for x in s)) == t.h(s), f"{name} at {s}"
+
+
+def raw_draw(rng, k):
+    """A seeded two-component draw of raw data: two knots from KNOTS and
+    (t_1^(1/2) - t_1^(-1/2)) (t_2^(1/2) - t_2^(-1/2)) f, f a sum of one to
+    three random terms, each with its image under inverting both variables,
+    so the pair polynomial keeps Torres's condition and its symmetry."""
+    f = {}
+    for _ in range(rng.randint(1, 3)):
+        u, c = (rng.randint(-2, 2), rng.randint(-2, 2)), rng.choice((-1, 1))
+        for e in {u, (-u[0], -u[1])}:
+            f[e] = f.get(e, 0) + c
+    factor = LaurentPoly(2, {(1, 1): 1, (1, -1): -1, (-1, 1): -1, (-1, -1): 1})
+    pair = factor * LaurentPoly(2, {(2 * a, 2 * b): c for (a, b), c in f.items()})
+    knots = [LaurentPoly(1, KNOTS[rng.choice(sorted(KNOTS))]) for _ in range(2)]
+    return LinkDescriptor(f"draw {k}", [Component("a"), Component("b")],
+                          alexander={(0,): knots[0], (1,): knots[1], (0, 1): pair},
+                          lspace_asserted=True)
+
+
+def test_h_is_symmetric_on_raw_draws():
+    # seeded draws of raw two-component data: the laws reject about nine in
+    # ten, and every table that builds has h(-s) = h(s) on its cube
+    rng, built = random.Random(8), 0
+    for k in range(3000):
+        d = raw_draw(rng, k)
+        try:
+            t = HTable(d)
+        except ValidationError:
+            continue
+        built += 1
+        for s in cube(t.M, 2):
+            assert t.h((-s[0], -s[1])) == t.h(s), f"{d.name} at {s}"
+    assert built >= 300
 
 
 @pytest.mark.parametrize("name", ORACLE)
@@ -326,6 +362,51 @@ def test_max_h_is_h_at_the_origin(name):
     assert max(map(t.h, cube(t.M, t.n))) == t.h((0,) * t.n)
 
 
+VALID = sorted(set(ORACLE + ADMISSIBLE + REPORT) - set(INVALID))
+
+
+def assert_nonnegative_with_zero_corners(d, h):
+    """h >= 0 on the per-axis box and h = 0 at every corner of {-M, M}^n,
+    M the largest radius: (C) and (D) of the hfunction docstring."""
+    radii = axis_radii(d)
+    M = max(radii)
+    assert min(map(h, box(radii))) >= 0, d.name
+    assert all(h(v) == 0 for v in product((-M, M), repeat=d.n)), d.name
+
+
+@pytest.mark.parametrize("name", VALID)
+def test_h_is_nonnegative_with_zero_cube_corners(name):
+    # theorems of the step law, checked on the data alone, with the
+    # reference signs: the stored sign of one input is flipped
+    d = link(name)
+    assert_nonnegative_with_zero_corners(d, brute_h(d, reference_sign_resolution(d)))
+
+
+def test_the_corner_theorem_needs_no_torres():
+    # the triple breaks Torres's condition, so the shell law rejects it, but
+    # with its sign flipped it passes the step law, and h is still >= 0 with
+    # zero corners, though not symmetric
+    d = torres_breaking()
+    signs = {(0, 1, 2): -1}
+    radii = axis_radii(d)
+    H = lambda s: brute_H(d, s, signs)
+    assert next(reference_sweep(H, radii), None) is None
+    assert not reference_shell_holds(H, radii)
+    h = brute_h(d, signs)
+    assert_nonnegative_with_zero_corners(d, h)
+    assert (h((-4, -4, 0)), h((4, 4, 0))) == (2, 1)
+    assert sum(h(s) != h(tuple(-x for x in s)) for s in cube(max(radii), 3)) == 168
+
+
+def test_the_laws_do_not_check_H_nonnegative():
+    # a valid table's list, lowered by a constant: every step and shell is
+    # kept, so the laws pass, though every value is negative
+    t = HTable(catalog("borromean"))
+    low = [x - max(t._grid) - 1 for x in t._grid]
+    assert hfunction._laws_hold(low, t._sides)
+    assert hfunction._laws_hold(t._grid, t._sides)
+
+
 @pytest.mark.parametrize("name", ORACLE)
 def test_h_at_most_h_of_absolute_value(name):
     # Observed on every oracle link, but not validated by HTable: no code
@@ -410,17 +491,41 @@ def test_sign_resolution_recovers_flipped_input():
         assert t.H(s) == good.H(s)
 
 
+def lawful_grid(radii, data):
+    """A flat list over the box keeping the laws, H(s) = c + sum f_i(s_i),
+    each f_i falling by r_i in unit steps from -r_i to r_i, c drawn, and then
+    one value moved by -1, 0 or 1."""
+    axes = []
+    for r in radii:
+        steps = data.draw(st.permutations([0] * r + [1] * r))
+        axes.append([sum(steps[k:]) for k in range(2 * r + 1)])
+    grid = [sum(f) for f in product(*axes)]
+    c, at, move = data.draw(st.tuples(st.integers(-2, 1), st.integers(0, len(grid) - 1),
+                                      st.integers(-1, 1)))
+    grid = [x + c for x in grid]
+    grid[at] += move
+    return grid
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([(1,), (3,), (1, 1), (2, 2), (1, 3), (3, 1), (2, 1, 1), (1, 1, 2)]),
        st.data())
 def test_array_laws_match_the_reference_sweep(radii, data):
-    low, high = data.draw(st.sampled_from([(0, 1), (0, 2), (-1, 1), (-1, 3)]))
-    values = st.integers(low, high)
-    size = prod(2 * r + 1 for r in radii)
-    grid = data.draw(st.lists(values, min_size=size, max_size=size))
+    # on arbitrary lists H >= 0 is no theorem, and `_laws_hold` checks the
+    # steps and the shells only: the reference is the sweep's step problems,
+    # read on the list lifted to be nonnegative, and the shell law
+    if data.draw(st.booleans()):
+        grid = lawful_grid(radii, data)
+    else:
+        low, high = data.draw(st.sampled_from([(0, 1), (0, 2), (-1, 1), (-1, 3)]))
+        size = prod(2 * r + 1 for r in radii)
+        grid = data.draw(st.lists(st.integers(low, high), min_size=size, max_size=size))
     at = dict(zip(box(radii), grid))
     expected = list(reference_sweep(at.__getitem__, radii))
-    assert hfunction._laws_hold(grid, [2 * r + 1 for r in radii]) == (expected == [])
+    lifted = lambda s: at[s] - min(grid)
+    laws = next(reference_sweep(lifted, radii), None) is None \
+        and reference_shell_holds(at.__getitem__, radii)
+    assert hfunction._laws_hold(grid, [2 * r + 1 for r in radii]) == laws
     assert violations.law_messages(grid, radii) == expected
 
 
@@ -553,6 +658,12 @@ def test_sign_resolution_messages():
     assert str(info.value) == (
         "two_bridge(3)_cable(3:7,2:5): neither sign of the polynomial for "
         "subset (1, 2) yields a valid H-function; not an L-space link with this data")
+    # only the shell law rejects this one: see test_the_corner_theorem_needs_no_torres
+    with pytest.raises(SignResolutionError) as info:
+        HTable(torres_breaking())
+    assert str(info.value) == (
+        "torres-breaking: neither sign of the polynomial for subset (1, 2, 3) yields a "
+        "valid H-function; not an L-space link with this data")
 
 
 @pytest.mark.parametrize("name", sorted(REPORT))

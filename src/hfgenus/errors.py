@@ -34,11 +34,12 @@ class LSpaceAssertionError(ValidationError):
 
 
 class StabilizationError(ValidationError):
-    """H fails the step law on the table's box, and no sublink's face does.
+    """h fails the step law on the table's box, and no sublink's face does.
 
     A broken shell law always names a sublink, as `SignResolutionError`, and
-    H >= 0 follows from the laws (see `hfunction`), so the problems are
-    failing steps and the negative values they leave.
+    h >= 0 follows from the laws (see `hfunction`), so the problems, stated
+    on H = h + H_O, are failing steps and the negative values of H they
+    leave.
 
     Raised by the `HTable` constructor, the one raiser, which passes every
     problem the validation sweep found as `problems` and the 1-based subsets

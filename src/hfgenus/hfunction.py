@@ -1,118 +1,116 @@
 """The H-function of an L-space link from Alexander data, and its validation.
 
-For a link with all pairwise linking numbers zero the H-function at a lattice
-point s is an alternating sum over nonempty sublinks: each sublink contributes
-the sum of its HFL^- Euler characteristics over the upper orthant based at the
-corresponding coordinates of s+1.  The Euler characteristics are the
-coefficients of the half-shifted Alexander polynomial (multi-component
-sublinks) or of the torsion-coefficient series Delta(t)/(1-t^{-1}) (knot
-sublinks).
+For a link with all pairwise linking numbers zero, h(s) = H(s) - H_O(s),
+H_O the H-function of the unlink, is a signed sum over the nonempty
+sublinks C with a table: each contributes the sum of its table c_C over the
+upper orthant based at the corresponding coordinates of v = s + 1
+(Gorsky-Nemethi, "Lattice and Heegaard Floer homologies of algebraic
+links"; Borodzik-Gorsky, "Immersed concordances of links and Heegaard Floer
+homology").  A multi-component sublink's table holds the coefficients of its
+half-shifted Alexander polynomial, its HFL^- Euler characteristics.  A knot
+K's holds t_K(w) = tau_K(w) - [w <= 0], where tau_K(w), the sum of
+Delta_K's coefficients at the degrees >= w, is K's torsion coefficient and
+[w <= 0] the unknot's: the unknot's part of H, H_O, is subtracted table by
+table, so every table is placed the same way, and the unknot's is empty.
 
 `HTable` is the only entry point to H and h and their validation, and
 tables share no state.  `_chi_table` alone turns a sublink's polynomial into
-Euler characteristics, which only construction reads; the input's exponent
-parity holds already, since a `LinkDescriptor` is valid once built.  A
-sublink's chi is its coefficient times its sign in `sign_resolution`, and
-H gives it back by inclusion-exclusion over a unit cube.  The link's H
-over a box prod [-r_j, r_j] is one flat row-major list, in the point order of
+its table, which only construction reads; the input's exponent parity holds
+already, since a `LinkDescriptor` is valid once built.  A multi-component
+sublink's table is signed by `sign_resolution`.  The link's h over a box
+prod [-r_j, r_j] is one flat row-major list, in the point order of
 `itertools.product`, built by `HTable._h_grid` from one placement: every
-signed coefficient of every sublink's table is set once in the list, and one
+signed value of every table is set once in the list, and one
 prefix-sum pass per axis sums all the orthants, with no Python call per
-point.  After construction that list is the only source of H and h, for the
-link and for every sublink: a sublink's H is the face s_j = M_j of the list,
-for every j outside it (see below).  A disjoint union is an ordinary
-descriptor: a sublink mixing parts has zero polynomial and contributes
-nothing.
+point.  After construction that list is the only source of h, and H = h +
+H_O, for the link and for every sublink: a sublink's h is the face
+s_j = M_j of the list, for every j outside it (see below).  A disjoint
+union is an ordinary descriptor: a sublink mixing parts has zero
+polynomial and contributes nothing.
 
 Each table's lattice box prod [-M_i, M_i] is fixed at construction, with M_i
 two more than the largest |u_i| over the tables of the sublinks that contain
-component i, and h stabilizes on it by construction.  The argument reads one
-coordinate at a time.  Every orthant sum is taken at v = s + 1.  At
-s_i >= M_i - 1, v_i >= M_i lies above the top of every support containing
-component i, so each such sublink contributes 0: H is constant in s_i there,
-equals the H of the sublink with component i deleted, and vanishes on the
-top corner block; so the face s_j = M_j, for every j outside a sublink, is
-that sublink's H over prod [-M_j, M_j], j in it.  At s_i <= -M_i + 1, v_i
-lies at or below the bottom of those supports, where an orthant sum is
-constant up to the knot slope Delta(1) = 1 (enforced by the
-`LinkDescriptor` constructor), which h subtracts, so h is constant in s_i
-there.  Hence h(v) = h(clamp(v)) for every lattice point v, clamp taking
-each coordinate into [-M_i, M_i]: the laws validated on the box hold
-everywhere, a sweep of the box decides every question about h, and
-`HTable.H` reads any point off the box list.
-M = max M_i, and the cube [-M, M]^n holds the box: it is the window of the
-h-table, and the box over which a failing table's problems are rendered.
-This holds by
-construction, checked by the oracle tests; validation checks only the laws
-the Alexander data can break, unit steps and the shell law below, and it
-runs in the constructor: a table whose data break them raises
-`SignResolutionError` or `StabilizationError`, so every `HTable` that exists
-has passed the laws.  H >= 0 is not checked: it is a theorem of the step
-law (D below).
+component i (2 on an axis that no table holds), and h stabilizes on it by
+construction.  The argument reads one coordinate at a time.  Every orthant
+sum is taken at v = s + 1.  At s_i >= M_i - 1, v_i >= M_i lies above the top
+of every support containing component i, so each such table contributes 0:
+h is constant in s_i there, equals the h of the sublink with component i
+deleted, and vanishes on the top corner block; so the face s_j = M_j, for
+every j outside a sublink, is that sublink's h over prod [-M_j, M_j], j in
+it.  At s_i <= -M_i + 1, v_i lies at or below the bottom of those supports,
+where every orthant sum is constant in v_i, so h is constant in s_i there.
+Hence h(v) = h(clamp(v)) for every lattice point v, clamp taking each
+coordinate into [-M_i, M_i]: the laws validated on the box hold everywhere,
+a sweep of the box decides every question about h, and `HTable.h` reads any
+point off the box list.  M = max M_i, and the cube [-M, M]^n holds the box:
+it is the window of the h-table, and the box over which a failing table's
+problems are rendered.  This holds by construction, checked by the oracle
+tests; validation checks only the laws the Alexander data can break, unit
+steps and the shell law below, and it runs in the constructor: a table
+whose data break them raises `SignResolutionError` or `StabilizationError`,
+so every `HTable` that exists has passed the laws.  h >= 0 is not checked:
+it is a theorem of the step law (D below).
 
-The step law makes h monotone, never increasing as a coordinate moves away
-from 0: for s_i >= 1, H(s - e_i) >= H(s) and H_O is unchanged; for s_i <= 0,
-H(s - e_i) <= H(s) + 1 and H_O grows by 1.  So max h = h(0), and every
-level set is read off the box list by one primitive, `_drops`, which marks
-the points of a flat list where it falls along every axis.  Each folded
-level set {|v| : h(v) >= k} is a down-set of [0, M]^n, fixed by its maximal
-points (`HTable.corners`, after `_fold`).  On the orthant h = H, so
-{h = 0} is up-closed there; it is fixed by its minimal points and its
-complement by its maximal points (`HTable.staircases`, after `_slice`).
+The step law, on h: along every axis, each unit step away from 0 lowers h
+by 0 or 1.  It is the law that H(s - e_i) - H(s) is 0 or 1, since H_O is
+unchanged by the step at s_i >= 1 and grows by 1 at s_i <= 0.  So h never
+increases as a coordinate moves away from 0, max h = h(0), and every level
+set is read off the box list by one primitive, `_drops`, which marks the
+points of a flat list where it falls along every axis.  Each folded level
+set {|v| : h(v) >= k} is a down-set of [0, M]^n, fixed by its maximal
+points (`HTable.corners`, after `_fold`).  {h = 0} is up-closed on the
+orthant; it is fixed by its minimal points and its complement by its
+maximal points (`HTable.staircases`, after `_slice`).
 
 The overall sign of a multi-component Alexander polynomial is not pinned down
 by symmetry alone.  It is read here in closed form, bottom-up over sublinks:
 at the lexicographically largest exponent of a sublink's table, the step law
 along e_1 holds for at most one sign (`HTable._resolve_signs` has the rule
 and its proof).  The full link's list, built with those signs, is the memo of
-H on its box, and one whole-list check of it is the validation.  Only when it
+h on its box, and one whole-list check of it is the validation.  Only when it
 fails are the sublinks' faces of it checked, to name a sublink that no sign
 makes valid; no second list is built but the cube's over which the problems
 are rendered, only at the failing points, by `violations`, which only a
 failing table imports.
 
-h(s) = H(s) - H_O(s), where H_O is the H-function of the unlink.
-
 What the laws prove.  Let c_C be a sublink's table (`_chi_table`, at the
-coordinates u = (e + 1)/2 of the doubled exponents e), eps_C =
-sign_C * (-1)^(|C| - 1) its sign in `_h_grid`, and O_C(v) its orthant sum,
-the sum of c_C over u >= v; for a knot K, tau_K(w) is the sum of its
-coefficients at the degrees >= w (its torsion coefficients), O_K(v) the sum
-of tau_K over w >= v, and eps_K = 1.  So H(s) is the sum of eps_C O_C(s + 1).
-The `LinkDescriptor` constructor enforces c_C(1 - u) = (-1)^|C| c_C(u) for
-|C| >= 2, and symmetric knots with Delta(1) = 1.  At s_j = M_j the orthant
-sums of every sublink containing j are empty, so a coordinate at +M_j
-deletes component j; at s_j = -M_j they run over all of u_j.
-- (A) Knots.  tau_K(w) + tau_K(1 - w) is the sum of the coefficients at the
-  degrees >= w and, by symmetry, at the degrees <= w - 1, that is
-  Delta(1) = 1.  So the knot's step d(x) = H_K(x - 1) - H_K(x) = tau_K(x)
-  satisfies d(1 - x) = 1 - d(x), and H_K(-s) = H_K(s) + s: for s >= 0 the
-  difference is the sum of tau_K over 1 - s <= w <= s, s pairs w, 1 - w.
-  Below the support O_K(v) = sum_e a_e (e - v + 1) = 1 - v, the a_e being
-  Delta's coefficients, whose sum e a_e is 0 by symmetry: O_K(-M_j + 1) =
-  M_j.
-- (B) Every multi-component table sums to 0.  For odd |C| this is the
-  antisymmetry.  For even |C|, fix i in C and take the line where s_i
-  varies, s_j = -M_j for j in C - i and s_j = M_j for j off C.  The line
-  lies in the box, so the step law is checked on it.  Only the sublinks
-  D in C vary along it; those with i, |D| >= 2, see every u_j, j != i, so
-  the step along e_i at s_i = x is d_i(x) + sum eps_D rho_D(x), over
-  i in D in C, |D| >= 2, where rho_D(x) is the sum of c_D over u_i = x
-  and rho_D(1 - x) = (-1)^|D| rho_D(x).  The steps at x and at 1 - x add
-  to 1 + 2 sum_{|D| even} eps_D rho_D(x), in {0, 1, 2}, so that even sum
-  is 0 for every x; the same line for each even D in C gives the same,
-  and by induction on |D| rho_C = 0 identically, so C's coefficients sum
-  to 0.  For a pair C, rho_C = 0 for both choices of i is Torres's
-  condition itself: Delta_C vanishes at t_j = 1.
+coordinates u = (e + 1)/2 of the doubled exponents e of a link, at the
+degrees of a knot), eps_C = sign_C * (-1)^(|C| - 1) its sign in `_h_grid`
+(+1 for a knot), and O_C(v) its orthant sum, the sum of c_C over u >= v.
+The list is h: placing tau_K would give H, and the unknot's orthant sum at
+v = s_i + 1, the sum of [w <= 0] over w >= v, is max(-s_i, 0), so t_K
+takes H_O's part on axis i off, and h(s) is the sum of eps_C O_C(s + 1).
+Delta_K(1) = 1 makes tau_K 1 below Delta_K's support and 0 above it, so
+t_K is supported in [-top + 1, top], top the top degree of Delta_K, and
+t_K(top) = a_top, Delta_K's top coefficient, is not 0: a knot's radius is
+top, as Delta_K's.  At s_j = M_j the orthant sums of every table
+containing j are empty, so a coordinate at +M_j deletes component j; at
+s_j = -M_j they run over all of u_j.
+- (A) One symmetry for every table: c_C(1 - u) = (-1)^|C| c_C(u).  The
+  `LinkDescriptor` constructor enforces it for |C| >= 2, and symmetric
+  knots with Delta(1) = 1.  tau_K(w) + tau_K(1 - w) is the sum of the
+  coefficients at the degrees >= w and, by symmetry, at the degrees
+  <= w - 1, that is Delta(1) = 1, as [w <= 0] + [1 - w <= 0] is; so
+  t_K(1 - w) = -t_K(w).
+- (B) Every table sums to 0.  For odd |C|, knots included, this is (A).
+  For even |C|, fix i in C and take the line where s_i varies,
+  s_j = -M_j for j in C - i and s_j = M_j for j off C.  The line lies in
+  the box, so the step law is checked on it.  Only the tables D in C with
+  i in D vary along it, each seeing every u_j, j != i, so the step
+  h(s - e_i) - h(s) at s_i = x is the sum of eps_D rho_D(x), where
+  rho_D(x) is the sum of c_D over u_i = x and rho_D(1 - x) =
+  (-1)^|D| rho_D(x).  For x >= 1 the step is 0 or 1, at 1 - x it is 0 or
+  -1, and the two add to 2 sum_{|D| even} eps_D rho_D(x), in {-1, 0, 1},
+  so that even sum is 0 for every x; the same line for each even D in C gives the same, and
+  by induction on |D| rho_C = 0 identically.  For a pair C, rho_C = 0 for
+  both choices of i is Torres's condition itself: Delta_C vanishes at
+  t_j = 1.
 - (C) h = 0 at every corner of {-M_j, M_j}^n, so at every corner of the
-  cube.  The coordinates at +M_j delete their components.  At the
-  all-(-M_j) corner of the remaining sublink S, each knot gives M_j by
-  (A), each multi-component D in S the sum of its coefficients, 0 by (B),
-  and H_O gives the sum of the M_j over S.
-- (D) h >= 0 everywhere.  The step law makes h nonincreasing away from 0
-  along every axis (above), so moving each coordinate of a box point away
-  from 0 out to +-M_j never raises h, and at the corner reached h = 0 by
-  (C).  Hence H = h + H_O >= 0, and h = 0 identically exactly when
+  cube: the coordinates at +M_j delete their components, and at -M_j each
+  remaining table gives the sum of its coefficients, 0 by (B).
+- (D) h >= 0 everywhere.  Moving each coordinate of a box point away from
+  0 out to +-M_j never raises h, and at the corner reached h = 0 by (C).
+  Hence H = h + H_O >= 0, and h = 0 identically exactly when
   h(0) = max h = 0.
 None of this needs Torres's condition beyond pairs, and the laws do not
 imply it on three or more components: the triple t_1^(3/2) t_2^(1/2)
@@ -122,35 +120,33 @@ its sign flipped, yet does not vanish at t_3 = 1, and its h breaks
 h(-s) = h(s), 2 at (-4, -4, 0) against 1 at (4, 4, 0).
 
 The shell law, the law the data can break beyond the steps: on every axis
-i, h at s_i = -M_i equals h at s_i = M_i, that is H there is H at M_i plus
-M_i.  At s_i = M_i every sublink containing i gives 0.  At s_i = -M_i the
-knot gives M_i (A), and every C with i in C, |C| >= 2, gives eps_C times
-the orthant sum, over C - i, of P_{C,i}, c_C summed over u_i: the table of
-Delta_C at t_i = 1.  So h(s_i = -M_i) - h(s_i = M_i) is the sum of those
-terms.  On the face s_j = M_j for j off S + i only the C in S + i remain;
-if every C in S + i but S + i itself satisfies Torres in t_i, the
-difference there is eps times the orthant sum of P_{S+i,i} alone, and
-inclusion-exclusion over that face gives P_{S+i,i} back.  So by induction on
-|S| the shell law on axis i holds exactly when every sublink containing i
-vanishes at t_i = 1, and where the steps hold, by (B), it can fail only
-with a sublink of three or more components.  `_laws_hold` checks it with the steps, slab by slab:
-the first row of each slab along axis i against its last row.  A failing
-shell shows on the face of a sublink breaking Torres, which no sign
-repairs, so it raises `SignResolutionError`.
+i, h at s_i = -M_i equals h at s_i = M_i.  At s_i = M_i every table
+containing i gives 0.  At s_i = -M_i the knot's gives its sum, 0 by (B),
+and every C with i in C, |C| >= 2, gives eps_C times the orthant sum, over
+C - i, of P_{C,i}, c_C summed over u_i: the table of Delta_C at t_i = 1.
+So h(s_i = -M_i) - h(s_i = M_i) is the sum of those terms.  On the face
+s_j = M_j for j off S + i only the C in S + i remain; if every C in S + i
+but S + i itself satisfies Torres in t_i, the difference there is eps times
+the orthant sum of P_{S+i,i} alone, and inclusion-exclusion over that face
+gives P_{S+i,i} back.  So by induction on |S| the shell law on axis i holds
+exactly when every sublink containing i vanishes at t_i = 1, and where the
+steps hold, by (B), it can fail only with a sublink of three or more
+components.  `_laws_hold` checks it with the steps, slab by slab: the first
+row of each slab along axis i against its last row.  A failing shell shows
+on the face of a sublink breaking Torres, which no sign repairs, so it
+raises `SignResolutionError`.
 
 Symmetry, a theorem of the shell law: h(-s) = h(s).  Substituting
-u -> 1 - u, O_C(1 - s) = (-1)^|C| times the sum of c_C over u <= s.
+u -> 1 - u, O_C(1 - s) = (-1)^|C| times the sum of c_C over u <= s by (A).
 Writing [u_j <= s_j] = 1 - [u_j >= s_j + 1] on each axis turns that sum
-into the signed orthant sums over u_j >= s_j + 1 on some axes with the
-others free; Torres makes every term with a free axis 0, leaving
-(-1)^|C| O_C(s + 1).  So each multi-component sublink gives the same at
--s as at s, each knot s_j more by (A), and H(-s) = H(s) + sum s_j =
-H(s) + H_O(-s) - H_O(s).
+into (-1)^|C| O_C(s + 1) and signed sums with a free axis, which Torres
+(and, for a knot, (B)) makes 0.  So every table gives the same at -s as at
+s.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, compress, product, repeat
+from itertools import accumulate, chain, compress, product
 from math import prod
 from operator import add, and_, ge, lt, mul, sub
 from typing import Optional, Sequence
@@ -161,16 +157,22 @@ from .linkcat import LinkDescriptor, all_subsets
 
 
 def _chi_table(delta: LaurentPoly) -> dict:
-    """A sublink's Euler characteristics, from its nonzero polynomial: the
-    coefficients of delta * (t_1 ... t_k)^{1/2}, or for a knot the coefficients
-    of Delta itself, whose torsion series Delta(t)/(1 - t^{-1}) holds the
-    characteristics.  Either way the exponents land on the integer lattice:
-    the `LinkDescriptor` constructor rejects a knot exponent that is not an
-    integer and a link exponent that is not half-odd (the zero-linking
-    parity), so the halving below is exact.  Only construction reads the
-    result: the sign rule and `_h_grid`."""
-    shift = 0 if delta.nvars == 1 else 1
-    return {tuple((e + shift) // 2 for e in exp): c for exp, c in delta.terms.items()}
+    """A sublink's table, its nonzero values only, from its polynomial: the
+    coefficients of delta * (t_1 ... t_k)^{1/2}, its Euler characteristics,
+    or for a knot t_K(w) = tau_K(w) - [w <= 0] at the degrees w from
+    Delta's top degree down to 1 minus it, tau_K(w) the sum of Delta's
+    coefficients at the degrees >= w (its torsion coefficients less the
+    unknot's; empty for the unknot).  The exponents land on the integer
+    lattice: the `LinkDescriptor` constructor rejects a knot exponent that
+    is not an integer and a link exponent that is not half-odd (the
+    zero-linking parity), so the halving below is exact.  Only construction
+    reads the result: the sign rule and `_h_grid`."""
+    if delta.nvars > 1:
+        return {tuple((e + 1) // 2 for e in exp): c for exp, c in delta.terms.items()}
+    top = max(delta.terms)[0] // 2
+    degrees = range(top, -top, -1)
+    tau = accumulate(delta.terms.get((2 * w,), 0) for w in degrees)
+    return {(w,): t for w, x in zip(degrees, tau) if (t := x - (w <= 0))}
 
 
 def _unlink_H(s) -> int:
@@ -184,36 +186,36 @@ def _strides(sides: Sequence[int]) -> list:
 
 
 def _laws_hold(grid: list, sides: Sequence[int]) -> bool:
-    """Whether a flat H list over the box prod [-r_j, r_j], sides[j] =
+    """Whether a flat h list over the box prod [-r_j, r_j], sides[j] =
     2 r_j + 1, keeps the laws, by whole-list operations on each slab (the
-    points that share the coordinates before axis i): every step
-    H(s - e_i) - H(s) is 0 or 1, and the slab's first row, s_i = -r_i, is
-    its last row, s_i = r_i, plus r_i (the shell law).  H >= 0 is not
-    checked: it follows (D in the module docstring)."""
+    points that share the coordinates before axis i): every unit step away
+    from 0 lowers h by 0 or 1, that is h(s) - h(s - e_i) is 0 or 1 at
+    s_i <= 0 and h(s - e_i) - h(s) is at s_i >= 1, and the slab's first
+    row, s_i = -r_i, is its last row, s_i = r_i (the shell law).  h >= 0 is
+    not checked: it follows (D in the module docstring)."""
     for st, side in zip(_strides(sides), sides):
+        mid = side // 2 * st  # where the row s_i = 0 starts in a slab
         for base in range(0, len(grid), st * side):
             slab = grid[base:base + st * side]
-            if not (set(map(sub, slab, slab[st:])) <= {0, 1}
-                    and set(map(sub, slab[:st], slab[-st:])) == {side // 2}):
+            if not (set(map(sub, slab[st:mid + st], slab)) <= {0, 1}
+                    and set(map(sub, slab[mid:], slab[mid + st:])) <= {0, 1}
+                    and slab[:st] == slab[-st:]):
                 return False
     return True
 
 
 def _fold(grid: list, radii: Sequence[int]) -> list:
     """top[w] = the largest h(v) over |v| = w, for w in prod [0, r_i], flat in
-    row-major order, from a flat H list over prod [-r_i, r_i].
+    row-major order, from a flat h list over prod [-r_i, r_i].
 
     Each pass folds the leading axis: the row at |s_0| = a is the larger of
-    the rows at s_0 = a and s_0 = -a, the latter less a, its part of H_O;
-    H_O adds over the axes, so the other axes' parts pass through the max
-    unchanged and are taken off in their own passes.  `zip` then turns the
-    folded axis into the last one, so after one pass per axis the axes are
-    back in order."""
+    the rows at s_0 = a and s_0 = -a.  `zip` then turns the folded axis into
+    the last one, so after one pass per axis the axes are back in order."""
     for r in radii:
         width = len(grid) // (2 * r + 1)
         rows = [grid[j:j + width] for j in range(0, len(grid), width)]
         grid = list(chain.from_iterable(zip(*(
-            map(max, rows[r + a], map(sub, rows[r - a], repeat(a))) for a in range(r + 1)))))
+            map(max, rows[r + a], rows[r - a]) for a in range(r + 1)))))
     return grid
 
 
@@ -248,21 +250,23 @@ def _drops(top: list, sides: Sequence[int]) -> list:
 
 
 class HTable:
-    """H-function of a link descriptor over a lattice box prod [-M_i, M_i].
+    """h- and H-function of a link descriptor over a lattice box
+    prod [-M_i, M_i].
 
-    Construction reads the Euler characteristics of every sublink with
-    nonzero polynomial and the sign of every sublink polynomial in closed
-    form.  The full link's H is one flat list over prod [-M_i, M_i]
-    (`_h_grid`), the memo, read by index, at clamp(s) outside the box; H
-    and h are the only values read after construction.  M_i is two more
-    than the largest |u_i| over the tables of the sublinks containing
-    component i, M is the largest M_i, and neither ever changes.
-    Construction validates once, by one whole-list check of that list: unit
-    steps and the shell law, of which H >= 0 and h(-s) = h(s) are theorems
-    (see the module docstring).  Data for which no sign makes a sublink
-    valid raise `SignResolutionError`; other data breaking the laws raise
-    `StabilizationError`, carrying every problem over the cube [-M, M]^n and
-    the subsets whose sign was flipped, so a table that exists is valid.
+    Construction reads the table of every sublink that has one and the sign
+    of every sublink polynomial in closed form.  The full link's h is one
+    flat list over prod [-M_i, M_i] (`_h_grid`), the memo, read by index,
+    at clamp(s) outside the box; h and H = h + H_O are the only values read
+    after construction.  M_i is two more than the largest |u_i| over the
+    tables of the sublinks containing component i (2 if none does), M is
+    the largest M_i, and neither ever changes.  Construction validates
+    once, by one whole-list check of that list: unit steps and the shell
+    law, of which h >= 0 and h(-s) = h(s) are theorems (see the module
+    docstring).  Data for which no sign makes a sublink valid raise
+    `SignResolutionError`; other data breaking the laws raise
+    `StabilizationError`, carrying every problem over the cube [-M, M]^n
+    and the subsets whose sign was flipped, so a table that exists is
+    valid.
     """
 
     def __init__(self, link: LinkDescriptor, force: bool = False):
@@ -273,7 +277,7 @@ class HTable:
         self.link = link
         self.n = link.n
         self._corners: Optional[list] = None
-        self._tables: dict = {}  # sublink -> its _chi_table, nonzero polynomials only
+        self._tables: dict = {}  # sublink -> its _chi_table, nonempty tables only
         self._radii: dict = {}   # sublink -> the largest |u_j| over its table, per axis
         self._signs: dict = {}   # sublink -> +1 or -1, filled bottom-up
         self._resolve_signs()
@@ -285,33 +289,26 @@ class HTable:
     # -- construction helpers ------------------------------------------------
 
     def _h_grid(self, radii: Sequence[int]) -> list:
-        """H of the full link over the box prod [-r_j, r_j], with the signs
+        """h of the full link over the box prod [-r_j, r_j], with the signs
         chosen: one flat list, in the order of `itertools.product`.
 
-        H is the signed sum, over the sublinks C with a table, of the
-        orthant sums at v = s + 1: the sum of C's coefficients at all u >= v,
-        or for a knot the sum of its torsion coefficients (the sums of its
-        coefficients at the degrees >= w) over the degrees w >= v, each
-        constant along the axes C lacks.  So every signed coefficient is
-        placed once, at the mirror of s = u - 1 (a knot's torsion
-        coefficients at every degree from -r + 1 up), and at the top index of
-        each axis C lacks; one prefix-sum pass per axis, which `zip` turns
-        into the last one as in `_fold`, sums every orthant at once, and
-        reversing the list undoes the mirror.  Needs r_j > |u_j| for every
-        exponent u: a coefficient off the box would wrap to another point, or
-        onto another table's, without any error.  A table builds it once,
-        over its box, where every sublink's H is a face of it; only a
+        h is the signed sum, over the sublinks C with a table, of the
+        orthant sums at v = s + 1, the sum of C's table at all u >= v, each
+        constant along the axes C lacks (see the module docstring: a knot's
+        table takes the unknot's part off, so the sum is h, not H).  So every
+        signed value is placed once, at the mirror of s = u - 1, and at the
+        top index of each axis C lacks; one prefix-sum pass per axis, which
+        `zip` turns into the last one as in `_fold`, sums every orthant at
+        once, and reversing the list undoes the mirror.  Needs r_j > |u_j|
+        for every exponent u: a value off the box would wrap to another
+        point, or onto another table's, without any error.  A table builds it once,
+        over its box, where every sublink's h is a face of it; only a
         `StabilizationError` builds a second, over the cube."""
         sides = [2 * r + 1 for r in radii]
         strides = _strides(sides)
         grid = [0] * prod(sides)
         for C, table in self._tables.items():
             assert all(map(lt, self._radii[C], map(radii.__getitem__, C))), (C, radii)
-            if len(C) == 1:  # torsion coefficients, summed down from the top degree
-                (top,), r, st = self._radii[C], radii[C[0]], strides[C[0]]
-                grid[(r + 1 - top) * st:(2 * r + 1) * st:st] = accumulate(
-                    table.get((w,), 0) for w in range(top, -r, -1))
-                continue
             sign = self._signs[C] * (-1) ** (len(C) - 1)
             steps = [strides[k] for k in C]
             top = sum((radii[k] + 1) * strides[k] for k in C)  # where u = 0 sits, mirrored
@@ -327,33 +324,35 @@ class HTable:
 
     def _resolve_signs(self) -> None:
         """Choose the sign of every multi-component sublink polynomial by the
-        closed-form rule below, bottom up, then build the full link's H over
+        closed-form rule below, bottom up, then build the full link's h over
         its box prod [-M_i, M_i] and check the laws on it once.
 
         The rule.  Let c be B's table, a = max(c) its lexicographically
         largest exponent, parity = (-1)^(|B| - 1), and rho the sum of
         parity_C * sign_C * step_C over the tables C of proper sublinks of B
-        that contain B[0], where step_C is the sum of c_C(u) over the u with
-        u_1 = a_1 and u >= a on C's other axes (for the knot C = (B[0],), the
-        sum of c_C(w) over w >= a_1).  Take sign_B = +1 if
-        rho + parity * c(a) is 0 or 1, else -1.
+        that contain B[0], knots included, where step_C is the sum of c_C(u)
+        over the u with u_1 = a_1 and u >= a on C's other axes.  Take
+        sign_B = +1 if rho + parity * c(a) is 0 or 1, else -1.
 
-        Proof that no other sign can be valid.  Take the step of H_B along
-        e_1 between v = a and v = a + e_1 (v = s + 1).  B's own orthant sum
-        is c(a) at a, since every other u >= a is lexicographically larger,
-        and 0 at a + e_1.  A sublink C without B[0] sees the same point at
-        both.  A sublink C with B[0] changes by step_C: for a link table, the
-        terms with u_1 = a_1 leave the orthant; for a knot, the orthant sum
-        of the torsion series falls by its torsion coefficient at a_1.  So
-        the step law there reads rho + parity * sign_B * c(a) in {0, 1}.  The
-        two signs give values 2|c(a)| >= 2 apart, so at most one sign is
-        valid, and the rule picks it whenever one is.  H determines chi by
-        inclusion-exclusion, so this pins the sign of chi that the laws
-        allow (Liu, "L-space surgeries on links"; Gorsky-Nemethi).
+        Proof that no other sign can be valid.  c's support is symmetric
+        under u -> 1 - u (A in the module docstring), so a_1 >= 1 - a_1, that
+        is a_1 >= 1.  Take the step h_B(s - e_1) - h_B(s) at s = a, between
+        v = a and v = a + e_1 (v = s + 1): as s_1 >= 1, the step law reads it
+        in {0, 1}.  B's own orthant sum is c(a) at a, since every other
+        u >= a is lexicographically larger, and 0 at a + e_1.  A table C
+        without B[0] sees the same point at both.  A table C with B[0]
+        changes by step_C, its values with u_1 = a_1 leaving the orthant; for
+        a knot that is t_K(a_1) = tau_K(a_1), its torsion coefficient, as
+        a_1 >= 1.  So the step law there reads
+        rho + parity * sign_B * c(a) in {0, 1}.  The two signs give values
+        2|c(a)| >= 2 apart, so at most one sign is valid, and the rule picks
+        it whenever one is.  H determines chi by inclusion-exclusion, so
+        this pins the sign of chi that the laws allow (Liu, "L-space
+        surgeries on links"; Gorsky-Nemethi).
 
         When the full link's laws fail, its list's face s_j = M_j (j not in
-        B), sliced off by `_slice`, is H_B on prod [-M_j, M_j] (j in B), and
-        on a box that wide the laws decide H_B everywhere (see below).  So
+        B), sliced off by `_slice`, is h_B on prod [-M_j, M_j] (j in B), and
+        on a box that wide the laws decide h_B everywhere (see below).  So
         the first multi-component sublink, in `all_subsets` order, whose face
         fails is one that no sign makes valid, since every earlier one had
         its only valid sign, or one breaking Torres's condition, which no
@@ -367,17 +366,16 @@ class HTable:
         largest |u_j| over the tables containing axis j, decides them on
         every larger box, such as the cube [-r, r]^|B|, r = max r_j, which
         the problems of a failing full link are rendered over: outside the
-        box H(s) = H(clamp(s)) plus the sum of the max(-r_j - s_j, 0) (see
-        the module docstring), so a step along a clamped axis is 0 or 1, a
-        step along another axis equals the step at the clamped point, and h
-        on a shell of the larger box is h on the box's shell."""
+        box h(s) = h(clamp(s)) (see the module docstring), so a step along a
+        clamped axis is 0, a step along another axis equals the step at the
+        clamped point, and h on a shell of the larger box is h on the box's
+        shell."""
         tables, radii, signs = self._tables, self._radii, self._signs
         for B in all_subsets(self.n):
             signs[B] = 1
-            delta = self.link.delta(B)
-            if delta.is_zero():
+            c = _chi_table(self.link.delta(B))
+            if not c:
                 continue
-            c = _chi_table(delta)
             if len(B) > 1:  # the tables so far hold every proper sublink of B
                 a = max(c)
                 rho = 0
@@ -386,16 +384,16 @@ class HTable:
                         corner = [a[B.index(j)] for j in C]
                         rho += signs[C] * (-1) ** (len(C) - 1) * sum(
                             x for u, x in table.items()
-                            if all(map(ge, u, corner)) and (len(u) == 1 or u[0] == a[0]))
+                            if u[0] == a[0] and all(map(ge, u, corner)))
                 signs[B] = 1 if rho + (-1) ** (len(B) - 1) * c[a] in (0, 1) else -1
             tables[B] = c
             radii[B] = [max(map(abs, axis)) for axis in zip(*c)]
-        box = self._box = [2 + max(r[C.index(j)] for C, r in radii.items() if j in C)
+        box = self._box = [2 + max((r[C.index(j)] for C, r in radii.items() if j in C), default=0)
                            for j in range(self.n)]
-        self._grid = self._h_grid(box)  # the full link's H over the box, flat
+        self._grid = self._h_grid(box)  # the full link's h over the box, flat
         if _laws_hold(self._grid, [2 * m + 1 for m in box]):
             return
-        for B in tables:  # B's H is the face s_j = M_j of the list, j not in B
+        for B in tables:  # B's h is the face s_j = M_j of the list, j not in B
             if len(B) > 1 and not _laws_hold(
                     _slice(self._grid, box, [-m if j in B else m for j, m in enumerate(box)]),
                     [2 * box[j] + 1 for j in B]):
@@ -413,26 +411,21 @@ class HTable:
 
     # -- evaluation ------------------------------------------------------------
 
-    def H(self, s: Sequence[int]) -> int:
-        """H-function at any lattice point, read from the list at clamp(s):
-        h(s) = h(clamp(s)), so H(s) - H(clamp(s)) = H_O(s) - H_O(clamp(s)),
-        the sum of max(-M_i - s_i, 0)."""
+    def h(self, s: Sequence[int]) -> int:
+        """h at any lattice point, read from the list at clamp(s): h(s) =
+        h(clamp(s)) (see the module docstring)."""
         s = tuple(s)
         if len(s) != self.n:
             raise ValueError(f"point {s} has wrong dimension, expected {self.n}")
-        index, below = 0, 0
+        index = 0
         for x, m, side in zip(s, self._box, self._sides):
-            if x < -m:
-                below += -m - x
-                x = -m
-            elif x > m:
-                x = m
-            index = index * side + x
-        return self._grid[index + self._origin] + below
+            index = index * side + (-m if x < -m else m if x > m else x)
+        return self._grid[index + self._origin]
 
-    def h(self, s: Sequence[int]) -> int:
+    def H(self, s: Sequence[int]) -> int:
+        """H-function at any lattice point: h(s) + H_O(s)."""
         s = tuple(s)
-        return self.H(s) - _unlink_H(s)
+        return self.h(s) + _unlink_H(s)
 
     # -- the box and the signs ---------------------------------------------------
 
@@ -470,9 +463,9 @@ class HTable:
     def staircases(self) -> tuple:
         """The minimal points of {w >= 0 : h(w) = 0} and the maximal points w
         of its complement, those with h(w + e_i) = 0 for every i, each sorted,
-        by whole-list operations on the box list.  On prod [0, M_i] h = H
-        (`_slice` at lows 0); `_drops` on the list of h > 0 marks the points where
-        it falls along every axis, and on the list of h = 0 with every axis
+        by whole-list operations on the box list, sliced to prod [0, M_i]
+        (`_slice` at lows 0); `_drops` on the list of h > 0 marks the points
+        where it falls along every axis, and on the list of h = 0 with every axis
         reversed (the list reversed) the points where it falls along every
         axis downward, which are the minimal points.  h is constant in w_i
         from M_i - 1 on, so no minimal point has w_i = M_i, and no maximal

@@ -5,7 +5,7 @@ its component offset, and every subset mixing parts has zero polynomial,
 which makes the H-function additive over the parts.  Only the unlink of the
 catalog, union files and library callers use these, so a catalog job of
 another link never imports this module.  No table needs a sublink's
-descriptor: a sublink's H is a face of the link's own H list (see
+descriptor: a sublink's h is a face of the link's own h list (see
 `hfunction`), which is how `region.projection_check` reads it.
 """
 

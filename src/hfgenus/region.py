@@ -103,11 +103,10 @@ def projection_check(t: HTable, r: UpwardClosedRegion) -> list:
     """Every generator, with any one coordinate dropped, must lie in the region
     of the corresponding component-deleted sublink.  Returns violations.
 
-    The sublink without component i has the H of the face s_i = M_i of the
-    link's table t (see `hfunction`), and H_O adds nothing there, so a
-    projection lies in its region, {h = 0} on the orthant, exactly when h
-    vanishes at the generator with g_i replaced by M.  One table answers
-    every sublink."""
+    The sublink without component i has the h of the face s_i = M_i of the
+    link's table t (see `hfunction`), so a projection lies in its region,
+    {h = 0} on the orthant, exactly when h vanishes at the generator with
+    g_i replaced by M.  One table answers every sublink."""
     if t.n != r.n:
         raise ValueError("region dimension does not match the link")
     if t.n == 1:

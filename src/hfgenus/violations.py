@@ -1,26 +1,28 @@
 """The problems of an H-function that breaks its laws, as messages.
 
-`HTable` checks unit steps and the shell law with whole-list operations and
-imports this module only when no sublink's face fails them, to render each
-violation of a failing table as the `StabilizationError` problems: the
-failing steps, and the negative values of H, which only a failing step
-leaves (D in the `hfunction` docstring).
+`HTable` checks unit steps and the shell law on its h list with whole-list
+operations and imports this module only when no sublink's face fails them,
+to render each violation of a failing table as the `StabilizationError`
+problems, stated on H = h + H_O: the failing steps, and the negative values
+of H, which only a failing step leaves (D in the `hfunction` docstring).
 """
 
 from __future__ import annotations
 
-from operator import sub
+from itertools import product
+from operator import add, sub
 from typing import Sequence
 
-from .hfunction import _strides
+from .hfunction import _strides, _unlink_H
 
 
-def law_messages(grid: list, radii: Sequence[int]) -> list:
-    """The violations of the laws on a flat grid over prod [-r_i, r_i], in box
-    order: at each point the negative value first, else the failing steps
-    e_1..e_k."""
+def law_messages(h: list, radii: Sequence[int]) -> list:
+    """The violations of the laws on a flat h list over prod [-r_i, r_i], in
+    box order, on H = h + H_O: at each point the negative value first, else
+    the failing steps e_1..e_k."""
     sides = [2 * r + 1 for r in radii]
     strides = _strides(sides)
+    grid = list(map(add, h, map(_unlink_H, product(*(range(-r, r + 1) for r in radii)))))
     bad = {j for j, x in enumerate(grid) if x < 0}
     for st, side in zip(strides, sides):  # each slab along each axis, as `_laws_hold` walks
         for base in range(0, len(grid), st * side):

@@ -12,7 +12,10 @@ k >= 12, where that sum is slow, from the closed form `two_bridge_h`.  The
 per-point references take such an h (or the descriptor) and the per-axis
 radii of the box, and carry their own `f_cap` and `minimalize`.  chi comes
 from `oracle_chi`, a signed coefficient of the stored polynomial, and the
-tests compare it with the `inclusion_exclusion` of a table's H.
+tests compare it with the `inclusion_exclusion` of a table's H; a sublink's
+table, as `_chi_table` stores it, from `oracle_table`.  Where a table flips
+a stored sign, `oracle_h` and `oracle_chi` take the signs of
+`reference_sign_resolution`.
 
 The one exception is `TABLE_READ_EXCEPTION`: a brute sweep of the borromean
 (3,16)^3 cable's 68,921 box points takes about 16 s, so the test of the
@@ -91,6 +94,20 @@ def linked_pairs_borromean():
                           alexander={(0,): LaurentPoly.one(1), (1,): LaurentPoly.one(1),
                                      (2,): LaurentPoly.one(1), (0, 1): wh, (0, 2): wh,
                                      (1, 2): LaurentPoly.zero(2), (0, 1, 2): bo})
+
+
+def borromean_over_a_two_bridge_pair():
+    """Data passing the laws (not a known link): two_bridge:2's pair
+    polynomial on (1,2), whose table reaches u_1 = 2, past the largest
+    exponent (1, 1, 1) of the borromean rings' polynomial on (1,2,3), and
+    zero polynomials on (1,3) and (2,3)."""
+    zero = LaurentPoly.zero(2)
+    return LinkDescriptor("borromean over a two_bridge:2 pair", [Component("unknot")] * 3,
+                          alexander={(0,): LaurentPoly.one(1), (1,): LaurentPoly.one(1),
+                                     (2,): LaurentPoly.one(1),
+                                     (0, 1): catalog("two_bridge", 2).delta((0, 1)),
+                                     (0, 2): zero, (1, 2): zero,
+                                     (0, 1, 2): catalog("borromean").delta((0, 1, 2))})
 
 
 # Knot polynomials at doubled exponents, for drawn data.
@@ -211,6 +228,9 @@ RESOLUTION = SLOW_RESOLUTION + _group({
     "two_bridge:3 cabled by (3,7),(2,5)": lambda: cable_alexander(
         catalog("two_bridge", 3), CableSpec(((3, 7), (2, 5)))),
     "borromean polynomial over two whitehead pairs": linked_pairs_borromean,
+    # the pair's table holds (2, 1) >= a = (1, 1), off the slice u_1 = 1 that
+    # the sign rule reads at the triple's largest exponent a = (1, 1, 1)
+    "borromean polynomial over a two_bridge:2 pair": borromean_over_a_two_bridge_pair,
     # passes the step law, but its triple breaks Torres's condition
     "T(2,5), trefoil, T(2,5) with a triple breaking Torres": torres_breaking,
     # the union's own list fails, and only the face of the pair (1, 2) does
@@ -337,31 +357,57 @@ def two_bridge_h(k):
 
 def oracle_h(name):
     """h of the named input: `two_bridge_h` for two_bridge:k with k >= 12,
-    where the brute sum is slow, else `brute_h`."""
+    where the brute sum is slow, else `brute_h` with the signs of
+    `reference_signs`."""
     k = re.fullmatch(r"two_bridge:(\d+)", name)
     if k and int(k[1]) >= 12:
         return two_bridge_h(int(k[1]))
-    return brute_h(link(name))
+    d = link(name)
+    return brute_h(d, reference_signs(d))
 
 
-# -- chi from the polynomials ---------------------------------------------------------
+# -- chi and the tables from the polynomials ---------------------------------------------
 
 
 _SIGNS = {}  # id of a descriptor -> (the descriptor, its reference_sign_resolution)
 
 
+def reference_signs(d):
+    """`reference_sign_resolution` of d, memoised per descriptor as `brute_h`
+    is."""
+    if id(d) not in _SIGNS:
+        _SIGNS[id(d)] = d, reference_sign_resolution(d)  # keeps d alive, as _MEMOS does
+    return _SIGNS[id(d)][1]
+
+
+def torsion(d, B, w):
+    """The sum of the knot B's coefficients at the degrees >= w: its torsion
+    coefficient at w."""
+    return sum(c for (e,), c in d.delta(B).terms.items() if e >= 2 * w)
+
+
 def oracle_chi(d, B, u):
     """chi(HFL^-) of the sublink B (0-based, increasing) of d at u, read off
     the stored polynomial: for a link the coefficient at the half-shifted
-    exponent u - 1/2, times B's sign from `reference_sign_resolution`,
-    memoised per descriptor as `brute_h` is; for a knot the sum of the
-    coefficients at the degrees >= u, its torsion coefficient at u."""
-    terms = d.delta(B).terms  # at doubled exponents
+    exponent u - 1/2, times B's sign from `reference_signs`; for a knot its
+    torsion coefficient at u."""
     if len(B) == 1:
-        return sum(c for (e,), c in terms.items() if e >= 2 * u[0])
-    if id(d) not in _SIGNS:
-        _SIGNS[id(d)] = d, reference_sign_resolution(d)  # keeps d alive, as _MEMOS does
-    return _SIGNS[id(d)][1][B] * terms.get(tuple(2 * x - 1 for x in u), 0)
+        return torsion(d, B, u[0])
+    return reference_signs(d)[B] * d.delta(B).terms.get(tuple(2 * x - 1 for x in u), 0)
+
+
+def oracle_table(d, B):
+    """The nonzero values of the sublink B's table, as stored, read off its
+    polynomial alone: for a link the coefficients at the half-shifted
+    exponents u - 1/2, for a knot tau(w) - [w <= 0] at each degree w, tau
+    its torsion coefficients, over degrees past the support on both
+    sides."""
+    terms = d.delta(B).terms  # at doubled exponents
+    if len(B) > 1:
+        return {tuple((e + 1) // 2 for e in exp): c for exp, c in terms.items()}
+    reach = max(abs(e) for (e,) in terms) // 2 + 2
+    values = {(w,): torsion(d, B, w) - (w <= 0) for w in range(-reach, reach + 1)}
+    return {w: x for w, x in values.items() if x}
 
 
 def inclusion_exclusion(H, s):

@@ -21,7 +21,8 @@ from hfgenus.region import maximal_lattice_points, projection_check, region_from
 from oracles import (ADMISSIBLE, ATOMIC, INVALID, KNOTS, ORACLE, PARTS, REPORT, RESOLUTION,
                      SLOW_RESOLUTION, P, axis_radii, bad_knot, box, brute_H, brute_h, cube,
                      face, flipped_whitehead, formula_H, inclusion_exclusion, link,
-                     linked_pairs_borromean, oracle_chi, reference_law_problems,
+                     linked_pairs_borromean, oracle_chi, oracle_h, oracle_table,
+                     reference_corners, reference_law_problems,
                      reference_report, reference_shell_holds, reference_sign_resolution,
                      reference_sweep, torres_breaking, two_bridge_h, unlink_H)
 
@@ -92,6 +93,24 @@ def test_h_is_symmetric_on_raw_draws():
     assert built >= 300
 
 
+def test_corners_read_both_signs_of_every_coordinate_on_raw_draws():
+    # h(-s) = h(s) is a theorem, but h(v) <= h(|v|) is not: some draws
+    # passing the laws have h(v) > h(|v|), so the fold must read the rows
+    # at s_i = a and at s_i = -a, and the corners match the per-point
+    # reference on every draw that builds
+    rng, asymmetric = random.Random(8), 0
+    for k in range(600):
+        d = raw_draw(rng, k)
+        try:
+            t = HTable(d)
+        except ValidationError:
+            continue
+        h = brute_h(d, reference_sign_resolution(d))
+        asymmetric += any(h(s) > h((abs(s[0]), abs(s[1]))) for s in cube(t.M, 2))
+        assert t.corners() == reference_corners(h, axis_radii(d)), d.name
+    assert asymmetric >= 5
+
+
 @pytest.mark.parametrize("name", ORACLE)
 def test_orthant_tables_match_support_scan(name):
     # chi of every sublink, by inclusion-exclusion of the table's H on the
@@ -111,7 +130,6 @@ def test_orthant_tables_match_support_scan(name):
             coeffs = {tuple((e + 1) // 2 for e in exp): c
                       for exp, c in delta.terms.items()}
             coeff = lambda v: coeffs.get(v, 0)
-        assert _chi_table(delta) == coeffs, B
         sides = []
         for i in range(len(B)):
             lo, hi = min(e[i] for e in coeffs), max(e[i] for e in coeffs)
@@ -399,8 +417,8 @@ def test_the_corner_theorem_needs_no_torres():
 
 
 def test_the_laws_do_not_check_H_nonnegative():
-    # a valid table's list, lowered by a constant: every step and shell is
-    # kept, so the laws pass, though every value is negative
+    # a valid table's h list, lowered by a constant: every step and shell is
+    # kept, so the laws pass, though every h is negative, and so is H at 0
     t = HTable(catalog("borromean"))
     low = [x - max(t._grid) - 1 for x in t._grid]
     assert hfunction._laws_hold(low, t._sides)
@@ -513,7 +531,8 @@ def lawful_grid(radii, data):
 def test_array_laws_match_the_reference_sweep(radii, data):
     # on arbitrary lists H >= 0 is no theorem, and `_laws_hold` checks the
     # steps and the shells only: the reference is the sweep's step problems,
-    # read on the list lifted to be nonnegative, and the shell law
+    # read on the list lifted to be nonnegative, and the shell law; the
+    # list is H, and `_laws_hold` and `law_messages` read h = H - H_O
     if data.draw(st.booleans()):
         grid = lawful_grid(radii, data)
     else:
@@ -525,8 +544,9 @@ def test_array_laws_match_the_reference_sweep(radii, data):
     lifted = lambda s: at[s] - min(grid)
     laws = next(reference_sweep(lifted, radii), None) is None \
         and reference_shell_holds(at.__getitem__, radii)
-    assert hfunction._laws_hold(grid, [2 * r + 1 for r in radii]) == laws
-    assert violations.law_messages(grid, radii) == expected
+    h = [x - unlink_H(s) for s, x in zip(box(radii), grid)]
+    assert hfunction._laws_hold(h, [2 * r + 1 for r in radii]) == laws
+    assert violations.law_messages(h, radii) == expected
 
 
 @pytest.mark.parametrize("name", sorted(REPORT))
@@ -633,7 +653,7 @@ def test_one_sign_at_most_is_valid_and_the_table_takes_it(name):
         assert t.sign_resolution == {tuple(i + 1 for i in B): s for B, s in signs.items()}
         assert t.flipped_signs() == flips
         assert t._box == axis_radii(d)
-        assert t._grid == [brute_H(d, s, signs) for s in box(axis_radii(d))], d.name
+        assert t._grid == list(map(brute_h(d, signs), box(axis_radii(d)))), d.name
 
 
 def test_the_sign_rule_counts_the_sublinks_below():
@@ -709,23 +729,57 @@ def test_sign_resolution_of_a_union():
 @pytest.mark.parametrize("name", ORACLE)
 def test_grid_matches_lookups(name):
     # the link's list, over the least box its tables fit in and boxes up to
-    # two wider in all, is the brute-force H, and a box one narrower on any
-    # axis is refused; on the table's box, the face s_j = M_j (j off B) of
-    # the list is the brute-force H of the sublink B's own descriptor
+    # two wider in all, is the brute-force h; a box one narrower on any axis
+    # that a table holds is refused, and an axis that no table holds has no
+    # table in the HTable either, and M_j = 2; on the table's box, the face
+    # s_j = M_j (j off B) of the list is the brute-force h of the sublink
+    # B's own descriptor
     d = link(name)
     t = HTable(d)
     least = [m - 1 for m in axis_radii(d)]
     for extra in (x for x in product(range(3), repeat=d.n) if sum(x) <= 2):
         radii = list(map(add, least, extra))
-        assert t._h_grid(radii) == [brute_H(d, s) for s in box(radii)], radii
+        assert t._h_grid(radii) == list(map(brute_h(d), box(radii))), radii
+    held = {j for B in all_subsets(d.n) if oracle_table(d, B) for j in B}
     for j in range(d.n):
-        with pytest.raises(AssertionError):
-            t._h_grid(least[:j] + [least[j] - 1] + least[j + 1:])
+        if j in held:
+            with pytest.raises(AssertionError):
+                t._h_grid(least[:j] + [least[j] - 1] + least[j + 1:])
+        else:
+            assert not any(j in C for C in t._tables) and t._box[j] == 2, j
     for B in all_subsets(d.n):
         lows = [-m if j in B else m for j, m in enumerate(t._box)]
         face = hfunction._slice(t._grid, t._box, lows)
         sub = sublink(d, B)
-        assert face == [brute_H(sub, s) for s in box([t._box[j] for j in B])], B
+        assert face == list(map(brute_h(sub), box([t._box[j] for j in B]))), B
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE + ADMISSIBLE))
+def test_every_table_is_its_polynomial_and_antisymmetric(name):
+    # every sublink's table is read off its polynomial alone (a knot's as
+    # its torsion coefficients less the unknot's), keeps
+    # c(1 - u) = (-1)^|C| c(u) and sums to 0, and the unknot's is empty
+    d = link(name)
+    t = HTable(d)
+    for B in all_subsets(d.n):
+        table = oracle_table(d, B)
+        assert t._tables.get(B, {}) == table, B
+        if not table:
+            assert d.delta(B) in (LaurentPoly.zero(len(B)), LaurentPoly.one(1)), B
+            continue
+        assert _chi_table(d.delta(B)) == table, B
+        assert {tuple(1 - x for x in u): (-1) ** len(B) * c for u, c in table.items()} == table
+        assert sum(table.values()) == 0, B
+    assert _chi_table(LaurentPoly.one(1)) == {}
+
+
+def test_oracle_h_reads_the_reference_signs():
+    # the stored sign of the whitehead polynomial is flipped, and the
+    # oracle, like the table, takes the sign that passes the laws
+    name = "whitehead, stored sign flipped"
+    h, t = oracle_h(name), HTable(link(name))
+    assert h((0, 0)) == 1 == t.h((0, 0))
+    assert all(h(s) == t.h(s) for s in cube(t.M, 2))
 
 
 @pytest.mark.parametrize("name", sorted(REPORT + RESOLUTION))
@@ -763,7 +817,7 @@ def test_one_list_per_link(name, monkeypatch):
 def test_full_link_list_is_brute_force(name):
     d = link(name)
     t = HTable(d)
-    assert t._grid == [brute_H(d, s) for s in box(axis_radii(d))]
+    assert t._grid == list(map(brute_h(d), box(axis_radii(d))))
 
 
 def test_two_bridge_closed_form_is_the_formula():

@@ -42,9 +42,11 @@ class StabilizationError(ValidationError):
     leave.
 
     Raised by the `HTable` constructor, the one raiser, which passes every
-    problem the validation sweep found as `problems` and the 1-based subsets
-    whose stored sign it flipped as `flipped`; the message shows only the
-    first few problems.  Stabilization itself holds by construction.
+    problem over the cube [-M, M]^n as `problems`, read off the table's own
+    h list through the clamp (no second list is built), and the 1-based
+    subsets whose stored sign it flipped as `flipped`; the message shows
+    only the first few problems.  Stabilization itself holds by
+    construction.
     """
 
     def __init__(self, message: str, problems, flipped):

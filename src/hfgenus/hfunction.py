@@ -63,15 +63,19 @@ orthant; it is fixed by its minimal points and its complement by its
 maximal points (`HTable.staircases`, after `_slice`).
 
 The overall sign of a multi-component Alexander polynomial is not pinned down
-by symmetry alone.  It is read here in closed form, bottom-up over sublinks:
-at the lexicographically largest exponent of a sublink's table, the step law
-along e_1 holds for at most one sign (`HTable._resolve_signs` has the rule
-and its proof).  The full link's list, built with those signs, is the memo of
-h on its box, and one whole-list check of it is the validation.  Only when it
-fails are the sublinks' faces of it checked, to name a sublink that no sign
-makes valid; no second list is built but the cube's over which the problems
-are rendered, only at the failing points, by `violations`, which only a
-failing table imports.
+by symmetry alone.  It is read off the list itself, bottom-up over
+sublinks: every sign starts at +1, and at the lexicographically largest
+exponent of a sublink's table one step of h along e_1, on the sublink's
+face of the list, satisfies the step law for at most one sign
+(`HTable._resolve_signs` has the rule and its proof); a sign that fails it
+is flipped and the list built again.  The last list, built with those
+signs, is the memo of h on its box, and one whole-list check of it is the
+validation.  Only when it fails are the sublinks' faces of it checked, to
+name a sublink that no sign makes valid; otherwise the problems are
+rendered over the cube, read off that list through the clamp, by
+`violations`, which only a failing table imports.  So the list is the only
+evaluator of h: a table builds it once, plus once after each flipped sign,
+and no other list exists.
 
 What the laws prove.  Let c_C be a sublink's table (`_chi_table`, at the
 coordinates u = (e + 1)/2 of the doubled exponents e of a link, at the
@@ -148,7 +152,7 @@ from __future__ import annotations
 
 from itertools import accumulate, chain, compress, product
 from math import prod
-from operator import add, and_, ge, lt, mul, sub
+from operator import add, and_, lt, mul, sub
 from typing import Optional, Sequence
 
 from .errors import LSpaceAssertionError, SignResolutionError, StabilizationError
@@ -166,7 +170,8 @@ def _chi_table(delta: LaurentPoly) -> dict:
     lattice: the `LinkDescriptor` constructor rejects a knot exponent that
     is not an integer and a link exponent that is not half-odd (the
     zero-linking parity), so the halving below is exact.  Only construction
-    reads the result: the sign rule and `_h_grid`."""
+    reads the result: the box, the sign rule's largest exponent and
+    `_h_grid`."""
     if delta.nvars > 1:
         return {tuple((e + 1) // 2 for e in exp): c for exp, c in delta.terms.items()}
     top = max(delta.terms)[0] // 2
@@ -253,9 +258,10 @@ class HTable:
     """h- and H-function of a link descriptor over a lattice box
     prod [-M_i, M_i].
 
-    Construction reads the table of every sublink that has one and the sign
-    of every sublink polynomial in closed form.  The full link's h is one
-    flat list over prod [-M_i, M_i] (`_h_grid`), the memo, read by index,
+    Construction reads the table of every sublink that has one, and the box
+    from them, then the sign of every sublink polynomial off the full
+    link's h, one flat list over prod [-M_i, M_i] (`_h_grid`), built again
+    after each flipped sign.  The last list is the memo, read by index,
     at clamp(s) outside the box; h and H = h + H_O are the only values read
     after construction.  M_i is two more than the largest |u_i| over the
     tables of the sublinks containing component i (2 if none does), M is
@@ -278,19 +284,23 @@ class HTable:
         self.n = link.n
         self._corners: Optional[list] = None
         self._tables: dict = {}  # sublink -> its _chi_table, nonempty tables only
-        self._radii: dict = {}   # sublink -> the largest |u_j| over its table, per axis
-        self._signs: dict = {}   # sublink -> +1 or -1, filled bottom-up
-        self._resolve_signs()
-
+        self._signs = dict.fromkeys(all_subsets(self.n), 1)  # +1 until the rule flips it
+        self._box = [2] * self.n  # M_j, widened over the tables holding axis j
+        for B in self._signs:
+            if c := _chi_table(link.delta(B)):
+                self._tables[B] = c
+                for j, axis in zip(B, zip(*c)):
+                    self._box[j] = max(self._box[j], 2 + max(map(abs, axis)))
         self.M = max(self._box)
         self._sides = [2 * m + 1 for m in self._box]
         self._origin = sum(map(mul, self._box, _strides(self._sides)))  # index of 0
+        self._resolve_signs()
 
     # -- construction helpers ------------------------------------------------
 
-    def _h_grid(self, radii: Sequence[int]) -> list:
-        """h of the full link over the box prod [-r_j, r_j], with the signs
-        chosen: one flat list, in the order of `itertools.product`.
+    def _h_grid(self) -> list:
+        """h of the full link over its box prod [-M_j, M_j], with the signs
+        as they stand: one flat list, in the order of `itertools.product`.
 
         h is the signed sum, over the sublinks C with a table, of the
         orthant sums at v = s + 1, the sum of C's table at all u >= v, each
@@ -299,22 +309,20 @@ class HTable:
         signed value is placed once, at the mirror of s = u - 1, and at the
         top index of each axis C lacks; one prefix-sum pass per axis, which
         `zip` turns into the last one as in `_fold`, sums every orthant at
-        once, and reversing the list undoes the mirror.  Needs r_j > |u_j|
-        for every exponent u: a value off the box would wrap to another
-        point, or onto another table's, without any error.  A table builds it once,
-        over its box, where every sublink's h is a face of it; only a
-        `StabilizationError` builds a second, over the cube."""
-        sides = [2 * r + 1 for r in radii]
-        strides = _strides(sides)
-        grid = [0] * prod(sides)
+        once, and reversing the list undoes the mirror.  The box is built
+        from the tables, M_j = 2 + the largest |u_j| over those holding
+        axis j, so every value lands on it.  This is the only evaluator of
+        h: a table builds it once, plus once after each sign the rule
+        flips, and every sublink's h is a face of it."""
+        strides = _strides(self._sides)
+        grid = [0] * prod(self._sides)
         for C, table in self._tables.items():
-            assert all(map(lt, self._radii[C], map(radii.__getitem__, C))), (C, radii)
             sign = self._signs[C] * (-1) ** (len(C) - 1)
             steps = [strides[k] for k in C]
-            top = sum((radii[k] + 1) * strides[k] for k in C)  # where u = 0 sits, mirrored
+            top = sum((self._box[k] + 1) * strides[k] for k in C)  # where u = 0 sits, mirrored
             for u, c in table.items():
                 grid[top - sum(map(mul, u, steps))] = sign * c
-        for side in sides:
+        for side in self._sides:
             width = len(grid) // side
             rows = accumulate((grid[j:j + width] for j in range(0, len(grid), width)),
                               lambda x, y: list(map(add, x, y)))
@@ -324,31 +332,39 @@ class HTable:
 
     def _resolve_signs(self) -> None:
         """Choose the sign of every multi-component sublink polynomial by the
-        closed-form rule below, bottom up, then build the full link's h over
-        its box prod [-M_i, M_i] and check the laws on it once.
+        rule below, bottom up, reading each off the full link's h list over
+        its box prod [-M_i, M_i], then check the laws on that list once.
 
-        The rule.  Let c be B's table, a = max(c) its lexicographically
-        largest exponent, parity = (-1)^(|B| - 1), and rho the sum of
-        parity_C * sign_C * step_C over the tables C of proper sublinks of B
-        that contain B[0], knots included, where step_C is the sum of c_C(u)
-        over the u with u_1 = a_1 and u >= a on C's other axes.  Take
-        sign_B = +1 if rho + parity * c(a) is 0 or 1, else -1.
+        The rule.  Every sign starts at +1 and the list is built with them.
+        For each multi-component sublink B with a table c, in `all_subsets`
+        order, let a = max(c) be its lexicographically largest exponent, and
+        read the step h(s) - h(s + e_1), e_1 the unit vector of B[0], at
+        s_j = a_j - 1 for j in B and s_j = M_j off B, a point of B's face.
+        Keep sign_B = +1 if the step is 0 or 1; else take sign_B = -1 and
+        build the list again, so that the supersets of B read it.
+
+        What the step is.  On the face, every table holding an axis j off B
+        gives 0 (its orthant sums at v_j = M_j + 1 are empty), so only the
+        tables C of sublinks of B count, and the step is that of h_B between
+        v = a and v = a + e_1 (v = s + 1).  B's own orthant sum is c(a) at
+        a, since every other u >= a is lexicographically larger, and 0 at
+        a + e_1.  A table C without B[0] is constant along e_1.  A table C
+        with B[0] changes by step_C, the sum of c_C(u) over u_1 = a_1 and
+        u >= a on C's other axes; for a knot that is t_K(a_1) = tau_K(a_1),
+        its torsion coefficient, as a_1 >= 1 (below).  So with parity =
+        (-1)^(|B| - 1) and rho the sum of parity_C * sign_C * step_C over
+        the proper sublinks C of B holding B[0], knots included, whose signs
+        are final (they come first in `all_subsets` order), the step read is
+        rho + parity * sign_B * c(a) at sign_B = +1.
 
         Proof that no other sign can be valid.  c's support is symmetric
         under u -> 1 - u (A in the module docstring), so a_1 >= 1 - a_1, that
-        is a_1 >= 1.  Take the step h_B(s - e_1) - h_B(s) at s = a, between
-        v = a and v = a + e_1 (v = s + 1): as s_1 >= 1, the step law reads it
-        in {0, 1}.  B's own orthant sum is c(a) at a, since every other
-        u >= a is lexicographically larger, and 0 at a + e_1.  A table C
-        without B[0] sees the same point at both.  A table C with B[0]
-        changes by step_C, its values with u_1 = a_1 leaving the orthant; for
-        a knot that is t_K(a_1) = tau_K(a_1), its torsion coefficient, as
-        a_1 >= 1.  So the step law there reads
-        rho + parity * sign_B * c(a) in {0, 1}.  The two signs give values
-        2|c(a)| >= 2 apart, so at most one sign is valid, and the rule picks
-        it whenever one is.  H determines chi by inclusion-exclusion, so
-        this pins the sign of chi that the laws allow (Liu, "L-space
-        surgeries on links"; Gorsky-Nemethi).
+        is a_1 >= 1: the step leads away from 0 along e_1, and the step law
+        reads it in {0, 1}.  The two signs give values 2|c(a)| >= 2 apart,
+        so at most one sign is valid, and the rule picks it whenever one is.
+        H determines chi by inclusion-exclusion, so this pins the sign of
+        chi that the laws allow (Liu, "L-space surgeries on links";
+        Gorsky-Nemethi).
 
         When the full link's laws fail, its list's face s_j = M_j (j not in
         B), sliced off by `_slice`, is h_B on prod [-M_j, M_j] (j in B), and
@@ -359,8 +375,9 @@ class HTable:
         sign repairs (see the module docstring), and it raises
         `SignResolutionError`; if there is none, the data break the step law
         elsewhere (a broken shell always shows on such a face), and
-        `StabilizationError` carries every problem, over a second list: the
-        cube's.
+        `StabilizationError` carries every problem over the cube
+        [-M, M]^n, read off the list through the clamp of `h`: no other
+        list is built.
 
         Deciding the laws on a box prod [-r_j, r_j], r_j two more than the
         largest |u_j| over the tables containing axis j, decides them on
@@ -370,43 +387,35 @@ class HTable:
         clamped axis is 0, a step along another axis equals the step at the
         clamped point, and h on a shell of the larger box is h on the box's
         shell."""
-        tables, radii, signs = self._tables, self._radii, self._signs
-        for B in all_subsets(self.n):
-            signs[B] = 1
-            c = _chi_table(self.link.delta(B))
-            if not c:
-                continue
-            if len(B) > 1:  # the tables so far hold every proper sublink of B
-                a = max(c)
-                rho = 0
-                for C, table in tables.items():
-                    if C[0] == B[0] and set(C) <= set(B):
-                        corner = [a[B.index(j)] for j in C]
-                        rho += signs[C] * (-1) ** (len(C) - 1) * sum(
-                            x for u, x in table.items()
-                            if u[0] == a[0] and all(map(ge, u, corner)))
-                signs[B] = 1 if rho + (-1) ** (len(B) - 1) * c[a] in (0, 1) else -1
-            tables[B] = c
-            radii[B] = [max(map(abs, axis)) for axis in zip(*c)]
-        box = self._box = [2 + max((r[C.index(j)] for C, r in radii.items() if j in C), default=0)
-                           for j in range(self.n)]
-        self._grid = self._h_grid(box)  # the full link's h over the box, flat
-        if _laws_hold(self._grid, [2 * m + 1 for m in box]):
+        box = self._box
+        self._grid = self._h_grid()  # the full link's h over the box, flat
+        for B, c in self._tables.items():
+            if len(B) > 1:
+                s = list(box)
+                for j, x in zip(B, max(c)):
+                    s[j] = x - 1
+                step = self.h(s)
+                s[B[0]] += 1
+                if step - self.h(s) not in (0, 1):
+                    self._signs[B] = -1
+                    self._grid = self._h_grid()
+        if _laws_hold(self._grid, self._sides):
             return
-        for B in tables:  # B's h is the face s_j = M_j of the list, j not in B
+        for B in self._tables:  # B's h is the face s_j = M_j of the list, j not in B
             if len(B) > 1 and not _laws_hold(
                     _slice(self._grid, box, [-m if j in B else m for j, m in enumerate(box)]),
-                    [2 * box[j] + 1 for j in B]):
+                    [self._sides[j] for j in B]):
                 raise SignResolutionError(
                     f"{self.link.name}: neither sign of the polynomial for subset "
                     f"{tuple(i + 1 for i in B)} yields a valid H-function; "
                     f"not an L-space link with this data")
         from .violations import law_messages
-        cube = [max(box)] * self.n
-        problems = law_messages(self._h_grid(cube), cube)
+        M = self.M
+        problems = law_messages(list(map(self.h, product(range(-M, M + 1), repeat=self.n))),
+                                [M] * self.n)
         raise StabilizationError(
             f"{self.link.name}: H-function fails validation on box "
-            f"[-{cube[0]}, {cube[0]}]^{self.n}: " + "; ".join(problems[:5]),
+            f"[-{M}, {M}]^{self.n}: " + "; ".join(problems[:5]),
             problems, self.flipped_signs())
 
     # -- evaluation ------------------------------------------------------------

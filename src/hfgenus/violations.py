@@ -5,6 +5,8 @@ operations and imports this module only when no sublink's face fails them,
 to render each violation of a failing table as the `StabilizationError`
 problems, stated on H = h + H_O: the failing steps, and the negative values
 of H, which only a failing step leaves (D in the `hfunction` docstring).
+The table passes h over the cube [-M, M]^n read off its one box list
+through the clamp, h(s) = h(clamp(s)), so no second list is built.
 """
 
 from __future__ import annotations

@@ -132,6 +132,21 @@ def torres_breaking():
                           lspace_asserted=True)
 
 
+def pair_low_on_its_last_axis():
+    """Data passing the laws (not a known link): two T(2,5) knots and the
+    pair polynomial (t_1^(1/2) - t_1^(-1/2)) (t_2^(1/2) - t_2^(-1/2))
+    (t_1 t_2^(-1) + t_1^(-1) t_2), whose largest exponent in lexicographic
+    order, u = (2, 0) after the half shift, is 0 on the last axis: there a
+    unit step from u_2 - 1 to u_2 leads toward 0, so the step law reads it
+    in {-1, 0}, and only the first axis reads the sign."""
+    t25 = LaurentPoly(1, KNOTS["T(2,5)"])
+    factor = LaurentPoly(2, {(1, 1): 1, (1, -1): -1, (-1, 1): -1, (-1, -1): 1})
+    pair = factor * LaurentPoly(2, {(2, -2): 1, (-2, 2): 1})
+    return LinkDescriptor("pair low on its last axis", [Component("T(2,5)")] * 2,
+                          alexander={(0,): t25, (1,): t25, (0, 1): pair},
+                          lspace_asserted=True)
+
+
 def with_component_g4(d, genera):
     return LinkDescriptor(d.name, [Component(c.label, g) for c, g in zip(d.components, genera)],
                           alexander=d.alexander, lspace_asserted=d.lspace_asserted)
@@ -233,6 +248,8 @@ RESOLUTION = SLOW_RESOLUTION + _group({
     "borromean polynomial over a two_bridge:2 pair": borromean_over_a_two_bridge_pair,
     # passes the step law, but its triple breaks Torres's condition
     "T(2,5), trefoil, T(2,5) with a triple breaking Torres": torres_breaking,
+    # the largest exponent's last coordinate is 0: the sign is read along e_1
+    "T(2,5), T(2,5) with a pair low on its last axis": pair_low_on_its_last_axis,
     # the union's own list fails, and only the face of the pair (1, 2) does
     f"two_bridge:10, corrupted at {WORKLOADS.CORRUPT_AT[0]}, + unknot": lambda: disjoint_union(
         descriptor_from_dict(WORKLOADS.corrupted_two_bridge(10, WORKLOADS.CORRUPT_AT[0])),
@@ -557,6 +574,21 @@ def reference_shell_holds(H, radii):
     every s with s_i = r_i, H at s_i = -r_i is H(s) + r_i."""
     return all(H(s[:i] + (-r,) + s[i + 1:]) == H(s) + r
                for i, r in enumerate(radii) for s in box(radii) if s[i] == r)
+
+
+def torres_holds(d):
+    """Whether every sublink polynomial of two or more variables vanishes at
+    t_i = 1 for each of its axes i, Torres's condition at zero linking, read
+    off the stored terms: the coefficients summed over each line of
+    exponents along axis i are all 0."""
+    for B in all_subsets(d.n):
+        for i in range(len(B) if len(B) > 1 else 0):
+            lines = {}
+            for e, c in d.delta(B).terms.items():
+                lines[e[:i] + e[i + 1:]] = lines.get(e[:i] + e[i + 1:], 0) + c
+            if any(lines.values()):
+                return False
+    return True
 
 
 def sublink_H(d, B, signs):

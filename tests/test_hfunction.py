@@ -3,7 +3,6 @@
 import random
 from itertools import permutations, product
 from math import prod
-from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +21,9 @@ from oracles import (ADMISSIBLE, ATOMIC, INVALID, KNOTS, ORACLE, PARTS, REPORT, 
                      SLOW_RESOLUTION, P, axis_radii, bad_knot, box, brute_H, brute_h, cube,
                      face, flipped_whitehead, formula_H, inclusion_exclusion, link,
                      linked_pairs_borromean, oracle_chi, oracle_h, oracle_table,
-                     reference_corners, reference_law_problems,
-                     reference_report, reference_shell_holds, reference_sign_resolution,
-                     reference_sweep, torres_breaking, two_bridge_h, unlink_H)
+                     reference_corners, reference_law_problems, reference_report,
+                     reference_shell_holds, reference_sign_resolution, reference_signs,
+                     reference_sweep, torres_breaking, torres_holds, two_bridge_h, unlink_H)
 
 
 @pytest.mark.parametrize("name", ORACLE)
@@ -75,6 +74,39 @@ def raw_draw(rng, k):
     return LinkDescriptor(f"draw {k}", [Component("a"), Component("b")],
                           alexander={(0,): knots[0], (1,): knots[1], (0, 1): pair},
                           lspace_asserted=True)
+
+
+def raw_triple_draw(rng, k):
+    """A seeded three-component draw of raw data: three knots from KNOTS;
+    each pair polynomial zero, or prod (t_i^(1/2) - t_i^(-1/2)) f as in
+    `raw_draw`, keeping Torres's condition, or symmetric terms at half-odd
+    exponents, which mostly break it, at odds 3 : 1 : 1; a triple
+    polynomial likewise zero, prod (t_i^(1/2) - t_i^(-1/2)) f, or
+    antisymmetric terms at half-odd exponents, at odds 1 : 2 : 1; and every
+    stored multi-component sign negated at random.  f is a sum of one to
+    three random terms, each with its image under inverting every
+    variable."""
+
+    def terms(n, odd, sign):
+        f = {}
+        for _ in range(rng.randint(1, 3)):
+            u, c = tuple(2 * rng.randint(-1, 1) + odd for _ in range(n)), rng.choice((-1, 1))
+            for e, x in ((u, c), (tuple(-y for y in u), sign * c)):
+                f[e] = f.get(e, 0) + x
+        return LaurentPoly(n, f)
+
+    def poly(n, kinds):
+        kind = rng.choice(kinds)
+        torres = LaurentPoly(n, {e: prod(e) for e in product((1, -1), repeat=n)})
+        return rng.choice((-1, 1)) * (LaurentPoly.zero(n) if kind == 0 else
+                                      torres * terms(n, 0, 1) if kind == 1 else
+                                      terms(n, 1, (-1) ** n))
+
+    alexander = {(j,): LaurentPoly(1, KNOTS[rng.choice(sorted(KNOTS))]) for j in range(3)}
+    alexander.update({B: poly(2, (0, 0, 0, 1, 2)) for B in ((0, 1), (0, 2), (1, 2))})
+    alexander[0, 1, 2] = poly(3, (0, 1, 1, 2))
+    return LinkDescriptor(f"triple draw {k}", [Component(c) for c in "abc"],
+                          alexander=alexander, lspace_asserted=True)
 
 
 def test_h_is_symmetric_on_raw_draws():
@@ -615,6 +647,53 @@ def test_variants_cover_the_trefoil_first_mirror_L7a3():
     assert trefoil_first.delta((0,)) == catalog("trefoil_rh").delta((0,))
 
 
+def test_sign_resolution_matches_the_reference_on_flipped_raw_draws():
+    # seeded raw draws of two and three components, their stored signs
+    # negated at random: the table's signs, or its error, are those of the
+    # point-by-point sign trials, and both kinds of draw flip signs
+    rng, flips = random.Random(30), {2: 0, 3: 0}
+    draws = [flipped(d, (0, 1)) if rng.random() < 0.5 else d
+             for d in (raw_draw(rng, k) for k in range(100))]
+    for d in draws + [raw_triple_draw(rng, k) for k in range(200)]:
+        try:
+            signs = reference_sign_resolution(d)
+        except SignResolutionError as exc:
+            with pytest.raises(SignResolutionError) as info:
+                HTable(d)
+            assert str(info.value) == str(exc)
+            continue
+        expected = [tuple(i + 1 for i in B) for B, s in sorted(signs.items()) if s == -1]
+        try:
+            t = HTable(d)
+        except StabilizationError as exc:
+            assert (exc.flipped, exc.problems) == (expected, reference_report(d, signs))
+            continue
+        assert t.sign_resolution == {tuple(i + 1 for i in B): s for B, s in signs.items()}
+        flips[d.n] += bool(expected)
+    assert flips[2] >= 4 and flips[3] >= 3, flips
+
+
+@pytest.mark.parametrize("name", sorted(REPORT + RESOLUTION))
+def test_the_shell_law_is_torres_on_every_axis(name):
+    # the theorem of the shell law (hfunction docstring): with the stored
+    # signs, the full link's H keeps it on the box exactly when every
+    # sublink polynomial vanishes at t_i = 1 on each of its axes
+    d = link(name)
+    assert reference_shell_holds(lambda s: brute_H(d, s), axis_radii(d)) == torres_holds(d)
+
+
+def test_the_shell_law_is_torres_on_every_axis_on_raw_draws():
+    # the same on seeded three-component draws, whether they build or not:
+    # both answers occur, from pairs and from triples breaking Torres
+    rng, seen = random.Random(12), {True: 0, False: 0}
+    for k in range(150):
+        d = raw_triple_draw(rng, k)
+        holds = torres_holds(d)
+        assert reference_shell_holds(lambda s: brute_H(d, s), axis_radii(d)) == holds, d.name
+        seen[holds] += 1
+    assert min(seen.values()) >= 30, seen
+
+
 @pytest.mark.parametrize("name", sorted(set(REPORT + RESOLUTION) - set(SLOW_RESOLUTION)))
 def test_one_sign_at_most_is_valid_and_the_table_takes_it(name):
     # over every component order and single sign flip: the sign trials, run
@@ -728,25 +807,14 @@ def test_sign_resolution_of_a_union():
 
 @pytest.mark.parametrize("name", ORACLE)
 def test_grid_matches_lookups(name):
-    # the link's list, over the least box its tables fit in and boxes up to
-    # two wider in all, is the brute-force h; a box one narrower on any axis
-    # that a table holds is refused, and an axis that no table holds has no
-    # table in the HTable either, and M_j = 2; on the table's box, the face
-    # s_j = M_j (j off B) of the list is the brute-force h of the sublink
-    # B's own descriptor
+    # an axis that no table holds has no table in the HTable either, and
+    # M_j = 2; on the table's box, the face s_j = M_j (j off B) of the list
+    # is the brute-force h of the sublink B's own descriptor
     d = link(name)
     t = HTable(d)
-    least = [m - 1 for m in axis_radii(d)]
-    for extra in (x for x in product(range(3), repeat=d.n) if sum(x) <= 2):
-        radii = list(map(add, least, extra))
-        assert t._h_grid(radii) == list(map(brute_h(d), box(radii))), radii
     held = {j for B in all_subsets(d.n) if oracle_table(d, B) for j in B}
-    for j in range(d.n):
-        if j in held:
-            with pytest.raises(AssertionError):
-                t._h_grid(least[:j] + [least[j] - 1] + least[j + 1:])
-        else:
-            assert not any(j in C for C in t._tables) and t._box[j] == 2, j
+    for j in set(range(d.n)) - held:
+        assert not any(j in C for C in t._tables) and t._box[j] == 2, j
     for B in all_subsets(d.n):
         lows = [-m if j in B else m for j, m in enumerate(t._box)]
         face = hfunction._slice(t._grid, t._box, lows)
@@ -784,28 +852,36 @@ def test_oracle_h_reads_the_reference_signs():
 
 @pytest.mark.parametrize("name", sorted(REPORT + RESOLUTION))
 def test_one_list_per_link(name, monkeypatch):
-    # a table builds one H list, over its box, and reads every sublink's H
-    # off it: a valid table and a SignResolutionError build no other, a
-    # StabilizationError one more, over the cube it renders its problems on;
+    # whatever the outcome, a table builds one h list, over its box, with
+    # every sign +1, and one more right after each sign it flips, in
+    # `all_subsets` order, and reads every sublink's h off the last: a
+    # StabilizationError renders its problems off it, building no other;
     # and a projection check reads every sublink off the caller's table,
     # building no table and no list
     d = link(name)
     grids, tables = [], []
     real_grid, real_init = HTable._h_grid, HTable.__init__
     monkeypatch.setattr(HTable, "_h_grid",
-                        lambda t, radii: grids.append(radii) or real_grid(t, radii))
+                        lambda t: grids.append(dict(t._signs)) or real_grid(t))
     monkeypatch.setattr(HTable, "__init__",
                         lambda t, *a, **k: tables.append(a) or real_init(t, *a, **k))
+    outcome = None
     try:
         t = HTable(d, force=True)
-    except SignResolutionError:
-        assert grids == [axis_radii(d)]
+    except ValidationError as exc:
+        outcome = exc
+    flips = [B for B, s in grids[-1].items() if s == -1]
+    unflipped = dict.fromkeys(all_subsets(d.n), 1)
+    assert grids == [{**unflipped, **dict.fromkeys(flips[:k], -1)}
+                     for k in range(len(flips) + 1)]
+    if isinstance(outcome, SignResolutionError):
         return
-    except StabilizationError:
-        assert name in INVALID
-        assert grids == [axis_radii(d), [max(axis_radii(d))] * d.n]
+    assert grids[-1] == reference_signs(d)
+    if outcome is not None:
+        assert name in INVALID and isinstance(outcome, StabilizationError)
+        assert outcome.flipped == [tuple(i + 1 for i in B) for B in flips]
         return
-    assert grids == [t._box]
+    assert t.flipped_signs() == [tuple(i + 1 for i in B) for B in flips]
     if d.lspace_asserted:
         grids.clear()
         tables.clear()

@@ -39,7 +39,9 @@ def genus_admissible(table: HTable, g: Sequence[int]) -> bool:
     (|v_i| = M) contributes an f-term of 0.  That side depends on |v| only and
     never grows with it, so a violation persists up to a corner of the same
     height (`HTable.corners`): g passes iff every corner (w, k) has
-    sum_{w_i < M} f_cap(g_i, w_i) >= k.
+    sum_{w_i < M} f_cap(g_i, w_i) >= k.  Each call reads the corners afresh;
+    to check many genus vectors, call `admissible_region` once and test
+    membership in it.
     """
     if len(g) != table.n or any(x < 0 for x in g):
         raise ValueError("genus vector must be nonnegative with one entry per component")
@@ -114,7 +116,7 @@ def bound_min_region(table: HTable) -> int:
 
 
 def bound_max_h(table: HTable) -> int:
-    """2 * max h - n, signed (a genuine bound only after flooring at zero);
+    """2 * max h - n, signed (a genuine bound only where nonnegative);
     max h = h(0), as h never increases away from 0."""
     return 2 * table.h((0,) * table.n) - table.n
 
@@ -138,11 +140,11 @@ def bound_weighted(table: HTable) -> int:
     return max(2 * table.h(s) - table.n + sum(map(abs, s)) for s in product(*axes))
 
 
-BOUND_NAMES = ("min_generator_sum", "max_h_excess", "component_weighted")
-
-
 def best_lower_bound(table: HTable) -> dict:
-    """Best available 4-genus lower bound, floored at zero, with provenance."""
+    """Best available 4-genus lower bound with provenance: the first bound,
+    in the order of the "bounds" dict, that attains the best.  An unknown
+    bound is None.  No floor is needed: min_generator_sum is always known
+    and never negative, the generators lying in the first orthant."""
     values = {
         "min_generator_sum": bound_min_region(table),
         "max_h_excess": bound_max_h(table),
@@ -151,10 +153,8 @@ def best_lower_bound(table: HTable) -> dict:
         values["component_weighted"] = bound_weighted(table)
     except ValidationError:
         values["component_weighted"] = None
-    candidates = {k: v for k, v in values.items() if v is not None}
-    best = max(0, max(candidates.values()))
-    via = next((k for k in BOUND_NAMES if candidates.get(k) == best),
-               "floored_at_zero")
+    best = max(v for v in values.values() if v is not None)
+    via = next(k for k, v in values.items() if v == best)
     return {"bounds": values, "best": best, "via": via}
 
 

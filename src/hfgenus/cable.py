@@ -174,8 +174,6 @@ def cable_alexander(d: LinkDescriptor, spec: CableSpec) -> LinkDescriptor:
         if len(B) == 1:
             p, q = spec.pairs[B[0]]
             alex[B] = _cable_knot_poly(delta, p, q)
-        elif delta.is_zero():
-            alex[B] = delta
         else:
             alex[B] = _cable_link_poly(delta, [spec.pairs[i] for i in B])
     comps = []

@@ -81,7 +81,7 @@ def _emit(args, out, rows=None, code=0) -> int:
     """Write `out` to --out or stdout and return `code`: a string as it is,
     else under --format ascii a line "label: value" for the link's name and
     each item of `rows`, else `out` as JSON."""
-    if rows and args.fmt == "ascii":
+    if rows and args.format == "ascii":
         out = "".join(f"{label}: {value}\n"
                       for label, value in {"link": out["name"], **rows}.items())
     elif not isinstance(out, str):
@@ -200,8 +200,7 @@ def _parse(argv: list) -> SimpleNamespace:
     if command == "cable" and "--cable" not in values:
         raise UsageError("cable needs --cable")
     return SimpleNamespace(command=command, **{
-        "fmt" if flag == "--format" else flag[2:].replace("-", "_"):
-            values.get(flag, False if kind is bool else None)
+        flag[2:].replace("-", "_"): values.get(flag, False if kind is bool else None)
         for flag, (kind, _) in _TABLE[command][2].items()})
 
 

@@ -16,7 +16,7 @@ def _nested(table, fn, prefix=()):
 
 def run(args) -> int:
     table = _make_table(args)
-    if (args.fmt or ("ascii" if table.n <= 2 else "json")) == "json":
+    if (args.format or ("ascii" if table.n <= 2 else "json")) == "json":
         return _emit(args, {"name": table.link.name, "window": table.M,
                             "origin": [-table.M] * table.n,
                             "h": _nested(table, table.h), "H": _nested(table, table.H)})

@@ -10,7 +10,7 @@ from ..errors import UsageError
 def run(args) -> int:
     table = _make_table(args)
     generators, maximal = table.staircases()
-    if args.fmt == "svg":
+    if args.format == "svg":
         if table.n != 2:
             raise UsageError("svg staircases need exactly two components")
         from ..render import region_svg

@@ -153,7 +153,7 @@ from __future__ import annotations
 from itertools import accumulate, chain, compress, product
 from math import prod
 from operator import add, and_, lt, mul, sub
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import LSpaceAssertionError, SignResolutionError, StabilizationError
 from .laurent import LaurentPoly
@@ -282,7 +282,6 @@ class HTable:
                 f"formula presupposes it (pass force=True to compute anyway)")
         self.link = link
         self.n = link.n
-        self._corners: Optional[list] = None
         self._tables: dict = {}  # sublink -> its _chi_table, nonempty tables only
         self._signs = dict.fromkeys(all_subsets(self.n), 1)  # +1 until the rule flips it
         self._box = [2] * self.n  # M_j, widened over the tables holding axis j
@@ -453,21 +452,19 @@ class HTable:
         """The pairs (w, k) with k = top[w] > 0 and top[w + e_i] < k for every i
         with w_i < M, sorted, where top[w] is the largest h(v) with |v| = w.
         The maximal points of {w : top[w] >= j} are the maximal w among the
-        corners with k >= j.  Computed once, by whole-list operations on the
-        box list: `_fold` gives top over prod [0, M_i] and `_drops` the
+        corners with k >= j.  Read afresh from the box list on each call, by
+        whole-list operations, into a new list, so no caller can change a
+        later answer: `_fold` gives top over prod [0, M_i] and `_drops` the
         corners there.  h is constant in v_i from M_i - 1 on (see the module
         docstring), so on the cube [0, M]^n top[w + e_i] = top[w] whenever
         M_i - 1 <= w_i < M: a corner's w_i is below M_i - 1 or on the shell,
         and a shell coordinate w_i = M_i is reported as M."""
-        if self._corners is None:
-            sides = [m + 1 for m in self._box]
-            top = _fold(self._grid, self._box)
-            points = product(*map(range, sides))
-            keep = _drops(top, sides)
-            self._corners = [
-                (tuple(self.M if x == m else x for x, m in zip(w, self._box)), k)
+        sides = [m + 1 for m in self._box]
+        top = _fold(self._grid, self._box)
+        points = product(*map(range, sides))
+        keep = _drops(top, sides)
+        return [(tuple(self.M if x == m else x for x, m in zip(w, self._box)), k)
                 for w, k in zip(compress(points, keep), compress(top, keep))]
-        return self._corners
 
     def staircases(self) -> tuple:
         """The minimal points of {w >= 0 : h(w) = 0} and the maximal points w

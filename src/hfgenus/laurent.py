@@ -109,10 +109,6 @@ class LaurentPoly:
     def evaluate_at_one(self) -> int:
         return sum(self.terms.values())
 
-    def sorted_terms(self):
-        """Terms as (doubled exponent, coef), sorted for deterministic output."""
-        return sorted(self.terms.items())
-
     # -- ring operations -----------------------------------------------------
 
     def _check_compatible(self, other: "LaurentPoly"):

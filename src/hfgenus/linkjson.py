@@ -62,7 +62,7 @@ def _is_int(x) -> bool:
 
 def _poly_to_list(poly: LaurentPoly) -> list:
     return [{"exp": [_exp_str(e) for e in exp], "coef": coef}
-            for exp, coef in poly.sorted_terms()]
+            for exp, coef in sorted(poly.terms.items())]
 
 
 def _poly_from_list(items, nvars: int, where: str) -> LaurentPoly:

@@ -92,8 +92,6 @@ def maximal_lattice_points(table: HTable) -> tuple:
 
 def region_product(r1: UpwardClosedRegion, r2: UpwardClosedRegion) -> UpwardClosedRegion:
     """Region of a disjoint union: concatenate generator coordinates pairwise."""
-    if r1.is_empty() or r2.is_empty():
-        return UpwardClosedRegion(r1.n + r2.n, ())
     return UpwardClosedRegion(
         r1.n + r2.n,
         tuple(g1 + g2 for g1 in r1.generators for g2 in r2.generators))

@@ -115,6 +115,24 @@ KNOTS = {"unknot": {(0,): 1}, "trefoil": {(2,): 1, (0,): -1, (-2,): 1},
          "T(2,5)": {(4,): 1, (2,): -1, (0,): 1, (-2,): -1, (-4,): 1}}
 
 
+def raw_draw(rng, k):
+    """A seeded two-component draw of raw data: two knots from KNOTS and
+    (t_1^(1/2) - t_1^(-1/2)) (t_2^(1/2) - t_2^(-1/2)) f, f a sum of one to
+    three random terms, each with its image under inverting both variables,
+    so the pair polynomial keeps Torres's condition and its symmetry."""
+    f = {}
+    for _ in range(rng.randint(1, 3)):
+        u, c = (rng.randint(-2, 2), rng.randint(-2, 2)), rng.choice((-1, 1))
+        for e in {u, (-u[0], -u[1])}:
+            f[e] = f.get(e, 0) + c
+    factor = LaurentPoly(2, {(1, 1): 1, (1, -1): -1, (-1, 1): -1, (-1, -1): 1})
+    pair = factor * LaurentPoly(2, {(2 * a, 2 * b): c for (a, b), c in f.items()})
+    knots = [LaurentPoly(1, KNOTS[rng.choice(sorted(KNOTS))]) for _ in range(2)]
+    return LinkDescriptor(f"draw {k}", [Component("a"), Component("b")],
+                          alexander={(0,): knots[0], (1,): knots[1], (0, 1): pair},
+                          lspace_asserted=True)
+
+
 def torres_breaking():
     """Data passing the step law (with the triple's sign flipped) that no
     link has: knots T(2,5), the trefoil and T(2,5), zero pair polynomials,

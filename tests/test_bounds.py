@@ -1,5 +1,6 @@
 """Genus bounds, the unlink criterion, and d-invariants."""
 
+import random
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -21,9 +22,10 @@ from hfgenus.linkops import disjoint_union
 from hfgenus.region import region_from_h, region_product
 from hfgenus.surgery import circle_bundle_d, large_surgery_d, lens_d
 from oracles import (ADMISSIBLE, ORACLE, PARTS, SPLIT, TABLE_READ_EXCEPTION, WALK, axis_radii,
-                     count_reads, cube, link, minimalize, oracle_admissible_region, oracle_h,
-                     reference_bound_weighted, reference_corners, reference_unlink_test,
-                     two_bridge_h, with_component_g4)
+                     brute_h, count_reads, cube, link, minimalize, oracle_admissible_region,
+                     oracle_h, raw_draw, reference_bound_weighted, reference_corners,
+                     reference_sign_resolution, reference_unlink_test, two_bridge_h,
+                     with_component_g4)
 from oracles import f_cap as reference_f_cap
 
 
@@ -137,6 +139,14 @@ def test_best_lower_bound_provenance():
     assert report["best"] == (2 - 1) * (7 - 1) // 2 + 1 == 4
     report = best_lower_bound(HTable(catalog("unlink", 3)))
     assert report["best"] == 0
+    # where bounds tie at the best, the first in the order of the dict names it
+    report = best_lower_bound(HTable(catalog("trefoil_rh")))
+    assert report["bounds"] == {"min_generator_sum": 1, "max_h_excess": 1,
+                                "component_weighted": 1}
+    assert report["via"] == "min_generator_sum"
+    # with large component genera, sum |s_i| at s = g lifts the weighted bound
+    report = best_lower_bound(HTable(with_component_g4(catalog("whitehead"), (5, 5))))
+    assert report["best"] == 8 and report["via"] == "component_weighted"
 
 
 def test_unlink_test():
@@ -279,6 +289,36 @@ def test_admissible_region_matches_oracle(name):
         assert genus_admissible(t, g) == admissible(g), f"{name} at {g}"
 
 
+def test_a_caller_changing_the_corners_list_changes_no_later_answer():
+    # corners() returns a new list on each call, so clearing one leaves the
+    # table's answers as they were
+    t = HTable(catalog("whitehead"))
+    t.corners().clear()
+    assert not genus_admissible(t, (0, 0))
+    assert admissible_region(t).generators == ((0, 1), (1, 0))
+
+
+def test_admissible_region_bounds_and_unlink_test_match_the_oracles_on_raw_draws():
+    # the seeded two-component draws of the corners test: every draw that
+    # builds, some with h(v) > h(|v|), against the per-point references
+    rng, built, asymmetric = random.Random(8), 0, 0
+    for k in range(600):
+        d = raw_draw(rng, k)
+        try:
+            t = HTable(d)
+        except ValidationError:
+            continue
+        built += 1
+        h, radii, M = brute_h(d, reference_sign_resolution(d)), axis_radii(d), t.M
+        asymmetric += any(h(s) > h((abs(s[0]), abs(s[1]))) for s in cube(M, 2))
+        assert admissible_region(t).generators == oracle_admissible_region(h, radii)[0], d.name
+        assert unlink_test(t) == reference_unlink_test(h, radii), d.name
+        for g in ((0, 0), (1, 2), (3, 0), (M - 1, 1), (M, M), (M + 2, 0)):
+            assert bound_weighted(HTable(with_component_g4(d, g))) == \
+                reference_bound_weighted(h, g), (d.name, g)
+    assert built >= 50 and asymmetric >= 5
+
+
 def maximal_points(points):
     return minimalize(tuple(-x for x in w) for w in points)
 
@@ -385,8 +425,6 @@ def test_walk_reads_each_f_term_once_per_candidate(monkeypatch):
     # coordinate, 896 and 546 times on these inputs
     tables = [HTable(link(name))
               for name in ("borromean_cable:2,7,2,7,1,1", "two_bridge:12")]
-    for t in tables:
-        t.corners()
     calls = []
     real = bounds.f_cap
     monkeypatch.setattr(bounds, "f_cap", lambda g, v: calls.append(g) or real(g, v))

@@ -275,7 +275,7 @@ def reference_parser(exit_on_help=True):
             cmd.add_argument("--force", action="store_true",
                              help="proceed without the L-space assertion / largeness checks")
         if formats:
-            cmd.add_argument("--format", choices=formats, dest="fmt")
+            cmd.add_argument("--format", choices=formats)
         return cmd
 
     command("h-table", "print h over the box", formats=("json", "ascii"))

@@ -23,7 +23,8 @@ from oracles import (ADMISSIBLE, ATOMIC, INVALID, KNOTS, ORACLE, PARTS, REPORT, 
                      linked_pairs_borromean, oracle_chi, oracle_h, oracle_table,
                      reference_corners, reference_law_problems, reference_report,
                      reference_shell_holds, reference_sign_resolution, reference_signs,
-                     reference_sweep, torres_breaking, torres_holds, two_bridge_h, unlink_H)
+                     reference_sweep, raw_draw, torres_breaking, torres_holds, two_bridge_h,
+                     unlink_H)
 
 
 @pytest.mark.parametrize("name", ORACLE)
@@ -56,24 +57,6 @@ def test_h_is_symmetric(name):
     t = HTable(link(name))
     for s in cube(t.M, t.n):
         assert t.h(tuple(-x for x in s)) == t.h(s), f"{name} at {s}"
-
-
-def raw_draw(rng, k):
-    """A seeded two-component draw of raw data: two knots from KNOTS and
-    (t_1^(1/2) - t_1^(-1/2)) (t_2^(1/2) - t_2^(-1/2)) f, f a sum of one to
-    three random terms, each with its image under inverting both variables,
-    so the pair polynomial keeps Torres's condition and its symmetry."""
-    f = {}
-    for _ in range(rng.randint(1, 3)):
-        u, c = (rng.randint(-2, 2), rng.randint(-2, 2)), rng.choice((-1, 1))
-        for e in {u, (-u[0], -u[1])}:
-            f[e] = f.get(e, 0) + c
-    factor = LaurentPoly(2, {(1, 1): 1, (1, -1): -1, (-1, 1): -1, (-1, -1): 1})
-    pair = factor * LaurentPoly(2, {(2 * a, 2 * b): c for (a, b), c in f.items()})
-    knots = [LaurentPoly(1, KNOTS[rng.choice(sorted(KNOTS))]) for _ in range(2)]
-    return LinkDescriptor(f"draw {k}", [Component("a"), Component("b")],
-                          alexander={(0,): knots[0], (1,): knots[1], (0, 1): pair},
-                          lspace_asserted=True)
 
 
 def raw_triple_draw(rng, k):

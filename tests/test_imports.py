@@ -47,36 +47,18 @@ def compiled_nodes(modules: set) -> int:
 
 
 # The five dense_two_bridge jobs, the bounds and d-invariants jobs on cables
-# and the cable job, pinned at the nodes they compile (Python 3.11).  With
-# every command's handler in cli, sublink and disjoint_union in linkcat, the
-# law messages in hfunction and the symmetric normalization and text form of
-# a polynomial in laurent, these read 10245, 11293, 10245, 11302, 11907,
-# 12716, 12138 and 13566; with a stored linking matrix and the svg staircase
-# drawn from an UpwardClosedRegion, 8030, 9074, 8030, 9154, 9693, 10796,
-# 10578 and 11638; with sign trials summing broadcast grids and cable
-# polynomials normalized after they are built, 7875, 8925, 7875, 9011,
-# 8938, 10673, 10455 and 11561; with HTable.iter_box, 7826, 8876, 7826,
-# 8962, 8889, 10324, 10106 and 11216; with sublink lists in the failure path
-# of the sign resolution and sublink tables in projection_check, 7796, 8846,
-# 7796, 8932, 8859, 10294, 10076 and 11186; with HTable.chi, HTable.chi_from_H
-# and a descriptor's table in projection_check, 7778, 8828, 7778, 8914, 8841,
-# 10276, 10058 and 11125; with the H >= 0 check, the corner reads of
-# unlink_test and LaurentPoly.__sub__, 7404, 8454, 7404, 8540, 8467, 9902,
-# 9684 and 10742; with a knot's torsion coefficients placed by their own
-# branch of the H list and the unlink's part taken off in H and the fold,
-# 7323, 8331, 7323, 8459, 8386, 9779, 9603 and 10661; with the sign rule
-# summing its own slices of the sublink tables and a second list over the
-# cube for a failing table's problems, 7281, 8289, 7281, 8417, 8344, 9737,
-# 9561 and 10619.
+# and the cable job, pinned at the nodes they compile (Python 3.11): with no
+# cached bytecode a job compiles every module it loads, so a ceiling keeps
+# code that a job does not run from growing back into those modules.
 COMPILE_CEILINGS = [
-    (("region", "--catalog", "two_bridge:20", "--format", "json"), 7114),
-    (("bounds", "--catalog", "two_bridge:20", "--format", "ascii"), 8122),
-    (("region", "--catalog", "two_bridge:25", "--format", "ascii"), 7114),
-    (("h-table", "--catalog", "two_bridge:12", "--format", "ascii"), 8250),
-    (("region", "--catalog", "two_bridge:12", "--format", "svg"), 8177),
-    (("bounds", "--catalog", "whitehead_cable:7,22"), 9570),
-    (("d-invariants", "--catalog", "whitehead_cable:5,16", "--framing", "400,400"), 9394),
-    (("cable", "--catalog", "whitehead", "--cable", "7:22,1:1"), 10452),
+    (("region", "--catalog", "two_bridge:20", "--format", "json"), 7061),
+    (("bounds", "--catalog", "two_bridge:20", "--format", "ascii"), 8044),
+    (("region", "--catalog", "two_bridge:25", "--format", "ascii"), 7061),
+    (("h-table", "--catalog", "two_bridge:12", "--format", "ascii"), 8197),
+    (("region", "--catalog", "two_bridge:12", "--format", "svg"), 8124),
+    (("bounds", "--catalog", "whitehead_cable:7,22"), 9477),
+    (("d-invariants", "--catalog", "whitehead_cable:5,16", "--framing", "400,400"), 9326),
+    (("cable", "--catalog", "whitehead", "--cable", "7:22,1:1"), 10360),
 ]
 
 
@@ -88,18 +70,12 @@ def test_a_catalog_job_compiles_at_most(argv, ceiling):
 
 
 def test_a_link_file_job_compiles_at_most(tmp_path):
-    # was 11538 before the handlers, the law messages and the normalization
-    # moved, 9367 with a stored linking matrix, 9264 with sign trials,
-    # 9219 with HTable.iter_box, 9189 with sublink lists in the failure
-    # path of the sign resolution, 9171 with HTable.chi and
-    # HTable.chi_from_H, 8797 with the H >= 0 check and
-    # LaurentPoly.__sub__, 8716 with a knot branch in the H list, and 8674
-    # with the sign rule summing its own slices of the sublink tables
+    # a validate job on a saved descriptor, pinned as the catalog jobs are
     from hfgenus.linkcat import catalog
     from hfgenus.linkjson import save_json
     path = tmp_path / "two_bridge_10.json"
     save_json(catalog("two_bridge", 10), path)
-    assert compiled_nodes(run_cli("validate", "--link", str(path))) <= 8507
+    assert compiled_nodes(run_cli("validate", "--link", str(path))) <= 8459
 
 
 LIBRARY_JOB = ("import hfgenus.cli\n"
@@ -110,18 +86,10 @@ LIBRARY_JOB = ("import hfgenus.cli\n"
 
 
 def test_a_library_admissible_region_job_compiles_at_most():
-    # the admissible_region workload imports the CLI, then calls the library;
-    # was 11898 before the handlers, the law messages and the normalization
-    # moved, 9555 with a stored linking matrix, 9406 with sign trials, 9357
-    # with HTable.iter_box, 9327 with sublink tables in projection_check,
-    # 9266 with HTable.chi, HTable.chi_from_H and a descriptor's table in
-    # projection_check, 8883 with the H >= 0 check, the corner reads of
-    # unlink_test and LaurentPoly.__sub__, 8760 with a knot branch in the
-    # H list, and 8718 with the sign rule summing its own slices of the
-    # sublink tables
+    # the admissible_region workload imports the CLI, then calls the library
     added = modules_added(LIBRARY_JOB)
     assert not any(m.startswith("hfgenus.commands") for m in added)
-    assert compiled_nodes(added) <= 8551
+    assert compiled_nodes(added) <= 8444
 
 
 def test_importing_the_cli_loads_no_layer():

@@ -7,6 +7,7 @@ from oracles import tool
 
 code_lines = tool("code_lines")
 bench_pairs = tool("bench_pairs")
+mutants = tool("mutants")
 
 SOURCE = '''"""Module docstring,
 two lines."""
@@ -155,3 +156,19 @@ def test_bench_pairs_prints_the_pairs_so_runs_can_be_pooled():
     assert [a for a, _ in pooled] == PARENT
     c = bench_pairs.compare(*zip(*pooled), "lower")
     assert c["won"] == 10 and c["claimed"]
+
+
+def test_every_mutation_anchor_occurs_exactly_once_in_its_module():
+    # the full mutation run is a tool; this keeps its list from rotting
+    for name, (module, anchor, _) in mutants.MUTATIONS.items():
+        source = (mutants.ROOT / "src" / "hfgenus" / module).read_text(encoding="utf-8")
+        assert source.count(anchor) == 1, name
+
+
+def test_mutants_name_the_first_failing_test():
+    # a parametrized id may hold spaces
+    output = ("F\n=== short test summary info ===\n"
+              "FAILED tests/test_bounds.py::test_f[T(2,5), knot] - assert 0 == 1\n"
+              "!!! stopping after 1 failures !!!\n1 failed, 3 passed in 0.5s\n")
+    assert mutants.first_failure(output) == "tests/test_bounds.py::test_f[T(2,5), knot]"
+    assert mutants.first_failure("4 passed in 0.5s\n") == ""

@@ -22,8 +22,10 @@ prod [-r_j, r_j] is one flat row-major list, in the point order of
 `itertools.product`, built by `HTable._h_grid` from one placement: every
 signed value of every table is set once in the list, and one
 prefix-sum pass per axis sums all the orthants, with no Python call per
-point.  After construction that list is the only source of h, and H = h +
-H_O, for the link and for every sublink: a sublink's h is the face
+point.  Every whole-list kernel walks the axes one way: it reads the rows
+of the leading axis (`_rows`), then turns that axis to the back
+(`_joined`).  After construction that list is the only source of h, and
+H = h + H_O, for the link and for every sublink: a sublink's h is the face
 s_j = M_j of the list, for every j outside it (see below).  A disjoint
 union is an ordinary descriptor: a sublink mixing parts has zero
 polynomial and contributes nothing.
@@ -135,10 +137,10 @@ the orthant sum of P_{S+i,i} alone, and inclusion-exclusion over that face
 gives P_{S+i,i} back.  So by induction on |S| the shell law on axis i holds
 exactly when every sublink containing i vanishes at t_i = 1, and where the
 steps hold, by (B), it can fail only with a sublink of three or more
-components.  `_laws_hold` checks it with the steps, slab by slab: the first
-row of each slab along axis i against its last row.  A failing shell shows
-on the face of a sublink breaking Torres, which no sign repairs, so it
-raises `SignResolutionError`.
+components.  `_laws_hold` checks it with the steps, on the rows of each
+axis i in turn: the first row, s_i = -M_i, against the last, s_i = M_i.
+A failing shell shows on the face of a sublink breaking Torres, which no
+sign repairs, so it raises `SignResolutionError`.
 
 Symmetry, a theorem of the shell law: h(-s) = h(s).  Substituting
 u -> 1 - u, O_C(1 - s) = (-1)^|C| times the sum of c_C over u <= s by (A).
@@ -190,22 +192,35 @@ def _strides(sides: Sequence[int]) -> list:
     return list(accumulate(reversed(sides[1:]), mul, initial=1))[::-1]
 
 
+def _rows(grid: list, side: int) -> list:
+    """The side rows of the leading axis of a flat row-major list: row a
+    holds, in order, the points whose first coordinate is the a-th."""
+    width = len(grid) // side
+    return [grid[j:j + width] for j in range(0, len(grid), width)]
+
+
+def _joined(rows) -> list:
+    """The flat row-major list of these rows of the leading axis, with that
+    axis turned into the last one: after one turn per axis the axes are back
+    in order."""
+    return list(chain.from_iterable(zip(*rows)))
+
+
 def _laws_hold(grid: list, sides: Sequence[int]) -> bool:
     """Whether a flat h list over the box prod [-r_j, r_j], sides[j] =
-    2 r_j + 1, keeps the laws, by whole-list operations on each slab (the
-    points that share the coordinates before axis i): every unit step away
-    from 0 lowers h by 0 or 1, that is h(s) - h(s - e_i) is 0 or 1 at
-    s_i <= 0 and h(s - e_i) - h(s) is at s_i >= 1, and the slab's first
-    row, s_i = -r_i, is its last row, s_i = r_i (the shell law).  h >= 0 is
-    not checked: it follows (D in the module docstring)."""
-    for st, side in zip(_strides(sides), sides):
-        mid = side // 2 * st  # where the row s_i = 0 starts in a slab
-        for base in range(0, len(grid), st * side):
-            slab = grid[base:base + st * side]
-            if not (set(map(sub, slab[st:mid + st], slab)) <= {0, 1}
-                    and set(map(sub, slab[mid:], slab[mid + st:])) <= {0, 1}
-                    and slab[:st] == slab[-st:]):
-                return False
+    2 r_j + 1, keeps the laws, by whole-list operations on the rows of each
+    axis in turn (`_rows`, turned by `_joined` between axes): every unit
+    step away from 0 lowers h by 0 or 1, that is rows[a + 1] - rows[a] is 0
+    or 1 below the middle row, s_i < 0, and rows[a] - rows[a + 1] is from
+    it on, and the first row, s_i = -r_i, is the last, s_i = r_i (the shell
+    law).  h >= 0 is not checked: it follows (D in the module docstring)."""
+    for i, side in enumerate(sides):
+        rows = _rows(_joined(rows) if i else grid, side)  # no turn after the last axis
+        r = side // 2
+        steps = set().union(*(map(sub, rows[a + 1], rows[a]) if a < r else
+                              map(sub, rows[a], rows[a + 1]) for a in range(side - 1)))
+        if not (steps <= {0, 1} and rows[0] == rows[-1]):
+            return False
     return True
 
 
@@ -213,44 +228,37 @@ def _fold(grid: list, radii: Sequence[int]) -> list:
     """top[w] = the largest h(v) over |v| = w, for w in prod [0, r_i], flat in
     row-major order, from a flat h list over prod [-r_i, r_i].
 
-    Each pass folds the leading axis: the row at |s_0| = a is the larger of
-    the rows at s_0 = a and s_0 = -a.  `zip` then turns the folded axis into
-    the last one, so after one pass per axis the axes are back in order."""
+    Each pass folds the rows of the leading axis: the row at |s_0| = a is
+    the larger of the rows at s_0 = a and s_0 = -a, and `_joined` turns the
+    folded axis into the last one."""
     for r in radii:
-        width = len(grid) // (2 * r + 1)
-        rows = [grid[j:j + width] for j in range(0, len(grid), width)]
-        grid = list(chain.from_iterable(zip(*(
-            map(max, rows[r + a], rows[r - a]) for a in range(r + 1)))))
+        rows = _rows(grid, 2 * r + 1)
+        grid = _joined(map(max, rows[r + a], rows[r - a]) for a in range(r + 1))
     return grid
 
 
 def _slice(grid: list, radii: Sequence[int], lows: Sequence[int]) -> list:
     """The part at s >= lows of a flat list over prod [-r_i, r_i], flat over
-    prod [lows_i, r_i] in row-major order: one pass per axis keeps the slice
-    s_i >= lows_i of every block of the points that share the coordinates
-    before i, the later axes still whole."""
-    for i, (r, low) in enumerate(zip(radii, lows)):
-        st = prod(2 * x + 1 for x in radii[i + 1:])
-        grid = list(chain.from_iterable(
-            grid[j:j + (r - low + 1) * st]
-            for j in range((r + low) * st, len(grid), (2 * r + 1) * st)))
+    prod [lows_i, r_i] in row-major order: each pass keeps the rows
+    s_0 >= lows_0 of the leading axis, and `_joined` turns it into the last
+    one."""
+    for r, low in zip(radii, lows):
+        grid = _joined(_rows(grid, 2 * r + 1)[r + low:])
     return grid
 
 
 def _drops(top: list, sides: Sequence[int]) -> list:
-    """Whether top[w] > 0 and top[w + e_i] < top[w] for every i with
-    w_i < sides[i] - 1, for every w of a flat list over prod [0, sides[i]),
-    by comparing consecutive rows of the leading axis and turning it into
-    the last one, as `_fold` does."""
+    """Whether top[w] is nonzero, which is positive on every list it reads,
+    as h >= 0 (D in the module docstring), and top[w + e_i] < top[w] for
+    every i with w_i < sides[i] - 1, for every w of a flat list over
+    prod [0, sides[i]): each pass compares consecutive rows of the leading
+    axis, and `_joined` turns it into the last one."""
     keep = list(map(bool, top))
     for side in sides:
-        width = len(top) // side
-        rows = [top[j:j + width] for j in range(0, len(top), width)]
-        flags = [keep[j:j + width] for j in range(0, len(keep), width)]
-        flags = [map(and_, flags[w], map(lt, rows[w + 1], rows[w])) for w in range(side - 1)] \
-            + flags[-1:]
-        top = list(chain.from_iterable(zip(*rows)))
-        keep = list(chain.from_iterable(zip(*flags)))
+        rows, flags = _rows(top, side), _rows(keep, side)
+        keep = _joined([map(and_, flags[w], map(lt, rows[w + 1], rows[w]))
+                        for w in range(side - 1)] + flags[-1:])
+        top = _joined(rows)
     return keep
 
 
@@ -292,7 +300,6 @@ class HTable:
                     self._box[j] = max(self._box[j], 2 + max(map(abs, axis)))
         self.M = max(self._box)
         self._sides = [2 * m + 1 for m in self._box]
-        self._origin = sum(map(mul, self._box, _strides(self._sides)))  # index of 0
         self._resolve_signs()
 
     # -- construction helpers ------------------------------------------------
@@ -306,13 +313,13 @@ class HTable:
         constant along the axes C lacks (see the module docstring: a knot's
         table takes the unknot's part off, so the sum is h, not H).  So every
         signed value is placed once, at the mirror of s = u - 1, and at the
-        top index of each axis C lacks; one prefix-sum pass per axis, which
-        `zip` turns into the last one as in `_fold`, sums every orthant at
-        once, and reversing the list undoes the mirror.  The box is built
-        from the tables, M_j = 2 + the largest |u_j| over those holding
-        axis j, so every value lands on it.  This is the only evaluator of
-        h: a table builds it once, plus once after each sign the rule
-        flips, and every sublink's h is a face of it."""
+        top index of each axis C lacks; one prefix-sum pass over the rows
+        of each axis, which `_joined` turns into the last one, sums every
+        orthant at once, and reversing the list undoes the mirror.  The box
+        is built from the tables, M_j = 2 + the largest |u_j| over those
+        holding axis j, so every value lands on it.  This is the only
+        evaluator of h: a table builds it once, plus once after each sign
+        the rule flips, and every sublink's h is a face of it."""
         strides = _strides(self._sides)
         grid = [0] * prod(self._sides)
         for C, table in self._tables.items():
@@ -322,10 +329,7 @@ class HTable:
             for u, c in table.items():
                 grid[top - sum(map(mul, u, steps))] = sign * c
         for side in self._sides:
-            width = len(grid) // side
-            rows = accumulate((grid[j:j + width] for j in range(0, len(grid), width)),
-                              lambda x, y: list(map(add, x, y)))
-            grid = list(chain.from_iterable(zip(*rows)))
+            grid = _joined(accumulate(_rows(grid, side), lambda x, y: list(map(add, x, y))))
         grid.reverse()
         return grid
 
@@ -427,8 +431,8 @@ class HTable:
             raise ValueError(f"point {s} has wrong dimension, expected {self.n}")
         index = 0
         for x, m, side in zip(s, self._box, self._sides):
-            index = index * side + (-m if x < -m else m if x > m else x)
-        return self._grid[index + self._origin]
+            index = index * side + (0 if x < -m else side - 1 if x > m else x + m)
+        return self._grid[index]
 
     def H(self, s: Sequence[int]) -> int:
         """H-function at any lattice point: h(s) + H_O(s)."""

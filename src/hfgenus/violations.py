@@ -26,7 +26,9 @@ def law_messages(h: list, radii: Sequence[int]) -> list:
     strides = _strides(sides)
     grid = list(map(add, h, map(_unlink_H, product(*(range(-r, r + 1) for r in radii)))))
     bad = {j for j, x in enumerate(grid) if x < 0}
-    for st, side in zip(strides, sides):  # each slab along each axis, as `_laws_hold` walks
+    # the steps that `_laws_hold` takes between consecutive rows of each axis,
+    # here slab by slab, so that each failing point keeps its index
+    for st, side in zip(strides, sides):
         for base in range(0, len(grid), st * side):
             slab = grid[base:base + st * side]
             bad.update(base + st + j for j, d in enumerate(map(sub, slab, slab[st:]))

@@ -21,8 +21,9 @@ from oracles import (ADMISSIBLE, ATOMIC, INVALID, KNOTS, ORACLE, PARTS, REPORT, 
                      SLOW_RESOLUTION, P, axis_radii, bad_knot, box, brute_H, brute_h, cube,
                      face, flipped_whitehead, formula_H, inclusion_exclusion, link,
                      linked_pairs_borromean, oracle_chi, oracle_h, oracle_table,
-                     reference_corners, reference_law_problems, reference_report,
-                     reference_shell_holds, reference_sign_resolution, reference_signs,
+                     reference_corners, reference_law_problems, reference_maximal_points,
+                     reference_region, reference_report, reference_shell_holds,
+                     reference_sign_resolution, reference_signs,
                      reference_sweep, raw_draw, torres_breaking, torres_holds, two_bridge_h,
                      unlink_H)
 
@@ -124,6 +125,28 @@ def test_corners_read_both_signs_of_every_coordinate_on_raw_draws():
         asymmetric += any(h(s) > h((abs(s[0]), abs(s[1]))) for s in cube(t.M, 2))
         assert t.corners() == reference_corners(h, axis_radii(d)), d.name
     assert asymmetric >= 5
+
+
+def test_raw_draws_read_h_and_the_staircases_off_the_list():
+    # on seeded raw draws of two components, some with h(v) > h(|v|), and
+    # of three, every table that builds reads h off its list through the
+    # clamp, past the box too, and its staircases, as h summed point by
+    # point with the reference signs gives them
+    built = {}
+    for seed, draw, count in ((8, raw_draw, 600), (12, raw_triple_draw, 400)):
+        rng, built[seed] = random.Random(seed), 0
+        for k in range(count):
+            d = draw(rng, k)
+            try:
+                t = HTable(d)
+            except ValidationError:
+                continue
+            built[seed] += 1
+            h, radii = brute_h(d, reference_sign_resolution(d)), axis_radii(d)
+            assert t.staircases() == (reference_region(h, radii),
+                                      reference_maximal_points(h, radii)), d.name
+            assert all(t.h(s) == h(s) for s in cube(t.M + 1, t.n)), d.name
+    assert built[8] >= 50 and built[12] >= 20, built
 
 
 @pytest.mark.parametrize("name", ORACLE)
@@ -562,6 +585,22 @@ def test_array_laws_match_the_reference_sweep(radii, data):
     h = [x - unlink_H(s) for s, x in zip(box(radii), grid)]
     assert hfunction._laws_hold(h, [2 * r + 1 for r in radii]) == laws
     assert violations.law_messages(h, radii) == expected
+    # the kernels on the same lists, against their definitions point by
+    # point: `_slice` at lows 0 and on every face, and, on the list lifted
+    # to be nonnegative, as every list they read is (D in the hfunction
+    # docstring), `_fold` and `_drops` of the folded list
+    for lows in [(0,) * len(radii), *product(*((-r, r) for r in radii))]:
+        part = product(*(range(low, r + 1) for low, r in zip(lows, radii)))
+        assert hfunction._slice(grid, radii, lows) == [at[s] for s in part], lows
+    top = {}
+    for s in box(radii):
+        w = tuple(map(abs, s))
+        top[w] = max(top.get(w, 0), lifted(s))
+    half = list(product(*(range(r + 1) for r in radii)))
+    assert hfunction._fold(list(map(lifted, box(radii))), radii) == [top[w] for w in half]
+    assert hfunction._drops([top[w] for w in half], [r + 1 for r in radii]) == [
+        top[w] > 0 and all(top[w[:i] + (x + 1,) + w[i + 1:]] < top[w]
+                           for i, x in enumerate(w) if x < radii[i]) for w in half]
 
 
 @pytest.mark.parametrize("name", sorted(REPORT))

@@ -49,7 +49,9 @@ MUTATIONS = {
         "hfunction.py", "map(lt, rows[w + 1], rows[w])",
         "map(lambda x, y: x <= y, rows[w + 1], rows[w])"),
     "no shell law": (
-        "hfunction.py", "and slab[:st] == slab[-st:]", ""),
+        "hfunction.py", " and rows[0] == rows[-1]", ""),
+    "step law turns one row late": (
+        "hfunction.py", "if a < r else", "if a <= r else"),
     "f_cap rounds down": (
         "bounds.py", "(g - abs(v) + 1) // 2", "(g - abs(v)) // 2"),
     "walk caps one short": (

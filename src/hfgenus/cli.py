@@ -11,10 +11,11 @@ The command line is read in order against one table, _TABLE, which gives
 each command its handler, its help and its flags.  `_parse` takes full or
 unique-prefix flag names, `--flag value` and `--flag=value` (a value may
 begin with a single `-`), the last value winning, and -h or --help; the
-first token it cannot read is a usage error.  It imports nothing: the
-standard library's parser, with the gettext and locale it loads and one
-parser per command, cost each process 7.5 ms (median of 21 fresh processes
-on a 2-CPU Xeon VM, Python 3.11).
+first token it cannot read is a usage error.  It imports nothing but the -h
+text, `hfgenus.commands.help`, and that only for -h: the standard library's
+parser, with the gettext and locale it loads and one parser per command,
+cost each process 7.5 ms (median of 21 fresh processes on a 2-CPU Xeon VM,
+Python 3.11).
 
 Each command's handler is `run(args)` in its own module of
 `hfgenus.commands`, which _TABLE names and `main` imports once the command
@@ -25,18 +26,19 @@ exit code: 0 success, 2 validation failure, 3 largeness failure, 4 usage.
 `_usage` turns a ValueError of a layer into a usage error.
 
 Each command imports only the layers it uses.  A link input loads linkcat
-and laurent, and the JSON format linkjson only for --link; a table loads
+and laurent, and then the JSON reader linkjson for --link, or for --catalog
+the catalog_<family> module that makes the key; a table loads
 hfunction; and beyond these and its handler module:
 
     h-table       render, for --format ascii
     region        region and render, for --format svg; json and ascii
                   read both fields off one HTable.staircases call
     bounds        bounds
-    cable         cable, region, and linkjson to print the cabled
-                  descriptor
+    cable         cable, region, and the JSON writer jsonwriter, not
+                  linkjson, to print the cabled descriptor
     d-invariants  surgery, all that --lens and --circle-bundle load
     validate      nothing more
-    catalog-list  linkcat and laurent, to list the catalog
+    catalog-list  linkcat and laurent, to list the catalog, and no maker
 """
 
 from __future__ import annotations
@@ -130,20 +132,6 @@ _TABLE = {
 }
 
 
-def _help(command) -> str:
-    """The -h text: one command's flags, or the commands."""
-    text, flags = _TABLE[command][1:] if command else (
-        "H-functions, genus regions, 4-genus bounds, d-invariants and cables of L-space links",
-        {name: (bool, text) for name, (_, text, _) in _TABLE.items()})
-    out = f"usage: hfgenus {command or 'COMMAND'} [FLAG ...]\n\n{text}\n\n"
-    for flag, (kind, text) in {**flags, **_HELP}.items():
-        if kind is not bool:
-            flag += " " + ("INT" if kind is int else kind if isinstance(kind, str) else
-                           "|".join(kind))
-        out += f"  {flag:<26}  {text}\n"
-    return out
-
-
 def _flag(token: str, flags: dict) -> str:
     """The flag that `token`, maybe `--flag=value`, names in full or by a
     unique prefix, or --help for -h; a usage error if it names none."""
@@ -180,8 +168,9 @@ def _parse(argv: list) -> SimpleNamespace:
         if kind is bool:
             if eq:
                 raise UsageError(f"{flag} takes no value")
-            if flag == "--help":
-                shown = shown or _help(command)
+            if flag == "--help" and not shown:
+                from .commands.help import help_text
+                shown = help_text(command)
             value = True
         elif not eq:
             value = next(tokens, "--")

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from ..cable import cable_consistency_check, parse_cable_spec
 from ..cli import _emit, _load_input, _usage
-from ..linkjson import descriptor_to_dict
+from ..jsonwriter import descriptor_to_dict
 
 
 def run(args) -> int:

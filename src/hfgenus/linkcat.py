@@ -10,11 +10,17 @@ linking matrix.  Sublinks and disjoint unions are `linkops`, which only the
 unlink and union files need, so a catalog job of another link never compiles
 them.
 
+The catalog's keys and parameters live here.  Its makers live in one module
+per family, `catalog_two_bridge`, `catalog_cables` and `catalog_basic`, and
+`catalog` imports only the module of the key it is asked for: a `--link` job
+or `catalog-list` compiles no maker, and a catalog job only its own family's.
+
 Component subsets are 0-based index tuples in the Python API; the JSON schema
 uses 1-based comma-joined keys like "1,2".  The JSON format itself is
-`linkjson`, which only `--link` files and `cable` output need, so a catalog job
-never compiles it; `descriptor_to_dict`, `descriptor_from_dict`, `load_json`
-and `save_json` still read from this module, importing `linkjson` on first use.
+`linkjson`, which only `--link` files need, and its writing half is
+`jsonwriter`, which `cable` output needs alone; a catalog job compiles
+neither.  `descriptor_to_dict`, `descriptor_from_dict`, `load_json` and
+`save_json` still read from this module, importing `linkjson` on first use.
 """
 
 from __future__ import annotations
@@ -206,103 +212,6 @@ def _symmetric_as_stored(poly: LaurentPoly, k: int) -> bool:
 # -- catalog -------------------------------------------------------------------
 
 
-def _unknot_poly() -> LaurentPoly:
-    return LaurentPoly.one(1)
-
-
-def _trefoil_poly() -> LaurentPoly:
-    return LaurentPoly.from_terms(1, [(1, (1,)), (-1, (0,)), (1, (-1,))])
-
-
-def make_unknot() -> LinkDescriptor:
-    return LinkDescriptor("unknot", [Component("unknot", g4=0)],
-                          alexander={(0,): _unknot_poly()}, lspace_asserted=True)
-
-
-def make_trefoil_rh() -> LinkDescriptor:
-    return LinkDescriptor("trefoil_rh", [Component("right-handed trefoil", g4=1)],
-                          alexander={(0,): _trefoil_poly()}, lspace_asserted=True)
-
-
-def two_bridge_poly(k: int) -> LaurentPoly:
-    """Alexander polynomial of the two-bridge link family member with k twists:
-
-        (-1)^k  sum over |i+1/2| + |j+1/2| <= k  of  (-1)^{i+j} t1^{i+1/2} t2^{j+1/2}.
-
-    In doubled exponents a = 2i + 1, b = 2j + 1 (both odd): |a| + |b| <= 2k,
-    with sign +1 iff 2k + a + b - 2 is divisible by 4.
-    """
-    odd = range(-2 * k + 1, 2 * k, 2)
-    return LaurentPoly(2, {(a, b): 1 if (2 * k + a + b - 2) % 4 == 0 else -1
-                           for a in odd for b in odd if abs(a) + abs(b) <= 2 * k})
-
-
-def make_two_bridge(k: int) -> LinkDescriptor:
-    if k < 1:
-        raise ValueError("two_bridge parameter must be a positive integer")
-    name = "whitehead" if k == 1 else f"two_bridge({k})"
-    return LinkDescriptor(
-        name,
-        [Component("unknot", g4=0), Component("unknot", g4=0)],
-        alexander={(0,): _unknot_poly(), (1,): _unknot_poly(),
-                   (0, 1): two_bridge_poly(k)},
-        lspace_asserted=True)
-
-
-def make_whitehead() -> LinkDescriptor:
-    return make_two_bridge(1)
-
-
-def make_borromean() -> LinkDescriptor:
-    # prod_i (t_i^(1/2) - t_i^(-1/2)): coefficient a*b*c at doubled (a, b, c)
-    signs = (1, -1)
-    triple = LaurentPoly(3, {(a, b, c): a * b * c
-                             for a in signs for b in signs for c in signs})
-    alex = {(i,): _unknot_poly() for i in range(3)}
-    alex.update({B: LaurentPoly.zero(2) for B in [(0, 1), (0, 2), (1, 2)]})
-    alex[(0, 1, 2)] = triple
-    return LinkDescriptor(
-        "borromean", [Component("unknot", g4=0)] * 3,
-        alexander=alex, lspace_asserted=True)
-
-
-def make_mirror_l7a3() -> LinkDescriptor:
-    # The polynomial carries the trefoil factor (t2 + t2^-1) on the second
-    # variable, so component 2 must be the trefoil, even though link tables
-    # usually list the trefoil component of L7a3 first.
-    # Doubled exponents: f1 = t1^(1/2) - t1^(-1/2), f2 likewise in t2.
-    f1 = LaurentPoly(2, {(1, 0): 1, (-1, 0): -1})
-    f2 = LaurentPoly(2, {(0, 1): 1, (0, -1): -1})
-    f3 = LaurentPoly(2, {(0, 2): 1, (0, -2): 1})
-    delta = -(f1 * f2 * f3)
-    return LinkDescriptor(
-        "mirror_L7a3",
-        [Component("unknot", g4=0), Component("right-handed trefoil", g4=1)],
-        alexander={(0,): _unknot_poly(), (1,): _trefoil_poly(), (0, 1): delta},
-        lspace_asserted=True)
-
-
-def make_unlink(n: int) -> LinkDescriptor:
-    if n < 1:
-        raise ValueError("unlink needs at least one component")
-    if n == 1:
-        return make_unknot()
-    from .linkops import disjoint_union
-    return disjoint_union(*(make_unknot() for _ in range(n)))._renamed(f"unlink({n})", True)
-
-
-def make_whitehead_cable(p: int, q: int) -> LinkDescriptor:
-    from .cable import CableSpec, cable_alexander
-    d = cable_alexander(make_whitehead(), CableSpec(((p, q), (1, 1))))
-    return d._renamed(f"whitehead_cable({p},{q})", True)
-
-
-def make_two_bridge_cable(k: int, p1: int, q1: int, p2: int, q2: int) -> LinkDescriptor:
-    from .cable import CableSpec, cable_alexander
-    d = cable_alexander(make_two_bridge(k), CableSpec(((p1, q1), (p2, q2))))
-    return d._renamed(f"two_bridge_cable({k},{p1},{q1},{p2},{q2})", True)
-
-
 class CatalogEntry(Record):
     __slots__ = ("key", "params", "generator")
 
@@ -310,18 +219,28 @@ class CatalogEntry(Record):
         self._init(key, params, generator)  # params: human-readable signature
 
 
-CATALOG = {
-    "unknot": CatalogEntry("unknot", "", make_unknot),
-    "trefoil_rh": CatalogEntry("trefoil_rh", "", make_trefoil_rh),
-    "two_bridge": CatalogEntry("two_bridge", "k", make_two_bridge),
-    "whitehead": CatalogEntry("whitehead", "", make_whitehead),
-    "borromean": CatalogEntry("borromean", "", make_borromean),
-    "mirror_L7a3": CatalogEntry("mirror_L7a3", "", make_mirror_l7a3),
-    "unlink": CatalogEntry("unlink", "n", make_unlink),
-    "whitehead_cable": CatalogEntry("whitehead_cable", "p,q", make_whitehead_cable),
-    "two_bridge_cable": CatalogEntry("two_bridge_cable", "k,p1,q1,p2,q2",
-                                     make_two_bridge_cable),
-}
+def _maker(family: str, name: str):
+    """The maker `name` of the module `hfgenus.catalog_<family>`, which it
+    imports on its first call: a job compiles its own family's makers only."""
+    def make(*params):
+        from importlib import import_module
+        return getattr(import_module(f"{__package__}.catalog_{family}"), name)(*params)
+    return make
+
+
+# key: (params, the family whose module holds its maker, the maker)
+CATALOG = {key: CatalogEntry(key, params, _maker(family, maker))
+           for key, (params, family, maker) in {
+               "unknot": ("", "basic", "make_unknot"),
+               "trefoil_rh": ("", "basic", "make_trefoil_rh"),
+               "two_bridge": ("k", "two_bridge", "make_two_bridge"),
+               "whitehead": ("", "two_bridge", "make_whitehead"),
+               "borromean": ("", "basic", "make_borromean"),
+               "mirror_L7a3": ("", "basic", "make_mirror_l7a3"),
+               "unlink": ("n", "basic", "make_unlink"),
+               "whitehead_cable": ("p,q", "cables", "make_whitehead_cable"),
+               "two_bridge_cable": ("k,p1,q1,p2,q2", "cables", "make_two_bridge_cable"),
+           }.items()}
 
 
 def catalog(key: str, *params: int) -> LinkDescriptor:

@@ -10,8 +10,9 @@ saved in the "atomic" form.  A descriptor keeps no linking matrix: reading
 refuses a nonzero entry, and writing gives the zero matrix.  The rest of what
 a file must satisfy is checked by the `LinkDescriptor` it builds.
 
-Only `--link` files and `cable` output use this module, so a catalog job
-never imports it.
+Only `--link` files use this module, so a catalog job never imports it.
+Writing, `descriptor_to_dict`, lives in `jsonwriter`, which `cable` output
+imports alone; this module reads it from there for `save_json`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 
 from .errors import ParseError, SchemaError
+from .jsonwriter import descriptor_to_dict
 from .laurent import LaurentPoly
 from .linkcat import Component, LinkDescriptor, Subset, _key_str
 
@@ -31,10 +33,6 @@ def _parse_key(s: str, n: int) -> Subset:
     if any(i < 1 or i > n for i in idx) or len(set(idx)) != len(idx):
         raise SchemaError(f"subset key {s!r} out of range for {n} components")
     return tuple(sorted(i - 1 for i in idx))
-
-
-def _exp_str(dexp: int) -> str:
-    return str(dexp // 2) if dexp % 2 == 0 else f"{dexp}/2"
 
 
 def _parse_exp(s: str) -> int:
@@ -60,11 +58,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _poly_to_list(poly: LaurentPoly) -> list:
-    return [{"exp": [_exp_str(e) for e in exp], "coef": coef}
-            for exp, coef in sorted(poly.terms.items())]
-
-
 def _poly_from_list(items, nvars: int, where: str) -> LaurentPoly:
     if not isinstance(items, list):
         raise SchemaError(f"{where}: expected a list of terms")
@@ -80,18 +73,6 @@ def _poly_from_list(items, nvars: int, where: str) -> LaurentPoly:
         key = tuple(_parse_exp(e) for e in exp)
         terms[key] = terms.get(key, 0) + item["coef"]
     return LaurentPoly(nvars, terms)
-
-
-def descriptor_to_dict(d: LinkDescriptor) -> dict:
-    return {
-        "name": d.name,
-        "components": [{"label": c.label, "g4": c.g4} for c in d.components],
-        "linking": [[0] * d.n for _ in range(d.n)],
-        "lspace": d.lspace_asserted,
-        "alexander": {_key_str(B): _poly_to_list(poly)
-                      for B, poly in sorted(d.alexander.items())},
-        "structure": "atomic",
-    }
 
 
 def descriptor_from_dict(data: dict) -> LinkDescriptor:

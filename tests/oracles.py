@@ -27,6 +27,7 @@ import importlib.util
 import re
 import sys
 from itertools import product
+from math import prod
 from operator import ge
 from pathlib import Path
 
@@ -131,6 +132,39 @@ def raw_draw(rng, k):
     return LinkDescriptor(f"draw {k}", [Component("a"), Component("b")],
                           alexander={(0,): knots[0], (1,): knots[1], (0, 1): pair},
                           lspace_asserted=True)
+
+
+def raw_triple_draw(rng, k):
+    """A seeded three-component draw of raw data: three knots from KNOTS;
+    each pair polynomial zero, or prod (t_i^(1/2) - t_i^(-1/2)) f as in
+    `raw_draw`, keeping Torres's condition, or symmetric terms at half-odd
+    exponents, which mostly break it, at odds 3 : 1 : 1; a triple
+    polynomial likewise zero, prod (t_i^(1/2) - t_i^(-1/2)) f, or
+    antisymmetric terms at half-odd exponents, at odds 1 : 2 : 1; and every
+    stored multi-component sign negated at random.  f is a sum of one to
+    three random terms, each with its image under inverting every
+    variable."""
+
+    def terms(n, odd, sign):
+        f = {}
+        for _ in range(rng.randint(1, 3)):
+            u, c = tuple(2 * rng.randint(-1, 1) + odd for _ in range(n)), rng.choice((-1, 1))
+            for e, x in ((u, c), (tuple(-y for y in u), sign * c)):
+                f[e] = f.get(e, 0) + x
+        return LaurentPoly(n, f)
+
+    def poly(n, kinds):
+        kind = rng.choice(kinds)
+        torres = LaurentPoly(n, {e: prod(e) for e in product((1, -1), repeat=n)})
+        return rng.choice((-1, 1)) * (LaurentPoly.zero(n) if kind == 0 else
+                                      torres * terms(n, 0, 1) if kind == 1 else
+                                      terms(n, 1, (-1) ** n))
+
+    alexander = {(j,): LaurentPoly(1, KNOTS[rng.choice(sorted(KNOTS))]) for j in range(3)}
+    alexander.update({B: poly(2, (0, 0, 0, 1, 2)) for B in ((0, 1), (0, 2), (1, 2))})
+    alexander[0, 1, 2] = poly(3, (0, 1, 1, 2))
+    return LinkDescriptor(f"triple draw {k}", [Component(c) for c in "abc"],
+                          alexander=alexander, lspace_asserted=True)
 
 
 def torres_breaking():

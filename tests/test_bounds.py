@@ -1,6 +1,7 @@
 """Genus bounds, the unlink criterion, and d-invariants."""
 
 import random
+import warnings
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -215,6 +216,13 @@ def test_circle_bundle_d():
 def test_circle_bundle_warns_when_small():
     with pytest.warns(UserWarning):
         circle_bundle_d(3, 2, 0)
+    # the heuristic warns up to m = 2g + 2, and from m = 2g + 3 on it is silent
+    for g in (1, 2, 3):
+        with pytest.warns(UserWarning, match=f"m={2 * g + 2} may not be large enough"):
+            circle_bundle_d(2 * g + 2, g, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            circle_bundle_d(2 * g + 3, g, 0)
 
 
 def test_large_surgery_d_values():

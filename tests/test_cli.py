@@ -1,6 +1,7 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -412,6 +413,18 @@ def test_help_lists_the_commands_or_the_flags(capsys, command):
     names = _TABLE[command][2] if command else _TABLE
     assert [line.split()[0] for line in out.splitlines() if line[:2] == "  "] == [
         *names, "--help"]
+
+
+def test_help_texts_are_pinned(capsys):
+    # the sha256 of every -h text, the command list's first and then each
+    # command's in _TABLE order: the flag table's help must not drift
+    texts = []
+    for command in [None, *_TABLE]:
+        with pytest.raises(SystemExit):
+            main([command, "-h"] if command else ["-h"])
+        texts.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == \
+        "c1c412e94565d44881ab6fccf6e53ede316f1ad6f854e519f7f4ed1951cbd9e3"
 
 
 LINK_INPUT_EXTRAS = {

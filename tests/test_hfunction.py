@@ -17,15 +17,15 @@ from hfgenus.laurent import LaurentPoly
 from hfgenus.linkcat import Component, LinkDescriptor, _key_str, all_subsets, catalog
 from hfgenus.linkops import disjoint_union, sublink
 from hfgenus.region import maximal_lattice_points, projection_check, region_from_h
-from oracles import (ADMISSIBLE, ATOMIC, INVALID, KNOTS, ORACLE, PARTS, REPORT, RESOLUTION,
+from oracles import (ADMISSIBLE, ATOMIC, INVALID, ORACLE, PARTS, REPORT, RESOLUTION,
                      SLOW_RESOLUTION, P, axis_radii, bad_knot, box, brute_H, brute_h, cube,
                      face, flipped_whitehead, formula_H, inclusion_exclusion, link,
                      linked_pairs_borromean, oracle_chi, oracle_h, oracle_table,
                      reference_corners, reference_law_problems, reference_maximal_points,
                      reference_region, reference_report, reference_shell_holds,
-                     reference_sign_resolution, reference_signs,
-                     reference_sweep, raw_draw, torres_breaking, torres_holds, two_bridge_h,
-                     unlink_H)
+                     reference_sign_resolution, reference_signs, reference_sweep,
+                     raw_draw, raw_triple_draw, torres_breaking, torres_holds,
+                     two_bridge_h, unlink_H)
 
 
 @pytest.mark.parametrize("name", ORACLE)
@@ -58,39 +58,6 @@ def test_h_is_symmetric(name):
     t = HTable(link(name))
     for s in cube(t.M, t.n):
         assert t.h(tuple(-x for x in s)) == t.h(s), f"{name} at {s}"
-
-
-def raw_triple_draw(rng, k):
-    """A seeded three-component draw of raw data: three knots from KNOTS;
-    each pair polynomial zero, or prod (t_i^(1/2) - t_i^(-1/2)) f as in
-    `raw_draw`, keeping Torres's condition, or symmetric terms at half-odd
-    exponents, which mostly break it, at odds 3 : 1 : 1; a triple
-    polynomial likewise zero, prod (t_i^(1/2) - t_i^(-1/2)) f, or
-    antisymmetric terms at half-odd exponents, at odds 1 : 2 : 1; and every
-    stored multi-component sign negated at random.  f is a sum of one to
-    three random terms, each with its image under inverting every
-    variable."""
-
-    def terms(n, odd, sign):
-        f = {}
-        for _ in range(rng.randint(1, 3)):
-            u, c = tuple(2 * rng.randint(-1, 1) + odd for _ in range(n)), rng.choice((-1, 1))
-            for e, x in ((u, c), (tuple(-y for y in u), sign * c)):
-                f[e] = f.get(e, 0) + x
-        return LaurentPoly(n, f)
-
-    def poly(n, kinds):
-        kind = rng.choice(kinds)
-        torres = LaurentPoly(n, {e: prod(e) for e in product((1, -1), repeat=n)})
-        return rng.choice((-1, 1)) * (LaurentPoly.zero(n) if kind == 0 else
-                                      torres * terms(n, 0, 1) if kind == 1 else
-                                      terms(n, 1, (-1) ** n))
-
-    alexander = {(j,): LaurentPoly(1, KNOTS[rng.choice(sorted(KNOTS))]) for j in range(3)}
-    alexander.update({B: poly(2, (0, 0, 0, 1, 2)) for B in ((0, 1), (0, 2), (1, 2))})
-    alexander[0, 1, 2] = poly(3, (0, 1, 1, 2))
-    return LinkDescriptor(f"triple draw {k}", [Component(c) for c in "abc"],
-                          alexander=alexander, lspace_asserted=True)
 
 
 def test_h_is_symmetric_on_raw_draws():

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import hfgenus
-from oracles import tool
+from oracles import WORKLOADS, tool
 
 CODE_LINES = tool("code_lines")
 SRC = str(Path(hfgenus.__file__).resolve().parents[1])
@@ -35,8 +35,8 @@ def modules_added(code: str) -> set:
     return set(ast.literal_eval(last[len("ADDED "):]))
 
 
-def run_cli(*argv) -> set:
-    return modules_added(f"from hfgenus.cli import main\nassert main({list(argv)!r}) == 0")
+def run_cli(*argv, code=0) -> set:
+    return modules_added(f"from hfgenus.cli import main\nassert main({list(argv)!r}) == {code}")
 
 
 def compiled_nodes(modules: set) -> int:
@@ -47,18 +47,19 @@ def compiled_nodes(modules: set) -> int:
 
 
 # The five dense_two_bridge jobs, the bounds and d-invariants jobs on cables
-# and the cable job, pinned at the nodes they compile (Python 3.11): with no
+# and both cable jobs, pinned at the nodes they compile (Python 3.11): with no
 # cached bytecode a job compiles every module it loads, so a ceiling keeps
 # code that a job does not run from growing back into those modules.
 COMPILE_CEILINGS = [
-    (("region", "--catalog", "two_bridge:20", "--format", "json"), 6853),
-    (("bounds", "--catalog", "two_bridge:20", "--format", "ascii"), 7836),
-    (("region", "--catalog", "two_bridge:25", "--format", "ascii"), 6853),
-    (("h-table", "--catalog", "two_bridge:12", "--format", "ascii"), 7989),
-    (("region", "--catalog", "two_bridge:12", "--format", "svg"), 7916),
-    (("bounds", "--catalog", "whitehead_cable:7,22"), 9269),
-    (("d-invariants", "--catalog", "whitehead_cable:5,16", "--framing", "400,400"), 9118),
-    (("cable", "--catalog", "whitehead", "--cable", "7:22,1:1"), 10152),
+    (("region", "--catalog", "two_bridge:20", "--format", "json"), 6227),
+    (("bounds", "--catalog", "two_bridge:20", "--format", "ascii"), 7210),
+    (("region", "--catalog", "two_bridge:25", "--format", "ascii"), 6227),
+    (("h-table", "--catalog", "two_bridge:12", "--format", "ascii"), 7363),
+    (("region", "--catalog", "two_bridge:12", "--format", "svg"), 7290),
+    (("bounds", "--catalog", "whitehead_cable:7,22"), 8783),
+    (("d-invariants", "--catalog", "whitehead_cable:5,16", "--framing", "400,400"), 8632),
+    (("cable", "--catalog", "whitehead", "--cable", "7:22,1:1"), 8327),
+    (("cable", "--catalog", "two_bridge:3", "--cable", "3:7,2:5"), 8327),
 ]
 
 
@@ -70,12 +71,16 @@ def test_a_catalog_job_compiles_at_most(argv, ceiling):
 
 
 def test_a_link_file_job_compiles_at_most(tmp_path):
-    # a validate job on a saved descriptor, pinned as the catalog jobs are
+    # validate jobs on a saved descriptor and on the benchmark's two_bridge:15
+    # with its pair sign flipped (exit 2), pinned as the catalog jobs are
     from hfgenus.linkcat import catalog
     from hfgenus.linkjson import save_json
     path = tmp_path / "two_bridge_10.json"
     save_json(catalog("two_bridge", 10), path)
-    assert compiled_nodes(run_cli("validate", "--link", str(path))) <= 8251
+    assert compiled_nodes(run_cli("validate", "--link", str(path))) <= 7434
+    flipped = tmp_path / "two_bridge_15_flipped.json"
+    WORKLOADS.write_input(WORKLOADS.flipped_two_bridge(15), flipped, None)
+    assert compiled_nodes(run_cli("validate", "--link", str(flipped), code=2)) <= 7434
 
 
 LIBRARY_JOB = ("import hfgenus.cli\n"
@@ -89,7 +94,7 @@ def test_a_library_admissible_region_job_compiles_at_most():
     # the admissible_region workload imports the CLI, then calls the library
     added = modules_added(LIBRARY_JOB)
     assert not any(m.startswith("hfgenus.commands") for m in added)
-    assert compiled_nodes(added) <= 8236
+    assert compiled_nodes(added) <= 7834
 
 
 def test_importing_the_cli_loads_no_layer():
@@ -135,13 +140,58 @@ def test_d_invariants_of_a_link_load_no_bounds_nor_json_format():
 
 
 def test_link_files_and_cable_output_load_the_json_format(tmp_path):
+    # a link file loads the reader; cable output loads the writer alone
     from hfgenus.linkcat import catalog
     from hfgenus.linkjson import save_json
     path = tmp_path / "whitehead.json"
     save_json(catalog("whitehead"), path)
     assert "hfgenus.linkjson" in run_cli("validate", "--link", str(path))
-    assert "hfgenus.linkjson" in run_cli("cable", "--catalog", "whitehead",
-                                         "--cable", "2:7,1:1")
+    added = run_cli("cable", "--catalog", "whitehead", "--cable", "2:7,1:1")
+    assert "hfgenus.jsonwriter" in added
+    assert "hfgenus.linkjson" not in added
+
+
+def makers_loaded(added: set) -> set:
+    """The modules of catalog makers among `added`."""
+    return {m for m in added if m.startswith("hfgenus.catalog_")}
+
+
+FAMILIES = [
+    (("region", "--catalog", "two_bridge:20"), {"two_bridge"}),
+    (("region", "--catalog", "whitehead"), {"two_bridge"}),
+    (("bounds", "--catalog", "whitehead_cable:7,22"), {"two_bridge", "cables"}),
+    (("region", "--catalog", "borromean"), {"basic"}),
+]
+
+
+@pytest.mark.parametrize("argv, family", FAMILIES,
+                         ids=[" ".join(argv) for argv, _ in FAMILIES])
+def test_a_catalog_job_loads_only_its_familys_makers(argv, family):
+    # a cable family builds on the two-bridge makers, and needs nothing else
+    assert makers_loaded(run_cli(*argv)) == {f"hfgenus.catalog_{m}" for m in family}
+
+
+def test_catalog_list_and_link_files_load_no_maker(tmp_path):
+    from hfgenus.linkcat import catalog
+    from hfgenus.linkjson import save_json
+    path = tmp_path / "two_bridge_3.json"
+    save_json(catalog("two_bridge", 3), path)
+    for added in (run_cli("catalog-list"), run_cli("validate", "--link", str(path)),
+                  modules_added("import hfgenus.linkcat")):
+        assert not makers_loaded(added)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["region", "-h"],
+                                  ["cable", "--catalog", "whitehead", "--he"]], ids=" ".join)
+def test_only_a_help_command_line_loads_the_help_text(argv):
+    # the other side, that no command without -h loads it, is
+    # test_a_command_loads_no_other_commands_handler
+    added = modules_added("from hfgenus.cli import main\ntry:\n"
+                          f"    main({argv!r})\nexcept SystemExit as exc:\n"
+                          "    assert exc.code == 0\nelse:\n"
+                          "    raise AssertionError('no exit')")
+    assert {m for m in added if m.startswith("hfgenus.commands.")} == {
+        "hfgenus.commands.help"}
 
 
 def test_bounds_loads_no_region():
@@ -154,9 +204,10 @@ def test_linkcat_reads_the_json_names_from_linkjson():
     added = modules_added("import hfgenus.linkcat")
     assert "hfgenus.linkcat" in added
     assert "hfgenus.linkjson" not in added
-    from hfgenus import linkcat, linkjson
+    from hfgenus import jsonwriter, linkcat, linkjson
     for name in ("descriptor_from_dict", "descriptor_to_dict", "load_json", "save_json"):
         assert getattr(linkcat, name) is getattr(linkjson, name)
+    assert linkjson.descriptor_to_dict is jsonwriter.descriptor_to_dict
     with pytest.raises(AttributeError, match="'nope'"):
         linkcat.nope
 

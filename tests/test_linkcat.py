@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hfgenus.catalog_two_bridge import two_bridge_poly
 from hfgenus.errors import (LSpaceAssertionError, SchemaError, SymmetryError,
                             ValidationError)
 from hfgenus.hfunction import HTable
 from hfgenus.laurent import LaurentPoly, symmetry_sign
 from hfgenus.linkcat import (Component, LinkDescriptor, _key_str, _problems, all_subsets,
-                             catalog, catalog_list, two_bridge_poly)
+                             catalog, catalog_list)
 from hfgenus.linkops import disjoint_union, sublink
 from hfgenus.linkjson import (descriptor_from_dict, descriptor_to_dict, load_json,
                               save_json)
@@ -467,11 +468,18 @@ def test_json_schema_violations():
     data["linking"] = [[0, 0]]
     with pytest.raises(SchemaError, match="linking"):
         descriptor_from_dict(data)
-    # JSON booleans load as bool, a subclass of int: none passes as an integer
-    data = descriptor_to_dict(catalog("unknot"))
-    data["components"][0]["g4"] = True
-    with pytest.raises(SchemaError, match="g4"):
-        descriptor_from_dict(data)
+    # a 4-genus is a nonnegative JSON integer or null; JSON booleans load as
+    # bool, a subclass of int, and none passes as an integer
+    for g4 in (-1, 1.5, True):
+        data = descriptor_to_dict(catalog("unknot"))
+        data["components"][0]["g4"] = g4
+        with pytest.raises(SchemaError) as info:
+            descriptor_from_dict(data)
+        assert str(info.value) == "component 'g4' must be a nonnegative integer or null"
+    for g4 in (0, None):
+        data = descriptor_to_dict(catalog("unknot"))
+        data["components"][0]["g4"] = g4
+        assert descriptor_from_dict(data).components[0].g4 == g4
     data = descriptor_to_dict(catalog("unknot"))
     data["alexander"]["1"][0]["coef"] = True
     with pytest.raises(SchemaError, match="coefficient"):
@@ -512,15 +520,22 @@ def test_catalog_list_contains_known_keys():
 
 
 def test_catalog_checks_the_parameter_count():
-    with pytest.raises(ValueError, match="the parameters p,q, got 1"):
-        catalog("whitehead_cable", 2)
-    with pytest.raises(ValueError, match="no parameters, got 1"):
-        catalog("whitehead", 3)
+    for args, message in [
+            (("whitehead_cable", 2), "catalog key 'whitehead_cable' takes the parameters p,q, "
+                                     "got 1"),
+            (("whitehead", 3), "catalog key 'whitehead' takes no parameters, got 1"),
+            (("two_bridge",), "catalog key 'two_bridge' takes the parameters k, got 0")]:
+        with pytest.raises(ValueError) as info:
+            catalog(*args)
+        assert str(info.value) == message
 
 
 def test_catalog_rejects_unknown_key():
-    with pytest.raises(ValueError, match="unknown catalog key"):
+    with pytest.raises(ValueError) as info:
         catalog("granny")
+    assert str(info.value) == (
+        "unknown catalog key 'granny'; known: borromean, mirror_L7a3, trefoil_rh, "
+        "two_bridge, two_bridge_cable, unknot, unlink, whitehead, whitehead_cable")
 
 
 def test_error_classes_are_distinct(tmp_path):

@@ -26,7 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 TESTS = ["tests/test_hfunction.py", "tests/test_bounds.py", "tests/test_region.py",
-         "tests/test_cable.py", "tests/test_acceptance.py"]
+         "tests/test_cable.py", "tests/test_acceptance.py", "tests/test_linkcat.py"]
 
 _RESOLVE = "                    self._signs[B] = -1\n"
 
@@ -61,6 +61,10 @@ MUTATIONS = {
     "provenance names the last bound attaining the best": (
         "bounds.py", "for k, v in values.items() if v == best",
         "for k, v in reversed(list(values.items())) if v == best"),
+    "JSON reader accepts a 4-genus of -1": (
+        "linkjson.py", "g4 < 0", "g4 < -1"),
+    "circle bundle warns one order late": (
+        "surgery.py", "m <= 2 * g + 2", "m < 2 * g + 2"),
 }
 
 

@@ -9,11 +9,12 @@ and comparing generators is a strong end-to-end consistency check.
 from hfgenus import (CableSpec, HTable, T_transform, bound_min_region,
                      cable_alexander, cable_consistency_check, catalog,
                      region_from_h)
+from hfgenus.linkcat import knot_genus
 
 print("=== the unknot's (2,3)-cable is the trefoil ===")
 cab = cable_alexander(catalog("unknot"), CableSpec(((2, 3),)))
 print("polynomial:", cab.delta((0,)))
-print("component 4-genus:", cab.components[0].g4)
+print("component 4-genus:", knot_genus(cab.delta((0,))))
 print("region:", region_from_h(HTable(cab)).generators)
 print()
 

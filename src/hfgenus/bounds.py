@@ -8,8 +8,10 @@ g_{n-1}) the corners give the least admissible g_n in closed form.  The region
 of admissible g is the staircase of an up-set (see `region`):
 `admissible_region` walks the prefixes depth first, only through the values
 where some f-term changes, and carries one remainder per corner, so moving a
-coordinate updates its own terms and nothing else.  Everything in this module
-is exact.  The d-invariants are in `surgery`, so the `d-invariants` command
+coordinate updates its own terms and nothing else.  The component-weighted
+bound reads each component's genus off its knot polynomial (`knot_genus`),
+so every bound is known for every link.  Everything in this module is
+exact.  The d-invariants are in `surgery`, so the `d-invariants` command
 never loads this module.
 """
 
@@ -19,7 +21,7 @@ from itertools import compress, product, repeat
 from operator import add, gt, sub
 from typing import Sequence
 
-from .errors import ValidationError
+from .linkcat import knot_genus
 
 
 def f_cap(g: int, v: int) -> int:
@@ -123,37 +125,27 @@ def bound_max_h(table: HTable) -> int:
 
 def bound_weighted(table: HTable) -> int:
     """max over |s_i| <= g4(L_i) of 2 h(s) - n + sum |s_i|, signed, g4(L_i)
-    read from the link's components; a ValidationError if one is unknown.
+    = deg Delta_{L_i}, read off the component's knot polynomial
+    (`knot_genus`).
 
-    h(s) = h(clamp(s)), so for g_i > M a point with M <= |s_i| < g_i loses to
-    the point with s_i = +-g_i of the same sign: h is the same and sum |s_i|
-    larger.  Each axis then takes |s_i| < M and +-g_i, at most 2M + 1 values,
-    whatever the genus."""
-    component_g4 = tuple(c.g4 for c in table.link.components)
-    if any(g is None for g in component_g4):
-        raise ValidationError(
-            f"{table.link.name}: component 4-genus unknown; the weighted bound "
-            f"needs g4 for every component")
-    M = table.M
-    axes = [range(-g, g + 1) if g <= M else (-g, *range(-M + 1, M), g)
-            for g in component_g4]
-    return max(2 * table.h(s) - table.n + sum(map(abs, s)) for s in product(*axes))
+    The knot's table reaches its top degree, so M_i >= g4(L_i) + 2 (see
+    `hfunction`): every axis range(-g, g + 1) lies inside the box."""
+    genera = [knot_genus(table.link.alexander[(i,)]) for i in range(table.n)]
+    return max(2 * table.h(s) - table.n + sum(map(abs, s))
+               for s in product(*(range(-g, g + 1) for g in genera)))
 
 
 def best_lower_bound(table: HTable) -> dict:
     """Best available 4-genus lower bound with provenance: the first bound,
-    in the order of the "bounds" dict, that attains the best.  An unknown
-    bound is None.  No floor is needed: min_generator_sum is always known
-    and never negative, the generators lying in the first orthant."""
+    in the order of the "bounds" dict, that attains the best.  Every bound is
+    known.  No floor is needed: min_generator_sum is never negative, the
+    generators lying in the first orthant."""
     values = {
         "min_generator_sum": bound_min_region(table),
         "max_h_excess": bound_max_h(table),
+        "component_weighted": bound_weighted(table),
     }
-    try:
-        values["component_weighted"] = bound_weighted(table)
-    except ValidationError:
-        values["component_weighted"] = None
-    best = max(v for v in values.values() if v is not None)
+    best = max(values.values())
     via = next(k for k, v in values.items() if v == best)
     return {"bounds": values, "best": best, "via": via}
 

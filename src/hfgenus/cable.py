@@ -162,8 +162,8 @@ def cable_alexander(d: LinkDescriptor, spec: CableSpec) -> LinkDescriptor:
     """Descriptor of the componentwise cable of a link.
 
     Every sublink of the cable is the cable of the corresponding sublink, so
-    the whole Alexander map transforms subset by subset.  Component 4-genera
-    update along g -> p*g + (p-1)(q-1)/2 when known.
+    the whole Alexander map transforms subset by subset.  A cabled
+    component's genus, read off its polynomial, is p*g + (p-1)(q-1)/2.
     """
     if spec.n != d.n:
         raise ValueError(f"cable spec has {spec.n} pairs but the link has "
@@ -176,14 +176,8 @@ def cable_alexander(d: LinkDescriptor, spec: CableSpec) -> LinkDescriptor:
             alex[B] = _cable_knot_poly(delta, p, q)
         else:
             alex[B] = _cable_link_poly(delta, [spec.pairs[i] for i in B])
-    comps = []
-    for i, c in enumerate(d.components):
-        p, q = spec.pairs[i]
-        if p == 1 and q == 1:
-            comps.append(c)
-            continue
-        g4 = None if c.g4 is None else p * c.g4 + spec.genus_shift(i)
-        comps.append(Component(f"({p},{q})-cable of {c.label}", g4))
+    comps = [c if (p, q) == (1, 1) else Component(f"({p},{q})-cable of {c.label}")
+             for c, (p, q) in zip(d.components, spec.pairs)]
     name = f"{d.name}_cable({','.join(f'{p}:{q}' for p, q in spec.pairs)})"
     return LinkDescriptor(name, comps, alexander=alex,
                           lspace_asserted=d.lspace_asserted)

@@ -12,12 +12,12 @@ def _trefoil_poly() -> LaurentPoly:
 
 
 def make_unknot() -> LinkDescriptor:
-    return LinkDescriptor("unknot", [Component("unknot", g4=0)],
+    return LinkDescriptor("unknot", [Component("unknot")],
                           alexander={(0,): LaurentPoly.one(1)}, lspace_asserted=True)
 
 
 def make_trefoil_rh() -> LinkDescriptor:
-    return LinkDescriptor("trefoil_rh", [Component("right-handed trefoil", g4=1)],
+    return LinkDescriptor("trefoil_rh", [Component("right-handed trefoil")],
                           alexander={(0,): _trefoil_poly()}, lspace_asserted=True)
 
 
@@ -30,7 +30,7 @@ def make_borromean() -> LinkDescriptor:
     alex.update({B: LaurentPoly.zero(2) for B in [(0, 1), (0, 2), (1, 2)]})
     alex[(0, 1, 2)] = triple
     return LinkDescriptor(
-        "borromean", [Component("unknot", g4=0)] * 3,
+        "borromean", [Component("unknot")] * 3,
         alexander=alex, lspace_asserted=True)
 
 
@@ -45,7 +45,7 @@ def make_mirror_l7a3() -> LinkDescriptor:
     delta = -(f1 * f2 * f3)
     return LinkDescriptor(
         "mirror_L7a3",
-        [Component("unknot", g4=0), Component("right-handed trefoil", g4=1)],
+        [Component("unknot"), Component("right-handed trefoil")],
         alexander={(0,): LaurentPoly.one(1), (1,): _trefoil_poly(), (0, 1): delta},
         lspace_asserted=True)
 

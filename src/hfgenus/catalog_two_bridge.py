@@ -26,7 +26,7 @@ def make_two_bridge(k: int) -> LinkDescriptor:
     name = "whitehead" if k == 1 else f"two_bridge({k})"
     return LinkDescriptor(
         name,
-        [Component("unknot", g4=0), Component("unknot", g4=0)],
+        [Component("unknot")] * 2,
         alexander={(0,): LaurentPoly.one(1), (1,): LaurentPoly.one(1),
                    (0, 1): two_bridge_poly(k)},
         lspace_asserted=True)

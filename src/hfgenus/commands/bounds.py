@@ -10,8 +10,7 @@ def run(args) -> int:
     table = _make_table(args)
     report = best_lower_bound(table)
     unlink = unlink_test(table)
-    rows = {key: "n/a" if value is None else value for key, value in report["bounds"].items()}
-    rows["best lower bound"] = f"{report['best']} (via {report['via']})"
+    rows = {**report["bounds"], "best lower bound": f"{report['best']} (via {report['via']})"}
     if unlink:
         rows["h vanishes identically"] = "a slice L-space link with this data is the unlink"
     return _emit(args, {"name": table.link.name, **report, "unlink_consistent": unlink}, rows)

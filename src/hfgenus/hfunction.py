@@ -159,7 +159,7 @@ from typing import Sequence
 
 from .errors import LSpaceAssertionError, SignResolutionError, StabilizationError
 from .laurent import LaurentPoly
-from .linkcat import LinkDescriptor, all_subsets
+from .linkcat import LinkDescriptor, all_subsets, knot_genus
 
 
 def _chi_table(delta: LaurentPoly) -> dict:
@@ -176,7 +176,7 @@ def _chi_table(delta: LaurentPoly) -> dict:
     `_h_grid`."""
     if delta.nvars > 1:
         return {tuple((e + 1) // 2 for e in exp): c for exp, c in delta.terms.items()}
-    top = max(delta.terms)[0] // 2
+    top = knot_genus(delta)
     degrees = range(top, -top, -1)
     tau = accumulate(delta.terms.get((2 * w,), 0) for w in degrees)
     return {(w,): t for w, x in zip(degrees, tau) if (t := x - (w <= 0))}

@@ -2,13 +2,14 @@
 descriptor as the JSON object that `linkjson` reads back.
 
 `cable` output needs only this half, so a `cable` job never compiles the
-reader and its schema checks.
+reader and its schema checks.  Each component's "g4" is written as its
+genus, deg Delta of its knot polynomial (`linkcat.knot_genus`).
 """
 
 from __future__ import annotations
 
 from .laurent import LaurentPoly
-from .linkcat import LinkDescriptor, _key_str
+from .linkcat import LinkDescriptor, _key_str, knot_genus
 
 
 def _exp_str(dexp: int) -> str:
@@ -23,7 +24,8 @@ def _poly_to_list(poly: LaurentPoly) -> list:
 def descriptor_to_dict(d: LinkDescriptor) -> dict:
     return {
         "name": d.name,
-        "components": [{"label": c.label, "g4": c.g4} for c in d.components],
+        "components": [{"label": c.label, "g4": knot_genus(d.alexander[(i,)])}
+                       for i, c in enumerate(d.components)],
         "linking": [[0] * d.n for _ in range(d.n)],
         "lspace": d.lspace_asserted,
         "alexander": {_key_str(B): _poly_to_list(poly)

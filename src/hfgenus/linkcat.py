@@ -16,18 +16,22 @@ per family, `catalog_two_bridge`, `catalog_cables` and `catalog_basic`, and
 or `catalog-list` compiles no maker, and a catalog job only its own family's.
 
 Component subsets are 0-based index tuples in the Python API; the JSON schema
-uses 1-based comma-joined keys like "1,2".  The JSON format itself is
-`linkjson`, which only `--link` files need, and its writing half is
-`jsonwriter`, which `cable` output needs alone; a catalog job compiles
-neither.  `descriptor_to_dict`, `descriptor_from_dict`, `load_json` and
-`save_json` still read from this module, importing `linkjson` on first use.
+uses 1-based comma-joined keys like "1,2".  The JSON reader is `linkjson`,
+which only `--link` files need, and the writer is `jsonwriter`, which
+`cable` output and `save_json` need; a catalog job compiles neither, and a
+`--link` job only the reader.  `descriptor_to_dict`, `descriptor_from_dict`,
+`load_json` and `save_json` still read from this module, importing their
+module on first use.
+
+A component is a label only: its genus is deg Delta of its knot polynomial
+(`knot_genus`), which the data fix, so no descriptor stores it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from operator import neg
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import SymmetryError, ValidationError
 from .laurent import LaurentPoly, symmetry_sign
@@ -71,10 +75,10 @@ class Record:
 
 
 class Component(Record):
-    __slots__ = ("label", "g4")
+    __slots__ = ("label",)
 
-    def __init__(self, label: str, g4: Optional[int] = None):
-        self._init(label, g4)  # g4: smooth 4-genus of the component, when known
+    def __init__(self, label: str):
+        self._init(label)  # its genus is read off its knot polynomial: `knot_genus`
 
 
 def subset_key(B: Iterable[int]) -> Subset:
@@ -157,6 +161,24 @@ class LinkDescriptor(Record):
         return f"<LinkDescriptor {self.name!r}: {self.n} component(s)>"
 
 
+def knot_genus(delta: LaurentPoly) -> int:
+    """The genus of a link's component, read off its knot polynomial delta as
+    its top degree: the largest doubled exponent, halved (0 for the unknot).
+
+    Every component of an L-space link is an L-space knot, since sublinks of
+    L-space links are L-space links (Liu, "L-space surgeries on links",
+    Quantum Topology 2017).  An L-space knot K is fibred (Ni, "Knot Floer
+    homology detects fibred knots", Invent. Math. 2007), so g(K) =
+    deg Delta_K, and tau(K) = g(K) (Ozsvath-Szabo, "On knot Floer homology
+    and lens space surgeries", 2005) with |tau| <= g_4 <= g (Ozsvath-Szabo,
+    "Knot Floer homology and the four-ball genus", 2003), so g_4(K) =
+    deg Delta_K as well.  The value presupposes the L-space property exactly
+    as the H-function formula does, which `HTable(..., force=True)` already
+    accepts.  A knot polynomial is symmetric, so its top degree is half its
+    span, never negative."""
+    return max(delta.terms)[0] // 2
+
+
 # -- validation ---------------------------------------------------------------
 
 
@@ -184,7 +206,7 @@ def _problems(n: int, alexander: dict) -> list:
             if any(e % 2 == 0 for exp in poly.terms for e in exp):
                 problems.append(f"subset {_key_str(B)}: exponents must be half-odd "
                                 f"(zero linking parity)")
-        if not poly.is_zero() and not _symmetric_as_stored(poly, len(B)):
+        if not _symmetric_as_stored(poly, len(B)):  # poly is nonzero here
             from .symmetry import involution, normalize_symmetric
             try:
                 norm = normalize_symmetric(poly)
@@ -261,14 +283,15 @@ def catalog_list():
 # -- JSON format (`linkjson`) ---------------------------------------------------
 
 
-_JSON_NAMES = ("descriptor_from_dict", "descriptor_to_dict", "load_json", "save_json")
-
-
 def __getattr__(name):
-    """The JSON format lives in `linkjson`; its four public names still read
-    from here (PEP 562), importing `linkjson` on the first read, because
+    """The JSON format lives in `linkjson`, and its writing half in
+    `jsonwriter`; its four public names still read from here (PEP 562),
+    importing the module that holds the name on its first read, because
     `perfbench/job.py` and `perfbench/workloads.py` read them here."""
-    if name not in _JSON_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import linkjson
-    return getattr(linkjson, name)
+    if name == "descriptor_to_dict":
+        from .jsonwriter import descriptor_to_dict
+        return descriptor_to_dict
+    if name in ("descriptor_from_dict", "load_json", "save_json"):
+        from . import linkjson
+        return getattr(linkjson, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

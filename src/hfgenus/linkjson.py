@@ -1,6 +1,6 @@
 """The JSON descriptor format: a link as a JSON object, read and written.
 
-A file holds the name, the components (a label and an optional 4-genus each),
+A file holds the name, the components (a label and an optional "g4" each),
 the linking matrix, the L-space assertion and one polynomial per nonempty
 component subset, keyed by its 1-based indices joined by commas ("1,2").  A
 polynomial is a list of terms {"exp": [...], "coef": int}, each exponent a
@@ -10,19 +10,25 @@ saved in the "atomic" form.  A descriptor keeps no linking matrix: reading
 refuses a nonzero entry, and writing gives the zero matrix.  The rest of what
 a file must satisfy is checked by the `LinkDescriptor` it builds.
 
+A component's "g4" is optional: it is its genus, deg Delta of its knot
+polynomial (`knot_genus`), which the writer emits.  The reader stores no
+genus; it accepts null or that number, and refuses any other value with a
+`ValidationError` naming the component and both numbers, as a file whose
+genus contradicts its own polynomial is inconsistent data.
+
 Only `--link` files use this module, so a catalog job never imports it.
 Writing, `descriptor_to_dict`, lives in `jsonwriter`, which `cable` output
-imports alone; this module reads it from there for `save_json`.
+imports alone and `save_json` imports when it is called, so a `--link` job
+never compiles it.
 """
 
 from __future__ import annotations
 
 import json
 
-from .errors import ParseError, SchemaError
-from .jsonwriter import descriptor_to_dict
+from .errors import ParseError, SchemaError, ValidationError
 from .laurent import LaurentPoly
-from .linkcat import Component, LinkDescriptor, Subset, _key_str
+from .linkcat import Component, LinkDescriptor, Subset, _key_str, knot_genus
 
 
 def _parse_key(s: str, n: int) -> Subset:
@@ -94,7 +100,7 @@ def descriptor_from_dict(data: dict) -> LinkDescriptor:
         g4 = c.get("g4")
         if g4 is not None and (not _is_int(g4) or g4 < 0):
             raise SchemaError("component 'g4' must be a nonnegative integer or null")
-        comps.append(Component(c["label"], g4))
+        comps.append(Component(c["label"]))
     n = len(comps)
     linking = data["linking"]
     if (not isinstance(linking, list) or len(linking) != n
@@ -132,11 +138,19 @@ def descriptor_from_dict(data: dict) -> LinkDescriptor:
     if nonzero:
         raise SchemaError(f"{data['name']}: " + "; ".join(nonzero))
     if structure == "atomic":
-        return LinkDescriptor(data["name"], comps, alexander=alex, lspace_asserted=lspace)
-    return union._renamed(data["name"], lspace and union.lspace_asserted)
+        d = LinkDescriptor(data["name"], comps, alexander=alex, lspace_asserted=lspace)
+    else:
+        d = union._renamed(data["name"], lspace and union.lspace_asserted)
+    for i, c in enumerate(data["components"]):
+        g4, genus = c.get("g4"), knot_genus(d.alexander[(i,)])
+        if g4 is not None and g4 != genus:
+            raise ValidationError(f"{d.name}: component {i + 1} has 'g4' {g4}, but its "
+                                  f"knot polynomial has genus {genus}")
+    return d
 
 
 def save_json(d: LinkDescriptor, path) -> None:
+    from .jsonwriter import descriptor_to_dict
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(descriptor_to_dict(d), fh, indent=2, sort_keys=True)
         fh.write("\n")

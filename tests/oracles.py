@@ -199,9 +199,12 @@ def pair_low_on_its_last_axis():
                           lspace_asserted=True)
 
 
-def with_component_g4(d, genera):
-    return LinkDescriptor(d.name, [Component(c.label, g) for c, g in zip(d.components, genera)],
-                          alexander=d.alexander, lspace_asserted=d.lspace_asserted)
+def reference_genera(d):
+    """deg Delta of each component's knot polynomial, read off the stored
+    terms as half the polynomial's span: a quarter of the doubled exponents'
+    range, as the polynomial is symmetric."""
+    return tuple((max(e) - min(e)) // 4 for e in (
+        [x for (x,) in d.delta((i,)).terms] for i in range(d.n)))
 
 
 def count_reads(t):

@@ -23,10 +23,10 @@ from hfgenus.linkops import disjoint_union
 from hfgenus.region import region_from_h, region_product
 from hfgenus.surgery import circle_bundle_d, large_surgery_d, lens_d
 from oracles import (ADMISSIBLE, ORACLE, PARTS, SPLIT, TABLE_READ_EXCEPTION, WALK, axis_radii,
-                     brute_h, count_reads, cube, link, minimalize, oracle_admissible_region,
-                     oracle_h, raw_draw, reference_bound_weighted, reference_corners,
-                     reference_sign_resolution, reference_unlink_test, two_bridge_h,
-                     with_component_g4)
+                     box, brute_h, count_reads, cube, link, minimalize,
+                     oracle_admissible_region, oracle_h, raw_draw, reference_bound_weighted,
+                     reference_corners, reference_genera, reference_sign_resolution,
+                     reference_unlink_test, two_bridge_h)
 from oracles import f_cap as reference_f_cap
 
 
@@ -102,33 +102,35 @@ def test_bound_weighted():
     assert bound_weighted(HTable(catalog("unlink", 2))) == -2
 
 
-def test_bound_weighted_needs_g4():
+def test_bound_weighted_reads_each_genus_off_the_knot_polynomials():
+    # a component is a label only: its genus is deg Delta of its knot, so
+    # relabelled components give the bound of their data, and a cabled
+    # trefoil's axis runs over its genus, 2 * 1 + 3
     wh = catalog("whitehead")
-    anon = LinkDescriptor("wh-no-g4", [Component("a"), Component("b")],
+    anon = LinkDescriptor("wh-anon", [Component("a"), Component("b")],
                           alexander=wh.alexander, lspace_asserted=True)
-    with pytest.raises(ValidationError, match="g4"):
-        bound_weighted(HTable(anon))
+    assert bound_weighted(HTable(anon)) == bound_weighted(HTable(wh)) == 0
+    cabled = cable_alexander(catalog("trefoil_rh"), CableSpec(((2, 7),)))
+    assert bound_weighted(HTable(cabled)) == 5
 
 
 @pytest.mark.parametrize("name", ORACLE)
 def test_bound_weighted_matches_the_full_sweep(name):
     d = link(name)
-    M = max(axis_radii(d))
-    genera = [tuple(c.g4 for c in d.components)]
-    genera += [(g,) * d.n for g in (M - 1, M, M + 1, M + 3)]
-    genera.append(tuple(M + 3 if i % 2 else i for i in range(d.n)))
-    h = oracle_h(name)
-    for g in genera:
-        t = HTable(with_component_g4(d, g))
-        assert bound_weighted(t) == reference_bound_weighted(h, g), g
+    assert bound_weighted(HTable(d)) == reference_bound_weighted(oracle_h(name),
+                                                                 reference_genera(d))
 
 
 def test_bound_weighted_reads_at_most_the_box():
-    # the full sweep would read (2 * 10**6 + 1)**2 points; h = 0 at (g, g)
-    t = HTable(with_component_g4(catalog("whitehead"), (10 ** 6, 10 ** 6)))
-    reads = count_reads(t)
-    assert bound_weighted(t) == 2 * 10 ** 6 - 2
-    assert len(reads) <= (2 * t.M + 1) ** t.n
+    # each axis is range(-g_i, g_i + 1), g_i = deg Delta_i <= M_i - 2: the
+    # sweep reads every point of prod [-g_i, g_i] once, all inside the box
+    for name in ORACLE + ADMISSIBLE:
+        d = link(name)
+        t, genera = HTable(d), reference_genera(d)
+        reads = count_reads(t)
+        bound_weighted(t)
+        assert sorted(reads) == list(box(genera)), name
+        assert all(g <= m - 2 for g, m in zip(genera, axis_radii(d))), name
 
 
 def test_best_lower_bound_provenance():
@@ -145,9 +147,11 @@ def test_best_lower_bound_provenance():
     assert report["bounds"] == {"min_generator_sum": 1, "max_h_excess": 1,
                                 "component_weighted": 1}
     assert report["via"] == "min_generator_sum"
-    # with large component genera, sum |s_i| at s = g lifts the weighted bound
-    report = best_lower_bound(HTable(with_component_g4(catalog("whitehead"), (5, 5))))
-    assert report["best"] == 8 and report["via"] == "component_weighted"
+    # a cabled trefoil, of genus 5: the weighted bound ties the region's
+    report = best_lower_bound(HTable(link("trefoil_rh_cable:2,7")))
+    assert report["bounds"] == {"min_generator_sum": 5, "max_h_excess": 3,
+                                "component_weighted": 5}
+    assert report["via"] == "min_generator_sum"
 
 
 def test_unlink_test():
@@ -321,9 +325,7 @@ def test_admissible_region_bounds_and_unlink_test_match_the_oracles_on_raw_draws
         asymmetric += any(h(s) > h((abs(s[0]), abs(s[1]))) for s in cube(M, 2))
         assert admissible_region(t).generators == oracle_admissible_region(h, radii)[0], d.name
         assert unlink_test(t) == reference_unlink_test(h, radii), d.name
-        for g in ((0, 0), (1, 2), (3, 0), (M - 1, 1), (M, M), (M + 2, 0)):
-            assert bound_weighted(HTable(with_component_g4(d, g))) == \
-                reference_bound_weighted(h, g), (d.name, g)
+        assert bound_weighted(t) == reference_bound_weighted(h, reference_genera(d)), d.name
     assert built >= 50 and asymmetric >= 5
 
 

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from hfgenus.cli import _TABLE, _parse, main
 from hfgenus.errors import UsageError
+from hfgenus.jsonwriter import descriptor_to_dict
 from hfgenus.linkcat import catalog
-from hfgenus.linkjson import descriptor_to_dict
 from hfgenus.linkops import disjoint_union
 from oracles import (PERFBENCH, WORKLOADS, bad_knot, flipped_whitehead, perfbench,
                      reference_report, reference_sign_resolution, torres_breaking)
@@ -182,6 +182,28 @@ def test_validate_flags_a_flipped_sign_in_a_table_failing_the_laws(capsys, tmp_p
     assert out.splitlines() == [f"invalid: {p}" for p in problems] + [
         "invalid: stored polynomial sign for subset (1, 2) is inconsistent: only the "
         "flipped sign yields a valid H-function (hint: negate that polynomial)"]
+
+
+def test_a_link_file_g4_is_null_or_the_genus_of_its_knot(capsys, tmp_path):
+    # a null "g4" leaves the genus to the data, so the weighted bound is
+    # known; a "g4" that contradicts the knot polynomial exits 2, naming the
+    # component
+    data = descriptor_to_dict(catalog("whitehead"))
+    for c in data["components"]:
+        c["g4"] = None
+    path = tmp_path / "whitehead-null-g4.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "bounds", "--link", str(path))
+    assert code == 0
+    assert json.loads(out)["bounds"] == {"component_weighted": 0, "max_h_excess": 0,
+                                         "min_generator_sum": 1}
+    data["components"][1]["g4"] = 1
+    path.write_text(json.dumps(data))
+    message = "whitehead: component 2 has 'g4' 1, but its knot polynomial has genus 0"
+    code, out, err = run(capsys, "bounds", "--link", str(path))
+    assert (code, out, err) == (2, "", f"validation error: {message}\n")
+    code, out, _ = run(capsys, "validate", "--link", str(path))
+    assert (code, out) == (2, f"invalid: {message}\n")
 
 
 def test_invalid_h_exits_2_on_every_table_command(capsys, tmp_path):

@@ -14,18 +14,19 @@ from hfgenus.errors import (LSpaceAssertionError, SignResolutionError, Stabiliza
                             ValidationError)
 from hfgenus.hfunction import HTable, _chi_table
 from hfgenus.laurent import LaurentPoly
-from hfgenus.linkcat import Component, LinkDescriptor, _key_str, all_subsets, catalog
+from hfgenus.linkcat import (CATALOG, Component, LinkDescriptor, _key_str, all_subsets,
+                             catalog, knot_genus)
 from hfgenus.linkops import disjoint_union, sublink
 from hfgenus.region import maximal_lattice_points, projection_check, region_from_h
 from oracles import (ADMISSIBLE, ATOMIC, INVALID, ORACLE, PARTS, REPORT, RESOLUTION,
-                     SLOW_RESOLUTION, P, axis_radii, bad_knot, box, brute_H, brute_h, cube,
-                     face, flipped_whitehead, formula_H, inclusion_exclusion, link,
+                     SLOW_RESOLUTION, WORKLOADS, P, axis_radii, bad_knot, box, brute_H,
+                     brute_h, cube, face, flipped_whitehead, formula_H, inclusion_exclusion, link,
                      linked_pairs_borromean, oracle_chi, oracle_h, oracle_table,
                      reference_corners, reference_law_problems, reference_maximal_points,
                      reference_region, reference_report, reference_shell_holds,
                      reference_sign_resolution, reference_signs, reference_sweep,
                      raw_draw, raw_triple_draw, torres_breaking, torres_holds,
-                     two_bridge_h, unlink_H)
+                     perfbench, two_bridge_h, unlink_H)
 
 
 @pytest.mark.parametrize("name", ORACLE)
@@ -114,6 +115,57 @@ def test_raw_draws_read_h_and_the_staircases_off_the_list():
                                       reference_maximal_points(h, radii)), d.name
             assert all(t.h(s) == h(s) for s in cube(t.M + 1, t.n)), d.name
     assert built[8] >= 50 and built[12] >= 20, built
+
+
+# parameters for every catalog key
+CATALOG_PARAMS = {"unknot": [()], "trefoil_rh": [()], "whitehead": [()], "borromean": [()],
+                  "mirror_L7a3": [()], "two_bridge": [(1,), (2,), (3,), (7,)],
+                  "unlink": [(1,), (2,), (3,)],
+                  "whitehead_cable": [(2, 7), (3, 10), (5, 16), (7, 22)],
+                  "two_bridge_cable": [(1, 1, 1, 7, 22), (2, 2, 9, 3, 13)]}
+
+
+def benchmark_cables():
+    """Every cable that a benchmark job builds, made by the benchmark's own
+    `job._descriptor`: a cabled catalog key, or a catalog link and a cable
+    spec."""
+    recipes = {(v.recipe["catalog"], v.recipe["cable"])
+               for jobs in WORKLOADS.WORKLOADS.values() for job in jobs for v in job.variants
+               if "catalog" in v.recipe and ("cable" in v.recipe["catalog"] or v.recipe["cable"])}
+    build = perfbench("job")._descriptor
+    return [build(key, cable) for key, cable in sorted(recipes)]
+
+
+def genus_on_the_face(t, i):
+    """min{s >= 0 : h(s) = 0} on component i's face of t's list, s_j = M_j
+    for j != i (read at t.M, the same point through the clamp)."""
+    return next(s for s in range(t.M + 1)
+                if t.h(tuple(s if j == i else t.M for j in range(t.n))) == 0)
+
+
+def test_each_component_genus_is_where_h_vanishes_on_its_face():
+    # a theorem: the face is the component's own h, and an L-space knot's h
+    # vanishes exactly from its genus, deg Delta, on; checked on every
+    # catalog key, every cable the benchmark builds but the one it rejects,
+    # and every raw draw that builds
+    assert set(CATALOG_PARAMS) == set(CATALOG)
+    cables = benchmark_cables()
+    assert len(cables) == 7
+    tables = [HTable(catalog(key, *p)) for key, params in CATALOG_PARAMS.items() for p in params]
+    tables += [HTable(d) for d in cables if d.name != "two_bridge(3)_cable(3:7,2:5)"]
+    built = {}
+    for seed, draw, count in ((8, raw_draw, 600), (12, raw_triple_draw, 400)):
+        rng, built[seed] = random.Random(seed), 0
+        for k in range(count):
+            try:
+                tables.append(HTable(draw(rng, k)))
+            except ValidationError:
+                continue
+            built[seed] += 1
+    assert built[8] >= 50 and built[12] >= 20, built
+    for t in tables:
+        for i in range(t.n):
+            assert knot_genus(t.link.delta((i,))) == genus_on_the_face(t, i), (t.link.name, i)
 
 
 @pytest.mark.parametrize("name", ORACLE)

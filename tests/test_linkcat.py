@@ -13,12 +13,12 @@ from hfgenus.catalog_two_bridge import two_bridge_poly
 from hfgenus.errors import (LSpaceAssertionError, SchemaError, SymmetryError,
                             ValidationError)
 from hfgenus.hfunction import HTable
+from hfgenus.jsonwriter import descriptor_to_dict
 from hfgenus.laurent import LaurentPoly, symmetry_sign
 from hfgenus.linkcat import (Component, LinkDescriptor, _key_str, _problems, all_subsets,
-                             catalog, catalog_list)
+                             catalog, catalog_list, knot_genus)
 from hfgenus.linkops import disjoint_union, sublink
-from hfgenus.linkjson import (descriptor_from_dict, descriptor_to_dict, load_json,
-                              save_json)
+from hfgenus.linkjson import descriptor_from_dict, load_json, save_json
 from hfgenus.symmetry import involution, normalize_symmetric
 from oracles import P
 
@@ -90,7 +90,7 @@ def test_mirror_l7a3_polynomial():
     # trefoil factor sits on the second variable
     assert delta.coeff((H, Fraction(3, 2))) == -1
     assert delta.coeff((Fraction(3, 2), H)) == 0
-    assert d.components[1].g4 == 1 and d.components[0].g4 == 0
+    assert [knot_genus(d.delta((i,))) for i in range(2)] == [0, 1]
 
 
 def test_sublink_extracts_trefoil():
@@ -366,6 +366,45 @@ def union_document(*parts):
             "structure": {"disjoint_union": [descriptor_to_dict(p) for p in parts]}}
 
 
+@pytest.mark.parametrize("d", CATALOG_SAMPLES, ids=lambda d: d.name)
+def test_json_g4_is_written_derived_and_read_as_null_or_that_genus(d):
+    # "g4" is optional and checked against the data: the writer emits deg
+    # Delta of each knot, and null or that value loads the same descriptor
+    data = descriptor_to_dict(d)
+    assert [c["g4"] for c in data["components"]] == [knot_genus(d.delta((i,)))
+                                                     for i in range(d.n)]
+    assert descriptor_from_dict(data) == d
+    for c in data["components"]:
+        c["g4"] = None
+    assert descriptor_from_dict(data) == d
+
+
+def test_json_g4_contradicting_the_knot_polynomial_is_refused():
+    # whatever the file asserts: a genus that deg Delta contradicts is
+    # inconsistent data, refused naming the 1-based component and both numbers
+    for lspace in (True, False):
+        data = descriptor_to_dict(catalog("mirror_L7a3"))
+        data["components"][1]["g4"], data["lspace"] = 2, lspace
+        with pytest.raises(ValidationError) as info:
+            descriptor_from_dict(data)
+        assert type(info.value) is ValidationError
+        assert str(info.value) == ("mirror_L7a3: component 2 has 'g4' 2, but its knot "
+                                   "polynomial has genus 1")
+    # a union's top level and each part are checked alike
+    data = union_document(catalog("whitehead"), catalog("trefoil_rh"))
+    data["components"][2]["g4"] = 0
+    with pytest.raises(ValidationError) as info:
+        descriptor_from_dict(data)
+    assert str(info.value) == ("my union: component 3 has 'g4' 0, but its knot polynomial "
+                               "has genus 1")
+    data = union_document(catalog("whitehead"), catalog("trefoil_rh"))
+    data["structure"]["disjoint_union"][1]["components"][0]["g4"] = 3
+    with pytest.raises(ValidationError) as info:
+        descriptor_from_dict(data)
+    assert str(info.value) == ("trefoil_rh: component 1 has 'g4' 3, but its knot "
+                               "polynomial has genus 1")
+
+
 def test_json_union_loads_as_disjoint_union(tmp_path):
     parts = [catalog("whitehead"), catalog("trefoil_rh"), catalog("unknot")]
     path = tmp_path / "union.json"
@@ -479,7 +518,7 @@ def test_json_schema_violations():
     for g4 in (0, None):
         data = descriptor_to_dict(catalog("unknot"))
         data["components"][0]["g4"] = g4
-        assert descriptor_from_dict(data).components[0].g4 == g4
+        assert descriptor_from_dict(data) == catalog("unknot")
     data = descriptor_to_dict(catalog("unknot"))
     data["alexander"]["1"][0]["coef"] = True
     with pytest.raises(SchemaError, match="coefficient"):

@@ -17,8 +17,8 @@ def _entry_generator():
 
 # repr text as the frozen dataclasses printed it.
 REPRS = [
-    (Component("K"), "Component(label='K', g4=None)"),
-    (Component("unknot", g4=0), "Component(label='unknot', g4=0)"),
+    (Component("K"), "Component(label='K')"),
+    (Component("(2,3)-cable of unknot"), "Component(label='(2,3)-cable of unknot')"),
     (CatalogEntry("k", "n", len),
      "CatalogEntry(key='k', params='n', generator=<built-in function len>)"),
     (UpwardClosedRegion(2, ((1, 0), (0, 1), (2, 2))),
@@ -33,12 +33,12 @@ def test_repr_text(value, text):
     assert repr(value) == text
 
 
-FIELDS = {Component: ("label", "g4"), CatalogEntry: ("key", "params", "generator"),
+FIELDS = {Component: ("label",), CatalogEntry: ("key", "params", "generator"),
           UpwardClosedRegion: ("n", "generators"), CableSpec: ("pairs",)}
 
 # (value, an equal value built separately, an unequal value)
 TRIPLES = [
-    (Component("K", 1), Component(label="K", g4=1), Component("K", 2)),
+    (Component("K"), Component(label="K"), Component("L")),
     (CatalogEntry("k", "n", _entry_generator), CatalogEntry("k", "n", _entry_generator),
      CatalogEntry("k", "", _entry_generator)),
     (UpwardClosedRegion(2, ((0, 1), (1, 0))),
@@ -71,8 +71,11 @@ def test_immutable(a):
     assert getattr(a, field) == before
 
 
-def test_component_default_g4():
-    assert Component("K").g4 is None
+def test_component_takes_a_label_only():
+    # its genus is read off its knot polynomial (`knot_genus`), never stored
+    assert Component("K").__slots__ == ("label",)
+    with pytest.raises(TypeError):
+        Component("K", 1)
 
 
 @pytest.mark.parametrize("pairs, message", [

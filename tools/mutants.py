@@ -65,6 +65,10 @@ MUTATIONS = {
         "linkjson.py", "g4 < 0", "g4 < -1"),
     "circle bundle warns one order late": (
         "surgery.py", "m <= 2 * g + 2", "m < 2 * g + 2"),
+    "genus off by one": (
+        "linkcat.py", "max(delta.terms)[0] // 2", "max(delta.terms)[0] // 2 + 1"),
+    "reader accepts a contradicting g4": (
+        "linkjson.py", "g4 is not None and g4 != genus", "g4 is not None and g4 != g4"),
 }
 
 

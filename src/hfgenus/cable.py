@@ -22,8 +22,8 @@ from math import gcd
 from typing import Sequence
 
 from .errors import UsageError, ValidationError
-from .laurent import LaurentPoly
-from .linkcat import Component, LinkDescriptor, Record, all_subsets
+from .laurent import LaurentPoly, Record
+from .linkcat import Component, LinkDescriptor, all_subsets
 
 
 class CableSpec(Record):

@@ -42,10 +42,10 @@ class StabilizationError(ValidationError):
     leave.
 
     Raised by the `HTable` constructor, the one raiser, which passes every
-    problem over the cube [-M, M]^n as `problems`, read off the table's own
-    h list through the clamp (no second list is built), and the 1-based
-    subsets whose stored sign it flipped as `flipped`; the message shows
-    only the first few problems.  Stabilization itself holds by
+    problem on the table's box as `problems`, read off its own h list (no
+    second list is built), and the 1-based subsets whose stored sign it
+    flipped as `flipped`; the message names the box and shows only the
+    first few problems.  Stabilization itself holds by
     construction.
     """
 

@@ -45,8 +45,8 @@ Hence h(v) = h(clamp(v)) for every lattice point v, clamp taking each
 coordinate into [-M_i, M_i]: the laws validated on the box hold everywhere,
 a sweep of the box decides every question about h, and `HTable.h` reads any
 point off the box list.  M = max M_i, and the cube [-M, M]^n holds the box:
-it is the window of the h-table, and the box over which a failing table's
-problems are rendered.  This holds by construction, checked by the oracle
+it is the window of the h-table and the SVG, and the largeness threshold of
+`large_surgery_d`.  This holds by construction, checked by the oracle
 tests; validation checks only the laws the Alexander data can break, unit
 steps and the shell law below, and it runs in the constructor: a table
 whose data break them raises `SignResolutionError` or `StabilizationError`,
@@ -73,9 +73,9 @@ face of the list, satisfies the step law for at most one sign
 is flipped and the list built again.  The last list, built with those
 signs, is the memo of h on its box, and one whole-list check of it is the
 validation.  Only when it fails are the sublinks' faces of it checked, to
-name a sublink that no sign makes valid; otherwise the problems are
-rendered over the cube, read off that list through the clamp, by
-`violations`, which only a failing table imports.  So the list is the only
+name a sublink that no sign makes valid; otherwise `violations`, which
+only a failing table imports, renders the problems on the box, off that
+list, walking its axes as the check does.  So the list is the only
 evaluator of h: a table builds it once, plus once after each flipped sign,
 and no other list exists.
 
@@ -187,11 +187,6 @@ def _unlink_H(s) -> int:
     return sum((abs(x) - x) // 2 for x in s)
 
 
-def _strides(sides: Sequence[int]) -> list:
-    """The index step of each axis in a row-major list with these sides."""
-    return list(accumulate(reversed(sides[1:]), mul, initial=1))[::-1]
-
-
 def _rows(grid: list, side: int) -> list:
     """The side rows of the leading axis of a flat row-major list: row a
     holds, in order, the points whose first coordinate is the a-th."""
@@ -278,9 +273,8 @@ class HTable:
     law, of which h >= 0 and h(-s) = h(s) are theorems (see the module
     docstring).  Data for which no sign makes a sublink valid raise
     `SignResolutionError`; other data breaking the laws raise
-    `StabilizationError`, carrying every problem over the cube [-M, M]^n
-    and the subsets whose sign was flipped, so a table that exists is
-    valid.
+    `StabilizationError`, carrying every problem on the box and the
+    subsets whose sign was flipped, so a table that exists is valid.
     """
 
     def __init__(self, link: LinkDescriptor, force: bool = False):
@@ -320,7 +314,7 @@ class HTable:
         holding axis j, so every value lands on it.  This is the only
         evaluator of h: a table builds it once, plus once after each sign
         the rule flips, and every sublink's h is a face of it."""
-        strides = _strides(self._sides)
+        strides = list(accumulate(reversed(self._sides[1:]), mul, initial=1))[::-1]
         grid = [0] * prod(self._sides)
         for C, table in self._tables.items():
             sign = self._signs[C] * (-1) ** (len(C) - 1)
@@ -378,18 +372,18 @@ class HTable:
         sign repairs (see the module docstring), and it raises
         `SignResolutionError`; if there is none, the data break the step law
         elsewhere (a broken shell always shows on such a face), and
-        `StabilizationError` carries every problem over the cube
-        [-M, M]^n, read off the list through the clamp of `h`: no other
-        list is built.
+        `StabilizationError` carries every problem on the box, read off the
+        list by `violations`: no other list is built.
 
         Deciding the laws on a box prod [-r_j, r_j], r_j two more than the
         largest |u_j| over the tables containing axis j, decides them on
-        every larger box, such as the cube [-r, r]^|B|, r = max r_j, which
-        the problems of a failing full link are rendered over: outside the
-        box h(s) = h(clamp(s)) (see the module docstring), so a step along a
-        clamped axis is 0, a step along another axis equals the step at the
-        clamped point, and h on a shell of the larger box is h on the box's
-        shell."""
+        every larger box, such as the cube [-r, r]^|B|, r = max r_j: outside
+        the box h(s) = h(clamp(s)) (see the module docstring), so a step
+        along a clamped axis is 0, a step along another axis equals the step
+        at the clamped point, and h on a shell of the larger box is h on the
+        box's shell.  So every problem on a larger box is a clamp copy of
+        one on the box, with the same law, axis and jump, and the box's
+        problems are all the report names."""
         box = self._box
         self._grid = self._h_grid()  # the full link's h over the box, flat
         for B, c in self._tables.items():
@@ -413,12 +407,10 @@ class HTable:
                     f"{tuple(i + 1 for i in B)} yields a valid H-function; "
                     f"not an L-space link with this data")
         from .violations import law_messages
-        M = self.M
-        problems = law_messages(list(map(self.h, product(range(-M, M + 1), repeat=self.n))),
-                                [M] * self.n)
+        problems = law_messages(self._grid, box)
         raise StabilizationError(
             f"{self.link.name}: H-function fails validation on box "
-            f"[-{M}, {M}]^{self.n}: " + "; ".join(problems[:5]),
+            + " x ".join(f"[-{m}, {m}]" for m in box) + ": " + "; ".join(problems[:5]),
             problems, self.flipped_signs())
 
     # -- evaluation ------------------------------------------------------------

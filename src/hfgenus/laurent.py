@@ -6,9 +6,11 @@ arbitrary-precision ints.  A polynomial is a finite map
 
     doubled exponent tuple  ->  nonzero int coefficient
 
-and the zero polynomial is the empty map.  Everything here is immutable after
-construction and safe to share.  Every job loads this module, so it holds only
-the ring and the symmetry sign that every link needs.  The symmetric
+and the zero polynomial is the empty map.  A polynomial is a `Record`, the
+immutable value class that every value of the package derives from, which
+lives here because every job loads this module; so everything here is
+immutable after construction and safe to share.  Besides `Record` it holds
+only the ring and the symmetry sign that every link needs.  The symmetric
 normalization is `symmetry`, which only the messages of an invalid
 descriptor need; the text form of a polynomial is `polytext`, which
 only messages and printing need; the power substitution and the cable factor
@@ -40,7 +42,42 @@ def halve_exponent(d: int) -> Fraction:
     return Fraction(d, 2)
 
 
-class LaurentPoly:
+class Record:
+    """An immutable value: equal, hashed and printed by the fields named in
+    its ``__slots__``, in order.  Subclasses set the fields with ``_init``."""
+
+    __slots__ = ()
+
+    def _init(self, *values):
+        for field, value in zip(self.__slots__, values):
+            object.__setattr__(self, field, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class LaurentPoly(Record):
     """An integer-coefficient Laurent polynomial in ``nvars`` variables.
 
     ``terms`` maps doubled exponent tuples to nonzero coefficients.  Use
@@ -55,6 +92,7 @@ class LaurentPoly:
     """
 
     __slots__ = ("nvars", "terms")
+    __hash__ = None  # the terms sit in a dict
 
     def __init__(self, nvars: int, terms: Mapping[Exp, int]):
         clean = {}
@@ -69,14 +107,7 @@ class LaurentPoly:
             if not all(isinstance(e, int) for e in exp):
                 raise TypeError(f"doubled exponents must be ints, got {exp!r}")
             clean[exp] = coef
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
-
-    def __reduce__(self):
-        return LaurentPoly, (self.nvars, self.terms)
+        self._init(nvars, clean)
 
     # -- constructors -------------------------------------------------------
 
@@ -139,10 +170,6 @@ class LaurentPoly:
         return LaurentPoly(self.nvars, acc)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LaurentPoly)
-                and self.nvars == other.nvars and self.terms == other.terms)
 
     def shift(self, dexp: Exp) -> "LaurentPoly":
         """Multiply by the monomial with doubled exponent ``dexp``."""

@@ -25,6 +25,10 @@ module on first use.
 
 A component is a label only: its genus is deg Delta of its knot polynomial
 (`knot_genus`), which the data fix, so no descriptor stores it.
+
+`Component`, `LinkDescriptor` and `CatalogEntry` are `Record`s, the
+immutable value class in `laurent`, as every polynomial is: no field of a
+descriptor or of its polynomials can be assigned or deleted.
 """
 
 from __future__ import annotations
@@ -34,44 +38,9 @@ from operator import neg
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SymmetryError, ValidationError
-from .laurent import LaurentPoly, symmetry_sign
+from .laurent import LaurentPoly, Record, symmetry_sign
 
 Subset = tuple  # sorted tuple of distinct 0-based component indices
-
-
-class Record:
-    """An immutable value: equal, hashed and printed by the fields named in
-    its ``__slots__``, in order.  Subclasses set the fields with ``_init``."""
-
-    __slots__ = ()
-
-    def _init(self, *values):
-        for field, value in zip(self.__slots__, values):
-            object.__setattr__(self, field, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, field) for field in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._values()
 
 
 class Component(Record):

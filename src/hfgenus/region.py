@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .hfunction import HTable
-from .linkcat import Record
+from .laurent import Record
 
 
 def dominates(x: Sequence[int], y: Sequence[int]) -> bool:
@@ -104,11 +104,11 @@ def projection_check(t: HTable, r: UpwardClosedRegion) -> list:
     The sublink without component i has the h of the face s_i = M_i of the
     link's table t (see `hfunction`), so a projection lies in its region,
     {h = 0} on the orthant, exactly when h vanishes at the generator with
-    g_i replaced by M.  One table answers every sublink."""
+    g_i replaced by M; for a knot that is h(M) = 0, on the top corner block,
+    as the empty link's region is all of its orthant.  One table answers
+    every sublink."""
     if t.n != r.n:
         raise ValueError("region dimension does not match the link")
-    if t.n == 1:
-        return []  # deleting the only component leaves the empty link
     return [f"generator {g} projects outside the region of the sublink "
             f"with component {i + 1} deleted"
             for i in range(t.n) for g in r.generators if t.h(g[:i] + (t.M,) + g[i + 1:])]

@@ -5,42 +5,39 @@ operations and imports this module only when no sublink's face fails them,
 to render each violation of a failing table as the `StabilizationError`
 problems, stated on H = h + H_O: the failing steps, and the negative values
 of H, which only a failing step leaves (D in the `hfunction` docstring).
-The table passes h over the cube [-M, M]^n read off its one box list
-through the clamp, h(s) = h(clamp(s)), so no second list is built.
+The table passes its own box list, the one its check read, and the steps
+are taken as the check takes them, on the rows of each axis in turn.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from operator import add, sub
 from typing import Sequence
 
-from .hfunction import _strides, _unlink_H
+from .hfunction import _joined, _rows, _unlink_H
 
 
 def law_messages(h: list, radii: Sequence[int]) -> list:
     """The violations of the laws on a flat h list over prod [-r_i, r_i], in
     box order, on H = h + H_O: at each point the negative value first, else
-    the failing steps e_1..e_k."""
-    sides = [2 * r + 1 for r in radii]
-    strides = _strides(sides)
-    grid = list(map(add, h, map(_unlink_H, product(*(range(-r, r + 1) for r in radii)))))
-    bad = {j for j, x in enumerate(grid) if x < 0}
-    # the steps that `_laws_hold` takes between consecutive rows of each axis,
-    # here slab by slab, so that each failing point keeps its index
-    for st, side in zip(strides, sides):
-        for base in range(0, len(grid), st * side):
-            slab = grid[base:base + st * side]
-            bad.update(base + st + j for j, d in enumerate(map(sub, slab, slab[st:]))
-                       if d not in (0, 1))
+    the failing steps e_1..e_k.
+
+    Each value carries its point through the turns of `_joined`, so the
+    step from a row to the next, H(s - e_i) - H(s), is taken once and kept
+    under s, the point of the later row."""
+    grid = [(s, x + _unlink_H(s)) for s, x in zip(product(*(range(-r, r + 1) for r in radii)), h)]
+    steps = {}  # s -> its failing steps (i, jump), in axis order
+    for i, r in enumerate(radii):
+        rows = _rows(_joined(rows) if i else grid, 2 * r + 1)  # no turn after the last axis
+        for below, row in zip(rows, rows[1:]):
+            for (_, down), (s, v) in zip(below, row):
+                if down - v not in (0, 1):
+                    steps.setdefault(s, []).append((i, down - v))
     problems = []
-    for j in sorted(bad):
-        s = tuple((j // st) % side - r for st, side, r in zip(strides, sides, radii))
-        v = grid[j]
+    for s, v in grid:
         if v < 0:
             problems.append(f"H{s} = {v} is negative")
-            continue
-        for i, st in enumerate(strides):
-            if s[i] > -radii[i] and (jump := grid[j - st] - v) not in (0, 1):
-                problems.append(f"step law fails: H at {s} minus e_{i + 1} jumps by {jump}")
+        else:
+            problems += [f"step law fails: H at {s} minus e_{i + 1} jumps by {jump}"
+                         for i, jump in steps.get(s, ())]
     return problems

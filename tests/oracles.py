@@ -31,6 +31,8 @@ from math import prod
 from operator import ge
 from pathlib import Path
 
+import pytest
+
 from hfgenus.cable import CableSpec, cable_alexander
 from hfgenus.errors import SignResolutionError
 from hfgenus.laurent import LaurentPoly
@@ -68,6 +70,14 @@ WORKLOADS = perfbench("workloads")  # the benchmark's generated inputs
 
 def P(nvars, *terms):
     return LaurentPoly.from_terms(nvars, terms)
+
+
+def assert_refused(call, error, message):
+    """call() raises exactly `error`, not a subclass, with this message: one
+    row of a test module's table of refusals."""
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 def bad_knot():
@@ -666,9 +676,9 @@ def reference_law_problems(d, B, signs, radii):
 
 
 def reference_report(d, signs):
-    """The law problems of d's full link over the cube [-M, M]^n, M the
-    largest radius, over which `StabilizationError` renders them."""
-    return list(reference_law_problems(d, tuple(range(d.n)), signs, [max(axis_radii(d))] * d.n))
+    """The law problems of d's full link over its box prod [-M_i, M_i], on
+    which `StabilizationError` renders them."""
+    return list(reference_law_problems(d, tuple(range(d.n)), signs, axis_radii(d)))
 
 
 def reference_sign_resolution(d):

@@ -22,8 +22,8 @@ from hfgenus.linkcat import Component, LinkDescriptor, catalog
 from hfgenus.linkops import disjoint_union
 from hfgenus.region import region_from_h, region_product
 from hfgenus.surgery import circle_bundle_d, large_surgery_d, lens_d
-from oracles import (ADMISSIBLE, ORACLE, PARTS, SPLIT, TABLE_READ_EXCEPTION, WALK, axis_radii,
-                     box, brute_h, count_reads, cube, link, minimalize,
+from oracles import (ADMISSIBLE, ORACLE, PARTS, SPLIT, TABLE_READ_EXCEPTION, WALK,
+                     assert_refused, axis_radii, box, brute_h, count_reads, cube, link, minimalize,
                      oracle_admissible_region, oracle_h, raw_draw, reference_bound_weighted,
                      reference_corners, reference_genera, reference_sign_resolution,
                      reference_unlink_test, two_bridge_h)
@@ -465,3 +465,19 @@ def test_admissible_region_of_a_four_component_union():
     assert region.generators == \
         ((3, 5, 0, 1), (3, 5, 1, 0), (5, 3, 0, 1), (5, 3, 1, 0))
     assert region == admissible_product(parts)
+
+
+# (what is refused, the call, the exception type, its message)
+REFUSALS = [
+    ("lens space of order 0", lambda: lens_d(0, 0),
+     ValueError, "lens space order must be positive"),
+    ("a negative genus", lambda: genus_admissible(HTable(catalog("whitehead")), (1, -1)),
+     ValueError, "genus vector must be nonnegative with one entry per component"),
+    ("a short genus vector", lambda: genus_admissible(HTable(catalog("whitehead")), (1,)),
+     ValueError, "genus vector must be nonnegative with one entry per component"),
+]
+
+
+@pytest.mark.parametrize("what, call, error, message", REFUSALS, ids=[r[0] for r in REFUSALS])
+def test_refusals(what, call, error, message):
+    assert_refused(call, error, message)

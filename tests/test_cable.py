@@ -16,7 +16,7 @@ from hfgenus.laurent import LaurentPoly
 from hfgenus.linkcat import _problems, catalog, knot_genus
 from hfgenus.linkops import disjoint_union, sublink
 from hfgenus.region import UpwardClosedRegion, region_from_h
-from oracles import P, link
+from oracles import P, assert_refused, link
 
 
 TREFOIL = P(1, (1, (1,)), (-1, (0,)), (1, (-1,)))
@@ -250,3 +250,24 @@ def cable_cases(draw):
 def test_cable_routes_agree(case):
     d, spec = case
     assert cable_consistency_check(d, spec)["equal"], (d.name, spec.pairs)
+
+
+# (what is refused, the call, the exception type, its message)
+REFUSALS = [
+    ("a pair of non-integers", lambda: parse_cable_spec("2:x"),
+     UsageError, "bad cable pair '2:x'; expected integers p:q"),
+    ("powers of wrong arity", lambda: substitute_powers(P(2, (1, (0, 0))), (2,)),
+     ValueError, "power vector has wrong arity"),
+    ("a power of 0", lambda: substitute_powers(P(1, (1, (0,))), (0,)),
+     ValueError, "powers must be positive"),
+    ("a point of wrong dimension", lambda: T_transform(CableSpec(((2, 3),)), (1, 1)),
+     ValueError, "point dimension does not match the cable spec"),
+    ("a region of wrong dimension",
+     lambda: region_via_T(UpwardClosedRegion(2, ((1, 0),)), CableSpec(((2, 3),))),
+     ValueError, "region dimension does not match the cable spec"),
+]
+
+
+@pytest.mark.parametrize("what, call, error, message", REFUSALS, ids=[r[0] for r in REFUSALS])
+def test_refusals(what, call, error, message):
+    assert_refused(call, error, message)

@@ -680,3 +680,19 @@ def test_a_job_checks_each_descriptor_once(capsys, monkeypatch, tmp_path, argv, 
     assert code == 0 and len(calls) == checks
     if argv[0] == "validate":
         assert out == "valid: two_bridge(3)\n"
+
+
+# (what is refused, argv with {dir} for a temporary directory, stderr)
+REFUSALS = [
+    ("unreadable link file", ["validate", "--link", "{dir}/none.json"],
+     "usage error: cannot read {dir}/none.json: [Errno 2] No such file or directory: "
+     "'{dir}/none.json'\n"),
+    ("circle bundle without a genus", ["d-invariants", "--circle-bundle", "7"],
+     "usage error: --circle-bundle expects M:G\n"),
+]
+
+
+@pytest.mark.parametrize("what, argv, err", REFUSALS, ids=[r[0] for r in REFUSALS])
+def test_refusals(capsys, tmp_path, what, argv, err):
+    code, out, got = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert (code, out, got) == (4, "", err.format(dir=tmp_path))

@@ -19,13 +19,13 @@ from hfgenus.linkcat import (CATALOG, Component, LinkDescriptor, _key_str, all_s
 from hfgenus.linkops import disjoint_union, sublink
 from hfgenus.region import maximal_lattice_points, projection_check, region_from_h
 from oracles import (ADMISSIBLE, ATOMIC, INVALID, ORACLE, PARTS, REPORT, RESOLUTION,
-                     SLOW_RESOLUTION, WORKLOADS, P, axis_radii, bad_knot, box, brute_H,
-                     brute_h, cube, face, flipped_whitehead, formula_H, inclusion_exclusion, link,
-                     linked_pairs_borromean, oracle_chi, oracle_h, oracle_table,
-                     reference_corners, reference_law_problems, reference_maximal_points,
-                     reference_region, reference_report, reference_shell_holds,
-                     reference_sign_resolution, reference_signs, reference_sweep,
-                     raw_draw, raw_triple_draw, torres_breaking, torres_holds,
+                     SLOW_RESOLUTION, WORKLOADS, P, assert_refused, axis_radii, bad_knot, box,
+                     brute_H, brute_h, cube, face, flipped_whitehead, formula_H,
+                     inclusion_exclusion, link, linked_pairs_borromean, oracle_chi, oracle_h,
+                     oracle_table, reference_corners, reference_law_problems,
+                     reference_maximal_points, reference_region, reference_report,
+                     reference_shell_holds, reference_sign_resolution, reference_signs,
+                     reference_sweep, raw_draw, raw_triple_draw, torres_breaking, torres_holds,
                      perfbench, two_bridge_h, unlink_H)
 
 
@@ -544,18 +544,56 @@ def test_require_valid_keeps_every_problem():
     assert str(info.value).endswith(": " + "; ".join(report[:5]))
 
 
+def failure_message(d, problems):
+    """The StabilizationError message of d: its box prod [-M_i, M_i], one
+    interval per axis, and its first five problems."""
+    return (f"{d.name}: H-function fails validation on box "
+            + " x ".join(f"[-{m}, {m}]" for m in axis_radii(d)) + ": "
+            + "; ".join(problems[:5]))
+
+
 @pytest.mark.parametrize("name", INVALID)
 def test_invalid_data_raise_at_construction(name):
-    # with every problem of the point-by-point sweep and the message that
-    # names the box [-M, M]^n, M two more than the largest support radius
+    # with every problem of the point-by-point sweep of the box and the
+    # message that names it, M_i two more than axis i's largest support radius
     d = link(name)
     with pytest.raises(StabilizationError) as info:
         HTable(d, force=True)
     problems = reference_report(d, reference_sign_resolution(d))
-    M = max(axis_radii(d))
     assert info.value.problems == problems and info.value.flipped == []
-    assert str(info.value) == (f"{d.name}: H-function fails validation on box "
-                               f"[-{M}, {M}]^{d.n}: " + "; ".join(problems[:5]))
+    assert str(info.value) == failure_message(d, problems)
+
+
+def test_the_report_names_the_box_and_each_problem_once():
+    # t^2 - 2t + 3 - 2/t + 1/t^2, asserted an L-space knot, with an unknot:
+    # the box [-4, 4] x [-2, 2] is narrower than the cube [-4, 4]^2, whose
+    # problems off the box are clamp copies of the box's, with the same law,
+    # axis and jump; so the report lists the box's alone, the knot's two
+    # failing steps along e_1 at each s_2 of [-2, 2]
+    knot = LinkDescriptor("wide", [Component("k")], lspace_asserted=True, alexander={
+        (0,): P(1, (1, (2,)), (-2, (1,)), (3, (0,)), (-2, (-1,)), (1, (-2,)))})
+    d = disjoint_union(knot, catalog("unknot"))
+    with pytest.raises(StabilizationError) as info:
+        HTable(d)
+    steps = [f"step law fails: H at ({x}, {y}) minus e_1 jumps by {jump}"
+             for x, jump in ((0, 2), (1, -1)) for y in range(-2, 3)]
+    assert info.value.problems == steps == reference_report(d, reference_sign_resolution(d))
+    assert str(info.value) == failure_message(d, steps)
+    assert str(info.value).startswith("wide + unknot: H-function fails validation on box "
+                                      "[-4, 4] x [-2, 2]: ")
+
+
+def test_the_report_reads_no_point(monkeypatch):
+    # the report walks the box list itself: the only points read through
+    # `HTable.h` are the two of the sign rule for the pair (2, 3)
+    d = link("-t + 3 - 1/t + two_bridge:3, forced")
+    a = max(_chi_table(d.delta((1, 2))))
+    reads = []
+    real_h = HTable.h
+    monkeypatch.setattr(HTable, "h", lambda t, s: reads.append(tuple(s)) or real_h(t, s))
+    with pytest.raises(StabilizationError):
+        HTable(d, force=True)
+    assert reads == [(3, a[0] - 1, a[1] - 1), (3, a[0], a[1] - 1)]
 
 
 def test_sign_resolution_recovers_flipped_input():
@@ -762,12 +800,10 @@ def test_one_sign_at_most_is_valid_and_the_table_takes_it(name):
         problems = [] if full in multi else reference_report(d, signs)
         flips = [tuple(i + 1 for i in B) for B, s in sorted(signs.items()) if s == -1]
         if problems:
-            M = max(axis_radii(d))
             with pytest.raises(StabilizationError) as info:
                 HTable(d, force=True)
             assert (info.value.problems, info.value.flipped) == (problems, flips)
-            assert str(info.value) == (f"{d.name}: H-function fails validation on box "
-                                       f"[-{M}, {M}]^{d.n}: " + "; ".join(problems[:5]))
+            assert str(info.value) == failure_message(d, problems)
             continue
         t = HTable(d, force=True)
         assert t.sign_resolution == {tuple(i + 1 for i in B): s for B, s in signs.items()}
@@ -970,3 +1006,15 @@ def test_lspace_assertion_gate():
     with pytest.raises(LSpaceAssertionError):
         HTable(unasserted)
     assert HTable(unasserted, force=True).H((0, 0)) == 1
+
+
+# (what is refused, the call, the exception type, its message)
+REFUSALS = [
+    ("a point of wrong dimension", lambda: HTable(catalog("whitehead")).h((0,)),
+     ValueError, "point (0,) has wrong dimension, expected 2"),
+]
+
+
+@pytest.mark.parametrize("what, call, error, message", REFUSALS, ids=[r[0] for r in REFUSALS])
+def test_refusals(what, call, error, message):
+    assert_refused(call, error, message)

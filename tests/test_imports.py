@@ -51,15 +51,15 @@ def compiled_nodes(modules: set) -> int:
 # cached bytecode a job compiles every module it loads, so a ceiling keeps
 # code that a job does not run from growing back into those modules.
 COMPILE_CEILINGS = [
-    (("region", "--catalog", "two_bridge:20", "--format", "json"), 6222),
-    (("bounds", "--catalog", "two_bridge:20", "--format", "ascii"), 7092),
-    (("region", "--catalog", "two_bridge:25", "--format", "ascii"), 6222),
-    (("h-table", "--catalog", "two_bridge:12", "--format", "ascii"), 7358),
-    (("region", "--catalog", "two_bridge:12", "--format", "svg"), 7285),
-    (("bounds", "--catalog", "whitehead_cable:7,22"), 8613),
-    (("d-invariants", "--catalog", "whitehead_cable:5,16", "--framing", "400,400"), 8575),
-    (("cable", "--catalog", "whitehead", "--cable", "7:22,1:1"), 8287),
-    (("cable", "--catalog", "two_bridge:3", "--cable", "3:7,2:5"), 8287),
+    (("region", "--catalog", "two_bridge:20", "--format", "json"), 6104),
+    (("bounds", "--catalog", "two_bridge:20", "--format", "ascii"), 6974),
+    (("region", "--catalog", "two_bridge:25", "--format", "ascii"), 6104),
+    (("h-table", "--catalog", "two_bridge:12", "--format", "ascii"), 7240),
+    (("region", "--catalog", "two_bridge:12", "--format", "svg"), 7167),
+    (("bounds", "--catalog", "whitehead_cable:7,22"), 8495),
+    (("d-invariants", "--catalog", "whitehead_cable:5,16", "--framing", "400,400"), 8457),
+    (("cable", "--catalog", "whitehead", "--cable", "7:22,1:1"), 8158),
+    (("cable", "--catalog", "two_bridge:3", "--cable", "3:7,2:5"), 8158),
 ]
 
 
@@ -77,10 +77,10 @@ def test_a_link_file_job_compiles_at_most(tmp_path):
     from hfgenus.linkjson import save_json
     path = tmp_path / "two_bridge_10.json"
     save_json(catalog("two_bridge", 10), path)
-    assert compiled_nodes(run_cli("validate", "--link", str(path))) <= 7350
+    assert compiled_nodes(run_cli("validate", "--link", str(path))) <= 7232
     flipped = tmp_path / "two_bridge_15_flipped.json"
     WORKLOADS.write_input(WORKLOADS.flipped_two_bridge(15), flipped, None)
-    assert compiled_nodes(run_cli("validate", "--link", str(flipped), code=2)) <= 7350
+    assert compiled_nodes(run_cli("validate", "--link", str(flipped), code=2)) <= 7232
 
 
 LIBRARY_JOB = ("import hfgenus.cli\n"
@@ -94,7 +94,7 @@ def test_a_library_admissible_region_job_compiles_at_most():
     # the admissible_region workload imports the CLI, then calls the library
     added = modules_added(LIBRARY_JOB)
     assert not any(m.startswith("hfgenus.commands") for m in added)
-    assert compiled_nodes(added) <= 7737
+    assert compiled_nodes(added) <= 7608
 
 
 def test_importing_the_cli_loads_no_layer():

@@ -14,7 +14,7 @@ from hfgenus.hfunction import HTable
 from hfgenus.laurent import LaurentPoly
 from hfgenus.symmetry import involution, normalize_symmetric
 from hfgenus.linkcat import Component, LinkDescriptor, catalog
-from oracles import P, inclusion_exclusion, oracle_chi
+from oracles import P, assert_refused, inclusion_exclusion, oracle_chi
 
 H = Fraction(1, 2)
 
@@ -187,3 +187,21 @@ def test_normalize_symmetric_is_idempotent(f):
     once = normalize_symmetric(g)
     assert normalize_symmetric(once) == once
     assert involution(once) == once
+
+
+# (what is refused, the call, the exception type, its message)
+REFUSALS = [
+    ("an exponent off the half-integers", lambda: P(1, (1, (Fraction(1, 3),))),
+     ValueError, "exponent 1/3 is not a half-integer"),
+    ("an exponent of wrong arity", lambda: LaurentPoly(2, {(0,): 1}),
+     ValueError, "exponent (0,) has wrong arity for nvars=2"),
+    ("a doubled exponent not an int", lambda: LaurentPoly(1, {(0.5,): 1}),
+     TypeError, "doubled exponents must be ints, got (0.5,)"),
+    ("an operand not a polynomial", lambda: P(1, (1, (0,))) + 1,
+     TypeError, "expected LaurentPoly, got int"),
+]
+
+
+@pytest.mark.parametrize("what, call, error, message", REFUSALS, ids=[r[0] for r in REFUSALS])
+def test_refusals(what, call, error, message):
+    assert_refused(call, error, message)

@@ -20,7 +20,7 @@ from hfgenus.linkcat import (Component, LinkDescriptor, _key_str, _problems, all
 from hfgenus.linkops import disjoint_union, sublink
 from hfgenus.linkjson import descriptor_from_dict, load_json, save_json
 from hfgenus.symmetry import involution, normalize_symmetric
-from oracles import P
+from oracles import P, assert_refused
 
 H = Fraction(1, 2)
 
@@ -587,3 +587,66 @@ def test_error_classes_are_distinct(tmp_path):
     with pytest.raises(SchemaError) as info:
         descriptor_from_dict({"name": 3})
     assert not isinstance(info.value, ParseError)
+
+
+def _whitehead_json(change):
+    """A thunk reading the JSON form of whitehead with one change made to it."""
+    data = descriptor_to_dict(catalog("whitehead"))
+    change(data)
+    return lambda: descriptor_from_dict(data)
+
+
+# (what is refused, the call, the exception type, its message)
+REFUSALS = [
+    ("bad subset key", _whitehead_json(lambda d: d["alexander"].update({"1,x": []})),
+     SchemaError, "bad subset key '1,x'"),
+    ("subset key out of range", _whitehead_json(lambda d: d["alexander"].update({"3": []})),
+     SchemaError, "subset key '3' out of range for 2 components"),
+    ("exponent not a string", _whitehead_json(lambda d: d["alexander"]["1"][0].update(exp=[0])),
+     SchemaError, "exponent must be a string, got 0"),
+    ("bad half exponent", _whitehead_json(lambda d: d["alexander"]["1"][0].update(exp=["a/2"])),
+     SchemaError, "bad exponent 'a/2'"),
+    ("bad exponent", _whitehead_json(lambda d: d["alexander"]["1"][0].update(exp=["x"])),
+     SchemaError, "bad exponent 'x'"),
+    ("terms not a list", _whitehead_json(lambda d: d["alexander"].update({"1": {}})),
+     SchemaError, "alexander['1']: expected a list of terms"),
+    ("term with another key", _whitehead_json(lambda d: d["alexander"]["1"][0].update(x=1)),
+     SchemaError, "alexander['1']: each term needs exactly 'exp' and 'coef'"),
+    ("exponent of wrong arity",
+     _whitehead_json(lambda d: d["alexander"]["1,2"][0].update(exp=["1/2"])),
+     SchemaError, "alexander['1,2']: exponent vector must have 2 entries"),
+    ("document not an object", lambda: descriptor_from_dict([]),
+     SchemaError, "descriptor must be a JSON object"),
+    ("name not a string", _whitehead_json(lambda d: d.update(name=3)),
+     SchemaError, "'name' must be a string"),
+    ("no components", _whitehead_json(lambda d: d.update(components=[])),
+     SchemaError, "'components' must be a nonempty list"),
+    ("component without a label", _whitehead_json(lambda d: d["components"][0].pop("label")),
+     SchemaError, "each component needs a 'label'"),
+    ("lspace not a boolean", _whitehead_json(lambda d: d.update(lspace=1)),
+     SchemaError, "'lspace' must be a boolean"),
+    ("alexander not an object", _whitehead_json(lambda d: d.update(alexander=[])),
+     SchemaError, "'alexander' must be an object"),
+    ("union with top-level alexander",
+     _whitehead_json(lambda d: d.update(structure={"disjoint_union": []})),
+     SchemaError, "disjoint unions must not carry top-level 'alexander' data"),
+    ("bad structure", _whitehead_json(lambda d: d.update(structure="union")),
+     SchemaError, "'structure' must be \"atomic\" or {\"disjoint_union\": [...]}"),
+    ("empty subset", lambda: catalog("whitehead").delta(()),
+     ValueError, "component subset must be nonempty"),
+    ("no component", lambda: LinkDescriptor("none", []),
+     ValueError, "a link needs at least one component"),
+    ("polynomial of wrong arity",
+     lambda: LinkDescriptor("k", [Component("k")], alexander={(0,): P(2, (1, (0, 0)))}),
+     ValueError, "polynomial for subset (0,) has wrong arity"),
+    ("empty disjoint union", lambda: disjoint_union(),
+     ValueError, "a disjoint union needs at least one link"),
+    ("unlink:0", lambda: catalog("unlink", 0), ValueError, "unlink needs at least one component"),
+    ("two_bridge:0", lambda: catalog("two_bridge", 0),
+     ValueError, "two_bridge parameter must be a positive integer"),
+]
+
+
+@pytest.mark.parametrize("what, call, error, message", REFUSALS, ids=[r[0] for r in REFUSALS])
+def test_refusals(what, call, error, message):
+    assert_refused(call, error, message)

@@ -7,6 +7,7 @@ import pickle
 import pytest
 
 from hfgenus.cable import CableSpec
+from hfgenus.laurent import LaurentPoly
 from hfgenus.linkcat import CatalogEntry, Component, LinkDescriptor, catalog
 from hfgenus.region import UpwardClosedRegion
 
@@ -34,7 +35,8 @@ def test_repr_text(value, text):
 
 
 FIELDS = {Component: ("label",), CatalogEntry: ("key", "params", "generator"),
-          UpwardClosedRegion: ("n", "generators"), CableSpec: ("pairs",)}
+          UpwardClosedRegion: ("n", "generators"), CableSpec: ("pairs",),
+          LaurentPoly: ("nvars", "terms")}
 
 # (value, an equal value built separately, an unequal value)
 TRIPLES = [
@@ -58,17 +60,38 @@ def test_equality_and_hash(a, same, other):
     assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
 
 
-@pytest.mark.parametrize("a", [t[0] for t in TRIPLES], ids=lambda x: type(x).__name__)
+@pytest.mark.parametrize("a", [t[0] for t in TRIPLES] + [catalog("whitehead").delta((0, 1))],
+                         ids=lambda x: type(x).__name__)
 def test_immutable(a):
-    field = FIELDS[type(a)][0]
-    before = getattr(a, field)
-    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
-        setattr(a, field, None)
-    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
-        delattr(a, field)
+    for field in FIELDS[type(a)]:
+        before = getattr(a, field)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(a, field, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(a, field)
+        assert getattr(a, field) == before
     with pytest.raises(AttributeError):
         a.extra = 1
-    assert getattr(a, field) == before
+
+
+def test_laurent_poly_value_semantics():
+    # a polynomial of a descriptor cannot lose its terms, so the descriptor
+    # stays readable; it is printed by its text form, equal by its fields,
+    # unhashable (its terms sit in a dict), and copies and pickles intact
+    d = catalog("whitehead")
+    p = d.alexander[(0, 1)]
+    with pytest.raises(AttributeError):
+        del p.terms
+    assert d.delta((0, 1)) is p and p.terms
+    assert repr(LaurentPoly(1, {(2,): 1, (0,): -1, (-2,): 1})) == "LaurentPoly(1, 't - 1 + t^-1')"
+    same = LaurentPoly(2, dict(p.terms))
+    assert p == same and not p != same
+    assert p != -p and p != LaurentPoly(1, {}) and p != p.terms and LaurentPoly(1, {}) != 0
+    with pytest.raises(TypeError):
+        hash(p)
+    for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert type(q) is LaurentPoly and q == p and q.terms == p.terms
+    assert copy.deepcopy(d) == d and pickle.loads(pickle.dumps(d)) == d
 
 
 def test_component_takes_a_label_only():

@@ -16,9 +16,9 @@ from hfgenus.linkops import disjoint_union, sublink
 from hfgenus.region import (UpwardClosedRegion, dominates,
                             maximal_lattice_points, minimalize,
                             projection_check, region_from_h, region_product)
-from oracles import (ADMISSIBLE, ORACLE, STAIRCASE, axis_radii, bad_knot, count_reads,
-                     inclusion_exclusion, link, oracle_chi, oracle_h, reference_maximal_points,
-                     reference_projection_check, reference_region)
+from oracles import (ADMISSIBLE, ORACLE, STAIRCASE, assert_refused, axis_radii, bad_knot,
+                     count_reads, inclusion_exclusion, link, oracle_chi, oracle_h,
+                     reference_maximal_points, reference_projection_check, reference_region)
 
 
 def region_of(key, *params):
@@ -139,11 +139,12 @@ def test_projection_check_detects_violation():
     assert projection_check(t, bogus)  # (0,) is not in the trefoil's region
 
 
-@pytest.mark.parametrize("name", sorted(n for n in ORACLE + ADMISSIBLE if link(n).n > 1))
+@pytest.mark.parametrize("name", sorted(ORACLE + ADMISSIBLE))
 def test_projection_check_matches_the_oracle(name):
     # the read off the link's own table against each component-deleted
     # sublink's region from that sublink's descriptor: on the link's region,
-    # its image under a cable transform and generator sets drawn at random
+    # its image under a cable transform and generator sets drawn at random;
+    # a knot (unknot, trefoil_rh) has none to violate, as h(M) = 0
     d = link(name)
     t = HTable(d)
     r = region_from_h(t)
@@ -224,3 +225,18 @@ def test_staircases_read_no_point(name):
     reads = count_reads(t)
     region_from_h(t), maximal_lattice_points(t)
     assert reads == []
+
+
+# (what is refused, the call, the exception type, its message)
+REFUSALS = [
+    ("the least sum of no generators", lambda: UpwardClosedRegion(2, ()).min_generator_sum(),
+     ValueError, "empty region has no generators"),
+    ("a region of another dimension",
+     lambda: projection_check(HTable(catalog("whitehead")), UpwardClosedRegion(1, ((0,),))),
+     ValueError, "region dimension does not match the link"),
+]
+
+
+@pytest.mark.parametrize("what, call, error, message", REFUSALS, ids=[r[0] for r in REFUSALS])
+def test_refusals(what, call, error, message):
+    assert_refused(call, error, message)

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hfgenus.hfunction import HTable
+from hfgenus.linkcat import catalog
 from hfgenus.region import UpwardClosedRegion
-from hfgenus.render import CELL, region_svg
+from hfgenus.render import CELL, ascii_h_grid, region_svg
+from oracles import assert_refused
 
 
 def per_cell_region_svg(region, window, maximal_points):
@@ -81,3 +84,15 @@ def test_region_svg_matches_the_per_cell_scan(generators, window, maximal_points
 def test_region_svg_needs_two_coordinates():
     with pytest.raises(ValueError, match="only drawn for two components"):
         region_svg(((0, 1, 2),), 3, ())
+
+
+# (what is refused, the call, the exception type, its message)
+REFUSALS = [
+    ("an ascii grid of three components", lambda: ascii_h_grid(HTable(catalog("borromean")), 2),
+     ValueError, "ASCII grids are only drawn for one or two components"),
+]
+
+
+@pytest.mark.parametrize("what, call, error, message", REFUSALS, ids=[r[0] for r in REFUSALS])
+def test_refusals(what, call, error, message):
+    assert_refused(call, error, message)

@@ -26,7 +26,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 TESTS = ["tests/test_hfunction.py", "tests/test_bounds.py", "tests/test_region.py",
-         "tests/test_cable.py", "tests/test_acceptance.py", "tests/test_linkcat.py"]
+         "tests/test_cable.py", "tests/test_acceptance.py", "tests/test_linkcat.py",
+         "tests/test_records.py", "tests/test_laurent.py"]
 
 _RESOLVE = "                    self._signs[B] = -1\n"
 
@@ -69,6 +70,13 @@ MUTATIONS = {
         "linkcat.py", "max(delta.terms)[0] // 2", "max(delta.terms)[0] // 2 + 1"),
     "reader accepts a contradicting g4": (
         "linkjson.py", "g4 is not None and g4 != genus", "g4 is not None and g4 != g4"),
+    "the report lists a negative point's failing steps too": (
+        "violations.py", "        else:\n            problems += [",
+        "        if True:\n            problems += ["),
+    "the report files a step under the lower point of its pair": (
+        "violations.py", "for (_, down), (s, v) in", "for (s, down), (_, v) in"),
+    "a record's field can be deleted": (
+        "laurent.py", 'raise AttributeError(f"cannot delete field {name!r}")', "pass"),
 }
 
 

@@ -26,7 +26,13 @@ class SymmetryError(ValidationError):
 
 
 class SignResolutionError(ValidationError):
-    """Neither sign of some sublink polynomial yields a valid H-function."""
+    """Neither sign of some sublink polynomial yields a valid H-function.
+
+    Raised by `violations.refuse` for the `HTable` constructor: the first
+    multi-component sublink, in `all_subsets` order, whose face of the h
+    list holds a failing unit step or a table breaking Torres's condition,
+    read off the failures of the table's one step check.
+    """
 
 
 class LSpaceAssertionError(ValidationError):
@@ -36,16 +42,17 @@ class LSpaceAssertionError(ValidationError):
 class StabilizationError(ValidationError):
     """h fails the step law on the table's box, and no sublink's face does.
 
-    A broken shell law always names a sublink, as `SignResolutionError`, and
-    h >= 0 follows from the laws (see `hfunction`), so the problems, stated
-    on H = h + H_O, are failing steps and the negative values of H they
-    leave.
+    A table breaking Torres's condition always names a sublink, as
+    `SignResolutionError`, and h >= 0 follows from the laws (see
+    `hfunction`), so the problems, stated on H = h + H_O, are failing steps
+    and the negative values of H they leave.
 
-    Raised by the `HTable` constructor, the one raiser, which passes every
-    problem on the table's box as `problems`, read off its own h list (no
-    second list is built), and the 1-based subsets whose stored sign it
-    flipped as `flipped`; the message names the box and shows only the
-    first few problems.  Stabilization itself holds by
+    Raised by `violations.refuse` for the `HTable` constructor, the one
+    raiser, which passes every problem on the table's box as `problems`,
+    read off the failing steps of the table's one step check (no second
+    list is built and no step is compared again), and the 1-based subsets
+    whose stored sign it flipped as `flipped`; the message names the box and
+    shows only the first few problems.  Stabilization itself holds by
     construction.
     """
 

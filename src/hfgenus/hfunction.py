@@ -48,9 +48,10 @@ point off the box list.  M = max M_i, and the cube [-M, M]^n holds the box:
 it is the window of the h-table and the SVG, and the largeness threshold of
 `large_surgery_d`.  This holds by construction, checked by the oracle
 tests; validation checks only the laws the Alexander data can break, unit
-steps and the shell law below, and it runs in the constructor: a table
-whose data break them raises `SignResolutionError` or `StabilizationError`,
-so every `HTable` that exists has passed the laws.  h >= 0 is not checked:
+steps on the list and Torres's condition on the tables (the shell law
+below), and it runs in the constructor: a table whose data break them
+raises `SignResolutionError` or `StabilizationError`, so every `HTable`
+that exists has passed the laws.  h >= 0 is not checked:
 it is a theorem of the step law (D below).
 
 The step law, on h: along every axis, each unit step away from 0 lowers h
@@ -62,7 +63,7 @@ points of a flat list where it falls along every axis.  Each folded level
 set {|v| : h(v) >= k} is a down-set of [0, M]^n, fixed by its maximal
 points (`HTable.corners`, after `_fold`).  {h = 0} is up-closed on the
 orthant; it is fixed by its minimal points and its complement by its
-maximal points (`HTable.staircases`, after `_slice`).
+maximal points (`HTable.staircases`, on the list's part at s >= 0).
 
 The overall sign of a multi-component Alexander polynomial is not pinned down
 by symmetry alone.  It is read off the list itself, bottom-up over
@@ -71,13 +72,14 @@ exponent of a sublink's table one step of h along e_1, on the sublink's
 face of the list, satisfies the step law for at most one sign
 (`HTable._resolve_signs` has the rule and its proof); a sign that fails it
 is flipped and the list built again.  The last list, built with those
-signs, is the memo of h on its box, and one whole-list check of it is the
-validation.  Only when it fails are the sublinks' faces of it checked, to
-name a sublink that no sign makes valid; otherwise `violations`, which
-only a failing table imports, renders the problems on the box, off that
-list, walking its axes as the check does.  So the list is the only
-evaluator of h: a table builds it once, plus once after each flipped sign,
-and no other list exists.
+signs, is the memo of h on its box, and the validation is one whole-list
+check of its steps, `_failing_steps`, which lists every failing step,
+with Torres's condition on the tables of three or more components,
+`_breaks_torres`.  Only when something fails is `violations` imported, and
+it reads the verdict off those same failures, checking nothing again: the
+sublink that no sign makes valid, or every problem on the box.  So the list
+is the only evaluator of h: a table builds it once, plus once after each
+flipped sign, and no other list exists.
 
 What the laws prove.  Let c_C be a sublink's table (`_chi_table`, at the
 coordinates u = (e + 1)/2 of the doubled exponents e of a link, at the
@@ -137,27 +139,32 @@ the orthant sum of P_{S+i,i} alone, and inclusion-exclusion over that face
 gives P_{S+i,i} back.  So by induction on |S| the shell law on axis i holds
 exactly when every sublink containing i vanishes at t_i = 1, and where the
 steps hold, by (B), it can fail only with a sublink of three or more
-components.  `_laws_hold` checks it with the steps, on the rows of each
-axis i in turn: the first row, s_i = -M_i, against the last, s_i = M_i.
-A failing shell shows on the face of a sublink breaking Torres, which no
+components.  Hence the validation compares no shells: it checks the steps
+on the list and, on each table of three or more components, that its sums
+over each axis u_i are all 0 (`_breaks_torres`).  Where the steps fail the
+table is refused either way, and where they hold the shell law holds
+exactly when no such table breaks Torres, so the verdict is the shell
+law's, and it needs no row s_i = -M_i of the list.  A table breaking
+Torres fails the shell of the face of every sublink holding it, which no
 sign repairs, so it raises `SignResolutionError`.
 
-Symmetry, a theorem of the shell law: h(-s) = h(s).  Substituting
-u -> 1 - u, O_C(1 - s) = (-1)^|C| times the sum of c_C over u <= s by (A).
-Writing [u_j <= s_j] = 1 - [u_j >= s_j + 1] on each axis turns that sum
-into (-1)^|C| O_C(s + 1) and signed sums with a free axis, which Torres
-(and, for a knot, (B)) makes 0.  So every table gives the same at -s as at
-s.
+Symmetry, a theorem of the steps and Torres's condition: h(-s) = h(s).
+Substituting u -> 1 - u, O_C(1 - s) = (-1)^|C| times the sum of c_C over
+u <= s by (A).  Writing [u_j <= s_j] = 1 - [u_j >= s_j + 1] on each axis
+turns that sum into (-1)^|C| O_C(s + 1) and signed sums with a free axis,
+which Torres (and, for a knot, (B)) makes 0.  So every table gives the same
+at -s as at s.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import accumulate, chain, compress, product
 from math import prod
 from operator import add, and_, lt, mul, sub
 from typing import Sequence
 
-from .errors import LSpaceAssertionError, SignResolutionError, StabilizationError
+from .errors import LSpaceAssertionError
 from .laurent import LaurentPoly
 from .linkcat import LinkDescriptor, all_subsets, knot_genus
 
@@ -201,22 +208,41 @@ def _joined(rows) -> list:
     return list(chain.from_iterable(zip(*rows)))
 
 
-def _laws_hold(grid: list, sides: Sequence[int]) -> bool:
-    """Whether a flat h list over the box prod [-r_j, r_j], sides[j] =
-    2 r_j + 1, keeps the laws, by whole-list operations on the rows of each
-    axis in turn (`_rows`, turned by `_joined` between axes): every unit
-    step away from 0 lowers h by 0 or 1, that is rows[a + 1] - rows[a] is 0
-    or 1 below the middle row, s_i < 0, and rows[a] - rows[a + 1] is from
-    it on, and the first row, s_i = -r_i, is the last, s_i = r_i (the shell
-    law).  h >= 0 is not checked: it follows (D in the module docstring)."""
+def _failing_steps(grid: list, sides: Sequence[int]) -> list:
+    """The unit steps of a flat h list over the box prod [-r_j, r_j], sides[j]
+    = 2 r_j + 1, that break the step law, each as (i, a, p, d), by
+    whole-list operations on the rows of each axis i in turn (`_rows`,
+    turned by `_joined` between axes): each unit step away from 0 lowers h
+    by d, 0 or 1, from the row nearer the middle row r_i to the farther,
+    so d = rows[a + 1][p] - rows[a][p] below the middle row, s_i < 0, and
+    d = rows[a][p] - rows[a + 1][p] from it on.  p indexes a row over the
+    axes after i, i + 1, ..., n - 1, 0, ..., i - 1, in row-major order, as
+    the turns leave them.  A row pair that fails is read again to list its
+    failures.  This is the only check of the step law on the list: the
+    verdict, the culprit and the report all read its failures, and the sign
+    rule reads one step per sublink.  h >= 0 is not checked: it follows (D
+    in the module docstring)."""
+    failing = []
     for i, side in enumerate(sides):
         rows = _rows(_joined(rows) if i else grid, side)  # no turn after the last axis
-        r = side // 2
-        steps = set().union(*(map(sub, rows[a + 1], rows[a]) if a < r else
-                              map(sub, rows[a], rows[a + 1]) for a in range(side - 1)))
-        if not (steps <= {0, 1} and rows[0] == rows[-1]):
-            return False
-    return True
+        for a in range(side - 1):
+            near, far = (rows[a + 1], rows[a]) if a < side // 2 else (rows[a], rows[a + 1])
+            if not {0, 1}.issuperset(map(sub, near, far)):
+                failing += [(i, a, p, d) for p, d in enumerate(map(sub, near, far))
+                            if d not in (0, 1)]
+    return failing
+
+
+def _breaks_torres(table: dict) -> bool:
+    """Whether a sublink's table has an axis u_i over which its sums are not
+    all 0, that is, its polynomial does not vanish at t_i = 1, against
+    Torres's condition: one dict of sums, keyed by the axis and the other
+    coordinates."""
+    sums = defaultdict(int)
+    for u, c in table.items():
+        for i in range(len(u)):
+            sums[i, u[:i], u[i + 1:]] += c
+    return any(sums.values())
 
 
 def _fold(grid: list, radii: Sequence[int]) -> list:
@@ -229,16 +255,6 @@ def _fold(grid: list, radii: Sequence[int]) -> list:
     for r in radii:
         rows = _rows(grid, 2 * r + 1)
         grid = _joined(map(max, rows[r + a], rows[r - a]) for a in range(r + 1))
-    return grid
-
-
-def _slice(grid: list, radii: Sequence[int], lows: Sequence[int]) -> list:
-    """The part at s >= lows of a flat list over prod [-r_i, r_i], flat over
-    prod [lows_i, r_i] in row-major order: each pass keeps the rows
-    s_0 >= lows_0 of the leading axis, and `_joined` turns it into the last
-    one."""
-    for r, low in zip(radii, lows):
-        grid = _joined(_rows(grid, 2 * r + 1)[r + low:])
     return grid
 
 
@@ -269,10 +285,11 @@ class HTable:
     after construction.  M_i is two more than the largest |u_i| over the
     tables of the sublinks containing component i (2 if none does), M is
     the largest M_i, and neither ever changes.  Construction validates
-    once, by one whole-list check of that list: unit steps and the shell
-    law, of which h >= 0 and h(-s) = h(s) are theorems (see the module
-    docstring).  Data for which no sign makes a sublink valid raise
-    `SignResolutionError`; other data breaking the laws raise
+    once, by one whole-list check of that list's unit steps and Torres's
+    condition on the tables of three or more components, which together
+    give the shell law, of which h >= 0 and h(-s) = h(s) are theorems (see
+    the module docstring).  Data for which no sign makes a sublink valid
+    raise `SignResolutionError`; other data breaking the laws raise
     `StabilizationError`, carrying every problem on the box and the
     subsets whose sign was flipped, so a table that exists is valid.
     """
@@ -363,17 +380,32 @@ class HTable:
         chi that the laws allow (Liu, "L-space surgeries on links";
         Gorsky-Nemethi).
 
-        When the full link's laws fail, its list's face s_j = M_j (j not in
-        B), sliced off by `_slice`, is h_B on prod [-M_j, M_j] (j in B), and
-        on a box that wide the laws decide h_B everywhere (see below).  So
-        the first multi-component sublink, in `all_subsets` order, whose face
-        fails is one that no sign makes valid, since every earlier one had
-        its only valid sign, or one breaking Torres's condition, which no
-        sign repairs (see the module docstring), and it raises
+        The verdict, read once, on the last list.  Its failing unit steps
+        (`_failing_steps`) and the Torres breakers, the tables of three or
+        more components with an axis u_i over which their sums are not all 0
+        (`_breaks_torres`), decide it: with neither, the table is valid, as
+        the module docstring proves.  Else `violations` names the culprit or
+        the problems from those same failures, and no face is checked
+        again.  B's face s_j = M_j (j not in B) is h_B on prod [-M_j, M_j]
+        (j in B), and on a box that wide the laws decide h_B everywhere (see
+        below).  Two equivalences make the failures name the faces that fail:
+        - A face fails exactly when its steps fail or it contains a breaker.
+          Its steps are those of the list along the axes i in B at the points
+          with s_j = M_j off B, so one fails exactly when B holds the failing
+          step's minimal face {j : s_j != M_j} + {i}.  Its shell on axis i
+          holds exactly when every C in B holding i vanishes at t_i = 1 (the
+          shell law in the module docstring), and a pair C that does not has
+          a failing step of minimal face C, on the line of (B) there.
+        - With the steps holding, the first failing face is the first
+          breaker: a breaker has a table, and `all_subsets` lists it before
+          every superset.
+        So the first multi-component sublink with a table, in `all_subsets`
+        order, whose face fails is one that no sign makes valid, since every
+        earlier one had its only valid sign, or one breaking Torres's
+        condition, which no sign repairs, and it raises
         `SignResolutionError`; if there is none, the data break the step law
-        elsewhere (a broken shell always shows on such a face), and
-        `StabilizationError` carries every problem on the box, read off the
-        list by `violations`: no other list is built.
+        elsewhere, and `StabilizationError` carries every problem on the
+        box, read off the same failing steps: no other list is built.
 
         Deciding the laws on a box prod [-r_j, r_j], r_j two more than the
         largest |u_j| over the tables containing axis j, decides them on
@@ -384,11 +416,10 @@ class HTable:
         box's shell.  So every problem on a larger box is a clamp copy of
         one on the box, with the same law, axis and jump, and the box's
         problems are all the report names."""
-        box = self._box
         self._grid = self._h_grid()  # the full link's h over the box, flat
         for B, c in self._tables.items():
             if len(B) > 1:
-                s = list(box)
+                s = list(self._box)
                 for j, x in zip(B, max(c)):
                     s[j] = x - 1
                 step = self.h(s)
@@ -396,22 +427,11 @@ class HTable:
                 if step - self.h(s) not in (0, 1):
                     self._signs[B] = -1
                     self._grid = self._h_grid()
-        if _laws_hold(self._grid, self._sides):
-            return
-        for B in self._tables:  # B's h is the face s_j = M_j of the list, j not in B
-            if len(B) > 1 and not _laws_hold(
-                    _slice(self._grid, box, [-m if j in B else m for j, m in enumerate(box)]),
-                    [self._sides[j] for j in B]):
-                raise SignResolutionError(
-                    f"{self.link.name}: neither sign of the polynomial for subset "
-                    f"{tuple(i + 1 for i in B)} yields a valid H-function; "
-                    f"not an L-space link with this data")
-        from .violations import law_messages
-        problems = law_messages(self._grid, box)
-        raise StabilizationError(
-            f"{self.link.name}: H-function fails validation on box "
-            + " x ".join(f"[-{m}, {m}]" for m in box) + ": " + "; ".join(problems[:5]),
-            problems, self.flipped_signs())
+        steps = _failing_steps(self._grid, self._sides)
+        breakers = [C for C, c in self._tables.items() if len(C) > 2 and _breaks_torres(c)]
+        if steps or breakers:
+            from .violations import refuse
+            refuse(self, steps, breakers)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -466,7 +486,8 @@ class HTable:
         """The minimal points of {w >= 0 : h(w) = 0} and the maximal points w
         of its complement, those with h(w + e_i) = 0 for every i, each sorted,
         by whole-list operations on the box list, sliced to prod [0, M_i]
-        (`_slice` at lows 0); `_drops` on the list of h > 0 marks the points
+        (the rows s_i >= 0 of each axis in turn, turned by `_joined`);
+        `_drops` on the list of h > 0 marks the points
         where it falls along every axis, and on the list of h = 0 with every axis
         reversed (the list reversed) the points where it falls along every
         axis downward, which are the minimal points.  h is constant in w_i
@@ -474,7 +495,9 @@ class HTable:
         point has w_i >= M_i - 1: the shell points w_i = M_i, which `_drops`
         does not compare along axis i, are dropped."""
         sides = [m + 1 for m in self._box]
-        positive = [x > 0 for x in _slice(self._grid, self._box, [0] * self.n)]
+        positive = [x > 0 for x in self._grid]
+        for r in self._box:
+            positive = _joined(_rows(positive, 2 * r + 1)[r:])
         minimal = reversed(_drops([not x for x in reversed(positive)], sides))
         maximal = compress(product(*map(range, sides)), _drops(positive, sides))
         return (tuple(compress(product(*map(range, sides)), minimal)),

@@ -177,6 +177,26 @@ def raw_triple_draw(rng, k):
                           alexander=alexander, lspace_asserted=True)
 
 
+def pair_scope():
+    """Every two-component descriptor of a small scope, enumerated whole
+    rather than drawn: two knots from KNOTS, and the pair polynomial
+    (t_1^(1/2) - t_1^(-1/2)) (t_2^(1/2) - t_2^(-1/2)) f, f zero or a sum of
+    one or two of the 13 orbits of [-2, 2]^2 under inverting both variables,
+    each orbit's points with one coefficient, 1 or -1, so that the pair keeps
+    Torres's condition and its symmetry: 9 (1 + 26 + 312) = 3051
+    descriptors."""
+    orbits = sorted({tuple(sorted({u, (-u[0], -u[1])})) for u in product(range(-2, 3), repeat=2)})
+    signed = [{u: c for u in orbit} for orbit in orbits for c in (1, -1)]
+    fs = [{}] + signed + [{**f, **g} for k, f in enumerate(signed)
+                          for g in signed[k // 2 * 2 + 2:]]  # g from a later orbit
+    factor = LaurentPoly(2, {(1, 1): 1, (1, -1): -1, (-1, 1): -1, (-1, -1): 1})
+    pairs = [factor * LaurentPoly(2, {(2 * x, 2 * y): c for (x, y), c in f.items()}) for f in fs]
+    for k, (a, b, pair) in enumerate(product(sorted(KNOTS), sorted(KNOTS), pairs)):
+        yield LinkDescriptor(f"scope {k}", [Component(a), Component(b)], lspace_asserted=True,
+                             alexander={(0,): LaurentPoly(1, KNOTS[a]),
+                                        (1,): LaurentPoly(1, KNOTS[b]), (0, 1): pair})
+
+
 def torres_breaking():
     """Data passing the step law (with the triple's sign flipped) that no
     link has: knots T(2,5), the trefoil and T(2,5), zero pair polynomials,

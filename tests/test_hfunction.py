@@ -3,6 +3,7 @@
 import random
 from itertools import permutations, product
 from math import prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from oracles import (ADMISSIBLE, ATOMIC, INVALID, ORACLE, PARTS, REPORT, RESOLUT
                      SLOW_RESOLUTION, WORKLOADS, P, assert_refused, axis_radii, bad_knot, box,
                      brute_H, brute_h, cube, face, flipped_whitehead, formula_H,
                      inclusion_exclusion, link, linked_pairs_borromean, oracle_chi, oracle_h,
-                     oracle_table, reference_corners, reference_law_problems,
+                     oracle_table, pair_scope, reference_corners, reference_law_problems,
                      reference_maximal_points, reference_region, reference_report,
                      reference_shell_holds, reference_sign_resolution, reference_signs,
                      reference_sweep, raw_draw, raw_triple_draw, torres_breaking, torres_holds,
@@ -236,9 +237,11 @@ def law_problems(d):
 
 
 def bypass_law_checks(monkeypatch):
-    """Let every HTable built from here on skip the laws, keeping every stored
-    sign, so the lists of data failing validation can be read."""
-    monkeypatch.setattr(hfunction, "_laws_hold", lambda *a: True)
+    """Let every HTable built from here on skip the laws, finding no failing
+    step and no Torres breaker and keeping every stored sign, so the lists of
+    data failing validation can be read."""
+    monkeypatch.setattr(hfunction, "_failing_steps", lambda *a: [])
+    monkeypatch.setattr(hfunction, "_breaks_torres", lambda *a: False)
 
 
 @pytest.mark.parametrize("name", ORACLE + INVALID)
@@ -474,12 +477,12 @@ def test_the_corner_theorem_needs_no_torres():
 
 
 def test_the_laws_do_not_check_H_nonnegative():
-    # a valid table's h list, lowered by a constant: every step and shell is
-    # kept, so the laws pass, though every h is negative, and so is H at 0
+    # a valid table's h list, lowered by a constant: every step is kept, so
+    # no step fails, though every h is negative, and so is H at 0
     t = HTable(catalog("borromean"))
     low = [x - max(t._grid) - 1 for x in t._grid]
-    assert hfunction._laws_hold(low, t._sides)
-    assert hfunction._laws_hold(t._grid, t._sides)
+    assert hfunction._failing_steps(low, t._sides) == []
+    assert hfunction._failing_steps(t._grid, t._sides) == []
 
 
 @pytest.mark.parametrize("name", ORACLE)
@@ -624,10 +627,11 @@ def lawful_grid(radii, data):
 @given(st.sampled_from([(1,), (3,), (1, 1), (2, 2), (1, 3), (3, 1), (2, 1, 1), (1, 1, 2)]),
        st.data())
 def test_array_laws_match_the_reference_sweep(radii, data):
-    # on arbitrary lists H >= 0 is no theorem, and `_laws_hold` checks the
-    # steps and the shells only: the reference is the sweep's step problems,
-    # read on the list lifted to be nonnegative, and the shell law; the
-    # list is H, and `_laws_hold` and `law_messages` read h = H - H_O
+    # on arbitrary lists H >= 0 is no theorem, and `_failing_steps` checks
+    # the steps only: the reference is the sweep's step problems, read on the
+    # list lifted to be nonnegative; the list is H, `_failing_steps` reads
+    # h = H - H_O, and the report that `violations.refuse` makes of its
+    # failures, for a table with no sublink to blame, is the sweep's
     if data.draw(st.booleans()):
         grid = lawful_grid(radii, data)
     else:
@@ -637,23 +641,24 @@ def test_array_laws_match_the_reference_sweep(radii, data):
     at = dict(zip(box(radii), grid))
     expected = list(reference_sweep(at.__getitem__, radii))
     lifted = lambda s: at[s] - min(grid)
-    laws = next(reference_sweep(lifted, radii), None) is None \
-        and reference_shell_holds(at.__getitem__, radii)
     h = [x - unlink_H(s) for s, x in zip(box(radii), grid)]
-    assert hfunction._laws_hold(h, [2 * r + 1 for r in radii]) == laws
-    assert violations.law_messages(h, radii) == expected
+    sides = [2 * r + 1 for r in radii]
+    steps = hfunction._failing_steps(h, sides)
+    assert (steps == []) == (next(reference_sweep(lifted, radii), None) is None)
+    t = SimpleNamespace(_box=list(radii), _sides=sides, _grid=h, _tables={},
+                        link=SimpleNamespace(name="list"), flipped_signs=list)
+    with pytest.raises(StabilizationError) as info:
+        violations.refuse(t, steps, [])
+    assert info.value.problems == expected
     # the kernels on the same lists, against their definitions point by
-    # point: `_slice` at lows 0 and on every face, and, on the list lifted
-    # to be nonnegative, as every list they read is (D in the hfunction
-    # docstring), `_fold` and `_drops` of the folded list
-    for lows in [(0,) * len(radii), *product(*((-r, r) for r in radii))]:
-        part = product(*(range(low, r + 1) for low, r in zip(lows, radii)))
-        assert hfunction._slice(grid, radii, lows) == [at[s] for s in part], lows
+    # point, on the list lifted to be nonnegative, as every list they read
+    # is (D in the hfunction docstring): `_fold` and `_drops` of the folded
+    # list
+    half = list(product(*(range(r + 1) for r in radii)))
     top = {}
     for s in box(radii):
         w = tuple(map(abs, s))
         top[w] = max(top.get(w, 0), lifted(s))
-    half = list(product(*(range(r + 1) for r in radii)))
     assert hfunction._fold(list(map(lifted, box(radii))), radii) == [top[w] for w in half]
     assert hfunction._drops([top[w] for w in half], [r + 1 for r in radii]) == [
         top[w] > 0 and all(top[w[:i] + (x + 1,) + w[i + 1:]] < top[w]
@@ -752,6 +757,31 @@ def test_sign_resolution_matches_the_reference_on_flipped_raw_draws():
     assert flips[2] >= 4 and flips[3] >= 3, flips
 
 
+def test_the_pair_scope_matches_the_reference_sign_resolution():
+    # the whole scope: a refused descriptor blames its pair, the only
+    # sublink with a face to fail; a built one takes the signs of the
+    # point-by-point sign trials, whose sweep of the box finds no problem,
+    # and so does it with its pair sign negated, reading the same h
+    built = refused = 0
+    for d in pair_scope():
+        try:
+            t = HTable(d)
+        except SignResolutionError as exc:
+            assert str(exc) == (f"{d.name}: neither sign of the polynomial for subset (1, 2) "
+                                f"yields a valid H-function; not an L-space link with this data")
+            refused += 1
+            continue
+        built += 1
+        signs = reference_sign_resolution(d)
+        assert reference_report(d, signs) == [], d.name
+        e = flipped(d, (0, 1))
+        for table, reference in ((t, signs), (HTable(e), reference_sign_resolution(e))):
+            assert table.sign_resolution == {tuple(i + 1 for i in B): s
+                                             for B, s in reference.items()}, table.link.name
+            assert table._grid == t._grid, table.link.name
+    assert (built, refused) == (195, 2856)
+
+
 @pytest.mark.parametrize("name", sorted(REPORT + RESOLUTION))
 def test_the_shell_law_is_torres_on_every_axis(name):
     # the theorem of the shell law (hfunction docstring): with the stored
@@ -770,6 +800,25 @@ def test_the_shell_law_is_torres_on_every_axis_on_raw_draws():
         holds = torres_holds(d)
         assert reference_shell_holds(lambda s: brute_H(d, s), axis_radii(d)) == holds, d.name
         seen[holds] += 1
+    assert min(seen.values()) >= 30, seen
+
+
+def test_the_torres_check_is_the_shell_law_on_raw_draws():
+    # `_breaks_torres` on the tables: a draw has a table of two or more
+    # components that breaks Torres exactly when its polynomials do and when
+    # its H breaks the shell law, point by point; `HTable` lists only the
+    # breakers of three or more components, since a pair that breaks it
+    # fails a step (B in the hfunction docstring), and both kinds occur
+    rng, seen = random.Random(12), {"none": 0, "pair": 0, "triple": 0}
+    for k in range(400):
+        d = raw_triple_draw(rng, k)
+        breakers = [B for B in all_subsets(3) if len(B) > 1 and not d.delta(B).is_zero()
+                    and hfunction._breaks_torres(_chi_table(d.delta(B)))]
+        holds = torres_holds(d)
+        assert (breakers == []) == holds, d.name
+        if k < 40:
+            assert reference_shell_holds(lambda s: brute_H(d, s), axis_radii(d)) == holds, d.name
+        seen["triple" if (0, 1, 2) in breakers else "pair" if breakers else "none"] += 1
     assert min(seen.values()) >= 30, seen
 
 
@@ -844,19 +893,18 @@ def test_sign_resolution_messages():
 
 @pytest.mark.parametrize("name", sorted(REPORT))
 def test_a_swept_full_link_is_not_swept_again(name, monkeypatch):
-    # a valid table makes one law check, of the full link's list, which it
-    # keeps; a failing one then checks each multi-component sublink's face
-    # of that list
+    # every table makes one step check, of the full link's list, which a
+    # valid table keeps; a failing one rechecks no face: its error is read
+    # off the failures of that one check
     d = link(name)
     calls = []
-    real = hfunction._laws_hold
-    monkeypatch.setattr(hfunction, "_laws_hold", lambda *a: calls.append(a) or real(*a))
+    real = hfunction._failing_steps
+    monkeypatch.setattr(hfunction, "_failing_steps", lambda *a: calls.append(a) or real(*a))
     try:
         t = HTable(d, force=True)
     except StabilizationError:
         assert name in INVALID
-        assert len(calls) == 1 + sum(len(B) > 1 and not d.delta(B).is_zero()
-                                     for B in all_subsets(d.n))
+        assert len(calls) == 1 and calls[0][1] == [2 * m + 1 for m in axis_radii(d)]
     else:
         assert len(calls) == 1 and calls[0][0] is t._grid
 
@@ -893,8 +941,12 @@ def test_grid_matches_lookups(name):
     for j in set(range(d.n)) - held:
         assert not any(j in C for C in t._tables) and t._box[j] == 2, j
     for B in all_subsets(d.n):
-        lows = [-m if j in B else m for j, m in enumerate(t._box)]
-        face = hfunction._slice(t._grid, t._box, lows)
+        face = []
+        for x in box([t._box[j] for j in B]):
+            s = list(t._box)
+            for j, y in zip(B, x):
+                s[j] = y
+            face.append(t.h(s))
         sub = sublink(d, B)
         assert face == list(map(brute_h(sub), box([t._box[j] for j in B]))), B
 

@@ -3,6 +3,8 @@
 import ast
 import json
 
+import pytest
+
 from oracles import tool
 
 code_lines = tool("code_lines")
@@ -172,3 +174,17 @@ def test_mutants_name_the_first_failing_test():
               "!!! stopping after 1 failures !!!\n1 failed, 3 passed in 0.5s\n")
     assert mutants.first_failure(output) == "tests/test_bounds.py::test_f[T(2,5), knot]"
     assert mutants.first_failure("4 passed in 0.5s\n") == ""
+
+
+@pytest.mark.parametrize("line, test", [
+    ("FAILED tests/t.py::test_f[-t + 3 - 1/t, forced] - assert [1] == [2]",
+     "tests/t.py::test_f[-t + 3 - 1/t, forced]"),
+    ("FAILED tests/t.py::test_f[-t + 3 - 1/t, forced]",
+     "tests/t.py::test_f[-t + 3 - 1/t, forced]"),
+    ("FAILED tests/t.py::test_f - assert [1] == [2]", "tests/t.py::test_f"),
+    ("ERROR tests/t.py - ImportError: no module [x]", "tests/t.py"),
+])
+def test_mutants_keep_the_whole_parametrized_id(line, test):
+    # an id holding " - " is kept whole, and a message holding "[" or "]"
+    # does not reach it
+    assert mutants.first_failure(f"F\n=== short test summary info ===\n{line}\n") == test

@@ -49,10 +49,12 @@ MUTATIONS = {
     "corners allow a level step": (
         "hfunction.py", "map(lt, rows[w + 1], rows[w])",
         "map(lambda x, y: x <= y, rows[w + 1], rows[w])"),
-    "no shell law": (
-        "hfunction.py", " and rows[0] == rows[-1]", ""),
+    "no Torres check when the steps hold": (
+        "hfunction.py", "if steps or breakers:", "if steps:"),
+    "Torres read on one axis only": (
+        "hfunction.py", "for i in range(len(u)):", "for i in range(1):"),
     "step law turns one row late": (
-        "hfunction.py", "if a < r else", "if a <= r else"),
+        "hfunction.py", "if a < side // 2 else", "if a <= side // 2 else"),
     "f_cap rounds down": (
         "bounds.py", "(g - abs(v) + 1) // 2", "(g - abs(v)) // 2"),
     "walk caps one short": (
@@ -71,20 +73,30 @@ MUTATIONS = {
     "reader accepts a contradicting g4": (
         "linkjson.py", "g4 is not None and g4 != genus", "g4 is not None and g4 != g4"),
     "the report lists a negative point's failing steps too": (
-        "violations.py", "        else:\n            problems += [",
-        "        if True:\n            problems += ["),
+        "violations.py", '[f"H{s} = {v} is negative"] if v < 0 else found.get(s, [])',
+        '([f"H{s} = {v} is negative"] if v < 0 else []) + found.get(s, [])'),
     "the report files a step under the lower point of its pair": (
-        "violations.py", "for (_, down), (s, v) in", "for (s, down), (_, v) in"),
+        "violations.py", "s = rows[i][a + 1][p]", "s = rows[i][a][p]"),
+    "the report's H jump off by one below the middle": (
+        "violations.py", "else 1 - d}", "else -d}"),
+    "the culprit ignores the failing step's axis": (
+        "violations.py", "map(ne, s, box)", "map(ne, s[:i] + (box[i],) + s[i + 1:], box)"),
     "a record's field can be deleted": (
         "laurent.py", 'raise AttributeError(f"cannot delete field {name!r}")', "pass"),
 }
 
 
 def first_failure(output: str) -> str:
-    """The first test that pytest's short summary names as failed, if any."""
+    """The first test that pytest's short summary names as failed, if any,
+    with its whole parametrized id: the id ends at the "]" closing its
+    parameters, which may hold " - ", and the message follows " - "."""
     for line in output.splitlines():
         if line.startswith(("FAILED ", "ERROR ")):
-            return line.partition(" ")[2].partition(" - ")[0]
+            test = line.partition(" ")[2]
+            name, bracket, params = test.partition("[")
+            if bracket and " " not in name:
+                return f"{name}[{params.partition('] - ')[0].removesuffix(']')}]"
+            return test.partition(" - ")[0]
     return ""
 
 

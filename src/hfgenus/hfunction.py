@@ -226,22 +226,21 @@ def _failing_steps(grid: list, sides: Sequence[int]) -> list:
     for i, side in enumerate(sides):
         rows = _rows(_joined(rows) if i else grid, side)  # no turn after the last axis
         for a in range(side - 1):
-            near, far = (rows[a + 1], rows[a]) if a < side // 2 else (rows[a], rows[a + 1])
-            if not {0, 1}.issuperset(map(sub, near, far)):
-                failing += [(i, a, p, d) for p, d in enumerate(map(sub, near, far))
-                            if d not in (0, 1)]
+            pair = rows[a:a + 2][::-1 if a < side // 2 else 1]  # the row nearer the middle first
+            if not {0, 1}.issuperset(map(sub, *pair)):
+                failing += [(i, a, p, d) for p, d in enumerate(map(sub, *pair)) if d not in (0, 1)]
     return failing
 
 
 def _breaks_torres(table: dict) -> bool:
     """Whether a sublink's table has an axis u_i over which its sums are not
     all 0, that is, its polynomial does not vanish at t_i = 1, against
-    Torres's condition: one dict of sums, keyed by the axis and the other
-    coordinates."""
+    Torres's condition: one dict of sums, keyed by the coordinates before
+    the axis and after it, whose split names the axis."""
     sums = defaultdict(int)
     for u, c in table.items():
         for i in range(len(u)):
-            sums[i, u[:i], u[i + 1:]] += c
+            sums[u[:i], u[i + 1:]] += c
     return any(sums.values())
 
 
@@ -455,12 +454,14 @@ class HTable:
 
     @property
     def sign_resolution(self) -> dict:
-        """Chosen sign per sublink subset (1-based keys), +1 = as stored."""
+        """Chosen sign per sublink subset (1-based keys, sorted), +1 = as
+        stored."""
         return {tuple(i + 1 for i in B): s for B, s in sorted(self._signs.items())}
 
     def flipped_signs(self) -> list:
-        """1-based subsets whose stored polynomial sign had to be flipped."""
-        return [B for B, s in sorted(self.sign_resolution.items()) if s == -1]
+        """1-based subsets whose stored polynomial sign had to be flipped, in
+        the sorted order of `sign_resolution`."""
+        return [B for B, s in self.sign_resolution.items() if s == -1]
 
     # -- sweeps used by regions and bounds ---------------------------------------
 

@@ -29,9 +29,9 @@ class SignResolutionError(ValidationError):
     """Neither sign of some sublink polynomial yields a valid H-function.
 
     Raised by `violations.refuse` for the `HTable` constructor: the first
-    multi-component sublink, in `all_subsets` order, whose face of the h
+    multi-component sublink, in `all_subsets` order, whose face of the box
     list holds a failing unit step or a table breaking Torres's condition,
-    read off the failures of the table's one step check.
+    read off the failures of that list's one step check.
     """
 
 
@@ -49,8 +49,8 @@ class StabilizationError(ValidationError):
 
     Raised by `violations.refuse` for the `HTable` constructor, the one
     raiser, which passes every problem on the table's box as `problems`,
-    read off the failing steps of the table's one step check (no second
-    list is built and no step is compared again), and the 1-based subsets
+    read off the failing steps of the box list, which only a refused table
+    builds (no step is compared again), and the 1-based subsets
     whose stored sign it flipped as `flipped`; the message names the box and
     shows only the first few problems.  Stabilization itself holds by
     construction.

@@ -17,17 +17,18 @@ table, so every table is placed the same way, and the unknot's is empty.
 tables share no state.  `_chi_table` alone turns a sublink's polynomial into
 its table, which only construction reads; the input's exponent parity holds
 already, since a `LinkDescriptor` is valid once built.  A multi-component
-sublink's table is signed by `sign_resolution`.  The link's h over a box
-prod [-r_j, r_j] is one flat row-major list, in the point order of
-`itertools.product`, built by `HTable._h_grid` from one placement: every
-signed value of every table is set once in the list, and one
-prefix-sum pass per axis sums all the orthants, with no Python call per
-point.  Every whole-list kernel walks the axes one way: it reads the rows
-of the leading axis (`_rows`), then turns that axis to the back
-(`_joined`).  After construction that list is the only source of h, and
-H = h + H_O, for the link and for every sublink: a sublink's h is the face
-s_j = M_j of the list, for every j outside it (see below).  A disjoint
-union is an ordinary descriptor: a sublink mixing parts has zero
+sublink's table is signed by `sign_resolution`.  The link's h is kept on
+the nonnegative orthant prod [0, M_j] only, as one flat row-major list per
+class of sign patterns (the orthants, below), in the point order of
+`itertools.product`, each built by `HTable._h_grid` from one placement:
+every signed value of every table that reaches the orthant is set once in
+the list, and one prefix-sum pass per axis sums all the orthant sums, with
+no Python call per point.  Every whole-list kernel walks the axes one way:
+it reads the rows of the leading axis (`_rows`), then turns that axis to
+the back (`_joined`).  After construction those lists are the only source
+of h, and H = h + H_O, for the link and for every sublink: a sublink's h is
+the face s_j = M_j of the lists, for every j outside it (see below).  A
+disjoint union is an ordinary descriptor: a sublink mixing parts has zero
 polynomial and contributes nothing.
 
 Each table's lattice box prod [-M_i, M_i] is fixed at construction, with M_i
@@ -44,48 +45,51 @@ where every orthant sum is constant in v_i, so h is constant in s_i there.
 Hence h(v) = h(clamp(v)) for every lattice point v, clamp taking each
 coordinate into [-M_i, M_i]: the laws validated on the box hold everywhere,
 a sweep of the box decides every question about h, and `HTable.h` reads any
-point off the box list.  M = max M_i, and the cube [-M, M]^n holds the box:
-it is the window of the h-table and the SVG, and the largeness threshold of
-`large_surgery_d`.  This holds by construction, checked by the oracle
-tests; validation checks only the laws the Alexander data can break, unit
-steps on the list and Torres's condition on the tables (the shell law
-below), and it runs in the constructor: a table whose data break them
-raises `SignResolutionError` or `StabilizationError`, so every `HTable`
-that exists has passed the laws.  h >= 0 is not checked:
-it is a theorem of the step law (D below).
+point s off the list of its orthant at min(|s_i|, M_i).  M = max M_i, and
+the cube [-M, M]^n holds the box: it is the window of the h-table and the
+SVG, and the largeness threshold of `large_surgery_d`.  This holds by
+construction, checked by the oracle tests; validation checks only the laws
+the Alexander data can break, unit steps on the lists and Torres's
+condition on the tables (the shell law below), and it runs in the
+constructor: a table whose data break them raises `SignResolutionError` or
+`StabilizationError`, so every `HTable` that exists has passed the laws.
+h >= 0 is not checked: it is a theorem of the step law (D below).
 
 The step law, on h: along every axis, each unit step away from 0 lowers h
 by 0 or 1.  It is the law that H(s - e_i) - H(s) is 0 or 1, since H_O is
 unchanged by the step at s_i >= 1 and grows by 1 at s_i <= 0.  So h never
 increases as a coordinate moves away from 0, max h = h(0), and every level
-set is read off the box list by one primitive, `_drops`, which marks the
+set is read off the class lists by one primitive, `_drops`, which marks the
 points of a flat list where it falls along every axis.  Each folded level
 set {|v| : h(v) >= k} is a down-set of [0, M]^n, fixed by its maximal
-points (`HTable.corners`, after `_fold`).  {h = 0} is up-closed on the
-orthant; it is fixed by its minimal points and its complement by its
-maximal points (`HTable.staircases`, on the list's part at s >= 0).
+points (`HTable.corners`, on the elementwise largest of the class lists).
+{h = 0} is up-closed on the orthant s >= 0; it is fixed by its minimal
+points and its complement by its maximal points (`HTable.staircases`, on
+the list of that orthant).
 
 The overall sign of a multi-component Alexander polynomial is not pinned down
-by symmetry alone.  It is read off the list itself, bottom-up over
+by symmetry alone.  It is read off the lists themselves, bottom-up over
 sublinks: every sign starts at +1, and at the lexicographically largest
 exponent of a sublink's table one step of h along e_1, on the sublink's
-face of the list, satisfies the step law for at most one sign
-(`HTable._resolve_signs` has the rule and its proof); a sign that fails it
-is flipped and the list built again.  The last list, built with those
-signs, is the memo of h on its box, and the validation is one whole-list
-check of its steps, `_failing_steps`, which lists every failing step,
-with Torres's condition on the tables of three or more components,
-`_breaks_torres`.  Only when something fails is `violations` imported, and
-it reads the verdict off those same failures, checking nothing again: the
-sublink that no sign makes valid, or every problem on the box.  So the list
-is the only evaluator of h: a table builds it once, plus once after each
-flipped sign, and no other list exists.
+face, satisfies the step law for at most one sign (`HTable._resolve_signs`
+has the rule and its proof); a sign that fails it is flipped and the lists
+built again.  The last lists, built with those signs, are the memo of h,
+and the validation is one whole-list check of each list's steps,
+`_failing_steps`, with, when there is more than one class, Torres's
+condition on every table of two or more components, `_breaks_torres`.
+Only when something fails is the box list over prod [-M_j, M_j] built,
+with the signs as chosen, and `violations` imported: it reads the verdict
+off that list's failing steps and the Torres breakers of three or more
+components, checking nothing again: the sublink that no sign makes valid,
+or every problem on the box.  So the lists are the only evaluator of h: a
+table builds each class's list once, plus once after each flipped sign,
+and the box list only to refuse.
 
 What the laws prove.  Let c_C be a sublink's table (`_chi_table`, at the
 coordinates u = (e + 1)/2 of the doubled exponents e of a link, at the
 degrees of a knot), eps_C = sign_C * (-1)^(|C| - 1) its sign in `_h_grid`
 (+1 for a knot), and O_C(v) its orthant sum, the sum of c_C over u >= v.
-The list is h: placing tau_K would give H, and the unknot's orthant sum at
+The lists are h: placing tau_K would give H, and the unknot's orthant sum at
 v = s_i + 1, the sum of [w <= 0] over w >= v, is max(-s_i, 0), so t_K
 takes H_O's part on axis i off, and h(s) is the sum of eps_C O_C(s + 1).
 Delta_K(1) = 1 makes tau_K 1 below Delta_K's support and 0 above it, so
@@ -139,14 +143,13 @@ the orthant sum of P_{S+i,i} alone, and inclusion-exclusion over that face
 gives P_{S+i,i} back.  So by induction on |S| the shell law on axis i holds
 exactly when every sublink containing i vanishes at t_i = 1, and where the
 steps hold, by (B), it can fail only with a sublink of three or more
-components.  Hence the validation compares no shells: it checks the steps
-on the list and, on each table of three or more components, that its sums
-over each axis u_i are all 0 (`_breaks_torres`).  Where the steps fail the
-table is refused either way, and where they hold the shell law holds
-exactly when no such table breaks Torres, so the verdict is the shell
-law's, and it needs no row s_i = -M_i of the list.  A table breaking
-Torres fails the shell of the face of every sublink holding it, which no
-sign repairs, so it raises `SignResolutionError`.
+components.  Hence the validation compares no shells: on the box, the
+laws hold exactly when the steps hold and no table of three or more
+components has sums over an axis u_i that are not all 0 (`_breaks_torres`),
+and it needs no row s_i = -M_i.  A table breaking Torres fails the shell
+of the face of every sublink holding it, which no sign repairs, so it
+raises `SignResolutionError`.  The orthants below turn the check of the
+box's steps into checks of the class lists.
 
 Symmetry, a theorem of the steps and Torres's condition: h(-s) = h(s).
 Substituting u -> 1 - u, O_C(1 - s) = (-1)^|C| times the sum of c_C over
@@ -154,14 +157,57 @@ u <= s by (A).  Writing [u_j <= s_j] = 1 - [u_j >= s_j + 1] on each axis
 turns that sum into (-1)^|C| O_C(s + 1) and signed sums with a free axis,
 which Torres (and, for a knot, (B)) makes 0.  So every table gives the same
 at -s as at s.
+
+The orthants.  A sign pattern p flags a set of axes; its closed orthant is
+the s with s_j <= 0 on the flagged axes and s_j >= 0 on the others.  For a
+table c_C, let c_C^p be c_C reflected u_j -> 1 - u_j on the flagged axes of
+C and negated once per reflected axis.
+- (R) The reflection: if every table of two or more components keeps
+  Torres's condition, h(s) on p's closed orthant is the signed sum of the
+  orthant sums of the c_C^p at |s| + 1.  On a flagged axis j of C, the sum
+  of c_C over u_j >= s_j + 1 is minus its sum over u_j <= s_j, since the
+  sums over all u_j are 0 (Torres; for a knot, (B)); and u_j <= s_j is
+  1 - u_j >= |s_j| + 1, s_j <= 0.  Both sides agree at s_j = 0, so the
+  orthant is closed.  Only values of c_C^p at u >= 1 reach an orthant sum
+  at |s| + 1 >= 1, so p's list over prod [0, M_j] is `_h_grid`'s placement
+  of those values at u - 1 (`_orthant_table`).  A knot's table is its own
+  reflection, t_K(1 - w) = -t_K(w) by (A), so knots are never reflected.
+- (P) A pattern and its complement share a list: reflecting all the axes
+  of C and negating |C| times gives c_C back, by (A), so C reflected on
+  its flagged axes equals C reflected on the others.  Patterns whose
+  tables all agree share one list, and the orthants fall into classes,
+  decided from the tables before any list is built: at most 2^(n - 1).
+- (S) Where (R) holds, the class lists' steps are exactly the box's
+  steps.  A unit step of the box, between s and s + e_i, lies in one
+  closed orthant, since s_i and s_i + 1 are both >= 0 or both <= 0 and the
+  other coordinates are shared; there, by (R), h at its two ends is that
+  orthant's list at their absolute values, which differ by e_i, the end
+  nearer 0 the lower.  So each box step, read away from 0, is a step of a
+  class list, all of which lead away from 0, and each list step is the
+  box step at every orthant of its class: the step law holds on the box
+  exactly when every class list keeps it, read with no middle row.
+- (T) One class implies Torres's condition.  If all the patterns form one
+  class, every c_C^p agrees with c_C at u >= 1, so c_C(u') =
+  (-1)^|A| c_C(u) at each point u', A the axes where u'_j <= 0 and u >= 1
+  the reflection of u' on A.  Reflecting u' on one more axis i adds i to A
+  or takes it out, so it negates c_C: c_C is antisymmetric under
+  u_i -> 1 - u_i, the pairs u_i, 1 - u_i cancel in every sum over u_i,
+  and c_C keeps Torres's condition.
+Hence the validation: with one class, Torres holds (T), so by (S) the list's
+steps decide the step law and the shell law holds; with more than one,
+`_breaks_torres` reads every table of two or more components, and with no
+breaker (R) holds and (S) decides the steps.  A breaker refuses the table,
+a pair by (B) and a larger one by the shell law.  So the verdict is the
+box's, and a refused table's error is read off the box list.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial, reduce
 from itertools import accumulate, chain, compress, product
 from math import prod
-from operator import add, and_, lt, mul, sub
+from operator import add, and_, itemgetter, lt, mul, sub
 from typing import Sequence
 
 from .errors import LSpaceAssertionError
@@ -208,25 +254,27 @@ def _joined(rows) -> list:
     return list(chain.from_iterable(zip(*rows)))
 
 
-def _failing_steps(grid: list, sides: Sequence[int]) -> list:
-    """The unit steps of a flat h list over the box prod [-r_j, r_j], sides[j]
-    = 2 r_j + 1, that break the step law, each as (i, a, p, d), by
-    whole-list operations on the rows of each axis i in turn (`_rows`,
-    turned by `_joined` between axes): each unit step away from 0 lowers h
-    by d, 0 or 1, from the row nearer the middle row r_i to the farther,
-    so d = rows[a + 1][p] - rows[a][p] below the middle row, s_i < 0, and
-    d = rows[a][p] - rows[a + 1][p] from it on.  p indexes a row over the
-    axes after i, i + 1, ..., n - 1, 0, ..., i - 1, in row-major order, as
-    the turns leave them.  A row pair that fails is read again to list its
-    failures.  This is the only check of the step law on the list: the
-    verdict, the culprit and the report all read its failures, and the sign
-    rule reads one step per sublink.  h >= 0 is not checked: it follows (D
-    in the module docstring)."""
+def _failing_steps(grid: list, sides: Sequence[int], below: Sequence[int]) -> list:
+    """The unit steps of a flat h list over prod [-below_j, sides_j - 1 -
+    below_j] that break the step law, each as (i, a, p, d), by whole-list
+    operations on the rows of each axis i in turn (`_rows`, turned by
+    `_joined` between axes): each unit step away from 0 lowers h by d, 0 or
+    1, from the row nearer s_i = 0 to the farther, so d = rows[a + 1][p] -
+    rows[a][p] below that row, a < below_i, and d = rows[a][p] -
+    rows[a + 1][p] from it on.  A class list has below_j = 0, so every step
+    leads away from 0; only the box list of a refused table, below_j = M_j,
+    has steps below s_i = 0.  p indexes a row over the axes after i, i + 1,
+    ..., n - 1, 0, ..., i - 1, in row-major order, as the turns leave them.
+    A row pair that fails is read again to list its failures.  This is the
+    only check of the step law on a list: the verdict, the culprit and the
+    report all read its failures, and the sign rule reads one step per
+    sublink.  h >= 0 is not checked: it follows (D in the module
+    docstring)."""
     failing = []
     for i, side in enumerate(sides):
         rows = _rows(_joined(rows) if i else grid, side)  # no turn after the last axis
         for a in range(side - 1):
-            pair = rows[a:a + 2][::-1 if a < side // 2 else 1]  # the row nearer the middle first
+            pair = rows[a:a + 2][::-1 if a < below[i] else 1]  # the row nearer s_i = 0 first
             if not {0, 1}.issuperset(map(sub, *pair)):
                 failing += [(i, a, p, d) for p, d in enumerate(map(sub, *pair)) if d not in (0, 1)]
     return failing
@@ -244,17 +292,21 @@ def _breaks_torres(table: dict) -> bool:
     return any(sums.values())
 
 
-def _fold(grid: list, radii: Sequence[int]) -> list:
-    """top[w] = the largest h(v) over |v| = w, for w in prod [0, r_i], flat in
-    row-major order, from a flat h list over prod [-r_i, r_i].
-
-    Each pass folds the rows of the leading axis: the row at |s_0| = a is
-    the larger of the rows at s_0 = a and s_0 = -a, and `_joined` turns the
-    folded axis into the last one."""
-    for r in radii:
-        rows = _rows(grid, 2 * r + 1)
-        grid = _joined(map(max, rows[r + a], rows[r - a]) for a in range(r + 1))
-    return grid
+def _orthant_table(table: dict, axes: Sequence[int]) -> dict:
+    """The values at u >= 1 of a table reflected u_k -> 1 - u_k on these of
+    its axes, each negated once per reflected axis: all that the list of an
+    orthant reads of it (R in the module docstring).  Each pass maps one
+    axis of the table's points, and only the points kept are reflected."""
+    size = len(next(iter(table)))
+    inside = [map((1).__gt__ if k in axes else (0).__lt__, map(itemgetter(k), table))
+              for k in range(size)]  # u_k <= 0 on a reflected axis, u_k >= 1 on the others
+    keep = list(reduce(partial(map, and_), inside))
+    points = list(compress(table, keep))
+    columns = [map(itemgetter(k), points) for k in range(size)]
+    for k in axes:
+        columns[k] = map((1).__sub__, columns[k])
+    values = map(((-1) ** len(axes)).__mul__, compress(table.values(), keep))
+    return dict(zip(zip(*columns), values))
 
 
 def _drops(top: list, sides: Sequence[int]) -> list:
@@ -277,20 +329,24 @@ class HTable:
     prod [-M_i, M_i].
 
     Construction reads the table of every sublink that has one, and the box
-    from them, then the sign of every sublink polynomial off the full
-    link's h, one flat list over prod [-M_i, M_i] (`_h_grid`), built again
-    after each flipped sign.  The last list is the memo, read by index,
-    at clamp(s) outside the box; h and H = h + H_O are the only values read
-    after construction.  M_i is two more than the largest |u_i| over the
-    tables of the sublinks containing component i (2 if none does), M is
-    the largest M_i, and neither ever changes.  Construction validates
-    once, by one whole-list check of that list's unit steps and Torres's
-    condition on the tables of three or more components, which together
-    give the shell law, of which h >= 0 and h(-s) = h(s) are theorems (see
-    the module docstring).  Data for which no sign makes a sublink valid
-    raise `SignResolutionError`; other data breaking the laws raise
-    `StabilizationError`, carrying every problem on the box and the
-    subsets whose sign was flipped, so a table that exists is valid.
+    from them, sorts the orthants into classes that share one list
+    (`_split_orthants`), then reads the sign of every sublink polynomial off
+    the full link's h, one flat list over prod [0, M_i] per class
+    (`_h_grid`), built again after each flipped sign.  The last lists are
+    the memo, each orthant's read by index at |s|, and at min(|s_i|, M_i)
+    outside the box; h and H = h + H_O are the only values read after
+    construction.  M_i is two more than the largest |u_i| over the tables
+    of the sublinks containing component i (2 if none does), M is the
+    largest M_i, and neither ever changes.  Construction validates once, by
+    one whole-list check of each list's unit steps and, with more than one
+    class, Torres's condition on the tables of two or more components,
+    which together give the laws on the box, of which h >= 0 and
+    h(-s) = h(s) are theorems (see the module docstring).  Data for which
+    no sign makes a sublink valid raise `SignResolutionError`; other data
+    breaking the laws raise `StabilizationError`, carrying every problem on
+    the box and the subsets whose sign was flipped, both read off the box
+    list, which only a refused table builds; so a table that exists is
+    valid.
     """
 
     def __init__(self, link: LinkDescriptor, force: bool = False):
@@ -309,14 +365,44 @@ class HTable:
                 for j, axis in zip(B, zip(*c)):
                     self._box[j] = max(self._box[j], 2 + max(map(abs, axis)))
         self.M = max(self._box)
-        self._sides = [2 * m + 1 for m in self._box]
+        self._sides = [m + 1 for m in self._box]  # of each class list, over prod [0, M_j]
+        self._split_orthants()
         self._resolve_signs()
 
     # -- construction helpers ------------------------------------------------
 
-    def _h_grid(self) -> list:
-        """h of the full link over its box prod [-M_j, M_j], with the signs
-        as they stand: one flat list, in the order of `itertools.product`.
+    def _split_orthants(self) -> None:
+        """Sort the 2^n orthants of sign patterns into classes that share
+        one list, from the tables alone, before any list is built.
+
+        Pattern p, one flag per axis in the order of `itertools.product`
+        (True for s_j < 0), reads every table reflected on the axes that p
+        flags (R in the module docstring).  A table reflected on its axes A
+        equals it reflected on the rest of its axes, by (A), so each table
+        is reflected on the axes where p differs from p at its first axis,
+        and a pattern and its complement share every table.  Two patterns
+        are in one class exactly when their tables are all equal.
+        `_classes` holds each class's tables, the first class that of
+        p = 0, and `_orthants` the class of each pattern."""
+        reflected = {}  # (C, axes) -> C's table reflected on those axes
+        self._classes, self._orthants = [], []
+        for p in product((False, True), repeat=self.n):
+            tables = {}
+            for C, c in self._tables.items():
+                axes = tuple(k for k, j in enumerate(C) if p[j] != p[C[0]])
+                if (C, axes) not in reflected:
+                    reflected[C, axes] = _orthant_table(c, axes)
+                tables[C] = reflected[C, axes]
+            if tables not in self._classes:
+                self._classes.append(tables)
+            self._orthants.append(self._classes.index(tables))
+
+    def _h_grid(self, tables: dict, below: Sequence[int]) -> list:
+        """h over prod [-below_j, M_j] from these tables, with the signs as
+        they stand: one flat list, in the order of `itertools.product`.  A
+        class's tables, at u >= 1 and below_j = 0, give its list over
+        prod [0, M_j]; the stored tables and below_j = M_j give the box list
+        of a refused table.
 
         h is the signed sum, over the sublinks C with a table, of the
         orthant sums at v = s + 1, the sum of C's table at all u >= v, each
@@ -327,34 +413,41 @@ class HTable:
         of each axis, which `_joined` turns into the last one, sums every
         orthant at once, and reversing the list undoes the mirror.  The box
         is built from the tables, M_j = 2 + the largest |u_j| over those
-        holding axis j, so every value lands on it.  This is the only
-        evaluator of h: a table builds it once, plus once after each sign
-        the rule flips, and every sublink's h is a face of it."""
-        strides = list(accumulate(reversed(self._sides[1:]), mul, initial=1))[::-1]
-        grid = [0] * prod(self._sides)
-        for C, table in self._tables.items():
+        holding axis j, so every value lands on the list.  This is the only
+        evaluator of h: a table builds each class's list once, plus once
+        after each sign the rule flips, and every sublink's h is a face of
+        them."""
+        sides = [m + 1 + b for m, b in zip(self._box, below)]
+        strides = list(accumulate(reversed(sides[1:]), mul, initial=1))[::-1]
+        grid = [0] * prod(sides)
+        for C, table in tables.items():
             sign = self._signs[C] * (-1) ** (len(C) - 1)
             steps = [strides[k] for k in C]
             top = sum((self._box[k] + 1) * strides[k] for k in C)  # where u = 0 sits, mirrored
             for u, c in table.items():
                 grid[top - sum(map(mul, u, steps))] = sign * c
-        for side in self._sides:
+        for side in sides:
             grid = _joined(accumulate(_rows(grid, side), lambda x, y: list(map(add, x, y))))
         grid.reverse()
         return grid
 
+    def _build(self) -> None:
+        """Every class's list over prod [0, M_j], with the signs as they
+        stand."""
+        self._grids = [self._h_grid(tables, [0] * self.n) for tables in self._classes]
+
     def _resolve_signs(self) -> None:
         """Choose the sign of every multi-component sublink polynomial by the
-        rule below, bottom up, reading each off the full link's h list over
-        its box prod [-M_i, M_i], then check the laws on that list once.
+        rule below, bottom up, reading each off the full link's class lists,
+        then check the laws on those lists once.
 
-        The rule.  Every sign starts at +1 and the list is built with them.
+        The rule.  Every sign starts at +1 and the lists are built with them.
         For each multi-component sublink B with a table c, in `all_subsets`
         order, let a = max(c) be its lexicographically largest exponent, and
         read the step h(s) - h(s + e_1), e_1 the unit vector of B[0], at
         s_j = a_j - 1 for j in B and s_j = M_j off B, a point of B's face.
         Keep sign_B = +1 if the step is 0 or 1; else take sign_B = -1 and
-        build the list again, so that the supersets of B read it.
+        build the lists again, so that the supersets of B read them.
 
         What the step is.  On the face, every table holding an axis j off B
         gives 0 (its orthant sums at v_j = M_j + 1 are empty), so only the
@@ -379,15 +472,28 @@ class HTable:
         chi that the laws allow (Liu, "L-space surgeries on links";
         Gorsky-Nemethi).
 
-        The verdict, read once, on the last list.  Its failing unit steps
-        (`_failing_steps`) and the Torres breakers, the tables of three or
-        more components with an axis u_i over which their sums are not all 0
-        (`_breaks_torres`), decide it: with neither, the table is valid, as
-        the module docstring proves.  Else `violations` names the culprit or
-        the problems from those same failures, and no face is checked
-        again.  B's face s_j = M_j (j not in B) is h_B on prod [-M_j, M_j]
-        (j in B), and on a box that wide the laws decide h_B everywhere (see
-        below).  Two equivalences make the failures name the faces that fail:
+        What the lists give.  The step is read off the list of its orthant,
+        which is h there by (R) in the module docstring when every table of
+        a sublink of B keeps Torres's condition; those are the only tables
+        the step reads.  Let C be the first sublink, in `all_subsets` order,
+        whose table breaks it.  Every sublink before C, and so every sublink
+        of one, reads only tables that keep it, so the signs chosen before C
+        are those that h itself gives; and C's face fails whatever the signs
+        (below), so the table is refused at C or at an earlier face, which
+        those signs alone decide, and no sign after C is ever read.
+
+        The verdict, read once, on the last lists.  Their failing unit steps
+        (`_failing_steps`) and, with more than one class, the Torres
+        breakers of two or more components (`_breaks_torres`) decide it:
+        with neither, the table is valid, and with either, the box's laws
+        fail ((S) and (T) in the module docstring).  Then the box list is
+        built with the signs as chosen, and its failing steps and the
+        breakers of three or more components, the box's failures, reach
+        `violations`, which names the culprit or the problems from those
+        failures, and no face is checked again.  B's face s_j = M_j (j not
+        in B) is h_B on prod [-M_j, M_j] (j in B), and on a box that wide
+        the laws decide h_B everywhere (see below).  Two equivalences make
+        the failures name the faces that fail:
         - A face fails exactly when its steps fail or it contains a breaker.
           Its steps are those of the list along the axes i in B at the points
           with s_j = M_j off B, so one fails exactly when B holds the failing
@@ -415,7 +521,7 @@ class HTable:
         box's shell.  So every problem on a larger box is a clamp copy of
         one on the box, with the same law, axis and jump, and the box's
         problems are all the report names."""
-        self._grid = self._h_grid()  # the full link's h over the box, flat
+        self._build()
         for B, c in self._tables.items():
             if len(B) > 1:
                 s = list(self._box)
@@ -425,25 +531,31 @@ class HTable:
                 s[B[0]] += 1
                 if step - self.h(s) not in (0, 1):
                     self._signs[B] = -1
-                    self._grid = self._h_grid()
-        steps = _failing_steps(self._grid, self._sides)
-        breakers = [C for C, c in self._tables.items() if len(C) > 2 and _breaks_torres(c)]
+                    self._build()
+        below = [0] * self.n
+        steps = any(_failing_steps(grid, self._sides, below) for grid in self._grids)
+        breakers = [C for C, c in self._tables.items()
+                    if len(self._grids) > 1 and len(C) > 1 and _breaks_torres(c)]
         if steps or breakers:
             from .violations import refuse
-            refuse(self, steps, breakers)
+            grid = self._h_grid(self._tables, self._box)
+            refuse(self, grid, _failing_steps(grid, [2 * m + 1 for m in self._box], self._box),
+                   [C for C in breakers if len(C) > 2])
 
     # -- evaluation ------------------------------------------------------------
 
     def h(self, s: Sequence[int]) -> int:
-        """h at any lattice point, read from the list at clamp(s): h(s) =
-        h(clamp(s)) (see the module docstring)."""
+        """h at any lattice point s, read from the list of its orthant's
+        class at |s|, clamped to min(|s_i|, M_i): h on the orthant is that
+        list ((R) in the module docstring), and h(s) = h(clamp(s))."""
         s = tuple(s)
         if len(s) != self.n:
             raise ValueError(f"point {s} has wrong dimension, expected {self.n}")
-        index = 0
-        for x, m, side in zip(s, self._box, self._sides):
-            index = index * side + (0 if x < -m else side - 1 if x > m else x + m)
-        return self._grid[index]
+        index = pattern = 0
+        for x, m in zip(s, self._box):
+            index = index * (m + 1) + min(abs(x), m)
+            pattern = 2 * pattern + (x < 0)
+        return self._grids[self._orthants[pattern]][index]
 
     def H(self, s: Sequence[int]) -> int:
         """H-function at any lattice point: h(s) + H_O(s)."""
@@ -469,36 +581,33 @@ class HTable:
         """The pairs (w, k) with k = top[w] > 0 and top[w + e_i] < k for every i
         with w_i < M, sorted, where top[w] is the largest h(v) with |v| = w.
         The maximal points of {w : top[w] >= j} are the maximal w among the
-        corners with k >= j.  Read afresh from the box list on each call, by
-        whole-list operations, into a new list, so no caller can change a
-        later answer: `_fold` gives top over prod [0, M_i] and `_drops` the
-        corners there.  h is constant in v_i from M_i - 1 on (see the module
+        corners with k >= j.  Read afresh from the class lists on each call,
+        by whole-list operations, into a new list, so no caller can change a
+        later answer: top over prod [0, M_i] is their elementwise largest,
+        as every v with |v| = w lies in some class's orthant, and `_drops`
+        gives the corners there.  h is constant in v_i from M_i - 1 on (see the module
         docstring), so on the cube [0, M]^n top[w + e_i] = top[w] whenever
         M_i - 1 <= w_i < M: a corner's w_i is below M_i - 1 or on the shell,
         and a shell coordinate w_i = M_i is reported as M."""
-        sides = [m + 1 for m in self._box]
-        top = _fold(self._grid, self._box)
-        points = product(*map(range, sides))
-        keep = _drops(top, sides)
+        top = list(map(max, zip(*self._grids)))
+        points = product(*map(range, self._sides))
+        keep = _drops(top, self._sides)
         return [(tuple(self.M if x == m else x for x, m in zip(w, self._box)), k)
                 for w, k in zip(compress(points, keep), compress(top, keep))]
 
     def staircases(self) -> tuple:
         """The minimal points of {w >= 0 : h(w) = 0} and the maximal points w
         of its complement, those with h(w + e_i) = 0 for every i, each sorted,
-        by whole-list operations on the box list, sliced to prod [0, M_i]
-        (the rows s_i >= 0 of each axis in turn, turned by `_joined`);
-        `_drops` on the list of h > 0 marks the points
-        where it falls along every axis, and on the list of h = 0 with every axis
+        by whole-list operations on the list of the orthant s >= 0, the first
+        class's: `_drops` on the list of h > 0 marks the points where it
+        falls along every axis, and on the list of h = 0 with every axis
         reversed (the list reversed) the points where it falls along every
         axis downward, which are the minimal points.  h is constant in w_i
         from M_i - 1 on, so no minimal point has w_i = M_i, and no maximal
         point has w_i >= M_i - 1: the shell points w_i = M_i, which `_drops`
         does not compare along axis i, are dropped."""
-        sides = [m + 1 for m in self._box]
-        positive = [x > 0 for x in self._grid]
-        for r in self._box:
-            positive = _joined(_rows(positive, 2 * r + 1)[r:])
+        sides = self._sides
+        positive = [x > 0 for x in self._grids[0]]
         minimal = reversed(_drops([not x for x in reversed(positive)], sides))
         maximal = compress(product(*map(range, sides)), _drops(positive, sides))
         return (tuple(compress(product(*map(range, sides)), minimal)),

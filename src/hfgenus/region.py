@@ -5,8 +5,8 @@ means dominating some generator.  The genus region of a link is the set of
 nonnegative lattice points where h vanishes; its complement is finite in
 every bounded window, which is what a staircase plot draws.  Its generators
 and the maximal points of its complement come from one whole-list pass over
-the table's box list (`HTable.staircases`), which reads no point through
-`HTable.h`.
+the table's list of the orthant s >= 0 (`HTable.staircases`), which reads
+no point through `HTable.h`.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def region_from_h(table: HTable) -> UpwardClosedRegion:
     """Minimal generators of the set of nonnegative points with h = 0.
 
     They are the points w >= 0 with h(w) = 0 and h(w - e_i) > 0 wherever
-    w_i > 0, read off the box list with the maximal points in one pass
+    w_i > 0, read off the list of s >= 0 with the maximal points in one pass
     (`HTable.staircases`).  h is constant in w_i from M_i - 1 on, by
     construction (see `hfunction`), checked by the oracle tests, so every
     generator lies inside the box and below its top shell.
@@ -77,7 +77,7 @@ def region_from_h(table: HTable) -> UpwardClosedRegion:
 def maximal_lattice_points(table: HTable) -> tuple:
     """Nonnegative points outside the region all of whose upper neighbors are in,
     sorted: the points z >= 0 with h(z) > 0 and h(z + e_i) = 0 for every i,
-    read off the box list with the generators (`HTable.staircases`).
+    read off the list of s >= 0 with the generators (`HTable.staircases`).
 
     Every maximal point has H(z) = 1, so chi at z + 1 is (-1)^(n-1)
     (`test_maximal_points_have_H_one` checks it against the polynomial

@@ -1,9 +1,11 @@
 """The verdict on a table whose h list or tables break the laws.
 
-`HTable` finds the failing unit steps of its h list (`_failing_steps`) and
-its Torres breakers, the tables of three or more components with an axis
-over which their sums are not all 0, and imports this module only when there
-is one.  `refuse` maps those failures to points once and raises the error
+`HTable` imports this module only when its class lists fail a step or one
+of its tables breaks Torres's condition.  It then builds its box list, h
+over prod [-M_i, M_i] with the signs as chosen, and passes that list's
+failing unit steps (`_failing_steps`) and its Torres breakers, the tables
+of three or more components with an axis over which their sums are not all
+0.  `refuse` maps those failures to points once and raises the error
 they make, by the two equivalences of `HTable._resolve_signs`: the sublink
 that no sign makes valid, as `SignResolutionError`, or else every problem on
 the table's box, stated on H = h + H_O, as `StabilizationError`: the failing
@@ -20,10 +22,10 @@ from .errors import SignResolutionError, StabilizationError
 from .hfunction import _joined, _rows, _unlink_H
 
 
-def refuse(t, steps: list, breakers: list) -> None:
+def refuse(t, grid: list, steps: list, breakers: list) -> None:
     """Raise the error of the table t, whose h list over its box
-    prod [-M_i, M_i] has these failing unit steps (i, a, p, d), as
-    `_failing_steps` lists them, and whose tables breaking Torres's
+    prod [-M_i, M_i] is `grid`, with these failing unit steps (i, a, p, d),
+    as `_failing_steps` lists them, and whose tables breaking Torres's
     condition are `breakers`.
 
     The box's points are turned as the check turned h, so each step is
@@ -38,8 +40,8 @@ def refuse(t, steps: list, breakers: list) -> None:
     box = t._box
     points = list(product(*(range(-m, m + 1) for m in box)))
     rows = []  # rows[i]: the rows of axis i of the points, turned as the check turned h
-    for side in t._sides:
-        rows.append(_rows(_joined(rows[-1]) if rows else points, side))
+    for m in box:
+        rows.append(_rows(_joined(rows[-1]) if rows else points, 2 * m + 1))
     found, faces = {}, set(breakers)  # s -> its failing steps, in axis order
     for i, a, p, d in steps:
         s = rows[i][a + 1][p]
@@ -53,7 +55,7 @@ def refuse(t, steps: list, breakers: list) -> None:
                 f"{tuple(i + 1 for i in B)} yields a valid H-function; "
                 f"not an L-space link with this data")
     problems = []
-    for s, x in zip(points, t._grid):
+    for s, x in zip(points, grid):
         v = x + _unlink_H(s)
         problems += [f"H{s} = {v} is negative"] if v < 0 else found.get(s, [])
     raise StabilizationError(

@@ -36,7 +36,7 @@ import pytest
 from hfgenus.cable import CableSpec, cable_alexander
 from hfgenus.errors import SignResolutionError
 from hfgenus.laurent import LaurentPoly
-from hfgenus.linkcat import Component, LinkDescriptor, all_subsets, catalog
+from hfgenus.linkcat import Component, LinkDescriptor, _key_str, all_subsets, catalog
 from hfgenus.linkjson import descriptor_from_dict
 from hfgenus.linkops import disjoint_union, sublink
 
@@ -229,6 +229,13 @@ def pair_low_on_its_last_axis():
                           lspace_asserted=True)
 
 
+def flipped(d, B):
+    """d with the stored sign of the polynomial of B flipped."""
+    return LinkDescriptor(f"{d.name}~{_key_str(B)}", d.components,
+                          alexander={**d.alexander, B: -d.delta(B)},
+                          lspace_asserted=d.lspace_asserted)
+
+
 def reference_genera(d):
     """deg Delta of each component's knot polynomial, read off the stored
     terms as half the polynomial's span: a quarter of the doubled exponents'
@@ -342,6 +349,25 @@ RESOLUTION = SLOW_RESOLUTION + _group({
 })
 # The parts that unions are drawn from.
 PARTS = ("mirror_L7a3", "trefoil_rh", "two_bridge", "unknot", "whitehead")
+
+# Parameters for every catalog key.
+CATALOG_PARAMS = {"unknot": [()], "trefoil_rh": [()], "whitehead": [()], "borromean": [()],
+                  "mirror_L7a3": [()], "two_bridge": [(1,), (2,), (3,), (7,)],
+                  "unlink": [(1,), (2,), (3,)],
+                  "whitehead_cable": [(2, 7), (3, 10), (5, 16), (7, 22)],
+                  "two_bridge_cable": [(1, 1, 1, 7, 22), (2, 2, 9, 3, 13)]}
+
+
+def benchmark_cables():
+    """Every cable that a benchmark job builds, made by the benchmark's own
+    `job._descriptor`: a cabled catalog key, or a catalog link and a cable
+    spec."""
+    recipes = {(v.recipe["catalog"], v.recipe["cable"])
+               for jobs in WORKLOADS.WORKLOADS.values() for job in jobs for v in job.variants
+               if "catalog" in v.recipe and ("cable" in v.recipe["catalog"] or v.recipe["cable"])}
+    build = perfbench("job")._descriptor
+    return [build(key, cable) for key, cable in sorted(recipes)]
+
 
 # The one input whose oracle reads the table under test (see the module docstring).
 TABLE_READ_EXCEPTION = "borromean_cable:3,16,3,16,3,16"

@@ -2,6 +2,7 @@
 
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -25,7 +26,8 @@ from hfgenus.surgery import circle_bundle_d, large_surgery_d, lens_d
 from oracles import (ADMISSIBLE, ORACLE, PARTS, SPLIT, TABLE_READ_EXCEPTION, WALK,
                      assert_refused, axis_radii, box, brute_h, count_reads, cube, link, minimalize,
                      oracle_admissible_region, oracle_h, raw_draw, reference_bound_weighted,
-                     reference_corners, reference_genera, reference_sign_resolution,
+                     reference_corners, reference_genera, reference_maximal_points,
+                     reference_region, reference_sign_resolution, reference_signs,
                      reference_unlink_test, two_bridge_h)
 from oracles import f_cap as reference_f_cap
 
@@ -282,6 +284,22 @@ def test_large_surgery_threshold_ignores_box_growth():
 
 
 # -- the admissible region, the fold and the walk against their per-point definitions --
+
+
+def test_the_pair_scope_matches_the_level_set_oracles(pair_scope_outcomes):
+    # every table of the exhaustive two-component scope: 91 hold one class
+    # of orthants and 104 two, whose lists differ, so the corners read both;
+    # the corners, the staircases and the admissible region match their
+    # per-point oracles, on h from the polynomials with the reference signs
+    tables = [t for _, t in pair_scope_outcomes if isinstance(t, HTable)]
+    assert sorted(Counter(len(t._classes) for t in tables).items()) == [(1, 91), (2, 104)]
+    for t in tables:
+        d = t.link
+        h, radii = brute_h(d, reference_signs(d)), axis_radii(d)
+        assert t.corners() == reference_corners(h, radii), d.name
+        assert t.staircases() == (reference_region(h, radii),
+                                  reference_maximal_points(h, radii)), d.name
+        assert admissible_region(t).generators == oracle_admissible_region(h, radii)[0], d.name
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE + ADMISSIBLE))

@@ -15,19 +15,19 @@ from hfgenus.errors import (LSpaceAssertionError, SignResolutionError, Stabiliza
                             ValidationError)
 from hfgenus.hfunction import HTable, _chi_table
 from hfgenus.laurent import LaurentPoly
-from hfgenus.linkcat import (CATALOG, Component, LinkDescriptor, _key_str, all_subsets,
+from hfgenus.linkcat import (CATALOG, Component, LinkDescriptor, all_subsets,
                              catalog, knot_genus)
 from hfgenus.linkops import disjoint_union, sublink
 from hfgenus.region import maximal_lattice_points, projection_check, region_from_h
-from oracles import (ADMISSIBLE, ATOMIC, INVALID, ORACLE, PARTS, REPORT, RESOLUTION,
-                     SLOW_RESOLUTION, WORKLOADS, P, assert_refused, axis_radii, bad_knot, box,
-                     brute_H, brute_h, cube, face, flipped_whitehead, formula_H,
-                     inclusion_exclusion, link, linked_pairs_borromean, oracle_chi, oracle_h,
-                     oracle_table, pair_scope, reference_corners, reference_law_problems,
-                     reference_maximal_points, reference_region, reference_report,
-                     reference_shell_holds, reference_sign_resolution, reference_signs,
-                     reference_sweep, raw_draw, raw_triple_draw, torres_breaking, torres_holds,
-                     perfbench, two_bridge_h, unlink_H)
+from oracles import (ADMISSIBLE, ATOMIC, CATALOG_PARAMS, INVALID, ORACLE, PARTS, REPORT,
+                     RESOLUTION, SLOW_RESOLUTION, P, assert_refused, axis_radii, bad_knot,
+                     benchmark_cables, box, brute_H, brute_h, cube, face, flipped,
+                     flipped_whitehead, formula_H, inclusion_exclusion, link,
+                     linked_pairs_borromean, oracle_chi, oracle_h, oracle_table,
+                     reference_corners, reference_law_problems, reference_maximal_points,
+                     reference_region, reference_report, reference_shell_holds,
+                     reference_sign_resolution, reference_signs, reference_sweep, raw_draw,
+                     raw_triple_draw, torres_breaking, torres_holds, two_bridge_h, unlink_H)
 
 
 @pytest.mark.parametrize("name", ORACLE)
@@ -116,25 +116,6 @@ def test_raw_draws_read_h_and_the_staircases_off_the_list():
                                       reference_maximal_points(h, radii)), d.name
             assert all(t.h(s) == h(s) for s in cube(t.M + 1, t.n)), d.name
     assert built[8] >= 50 and built[12] >= 20, built
-
-
-# parameters for every catalog key
-CATALOG_PARAMS = {"unknot": [()], "trefoil_rh": [()], "whitehead": [()], "borromean": [()],
-                  "mirror_L7a3": [()], "two_bridge": [(1,), (2,), (3,), (7,)],
-                  "unlink": [(1,), (2,), (3,)],
-                  "whitehead_cable": [(2, 7), (3, 10), (5, 16), (7, 22)],
-                  "two_bridge_cable": [(1, 1, 1, 7, 22), (2, 2, 9, 3, 13)]}
-
-
-def benchmark_cables():
-    """Every cable that a benchmark job builds, made by the benchmark's own
-    `job._descriptor`: a cabled catalog key, or a catalog link and a cable
-    spec."""
-    recipes = {(v.recipe["catalog"], v.recipe["cable"])
-               for jobs in WORKLOADS.WORKLOADS.values() for job in jobs for v in job.variants
-               if "catalog" in v.recipe and ("cable" in v.recipe["catalog"] or v.recipe["cable"])}
-    build = perfbench("job")._descriptor
-    return [build(key, cable) for key, cable in sorted(recipes)]
 
 
 def genus_on_the_face(t, i):
@@ -477,12 +458,13 @@ def test_the_corner_theorem_needs_no_torres():
 
 
 def test_the_laws_do_not_check_H_nonnegative():
-    # a valid table's h list, lowered by a constant: every step is kept, so
-    # no step fails, though every h is negative, and so is H at 0
+    # a valid table's class list, lowered by a constant: every step is kept,
+    # so no step fails, though every h is negative, and so is H at 0
     t = HTable(catalog("borromean"))
-    low = [x - max(t._grid) - 1 for x in t._grid]
-    assert hfunction._failing_steps(low, t._sides) == []
-    assert hfunction._failing_steps(t._grid, t._sides) == []
+    [grid] = t._grids
+    low = [x - max(grid) - 1 for x in grid]
+    assert hfunction._failing_steps(low, t._sides, [0] * t.n) == []
+    assert hfunction._failing_steps(grid, t._sides, [0] * t.n) == []
 
 
 @pytest.mark.parametrize("name", ORACLE)
@@ -642,24 +624,31 @@ def test_array_laws_match_the_reference_sweep(radii, data):
     expected = list(reference_sweep(at.__getitem__, radii))
     lifted = lambda s: at[s] - min(grid)
     h = [x - unlink_H(s) for s, x in zip(box(radii), grid)]
-    sides = [2 * r + 1 for r in radii]
-    steps = hfunction._failing_steps(h, sides)
+    steps = hfunction._failing_steps(h, [2 * r + 1 for r in radii], radii)
     assert (steps == []) == (next(reference_sweep(lifted, radii), None) is None)
-    t = SimpleNamespace(_box=list(radii), _sides=sides, _grid=h, _tables={},
-                        link=SimpleNamespace(name="list"), flipped_signs=list)
+    t = SimpleNamespace(_box=list(radii), _tables={}, link=SimpleNamespace(name="list"),
+                        flipped_signs=list)
     with pytest.raises(StabilizationError) as info:
-        violations.refuse(t, steps, [])
+        violations.refuse(t, h, steps, [])
     assert info.value.problems == expected
+    # the same kernel on the list's part at s >= 0, as a class list holds it,
+    # where every step leads away from 0: it lists each step of that part
+    # whose drop h(w) - h(w + e_i) is not 0 or 1
+    half = list(product(*(range(r + 1) for r in radii)))
+    drops = [at[w] - at[w[:i] + (x + 1,) + w[i + 1:]]
+             for w in half for i, x in enumerate(w) if x < radii[i]]
+    part = hfunction._failing_steps([at[w] for w in half], [r + 1 for r in radii],
+                                    [0] * len(radii))
+    assert len(part) == sum(d not in (0, 1) for d in drops)
     # the kernels on the same lists, against their definitions point by
     # point, on the list lifted to be nonnegative, as every list they read
-    # is (D in the hfunction docstring): `_fold` and `_drops` of the folded
-    # list
-    half = list(product(*(range(r + 1) for r in radii)))
+    # is (D in the hfunction docstring): `_drops` of the largest h over each
+    # |s|, the elementwise largest of the orthants' lists that `corners`
+    # reads
     top = {}
     for s in box(radii):
         w = tuple(map(abs, s))
         top[w] = max(top.get(w, 0), lifted(s))
-    assert hfunction._fold(list(map(lifted, box(radii))), radii) == [top[w] for w in half]
     assert hfunction._drops([top[w] for w in half], [r + 1 for r in radii]) == [
         top[w] > 0 and all(top[w[:i] + (x + 1,) + w[i + 1:]] < top[w]
                            for i, x in enumerate(w) if x < radii[i]) for w in half]
@@ -702,13 +691,6 @@ def permuted(d, perm):
                                          for e, c in poly.terms.items()})
     return LinkDescriptor(f"{d.name}@{''.join(str(i + 1) for i in perm)}",
                           [d.components[i] for i in perm], alexander=alex,
-                          lspace_asserted=d.lspace_asserted)
-
-
-def flipped(d, B):
-    """d with the stored sign of the polynomial of B flipped."""
-    return LinkDescriptor(f"{d.name}~{_key_str(B)}", d.components,
-                          alexander={**d.alexander, B: -d.delta(B)},
                           lspace_asserted=d.lspace_asserted)
 
 
@@ -757,28 +739,26 @@ def test_sign_resolution_matches_the_reference_on_flipped_raw_draws():
     assert flips[2] >= 4 and flips[3] >= 3, flips
 
 
-def test_the_pair_scope_matches_the_reference_sign_resolution():
+def test_the_pair_scope_matches_the_reference_sign_resolution(pair_scope_outcomes):
     # the whole scope: a refused descriptor blames its pair, the only
     # sublink with a face to fail; a built one takes the signs of the
     # point-by-point sign trials, whose sweep of the box finds no problem,
-    # and so does it with its pair sign negated, reading the same h
+    # and so does it with its pair sign negated, reading the same lists
     built = refused = 0
-    for d in pair_scope():
-        try:
-            t = HTable(d)
-        except SignResolutionError as exc:
-            assert str(exc) == (f"{d.name}: neither sign of the polynomial for subset (1, 2) "
-                                f"yields a valid H-function; not an L-space link with this data")
+    for d, t in pair_scope_outcomes:
+        if isinstance(t, SignResolutionError):
+            assert str(t) == (f"{d.name}: neither sign of the polynomial for subset (1, 2) "
+                              f"yields a valid H-function; not an L-space link with this data")
             refused += 1
             continue
         built += 1
-        signs = reference_sign_resolution(d)
+        signs = reference_signs(d)
         assert reference_report(d, signs) == [], d.name
         e = flipped(d, (0, 1))
         for table, reference in ((t, signs), (HTable(e), reference_sign_resolution(e))):
             assert table.sign_resolution == {tuple(i + 1 for i in B): s
                                              for B, s in reference.items()}, table.link.name
-            assert table._grid == t._grid, table.link.name
+            assert table._grids == t._grids, table.link.name
     assert (built, refused) == (195, 2856)
 
 
@@ -858,7 +838,7 @@ def test_one_sign_at_most_is_valid_and_the_table_takes_it(name):
         assert t.sign_resolution == {tuple(i + 1 for i in B): s for B, s in signs.items()}
         assert t.flipped_signs() == flips
         assert t._box == axis_radii(d)
-        assert t._grid == list(map(brute_h(d, signs), box(axis_radii(d)))), d.name
+        assert list(map(t.h, box(t._box))) == list(map(brute_h(d, signs), box(t._box))), d.name
 
 
 def test_the_sign_rule_counts_the_sublinks_below():
@@ -893,38 +873,56 @@ def test_sign_resolution_messages():
 
 @pytest.mark.parametrize("name", sorted(REPORT))
 def test_a_swept_full_link_is_not_swept_again(name, monkeypatch):
-    # every table makes one step check, of the full link's list, which a
-    # valid table keeps; a failing one rechecks no face: its error is read
-    # off the failures of that one check
+    # every table checks the steps of each class list once, which a valid
+    # table keeps; a failing one checks its box list once more and rechecks
+    # no face: its error is read off the failures of that check
     d = link(name)
     calls = []
     real = hfunction._failing_steps
     monkeypatch.setattr(hfunction, "_failing_steps", lambda *a: calls.append(a) or real(*a))
+    radii = axis_radii(d)
     try:
         t = HTable(d, force=True)
     except StabilizationError:
         assert name in INVALID
-        assert len(calls) == 1 and calls[0][1] == [2 * m + 1 for m in axis_radii(d)]
+        assert len(calls) == 2 and calls[0][1:] == ([m + 1 for m in radii], [0] * d.n)
+        assert calls[1][1:] == ([2 * m + 1 for m in radii], radii)
     else:
-        assert len(calls) == 1 and calls[0][0] is t._grid
+        assert len(calls) == 1 and calls[0][0] is t._grids[0]
+        assert calls[0][1:] == ([m + 1 for m in radii], [0] * d.n)
 
 
 @pytest.mark.parametrize("name", sorted(REPORT))
 def test_memo_holds_only_full_link_points(name, monkeypatch):
+    # every catalog link, cable and union, and the data failing validation
+    # read with the check bypassed, hold one list, over prod [0, M_i]: every
+    # orthant reads it
     if name in INVALID:
         bypass_law_checks(monkeypatch)
     d = link(name)
     t = HTable(d, force=True)
     for _ in range(2):
-        assert len(t._grid) == prod(2 * m + 1 for m in axis_radii(d)), name
-        t.H((t.M + 3,) * t.n)  # outside the box: read by clamping, not cached
+        assert [len(grid) for grid in t._grids] == [prod(m + 1 for m in axis_radii(d))], name
+        assert t._orthants == [0] * 2 ** t.n, name
+        t.H((-t.M - 3,) * t.n)  # outside the box: read by clamping, not cached
+
+
+def test_every_catalog_link_and_benchmark_cable_holds_one_list():
+    # every catalog key and every cable the benchmark builds but the one it
+    # rejects: one class of orthants, so one list over prod [0, M_i], and
+    # no list over the box
+    descriptors = [catalog(key, *p) for key, params in CATALOG_PARAMS.items() for p in params]
+    descriptors += [d for d in benchmark_cables() if d.name != "two_bridge(3)_cable(3:7,2:5)"]
+    for d in descriptors:
+        t = HTable(d)
+        assert [len(grid) for grid in t._grids] == [prod(m + 1 for m in axis_radii(d))], d.name
 
 
 def test_sign_resolution_of_a_union():
     d = disjoint_union(flipped_whitehead(), catalog("trefoil_rh"))
     t = HTable(d)
-    # the sublinks' sign trials keep nothing
-    assert len(t._grid) == prod(2 * m + 1 for m in axis_radii(d)) == 7 ** 3
+    # the sublinks' sign trials keep nothing: one list, over prod [0, M_i]
+    assert [len(grid) for grid in t._grids] == [prod(m + 1 for m in axis_radii(d))] == [4 ** 3]
     assert t.sign_resolution == {(1,): 1, (2,): 1, (3,): 1, (1, 2): -1,
                                  (1, 3): 1, (2, 3): 1, (1, 2, 3): 1}
     assert t.flipped_signs() == [(1, 2)]
@@ -981,17 +979,18 @@ def test_oracle_h_reads_the_reference_signs():
 
 @pytest.mark.parametrize("name", sorted(REPORT + RESOLUTION))
 def test_one_list_per_link(name, monkeypatch):
-    # whatever the outcome, a table builds one h list, over its box, with
-    # every sign +1, and one more right after each sign it flips, in
-    # `all_subsets` order, and reads every sublink's h off the last: a
-    # StabilizationError renders its problems off it, building no other;
-    # and a projection check reads every sublink off the caller's table,
-    # building no table and no list
+    # whatever the outcome, a table builds each class's list over
+    # prod [0, M_i] once with every sign +1, and once more right after each
+    # sign it flips, in `all_subsets` order, and reads every sublink's h off
+    # the last; only a refused table builds one more list, over its box
+    # prod [-M_i, M_i], with the signs as chosen, and its error is read off
+    # that; and a projection check reads every sublink off the caller's
+    # table, building no table and no list
     d = link(name)
-    grids, tables = [], []
+    grids, built, tables = [], [], []  # signs and span of each list; the table
     real_grid, real_init = HTable._h_grid, HTable.__init__
-    monkeypatch.setattr(HTable, "_h_grid",
-                        lambda t: grids.append(dict(t._signs)) or real_grid(t))
+    monkeypatch.setattr(HTable, "_h_grid", lambda t, *a: built.append(t) or grids.append(
+        (dict(t._signs), list(a[1]))) or real_grid(t, *a))
     monkeypatch.setattr(HTable, "__init__",
                         lambda t, *a, **k: tables.append(a) or real_init(t, *a, **k))
     outcome = None
@@ -999,13 +998,19 @@ def test_one_list_per_link(name, monkeypatch):
         t = HTable(d, force=True)
     except ValidationError as exc:
         outcome = exc
-    flips = [B for B, s in grids[-1].items() if s == -1]
+    classes, radii = len(built[0]._classes), axis_radii(d)
+    boxes = [signs for signs, below in grids if below == radii]
+    assert len(boxes) == (outcome is not None)
+    signs = [signs for signs, below in grids if below == [0] * d.n]
+    assert len(signs) + len(boxes) == len(grids)
+    flips = [B for B, s in signs[-1].items() if s == -1]
     unflipped = dict.fromkeys(all_subsets(d.n), 1)
-    assert grids == [{**unflipped, **dict.fromkeys(flips[:k], -1)}
-                     for k in range(len(flips) + 1)]
+    assert signs == [{**unflipped, **dict.fromkeys(flips[:k], -1)}
+                     for k in range(len(flips) + 1) for _ in range(classes)]
+    assert boxes in ([], [signs[-1]])
     if isinstance(outcome, SignResolutionError):
         return
-    assert grids[-1] == reference_signs(d)
+    assert signs[-1] == reference_signs(d)
     if outcome is not None:
         assert name in INVALID and isinstance(outcome, StabilizationError)
         assert outcome.flipped == [tuple(i + 1 for i in B) for B in flips]
@@ -1020,9 +1025,13 @@ def test_one_list_per_link(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ORACLE)
 def test_full_link_list_is_brute_force(name):
+    # every input here holds one list, h over prod [0, M_i], and every
+    # orthant reads it at |s|
     d = link(name)
     t = HTable(d)
-    assert t._grid == list(map(brute_h(d), box(axis_radii(d))))
+    radii = axis_radii(d)
+    assert t._grids == [list(map(brute_h(d), product(*(range(m + 1) for m in radii))))]
+    assert list(map(t.h, box(radii))) == list(map(brute_h(d), box(radii)))
 
 
 def test_two_bridge_closed_form_is_the_formula():
@@ -1034,8 +1043,8 @@ def test_two_bridge_closed_form_is_the_formula():
 
 
 def test_box_reads_make_no_orthant_lookups(monkeypatch):
-    # after construction every H, inside the box or out, reads the full
-    # link's list
+    # after construction every H, inside the box or out, reads a class list
+    # and builds none
     tables = {name: HTable(link(name), force=True) for name in REPORT if name not in INVALID}
     calls = []
     monkeypatch.setattr(HTable, "_h_grid", lambda *a: calls.append(a))

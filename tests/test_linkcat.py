@@ -41,10 +41,10 @@ def test_catalog_entries_validate(d):
 @pytest.mark.parametrize("d", CATALOG_SAMPLES + [
     disjoint_union(catalog("whitehead"), catalog("trefoil_rh"))], ids=lambda d: d.name)
 def test_descriptors_pickle_and_deepcopy(d):
-    grid = HTable(d, force=True)._grid
+    grids = HTable(d, force=True)._grids
     for twin in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
         assert twin == d
-        assert HTable(twin, force=True)._grid == grid
+        assert HTable(twin, force=True)._grids == grids
 
 
 def test_whitehead_polynomial():

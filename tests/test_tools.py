@@ -10,6 +10,7 @@ from oracles import tool
 code_lines = tool("code_lines")
 bench_pairs = tool("bench_pairs")
 mutants = tool("mutants")
+verdicts = tool("verdicts")
 
 SOURCE = '''"""Module docstring,
 two lines."""
@@ -188,3 +189,37 @@ def test_mutants_keep_the_whole_parametrized_id(line, test):
     # an id holding " - " is kept whole, and a message holding "[" or "]"
     # does not reach it
     assert mutants.first_failure(f"F\n=== short test summary info ===\n{line}\n") == test
+
+
+def test_verdicts_print_one_line_per_input_and_the_counts(capsys):
+    # one input of each kind that the tool reads, named, in the order of its
+    # list: each line is the name and the verdict's tab-separated fields
+    names = ["-t + 3 - 1/t, forced", "whitehead", "catalog two_bridge:2", "draw 0", "scope 1",
+             "scope 1~1,2", "borromean, component 2 = 2t - 3 + 2/t"]
+    assert verdicts.main(["--inputs", *names]) == 0
+    *lines, counts = capsys.readouterr().out.splitlines()
+    rows = [line.split("\t") for line in lines]
+    assert [row[0] for row in rows] == names
+    assert [row[1] for row in rows] == ["StabilizationError", "valid", "valid",
+                                        "SignResolutionError", "valid", "valid",
+                                        "SignResolutionError"]
+    assert counts == "counts: SignResolutionError 2, StabilizationError 1, valid 4"
+    assert [len(row) for row in rows] == [5, 9, 9, 3, 9, 9, 3]
+    bad, whitehead, _, draw, scope, negated, _ = rows
+    assert bad[2].startswith("bad-knot: H-function fails validation on box [-3, 3]: ")
+    assert bad[3:] == ["2:" + bad[3][2:], "[]"]
+    assert draw[2] == ("draw 0: neither sign of the polynomial for subset (1, 2) yields a "
+                       "valid H-function; not an L-space link with this data")
+    # whitehead's h over [-4, 4]^2, its box and one point past each side,
+    # then its one corner, its staircases, its generators and its bounds
+    assert whitehead[4].startswith("81:")
+    assert whitehead[5:] == ["[((0, 0), 1)]", "(((0, 1), (1, 0)), ((0, 0),))",
+                             "((0, 1), (1, 0))",
+                             "{'bounds': {'min_generator_sum': 1, 'max_h_excess': 0, "
+                             "'component_weighted': 0}, 'best': 1, 'via': 'min_generator_sum'}"]
+    # negating the pair's stored sign flips the sign the table takes, and
+    # nothing else
+    assert (scope[2], negated[2]) == ("{(1,): 1, (1, 2): -1, (2,): 1}",
+                                      "{(1,): 1, (1, 2): 1, (2,): 1}")
+    assert (scope[3], negated[3]) == ("[(1, 2)]", "[]")
+    assert scope[4:] == negated[4:]

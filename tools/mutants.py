@@ -37,15 +37,15 @@ MUTATIONS = {
     "sign rule reads B's exponent, not one below it": (
         "hfunction.py", "s[j] = x - 1", "s[j] = x"),
     "no rebuild after a flipped sign": (
-        "hfunction.py", _RESOLVE + "                    self._grid = self._h_grid()\n",
+        "hfunction.py", _RESOLVE + "                    self._build()\n",
         _RESOLVE),
     "sign rule steps along B's last axis": (
         "hfunction.py", "s[B[0]] += 1", "s[B[-1]] += 1"),
     "sign rule reads the step toward 0": (
         "hfunction.py", "if step - self.h(s) not in (0, 1):",
         "if step - self.h(s) not in (-1, 0):"),
-    "fold reads s_i = a only": (
-        "hfunction.py", "map(max, rows[r + a], rows[r - a])", "rows[r + a]"),
+    "corners read the list of s >= 0 only": (
+        "hfunction.py", "list(map(max, zip(*self._grids)))", "self._grids[0]"),
     "corners allow a level step": (
         "hfunction.py", "map(lt, rows[w + 1], rows[w])",
         "map(lambda x, y: x <= y, rows[w + 1], rows[w])"),
@@ -54,7 +54,15 @@ MUTATIONS = {
     "Torres read on one axis only": (
         "hfunction.py", "for i in range(len(u)):", "for i in range(1):"),
     "step law turns one row late": (
-        "hfunction.py", "if a < side // 2 else", "if a <= side // 2 else"),
+        "hfunction.py", "if a < below[i] else", "if a <= below[i] else"),
+    "h reads the list of s >= 0 in every orthant": (
+        "hfunction.py", "self._grids[self._orthants[pattern]]", "self._grids[0]"),
+    "a pattern's complement reads the list of s >= 0": (
+        "hfunction.py", "if p[j] != p[C[0]])", "if p[j] and not p[C[0]])"),
+    "the placement keeps u = 0": (
+        "hfunction.py", "else (0).__lt__", "else (-1).__lt__"),
+    "no Torres sums when there are two classes": (
+        "hfunction.py", "if len(self._grids) > 1 and", "if False and"),
     "f_cap rounds down": (
         "bounds.py", "(g - abs(v) + 1) // 2", "(g - abs(v)) // 2"),
     "walk caps one short": (

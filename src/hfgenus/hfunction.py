@@ -254,16 +254,16 @@ def _joined(rows) -> list:
     return list(chain.from_iterable(zip(*rows)))
 
 
-def _failing_steps(grid: list, sides: Sequence[int], below: Sequence[int]) -> list:
-    """The unit steps of a flat h list over prod [-below_j, sides_j - 1 -
-    below_j] that break the step law, each as (i, a, p, d), by whole-list
-    operations on the rows of each axis i in turn (`_rows`, turned by
-    `_joined` between axes): each unit step away from 0 lowers h by d, 0 or
-    1, from the row nearer s_i = 0 to the farther, so d = rows[a + 1][p] -
-    rows[a][p] below that row, a < below_i, and d = rows[a][p] -
-    rows[a + 1][p] from it on.  A class list has below_j = 0, so every step
-    leads away from 0; only the box list of a refused table, below_j = M_j,
-    has steps below s_i = 0.  p indexes a row over the axes after i, i + 1,
+def _failing_steps(grid: list, box: Sequence[int], below: Sequence[int]) -> list:
+    """The unit steps of a flat h list over prod [-below_j, box_j], as
+    `HTable._h_grid` builds it, that break the step law, each as (i, a, p,
+    d), by whole-list operations on the rows of each axis i in turn
+    (`_rows`, turned by `_joined` between axes): each unit step away from 0
+    lowers h by d, 0 or 1, from the row nearer s_i = 0 to the farther, so
+    d = rows[a + 1][p] - rows[a][p] below that row, a < below_i, and d =
+    rows[a][p] - rows[a + 1][p] from it on.  A class list has below_j = 0,
+    so every step leads away from 0; only the box list of a refused table,
+    below_j = M_j, has steps below s_i = 0.  p indexes a row over the axes after i, i + 1,
     ..., n - 1, 0, ..., i - 1, in row-major order, as the turns leave them.
     A row pair that fails is read again to list its failures.  This is the
     only check of the step law on a list: the verdict, the culprit and the
@@ -271,10 +271,10 @@ def _failing_steps(grid: list, sides: Sequence[int], below: Sequence[int]) -> li
     sublink.  h >= 0 is not checked: it follows (D in the module
     docstring)."""
     failing = []
-    for i, side in enumerate(sides):
-        rows = _rows(_joined(rows) if i else grid, side)  # no turn after the last axis
-        for a in range(side - 1):
-            pair = rows[a:a + 2][::-1 if a < below[i] else 1]  # the row nearer s_i = 0 first
+    for i, (m, b) in enumerate(zip(box, below)):
+        rows = _rows(_joined(rows) if i else grid, m + 1 + b)  # no turn after the last axis
+        for a in range(m + b):
+            pair = rows[a:a + 2][::-1 if a < b else 1]  # the row nearer s_i = 0 first
             if not {0, 1}.issuperset(map(sub, *pair)):
                 failing += [(i, a, p, d) for p, d in enumerate(map(sub, *pair)) if d not in (0, 1)]
     return failing
@@ -366,12 +366,11 @@ class HTable:
                     self._box[j] = max(self._box[j], 2 + max(map(abs, axis)))
         self.M = max(self._box)
         self._sides = [m + 1 for m in self._box]  # of each class list, over prod [0, M_j]
-        self._split_orthants()
-        self._resolve_signs()
+        self._resolve_signs(self._split_orthants())
 
     # -- construction helpers ------------------------------------------------
 
-    def _split_orthants(self) -> None:
+    def _split_orthants(self) -> list:
         """Sort the 2^n orthants of sign patterns into classes that share
         one list, from the tables alone, before any list is built.
 
@@ -382,10 +381,11 @@ class HTable:
         is reflected on the axes where p differs from p at its first axis,
         and a pattern and its complement share every table.  Two patterns
         are in one class exactly when their tables are all equal.
-        `_classes` holds each class's tables, the first class that of
-        p = 0, and `_orthants` the class of each pattern."""
+        Returns each class's tables, the first class that of p = 0, which
+        only construction reads, and sets `_orthants`, the class of each
+        pattern."""
         reflected = {}  # (C, axes) -> C's table reflected on those axes
-        self._classes, self._orthants = [], []
+        classes, self._orthants = [], []
         for p in product((False, True), repeat=self.n):
             tables = {}
             for C, c in self._tables.items():
@@ -393,9 +393,10 @@ class HTable:
                 if (C, axes) not in reflected:
                     reflected[C, axes] = _orthant_table(c, axes)
                 tables[C] = reflected[C, axes]
-            if tables not in self._classes:
-                self._classes.append(tables)
-            self._orthants.append(self._classes.index(tables))
+            if tables not in classes:
+                classes.append(tables)
+            self._orthants.append(classes.index(tables))
+        return classes
 
     def _h_grid(self, tables: dict, below: Sequence[int]) -> list:
         """h over prod [-below_j, M_j] from these tables, with the signs as
@@ -431,15 +432,15 @@ class HTable:
         grid.reverse()
         return grid
 
-    def _build(self) -> None:
-        """Every class's list over prod [0, M_j], with the signs as they
-        stand."""
-        self._grids = [self._h_grid(tables, [0] * self.n) for tables in self._classes]
+    def _build(self, classes: list) -> None:
+        """The list over prod [0, M_j] of each of these classes' tables, with
+        the signs as they stand."""
+        self._grids = [self._h_grid(tables, [0] * self.n) for tables in classes]
 
-    def _resolve_signs(self) -> None:
+    def _resolve_signs(self, classes: list) -> None:
         """Choose the sign of every multi-component sublink polynomial by the
-        rule below, bottom up, reading each off the full link's class lists,
-        then check the laws on those lists once.
+        rule below, bottom up, reading each off the full link's lists of
+        these classes, then check the laws on those lists once.
 
         The rule.  Every sign starts at +1 and the lists are built with them.
         For each multi-component sublink B with a table c, in `all_subsets`
@@ -521,7 +522,7 @@ class HTable:
         box's shell.  So every problem on a larger box is a clamp copy of
         one on the box, with the same law, axis and jump, and the box's
         problems are all the report names."""
-        self._build()
+        self._build(classes)
         for B, c in self._tables.items():
             if len(B) > 1:
                 s = list(self._box)
@@ -531,15 +532,15 @@ class HTable:
                 s[B[0]] += 1
                 if step - self.h(s) not in (0, 1):
                     self._signs[B] = -1
-                    self._build()
+                    self._build(classes)
         below = [0] * self.n
-        steps = any(_failing_steps(grid, self._sides, below) for grid in self._grids)
+        steps = any(_failing_steps(grid, self._box, below) for grid in self._grids)
         breakers = [C for C, c in self._tables.items()
                     if len(self._grids) > 1 and len(C) > 1 and _breaks_torres(c)]
         if steps or breakers:
             from .violations import refuse
             grid = self._h_grid(self._tables, self._box)
-            refuse(self, grid, _failing_steps(grid, [2 * m + 1 for m in self._box], self._box),
+            refuse(self, grid, _failing_steps(grid, self._box, self._box),
                    [C for C in breakers if len(C) > 2])
 
     # -- evaluation ------------------------------------------------------------

@@ -292,7 +292,7 @@ def test_the_pair_scope_matches_the_level_set_oracles(pair_scope_outcomes):
     # the corners, the staircases and the admissible region match their
     # per-point oracles, on h from the polynomials with the reference signs
     tables = [t for _, t in pair_scope_outcomes if isinstance(t, HTable)]
-    assert sorted(Counter(len(t._classes) for t in tables).items()) == [(1, 91), (2, 104)]
+    assert sorted(Counter(len(t._grids) for t in tables).items()) == [(1, 91), (2, 104)]
     for t in tables:
         d = t.link
         h, radii = brute_h(d, reference_signs(d)), axis_radii(d)

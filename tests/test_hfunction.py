@@ -463,8 +463,8 @@ def test_the_laws_do_not_check_H_nonnegative():
     t = HTable(catalog("borromean"))
     [grid] = t._grids
     low = [x - max(grid) - 1 for x in grid]
-    assert hfunction._failing_steps(low, t._sides, [0] * t.n) == []
-    assert hfunction._failing_steps(grid, t._sides, [0] * t.n) == []
+    assert hfunction._failing_steps(low, t._box, [0] * t.n) == []
+    assert hfunction._failing_steps(grid, t._box, [0] * t.n) == []
 
 
 @pytest.mark.parametrize("name", ORACLE)
@@ -624,7 +624,7 @@ def test_array_laws_match_the_reference_sweep(radii, data):
     expected = list(reference_sweep(at.__getitem__, radii))
     lifted = lambda s: at[s] - min(grid)
     h = [x - unlink_H(s) for s, x in zip(box(radii), grid)]
-    steps = hfunction._failing_steps(h, [2 * r + 1 for r in radii], radii)
+    steps = hfunction._failing_steps(h, radii, radii)
     assert (steps == []) == (next(reference_sweep(lifted, radii), None) is None)
     t = SimpleNamespace(_box=list(radii), _tables={}, link=SimpleNamespace(name="list"),
                         flipped_signs=list)
@@ -637,8 +637,7 @@ def test_array_laws_match_the_reference_sweep(radii, data):
     half = list(product(*(range(r + 1) for r in radii)))
     drops = [at[w] - at[w[:i] + (x + 1,) + w[i + 1:]]
              for w in half for i, x in enumerate(w) if x < radii[i]]
-    part = hfunction._failing_steps([at[w] for w in half], [r + 1 for r in radii],
-                                    [0] * len(radii))
+    part = hfunction._failing_steps([at[w] for w in half], radii, [0] * len(radii))
     assert len(part) == sum(d not in (0, 1) for d in drops)
     # the kernels on the same lists, against their definitions point by
     # point, on the list lifted to be nonnegative, as every list they read
@@ -885,11 +884,11 @@ def test_a_swept_full_link_is_not_swept_again(name, monkeypatch):
         t = HTable(d, force=True)
     except StabilizationError:
         assert name in INVALID
-        assert len(calls) == 2 and calls[0][1:] == ([m + 1 for m in radii], [0] * d.n)
-        assert calls[1][1:] == ([2 * m + 1 for m in radii], radii)
+        assert len(calls) == 2 and calls[0][1:] == (radii, [0] * d.n)
+        assert calls[1][1:] == (radii, radii)
     else:
         assert len(calls) == 1 and calls[0][0] is t._grids[0]
-        assert calls[0][1:] == ([m + 1 for m in radii], [0] * d.n)
+        assert calls[0][1:] == (radii, [0] * d.n)
 
 
 @pytest.mark.parametrize("name", sorted(REPORT))
@@ -998,7 +997,7 @@ def test_one_list_per_link(name, monkeypatch):
         t = HTable(d, force=True)
     except ValidationError as exc:
         outcome = exc
-    classes, radii = len(built[0]._classes), axis_radii(d)
+    classes, radii = len(built[0]._grids), axis_radii(d)
     boxes = [signs for signs, below in grids if below == radii]
     assert len(boxes) == (outcome is not None)
     signs = [signs for signs, below in grids if below == [0] * d.n]

@@ -2,6 +2,7 @@
 
 import ast
 import json
+from collections import Counter
 
 import pytest
 
@@ -191,19 +192,20 @@ def test_mutants_keep_the_whole_parametrized_id(line, test):
     assert mutants.first_failure(f"F\n=== short test summary info ===\n{line}\n") == test
 
 
-def test_verdicts_print_one_line_per_input_and_the_counts(capsys):
+def test_verdicts_give_each_input_its_fields_and_verdict():
     # one input of each kind that the tool reads, named, in the order of its
-    # list: each line is the name and the verdict's tab-separated fields
+    # list: each line is the name and the verdict's fields
     names = ["-t + 3 - 1/t, forced", "whitehead", "catalog two_bridge:2", "draw 0", "scope 1",
              "scope 1~1,2", "borromean, component 2 = 2t - 3 + 2/t"]
-    assert verdicts.main(["--inputs", *names]) == 0
-    *lines, counts = capsys.readouterr().out.splitlines()
-    rows = [line.split("\t") for line in lines]
+    picked = [(name, *verdicts.verdict(make())) for name, make in verdicts.inputs()
+              if name in names]
+    rows = [[name, *fields] for name, fields, _ in picked]
     assert [row[0] for row in rows] == names
     assert [row[1] for row in rows] == ["StabilizationError", "valid", "valid",
                                         "SignResolutionError", "valid", "valid",
                                         "SignResolutionError"]
-    assert counts == "counts: SignResolutionError 2, StabilizationError 1, valid 4"
+    assert Counter(kind for _, _, kind in picked) == {"SignResolutionError": 2,
+                                                     "StabilizationError": 1, "valid": 4}
     assert [len(row) for row in rows] == [5, 9, 9, 3, 9, 9, 3]
     bad, whitehead, _, draw, scope, negated, _ = rows
     assert bad[2].startswith("bad-knot: H-function fails validation on box [-3, 3]: ")

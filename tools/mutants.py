@@ -37,7 +37,7 @@ MUTATIONS = {
     "sign rule reads B's exponent, not one below it": (
         "hfunction.py", "s[j] = x - 1", "s[j] = x"),
     "no rebuild after a flipped sign": (
-        "hfunction.py", _RESOLVE + "                    self._build()\n",
+        "hfunction.py", _RESOLVE + "                    self._build(classes)\n",
         _RESOLVE),
     "sign rule steps along B's last axis": (
         "hfunction.py", "s[B[0]] += 1", "s[B[-1]] += 1"),
@@ -54,7 +54,7 @@ MUTATIONS = {
     "Torres read on one axis only": (
         "hfunction.py", "for i in range(len(u)):", "for i in range(1):"),
     "step law turns one row late": (
-        "hfunction.py", "if a < below[i] else", "if a <= below[i] else"),
+        "hfunction.py", "if a < b else", "if a <= b else"),
     "h reads the list of s >= 0 in every orthant": (
         "hfunction.py", "self._grids[self._orthants[pattern]]", "self._grids[0]"),
     "a pattern's complement reads the list of s >= 0": (

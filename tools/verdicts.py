@@ -1,7 +1,7 @@
 """Print the verdict of `HTable` on a fixed list of inputs, one line each, so
 that two source trees can be compared with `diff`.
 
-    PYTHONPATH=TREE/src python tools/verdicts.py [--inputs NAME ...]
+    PYTHONPATH=TREE/src python tools/verdicts.py
 
 The hfgenus package is the one on PYTHONPATH, so the same list runs on any
 tree; the inputs come from this checkout's tests/oracles.py.  Each input is
@@ -20,13 +20,11 @@ named input of tests/oracles.py, every catalog key with the parameters of
 random.Random(8) and 400 `raw_triple_draw`s of random.Random(12), each
 member of `pair_scope()` as stored and with its pair sign negated, and the
 knots -t + 3 - 1/t and 2t - 3 + 2/t, neither of them an L-space knot, put in
-place of each component of five catalog links.  --inputs keeps only the
-inputs of those names.
+place of each component of five catalog links.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import random
 import sys
@@ -105,17 +103,12 @@ def verdict(d: LinkDescriptor) -> tuple:
             repr(best_lower_bound(t))), "valid"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--inputs", nargs="+", metavar="NAME",
-                        help="only the inputs of these names")
-    args = parser.parse_args(argv)
+def main() -> int:
     counts = Counter()
     for name, make in inputs():
-        if args.inputs is None or name in args.inputs:
-            fields, kind = verdict(make())
-            counts[kind] += 1
-            print("\t".join((name, *fields)), flush=True)
+        fields, kind = verdict(make())
+        counts[kind] += 1
+        print("\t".join((name, *fields)), flush=True)
     print("counts: " + ", ".join(f"{kind} {n}" for kind, n in sorted(counts.items())))
     return 0
 
